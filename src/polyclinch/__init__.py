@@ -47,7 +47,6 @@ from .submodular import (
     ResidualOracle,
     SubmodularOracle,
     clinch_amounts,
-    evaluate,
     greedy_vertex,
     membership,
     min_constrained,

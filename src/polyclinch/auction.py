@@ -9,8 +9,8 @@ round-robin.  The loop ends when every demand is zero.
 Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, generic clinch
-  via residual-oracle values, with an automatic greedy fast path on
-  single-keyword environments (bit-identical outcomes).
+  via :func:`~polyclinch.submodular.clinch_kernel`, with an automatic greedy
+  fast path on single-keyword environments (bit-identical outcomes).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -35,10 +35,8 @@ from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
-    _mask_sums,
-    _min_over_subsets,
     as_fraction,
-    residual,
+    clinch_kernel,
     vector,
 )
 
@@ -203,27 +201,6 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     return total
 
 
-def _clinch_vector_residual(oracle: SubmodularOracle, rho: Sequence[Fraction],
-                            d: Sequence[Fraction]) -> tuple:
-    """delta_i = max{0, fhat([n]) - fhat([n]\\i)} straight from the subset-min table.
-
-    Feasibility of rho is an engine invariant, so this skips the membership
-    precheck that the public clinch_amounts performs.
-    """
-    n = oracle.n
-    full = (1 << n) - 1
-    rsum = _mask_sums(rho, n)
-    dsum = _mask_sums(d, n)
-    h = [oracle.value_mask(m) - rsum[m] - dsum[m] for m in range(1 << n)]
-    minh = _min_over_subsets(h, n)
-    total = dsum[full] + minh[full]
-    out = []
-    for i in range(n):
-        rest = full ^ (1 << i)
-        out.append(max(ZERO, total - (dsum[rest] + minh[rest])))
-    return tuple(out)
-
-
 def _clinch_vector_greedy(alpha: Sequence[Fraction], rho: Sequence[Fraction],
                           d: Sequence[Fraction]) -> tuple:
     """Fast-path clinch: delta_i = M - M_{-i} with d_i forced to zero in M_{-i}."""
@@ -278,8 +255,11 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
             break
     else:
         raise DivergenceError(
-            f"auction did not terminate within {max_steps} steps; "
-            "check epsilon and the reported values")
+            f"auction did not terminate within {max_steps} steps: it stopped at "
+            f"prices ({', '.join(map(str, prices))}) with demands "
+            f"({', '.join(map(str, demands))}) still positive; raise max_steps "
+            "or epsilon, or check the reported values",
+            step=max_steps, prices=tuple(prices), demands=tuple(demands))
 
     exhausted = frozenset(i for i in range(n)
                           if budgets0[i] is not None and payments[i] == budgets0[i])
@@ -294,7 +274,7 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
 
     ``fast_path=None`` uses the greedy clinch whenever the oracle carries a
     CTR list (single-keyword environments); True forces it, False forces the
-    generic residual-oracle path.  Both paths produce identical outcomes.
+    generic kernel path.  Both paths produce identical outcomes.
     """
     n = oracle.n
     if len(bidders) != n:
@@ -316,8 +296,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
         clinch_fn = lambda rho, d: _clinch_vector_greedy(alpha, rho, d)   # noqa: E731
         fhat_fn = lambda rho, d: fast_residual_max(alpha, rho, d)         # noqa: E731
     else:
-        clinch_fn = lambda rho, d: _clinch_vector_residual(oracle, rho, d)  # noqa: E731
-        fhat_fn = lambda rho, d: residual(oracle, rho, d).full_value()      # noqa: E731
+        clinch_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[1]       # noqa: E731
+        fhat_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[0]         # noqa: E731
 
     return _run_loop(n, eps, cfg.max_steps, [b.budget for b in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None,
@@ -476,8 +456,8 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
                 out.append(min(budgets_rem[i] / prices[i], quantity))
         return out
 
-    clinch_fn = lambda rho, d: _clinch_vector_residual(oracle, rho, d)      # noqa: E731
-    fhat_fn = lambda rho, d: residual(oracle, rho, d).full_value()          # noqa: E731
+    clinch_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[1]             # noqa: E731
+    fhat_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[0]               # noqa: E731
     return _run_loop(n, eps, cfg.max_steps, normalized_budgets, demands_fn,
                      clinch_fn, fhat_fn if cfg.trace else None, cfg.trace)
 
@@ -534,26 +514,31 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     return (axis_max(0, g0), axis_max(1, h0))
 
 
-def polytope_vertices(rows_a: Sequence[Sequence[Rational]],
-                      rhs: Sequence[Rational]) -> list:
-    """Vertices of a 2D packing polytope {x >= 0 : Ax <= b}, deduplicated and sorted."""
-    a, b = _validate_packing(rows_a, rhs)
-    lines = [ (row[0], row[1], b[j]) for j, row in enumerate(a) ]
-    lines.append((Fraction(-1), ZERO, ZERO))     # -x0 <= 0
-    lines.append((ZERO, Fraction(-1), ZERO))     # -x1 <= 0
+def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
+    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}; arbitrary signs allowed."""
     points = set()
     for i in range(len(lines)):
+        a0, b0, c0 = lines[i]
         for j in range(i + 1, len(lines)):
-            a0, b0, c0 = lines[i]
             a1, b1, c1 = lines[j]
             det = a0 * b1 - a1 * b0
             if det == 0:
                 continue
-            x = (c0 * b1 - c1 * b0) / det
-            y = (a0 * c1 - a1 * c0) / det
-            if x >= 0 and y >= 0 and all(r0 * x + r1 * y <= rb for r0, r1, rb in lines):
-                points.add((x, y))
+            y0 = (c0 * b1 - c1 * b0) / det
+            y1 = (a0 * c1 - a1 * c0) / det
+            if all(l0 * y0 + l1 * y1 <= lc for l0, l1, lc in lines):
+                points.add((y0, y1))
     return sorted(points)
+
+
+def polytope_vertices(rows_a: Sequence[Sequence[Rational]],
+                      rhs: Sequence[Rational]) -> list:
+    """Vertices of a 2D packing polytope {x >= 0 : Ax <= b}, deduplicated and sorted."""
+    a, b = _validate_packing(rows_a, rhs)
+    lines = [(row[0], row[1], b[j]) for j, row in enumerate(a)]
+    lines.append((Fraction(-1), ZERO, ZERO))     # -x0 <= 0
+    lines.append((ZERO, Fraction(-1), ZERO))     # -x1 <= 0
+    return _vertices_from_lines(lines)
 
 
 def run_generic_2player(rows_a: Sequence[Sequence[Rational]],

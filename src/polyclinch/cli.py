@@ -68,7 +68,7 @@ def execute(command: str, inst: InstanceFile | None, args) -> dict:
     """Run one command and assemble the report dict (the ReportFile)."""
     report = {"schema": 1, "command": command}
     if command == "run":
-        outcome = _run_instance(inst)
+        outcome = _run_instance(inst, force_trace=bool(args.trace_out))
         report["outcome"] = outcome.to_json(with_trace=False)
         if outcome.trace is not None and args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:

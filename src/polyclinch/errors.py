@@ -22,7 +22,18 @@ class PreconditionError(DomainError):
 
 
 class DivergenceError(ClinchError):
-    """An auction exceeded its step budget without demands reaching zero."""
+    """An auction exceeded its step budget without demands reaching zero.
+
+    Carries the state it stopped in: ``step``, the number of steps run;
+    ``prices``, the clock prices it stopped at; ``demands``, the demands
+    after the last step's clinch.
+    """
+
+    def __init__(self, message, step=None, prices=None, demands=None):
+        super().__init__(message)
+        self.step = step
+        self.prices = prices
+        self.demands = demands
 
 
 class ParseError(DomainError):

@@ -15,7 +15,11 @@ a polymatroid, defined by
 
 ``fhat`` need not be monotone; its monotonization ``fbar(S) = min over
 supersets S' of fhat(S')`` defines the same polytope.  Clinch amounts derive
-from ``fhat`` evaluated at the full set and at each full-set-minus-one.
+from ``fhat`` evaluated at the full set and at each full-set-minus-one; the
+auction engines get both from :func:`clinch_kernel`, which works on integers
+over a common denominator, while :class:`ResidualOracle` evaluates the
+definition on ``Fraction`` tables and serves as the reference it is checked
+against.
 
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); these oracles are meant for
@@ -24,6 +28,8 @@ desk-scale verification, not for large-scale submodular minimization.
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +147,7 @@ class SubmodularOracle:
         self.ctrs = ctrs
         self._fn = fn_mask
         self._memo = {0: ZERO}
+        self._table = None
 
     @classmethod
     def from_set_function(cls, n: int, fn: Callable[[frozenset], Rational],
@@ -162,13 +169,21 @@ class SubmodularOracle:
             raise DomainError(f"element {i} is outside the ground set of size {self.n}")
         return self.value_mask(1 << i)
 
+    def integer_table(self) -> tuple:
+        """``(D, nums)`` with ``f(m) = nums[m] / D`` for every mask m.
+
+        D is the least common denominator of the whole table; both are built
+        on first use, from one evaluation per mask, and kept.
+        """
+        if self._table is None:
+            check_enumeration_size(self.n, f"value table of {self.name!r}")
+            values = [self.value_mask(m) for m in range(1 << self.n)]
+            den = math.lcm(*(v.denominator for v in values))
+            self._table = (den, [v.numerator * (den // v.denominator) for v in values])
+        return self._table
+
     def __repr__(self):
         return f"SubmodularOracle({self.name}, n={self.n}, monotone={self.monotone})"
-
-
-def evaluate(oracle: SubmodularOracle, subset: Iterable[int]) -> Fraction:
-    """f(S); uniform oracle call surface used by the other modules."""
-    return oracle.value(subset)
 
 
 @dataclass(frozen=True)
@@ -227,6 +242,15 @@ class MembershipResult:
         return self.ok
 
 
+def _precedes(mask: int, other: int) -> bool:
+    """Witness tie-break between two sets of equal value: smaller cardinality
+    first, then the lexicographically smaller sorted element tuple."""
+    size, other_size = mask.bit_count(), other.bit_count()
+    if size != other_size:
+        return size < other_size
+    return sorted(set_of(mask)) < sorted(set_of(other))
+
+
 def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipResult:
     """Decide x in P(f) exactly; on failure report a most-violated set."""
     n = oracle.n
@@ -236,14 +260,13 @@ def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipRes
             raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
     check_enumeration_size(n, "membership test")
     sums = _mask_sums(vec, n)
-    best_mask, best_key = None, None
-    for m in range(1, 1 << n):
+    best_mask, best = 1, oracle.value_mask(1) - sums[1]
+    for m in range(2, 1 << n):
         slack = oracle.value_mask(m) - sums[m]
-        key = (slack, bin(m).count("1"), tuple(sorted(set_of(m))))
-        if best_key is None or key < best_key:
-            best_key, best_mask = key, m
-    if best_key[0] < 0:
-        return MembershipResult(False, set_of(best_mask), best_key[0])
+        if slack < best or (slack == best and _precedes(m, best_mask)):
+            best_mask, best = m, slack
+    if best < 0:
+        return MembershipResult(False, set_of(best_mask), best)
     return MembershipResult(True)
 
 
@@ -271,19 +294,18 @@ def min_constrained(evaluator, n: Optional[int] = None,
     if inc & exc:
         raise DomainError("include and exclude sets overlap")
     free = ((1 << n) - 1) & ~inc & ~exc
-    best_mask, best_key = None, None
+    best_mask, best = None, None
     # Iterate all supersets of inc avoiding exc: submasks of `free` shifted by inc.
     sub = free
     while True:
         m = inc | sub
         value = eval_mask(m)
-        key = (value, bin(m).count("1"), tuple(sorted(set_of(m))))
-        if best_key is None or key < best_key:
-            best_key, best_mask = key, m
+        if best_mask is None or value < best or (value == best and _precedes(m, best_mask)):
+            best_mask, best = m, value
         if sub == 0:
             break
         sub = (sub - 1) & free
-    return set_of(best_mask), best_key[0]
+    return set_of(best_mask), best
 
 
 def _min_over_subsets(values: list, n: int) -> list:
@@ -307,6 +329,23 @@ def _min_over_supersets(values: list, n: int) -> list:
     return out
 
 
+def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
+    dem = vector(d, n)
+    for i, di in enumerate(dem):
+        if di < 0:
+            raise DomainError(f"demands must be >= 0, got d[{i}] = {di}")
+    return dem
+
+
+def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction], what: str) -> None:
+    check_enumeration_size(oracle.n, what)
+    result = membership(oracle, rho)
+    if not result.ok:
+        raise PreconditionError(
+            f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
+            f"S = {sorted(result.violating)}", witness=result.violating)
+
+
 class ResidualOracle:
     """Oracle for the residual polymatroid P_{rho,d} of a base polymatroid.
 
@@ -314,10 +353,13 @@ class ResidualOracle:
     exhaustive enumeration with memoized base values.  Since ``d(S \\ T) =
     d(S) - d(T)`` the whole table reduces to a subset-min transform of
     ``h(T) = f(T) - rho(T) - d(T)``, computed once per (rho, d) snapshot.
-    Snapshots are immutable, so the table never invalidates.
+    Snapshots are immutable, so the table never invalidates.  The engines
+    clinch with :func:`clinch_kernel`; this ``Fraction`` evaluation of the
+    definition is the independent reference it is checked against.
 
     ``monotonized`` evaluates ``fbar(S) = min over supersets of fhat``, the
-    monotone function defining the same polytope.
+    monotone function defining the same polytope; its table is built only
+    when first asked for.
     """
 
     def __init__(self, base: SubmodularOracle, rho: Sequence[Rational],
@@ -327,21 +369,13 @@ class ResidualOracle:
         self.monotone = False
         self.name = f"residual({base.name})"
         self.rho = vector(rho, base.n)
-        self.demand = vector(d, base.n)
-        for i, di in enumerate(self.demand):
-            if di < 0:
-                raise DomainError(f"demands must be >= 0, got d[{i}] = {di}")
+        self.demand = _demand_vector(d, base.n)
         if _validate:
-            check_enumeration_size(self.n, "residual oracle construction")
-            result = membership(base, self.rho)
-            if not result.ok:
-                raise PreconditionError(
-                    f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
-                    f"S = {sorted(result.violating)}", witness=result.violating)
+            _check_promises(base, self.rho, "residual oracle construction")
         self._fhat = None
         self._fbar = None
 
-    def _tables(self):
+    def _fhat_table(self) -> list:
         if self._fhat is None:
             n = self.n
             rsum = _mask_sums(self.rho, n)
@@ -349,17 +383,21 @@ class ResidualOracle:
             h = [self.base.value_mask(m) - rsum[m] - dsum[m] for m in range(1 << n)]
             minh = _min_over_subsets(h, n)
             self._fhat = [dsum[m] + minh[m] for m in range(1 << n)]
-            self._fbar = _min_over_supersets(self._fhat, n)
-        return self._fhat, self._fbar
+        return self._fhat
+
+    def _fbar_table(self) -> list:
+        if self._fbar is None:
+            self._fbar = _min_over_supersets(self._fhat_table(), self.n)
+        return self._fbar
 
     def value_mask(self, mask: int) -> Fraction:
-        return self._tables()[0][mask]
+        return self._fhat_table()[mask]
 
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(subset, self.n))
 
     def monotonized_mask(self, mask: int) -> Fraction:
-        return self._tables()[1][mask]
+        return self._fbar_table()[mask]
 
     def monotonized(self, subset: Iterable[int]) -> Fraction:
         return self.monotonized_mask(mask_of(subset, self.n))
@@ -379,17 +417,68 @@ def residual(oracle: SubmodularOracle, rho: Sequence[Rational],
     return ResidualOracle(oracle, rho, d)
 
 
+def _min_without_bit(values: list, i: int) -> int:
+    """min of values[m] over the masks m that do not contain bit i."""
+    width = 1 << i
+    period = 2 * width
+    size = len(values)
+    if width <= size // period:
+        # Few residues: each one is a strided slice.
+        return min(min(values[r::period]) for r in range(width))
+    # Few periods: each one starts with a contiguous run of masks without bit i.
+    return min(min(values[s:s + width]) for s in range(0, size, period))
+
+
+def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
+                  d: Sequence[Fraction]) -> tuple:
+    """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
+
+    With ``h = f - rho - d``, ``fhat(S) = d(S) + min over T <= S of h(T)``, so
+    the clinch needs only n + 1 minima of h: over all masks, and over the
+    masks without bit i.  When a minimizer T* of h avoids i the two minima
+    agree and delta_i = d_i, so only the bits of T* need the second minimum.
+    h is evaluated on integers: the oracle's cached integer table, rho and d
+    scaled to one common denominator.  Exact, and equal to the values
+    :class:`ResidualOracle` gives.
+
+    rho and d are Fraction vectors with d >= 0; rho must lie in P(f), which
+    is not checked here (the engines keep it invariant; :func:`clinch_amounts`
+    checks it).
+    """
+    n = oracle.n
+    fden, fnum = oracle.integer_table()
+    den = math.lcm(fden, *(v.denominator for v in rho), *(v.denominator for v in d))
+    scale = den // fden
+    dnum = [v.numerator * (den // v.denominator) for v in d]
+    sums = [0]
+    for i in range(n):
+        weight = rho[i].numerator * (den // rho[i].denominator) + dnum[i]
+        sums += [s + weight for s in sums]
+    if scale != 1:
+        fnum = [v * scale for v in fnum]
+    h = list(map(operator.sub, fnum, sums))
+    low = min(h)
+    argmin = h.index(low)
+    delta = []
+    for i in range(n):
+        if argmin >> i & 1:
+            delta.append(Fraction(max(0, dnum[i] + low - _min_without_bit(h, i)), den))
+        else:
+            delta.append(d[i])
+    return Fraction(sum(dnum) + low, den), tuple(delta)
+
+
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
                    d: Sequence[Rational]) -> tuple:
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
-    The result satisfies 0 <= delta <= d and rho + delta in P(f).
+    Checks that rho lies in P(f) and d >= 0 first.  The result satisfies
+    0 <= delta <= d and rho + delta in P(f).
     """
-    res = residual(oracle, rho, d)
-    full = (1 << oracle.n) - 1
-    total = res.value_mask(full)
-    return tuple(max(ZERO, total - res.value_mask(full ^ (1 << i)))
-                 for i in range(oracle.n))
+    prom = vector(rho, oracle.n)
+    dem = _demand_vector(d, oracle.n)
+    _check_promises(oracle, prom, "clinch computation")
+    return clinch_kernel(oracle, prom, dem)[1]
 
 
 def greedy_vertex(oracle: SubmodularOracle, order: Optional[Sequence[int]] = None) -> tuple:

@@ -25,11 +25,13 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _vertices_from_lines,
+    polytope_vertices,
     run_clinching,
     run_decreasing_marginals,
     run_generic_2player,
 )
-from .errors import DomainError, SizeError
+from .errors import DomainError, PreconditionError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
@@ -155,23 +157,6 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})
     return report
-
-
-def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
-    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}; arbitrary signs allowed."""
-    points = set()
-    for i in range(len(lines)):
-        a0, b0, c0 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a1, b1, c1 = lines[j]
-            det = a0 * b1 - a1 * b0
-            if det == 0:
-                continue
-            y0 = (c0 * b1 - c1 * b0) / det
-            y1 = (a0 * c1 - a1 * c0) / det
-            if all(l0 * y0 + l1 * y1 <= lc for l0, l1, lc in lines):
-                points.add((y0, y1))
-    return sorted(points)
 
 
 def _strictly_dominated(rows_a, rhs, y) -> bool:
@@ -354,14 +339,16 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     conserved = dominance = reclinch = feasible = budgets_ok = None
 
     for snap in snapshots:
-        if feasible is None:
-            if any(v < 0 for v in snap.promised):
-                feasible = {"step": snap.step, "violating_set": [],
-                            "detail": "negative promised allocation"}
-            else:
-                member = membership(oracle, snap.promised)
-                if not member.ok:
-                    feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
+        if any(v < 0 for v in snap.promised):
+            feasible = {"step": snap.step, "violating_set": [],
+                        "detail": "negative promised allocation"}
+        else:
+            # residual() decides rho in P(f) before it builds the reference
+            # table, so one membership test per snapshot covers both.
+            try:
+                res = residual(oracle, snap.promised, snap.demands)
+            except PreconditionError as exc:
+                feasible = {"step": snap.step, "violating_set": sorted(exc.witness)}
         if budgets_ok is None:
             for i, b in enumerate(snap.budgets):
                 if b is not None and b < 0:
@@ -371,7 +358,6 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        res = residual(oracle, snap.promised, snap.demands)
         total = res.value_mask(full)
         if conserved is None and sum(snap.promised, ZERO) + total != target:
             conserved = {"step": snap.step,
@@ -470,8 +456,6 @@ IMPOSSIBILITY_BUDGETS = (Fraction(1), Fraction(1))
 
 
 def _efficient_value(rows, rhs, values) -> Fraction:
-    from .auction import polytope_vertices
-
     verts = polytope_vertices(rows, rhs)
     return max(values[0] * p[0] + values[1] * p[1] for p in verts)
 

@@ -92,10 +92,17 @@ def test_binding_budgets_drain_high_bidder_exactly():
 
 
 def test_divergence_guard_raises():
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as info:
         run_clinching(multi_unit_oracle(1, 2),
                       [bidder(5, 100), bidder(4, 100)],
-                      AuctionConfig(epsilon=F(1, 100), max_steps=10))
+                      AuctionConfig(epsilon=F(1, 100), max_steps=2))
+    # The error reports where it stopped: two steps advanced clocks 0 then 1,
+    # and neither bidder clinched (each alone demands the whole unit).
+    err = info.value
+    assert (err.step, err.prices, err.demands) == \
+        (2, (F(1, 100), F(1, 100)), (F(1), F(1)))
+    assert "within 2 steps" in str(err)
+    assert "prices (1/100, 1/100)" in str(err) and "demands (1, 1)" in str(err)
 
 
 def test_rejects_wrong_bidder_count():

@@ -53,6 +53,20 @@ def test_trace_file_written(tmp_path, capsys):
     assert {"p", "rho", "d", "delta", "B_rem", "fhat_full"} <= set(trace[0])
 
 
+def test_trace_file_written_when_instance_has_trace_off(tmp_path, capsys):
+    data = json.loads((FIXTURES / "multi-unit.json").read_text())
+    data["config"]["trace"] = False
+    instance = tmp_path / "multi-unit-untraced.json"
+    instance.write_text(json.dumps(data))
+    trace_out = tmp_path / "trace.json"
+    code, out, _ = run_cli(capsys, "run", "-i", str(instance), "--trace", str(trace_out),
+                           "--format", "json")
+    assert code == EXIT_OK
+    trace = json.loads(trace_out.read_text())
+    assert [snap["step"] for snap in trace] == list(range(len(trace)))
+    assert json.loads(out)["outcome"]["x"] == trace[-1]["rho"]
+
+
 def test_demo_appendix_d_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "demo", "appendix-d")
     assert code == EXIT_OK

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from polyclinch import (
     DomainError,
     PreconditionError,
+    ResidualOracle,
     SizeError,
     SubmodularOracle,
     clinch_amounts,
-    evaluate,
     greedy_vertex,
     membership,
     min_constrained,
@@ -23,34 +23,36 @@ from polyclinch import (
     verify_submodular,
 )
 
-from corpus import random_demands, random_feasible_point, random_oracle
+from polyclinch.submodular import clinch_kernel, set_of
+
+from corpus import KINDS, random_demands, random_feasible_point, random_oracle
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# oracle values
 # ---------------------------------------------------------------------------
 
 def test_evaluate_single_keyword_top_two():
     oracle = single_keyword_oracle([3, 2, 1])
-    assert evaluate(oracle, {0, 1}) == 5
+    assert oracle.value({0, 1}) == 5
 
 
 def test_evaluate_empty_set_is_zero():
     for oracle in (single_keyword_oracle([3, 2]), multi_unit_oracle(7, 3)):
-        assert evaluate(oracle, set()) == 0
+        assert oracle.value(set()) == 0
 
 
 def test_evaluate_rejects_out_of_range_index():
     oracle = multi_unit_oracle(1, 2)
     with pytest.raises(DomainError):
-        evaluate(oracle, {5})
+        oracle.value({5})
 
 
 def test_evaluate_is_deterministic_across_calls():
     oracle = single_keyword_oracle([3, 2, 1])
-    assert evaluate(oracle, {1, 2}) == evaluate(oracle, {2, 1})
+    assert oracle.value({1, 2}) == oracle.value({2, 1})
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,42 @@ def test_min_constrained_tie_break_smallest_then_lexicographic():
     assert min_constrained(pair_fn, 3) == (frozenset({0, 1}), 0)
 
 
+def _old_key_argmin(eval_mask, masks):
+    """The witness order as first written: the full key built for every mask."""
+    return min(masks, key=lambda m: (eval_mask(m), bin(m).count("1"),
+                                     tuple(sorted(set_of(m)))))
+
+
+def test_witness_tie_break_matches_full_key_under_forced_ties():
+    rng = random.Random(808)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        # Most masks tie; the smallest ties have two or more elements, where
+        # the sorted-tuple order differs from the mask order ({0, 3} < {1, 2}).
+        table = [rng.randint(0, 1) + (m.bit_count() < 2) for m in range(1 << n)]
+        fn = lambda s, t=table: t[sum(1 << i for i in s)]  # noqa: E731
+        include = {i for i in range(n) if rng.random() < 0.2}
+        exclude = {i for i in range(n) if i not in include and rng.random() < 0.2}
+        inc = sum(1 << i for i in include)
+        masks = [m for m in range(1 << n)
+                 if m & inc == inc and not m & sum(1 << i for i in exclude)]
+        best = _old_key_argmin(lambda m: table[m], masks)
+        assert min_constrained(fn, n, include, exclude) == (set_of(best), table[best])
+
+        # membership: f - x ties on many sets, negative on some.
+        oracle = SubmodularOracle(n, lambda m, t=table: F(t[m] + m.bit_count()),
+                                  False, "ties")
+        x = [F(rng.randint(0, 2)) for _ in range(n)]
+        slack = lambda m: oracle.value_mask(m) - sum(x[i] for i in set_of(m))  # noqa: E731
+        best = _old_key_argmin(slack, range(1, 1 << n))
+        result = membership(oracle, x)
+        if slack(best) < 0:
+            assert (result.ok, result.violating, result.deficit) == \
+                (False, set_of(best), slack(best))
+        else:
+            assert result.ok
+
+
 def test_min_constrained_rejects_overlap():
     with pytest.raises(DomainError):
         min_constrained(lambda s: 0, 2, include={0}, exclude={0})
@@ -277,3 +315,94 @@ def test_clinch_keeps_promises_feasible_and_is_idempotent():
         assert membership(oracle, new_rho).ok
         new_d = tuple(d[i] - delta[i] for i in range(n))
         assert clinch_amounts(oracle, new_rho, new_d) == (F(0),) * n
+
+
+# ---------------------------------------------------------------------------
+# clinch kernel (integer arithmetic) against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _fractional_oracle(rng: random.Random, n: int) -> SubmodularOracle:
+    """f = g / 3 + min(|S|, 2) / 4 for a random polymatroid g: mixed denominators."""
+    base = random_oracle(rng, rng.choice(KINDS), n)
+    return SubmodularOracle(
+        n, lambda m: base.value_mask(m) / 3 + F(min(m.bit_count(), 2), 4),
+        True, f"fractional({base.name})")
+
+
+def _reference_clinch(oracle, rho, d):
+    res = ResidualOracle(oracle, rho, d)
+    full = (1 << oracle.n) - 1
+    total = res.value_mask(full)
+    return total, tuple(max(F(0), total - res.value_mask(full ^ (1 << i)))
+                        for i in range(oracle.n))
+
+
+def _kernel_case(rng: random.Random, t: int):
+    n = rng.randint(1, 8) if t % 5 else rng.randint(9, 10)
+    kinds = KINDS + ("fractional",)
+    kind = kinds[t % len(kinds)]
+    oracle = (_fractional_oracle(rng, n) if kind == "fractional"
+              else random_oracle(rng, kind, n))
+    order = list(range(n))
+    rng.shuffle(order)
+    vertex = greedy_vertex(oracle, order)
+    mode = t % 3
+    if mode == 0:
+        # Interior promises, demands over mixed denominators, some zero.
+        rho = tuple(F(rng.randint(0, 21), 21) * v for v in vertex)
+        d = tuple(F(0) if rng.random() < 0.3 else
+                  F(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7, 12)))
+                  for _ in range(n))
+    elif mode == 1:
+        # Promises on a vertex: every prefix set is tight, so h ties at 0.
+        rho = vertex
+        d = tuple(F(0) if rng.random() < 0.5 else F(rng.randint(1, 6), 5)
+                  for _ in range(n))
+    else:
+        # rho + d is a vertex: h ties at 0 on every prefix of the order.
+        scale = F(rng.randint(0, 9), 9)
+        rho = tuple(scale * v for v in vertex)
+        d = tuple(v - r for v, r in zip(vertex, rho))
+    return kind, oracle, rho, d
+
+
+def test_clinch_kernel_matches_residual_oracle():
+    rng = random.Random(1205)
+    ties = zero_demands = 0
+    kinds = set()
+    for t in range(150):
+        kind, oracle, rho, d = _kernel_case(rng, t)
+        kinds.add(kind)
+        expected = _reference_clinch(oracle, rho, d)
+        assert clinch_kernel(oracle, rho, d) == expected, (t, kind, rho, d)
+        delta = expected[1]
+        assert all(0 <= delta[i] <= d[i] for i in range(oracle.n))
+        weights = [F(0)]
+        for r, q in zip(rho, d):
+            weights += [w + r + q for w in weights]
+        h = [oracle.value_mask(m) - w for m, w in enumerate(weights)]
+        ties += h.count(min(h)) > 1
+        zero_demands += 0 in d
+    assert kinds == set(KINDS) | {"fractional"}
+    assert ties >= 50 and zero_demands >= 50, (ties, zero_demands)   # both exercised
+
+
+def test_clinch_kernel_builds_the_integer_table_once():
+    calls = []
+    base = multi_unit_oracle(F(7, 3), 4)
+    oracle = SubmodularOracle(4, lambda m: calls.append(m) or base.value_mask(m),
+                              True, "counted")
+    first = oracle.integer_table()
+    assert first[0] == 3 and first[1][0b1111] == 7
+    clinch_kernel(oracle, (F(0),) * 4, (F(1, 2),) * 4)
+    clinch_kernel(oracle, (F(1, 5),) * 4, (F(1, 7),) * 4)
+    assert oracle.integer_table() is first
+    assert sorted(calls) == list(range(1, 16))
+
+
+def test_clinch_amounts_keeps_its_prechecks():
+    oracle = single_keyword_oracle([3, 2])
+    with pytest.raises(PreconditionError):
+        clinch_amounts(oracle, [4, 0], [1, 1])
+    with pytest.raises(DomainError):
+        clinch_amounts(oracle, [1, 0], [1, -1])

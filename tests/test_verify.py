@@ -17,6 +17,7 @@ from polyclinch import (
     demo_appendix_d,
     demo_impossibility,
     fuzz_truthfulness,
+    membership,
     multi_unit_oracle,
     run_clinching,
     run_decreasing_marginals,
@@ -243,6 +244,23 @@ def test_corrupted_trace_fails_conservation_at_the_mutated_step():
     assert not report.ok()
     conserved = report.result("conserved-quantity")
     assert not conserved.passed and conserved.witness["step"] == snaps[k].step
+
+
+def test_infeasible_trace_reports_the_violated_set_and_stops():
+    oracle = multi_unit_oracle(2, 2)
+    out = run_clinching(oracle, [bidder(3, 2), bidder(1, 2)],
+                        AuctionConfig(trace=True))
+    snaps = list(out.trace)
+    k = len(snaps) - 1
+    inflated = (snaps[k].promised[0] + 1,) + snaps[k].promised[1:]
+    snaps[k] = replace(snaps[k], promised=inflated)
+    report = validate_trace(oracle, snaps)
+    feasible = report.result("feasibility")
+    assert not feasible.passed
+    assert feasible.witness == {"step": snaps[k].step,
+                                "violating_set": sorted(membership(oracle, inflated).violating)}
+    # The snapshots before it are feasible and balance.
+    assert report.result("conserved-quantity").passed
 
 
 # ---------------------------------------------------------------------------
