@@ -216,6 +216,35 @@ def _clinch_vector_greedy(alpha: Sequence[Fraction], rho: Sequence[Fraction],
     return tuple(out)
 
 
+def _kernel_callbacks(oracle: SubmodularOracle) -> tuple:
+    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over :func:`clinch_kernel`.
+
+    fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
+    loop clinches delta out of d into rho, so h is unchanged and the
+    snapshot's fhat([n]) is the clinch's, less d([n]) before, plus d([n])
+    after.  fhat_fn reuses the clinch that way whenever rho + d is the same
+    vector, and runs the kernel otherwise.  Only the bidders whose entries
+    changed (those that clinched) cost Fraction arithmetic.
+    """
+    last = [None, None, None]                    # rho, d and fhat([n]) of the last clinch
+
+    def clinch_fn(rho, d):
+        total, delta = clinch_kernel(oracle, rho, d)
+        last[:] = tuple(rho), tuple(d), total
+        return delta
+
+    def fhat_fn(rho, d):
+        rho0, d0, total = last
+        if rho0 is not None:
+            moved = [(a, b, a0, b0) for a, b, a0, b0 in zip(rho, d, rho0, d0)
+                     if a != a0 or b != b0]
+            if all(a + b == a0 + b0 for a, b, a0, b0 in moved):
+                return total + sum((b - b0 for _, b, _, b0 in moved), ZERO)
+        return clinch_kernel(oracle, rho, d)[0]
+
+    return clinch_fn, fhat_fn
+
+
 def _run_loop(n: int, eps: Fraction, max_steps: int,
               budgets0: Sequence[Optional[Fraction]],
               demands_fn: Callable, clinch_fn: Callable,
@@ -296,8 +325,7 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
         clinch_fn = lambda rho, d: _clinch_vector_greedy(alpha, rho, d)   # noqa: E731
         fhat_fn = lambda rho, d: fast_residual_max(alpha, rho, d)         # noqa: E731
     else:
-        clinch_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[1]       # noqa: E731
-        fhat_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[0]         # noqa: E731
+        clinch_fn, fhat_fn = _kernel_callbacks(oracle)
 
     return _run_loop(n, eps, cfg.max_steps, [b.budget for b in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None,
@@ -456,8 +484,7 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
                 out.append(min(budgets_rem[i] / prices[i], quantity))
         return out
 
-    clinch_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[1]             # noqa: E731
-    fhat_fn = lambda rho, d: clinch_kernel(oracle, rho, d)[0]               # noqa: E731
+    clinch_fn, fhat_fn = _kernel_callbacks(oracle)
     return _run_loop(n, eps, cfg.max_steps, normalized_budgets, demands_fn,
                      clinch_fn, fhat_fn if cfg.trace else None, cfg.trace)
 

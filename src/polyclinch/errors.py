@@ -10,7 +10,18 @@ class DomainError(ClinchError, ValueError):
 
 
 class SizeError(ClinchError):
-    """A brute-force enumeration cap was exceeded, or a dimension is unsupported."""
+    """A brute-force enumeration cap was exceeded, or a dimension is unsupported.
+
+    A cap breach carries ``n``, the number of elements asked for; ``cap``, the
+    cap in force; and ``what``, the enumeration that was refused.  The three
+    are None when a dimension is unsupported.
+    """
+
+    def __init__(self, message, n=None, cap=None, what=None):
+        super().__init__(message)
+        self.n = n
+        self.cap = cap
+        self.what = what
 
 
 class PreconditionError(DomainError):

@@ -21,6 +21,12 @@ over a common denominator, while :class:`ResidualOracle` evaluates the
 definition on ``Fraction`` tables and serves as the reference it is checked
 against.
 
+The brute-force verifiers decide on the same integer table:
+:func:`membership` takes one minimum of f - x, :func:`verify_submodular`
+tests local second differences, and :func:`residual_totals` gives the n + 1
+residual values a trace check needs.  ``Fraction`` scans run only to name the
+witness of a failure, so witnesses stay those of the definition.
+
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); these oracles are meant for
 desk-scale verification, not for large-scale submodular minimization.
@@ -33,9 +39,9 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DomainError, PreconditionError, SizeError
+from .errors import ClinchError, DomainError, PreconditionError, SizeError
 
 DEFAULT_BRUTE_FORCE_CAP = 16
 _CAP_ENV = "CLINCH_BRUTE_FORCE_CAP"
@@ -62,7 +68,10 @@ def brute_force_cap() -> int:
 def check_enumeration_size(n: int, what: str = "subset enumeration") -> None:
     cap = brute_force_cap()
     if n > cap:
-        raise SizeError(f"{what} over {n} elements exceeds the cap of {cap}")
+        raise SizeError(
+            f"{what} over {n} elements exceeds the cap of {cap}; set the "
+            f"{_CAP_ENV} environment variable to {n} or more to allow it "
+            "(the work grows at least as 2^n)", n=n, cap=cap, what=what)
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -117,6 +126,12 @@ def mask_of(subset: Iterable[int], n: int) -> int:
 
 def set_of(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
+    """``(D, nums)`` with ``values[k] = nums[k] / D``, D the least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
@@ -177,9 +192,8 @@ class SubmodularOracle:
         """
         if self._table is None:
             check_enumeration_size(self.n, f"value table of {self.name!r}")
-            values = [self.value_mask(m) for m in range(1 << self.n)]
-            den = math.lcm(*(v.denominator for v in values))
-            self._table = (den, [v.numerator * (den // v.denominator) for v in values])
+            self._table = _over_common_denominator(
+                [self.value_mask(m) for m in range(1 << self.n)])
         return self._table
 
     def __repr__(self):
@@ -199,12 +213,26 @@ class OracleCheck:
         return self.ok
 
 
+def _locally_submodular(nums: Sequence[int], n: int) -> bool:
+    """f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and every i < j outside S."""
+    for s, base in enumerate(nums):
+        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
+        for k, si in enumerate(grown):
+            for sj in grown[k + 1:]:
+                if nums[si] + nums[sj] < nums[si | sj] + base:
+                    return False
+    return True
+
+
 def verify_submodular(oracle) -> OracleCheck:
     """Exhaustively check normalization, submodularity and claimed monotonicity.
 
-    Enumerates all 4^n subset pairs, so expect this to be slow well before
-    the cap bites.  Returns the first violating pair in ascending mask order,
-    so failures are reproducible.
+    Decided on integers over a common denominator.  Submodularity uses the
+    local second differences, ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for
+    every S and i < j outside it (C(n,2) 2^(n-2) checks), which is equivalent
+    to ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  Only on a
+    violation does the pairwise scan run, in ascending mask order, so the
+    reported pair is the first violating one and failures are reproducible.
     """
     n = oracle.n
     check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}")
@@ -213,22 +241,24 @@ def verify_submodular(oracle) -> OracleCheck:
                            f"f(empty) = {oracle.value_mask(0)} != 0")
     size = 1 << n
     values = [oracle.value_mask(m) for m in range(size)]
-    for s in range(size):
-        for t in range(s + 1, size):
-            if values[s | t] + values[s & t] > values[s] + values[t]:
-                return OracleCheck(
-                    False, "submodularity", (set_of(s), set_of(t)),
-                    f"f(S|T)+f(S&T) = {values[s | t] + values[s & t]} > "
-                    f"{values[s] + values[t]} = f(S)+f(T)")
+    nums = _over_common_denominator(values)[1]
+    if not _locally_submodular(nums, n):
+        for s in range(size):
+            for t in range(s + 1, size):
+                if values[s | t] + values[s & t] > values[s] + values[t]:
+                    return OracleCheck(
+                        False, "submodularity", (set_of(s), set_of(t)),
+                        f"f(S|T)+f(S&T) = {values[s | t] + values[s & t]} > "
+                        f"{values[s] + values[t]} = f(S)+f(T)")
+        raise ClinchError(f"{oracle.name!r} fails the local submodularity test on "
+                          "integers but no pair of sets violates submodularity")
     if oracle.monotone:
         for s in range(size):
             for i in range(n):
-                if s >> i & 1:
-                    continue
-                if values[s | (1 << i)] < values[s]:
+                if not s >> i & 1 and nums[s | 1 << i] < nums[s]:
                     return OracleCheck(
-                        False, "monotonicity", (set_of(s), set_of(s | (1 << i))),
-                        f"f(S) = {values[s]} > {values[s | (1 << i)]} = f(S+{i})")
+                        False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
+                        f"f(S) = {values[s]} > {values[s | 1 << i]} = f(S+{i})")
     return OracleCheck(True)
 
 
@@ -251,23 +281,67 @@ def _precedes(mask: int, other: int) -> bool:
     return sorted(set_of(mask)) < sorted(set_of(other))
 
 
+def _slack_table(oracle: SubmodularOracle, *vectors: Sequence[Fraction]) -> tuple:
+    """``(D, s, scaled)`` with ``f(m) - v(m) = s[m] / D`` for every mask m, on integers.
+
+    v is the sum of the given Fraction vectors; D is the least common multiple
+    of the denominators of the oracle's integer table and of the vectors;
+    ``scaled`` holds each vector's numerators over D.
+    """
+    fden, fnum = oracle.integer_table()
+    den = math.lcm(fden, *(v.denominator for vec in vectors for v in vec))
+    scaled = [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
+    sums = [0]
+    for weight in map(sum, zip(*scaled)):
+        sums += [s + weight for s in sums]
+    scale = den // fden
+    if scale != 1:
+        fnum = [v * scale for v in fnum]
+    return den, list(map(operator.sub, fnum, sums)), scaled
+
+
+def _supersets(n: int, inc: int, exc: int) -> Iterator[int]:
+    """Masks m with inc <= m and no bit of exc, in descending order."""
+    free = ((1 << n) - 1) & ~inc & ~exc
+    sub = free
+    while True:
+        yield inc | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
+
+
+def _argmin(masks: Iterable[int], value_of: Callable[[int], object]) -> tuple:
+    """``(mask, value)`` minimizing value_of over masks, ties broken by
+    :func:`_precedes` so witnesses are deterministic."""
+    best_mask, best = None, None
+    for m in masks:
+        value = value_of(m)
+        if best_mask is None or value < best or (value == best and _precedes(m, best_mask)):
+            best_mask, best = m, value
+    return best_mask, best
+
+
 def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipResult:
-    """Decide x in P(f) exactly; on failure report a most-violated set."""
+    """Decide x in P(f) exactly; on failure report a most-violated set.
+
+    Decided by one minimum of f - x on integers; only an infeasible point
+    runs the ``Fraction`` scan that names the violated set.
+    """
     n = oracle.n
     vec = vector(x, n)
     for i, xi in enumerate(vec):
         if xi < 0:
             raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
     check_enumeration_size(n, "membership test")
+    if min(_slack_table(oracle, vec)[1]) >= 0:
+        return MembershipResult(True)
     sums = _mask_sums(vec, n)
-    best_mask, best = 1, oracle.value_mask(1) - sums[1]
-    for m in range(2, 1 << n):
-        slack = oracle.value_mask(m) - sums[m]
-        if slack < best or (slack == best and _precedes(m, best_mask)):
-            best_mask, best = m, slack
-    if best < 0:
-        return MembershipResult(False, set_of(best_mask), best)
-    return MembershipResult(True)
+    best_mask, best = _argmin(range(1, 1 << n), lambda m: oracle.value_mask(m) - sums[m])
+    if best >= 0:
+        raise ClinchError(f"membership in P({oracle.name}): the integer table finds a "
+                          "violated set but the Fraction scan does not")
+    return MembershipResult(False, set_of(best_mask), best)
 
 
 def min_constrained(evaluator, n: Optional[int] = None,
@@ -293,18 +367,7 @@ def min_constrained(evaluator, n: Optional[int] = None,
     exc = mask_of(exclude, n)
     if inc & exc:
         raise DomainError("include and exclude sets overlap")
-    free = ((1 << n) - 1) & ~inc & ~exc
-    best_mask, best = None, None
-    # Iterate all supersets of inc avoiding exc: submasks of `free` shifted by inc.
-    sub = free
-    while True:
-        m = inc | sub
-        value = eval_mask(m)
-        if best_mask is None or value < best or (value == best and _precedes(m, best_mask)):
-            best_mask, best = m, value
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
+    best_mask, best = _argmin(_supersets(n, inc, exc), eval_mask)
     return set_of(best_mask), best
 
 
@@ -363,15 +426,14 @@ class ResidualOracle:
     """
 
     def __init__(self, base: SubmodularOracle, rho: Sequence[Rational],
-                 d: Sequence[Rational], _validate: bool = True):
+                 d: Sequence[Rational]):
         self.base = base
         self.n = base.n
         self.monotone = False
         self.name = f"residual({base.name})"
         self.rho = vector(rho, base.n)
         self.demand = _demand_vector(d, base.n)
-        if _validate:
-            _check_promises(base, self.rho, "residual oracle construction")
+        _check_promises(base, self.rho, "residual oracle construction")
         self._fhat = None
         self._fbar = None
 
@@ -445,27 +507,34 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     is not checked here (the engines keep it invariant; :func:`clinch_amounts`
     checks it).
     """
-    n = oracle.n
-    fden, fnum = oracle.integer_table()
-    den = math.lcm(fden, *(v.denominator for v in rho), *(v.denominator for v in d))
-    scale = den // fden
-    dnum = [v.numerator * (den // v.denominator) for v in d]
-    sums = [0]
-    for i in range(n):
-        weight = rho[i].numerator * (den // rho[i].denominator) + dnum[i]
-        sums += [s + weight for s in sums]
-    if scale != 1:
-        fnum = [v * scale for v in fnum]
-    h = list(map(operator.sub, fnum, sums))
+    den, h, (_, dnum) = _slack_table(oracle, rho, d)
     low = min(h)
     argmin = h.index(low)
     delta = []
-    for i in range(n):
+    for i in range(oracle.n):
         if argmin >> i & 1:
             delta.append(Fraction(max(0, dnum[i] + low - _min_without_bit(h, i)), den))
         else:
             delta.append(d[i])
     return Fraction(sum(dnum) + low, den), tuple(delta)
+
+
+def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
+                    d: Sequence[Fraction]) -> tuple:
+    """``(fhat([n]), (fhat([n] \\ j) for each j))``, each straight from the definition.
+
+    ``fhat(S) = d(S) + min over T <= S of h(T)`` with ``h = f - rho - d``,
+    evaluated on integers over a common denominator.  Unlike
+    :func:`clinch_kernel`, every one of the n + 1 minima is taken over its
+    whole range, so a check built on these values does not inherit the
+    kernel's argmin shortcut.  rho and d are Fraction vectors; rho must lie
+    in P(f), which is not checked here.
+    """
+    den, h, (_, dnum) = _slack_table(oracle, rho, d)
+    dtotal = sum(dnum)
+    return (Fraction(dtotal + min(h), den),
+            tuple(Fraction(dtotal - dnum[j] + _min_without_bit(h, j), den)
+                  for j in range(oracle.n)))
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],

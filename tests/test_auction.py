@@ -31,7 +31,10 @@ from polyclinch import (
     single_keyword_oracle,
 )
 
-from corpus import random_bidders, random_oracle
+from polyclinch import auction
+from polyclinch.submodular import clinch_kernel
+
+from corpus import KINDS, random_bidders, random_oracle
 
 F = Fraction
 
@@ -215,6 +218,61 @@ def test_second_demand_recompute_equals_first_minus_clinch():
             pre_d = [demand(pre_budget[i], snap.prices[i], values[i],
                             oracle.singleton(i) - pre_rho[i]) for i in range(n)]
             assert tuple(pre_d[i] - snap.clinched[i] for i in range(n)) == snap.demands
+
+
+def _counting_kernel(monkeypatch):
+    calls = []
+
+    def counted(oracle, rho, d):
+        calls.append(1)
+        return clinch_kernel(oracle, rho, d)
+    monkeypatch.setattr(auction, "clinch_kernel", counted)
+    return calls
+
+
+def test_trace_snapshots_reuse_the_clinch(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    rng = random.Random(1806)
+    for t in range(20):
+        n = rng.randint(1, 6)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
+        del calls[:]
+        out = run_clinching(oracle, random_bidders(rng, n),
+                            AuctionConfig(trace=True), fast_path=False)
+        assert len(calls) == len(out.trace)          # one kernel run per step
+        for snap in out.trace:
+            assert snap.residual_total == clinch_kernel(oracle, snap.promised,
+                                                        snap.demands)[0]
+    for _ in range(10):
+        supply = F(rng.randint(1, 4))
+        curves = [ConcaveCurve.from_slopes([(supply / 2, rng.randint(3, 6)),
+                                            (supply / 2, rng.randint(1, 3))])
+                  for _ in range(3)]
+        budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 8)) for _ in range(3)]
+        del calls[:]
+        out = run_decreasing_marginals(curves, budgets, supply,
+                                       AuctionConfig(epsilon=F(1, 4), trace=True))
+        assert len(calls) == len(out.trace)
+        oracle = multi_unit_oracle(supply, 3)
+        for snap in out.trace:
+            assert snap.residual_total == clinch_kernel(oracle, snap.promised,
+                                                        snap.demands)[0]
+
+
+def test_snapshot_runs_the_kernel_when_rho_plus_d_moved(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    oracle = random_oracle(random.Random(5), "graphic", 4)
+    clinch_fn, fhat_fn = auction._kernel_callbacks(oracle)
+    rho, d = (F(0),) * 4, (F(1, 2), F(1), F(0), F(2, 3))
+    delta = clinch_fn(rho, d)
+    moved = (F(1, 3),) + rho[1:]
+    assert fhat_fn(moved, d) == clinch_kernel(oracle, moved, d)[0]
+    lowered = d[:1] + (F(1, 5),) + d[2:]
+    assert fhat_fn(rho, lowered) == clinch_kernel(oracle, rho, lowered)[0]
+    assert len(calls) == 3
+    after = tuple(r + x for r, x in zip(rho, delta)), tuple(q - x for q, x in zip(d, delta))
+    assert any(delta) and fhat_fn(*after) == clinch_kernel(oracle, *after)[0]
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

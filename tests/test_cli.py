@@ -76,10 +76,23 @@ def test_demo_appendix_d_exits_zero(capsys):
 def test_demo_impossibility_reports_honest_failures(capsys):
     code, out, _ = run_cli(capsys, "demo", "impossibility", "--format", "json")
     report = json.loads(out)
-    by_name = {p["name"]: p["passed"] for p in report["properties"]}
-    assert by_name["pareto-failure-detected"] is True
-    assert by_name["pareto-failure-at-pinned-profile"] is False
-    assert code == 1        # exit code is a function of report content only
+    by_name = {p["name"]: p for p in report["properties"]}
+    assert {name: p["passed"] for name, p in by_name.items()} == {
+        "pareto-failure-detected": True,
+        "pinned-profile-on-frontier": True,
+        "small-values-no-exhaustion": True,
+        "small-values-inefficient": True,
+        "small-values-direction-replayed": True,
+    }
+    assert by_name["pinned-profile-on-frontier"]["witness"] == {
+        "x": ["11673353/8731800", "40717447/17463600"], "exhausted": [1],
+        "x0+2x1": "6", "direction": None}
+    assert by_name["small-values-no-exhaustion"]["witness"] == {"pay": ["0", "3/20"]}
+    assert by_name["small-values-inefficient"]["witness"] == {
+        "x": ["0", "3"], "welfare": "3/10", "efficient": "2/5"}
+    assert by_name["small-values-direction-replayed"]["witness"] == {
+        "direction": ["3/2", "-3/2"]}
+    assert code == EXIT_OK  # exit code is a function of report content only
 
 
 def test_malformed_rational_exits_input_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyclinch import (
+    ClinchError,
     DomainError,
     PreconditionError,
     ResidualOracle,
@@ -23,7 +24,15 @@ from polyclinch import (
     verify_submodular,
 )
 
-from polyclinch.submodular import clinch_kernel, set_of
+from polyclinch import submodular
+from polyclinch.submodular import (
+    MembershipResult,
+    OracleCheck,
+    _mask_sums,
+    clinch_kernel,
+    residual_totals,
+    set_of,
+)
 
 from corpus import KINDS, random_demands, random_feasible_point, random_oracle
 
@@ -90,6 +99,115 @@ def test_verify_respects_brute_force_cap(monkeypatch):
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "3")
     with pytest.raises(SizeError):
         verify_submodular(multi_unit_oracle(1, 4))
+
+
+def test_size_error_names_its_cap_and_how_to_raise_it(monkeypatch):
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "3")
+    with pytest.raises(SizeError) as err:
+        membership(multi_unit_oracle(1, 5), [0] * 5)
+    assert (err.value.n, err.value.cap, err.value.what) == (5, 3, "membership test")
+    assert "CLINCH_BRUTE_FORCE_CAP" in str(err.value) and "5" in str(err.value)
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "5")
+    assert membership(multi_unit_oracle(1, 5), [0] * 5).ok
+
+
+def _pairwise_verify_submodular(oracle) -> OracleCheck:
+    """The 4^n Fraction scan verify_submodular ran before the local test."""
+    n = oracle.n
+    if oracle.value_mask(0) != 0:
+        return OracleCheck(False, "normalization", (frozenset(),),
+                           f"f(empty) = {oracle.value_mask(0)} != 0")
+    size = 1 << n
+    values = [oracle.value_mask(m) for m in range(size)]
+    for s in range(size):
+        for t in range(s + 1, size):
+            if values[s | t] + values[s & t] > values[s] + values[t]:
+                return OracleCheck(
+                    False, "submodularity", (set_of(s), set_of(t)),
+                    f"f(S|T)+f(S&T) = {values[s | t] + values[s & t]} > "
+                    f"{values[s] + values[t]} = f(S)+f(T)")
+    if oracle.monotone:
+        for s in range(size):
+            for i in range(n):
+                if s >> i & 1:
+                    continue
+                if values[s | (1 << i)] < values[s]:
+                    return OracleCheck(
+                        False, "monotonicity", (set_of(s), set_of(s | (1 << i))),
+                        f"f(S) = {values[s]} > {values[s | (1 << i)]} = f(S+{i})")
+    return OracleCheck(True)
+
+
+def _table_oracle(table, monotone):
+    n = len(table).bit_length() - 1
+    return SubmodularOracle(n, lambda m: table[m], monotone, "table")
+
+
+def _cut_table(rng, n):
+    """Cut function of a random weighted graph: submodular, not monotone."""
+    edges = [(i, j, F(rng.randint(0, 4), rng.choice((1, 2, 3))))
+             for i in range(n) for j in range(i + 1, n)]
+    return [sum((w for i, j, w in edges if (m >> i & 1) != (m >> j & 1)), F(0))
+            for m in range(1 << n)]
+
+
+def test_verify_submodular_matches_pairwise_scan_on_seeded_tables():
+    rng = random.Random(4040)
+    seen = set()
+    for t in range(300):
+        n = rng.randint(1, 6)
+        if t % 3 == 0:
+            # Arbitrary tables: mostly not submodular.
+            table = [F(0)] + [F(rng.randint(0, 9), rng.choice((1, 2, 5)))
+                              for _ in range((1 << n) - 1)]
+        elif t % 3 == 1:
+            # Cut functions: submodular, so a false monotone claim is caught.
+            table = _cut_table(rng, n)
+        else:
+            # Concave of cardinality plus a modular part of either sign.
+            steps = sorted((F(rng.randint(0, 6), 2) for _ in range(n)), reverse=True)
+            curve = [sum(steps[:k], F(0)) for k in range(n + 1)]
+            weights = [F(rng.randint(-3, 3), 2) for _ in range(n)]
+            table = [curve[m.bit_count()] + sum((weights[i] for i in set_of(m)), F(0))
+                     for m in range(1 << n)]
+        monotone = rng.random() < 0.7
+        expected = _pairwise_verify_submodular(_table_oracle(table, monotone))
+        assert verify_submodular(_table_oracle(table, monotone)) == expected, (t, table)
+        seen.add(expected.violation)
+    assert seen == {None, "submodularity", "monotonicity"}
+
+
+def test_verify_submodular_matches_pairwise_scan_on_planted_perturbations():
+    rng = random.Random(5151)
+    caught = {kind: 0 for kind in KINDS}
+    for t in range(100):
+        kind = KINDS[t % len(KINDS)]
+        n = rng.randint(2, 6)
+        base = random_oracle(rng, kind, n)
+        table = [base.value_mask(m) for m in range(1 << n)]
+        mask = rng.randrange(1, 1 << n)
+        table[mask] += rng.choice((F(1), F(-1), F(1, 3), F(-1, 7)))
+        expected = _pairwise_verify_submodular(_table_oracle(table, True))
+        assert verify_submodular(_table_oracle(table, True)) == expected, (t, kind, mask)
+        caught[kind] += not expected.ok
+        assert verify_submodular(base).ok
+    assert all(caught.values()), caught
+
+
+def test_verify_submodular_works_without_an_integer_table():
+    rng = random.Random(6262)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        oracle = random_oracle(rng, rng.choice(KINDS), n)
+        res = residual(oracle, random_feasible_point(rng, oracle), random_demands(rng, n))
+        assert not hasattr(res, "integer_table")
+        assert verify_submodular(res) == _pairwise_verify_submodular(res) == OracleCheck(True)
+
+
+def test_verify_submodular_raises_when_the_two_scans_disagree(monkeypatch):
+    monkeypatch.setattr(submodular, "_locally_submodular", lambda nums, n: False)
+    with pytest.raises(ClinchError):
+        verify_submodular(multi_unit_oracle(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +370,56 @@ def test_membership_violation_witness():
     assert result.violating == frozenset({0})
 
 
+def _scan_membership(oracle, x) -> MembershipResult:
+    """The Fraction scan membership ran on every point before the integer test."""
+    vec = tuple(F(v) for v in x)
+    sums = _mask_sums(vec, oracle.n)
+    best_mask, best = 1, oracle.value_mask(1) - sums[1]
+    for m in range(2, 1 << oracle.n):
+        slack = oracle.value_mask(m) - sums[m]
+        if slack < best or (slack == best and (m.bit_count(), sorted(set_of(m)))
+                            < (best_mask.bit_count(), sorted(set_of(best_mask)))):
+            best_mask, best = m, slack
+    if best < 0:
+        return MembershipResult(False, set_of(best_mask), best)
+    return MembershipResult(True)
+
+
+def test_membership_matches_fraction_scan_on_and_around_facets():
+    rng = random.Random(7373)
+    outcomes = {"on": 0, "outside": 0}
+    for t in range(200):
+        n = rng.randint(1, 7)
+        oracle = (_fractional_oracle(rng, n) if t % 6 == 5
+                  else random_oracle(rng, KINDS[t % 5], n))
+        order = list(range(n))
+        rng.shuffle(order)
+        vertex = greedy_vertex(oracle, order)       # every prefix set is tight
+        mode = t % 3
+        if mode == 0:
+            x = vertex
+        elif mode == 1:
+            # Just outside: one coordinate of the vertex raised a little.
+            i = rng.randrange(n)
+            bump = F(1, rng.choice((3, 7, 60, 1001)))
+            x = tuple(v + bump if k == i else v for k, v in enumerate(vertex))
+        else:
+            # Mixed denominators, on the facet of a prefix set or just past it.
+            x = tuple(v * F(rng.randint(1, 12), rng.choice((5, 7, 12))) for v in vertex)
+        expected = _scan_membership(oracle, x)
+        assert membership(oracle, x) == expected, (t, x)
+        outcomes["on" if expected.ok else "outside"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_membership_raises_when_the_two_scans_disagree():
+    oracle = single_keyword_oracle([3, 2, 1])
+    den, nums = oracle.integer_table()
+    nums[0b101] -= 10 * den         # a violated set the oracle does not have
+    with pytest.raises(ClinchError):
+        membership(oracle, [1, 1, 1])
+
+
 def test_membership_rejects_negative():
     with pytest.raises(DomainError):
         membership(multi_unit_oracle(1, 2), [-1, 0])
@@ -385,6 +553,17 @@ def test_clinch_kernel_matches_residual_oracle():
         zero_demands += 0 in d
     assert kinds == set(KINDS) | {"fractional"}
     assert ties >= 50 and zero_demands >= 50, (ties, zero_demands)   # both exercised
+
+
+def test_residual_totals_match_residual_oracle():
+    rng = random.Random(2206)
+    for t in range(80):
+        kind, oracle, rho, d = _kernel_case(rng, t)
+        res = ResidualOracle(oracle, rho, d)
+        full = (1 << oracle.n) - 1
+        assert residual_totals(oracle, rho, d) == (
+            res.value_mask(full),
+            tuple(res.value_mask(full ^ (1 << j)) for j in range(oracle.n))), (t, kind)
 
 
 def test_clinch_kernel_builds_the_integer_table_once():

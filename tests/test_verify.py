@@ -26,9 +26,10 @@ from polyclinch import (
     validate_trace,
     value_deviation_grid,
 )
-from polyclinch.verify import replay_dominated_direction
+from polyclinch.submodular import ResidualOracle, min_constrained
+from polyclinch.verify import VerificationReport, replay_dominated_direction
 
-from corpus import random_bidders, random_oracle
+from corpus import KINDS, random_bidders, random_feasible_point, random_oracle
 
 F = Fraction
 
@@ -82,6 +83,51 @@ def test_check_outcome_flags_infeasible_allocation():
     report = check_outcome(oracle, [bidder(2, 1), bidder(1, 1)],
                            outcome_of([1, 1], [0, 0]))
     assert not report.result("membership").passed
+
+
+def _min_constrained_pareto_witness(oracle, bidders, outcome):
+    """check_outcome's tight-set search as first written: one Fraction
+    min_constrained per (i, j) pair."""
+    n, x, pay = oracle.n, outcome.allocation, outcome.payments
+    for i in range(n):
+        if bidders[i].budget is not None and pay[i] >= bidders[i].budget:
+            continue
+        for j in range(n):
+            if bidders[j].value >= bidders[i].value:
+                continue
+            tight_set, slack = min_constrained(
+                lambda s: oracle.value(s) - sum((x[k] for k in s), F(0)),
+                n, include={i}, exclude={j})
+            if slack != 0:
+                return {"i": i, "j": j, "min_set": sorted(tight_set), "min_slack": str(slack)}
+    return None
+
+
+def test_check_outcome_tight_sets_match_min_constrained():
+    rng = random.Random(9090)
+    failing = 0
+    for t in range(120):
+        n = rng.randint(2, 6)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
+        bidders = random_bidders(rng, n)
+        if t % 2:
+            out = run_clinching(oracle, bidders)
+            # Shift a little of the allocation between two bidders, or not.
+            if t % 4 == 1:
+                i, j = rng.sample(range(n), 2)
+                step = min(out.allocation[i], F(1, rng.choice((2, 3, 7))))
+                x = list(out.allocation)
+                x[i] -= step
+                x[j] += step
+                out = replace(out, allocation=tuple(x))
+        else:
+            x = random_feasible_point(rng, oracle)
+            out = outcome_of(x, [F(rng.randint(0, 3), 4) for _ in range(n)])
+        expected = _min_constrained_pareto_witness(oracle, bidders, out)
+        assert check_outcome(oracle, bidders, out).result("pareto-tight-sets").witness \
+            == expected, t
+        failing += expected is not None
+    assert 20 <= failing <= 100, failing
 
 
 def test_check_outcome_witnesses_replay():
@@ -263,6 +309,102 @@ def test_infeasible_trace_reports_the_violated_set_and_stops():
     assert report.result("conserved-quantity").passed
 
 
+def _reference_validate_trace(oracle, snapshots):
+    """validate_trace as first written: a Fraction ResidualOracle per snapshot."""
+    n = oracle.n
+    full = (1 << n) - 1
+    target = oracle.value_mask(full)
+    report = VerificationReport()
+    conserved = dominance = reclinch = feasible = budgets_ok = None
+    for snap in snapshots:
+        if any(v < 0 for v in snap.promised):
+            feasible = {"step": snap.step, "violating_set": [],
+                        "detail": "negative promised allocation"}
+        else:
+            member = membership(oracle, snap.promised)
+            if not member.ok:
+                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
+        if budgets_ok is None:
+            for i, b in enumerate(snap.budgets):
+                if b is not None and b < 0:
+                    budgets_ok = {"step": snap.step, "bidder": i, "budget": str(b)}
+                    break
+        if feasible is not None:
+            break
+        res = ResidualOracle(oracle, snap.promised, snap.demands)
+        total = res.value_mask(full)
+        if conserved is None and sum(snap.promised, F(0)) + total != target:
+            conserved = {"step": snap.step,
+                         "value": str(sum(snap.promised, F(0)) + total),
+                         "expected": str(target)}
+        if dominance is None:
+            for j in range(n):
+                if total > res.value_mask(full ^ (1 << j)):
+                    dominance = {"step": snap.step, "j": j}
+                    break
+        if reclinch is None:
+            again = tuple(max(F(0), total - res.value_mask(full ^ (1 << i)))
+                          for i in range(n))
+            if any(again):
+                reclinch = {"step": snap.step, "delta": [str(t) for t in again]}
+    report.add("conserved-quantity", conserved is None, conserved,
+               f"1'rho + fhat([n]) stays {target}" if conserved is None else "")
+    report.add("post-clinch-dominance", dominance is None, dominance)
+    report.add("reclinch-zero", reclinch is None, reclinch)
+    report.add("feasibility", feasible is None, feasible)
+    report.add("budgets-nonnegative", budgets_ok is None, budgets_ok)
+    return report
+
+
+def _corrupt(rng, snaps, how):
+    """One snapshot of the trace changed the way a faulty engine might."""
+    snaps = list(snaps)
+    k = rng.randrange(len(snaps))
+    snap = snaps[k]
+    i = rng.randrange(len(snap.promised))
+    if how == "tampered-demand":
+        k = rng.choice([t for t, s in enumerate(snaps) if any(s.demands)] or [k])
+        snap = snaps[k]
+        i = rng.choice([j for j, q in enumerate(snap.demands) if q] or [i])
+    if how == "shaved-promise":
+        cut = min(snap.promised[i], F(1, rng.choice((3, 7))))
+        snap = replace(snap, promised=snap.promised[:i] + (snap.promised[i] - cut,)
+                       + snap.promised[i + 1:])
+    elif how == "inflated-promise":
+        snap = replace(snap, promised=snap.promised[:i] + (snap.promised[i] + F(1, 2),)
+                       + snap.promised[i + 1:])
+    elif how == "tampered-demand":
+        # A lowered demand can free a rival's clinch or leave supply unsold.
+        snap = replace(snap, demands=snap.demands[:i] + (snap.demands[i] / 3,)
+                       + snap.demands[i + 1:])
+    else:
+        snap = replace(snap, budgets=snap.budgets[:i] + (F(-1, 4),) + snap.budgets[i + 1:])
+    snaps[k] = snap
+    return snaps
+
+
+def test_validate_trace_matches_fraction_reference():
+    rng = random.Random(3131)
+    corruptions = ("shaved-promise", "inflated-promise", "tampered-demand",
+                   "negative-budget")
+    failed = {how: 0 for how in corruptions}
+    for t in range(60):
+        kind = KINDS[t % len(KINDS)]
+        n = rng.randint(1, 8 if t % 6 == 0 else 5)
+        oracle = random_oracle(rng, kind, n)
+        out = run_clinching(oracle, random_bidders(rng, n), AuctionConfig(trace=True))
+        cases = [("clean", out.trace)]
+        cases += [(how, _corrupt(rng, out.trace, how)) for how in corruptions]
+        for how, snaps in cases:
+            expected = _reference_validate_trace(oracle, snaps).to_json()
+            assert validate_trace(oracle, snaps).to_json() == expected, (t, kind, how)
+            if how == "clean":
+                assert expected["ok"]
+            else:
+                failed[how] += not expected["ok"]
+    assert all(count >= 20 for count in failed.values()), failed
+
+
 # ---------------------------------------------------------------------------
 # demos
 # ---------------------------------------------------------------------------
@@ -283,10 +425,12 @@ def test_demo_impossibility_detects_failure_and_is_deterministic():
     report = demo_impossibility()
     assert report.result("pareto-failure-detected").passed
     # the pinned large-gap profile is Pareto-optimal in this mechanism (the
-    # rival's budget exhausts exactly); recorded honestly as a failing check
-    assert not report.result("pareto-failure-at-pinned-profile").passed
+    # rival's budget exhausts exactly); the tied small values are not
+    assert report.result("pinned-profile-on-frontier").passed
     assert report.result("small-values-no-exhaustion").passed
-    assert not report.result("small-values-efficient-vertex").passed
+    assert report.result("small-values-inefficient").passed
+    assert report.result("small-values-direction-replayed").passed
+    assert report.ok()
     a = json.dumps(demo_impossibility().to_json(), sort_keys=True)
     b = json.dumps(demo_impossibility().to_json(), sort_keys=True)
     assert a == b
