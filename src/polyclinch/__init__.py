@@ -43,7 +43,6 @@ from .errors import (
     SizeError,
 )
 from .submodular import (
-    GroundSet,
     ResidualOracle,
     SubmodularOracle,
     clinch_amounts,
@@ -57,6 +56,7 @@ from .verify import (
     VerificationReport,
     check_dominated_direction,
     check_outcome,
+    check_scaled_outcome,
     curve_deviation_grid,
     demo_appendix_d,
     demo_impossibility,

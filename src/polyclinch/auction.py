@@ -8,9 +8,10 @@ round-robin.  The loop ends when every demand is zero.
 
 Engines:
 
-* :func:`run_clinching`            -- polymatroid environments, generic clinch
-  via :func:`~polyclinch.submodular.clinch_kernel`, with an automatic greedy
-  fast path on single-keyword environments (bit-identical outcomes).
+* :func:`run_clinching`            -- polymatroid environments; the clinch is
+  greedy on single-keyword oracles (those carrying a CTR list) and
+  :func:`~polyclinch.submodular.clinch_kernel` otherwise, with bit-identical
+  outcomes.
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -201,35 +202,45 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     return total
 
 
-def _clinch_vector_greedy(alpha: Sequence[Fraction], rho: Sequence[Fraction],
-                          d: Sequence[Fraction]) -> tuple:
-    """Fast-path clinch: delta_i = M - M_{-i} with d_i forced to zero in M_{-i}."""
+def _clinch_greedy(oracle: SubmodularOracle, rho: Sequence[Fraction],
+                   d: Sequence[Fraction]) -> tuple:
+    """Greedy clinch on a single-keyword oracle: ``(fhat([n]), delta)``.
+
+    delta_i = M - M_{-i}, where M = fhat([n]) and M_{-i} is M with d_i
+    forced to zero; the same pair :func:`clinch_kernel` returns.
+    """
+    alpha = oracle.ctrs
     total = fast_residual_max(alpha, rho, d)
-    out = []
+    delta = []
     for i in range(len(rho)):
         if d[i] == 0:
-            out.append(ZERO)
+            delta.append(ZERO)
             continue
         held = list(d)
         held[i] = ZERO
-        out.append(max(ZERO, total - fast_residual_max(alpha, rho, held)))
-    return tuple(out)
+        delta.append(max(ZERO, total - fast_residual_max(alpha, rho, held)))
+    return total, tuple(delta)
 
 
-def _kernel_callbacks(oracle: SubmodularOracle) -> tuple:
-    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over :func:`clinch_kernel`.
+def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
+    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
+
+    The clinch is :func:`_clinch_greedy` when the oracle carries a CTR list
+    (single-keyword environments) and :func:`clinch_kernel` otherwise; both
+    return ``(fhat([n]), delta)`` and give identical outcomes.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop clinches delta out of d into rho, so h is unchanged and the
     snapshot's fhat([n]) is the clinch's, less d([n]) before, plus d([n])
     after.  fhat_fn reuses the clinch that way whenever rho + d is the same
-    vector, and runs the kernel otherwise.  Only the bidders whose entries
+    vector, and clinches afresh otherwise.  Only the bidders whose entries
     changed (those that clinched) cost Fraction arithmetic.
     """
+    clinch = clinch_kernel if oracle.ctrs is None else _clinch_greedy
     last = [None, None, None]                    # rho, d and fhat([n]) of the last clinch
 
     def clinch_fn(rho, d):
-        total, delta = clinch_kernel(oracle, rho, d)
+        total, delta = clinch(oracle, rho, d)
         last[:] = tuple(rho), tuple(d), total
         return delta
 
@@ -240,7 +251,7 @@ def _kernel_callbacks(oracle: SubmodularOracle) -> tuple:
                      if a != a0 or b != b0]
             if all(a + b == a0 + b0 for a, b, a0, b0 in moved):
                 return total + sum((b - b0 for _, b, _, b0 in moved), ZERO)
-        return clinch_kernel(oracle, rho, d)[0]
+        return clinch(oracle, rho, d)[0]
 
     return clinch_fn, fhat_fn
 
@@ -248,13 +259,15 @@ def _kernel_callbacks(oracle: SubmodularOracle) -> tuple:
 def _run_loop(n: int, eps: Fraction, max_steps: int,
               budgets0: Sequence[Optional[Fraction]],
               demands_fn: Callable, clinch_fn: Callable,
-              fhat_fn: Optional[Callable], want_trace: bool):
+              fhat_fn: Optional[Callable]):
     """Shared ascending-clock loop; the exact statement order matters.
 
     Each iteration: demands, clinch, apply, demands again, snapshot, price
     step, then the exit test on the recomputed demands.  The second demand
     computation always equals the first minus the clinch; it exists so the
-    exit test and the snapshots read post-clinch demands.
+    exit test and the snapshots read post-clinch demands.  A trace is kept
+    exactly when ``fhat_fn`` is given; it fills each snapshot's residual
+    total.
     """
     prices = [ZERO] * n
     promised = [ZERO] * n
@@ -273,11 +286,10 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
                 if budgets[i] is not None:
                     budgets[i] -= charge
         demands = demands_fn(prices, promised, budgets)
-        if want_trace:
+        if fhat_fn is not None:
             snapshots.append(TraceSnapshot(
                 step, tuple(prices), tuple(promised), tuple(demands),
-                tuple(delta), tuple(budgets),
-                fhat_fn(promised, demands) if fhat_fn else ZERO))
+                tuple(delta), tuple(budgets), fhat_fn(promised, demands)))
         prices[clock] += eps
         clock = (clock + 1) % n
         if not any(demands):
@@ -293,17 +305,15 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     exhausted = frozenset(i for i in range(n)
                           if budgets0[i] is not None and payments[i] == budgets0[i])
     return Outcome(tuple(promised), tuple(payments),
-                   tuple(snapshots) if want_trace else None, exhausted)
+                   tuple(snapshots) if fhat_fn is not None else None, exhausted)
 
 
 def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
-                  cfg: AuctionConfig = AuctionConfig(),
-                  fast_path: Optional[bool] = None) -> Outcome:
+                  cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Clinching auction over the polymatroid defined by ``oracle``.
 
-    ``fast_path=None`` uses the greedy clinch whenever the oracle carries a
-    CTR list (single-keyword environments); True forces it, False forces the
-    generic kernel path.  Both paths produce identical outcomes.
+    The clinch is chosen from the oracle alone (see :func:`_clinch_callbacks`):
+    greedy on single-keyword oracles, the integer kernel otherwise.
     """
     n = oracle.n
     if len(bidders) != n:
@@ -316,20 +326,9 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
         return [demand(budgets[i], prices[i], values[i], singles[i] - promised[i])
                 for i in range(n)]
 
-    if fast_path is None:
-        fast_path = oracle.ctrs is not None
-    if fast_path:
-        if oracle.ctrs is None:
-            raise DomainError("fast path requires a single-keyword oracle")
-        alpha = oracle.ctrs
-        clinch_fn = lambda rho, d: _clinch_vector_greedy(alpha, rho, d)   # noqa: E731
-        fhat_fn = lambda rho, d: fast_residual_max(alpha, rho, d)         # noqa: E731
-    else:
-        clinch_fn, fhat_fn = _kernel_callbacks(oracle)
-
+    clinch_fn, fhat_fn = _clinch_callbacks(oracle)
     return _run_loop(n, eps, cfg.max_steps, [b.budget for b in bidders],
-                     demands_fn, clinch_fn, fhat_fn if cfg.trace else None,
-                     cfg.trace)
+                     demands_fn, clinch_fn, fhat_fn if cfg.trace else None)
 
 
 def run_scaled(oracle: SubmodularOracle, gamma: Sequence[Rational],
@@ -484,9 +483,9 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
                 out.append(min(budgets_rem[i] / prices[i], quantity))
         return out
 
-    clinch_fn, fhat_fn = _kernel_callbacks(oracle)
+    clinch_fn, fhat_fn = _clinch_callbacks(oracle)
     return _run_loop(n, eps, cfg.max_steps, normalized_budgets, demands_fn,
-                     clinch_fn, fhat_fn if cfg.trace else None, cfg.trace)
+                     clinch_fn, fhat_fn if cfg.trace else None)
 
 
 def _validate_packing(rows_a: Sequence[Sequence[Rational]],
@@ -610,5 +609,4 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
         return max(x + y for x, y in verts)
 
     return _run_loop(2, eps, cfg.max_steps, [bd.budget for bd in bidders],
-                     demands_fn, clinch_fn, fhat_fn if cfg.trace else None,
-                     cfg.trace)
+                     demands_fn, clinch_fn, fhat_fn if cfg.trace else None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .auction import run_clinching, run_decreasing_marginals, run_generic_2player, run_scaled
 from .errors import ClinchError, DivergenceError, DomainError, ParseError, SizeError
@@ -33,6 +34,7 @@ from .verify import (
     VerificationReport,
     check_dominated_direction,
     check_outcome,
+    check_scaled_outcome,
     demo_appendix_d,
     demo_impossibility,
     run_with_monitors,
@@ -49,7 +51,6 @@ def _run_instance(inst: InstanceFile, force_trace: bool = False):
     """Dispatch an instance to the right engine and return its Outcome."""
     cfg = inst.config
     if force_trace and not cfg.trace:
-        from dataclasses import replace
         cfg = replace(cfg, trace=True)
     if inst.environment.kind == "h-polytope-2d":
         rows, rhs = inst.polytope_rows()
@@ -79,7 +80,7 @@ def execute(command: str, inst: InstanceFile | None, args) -> dict:
 
     if command == "verify":
         if inst.environment.kind == "h-polytope-2d":
-            outcome = _run_instance(inst, force_trace=True)
+            outcome = _run_instance(inst)
             rows, rhs = inst.polytope_rows()
             direction = check_dominated_direction(rows, rhs, inst.bidders, outcome)
             ver = VerificationReport()
@@ -91,20 +92,8 @@ def execute(command: str, inst: InstanceFile | None, args) -> dict:
         else:
             oracle = inst.build_oracle()
             if inst.quality is not None:
-                from .submodular import membership
                 outcome = run_scaled(oracle, inst.quality, inst.bidders, inst.config)
-                ver = VerificationReport()
-                unscaled = [x / g for x, g in zip(outcome.allocation, inst.quality)]
-                member = membership(oracle, unscaled)
-                ver.add("scaled-membership", member.ok,
-                        None if member.ok else {"violating_set": sorted(member.violating)},
-                        "x / gamma lies in the base polymatroid")
-                ver.add("individual-rationality",
-                        all(outcome.payments[i] <= b.value * outcome.allocation[i]
-                            for i, b in enumerate(inst.bidders)))
-                ver.add("budget-feasibility",
-                        all(b.budget is None or outcome.payments[i] <= b.budget
-                            for i, b in enumerate(inst.bidders)))
+                ver = check_scaled_outcome(oracle, inst.quality, inst.bidders, outcome)
             else:
                 outcome, ver = run_with_monitors(oracle, inst.bidders, inst.config)
                 for prop in check_outcome(oracle, inst.bidders, outcome).properties:

@@ -97,24 +97,6 @@ def vector(values: Iterable[Rational], n: Optional[int] = None) -> tuple:
     return vec
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Bidders 0..n-1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"ground set must have n >= 1, got {self.n}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def members(self) -> range:
-        return range(self.n)
-
-
 def mask_of(subset: Iterable[int], n: int) -> int:
     mask = 0
     for i in subset:
@@ -153,7 +135,8 @@ class SubmodularOracle:
 
     def __init__(self, n: int, fn_mask: Callable[[int], Fraction],
                  monotone: bool, name: str, ctrs: Optional[tuple] = None):
-        self.ground = GroundSet(n)
+        if n < 1:
+            raise DomainError(f"ground set must have n >= 1, got {n}")
         self.n = n
         self.monotone = monotone
         self.name = name

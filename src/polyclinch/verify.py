@@ -143,26 +143,48 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"no tight set contains bidder {pareto_witness['i']} without "
                f"bidder {pareto_witness['j']}")
 
-    ir_witness = None
-    for i in range(n):
-        if pay[i] > bidders[i].value * x[i]:
-            ir_witness = {"i": i, "pay": str(pay[i]), "value_times_x": str(bidders[i].value * x[i])}
-            break
-    report.add("individual-rationality", ir_witness is None, ir_witness)
-
-    budget_witness = None
-    for i in range(n):
-        b = bidders[i].budget
-        if b is not None and pay[i] > b:
-            budget_witness = {"i": i, "pay": str(pay[i]), "budget": str(b)}
-            break
-    report.add("budget-feasibility", budget_witness is None, budget_witness)
-
+    _add_payment_checks(report, bidders, outcome)
     member = membership(oracle, x)
     report.add("membership", member.ok,
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})
     return report
+
+
+def check_scaled_outcome(oracle: SubmodularOracle, gamma: Sequence[Fraction],
+                         bidders: Sequence[Bidder], outcome: Outcome) -> VerificationReport:
+    """Checks for a :func:`~polyclinch.auction.run_scaled` outcome.
+
+    The allocation divided by ``gamma`` must lie in the base polymatroid;
+    individual rationality and budgets are checked as in :func:`check_outcome`,
+    on the stretched allocation.
+    """
+    report = VerificationReport()
+    member = membership(oracle, [x / g for x, g in zip(outcome.allocation, gamma)])
+    report.add("scaled-membership", member.ok,
+               None if member.ok else {"violating_set": sorted(member.violating)},
+               "x / gamma lies in the base polymatroid")
+    _add_payment_checks(report, bidders, outcome)
+    return report
+
+
+def _add_payment_checks(report: VerificationReport, bidders: Sequence[Bidder],
+                        outcome: Outcome) -> None:
+    """Individual rationality (pay <= v x) and budget feasibility, each with its first witness."""
+    x, pay = outcome.allocation, outcome.payments
+    ir_witness = None
+    for i, b in enumerate(bidders):
+        if pay[i] > b.value * x[i]:
+            ir_witness = {"i": i, "pay": str(pay[i]), "value_times_x": str(b.value * x[i])}
+            break
+    report.add("individual-rationality", ir_witness is None, ir_witness)
+
+    budget_witness = None
+    for i, b in enumerate(bidders):
+        if b.budget is not None and pay[i] > b.budget:
+            budget_witness = {"i": i, "pay": str(pay[i]), "budget": str(b.budget)}
+            break
+    report.add("budget-feasibility", budget_witness is None, budget_witness)
 
 
 def _strictly_dominated(rows_a, rhs, y) -> bool:

@@ -1,8 +1,10 @@
 """Seeded random instances shared by the unit and acceptance suites.
 
 Everything is driven by explicit random.Random seeds so failures replay
-exactly.  Values and parameters are small integers; budgets mix finite and
-unbounded so both regimes (value-limited and budget-limited) occur.
+exactly.  Environments come from :func:`polyclinch.instances.generate_instance`,
+the one seeded generator, at a generator seed drawn from the caller's rng.
+Values and parameters are small integers; budgets mix finite and unbounded
+so both regimes (value-limited and budget-limited) occur.
 """
 
 from __future__ import annotations
@@ -10,61 +12,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polyclinch import (
-    AdWordsInstance,
-    Bidder,
-    CapacitatedNetwork,
-    SubmodularOracle,
-    adwords_oracle,
-    graphic_oracle,
-    greedy_vertex,
-    multi_unit_oracle,
-    single_keyword_oracle,
-    vod_cut_oracle,
-)
+from polyclinch import AdWordsInstance, Bidder, SubmodularOracle, greedy_vertex
+from polyclinch.instances import generate_instance
 
 KINDS = ("multi-unit", "single-keyword", "adwords", "graphic", "vod-cut")
 
+_SEEDS = 1 << 30
+
 
 def random_oracle(rng: random.Random, kind: str, n: int) -> SubmodularOracle:
-    if kind == "multi-unit":
-        return multi_unit_oracle(rng.randint(1, 8), n)
-    if kind == "single-keyword":
-        ctrs = sorted((rng.randint(0, 5) for _ in range(n)), reverse=True)
-        ctrs[0] = max(ctrs[0], 1)
-        return single_keyword_oracle(ctrs)
-    if kind == "adwords":
-        return adwords_oracle(random_adwords(rng, n, rng.randint(1, 3)))
-    if kind == "graphic":
-        vertices = n + 1
-        edges = []
-        for _ in range(n):
-            u = rng.randrange(vertices)
-            v = rng.randrange(vertices)
-            if u == v:
-                v = (v + 1) % vertices
-            edges.append((u, v))
-        return graphic_oracle(edges)
-    if kind == "vod-cut":
-        return vod_cut_oracle(random_network(rng, n))
-    raise ValueError(kind)
+    return generate_instance(kind, n, None, rng.randrange(_SEEDS)).build_oracle()
 
 
 def random_adwords(rng: random.Random, n: int, m: int) -> AdWordsInstance:
-    interests, ctrs = [], []
-    for _ in range(m):
-        members = sorted(rng.sample(range(n), rng.randint(1, n)))
-        interests.append(members)
-        ctrs.append(sorted((rng.randint(0, 4) for _ in members), reverse=True))
-    return AdWordsInstance.build(n, interests, ctrs)
+    return generate_instance("adwords", n, m, rng.randrange(_SEEDS)).build_adwords()
 
 
-def random_network(rng: random.Random, n: int) -> CapacitatedNetwork:
-    hubs = max(1, n // 2)
-    edges = [("s", f"h{h}", rng.randint(1, 6)) for h in range(hubs)]
-    for i in range(n):
-        edges.append((f"h{rng.randrange(hubs)}", f"b{i}", rng.randint(0, 5)))
-    return CapacitatedNetwork.build(edges, "s", [f"b{i}" for i in range(n)])
+def without_ctrs(oracle: SubmodularOracle) -> SubmodularOracle:
+    """The same set function without its CTR list, so engines take the kernel clinch."""
+    return SubmodularOracle(oracle.n, oracle.value_mask, oracle.monotone, oracle.name)
 
 
 def random_bidders(rng: random.Random, n: int, max_value: int = 6,

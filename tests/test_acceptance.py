@@ -57,6 +57,7 @@ from corpus import (
     random_feasible_point,
     random_oracle,
     polymatroid_cases,
+    without_ctrs,
 )
 
 F = Fraction
@@ -187,7 +188,7 @@ def test_criterion_4_truthfulness_fuzz():
                     f"witness found; {clock.summary()}"), (violations[:3], found_counterexample)
 
 
-def test_criterion_5_fast_path_equivalence():
+def test_criterion_5_greedy_clinch_equivalence():
     clock = _budget(60).__enter__()
     rng = random.Random(505)
     mismatches = 0
@@ -204,8 +205,8 @@ def test_criterion_5_fast_path_equivalence():
         oracle = random_oracle(rng, "single-keyword", n)
         bidders = random_bidders(rng, n)
         cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
-        fast = run_clinching(oracle, bidders, cfg, fast_path=True)
-        slow = run_clinching(oracle, bidders, cfg, fast_path=False)
+        fast = run_clinching(oracle, bidders, cfg)
+        slow = run_clinching(without_ctrs(oracle), bidders, cfg)
         if (fast.allocation, fast.payments, fast.trace) != \
                 (slow.allocation, slow.payments, slow.trace):
             run_mismatches += 1

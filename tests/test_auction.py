@@ -34,7 +34,7 @@ from polyclinch import (
 from polyclinch import auction
 from polyclinch.submodular import clinch_kernel
 
-from corpus import KINDS, random_bidders, random_oracle
+from corpus import KINDS, random_bidders, random_oracle, without_ctrs
 
 F = Fraction
 
@@ -148,17 +148,35 @@ def test_fast_and_generic_paths_identical_outcomes_and_traces():
         oracle = random_oracle(rng, "single-keyword", n)
         bidders = random_bidders(rng, n)
         cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
-        fast = run_clinching(oracle, bidders, cfg, fast_path=True)
-        slow = run_clinching(oracle, bidders, cfg, fast_path=False)
+        fast = run_clinching(oracle, bidders, cfg)
+        slow = run_clinching(without_ctrs(oracle), bidders, cfg)
         assert fast.allocation == slow.allocation
         assert fast.payments == slow.payments
         assert fast.trace == slow.trace     # per-step deltas and fhat agree
 
 
-def test_fast_path_requires_ctr_oracle():
-    with pytest.raises(DomainError):
-        run_clinching(multi_unit_oracle(1, 2), [bidder(1, 1), bidder(2, 1)],
-                      fast_path=True)
+def test_traced_greedy_run_reuses_the_clinch(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fast_residual_max(*args)
+    monkeypatch.setattr(auction, "fast_residual_max", counted)
+    rng = random.Random(1010)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        oracle = random_oracle(rng, "single-keyword", n)
+        bidders = random_bidders(rng, n)
+        runs = []
+        for trace in (False, True):
+            del calls[:]
+            out = run_clinching(oracle, bidders, AuctionConfig(epsilon=F(1, 4), trace=trace))
+            runs.append((out, len(calls)))
+        (plain, plain_calls), (traced, traced_calls) = runs
+        assert traced_calls == plain_calls > 0
+        assert (traced.allocation, traced.payments, traced.exhausted) == \
+            (plain.allocation, plain.payments, plain.exhausted)
+        assert plain.trace is None and traced.trace[-1].promised == traced.allocation
 
 
 def test_clinch_matches_classic_multi_unit_formula():
@@ -237,8 +255,8 @@ def test_trace_snapshots_reuse_the_clinch(monkeypatch):
         n = rng.randint(1, 6)
         oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
         del calls[:]
-        out = run_clinching(oracle, random_bidders(rng, n),
-                            AuctionConfig(trace=True), fast_path=False)
+        out = run_clinching(without_ctrs(oracle), random_bidders(rng, n),
+                            AuctionConfig(trace=True))
         assert len(calls) == len(out.trace)          # one kernel run per step
         for snap in out.trace:
             assert snap.residual_total == clinch_kernel(oracle, snap.promised,
@@ -262,7 +280,7 @@ def test_trace_snapshots_reuse_the_clinch(monkeypatch):
 def test_snapshot_runs_the_kernel_when_rho_plus_d_moved(monkeypatch):
     calls = _counting_kernel(monkeypatch)
     oracle = random_oracle(random.Random(5), "graphic", 4)
-    clinch_fn, fhat_fn = auction._kernel_callbacks(oracle)
+    clinch_fn, fhat_fn = auction._clinch_callbacks(oracle)
     rho, d = (F(0),) * 4, (F(1, 2), F(1), F(0), F(2, 3))
     delta = clinch_fn(rho, d)
     moved = (F(1, 3),) + rho[1:]

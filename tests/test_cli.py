@@ -43,6 +43,32 @@ def test_verify_exit_zero_on_polymatroid_fixture(capsys):
     assert "[PASS] sold-out" in out
 
 
+
+MONITORS = ["conserved-quantity", "post-clinch-dominance", "reclinch-zero",
+            "feasibility", "budgets-nonnegative"]
+OUTCOME_CHECKS = ["sold-out", "pareto-tight-sets", "individual-rationality",
+                  "budget-feasibility", "membership"]
+VERIFY_PROPERTIES = {
+    "adwords-quality": ["scaled-membership", "individual-rationality", "budget-feasibility"],
+    "adwords": MONITORS + OUTCOME_CHECKS,
+    "appendix-d": MONITORS,
+    "graphic": MONITORS + OUTCOME_CHECKS,
+    "impossibility": ["pareto-optimal"],
+    "multi-unit": MONITORS + OUTCOME_CHECKS,
+    "single-keyword": MONITORS + OUTCOME_CHECKS,
+    "vod-cut": MONITORS + OUTCOME_CHECKS,
+}
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_verify_passes_on_every_fixture(capsys, stem):
+    code, out, _ = run_cli(capsys, "verify", "-i", str(FIXTURES / f"{stem}.json"),
+                           "--format", "json")
+    assert code == EXIT_OK
+    properties = json.loads(out)["properties"]
+    assert [p["name"] for p in properties] == VERIFY_PROPERTIES[stem]
+    assert all(p["passed"] for p in properties)
+
 def test_trace_file_written(tmp_path, capsys):
     trace_out = tmp_path / "trace.json"
     code, _, _ = run_cli(capsys, "run", "-i", str(FIXTURES / "appendix-d.json"),

@@ -13,6 +13,7 @@ from polyclinch import (
     bidder,
     check_dominated_direction,
     check_outcome,
+    check_scaled_outcome,
     curve_deviation_grid,
     demo_appendix_d,
     demo_impossibility,
@@ -77,6 +78,23 @@ def test_check_outcome_flags_ir_and_budget_breaches():
     assert not report.result("individual-rationality").passed
     assert not report.result("budget-feasibility").passed
 
+
+
+def test_check_scaled_outcome_reports_payment_witnesses():
+    oracle = multi_unit_oracle(2, 2)
+    bidders = [bidder(1, 2), bidder(3, 5)]
+    report = check_scaled_outcome(oracle, [2, 1], bidders, outcome_of([2, 1], [3, 0]))
+    assert [p.name for p in report.properties] == [
+        "scaled-membership", "individual-rationality", "budget-feasibility"]
+    assert report.result("scaled-membership").passed       # x / gamma = (1, 1)
+    assert report.result("individual-rationality").witness == {
+        "i": 0, "pay": "3", "value_times_x": "2"}
+    assert report.result("budget-feasibility").witness == {
+        "i": 0, "pay": "3", "budget": "2"}
+    over = check_scaled_outcome(oracle, [2, 1], bidders, outcome_of([4, 1], [0, 0]))
+    assert over.result("scaled-membership").witness == {"violating_set": [0, 1]}
+    assert over.result("individual-rationality").passed
+    assert over.result("budget-feasibility").passed
 
 def test_check_outcome_flags_infeasible_allocation():
     oracle = multi_unit_oracle(1, 2)
