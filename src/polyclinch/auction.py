@@ -3,8 +3,10 @@
 The main loop follows the ascending-clock scheme: per-bidder prices start at
 zero; each round computes demands, grants every bidder the largest amount
 that cannot restrict anyone else (the clinch), charges the current clock
-price for it, recomputes demands, then advances one clock by ``epsilon``
-round-robin.  The loop ends when every demand is zero.
+price for it, lowers the demands by the clinched amounts, then advances one
+clock by ``epsilon`` round-robin.  A step whose demands are those the last
+clinch left behind clinches zero, so it skips the clinch.  The loop ends
+when every demand is zero.
 
 Engines:
 
@@ -262,12 +264,33 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
               fhat_fn: Optional[Callable]):
     """Shared ascending-clock loop; the exact statement order matters.
 
-    Each iteration: demands, clinch, apply, demands again, snapshot, price
-    step, then the exit test on the recomputed demands.  The second demand
-    computation always equals the first minus the clinch; it exists so the
-    exit test and the snapshots read post-clinch demands.  A trace is kept
-    exactly when ``fhat_fn`` is given; it fills each snapshot's residual
-    total.
+    Each iteration: demands, clinch, apply, snapshot, price step, then the
+    exit test on the post-clinch demands.  A trace is kept exactly when
+    ``fhat_fn`` is given; it fills each snapshot's residual total.
+
+    The post-clinch demands are d - delta, the demands the engine's own rule
+    gives at the new promises and budgets (delta <= d, and a clinch at
+    price p lowers the remaining budget by p * delta):
+
+    * :func:`run_clinching`: ``min(B_rem / p, f({i}) - rho_i)``; both
+      arguments fall by delta_i (at p = 0 or an unbounded budget only the
+      cap is there, and at p >= v_i, d_i = delta_i = 0).
+    * :func:`run_decreasing_marginals`: the curve's reach does not depend on
+      the holding, so ``demand_quantity`` falls by delta_i, as B_rem / p does.
+    * :func:`run_generic_2player`: ``cap_i`` also sees the rival o's
+      promise.  The clinch gives o the most it can take beside h(0), the
+      most i can take when o takes nothing, and h(0) = min(d_i, cap_i) =
+      d_i.  So (d_i, delta_o) lies in P_{rho,d}, and the new cap_i is at
+      least d_i - delta_i; it is at most cap_i - delta_i because A >= 0.
+      If d_i = cap_i the new cap_i is pinned to d_i - delta_i; otherwise
+      d_i = B_rem / p, which falls by delta_i and stays below the new cap.
+
+    So the loop keeps nu = d - delta instead of asking ``demands_fn`` again.
+    Clinching again at (rho + delta, nu) gives zero (re-clinch nullity: the
+    clinch moves delta from d into rho and leaves f - rho - d unchanged), so
+    when the next step's demands equal nu, with the promises untouched since,
+    the step's clinch is zero and ``clinch_fn`` is not called.  ``fhat_fn``
+    sees the same rho + d then and reuses the last clinch's total.
     """
     prices = [ZERO] * n
     promised = [ZERO] * n
@@ -275,17 +298,23 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     budgets = list(budgets0)
     clock = 0
     snapshots: List[TraceSnapshot] = []
+    no_clinch = (ZERO,) * n
+    nu = None                            # d - delta of the last clinch
     for step in range(max_steps):
         demands = demands_fn(prices, promised, budgets)
-        delta = clinch_fn(promised, demands)
-        for i in range(n):
-            if delta[i] != 0:
-                promised[i] += delta[i]
-                charge = prices[i] * delta[i]
-                payments[i] += charge
-                if budgets[i] is not None:
-                    budgets[i] -= charge
-        demands = demands_fn(prices, promised, budgets)
+        if demands == nu:
+            delta = no_clinch
+        else:
+            delta = clinch_fn(promised, demands)
+            for i in range(n):
+                if delta[i] != 0:
+                    promised[i] += delta[i]
+                    charge = prices[i] * delta[i]
+                    payments[i] += charge
+                    if budgets[i] is not None:
+                        budgets[i] -= charge
+            nu = [q - x for q, x in zip(demands, delta)]
+        demands = nu
         if fhat_fn is not None:
             snapshots.append(TraceSnapshot(
                 step, tuple(prices), tuple(promised), tuple(demands),

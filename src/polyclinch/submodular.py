@@ -365,16 +365,6 @@ def _min_over_subsets(values: list, n: int) -> list:
     return out
 
 
-def _min_over_supersets(values: list, n: int) -> list:
-    out = list(values)
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if not m & bit and out[m | bit] < out[m]:
-                out[m] = out[m | bit]
-    return out
-
-
 def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
     dem = vector(d, n)
     for i, di in enumerate(dem):
@@ -402,10 +392,6 @@ class ResidualOracle:
     Snapshots are immutable, so the table never invalidates.  The engines
     clinch with :func:`clinch_kernel`; this ``Fraction`` evaluation of the
     definition is the independent reference it is checked against.
-
-    ``monotonized`` evaluates ``fbar(S) = min over supersets of fhat``, the
-    monotone function defining the same polytope; its table is built only
-    when first asked for.
     """
 
     def __init__(self, base: SubmodularOracle, rho: Sequence[Rational],
@@ -418,7 +404,6 @@ class ResidualOracle:
         self.demand = _demand_vector(d, base.n)
         _check_promises(base, self.rho, "residual oracle construction")
         self._fhat = None
-        self._fbar = None
 
     def _fhat_table(self) -> list:
         if self._fhat is None:
@@ -430,30 +415,15 @@ class ResidualOracle:
             self._fhat = [dsum[m] + minh[m] for m in range(1 << n)]
         return self._fhat
 
-    def _fbar_table(self) -> list:
-        if self._fbar is None:
-            self._fbar = _min_over_supersets(self._fhat_table(), self.n)
-        return self._fbar
-
     def value_mask(self, mask: int) -> Fraction:
         return self._fhat_table()[mask]
 
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(subset, self.n))
 
-    def monotonized_mask(self, mask: int) -> Fraction:
-        return self._fbar_table()[mask]
-
-    def monotonized(self, subset: Iterable[int]) -> Fraction:
-        return self.monotonized_mask(mask_of(subset, self.n))
-
     def full_value(self) -> Fraction:
         """fhat([n]): the total amount the residual polytope can still absorb."""
         return self.value_mask((1 << self.n) - 1)
-
-    def monotonized_oracle(self) -> SubmodularOracle:
-        return SubmodularOracle(self.n, self.monotonized_mask, True,
-                                f"monotonized({self.name})")
 
 
 def residual(oracle: SubmodularOracle, rho: Sequence[Rational],

@@ -33,8 +33,17 @@ from polyclinch import (
 
 from polyclinch import auction
 from polyclinch.submodular import clinch_kernel
+from polyclinch.verify import (
+    APPENDIX_D_BUDGETS,
+    APPENDIX_D_SUPPLY,
+    IMPOSSIBILITY_BUDGETS,
+    IMPOSSIBILITY_RHS,
+    IMPOSSIBILITY_ROWS,
+    appendix_d_curves,
+)
 
 from corpus import KINDS, random_bidders, random_oracle, without_ctrs
+from reference_loop import clinching_steps, recorded_run, reference_run
 
 F = Fraction
 
@@ -217,25 +226,66 @@ def test_trace_prices_monotone_and_demands_nonincreasing():
             assert all(d1 <= d0 for d0, d1 in zip(a.demands, b.demands))
 
 
-def test_second_demand_recompute_equals_first_minus_clinch():
-    # the in-loop demand refresh is observationally the pre-clinch demand
-    # minus the clinched amount, so following the written order verbatim
-    # cannot change outcomes
+def _post_clinch_demand_cases():
+    """``(engine, args, oracle)`` for every oracle kind and every engine; the
+    oracle is given for the polymatroid engine only."""
     rng = random.Random(13)
-    for _ in range(10):
+    cases = []
+    for t in range(15):
         n = rng.randint(2, 4)
-        oracle = random_oracle(rng, "single-keyword", n)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
         bidders = random_bidders(rng, n)
-        out = run_clinching(oracle, bidders, AuctionConfig(trace=True))
-        values = [b.value for b in bidders]
-        for snap in out.trace:
-            pre_budget = [None if b.budget is None else
-                          snap.budgets[i] + snap.prices[i] * snap.clinched[i]
-                          for i, b in enumerate(bidders)]
-            pre_rho = [snap.promised[i] - snap.clinched[i] for i in range(n)]
-            pre_d = [demand(pre_budget[i], snap.prices[i], values[i],
-                            oracle.singleton(i) - pre_rho[i]) for i in range(n)]
-            assert tuple(pre_d[i] - snap.clinched[i] for i in range(n)) == snap.demands
+        cfg = AuctionConfig(epsilon="auto" if t % 2 else F(1, 4), trace=True)
+        cases.append((run_clinching, (oracle, bidders, cfg), oracle))
+        if oracle.ctrs is not None:
+            cases.append((run_clinching, (without_ctrs(oracle), bidders, cfg), oracle))
+    cases.append((run_decreasing_marginals,
+                  (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,
+                   AuctionConfig(epsilon=F(1, 20), trace=True)), None))
+    for _ in range(6):
+        supply = F(rng.randint(1, 4))
+        curves = [ConcaveCurve.from_slopes([(supply / 2, rng.randint(3, 6)),
+                                            (supply / 2, rng.randint(1, 3))])
+                  for _ in range(3)]
+        budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 8)) for _ in range(3)]
+        cases.append((run_decreasing_marginals,
+                      (curves, budgets, supply, AuctionConfig(epsilon=F(1, 4), trace=True)),
+                      None))
+    for v0, v1 in ((F(1, 2), F(3, 5)), (F(1), F(1)), (F(1), F(4)), (F(3, 10), F(2))):
+        bidders = [Bidder(v, b) for v, b in zip((v0, v1), IMPOSSIBILITY_BUDGETS)]
+        cases.append((run_generic_2player,
+                      (IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders,
+                       AuctionConfig(epsilon=F(1, 20), trace=True)), None))
+    return cases
+
+
+def _check_post_clinch_demands(engine, args, oracle):
+    out, _, demands_fn = recorded_run(engine, *args)
+    budgets0 = out.trace[0].budgets
+    for snap in out.trace:
+        after = demands_fn(list(snap.prices), list(snap.promised), list(snap.budgets))
+        assert tuple(after) == snap.demands
+        pre_budget = [None if budgets0[i] is None else
+                      snap.budgets[i] + snap.prices[i] * snap.clinched[i]
+                      for i in range(len(budgets0))]
+        pre_rho = [r - x for r, x in zip(snap.promised, snap.clinched)]
+        pre_d = demands_fn(list(snap.prices), pre_rho, pre_budget)
+        assert tuple(q - x for q, x in zip(pre_d, snap.clinched)) == snap.demands
+        if oracle is not None:              # the polymatroid rule, written out
+            values = [b.value for b in args[1]]
+            assert snap.demands == tuple(
+                demand(snap.budgets[i], snap.prices[i], values[i],
+                       oracle.singleton(i) - snap.promised[i])
+                for i in range(oracle.n))
+
+
+def test_second_demand_recompute_equals_first_minus_clinch():
+    # the loop carries d - delta forward as the post-clinch demands instead of
+    # asking the demand rule again; the engine's own rule, applied to the
+    # snapshot's promises, budgets and prices, must give the same vector, and
+    # so must the rule before the clinch less the clinch
+    for engine, args, oracle in _post_clinch_demand_cases():
+        _check_post_clinch_demands(engine, args, oracle)
 
 
 def _counting_kernel(monkeypatch):
@@ -248,16 +298,29 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
+def _kernel_runs(calls, engine, *args):
+    """``engine(*args)`` with its kernel runs, the reference loop's kernel runs
+    and the reference loop's steps."""
+    del calls[:]
+    _, steps = reference_run(engine, *args)
+    reference_runs = len(calls)
+    del calls[:]
+    return engine(*args), len(calls), reference_runs, steps
+
+
 def test_trace_snapshots_reuse_the_clinch(monkeypatch):
+    # one kernel run per step that clinches: snapshots reuse the clinch, and
+    # a step whose demands are the last clinch's d - delta runs no kernel
     calls = _counting_kernel(monkeypatch)
     rng = random.Random(1806)
     for t in range(20):
         n = rng.randint(1, 6)
         oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
-        del calls[:]
-        out = run_clinching(without_ctrs(oracle), random_bidders(rng, n),
-                            AuctionConfig(trace=True))
-        assert len(calls) == len(out.trace)          # one kernel run per step
+        out, runs, reference_runs, steps = _kernel_runs(
+            calls, run_clinching, without_ctrs(oracle), random_bidders(rng, n),
+            AuctionConfig(trace=True))
+        assert reference_runs == len(out.trace)     # the reference clinches every step
+        assert runs == len(clinching_steps(steps))
         for snap in out.trace:
             assert snap.residual_total == clinch_kernel(oracle, snap.promised,
                                                         snap.demands)[0]
@@ -267,10 +330,11 @@ def test_trace_snapshots_reuse_the_clinch(monkeypatch):
                                             (supply / 2, rng.randint(1, 3))])
                   for _ in range(3)]
         budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 8)) for _ in range(3)]
-        del calls[:]
-        out = run_decreasing_marginals(curves, budgets, supply,
-                                       AuctionConfig(epsilon=F(1, 4), trace=True))
-        assert len(calls) == len(out.trace)
+        out, runs, reference_runs, steps = _kernel_runs(
+            calls, run_decreasing_marginals, curves, budgets, supply,
+            AuctionConfig(epsilon=F(1, 4), trace=True))
+        assert reference_runs == len(out.trace)
+        assert runs == len(clinching_steps(steps))
         oracle = multi_unit_oracle(supply, 3)
         for snap in out.trace:
             assert snap.residual_total == clinch_kernel(oracle, snap.promised,

@@ -1,0 +1,116 @@
+"""The clock loop skips provably zero clinches: exact against the every-step loop.
+
+Every engine runs twice, once on ``auction._run_loop`` and once on the
+reference loop of ``reference_loop.py``, which clinches at every step and
+recomputes the post-clinch demands.  Outcomes and traces must agree byte for
+byte; the skipping loop must clinch at exactly the steps whose demands differ
+from the previous step's post-clinch demands, and the reference clinch must
+be zero at every other step.
+"""
+
+import json
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from polyclinch import (
+    AuctionConfig,
+    Bidder,
+    ConcaveCurve,
+    run_clinching,
+    run_decreasing_marginals,
+    run_generic_2player,
+)
+from polyclinch.cli import _run_instance
+from polyclinch.instances import parse_instance
+from polyclinch.verify import (
+    APPENDIX_D_BUDGETS,
+    APPENDIX_D_SUPPLY,
+    IMPOSSIBILITY_BUDGETS,
+    IMPOSSIBILITY_RHS,
+    IMPOSSIBILITY_ROWS,
+    appendix_d_curves,
+    curve_deviation_grid,
+)
+
+from corpus import polymatroid_cases, without_ctrs
+from reference_loop import clinching_steps, recorded_run, reference_run
+
+F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+CONFIGS = [AuctionConfig(epsilon=eps, trace=trace)
+           for eps in ("auto", F(1, 4)) for trace in (False, True)]
+
+
+def assert_matches_reference(engine, *args) -> int:
+    """Check one run against the reference loop; returns the steps skipped."""
+    new, calls, _ = recorded_run(engine, *args)
+    ref, steps = reference_run(engine, *args)
+    assert new == ref                    # allocation, payments, trace, exhausted
+    assert json.dumps(new.to_json()) == json.dumps(ref.to_json())
+    clinched = clinching_steps(steps)
+    assert calls == [steps[k][:2] for k in clinched]
+    skipped = set(range(len(steps))) - set(clinched)
+    for k in skipped:
+        assert not any(steps[k].delta), f"step {k} skipped a nonzero clinch"
+    return len(skipped)
+
+
+def test_seeded_corpus_matches_reference_loop():
+    skipped = 0
+    for label, oracle, bidders in polymatroid_cases(6006, 40, n_max=5):
+        for cfg in CONFIGS:
+            skipped += assert_matches_reference(run_clinching, oracle, bidders, cfg)
+            if label.startswith("single-keyword"):
+                skipped += assert_matches_reference(
+                    run_clinching, without_ctrs(oracle), bidders, cfg)
+    assert skipped > 0
+
+
+def test_decreasing_marginals_match_reference_loop():
+    curves = appendix_d_curves()
+    budgets = list(APPENDIX_D_BUDGETS)
+    skipped = 0
+    for cfg in CONFIGS + [AuctionConfig(epsilon=F(1, 20), trace=True)]:
+        skipped += assert_matches_reference(run_decreasing_marginals, curves, budgets,
+                                            APPENDIX_D_SUPPLY, cfg)
+    cfg = AuctionConfig(epsilon=F(1, 20), trace=True)
+    for deviation in curve_deviation_grid(curves[0]):
+        skipped += assert_matches_reference(run_decreasing_marginals,
+                                            [deviation] + curves[1:], budgets,
+                                            APPENDIX_D_SUPPLY, cfg)
+    rng = random.Random(62)
+    for t in range(12):
+        supply = F(rng.randint(1, 4))
+        n = rng.randint(2, 4)
+        curves = [ConcaveCurve.from_slopes([(supply / 2, rng.randint(3, 6)),
+                                            (supply / 2, rng.randint(1, 3))])
+                  for _ in range(n)]
+        budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 8)) for _ in range(n)]
+        skipped += assert_matches_reference(run_decreasing_marginals, curves, budgets,
+                                            supply, CONFIGS[t % len(CONFIGS)])
+    assert skipped > 0
+
+
+def test_impossibility_sweep_matches_reference_loop():
+    # the grid of scripts/sweep_impossibility.py and large-gap profiles
+    values = [F(k, 10) for k in range(1, 7)] + [F(1), F(2)]
+    skipped = 0
+    for v0 in values:
+        for v1 in values:
+            bidders = [Bidder(v0, IMPOSSIBILITY_BUDGETS[0]),
+                       Bidder(v1, IMPOSSIBILITY_BUDGETS[1])]
+            for eps, trace in ((F(1, 20), True), (F(1, 40), False)):
+                skipped += assert_matches_reference(
+                    run_generic_2player, IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders,
+                    AuctionConfig(epsilon=eps, trace=trace))
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_fixtures_match_reference_loop(stem):
+    inst = parse_instance(FIXTURES / f"{stem}.json")
+    for force_trace in (False, True):
+        assert_matches_reference(_run_instance, inst, force_trace)

@@ -39,6 +39,23 @@ from corpus import KINDS, random_demands, random_feasible_point, random_oracle
 F = Fraction
 
 
+def _min_over_supersets(values: list, n: int) -> list:
+    """out[m] = min over supermasks s of m of values[s]."""
+    out = list(values)
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if not m & bit and out[m | bit] < out[m]:
+                out[m] = out[m | bit]
+    return out
+
+
+def monotonized_oracle(res: ResidualOracle) -> SubmodularOracle:
+    """fbar(S) = min over supersets of fhat: the monotone function of the same polytope."""
+    table = _min_over_supersets([res.value_mask(m) for m in range(1 << res.n)], res.n)
+    return SubmodularOracle(res.n, table.__getitem__, True, f"monotonized({res.name})")
+
+
 # ---------------------------------------------------------------------------
 # oracle values
 # ---------------------------------------------------------------------------
@@ -275,7 +292,7 @@ def test_residual_stays_submodular_200_random_triples():
         oracle = random_oracle(rng, kind, n)
         res = residual(oracle, random_feasible_point(rng, oracle), random_demands(rng, n))
         assert verify_submodular(res).ok
-        mono = res.monotonized_oracle()
+        mono = monotonized_oracle(res)
         assert verify_submodular(mono).ok
 
 
@@ -283,7 +300,7 @@ def test_monotonization_defines_same_polytope_values():
     oracle = single_keyword_oracle([3, 2])
     res = residual(oracle, [1, 0], [5, 0])
     # fhat({0}) = 2 but fhat({0,1}) = 2 as well; fbar({1}) folds the full set in
-    assert res.monotonized([1]) == min(res.value([1]), res.value([0, 1]))
+    assert monotonized_oracle(res).value([1]) == min(res.value([1]), res.value([0, 1]))
 
 
 # ---------------------------------------------------------------------------
