@@ -10,10 +10,9 @@ when every demand is zero.
 
 Engines:
 
-* :func:`run_clinching`            -- polymatroid environments; the clinch is
-  greedy on single-keyword oracles (those carrying a CTR list) and
-  :func:`~polyclinch.submodular.clinch_kernel` otherwise, with bit-identical
-  outcomes.
+* :func:`run_clinching`            -- polymatroid environments, clinched by
+  :func:`~polyclinch.submodular.clinch_kernel` (cardinality minima on
+  single-keyword oracles, which carry a CTR list; the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -38,6 +37,7 @@ from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
+    _cardinality_min,
     as_fraction,
     clinch_kernel,
     vector,
@@ -168,11 +168,11 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
 
 def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
                       d: Sequence[Rational]) -> Fraction:
-    """Greedy evaluation of fhat([n]) on a single-keyword environment.
+    """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} on a single-keyword environment.
 
-    Sort bidders by rho_i + d_i nonincreasing and fill positions greedily:
-    z_i = min(rho_i + d_i, prefix_alpha_i - z_1 - ... - z_{i-1}); the answer
-    is sum(z) - sum(rho) = max{1'x : x + rho in P, 0 <= x <= d}.
+    With f(S) = A_|S|, A_t the sum of the top t CTRs, this is d([n]) plus the
+    least A_t - top_t(rho + d), as in :func:`clinch_kernel`.  rho must lie
+    in P(f): its top t entries may not exceed A_t for any t.
     """
     alpha = vector(ctrs)
     n = len(rho)
@@ -180,56 +180,18 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     dem = vector(d, n)
     if any(v < 0 for v in dem):
         raise DomainError("demands must be >= 0")
-    padded = list(alpha) + [ZERO] * max(0, n - len(alpha))
-    order = sorted(range(n), key=lambda i: -(prom[i] + dem[i]))
-    # rho must itself be feasible: top-t promises within the top-t CTR budget.
-    sorted_rho = sorted(prom, reverse=True)
-    run = ZERO
-    cap = ZERO
-    for t in range(n):
-        run += sorted_rho[t]
-        cap += padded[t]
-        if run > cap:
-            raise PreconditionError(
-                f"rho is infeasible for the single-keyword polytope: top {t + 1} "
-                f"promises sum to {run} > {cap}")
-    total = ZERO
-    filled = ZERO
-    prefix = ZERO
-    for rank, i in enumerate(order):
-        prefix += padded[rank]
-        z = min(prom[i] + dem[i], prefix - filled)
-        filled += z
-        total += z - prom[i]
-    return total
-
-
-def _clinch_greedy(oracle: SubmodularOracle, rho: Sequence[Fraction],
-                   d: Sequence[Fraction]) -> tuple:
-    """Greedy clinch on a single-keyword oracle: ``(fhat([n]), delta)``.
-
-    delta_i = M - M_{-i}, where M = fhat([n]) and M_{-i} is M with d_i
-    forced to zero; the same pair :func:`clinch_kernel` returns.
-    """
-    alpha = oracle.ctrs
-    total = fast_residual_max(alpha, rho, d)
-    delta = []
-    for i in range(len(rho)):
-        if d[i] == 0:
-            delta.append(ZERO)
-            continue
-        held = list(d)
-        held[i] = ZERO
-        delta.append(max(ZERO, total - fast_residual_max(alpha, rho, held)))
-    return total, tuple(delta)
+    if _cardinality_min(alpha, prom) < 0:
+        raise PreconditionError(
+            "rho is not in the single-keyword polymatroid: the top t promises "
+            "exceed the top t CTRs for some t")
+    return sum(dem, ZERO) + _cardinality_min(alpha, [a + b for a, b in zip(prom, dem)])
 
 
 def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
 
-    The clinch is :func:`_clinch_greedy` when the oracle carries a CTR list
-    (single-keyword environments) and :func:`clinch_kernel` otherwise; both
-    return ``(fhat([n]), delta)`` and give identical outcomes.
+    Every oracle is clinched by :func:`clinch_kernel`, which returns
+    ``(fhat([n]), delta)`` and needs no value table on oracles with CTRs.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop clinches delta out of d into rho, so h is unchanged and the
@@ -238,11 +200,10 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     vector, and clinches afresh otherwise.  Only the bidders whose entries
     changed (those that clinched) cost Fraction arithmetic.
     """
-    clinch = clinch_kernel if oracle.ctrs is None else _clinch_greedy
     last = [None, None, None]                    # rho, d and fhat([n]) of the last clinch
 
     def clinch_fn(rho, d):
-        total, delta = clinch(oracle, rho, d)
+        total, delta = clinch_kernel(oracle, rho, d)
         last[:] = tuple(rho), tuple(d), total
         return delta
 
@@ -253,7 +214,7 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
                      if a != a0 or b != b0]
             if all(a + b == a0 + b0 for a, b, a0, b0 in moved):
                 return total + sum((b - b0 for _, b, _, b0 in moved), ZERO)
-        return clinch(oracle, rho, d)[0]
+        return clinch_kernel(oracle, rho, d)[0]
 
     return clinch_fn, fhat_fn
 
@@ -341,8 +302,9 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                   cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Clinching auction over the polymatroid defined by ``oracle``.
 
-    The clinch is chosen from the oracle alone (see :func:`_clinch_callbacks`):
-    greedy on single-keyword oracles, the integer kernel otherwise.
+    Each clinch is one :func:`clinch_kernel` call (see
+    :func:`_clinch_callbacks`), so single-keyword oracles, which carry their
+    CTRs, run past the enumeration cap.
     """
     n = oracle.n
     if len(bidders) != n:

@@ -140,8 +140,9 @@ class SubmodularOracle:
         self.n = n
         self.monotone = monotone
         self.name = name
-        # Single-keyword oracles carry their CTR list so the auction engine
-        # can dispatch to the greedy clinch path.
+        # Single-keyword oracles carry their CTR list (f(S) = sum of the top
+        # |S| CTRs), so clinch_kernel can minimize over cardinalities
+        # instead of over a 2^n table.
         self.ctrs = ctrs
         self._fn = fn_mask
         self._memo = {0: ZERO}
@@ -444,27 +445,61 @@ def _min_without_bit(values: list, i: int) -> int:
     return min(min(values[s:s + width]) for s in range(0, size, period))
 
 
+def _cardinality_min(alpha: Sequence, c: Sequence):
+    """min over T of A_|T| - c(T), A_t the sum of the first t entries of alpha.
+
+    alpha is nonincreasing, as CTRs are, and counts as 0 past its end.  For
+    each size t the minimizing T is the t largest entries of c, so one sort
+    and one running-sum scan over t = 0..len(c) give the minimum.
+    """
+    low = run = 0
+    for a, v in zip(list(alpha) + [0] * (len(c) - len(alpha)), sorted(c, reverse=True)):
+        run += a - v
+        low = min(low, run)
+    return low
+
+
 def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
                   d: Sequence[Fraction]) -> tuple:
     """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
     With ``h = f - rho - d``, ``fhat(S) = d(S) + min over T <= S of h(T)``, so
-    the clinch needs only n + 1 minima of h: over all masks, and over the
-    masks without bit i.  When a minimizer T* of h avoids i the two minima
-    agree and delta_i = d_i, so only the bits of T* need the second minimum.
-    h is evaluated on integers: the oracle's cached integer table, rho and d
-    scaled to one common denominator.  Exact, and equal to the values
-    :class:`ResidualOracle` gives.
+    the clinch needs only n + 1 minima of h: over all sets, and over the sets
+    without i.  Both branches take them on integers over one common
+    denominator; exact, and equal to the values :class:`ResidualOracle` gives.
 
-    rho and d are Fraction vectors with d >= 0; rho must lie in P(f), which
-    is not checked here (the engines keep it invariant; :func:`clinch_amounts`
-    checks it).
+    * Oracles with ``ctrs`` (f(S) = A_|S|, A_t the sum of the top t CTRs):
+      among the sets of size t, h is least on the t largest entries of
+      rho + d, so each minimum is one :func:`_cardinality_min` and no table
+      is built.  This branch checks that rho lies in P(f), which is
+      ``_cardinality_min(ctrs, rho) >= 0``, and raises
+      :class:`PreconditionError` otherwise.
+    * All other oracles: h over all 2^n masks, from the oracle's cached
+      integer table.  When a minimizer T* of h avoids i the two minima agree
+      and delta_i = d_i, so only the bits of T* need the second minimum.
+      This branch leaves rho in P(f) unchecked (the engines keep it
+      invariant; :func:`clinch_amounts` checks it).
+
+    rho and d are Fraction vectors with d >= 0.
     """
+    n = oracle.n
+    if oracle.ctrs is not None:
+        den, nums = _over_common_denominator([*rho, *d, *oracle.ctrs])
+        rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
+        if _cardinality_min(anum, rnum) < 0:
+            raise PreconditionError(
+                "rho is not in the single-keyword polymatroid: the top t promises "
+                "exceed the top t CTRs for some t")
+        c = list(map(operator.add, rnum, dnum))
+        low = _cardinality_min(anum, c)
+        return Fraction(sum(dnum) + low, den), tuple(
+            Fraction(max(0, dnum[i] + low - _cardinality_min(anum, c[:i] + c[i + 1:])), den)
+            for i in range(n))
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     low = min(h)
     argmin = h.index(low)
     delta = []
-    for i in range(oracle.n):
+    for i in range(n):
         if argmin >> i & 1:
             delta.append(Fraction(max(0, dnum[i] + low - _min_without_bit(h, i)), den))
         else:

@@ -32,7 +32,8 @@ from polyclinch import (
 )
 
 from polyclinch import auction
-from polyclinch.submodular import clinch_kernel
+from polyclinch.instances import generate_instance
+from polyclinch.submodular import SubmodularOracle, clinch_kernel
 from polyclinch.verify import (
     APPENDIX_D_BUDGETS,
     APPENDIX_D_SUPPLY,
@@ -123,7 +124,7 @@ def test_rejects_wrong_bidder_count():
 
 
 # ---------------------------------------------------------------------------
-# fast path (greedy clinch on single-keyword environments)
+# CTR clinch (cardinality minima on single-keyword environments)
 # ---------------------------------------------------------------------------
 
 def test_fast_residual_max_examples():
@@ -135,6 +136,8 @@ def test_fast_residual_max_examples():
 def test_fast_residual_max_rejects_infeasible_promises():
     with pytest.raises(PreconditionError):
         fast_residual_max([3, 2], [4, 0], [1, 1])
+    with pytest.raises(PreconditionError):
+        clinch_kernel(single_keyword_oracle([3, 2]), (F(4), F(0)), (F(1), F(1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,17 +167,18 @@ def test_fast_and_generic_paths_identical_outcomes_and_traces():
         assert fast.trace == slow.trace     # per-step deltas and fhat agree
 
 
-def test_traced_greedy_run_reuses_the_clinch(monkeypatch):
+def test_traced_ctr_run_reuses_the_clinch(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return fast_residual_max(*args)
-    monkeypatch.setattr(auction, "fast_residual_max", counted)
+        return clinch_kernel(*args)
+    monkeypatch.setattr(auction, "clinch_kernel", counted)
     rng = random.Random(1010)
     for _ in range(10):
         n = rng.randint(2, 6)
         oracle = random_oracle(rng, "single-keyword", n)
+        assert oracle.ctrs is not None
         bidders = random_bidders(rng, n)
         runs = []
         for trace in (False, True):
@@ -186,6 +190,20 @@ def test_traced_greedy_run_reuses_the_clinch(monkeypatch):
         assert (traced.allocation, traced.payments, traced.exhausted) == \
             (plain.allocation, plain.payments, plain.exhausted)
         assert plain.trace is None and traced.trace[-1].promised == traced.allocation
+
+
+def test_ctr_clinch_runs_above_the_enumeration_cap(monkeypatch):
+    inst = generate_instance("single-keyword", 10, None, 3)
+    oracle = inst.build_oracle()
+    cfg = AuctionConfig(trace=True)
+    reference = run_clinching(without_ctrs(oracle), inst.bidders, cfg)
+
+    def no_table(self):
+        raise AssertionError(f"{self.name}: integer table built")
+    monkeypatch.setattr(SubmodularOracle, "integer_table", no_table)
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "6")
+    out = run_clinching(oracle, inst.bidders, cfg)
+    assert out == reference and any(out.allocation)
 
 
 def test_clinch_matches_classic_multi_unit_formula():
