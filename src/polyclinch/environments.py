@@ -7,7 +7,8 @@ for the function defining the feasible-allocation polytope:
 * ``single_keyword_oracle`` -- f(S) = sum of the top |S| click-through rates,
 * ``adwords_oracle``        -- f*(S) = sum over keywords k of f_k(S & G(k)),
 * ``graphic_oracle``        -- graphic-matroid rank of the bidder-labeled edges,
-* ``vod_cut_oracle``        -- exact min-cut from the server to the subset.
+* ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
+  a max-flow on integers over the capacities' least common denominator.
 
 ``decompose`` searches for per-keyword click vectors realizing an aggregate
 allocation.  It never consults the aggregated oracle: feasibility is decided
@@ -18,7 +19,6 @@ feasibility exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,6 +29,7 @@ from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
+    _over_common_denominator,
     as_fraction,
     check_enumeration_size,
     vector,
@@ -240,66 +241,78 @@ class CapacitatedNetwork:
         return cls(tuple(parsed), source, tuple(bidder_nodes))
 
 
-_SINK = object()
-
-
-def _max_flow(edges: Sequence[Tuple[object, object, Fraction]], source, sinks) -> Fraction:
-    """Edmonds-Karp with exact rational capacities to a super-sink over `sinks`."""
-    # Residual graph: capacity[u][v], with reverse arcs at 0.
-    capacity: Dict[object, Dict[object, Fraction]] = {}
-
-    def add(u, v, cap):
-        capacity.setdefault(u, {})
-        capacity.setdefault(v, {})
-        capacity[u][v] = capacity[u].get(v, ZERO) + cap
-        capacity[v].setdefault(u, ZERO)
-
-    for u, v, cap in edges:
-        add(u, v, cap)
-    total_cap = sum((cap for _, _, cap in edges), ZERO)
-    for node in sinks:
-        add(node, _SINK, total_cap + 1)      # effectively infinite
-    if source not in capacity or _SINK not in capacity:
-        return ZERO
-
-    flow = ZERO
-    while True:
-        prev = {source: None}
-        queue = deque([source])
-        while queue and _SINK not in prev:
-            u = queue.popleft()
-            for v, cap in capacity[u].items():
-                if cap > 0 and v not in prev:
-                    prev[v] = u
-                    queue.append(v)
-        if _SINK not in prev:
-            return flow
-        bottleneck = None
-        v = _SINK
-        while prev[v] is not None:
-            u = prev[v]
-            cap = capacity[u][v]
-            if bottleneck is None or cap < bottleneck:
-                bottleneck = cap
-            v = u
-        v = _SINK
-        while prev[v] is not None:
-            u = prev[v]
-            capacity[u][v] -= bottleneck
-            capacity[v][u] += bottleneck
-            v = u
-        flow += bottleneck
-
-
 def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
-    """f(S) = min-cut from the source to the nodes of S (0 if unreachable)."""
+    """f(S) = min-cut from the source to the nodes of S (0 if unreachable).
+
+    The network is laid out once as flat arc arrays: nodes renumbered to
+    ints, arc ``a`` from ``head[a ^ 1]`` to ``head[a]``, its reverse ``a ^ 1``,
+    and capacities as integers over their least common denominator D.  Each
+    bidder has one arc to a super-sink, closed (capacity 0) until a mask
+    opens it above the total capacity.  Each value is one Edmonds-Karp
+    max-flow on those integers, returned as ``flow / D``: exact, with no
+    ``Fraction`` arithmetic inside the flow.
+    """
     n = len(net.bidder_nodes)
+    index: Dict[object, int] = {}
+    head: List[int] = []
+    adj: List[List[int]] = []
+
+    def node(v) -> int:
+        if v not in index:
+            index[v] = len(adj)
+            adj.append([])
+        return index[v]
+
+    def arc(u: int, v: int) -> int:
+        adj[u].append(len(head))
+        head.append(v)
+        adj[v].append(len(head))
+        head.append(u)
+        return len(head) - 2
+
+    source = node(net.source)
+    den, nums = _over_common_denominator([capacity for _, _, capacity in net.edges])
+    cap: List[int] = []
+    for (u, v, _), num in zip(net.edges, nums):
+        arc(node(u), node(v))
+        cap += [num, 0]
+    sink = node(object())                    # a label no network node has
+    sink_arcs = [arc(node(b), sink) for b in net.bidder_nodes]
+    size = len(adj)
+    cap += [0, 0] * n
+    bound = sum(nums) + 1                    # above every cut of the network
 
     def fn(mask: int) -> Fraction:
-        sinks = {net.bidder_nodes[i] for i in range(n) if mask >> i & 1}
-        if not sinks:
-            return ZERO
-        return _max_flow(net.edges, net.source, sinks)
+        residual = cap[:]
+        for i in range(n):
+            if mask >> i & 1:
+                residual[sink_arcs[i]] = bound
+        flow = 0
+        while True:
+            into: List[Optional[int]] = [None] * size    # BFS tree arc into each node
+            into[source] = -1
+            queue = [source]
+            for u in queue:
+                for a in adj[u]:
+                    v = head[a]
+                    if residual[a] and into[v] is None:
+                        into[v] = a
+                        queue.append(v)
+                if into[sink] is not None:
+                    break
+            if into[sink] is None:
+                return Fraction(flow, den)
+            path = []
+            v = sink
+            while v != source:
+                a = into[v]
+                path.append(a)
+                v = head[a ^ 1]
+            bottleneck = min(residual[a] for a in path)
+            for a in path:
+                residual[a] -= bottleneck
+                residual[a ^ 1] += bottleneck
+            flow += bottleneck
 
     return SubmodularOracle(n, fn, True, f"vod-cut({n} bidders)")
 

@@ -477,8 +477,9 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     * All other oracles: h over all 2^n masks, from the oracle's cached
       integer table.  When a minimizer T* of h avoids i the two minima agree
       and delta_i = d_i, so only the bits of T* need the second minimum.
-      This branch leaves rho in P(f) unchecked (the engines keep it
-      invariant; :func:`clinch_amounts` checks it).
+      This branch leaves rho in P(f) unchecked: the engines keep it
+      invariant, and :func:`clinch_amounts` checks it before it calls the
+      kernel on such an oracle.
 
     rho and d are Fraction vectors with d >= 0.
     """
@@ -529,12 +530,17 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
                    d: Sequence[Rational]) -> tuple:
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
-    Checks that rho lies in P(f) and d >= 0 first.  The result satisfies
+    Checks that rho >= 0, d >= 0 and rho lies in P(f) first: on oracles with
+    ``ctrs`` the kernel decides rho in P(f) itself, without a 2^n table, so
+    those run above ``CLINCH_BRUTE_FORCE_CAP``.  The result satisfies
     0 <= delta <= d and rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
     dem = _demand_vector(d, oracle.n)
-    _check_promises(oracle, prom, "clinch computation")
+    if oracle.ctrs is None:
+        _check_promises(oracle, prom, "clinch computation")
+    elif min(prom) < 0:
+        raise DomainError(f"promises must be >= 0, got rho = ({', '.join(map(str, prom))})")
     return clinch_kernel(oracle, prom, dem)[1]
 
 

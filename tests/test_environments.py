@@ -195,6 +195,60 @@ def test_vod_cut_disconnected_bidder_gets_zero():
     assert oracle.value({0, 1}) == 2
 
 
+def _min_cut_table(net):
+    """f(mask) for every mask, straight from max-flow = min-cut.
+
+    The minimum of cap(X -> V \\ X) over node sets X that hold the source and
+    none of the mask's bidder nodes.
+    """
+    n = len(net.bidder_nodes)
+    nodes = {v for u, w, _ in net.edges for v in (u, w)} | set(net.bidder_nodes)
+    others = list(nodes - {net.source})
+    table = []
+    for mask in range(1 << n):
+        blocked = {net.bidder_nodes[i] for i in range(n) if mask >> i & 1}
+        free = [v for v in others if v not in blocked]
+        cuts = []
+        for pick in range(1 << len(free)):
+            side = {net.source} | {free[k] for k in range(len(free)) if pick >> k & 1}
+            cuts.append(sum((c for u, w, c in net.edges if u in side and w not in side), F(0)))
+        table.append(min(cuts))
+    return table
+
+
+def _awkward_network(rng, source, others, island):
+    """Mixed-denominator capacities, parallel arcs, a self-loop, arcs back to
+    the source, two bidders on one node and a bidder no arc reaches."""
+    caps = [F(1, 3), F(5, 4), F(7, 6), F(2), F(0), F(3, 2)]
+    a, b = rng.sample(others, 2)
+    edges = [(source, a, F(5, 4)), (source, a, F(1, 3)), (a, a, F(7, 6)),
+             (a, source, F(3, 2)), (b, source, F(1, 3))]
+    labels = [source] + others
+    edges += [(rng.choice(labels), rng.choice(others), rng.choice(caps))
+              for _ in range(rng.randint(12, 18))]
+    bidders = [a] + rng.sample([v for v in others if v != a], 2)
+    return CapacitatedNetwork.build(edges, source, bidders + [bidders[0], island])
+
+
+def test_vod_cut_matches_brute_force_min_cut():
+    rng = random.Random(29)
+    nets = [
+        CapacitatedNetwork.build([("a", "b", F(1, 3))], "s", ["a", "b"]),  # no arc leaves s
+        # The first shortest path s-a-b-x takes the arc a-b, which the
+        # maximum flow to {x, y} has to cancel.
+        CapacitatedNetwork.build([("s", "a", 1), ("s", "c", 1), ("a", "b", 1), ("c", "b", 1),
+                                  ("b", "x", 1), ("a", "d", 1), ("d", "e", 1), ("e", "y", 1)],
+                                 "s", ["x", "y"]),
+    ]
+    for _ in range(3):
+        nets.append(_awkward_network(rng, "s", ["a", "b", "c", "d", "e", "f"], "island"))
+        labels = rng.sample(range(10), 8)
+        nets.append(_awkward_network(rng, labels[0], labels[1:7], labels[7]))
+    for net in nets:
+        oracle = vod_cut_oracle(net)
+        assert [oracle.value_mask(m) for m in range(1 << oracle.n)] == _min_cut_table(net), net
+
+
 def test_vod_cut_rejects_source_as_bidder():
     with pytest.raises(DomainError):
         CapacitatedNetwork.build([("s", "a", 1)], "s", ["s"])

@@ -602,3 +602,17 @@ def test_clinch_amounts_keeps_its_prechecks():
         clinch_amounts(oracle, [4, 0], [1, 1])
     with pytest.raises(DomainError):
         clinch_amounts(oracle, [1, 0], [1, -1])
+    with pytest.raises(DomainError):
+        clinch_amounts(oracle, [-1, 0], [1, 1])
+    with pytest.raises(DomainError):
+        clinch_amounts(multi_unit_oracle(3, 2), [-1, 0], [1, 1])
+
+
+def test_clinch_amounts_on_ctr_oracles_needs_no_table(monkeypatch):
+    # Single-keyword oracles past the enumeration cap: the kernel's CTR
+    # branch decides rho in P(f) without a 2^n membership test.
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "16")
+    assert clinch_amounts(single_keyword_oracle([3] * 20), [0] * 20, [1] * 20) == (1,) * 20
+    # feasible for every single bidder, but the top two promises exceed 20 + 19
+    with pytest.raises(PreconditionError):
+        clinch_amounts(single_keyword_oracle(range(20, 0, -1)), [20, 20] + [0] * 18, [1] * 20)
