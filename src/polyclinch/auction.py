@@ -28,7 +28,7 @@ promised allocation inside the polytope at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +37,8 @@ from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
-    _cardinality_min,
+    _ctr_clinch,
+    _demand_vector,
     as_fraction,
     clinch_kernel,
     vector,
@@ -170,21 +171,12 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
                       d: Sequence[Rational]) -> Fraction:
     """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} on a single-keyword environment.
 
-    With f(S) = A_|S|, A_t the sum of the top t CTRs, this is d([n]) plus the
-    least A_t - top_t(rho + d), as in :func:`clinch_kernel`.  rho must lie
-    in P(f): its top t entries may not exceed A_t for any t.
+    With f(S) = A_|S|, A_t the sum of the top t CTRs, this is the total of
+    the CTR clinch that :func:`clinch_kernel` runs on such oracles; rho must
+    lie in P(f), or :class:`PreconditionError` is raised.
     """
-    alpha = vector(ctrs)
     n = len(rho)
-    prom = vector(rho, n)
-    dem = vector(d, n)
-    if any(v < 0 for v in dem):
-        raise DomainError("demands must be >= 0")
-    if _cardinality_min(alpha, prom) < 0:
-        raise PreconditionError(
-            "rho is not in the single-keyword polymatroid: the top t promises "
-            "exceed the top t CTRs for some t")
-    return sum(dem, ZERO) + _cardinality_min(alpha, [a + b for a, b in zip(prom, dem)])
+    return _ctr_clinch(vector(ctrs), vector(rho, n), _demand_vector(d, n))[0]
 
 
 def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
@@ -194,27 +186,19 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     ``(fhat([n]), delta)`` and needs no value table on oracles with CTRs.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
-    loop clinches delta out of d into rho, so h is unchanged and the
-    snapshot's fhat([n]) is the clinch's, less d([n]) before, plus d([n])
-    after.  fhat_fn reuses the clinch that way whenever rho + d is the same
-    vector, and clinches afresh otherwise.  Only the bidders whose entries
-    changed (those that clinched) cost Fraction arithmetic.
+    loop calls ``fhat_fn`` right after each clinch, at (rho + delta,
+    d - delta): h is unchanged, so fhat([n]) there is the clinch's total
+    less the sum of delta.
     """
-    last = [None, None, None]                    # rho, d and fhat([n]) of the last clinch
+    last = []                                    # fhat([n]) and delta of the last clinch
 
     def clinch_fn(rho, d):
-        total, delta = clinch_kernel(oracle, rho, d)
-        last[:] = tuple(rho), tuple(d), total
-        return delta
+        last[:] = clinch_kernel(oracle, rho, d)
+        return last[1]
 
     def fhat_fn(rho, d):
-        rho0, d0, total = last
-        if rho0 is not None:
-            moved = [(a, b, a0, b0) for a, b, a0, b0 in zip(rho, d, rho0, d0)
-                     if a != a0 or b != b0]
-            if all(a + b == a0 + b0 for a, b, a0, b0 in moved):
-                return total + sum((b - b0 for _, b, _, b0 in moved), ZERO)
-        return clinch_kernel(oracle, rho, d)[0]
+        total, delta = last
+        return total - sum(delta, ZERO)
 
     return clinch_fn, fhat_fn
 
@@ -227,7 +211,9 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
 
     Each iteration: demands, clinch, apply, snapshot, price step, then the
     exit test on the post-clinch demands.  A trace is kept exactly when
-    ``fhat_fn`` is given; it fills each snapshot's residual total.
+    ``fhat_fn`` is given: ``fhat_fn(rho, nu)`` runs right after each
+    ``clinch_fn`` call, at the post-clinch promises and demands, and its
+    value is the residual total of every snapshot up to the next clinch.
 
     The post-clinch demands are d - delta, the demands the engine's own rule
     gives at the new promises and budgets (delta <= d, and a clinch at
@@ -250,8 +236,8 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     Clinching again at (rho + delta, nu) gives zero (re-clinch nullity: the
     clinch moves delta from d into rho and leaves f - rho - d unchanged), so
     when the next step's demands equal nu, with the promises untouched since,
-    the step's clinch is zero and ``clinch_fn`` is not called.  ``fhat_fn``
-    sees the same rho + d then and reuses the last clinch's total.
+    the step's clinch is zero and ``clinch_fn`` is not called.  Such a step
+    leaves rho and nu as they were, so its snapshot keeps the last total.
     """
     prices = [ZERO] * n
     promised = [ZERO] * n
@@ -261,6 +247,7 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     snapshots: List[TraceSnapshot] = []
     no_clinch = (ZERO,) * n
     nu = None                            # d - delta of the last clinch
+    total = None                         # fhat_fn at the last clinch
     for step in range(max_steps):
         demands = demands_fn(prices, promised, budgets)
         if demands == nu:
@@ -275,11 +262,13 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
                     if budgets[i] is not None:
                         budgets[i] -= charge
             nu = [q - x for q, x in zip(demands, delta)]
+            if fhat_fn is not None:
+                total = fhat_fn(promised, nu)
         demands = nu
         if fhat_fn is not None:
             snapshots.append(TraceSnapshot(
                 step, tuple(prices), tuple(promised), tuple(demands),
-                tuple(delta), tuple(budgets), fhat_fn(promised, demands)))
+                tuple(delta), tuple(budgets), total))
         prices[clock] += eps
         clock = (clock + 1) % n
         if not any(demands):
@@ -351,6 +340,7 @@ class ConcaveCurve:
     """
 
     breakpoints: tuple               # ((q1, V1), ..., (qk, Vk)), q strictly increasing
+    _segments: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple((as_fraction(q), as_fraction(v)) for q, v in self.breakpoints)
@@ -359,6 +349,7 @@ class ConcaveCurve:
             raise DomainError("a curve needs at least one breakpoint")
         prev_q, prev_v = ZERO, ZERO
         prev_slope = None
+        segments = []
         for q, v in pts:
             if q <= prev_q:
                 raise DomainError("breakpoint quantities must be strictly increasing")
@@ -368,7 +359,9 @@ class ConcaveCurve:
             if prev_slope is not None and slope > prev_slope:
                 raise DomainError(
                     f"slopes must be nonincreasing (concavity), got {prev_slope} then {slope}")
+            segments.append((prev_q, q, slope))
             prev_q, prev_v, prev_slope = q, v, slope
+        object.__setattr__(self, "_segments", tuple(segments))
 
     @classmethod
     def from_slopes(cls, segments: Sequence[Tuple[Rational, Rational]]) -> "ConcaveCurve":
@@ -385,14 +378,9 @@ class ConcaveCurve:
     def supply(self) -> Fraction:
         return self.breakpoints[-1][0]
 
-    def segments(self) -> list:
+    def segments(self) -> tuple:
         """(start, end, slope) triples covering [0, supply]."""
-        out = []
-        prev_q, prev_v = ZERO, ZERO
-        for q, v in self.breakpoints:
-            out.append((prev_q, q, (v - prev_v) / (q - prev_q)))
-            prev_q, prev_v = q, v
-        return out
+        return self._segments
 
     def value_at(self, q: Rational) -> Fraction:
         q = as_fraction(q)
@@ -422,11 +410,10 @@ class ConcaveCurve:
         on.
         """
         start = as_fraction(start)
-        segments = self.segments()
-        if segments[0][2] <= price:
+        if self._segments[0][2] <= price:
             return ZERO
         reach = ZERO
-        for _, end, slope in segments:
+        for _, end, slope in self._segments:
             if slope >= price:
                 reach = end
             else:
@@ -491,6 +478,25 @@ def _validate_packing(rows_a: Sequence[Sequence[Rational]],
     return a, b
 
 
+def _slack(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction]) -> list:
+    """b - A rho, row by row."""
+    return [c - row[0] * rho[0] - row[1] * rho[1] for row, c in zip(a, b)]
+
+
+def _axis_max(a: Sequence[tuple], slack: Sequence[Fraction], i: int,
+              bound: Optional[Fraction] = None, other: Fraction = ZERO) -> Fraction:
+    """Largest y_i >= 0 with A y <= slack when y_other = ``other``, capped by ``bound``."""
+    reach = [] if bound is None else [bound]
+    reach += [(s - row[1 - i] * other) / row[i] for row, s in zip(a, slack) if row[i] > 0]
+    return max(ZERO, min(reach))
+
+
+def _packing_lines(a: Sequence[tuple], b: Sequence[Fraction]) -> list:
+    """{y >= 0 : Ay <= b} as lines l0*y0 + l1*y1 <= c, for :func:`_vertices_from_lines`."""
+    return [(row[0], row[1], c) for row, c in zip(a, b)] + [
+        (Fraction(-1), ZERO, ZERO), (ZERO, Fraction(-1), ZERO)]      # y0 >= 0, y1 >= 0
+
+
 def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
                            rhs: Sequence[Rational],
                            rho: Sequence[Rational],
@@ -510,25 +516,14 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     dem = vector(d, 2)
     if any(v < 0 for v in dem):
         raise DomainError("demands must be >= 0")
-    slack = []
-    for j, row in enumerate(a):
-        s = b[j] - row[0] * prom[0] - row[1] * prom[1]
+    slack = _slack(a, b, prom)
+    for j, s in enumerate(slack):
         if s < 0:
             raise PreconditionError(
                 f"rho violates packing row {j}: slack {s} < 0", witness=j)
-        slack.append(s)
-
-    def axis_max(i: int, other_fixed: Fraction) -> Fraction:
-        other = 1 - i
-        best = dem[i]
-        for j, row in enumerate(a):
-            if row[i] > 0:
-                best = min(best, (slack[j] - row[other] * other_fixed) / row[i])
-        return max(ZERO, best)
-
-    g0 = axis_max(1, ZERO)          # most the other bidder could take if i gets 0
-    h0 = axis_max(0, ZERO)
-    return (axis_max(0, g0), axis_max(1, h0))
+    g0 = _axis_max(a, slack, 1, dem[1])       # most bidder 1 could take if 0 gets 0
+    h0 = _axis_max(a, slack, 0, dem[0])
+    return (_axis_max(a, slack, 0, dem[0], g0), _axis_max(a, slack, 1, dem[1], h0))
 
 
 def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
@@ -551,11 +546,7 @@ def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -
 def polytope_vertices(rows_a: Sequence[Sequence[Rational]],
                       rhs: Sequence[Rational]) -> list:
     """Vertices of a 2D packing polytope {x >= 0 : Ax <= b}, deduplicated and sorted."""
-    a, b = _validate_packing(rows_a, rhs)
-    lines = [(row[0], row[1], b[j]) for j, row in enumerate(a)]
-    lines.append((Fraction(-1), ZERO, ZERO))     # -x0 <= 0
-    lines.append((ZERO, Fraction(-1), ZERO))     # -x1 <= 0
-    return _vertices_from_lines(lines)
+    return _vertices_from_lines(_packing_lines(*_validate_packing(rows_a, rhs)))
 
 
 def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
@@ -576,28 +567,18 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     values = [bd.value for bd in bidders]
     eps = cfg.resolve_epsilon(values)
 
-    def cap(i: int, promised) -> Fraction:
-        best = None
-        for j, row in enumerate(a):
-            if row[i] > 0:
-                s = (b[j] - row[0] * promised[0] - row[1] * promised[1]) / row[i]
-                best = s if best is None else min(best, s)
-        return max(ZERO, best)
-
     def demands_fn(prices, promised, budgets_rem):
-        return [demand(budgets_rem[i], prices[i], values[i], cap(i, promised))
+        slack = _slack(a, b, promised)
+        return [demand(budgets_rem[i], prices[i], values[i], _axis_max(a, slack, i))
                 for i in range(2)]
 
     def clinch_fn(promised, demands):
         return clinch_generic_2player(a, b, promised, demands)
 
     def fhat_fn(promised, demands):
-        rows = [(row[0], row[1], b[j] - row[0] * promised[0] - row[1] * promised[1])
-                for j, row in enumerate(a)]
-        rows.append((Fraction(1), ZERO, demands[0]))
-        rows.append((ZERO, Fraction(1), demands[1]))
-        verts = polytope_vertices([r[:2] for r in rows], [r[2] for r in rows])
-        return max(x + y for x, y in verts)
+        lines = _packing_lines(a, _slack(a, b, promised))
+        lines += [(Fraction(1), ZERO, demands[0]), (ZERO, Fraction(1), demands[1])]
+        return max(x + y for x, y in _vertices_from_lines(lines))
 
     return _run_loop(2, eps, cfg.max_steps, [bd.budget for bd in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None)

@@ -291,40 +291,34 @@ def parse_instance(path) -> InstanceFile:
     return parse_instance_data(data)
 
 
+def _to_json(value):
+    """Parsed payload value in JSON form: Fractions as strings, tuples as lists."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
+
+
 def serialize_instance(inst: InstanceFile) -> dict:
     """Canonical JSON form; parse(serialize(parse(f))) == parse(f)."""
-    kind, payload = inst.environment.kind, inst.environment.payload
-    env = {"kind": kind}
-    if kind == "multi-unit":
-        env["supply"] = str(payload["supply"])
-    elif kind == "single-keyword":
-        env["ctrs"] = [str(c) for c in payload["ctrs"]]
-    elif kind == "adwords":
-        env["interests"] = [list(m) for m in payload["interests"]]
-        env["ctrs"] = [[str(c) for c in alpha] for alpha in payload["ctrs"]]
-    elif kind == "graphic":
-        env["edges"] = [[u, v] for u, v in payload["edges"]]
-    elif kind == "vod-cut":
-        env["edges"] = [[u, v, str(c)] for u, v, c in payload["edges"]]
-        env["source"] = payload["source"]
-        env["bidder_nodes"] = list(payload["bidder_nodes"])
-    elif kind == "h-polytope-2d":
-        env["rows"] = [[str(c) for c in row] for row in payload["rows"]]
     out = {
         "schema": inst.schema,
-        "environment": env,
+        "environment": {"kind": inst.environment.kind, **_to_json(inst.environment.payload)},
         "bidders": [{"value": str(b.value), "budget": format_rational(b.budget)}
                     for b in inst.bidders],
         "config": {
-            "epsilon": "auto" if inst.config.epsilon == "auto" else str(inst.config.epsilon),
+            "epsilon": _to_json(inst.config.epsilon),
             "max_steps": inst.config.max_steps,
             "trace": inst.config.trace,
         },
     }
     if inst.quality is not None:
-        out["quality"] = [str(g) for g in inst.quality]
+        out["quality"] = _to_json(inst.quality)
     if inst.curves is not None:
-        out["curves"] = [[[str(q), str(v)] for q, v in c.breakpoints] for c in inst.curves]
+        out["curves"] = [_to_json(c.breakpoints) for c in inst.curves]
     return out
 
 

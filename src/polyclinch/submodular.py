@@ -459,6 +459,26 @@ def _cardinality_min(alpha: Sequence, c: Sequence):
     return low
 
 
+def _ctr_clinch(ctrs: Sequence[Fraction], rho: Sequence[Fraction],
+                d: Sequence[Fraction]) -> tuple:
+    """:func:`clinch_kernel` on f(S) = A_|S|, A_t the sum of the top t ``ctrs``.
+
+    Raises :class:`PreconditionError` unless rho lies in P(f).
+    """
+    n = len(rho)
+    den, nums = _over_common_denominator([*rho, *d, *ctrs])
+    rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
+    if _cardinality_min(anum, rnum) < 0:
+        raise PreconditionError(
+            "rho is not in the single-keyword polymatroid: the top t promises "
+            "exceed the top t CTRs for some t")
+    c = list(map(operator.add, rnum, dnum))
+    low = _cardinality_min(anum, c)
+    return Fraction(sum(dnum) + low, den), tuple(
+        Fraction(max(0, dnum[i] + low - _cardinality_min(anum, c[:i] + c[i + 1:])), den)
+        for i in range(n))
+
+
 def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
                   d: Sequence[Fraction]) -> tuple:
     """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
@@ -483,24 +503,13 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 
     rho and d are Fraction vectors with d >= 0.
     """
-    n = oracle.n
     if oracle.ctrs is not None:
-        den, nums = _over_common_denominator([*rho, *d, *oracle.ctrs])
-        rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
-        if _cardinality_min(anum, rnum) < 0:
-            raise PreconditionError(
-                "rho is not in the single-keyword polymatroid: the top t promises "
-                "exceed the top t CTRs for some t")
-        c = list(map(operator.add, rnum, dnum))
-        low = _cardinality_min(anum, c)
-        return Fraction(sum(dnum) + low, den), tuple(
-            Fraction(max(0, dnum[i] + low - _cardinality_min(anum, c[:i] + c[i + 1:])), den)
-            for i in range(n))
+        return _ctr_clinch(oracle.ctrs, rho, d)
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     low = min(h)
     argmin = h.index(low)
     delta = []
-    for i in range(n):
+    for i in range(oracle.n):
         if argmin >> i & 1:
             delta.append(Fraction(max(0, dnum[i] + low - _min_without_bit(h, i)), den))
         else:

@@ -25,6 +25,7 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _packing_lines,
     _vertices_from_lines,
     polytope_vertices,
     run_clinching,
@@ -219,9 +220,7 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
     x = outcome.allocation
     v = [bd.value for bd in bidders]
 
-    lines = [(row[0], row[1], b[j]) for j, row in enumerate(a)]
-    lines.append((Fraction(-1), ZERO, ZERO))
-    lines.append((ZERO, Fraction(-1), ZERO))
+    lines = _packing_lines(a, b)
     lines.append((-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])))   # v.y >= v.x
     for i in outcome.exhausted:
         row = [ZERO, ZERO]
@@ -361,14 +360,16 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     first offending step, never a crash.
 
     The monitors are decided on integers (:func:`membership`,
-    :func:`residual_totals`); a failed one is reported from the ``Fraction``
-    reference oracle that :func:`residual` builds.
+    :func:`residual_totals`).  At a snapshot where one of them newly fails,
+    the ``Fraction`` reference oracle that :func:`residual` builds must give
+    the same witnesses, or :class:`ClinchError` is raised.
     """
     n = oracle.n
     full = (1 << n) - 1
     target = oracle.value_mask(full)
     report = VerificationReport()
-    conserved = dominance = reclinch = feasible = budgets_ok = None
+    feasible = budgets_ok = None
+    found = (None, None, None)           # conserved, dominance, reclinch
 
     for snap in snapshots:
         if any(v < 0 for v in snap.promised):
@@ -387,33 +388,20 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        total, without = residual_totals(oracle, snap.promised, snap.demands)
-        unbalanced = conserved is None and sum(snap.promised, ZERO) + total != target
-        undominated = (dominance is None or reclinch is None) and \
-            any(total > value for value in without)
-        if not (unbalanced or undominated):
+        witnesses = _residual_witnesses(
+            snap, target, *residual_totals(oracle, snap.promised, snap.demands))
+        if all(old is not None or new is None for old, new in zip(found, witnesses)):
             continue
-        # A monitor failed: report it from the Fraction reference table.
-        found = (conserved, dominance, reclinch)
+        # A monitor newly failed: the Fraction reference table must agree.
         res = residual(oracle, snap.promised, snap.demands)
-        total = res.value_mask(full)
-        if conserved is None and sum(snap.promised, ZERO) + total != target:
-            conserved = {"step": snap.step,
-                         "value": str(sum(snap.promised, ZERO) + total),
-                         "expected": str(target)}
-        if dominance is None:
-            for j in range(n):
-                if total > res.value_mask(full ^ (1 << j)):
-                    dominance = {"step": snap.step, "j": j}
-                    break
-        if reclinch is None:
-            again = tuple(max(ZERO, total - res.value_mask(full ^ (1 << i)))
-                          for i in range(n))
-            if any(again):
-                reclinch = {"step": snap.step, "delta": [str(t) for t in again]}
-        if (conserved, dominance, reclinch) == found:
-            raise ClinchError(f"step {snap.step}: a monitor fails on the integer "
-                              "residual values but not on the Fraction reference")
+        reference = _residual_witnesses(
+            snap, target, res.value_mask(full),
+            [res.value_mask(full ^ (1 << j)) for j in range(n)])
+        if reference != witnesses:
+            raise ClinchError(f"step {snap.step}: the integer residual values and the "
+                              "Fraction reference give different monitor witnesses")
+        found = tuple(new if old is None else old for old, new in zip(found, witnesses))
+    conserved, dominance, reclinch = found
 
     report.add("conserved-quantity", conserved is None, conserved,
                f"1'rho + fhat([n]) stays {target}" if conserved is None else "")
@@ -422,6 +410,22 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     report.add("feasibility", feasible is None, feasible)
     report.add("budgets-nonnegative", budgets_ok is None, budgets_ok)
     return report
+
+
+def _residual_witnesses(snap: TraceSnapshot, target: Fraction, total: Fraction,
+                        without: Sequence[Fraction]) -> tuple:
+    """Witnesses of the conservation, dominance and re-clinch monitors at one
+    snapshot, from fhat([n]) = ``total`` and fhat([n] \\ j) = ``without[j]``;
+    None where a monitor holds."""
+    value = sum(snap.promised, ZERO) + total
+    conserved = None if value == target else {
+        "step": snap.step, "value": str(value), "expected": str(target)}
+    # fhat([n]) > fhat([n] \ j) breaks dominance and makes the re-clinch of j nonzero
+    j = next((j for j, rest in enumerate(without) if total > rest), None)
+    if j is None:
+        return conserved, None, None
+    return conserved, {"step": snap.step, "j": j}, {
+        "step": snap.step, "delta": [str(max(ZERO, total - rest)) for rest in without]}
 
 
 def run_with_monitors(oracle: SubmodularOracle, bidders: Sequence[Bidder],

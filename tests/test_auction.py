@@ -359,22 +359,6 @@ def test_trace_snapshots_reuse_the_clinch(monkeypatch):
                                                         snap.demands)[0]
 
 
-def test_snapshot_runs_the_kernel_when_rho_plus_d_moved(monkeypatch):
-    calls = _counting_kernel(monkeypatch)
-    oracle = random_oracle(random.Random(5), "graphic", 4)
-    clinch_fn, fhat_fn = auction._clinch_callbacks(oracle)
-    rho, d = (F(0),) * 4, (F(1, 2), F(1), F(0), F(2, 3))
-    delta = clinch_fn(rho, d)
-    moved = (F(1, 3),) + rho[1:]
-    assert fhat_fn(moved, d) == clinch_kernel(oracle, moved, d)[0]
-    lowered = d[:1] + (F(1, 5),) + d[2:]
-    assert fhat_fn(rho, lowered) == clinch_kernel(oracle, rho, lowered)[0]
-    assert len(calls) == 3
-    after = tuple(r + x for r, x in zip(rho, delta)), tuple(q - x for q, x in zip(d, delta))
-    assert any(delta) and fhat_fn(*after) == clinch_kernel(oracle, *after)[0]
-    assert len(calls) == 3
-
-
 # ---------------------------------------------------------------------------
 # scaled polymatroids
 # ---------------------------------------------------------------------------

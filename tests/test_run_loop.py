@@ -12,6 +12,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,8 @@ from polyclinch import (
     run_decreasing_marginals,
     run_generic_2player,
 )
+from polyclinch import auction
+from polyclinch.auction import polytope_vertices
 from polyclinch.cli import _run_instance
 from polyclinch.instances import parse_instance
 from polyclinch.verify import (
@@ -35,7 +38,7 @@ from polyclinch.verify import (
     curve_deviation_grid,
 )
 
-from corpus import polymatroid_cases, without_ctrs
+from corpus import KINDS, polymatroid_cases, random_bidders, random_oracle, without_ctrs
 from reference_loop import clinching_steps, recorded_run, reference_run
 
 F = Fraction
@@ -114,3 +117,74 @@ def test_fixtures_match_reference_loop(stem):
     inst = parse_instance(FIXTURES / f"{stem}.json")
     for force_trace in (False, True):
         assert_matches_reference(_run_instance, inst, force_trace)
+
+
+def callback_events(engine, *args) -> tuple:
+    """``engine(*args)`` on ``auction._run_loop``: ``(outcome, events)``, the
+    loop's ``clinch_fn`` and ``fhat_fn`` calls in order, as their names."""
+    events = []
+    loop = auction._run_loop
+
+    def recording(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        def clinch(rho, d):
+            events.append("clinch")
+            return clinch_fn(rho, d)
+
+        def fhat(rho, d):
+            events.append("fhat")
+            return fhat_fn(rho, d)
+        return loop(n, eps, max_steps, budgets0, demands_fn, clinch, fhat)
+    with mock.patch.object(auction, "_run_loop", recording):
+        return engine(*args), events
+
+
+def _traced_runs():
+    """``(engine, args)`` of traced runs on every engine."""
+    rng = random.Random(909)
+    cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
+    runs = []
+    for t in range(10):
+        n = rng.randint(2, 5)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
+        runs.append((run_clinching, (oracle, random_bidders(rng, n), cfg)))
+    runs.append((run_decreasing_marginals,
+                 (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,
+                  AuctionConfig(epsilon=F(1, 20), trace=True))))
+    for v0, v1 in ((F(1, 2), F(3, 5)), (F(1), F(4)), (F(13, 20), F(10))):
+        bidders = [Bidder(v, b) for v, b in zip((v0, v1), IMPOSSIBILITY_BUDGETS)]
+        runs.append((run_generic_2player,
+                     (IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders,
+                      AuctionConfig(epsilon=F(1, 20), trace=True))))
+    return runs
+
+
+def test_residual_total_is_taken_once_per_clinch():
+    # fhat_fn runs right after each clinch_fn call and at no other step: a
+    # step that skips its clinch keeps the last residual total
+    skipped = 0
+    for engine, args in _traced_runs():
+        out, events = callback_events(engine, *args)
+        clinches = events.count("clinch")
+        assert events == ["clinch", "fhat"] * clinches, engine.__name__
+        skipped += len(out.trace) - clinches
+    assert skipped > 0
+
+
+def test_generic_trace_totals_are_the_best_vertex_sums():
+    # residual_total = max{x0 + x1 : x in P_{rho,d}}, from the snapshot's own
+    # rho and d, at every snapshot, the ones that skipped the clinch included
+    unit = ((1, 0), (0, 1))
+    skipped = 0
+    for rows, rhs in ((IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS),
+                      (((1, 0), (0, 1), (1, 1)), (F(2), F(3), F(4)))):
+        for v0, v1 in ((F(1, 2), F(3, 5)), (F(1), F(4)), (F(3, 10), F(2)), (F(1), F(1))):
+            bidders = [Bidder(v, b) for v, b in zip((v0, v1), IMPOSSIBILITY_BUDGETS)]
+            out, events = callback_events(run_generic_2player, rows, rhs, bidders,
+                                          AuctionConfig(epsilon=F(1, 20), trace=True))
+            skipped += len(out.trace) - events.count("clinch")
+            for snap in out.trace:
+                rho, d = snap.promised, snap.demands
+                slack = [c - a0 * rho[0] - a1 * rho[1] for (a0, a1), c in zip(rows, rhs)]
+                vertices = polytope_vertices(tuple(rows) + unit, slack + list(d))
+                assert snap.residual_total == max(x + y for x, y in vertices)
+    assert skipped > 0

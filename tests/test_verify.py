@@ -5,9 +5,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from polyclinch import (
     AuctionConfig,
     Bidder,
+    ClinchError,
     ConcaveCurve,
     Outcome,
     bidder,
@@ -27,6 +30,7 @@ from polyclinch import (
     validate_trace,
     value_deviation_grid,
 )
+from polyclinch import verify
 from polyclinch.submodular import ResidualOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
 
@@ -421,6 +425,35 @@ def test_validate_trace_matches_fraction_reference():
             else:
                 failed[how] += not expected["ok"]
     assert all(count >= 20 for count in failed.values()), failed
+
+
+def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
+    # residual_totals drifting from the definition is a bug in the checker,
+    # not a failed monitor: whenever a monitor fails, the Fraction reference
+    # must give the same witnesses
+    oracle = multi_unit_oracle(2, 2)
+    out = run_clinching(oracle, [bidder(3, 2), bidder(1, 2)], AuctionConfig(trace=True))
+    snaps = list(out.trace)
+    k = len(snaps) - 1
+    shaved = (snaps[k].promised[0] - F(1, 7),) + snaps[k].promised[1:]
+    snaps[k] = replace(snaps[k], promised=shaved)
+    totals = verify.residual_totals
+
+    def shifted(oracle, rho, d, at=None):
+        total, without = totals(oracle, rho, d)
+        return (total + F(1, 5) if at in (None, tuple(rho)) else total), without
+
+    # a clean trace whose shifted totals break conservation at step 0
+    monkeypatch.setattr(verify, "residual_totals", shifted)
+    with pytest.raises(ClinchError, match=f"step {out.trace[0].step}:"):
+        validate_trace(oracle, out.trace)
+    # conservation fails on both sides at the shaved step, with other values
+    monkeypatch.setattr(verify, "residual_totals",
+                        lambda oracle, rho, d: shifted(oracle, rho, d, at=shaved))
+    with pytest.raises(ClinchError, match=f"step {snaps[k].step}:"):
+        validate_trace(oracle, snaps)
+    monkeypatch.setattr(verify, "residual_totals", totals)
+    assert not validate_trace(oracle, snaps).result("conserved-quantity").passed
 
 
 # ---------------------------------------------------------------------------
