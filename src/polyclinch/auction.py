@@ -158,7 +158,8 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
 
     The cap is the single-bidder feasibility bound (f({i}) - rho_i), which
     keeps the residual polytope unchanged while avoiding an unbounded demand
-    at price zero.
+    at price zero; :func:`run_decreasing_marginals` passes the curve's reach
+    beyond the holding instead.
     """
     if price >= value:
         return ZERO
@@ -203,17 +204,28 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     return clinch_fn, fhat_fn
 
 
+def _demand_schedule(budget_rem: Optional[Fraction], value: Fraction, cap: Fraction) -> Callable:
+    """One bidder's :func:`demand` as a function of its own clock price."""
+    return lambda price: demand(budget_rem, price, value, cap)
+
+
 def _run_loop(n: int, eps: Fraction, max_steps: int,
               budgets0: Sequence[Optional[Fraction]],
               demands_fn: Callable, clinch_fn: Callable,
               fhat_fn: Optional[Callable]):
     """Shared ascending-clock loop; the exact statement order matters.
 
-    Each iteration: demands, clinch, apply, snapshot, price step, then the
-    exit test on the post-clinch demands.  A trace is kept exactly when
-    ``fhat_fn`` is given: ``fhat_fn(rho, nu)`` runs right after each
-    ``clinch_fn`` call, at the post-clinch promises and demands, and its
-    value is the residual total of every snapshot up to the next clinch.
+    Each iteration: clinch, apply, snapshot, price step, the exit test on
+    the post-clinch demands, then the next step's demands.  A trace is kept
+    exactly when ``fhat_fn`` is given: ``fhat_fn(rho, nu)`` runs right after
+    each ``clinch_fn`` call, at the post-clinch promises and demands, and
+    its value is the residual total of every snapshot up to the next clinch.
+
+    ``demands_fn(prices, promised, budgets)`` returns n schedules: schedule i
+    maps a price to bidder i's demand at that clock price while the promises
+    and remaining budgets stay as passed.  The loop builds the schedules at
+    the start and again after each clinch, at the post-clinch promises and
+    budgets, and evaluates all n of them only at the first step.
 
     The post-clinch demands are d - delta, the demands the engine's own rule
     gives at the new promises and budgets (delta <= d, and a clinch at
@@ -232,12 +244,16 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
       If d_i = cap_i the new cap_i is pinned to d_i - delta_i; otherwise
       d_i = B_rem / p, which falls by delta_i and stays below the new cap.
 
-    So the loop keeps nu = d - delta instead of asking ``demands_fn`` again.
-    Clinching again at (rho + delta, nu) gives zero (re-clinch nullity: the
-    clinch moves delta from d into rho and leaves f - rho - d unchanged), so
-    when the next step's demands equal nu, with the promises untouched since,
-    the step's clinch is zero and ``clinch_fn`` is not called.  Such a step
-    leaves rho and nu as they were, so its snapshot keeps the last total.
+    So the loop keeps nu = d - delta instead of asking for the demands
+    again.  Until the next clinch the promises and budgets stay put and each
+    step moves one clock, so nu with the clocked bidder's entry replaced by
+    its schedule's value at the new price is the engine's demand vector:
+    one schedule evaluation per step is exact.  Clinching again at
+    (rho + delta, nu) gives zero (re-clinch nullity: the clinch moves delta
+    from d into rho and leaves f - rho - d unchanged), so when that value
+    equals nu's entry the step's clinch is zero and ``clinch_fn`` is not
+    called.  Such a step leaves rho and nu as they were, so its snapshot
+    keeps the last total and nu stays the demand vector at the new prices.
     """
     prices = [ZERO] * n
     promised = [ZERO] * n
@@ -246,11 +262,10 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     clock = 0
     snapshots: List[TraceSnapshot] = []
     no_clinch = (ZERO,) * n
-    nu = None                            # d - delta of the last clinch
-    total = None                         # fhat_fn at the last clinch
+    schedules = demands_fn(prices, promised, budgets)
+    demands = [schedule(price) for schedule, price in zip(schedules, prices)]
     for step in range(max_steps):
-        demands = demands_fn(prices, promised, budgets)
-        if demands == nu:
+        if demands is None:              # this step's demands are nu
             delta = no_clinch
         else:
             delta = clinch_fn(promised, demands)
@@ -262,24 +277,27 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
                     if budgets[i] is not None:
                         budgets[i] -= charge
             nu = [q - x for q, x in zip(demands, delta)]
+            schedules = demands_fn(prices, promised, budgets)
             if fhat_fn is not None:
                 total = fhat_fn(promised, nu)
-        demands = nu
         if fhat_fn is not None:
             snapshots.append(TraceSnapshot(
-                step, tuple(prices), tuple(promised), tuple(demands),
+                step, tuple(prices), tuple(promised), tuple(nu),
                 tuple(delta), tuple(budgets), total))
-        prices[clock] += eps
-        clock = (clock + 1) % n
-        if not any(demands):
+        moved = clock
+        prices[moved] += eps
+        clock = (moved + 1) % n
+        if not any(nu):
             break
+        q = schedules[moved](prices[moved])
+        demands = None if q == nu[moved] else nu[:moved] + [q] + nu[moved + 1:]
     else:
         raise DivergenceError(
             f"auction did not terminate within {max_steps} steps: it stopped at "
             f"prices ({', '.join(map(str, prices))}) with demands "
-            f"({', '.join(map(str, demands))}) still positive; raise max_steps "
+            f"({', '.join(map(str, nu))}) still positive; raise max_steps "
             "or epsilon, or check the reported values",
-            step=max_steps, prices=tuple(prices), demands=tuple(demands))
+            step=max_steps, prices=tuple(prices), demands=tuple(nu))
 
     exhausted = frozenset(i for i in range(n)
                           if budgets0[i] is not None and payments[i] == budgets0[i])
@@ -303,7 +321,7 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     singles = [oracle.singleton(i) for i in range(n)]
 
     def demands_fn(prices, promised, budgets):
-        return [demand(budgets[i], prices[i], values[i], singles[i] - promised[i])
+        return [_demand_schedule(budgets[i], values[i], singles[i] - promised[i])
                 for i in range(n)]
 
     clinch_fn, fhat_fn = _clinch_callbacks(oracle)
@@ -451,15 +469,15 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
     slopes = [slope for curve in curves for _, _, slope in curve.segments()]
     eps = cfg.resolve_epsilon(slopes)
 
+    def schedule(curve, held, budget_rem):
+        # the curve's reach beyond the holding caps B_rem / p; its first
+        # slope plays the value, above which demand_quantity is zero anyway
+        top = curve.segments()[0][2]
+        return lambda price: demand(budget_rem, price, top,
+                                    curve.demand_quantity(held, price))
+
     def demands_fn(prices, promised, budgets_rem):
-        out = []
-        for i in range(n):
-            quantity = curves[i].demand_quantity(promised[i], prices[i])
-            if quantity == 0 or prices[i] == 0 or budgets_rem[i] is None:
-                out.append(quantity)
-            else:
-                out.append(min(budgets_rem[i] / prices[i], quantity))
-        return out
+        return [schedule(curves[i], promised[i], budgets_rem[i]) for i in range(n)]
 
     clinch_fn, fhat_fn = _clinch_callbacks(oracle)
     return _run_loop(n, eps, cfg.max_steps, normalized_budgets, demands_fn,
@@ -512,18 +530,22 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     a, b = _validate_packing(rows_a, rhs)
     if any(len(row) != 2 for row in a):
         raise SizeError("generic-polytope clinching is restricted to 2 bidders")
-    prom = vector(rho, 2)
-    dem = vector(d, 2)
-    if any(v < 0 for v in dem):
+    return _clinch_2d(a, b, vector(rho, 2), vector(d, 2))
+
+
+def _clinch_2d(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction],
+               d: Sequence[Fraction]) -> tuple:
+    """:func:`clinch_generic_2player` on rows already validated, rho and d exact."""
+    if any(v < 0 for v in d):
         raise DomainError("demands must be >= 0")
-    slack = _slack(a, b, prom)
+    slack = _slack(a, b, rho)
     for j, s in enumerate(slack):
         if s < 0:
             raise PreconditionError(
                 f"rho violates packing row {j}: slack {s} < 0", witness=j)
-    g0 = _axis_max(a, slack, 1, dem[1])       # most bidder 1 could take if 0 gets 0
-    h0 = _axis_max(a, slack, 0, dem[0])
-    return (_axis_max(a, slack, 0, dem[0], g0), _axis_max(a, slack, 1, dem[1], h0))
+    g0 = _axis_max(a, slack, 1, d[1])         # most bidder 1 could take if 0 gets 0
+    h0 = _axis_max(a, slack, 0, d[0])
+    return (_axis_max(a, slack, 0, d[0], g0), _axis_max(a, slack, 1, d[1], h0))
 
 
 def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
@@ -569,11 +591,11 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
 
     def demands_fn(prices, promised, budgets_rem):
         slack = _slack(a, b, promised)
-        return [demand(budgets_rem[i], prices[i], values[i], _axis_max(a, slack, i))
+        return [_demand_schedule(budgets_rem[i], values[i], _axis_max(a, slack, i))
                 for i in range(2)]
 
     def clinch_fn(promised, demands):
-        return clinch_generic_2player(a, b, promised, demands)
+        return _clinch_2d(a, b, promised, demands)
 
     def fhat_fn(promised, demands):
         lines = _packing_lines(a, _slack(a, b, promised))

@@ -362,7 +362,9 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     The monitors are decided on integers (:func:`membership`,
     :func:`residual_totals`).  At a snapshot where one of them newly fails,
     the ``Fraction`` reference oracle that :func:`residual` builds must give
-    the same witnesses, or :class:`ClinchError` is raised.
+    the same witnesses, or :class:`ClinchError` is raised.  A snapshot
+    with the same (rho, d) as the one before it, as a step that skipped its
+    clinch leaves, reuses that snapshot's membership result and totals.
     """
     n = oracle.n
     full = (1 << n) - 1
@@ -370,26 +372,30 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     report = VerificationReport()
     feasible = budgets_ok = None
     found = (None, None, None)           # conserved, dominance, reclinch
+    seen = totals = None                 # (rho, d) of the last snapshot and its residual totals
 
     for snap in snapshots:
-        if any(v < 0 for v in snap.promised):
-            feasible = {"step": snap.step, "violating_set": [],
-                        "detail": "negative promised allocation"}
-        else:
-            member = membership(oracle, snap.promised)
-            if not member.ok:
-                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
         if budgets_ok is None:
             for i, b in enumerate(snap.budgets):
                 if b is not None and b < 0:
                     budgets_ok = {"step": snap.step, "bidder": i, "budget": str(b)}
                     break
-        if feasible is not None:
-            # Without feasibility the residual oracle is undefined; report
-            # the feasibility breach and stop recomputing the rest.
-            break
-        witnesses = _residual_witnesses(
-            snap, target, *residual_totals(oracle, snap.promised, snap.demands))
+        if (snap.promised, snap.demands) != seen:
+            if any(v < 0 for v in snap.promised):
+                feasible = {"step": snap.step, "violating_set": [],
+                            "detail": "negative promised allocation"}
+            else:
+                member = membership(oracle, snap.promised)
+                if not member.ok:
+                    feasible = {"step": snap.step,
+                                "violating_set": sorted(member.violating)}
+            if feasible is not None:
+                # Without feasibility the residual oracle is undefined; report
+                # the feasibility breach and stop recomputing the rest.
+                break
+            seen = snap.promised, snap.demands
+            totals = residual_totals(oracle, *seen)
+        witnesses = _residual_witnesses(snap, target, *totals)
         if all(old is not None or new is None for old, new in zip(found, witnesses)):
             continue
         # A monitor newly failed: the Fraction reference table must agree.

@@ -1,11 +1,12 @@
 """The clock loop that clinches at every step: the reference for ``auction._run_loop``.
 
 ``reference_run_loop`` is the loop as it stood before it skipped zero
-clinches.  It calls ``clinch_fn`` at every step and asks ``demands_fn`` again
-for the post-clinch demands.  ``auction._run_loop`` skips a step's clinch
-when the step's demands equal the last clinch's d - delta, and carries
-d - delta forward as the post-clinch demands.  The two must give identical
-outcomes and traces.
+clinches.  It calls ``clinch_fn`` at every step, evaluates every bidder's
+demand schedule at every step, and evaluates them all again for the
+post-clinch demands.  ``auction._run_loop`` evaluates only the clocked
+bidder's schedule, skips a step's clinch when the step's demands equal the
+last clinch's d - delta, and carries d - delta forward as the post-clinch
+demands.  The two must give identical outcomes and traces.
 
 ``reference_run`` and ``recorded_run`` run an engine on either loop and
 record what the loop did, so tests can line the two runs up step by step.
@@ -27,6 +28,12 @@ from polyclinch.submodular import ZERO
 Step = namedtuple("Step", "promised demands delta after")
 
 
+def demands_at(demands_fn, prices, promised, budgets) -> list:
+    """Every bidder's demand: its schedule from ``demands_fn`` at its own price."""
+    schedules = demands_fn(prices, promised, budgets)
+    return [schedule(price) for schedule, price in zip(schedules, prices)]
+
+
 def reference_run_loop(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn,
                        steps=None):
     prices = [ZERO] * n
@@ -36,7 +43,7 @@ def reference_run_loop(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_
     clock = 0
     snapshots: List[TraceSnapshot] = []
     for step in range(max_steps):
-        demands = demands_fn(prices, promised, budgets)
+        demands = demands_at(demands_fn, prices, promised, budgets)
         before = tuple(promised), tuple(demands)
         delta = clinch_fn(promised, demands)
         for i in range(n):
@@ -46,7 +53,7 @@ def reference_run_loop(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_
                 payments[i] += charge
                 if budgets[i] is not None:
                     budgets[i] -= charge
-        demands = demands_fn(prices, promised, budgets)
+        demands = demands_at(demands_fn, prices, promised, budgets)
         if steps is not None:
             steps.append(Step(*before, tuple(delta), tuple(demands)))
         if fhat_fn is not None:
@@ -82,7 +89,8 @@ def recorded_run(engine, *args):
     """``engine(*args)`` on ``auction._run_loop``: ``(outcome, clinch inputs, demands_fn)``.
 
     The clinch inputs are the ``(promised, demands)`` pairs ``clinch_fn`` was
-    called with, in order; ``demands_fn`` is the engine's demand rule.
+    called with, in order; ``demands_fn`` is the engine's demand rule, which
+    returns one schedule per bidder (``demands_at`` evaluates them).
     """
     calls, rules = [], []
     loop = auction._run_loop

@@ -44,7 +44,7 @@ from polyclinch.verify import (
 )
 
 from corpus import KINDS, random_bidders, random_oracle, without_ctrs
-from reference_loop import clinching_steps, recorded_run, reference_run
+from reference_loop import clinching_steps, demands_at, recorded_run, reference_run
 
 F = Fraction
 
@@ -281,13 +281,14 @@ def _check_post_clinch_demands(engine, args, oracle):
     out, _, demands_fn = recorded_run(engine, *args)
     budgets0 = out.trace[0].budgets
     for snap in out.trace:
-        after = demands_fn(list(snap.prices), list(snap.promised), list(snap.budgets))
+        after = demands_at(demands_fn, list(snap.prices), list(snap.promised),
+                           list(snap.budgets))
         assert tuple(after) == snap.demands
         pre_budget = [None if budgets0[i] is None else
                       snap.budgets[i] + snap.prices[i] * snap.clinched[i]
                       for i in range(len(budgets0))]
         pre_rho = [r - x for r, x in zip(snap.promised, snap.clinched)]
-        pre_d = demands_fn(list(snap.prices), pre_rho, pre_budget)
+        pre_d = demands_at(demands_fn, list(snap.prices), pre_rho, pre_budget)
         assert tuple(q - x for q, x in zip(pre_d, snap.clinched)) == snap.demands
         if oracle is not None:              # the polymatroid rule, written out
             values = [b.value for b in args[1]]

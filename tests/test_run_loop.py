@@ -188,3 +188,51 @@ def test_generic_trace_totals_are_the_best_vertex_sums():
                 vertices = polytope_vertices(tuple(rows) + unit, slack + list(d))
                 assert snap.residual_total == max(x + y for x, y in vertices)
     assert skipped > 0
+
+
+def counted_run(engine, *args) -> tuple:
+    """``engine(*args)`` on ``auction._run_loop``: ``(outcome, counts)``, the
+    calls of the loop's ``demands_fn`` and ``clinch_fn`` and of ``demand``."""
+    counts = {"demands_fn": 0, "clinch_fn": 0, "demand": 0}
+    loop, demand = auction._run_loop, auction.demand
+
+    def counting(name, fn):
+        def counted(*fn_args):
+            counts[name] += 1
+            return fn(*fn_args)
+        return counted
+
+    def recording(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        return loop(n, eps, max_steps, budgets0, counting("demands_fn", demands_fn),
+                    counting("clinch_fn", clinch_fn), fhat_fn)
+    with mock.patch.object(auction, "_run_loop", recording), \
+            mock.patch.object(auction, "demand", counting("demand", demand)):
+        return engine(*args), counts
+
+
+def test_one_demand_per_step_and_schedules_once_per_clinch():
+    # the schedules are built at the start and after each clinch; after the
+    # first step, which evaluates all n, a step evaluates only the clocked
+    # bidder's schedule
+    rng = random.Random(4242)
+    cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
+    runs = []
+    for kind in ("single-keyword", "graphic", "multi-unit"):
+        n = rng.randint(3, 5)
+        oracle = random_oracle(rng, kind, n)
+        assert (oracle.ctrs is not None) == (kind == "single-keyword")
+        runs.append((run_clinching, (oracle, random_bidders(rng, n), cfg), n))
+    runs.append((run_decreasing_marginals,
+                 (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,
+                  AuctionConfig(epsilon=F(1, 20), trace=True)), len(APPENDIX_D_BUDGETS)))
+    for v0, v1 in ((F(1, 2), F(3, 5)), (F(1), F(4))):
+        bidders = [Bidder(v, b) for v, b in zip((v0, v1), IMPOSSIBILITY_BUDGETS)]
+        runs.append((run_generic_2player,
+                     (IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders,
+                      AuctionConfig(epsilon=F(1, 20), trace=True)), 2))
+    for engine, args, n in runs:
+        out, counts = counted_run(engine, *args)
+        steps = len(out.trace)
+        assert counts["clinch_fn"] < steps, engine.__name__
+        assert counts["demands_fn"] == 1 + counts["clinch_fn"], engine.__name__
+        assert counts["demand"] == n + steps - 1, engine.__name__

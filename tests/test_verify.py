@@ -427,6 +427,32 @@ def test_validate_trace_matches_fraction_reference():
     assert all(count >= 20 for count in failed.values()), failed
 
 
+def test_tampered_skipped_step_fails_at_that_step():
+    # a step that skips its clinch repeats the last snapshot's (rho, d), whose
+    # membership and residual totals validate_trace reuses; a tampered copy of
+    # such a step is no repeat and must fail right there, with the witnesses
+    # of a fresh computation
+    oracle = multi_unit_oracle(3, 3)
+    out = run_clinching(oracle, [bidder(3, 1), bidder(2, 1), bidder(1, "inf")],
+                        AuctionConfig(epsilon=F(1, 4), trace=True))
+    snaps = list(out.trace)
+    k = 9
+    snap, before = snaps[k], snaps[k - 1]
+    assert not any(snap.clinched)
+    assert (snap.promised, snap.demands) == (before.promised, before.demands)
+    assert snap.promised == (0, 0, F(1, 3)) and snap.demands[0] == F(4, 3)
+    shaved = replace(snap, promised=(0, 0, F(1, 3) - F(1, 7)))
+    lowered = replace(snap, demands=(F(4, 9),) + snap.demands[1:])
+    for tampered, reclinch in ((shaved, ["0", "0", "1/7"]), (lowered, ["0", "0", "8/9"])):
+        snaps[k] = tampered
+        report = validate_trace(oracle, snaps)
+        assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
+        assert [p.name for p in report.failures()] == ["post-clinch-dominance",
+                                                       "reclinch-zero"]
+        assert report.result("post-clinch-dominance").witness == {"step": k, "j": 2}
+        assert report.result("reclinch-zero").witness == {"step": k, "delta": reclinch}
+
+
 def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
     # residual_totals drifting from the definition is a bug in the checker,
     # not a failed monitor: whenever a monitor fails, the Fraction reference
