@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DivergenceError, DomainError, PreconditionError, SizeError
 from .submodular import (
@@ -39,6 +39,7 @@ from .submodular import (
     ZERO,
     _ctr_clinch,
     _demand_vector,
+    _over_common_denominator,
     as_fraction,
     clinch_kernel,
     vector,
@@ -496,17 +497,44 @@ def _validate_packing(rows_a: Sequence[Sequence[Rational]],
     return a, b
 
 
-def _slack(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction]) -> list:
-    """b - A rho, row by row."""
-    return [c - row[0] * rho[0] - row[1] * rho[1] for row, c in zip(a, b)]
+def _integer_rows(a: Sequence[tuple], b: Sequence[Fraction]) -> tuple:
+    """Each packing row (a_j0, a_j1, b_j) times its own lcm: ``(p0, p1, c, scale)``.
+
+    A positive scale leaves {x : a_j x <= b_j} unchanged; dividing a slack
+    of the integer row by ``scale`` gives the slack of the given row.
+    """
+    out = []
+    for row, c in zip(a, b):
+        scale, nums = _over_common_denominator([*row, c])
+        out.append((*nums, scale))
+    return tuple(out)
 
 
-def _axis_max(a: Sequence[tuple], slack: Sequence[Fraction], i: int,
-              bound: Optional[Fraction] = None, other: Fraction = ZERO) -> Fraction:
-    """Largest y_i >= 0 with A y <= slack when y_other = ``other``, capped by ``bound``."""
-    reach = [] if bound is None else [bound]
-    reach += [(s - row[1 - i] * other) / row[i] for row, s in zip(a, slack) if row[i] > 0]
-    return max(ZERO, min(reach))
+def _row_slacks(rows: Sequence[tuple], den: int, r0: int, r1: int) -> list:
+    """c_j * den - p_j . (r0, r1): den times the slack of each integer row at (r0, r1) / den."""
+    return [c * den - p0 * r0 - p1 * r1 for p0, p1, c, _ in rows]
+
+
+def _axis_reach(rows: Sequence[tuple], slack: Sequence[int], i: int,
+                bound: Optional[int] = None, other: Tuple[int, int] = (0, 1)) -> tuple:
+    """Largest y_i with A y <= slack when y_other is fixed, as ``(num, den)``.
+
+    Everything is on integers over the slacks' denominator D (from
+    :func:`_row_slacks`): with ``other = (m, q)``, y_other = m / (q D), the
+    cap is ``bound / (q D)``, and the result is y_i = num / (den q D).  The
+    candidates num/den (den > 0) are compared by cross-multiplication.  With
+    every slack and the bound >= 0 and y_other at most its own reach, as the
+    engine calls it, the result is >= 0.
+    """
+    m, q = other
+    num, den = bound, 1
+    for row, s in zip(rows, slack):
+        coef = row[i]
+        if coef > 0:
+            reach = s * q - row[1 - i] * m
+            if num is None or reach * den < num * coef:
+                num, den = reach, coef
+    return num, den
 
 
 def _packing_lines(a: Sequence[tuple], b: Sequence[Fraction]) -> list:
@@ -530,27 +558,41 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     a, b = _validate_packing(rows_a, rhs)
     if any(len(row) != 2 for row in a):
         raise SizeError("generic-polytope clinching is restricted to 2 bidders")
-    return _clinch_2d(a, b, vector(rho, 2), vector(d, 2))
+    return _clinch_2d(_integer_rows(a, b), vector(rho, 2), vector(d, 2))
 
 
-def _clinch_2d(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction],
+def _clinch_2d(rows: Sequence[tuple], rho: Sequence[Fraction],
                d: Sequence[Fraction]) -> tuple:
-    """:func:`clinch_generic_2player` on rows already validated, rho and d exact."""
-    if any(v < 0 for v in d):
+    """:func:`clinch_generic_2player` on :func:`_integer_rows`, rho and d exact.
+
+    rho and d go over one common denominator D, so the slacks and the four
+    axis maxima are integers; the two clinched amounts are the only
+    ``Fraction`` values built.
+    """
+    den, (r0, r1, e0, e1) = _over_common_denominator([*rho, *d])
+    if e0 < 0 or e1 < 0:
         raise DomainError("demands must be >= 0")
-    slack = _slack(a, b, rho)
+    slack = _row_slacks(rows, den, r0, r1)
     for j, s in enumerate(slack):
         if s < 0:
             raise PreconditionError(
-                f"rho violates packing row {j}: slack {s} < 0", witness=j)
-    g0 = _axis_max(a, slack, 1, d[1])         # most bidder 1 could take if 0 gets 0
-    h0 = _axis_max(a, slack, 0, d[0])
-    return (_axis_max(a, slack, 0, d[0], g0), _axis_max(a, slack, 1, d[1], h0))
+                f"rho violates packing row {j}: slack {Fraction(s, den * rows[j][3])} < 0",
+                witness=j)
+    g0, g0_den = _axis_reach(rows, slack, 1, e1)     # most bidder 1 could take if 0 gets 0
+    h0, h0_den = _axis_reach(rows, slack, 0, e0)
+    x0, x0_den = _axis_reach(rows, slack, 0, e0 * g0_den, (g0, g0_den))
+    x1, x1_den = _axis_reach(rows, slack, 1, e1 * h0_den, (h0, h0_den))
+    return Fraction(x0, x0_den * g0_den * den), Fraction(x1, x1_den * h0_den * den)
 
 
-def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
-    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}; arbitrary signs allowed."""
-    points = set()
+def _line_vertices(lines: Sequence[tuple]) -> Iterator[tuple]:
+    """Vertices of {y : l0*y0 + l1*y1 <= c for each line} as ``(n0, n1, det)``.
+
+    The vertex is (n0 / det, n1 / det) with det > 0, from Cramer's rule on
+    each pair of lines; feasibility is tested on the numerators, so integer
+    lines need no division.  Arbitrary signs allowed; a vertex on more than
+    two lines comes once per pair.
+    """
     for i in range(len(lines)):
         a0, b0, c0 = lines[i]
         for j in range(i + 1, len(lines)):
@@ -558,11 +600,23 @@ def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -
             det = a0 * b1 - a1 * b0
             if det == 0:
                 continue
-            y0 = (c0 * b1 - c1 * b0) / det
-            y1 = (a0 * c1 - a1 * c0) / det
-            if all(l0 * y0 + l1 * y1 <= lc for l0, l1, lc in lines):
-                points.add((y0, y1))
-    return sorted(points)
+            n0 = c0 * b1 - c1 * b0
+            n1 = a0 * c1 - a1 * c0
+            if det < 0:
+                det, n0, n1 = -det, -n0, -n1
+            if all(l0 * n0 + l1 * n1 <= lc * det for l0, l1, lc in lines):
+                yield n0, n1, det
+
+
+def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
+    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}, deduplicated and sorted.
+
+    Each line is scaled to integers by its own lcm, which leaves its
+    half-plane unchanged, and :func:`_line_vertices` runs on those.
+    """
+    scaled = [_over_common_denominator(line)[1] for line in lines]
+    return sorted({(Fraction(n0, det), Fraction(n1, det))
+                   for n0, n1, det in _line_vertices(scaled)})
 
 
 def polytope_vertices(rows_a: Sequence[Sequence[Rational]],
@@ -577,8 +631,13 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
                         cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Ascending-clock loop with the generic 2-bidder clinch.
 
-    The trace's residual-total field records max{x_0 + x_1 : x in P_{rho,d}}
-    (the generic analogue of fhat([n])).
+    The packing rows are scaled to integers once per run
+    (:func:`_integer_rows`).  At each call the loop's promises and demands go
+    over one common denominator, so the clinch, the demand caps and the
+    traced residual total all run on integers and build ``Fraction`` values
+    only for what they return.  The trace's residual-total field records
+    max{x_0 + x_1 : x in P_{rho,d}} (the generic analogue of fhat([n])),
+    the best sum over the vertices of P_{rho,d}.
     """
     a, b = _validate_packing(rows_a, rhs)
     if len(bidders) != 2 or any(len(row) != 2 for row in a):
@@ -586,21 +645,29 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     for i in range(2):
         if not any(row[i] > 0 for row in a):
             raise DomainError(f"coordinate {i} is unbounded; the polytope must be bounded")
+    rows = _integer_rows(a, b)
     values = [bd.value for bd in bidders]
     eps = cfg.resolve_epsilon(values)
 
     def demands_fn(prices, promised, budgets_rem):
-        slack = _slack(a, b, promised)
-        return [_demand_schedule(budgets_rem[i], values[i], _axis_max(a, slack, i))
-                for i in range(2)]
+        den, (r0, r1) = _over_common_denominator(promised)
+        slack = _row_slacks(rows, den, r0, r1)
+        caps = [_axis_reach(rows, slack, i) for i in range(2)]
+        return [_demand_schedule(budgets_rem[i], values[i], Fraction(num, cap_den * den))
+                for i, (num, cap_den) in enumerate(caps)]
 
     def clinch_fn(promised, demands):
-        return _clinch_2d(a, b, promised, demands)
+        return _clinch_2d(rows, promised, demands)
 
     def fhat_fn(promised, demands):
-        lines = _packing_lines(a, _slack(a, b, promised))
-        lines += [(Fraction(1), ZERO, demands[0]), (ZERO, Fraction(1), demands[1])]
-        return max(x + y for x, y in _vertices_from_lines(lines))
+        den, (r0, r1, e0, e1) = _over_common_denominator([*promised, *demands])
+        lines = [(p0, p1, s) for (p0, p1, _, _), s in zip(rows, _row_slacks(rows, den, r0, r1))]
+        lines += [(-1, 0, 0), (0, -1, 0), (1, 0, e0), (0, 1, e1)]
+        best, best_den = 0, 1                  # the origin is a vertex of P_{rho,d}
+        for n0, n1, det in _line_vertices(lines):
+            if (n0 + n1) * best_den > best * det:
+                best, best_den = n0 + n1, det
+        return Fraction(best, best_den * den)
 
     return _run_loop(2, eps, cfg.max_steps, [bd.budget for bd in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None)

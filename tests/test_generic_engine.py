@@ -1,20 +1,37 @@
-"""The generic 2-bidder engine: pinned traces of whole runs.
+"""The generic 2-bidder engine on integer rows, against its ``Fraction`` form.
 
-The digests are SHA-256 sums of ``Outcome.to_json()`` with the full step
-trace (prices, promises, demands, clinches, budgets and the residual total
-``fhat_full``), dumped with sorted keys.  They were recorded on the
-``Fraction`` engine, so any change to the clinch, the caps or the traced
-residual total that moves a single bit of a run shows here.
+* Pinned traces.  The digests are SHA-256 sums of ``Outcome.to_json()``
+  with the full step trace (prices, promises, demands, clinches, budgets and
+  the residual total ``fhat_full``), dumped with sorted keys.  They were
+  recorded on the ``Fraction`` engine, so any change to the clinch, the caps
+  or the traced residual total that moves a single bit of a run shows here.
+* The reference.  On random 2D packing polytopes the engine's clinch, demand
+  caps and residual total equal those of ``reference_generic.py``, and an
+  infeasible rho raises the same error.
+* The error contract of :func:`clinch_generic_2player`.
 """
 
 import hashlib
 import json
 import pathlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyclinch import AuctionConfig, Bidder, run_generic_2player
+import reference_generic as ref
+from polyclinch import (
+    AuctionConfig,
+    Bidder,
+    DomainError,
+    PreconditionError,
+    clinch_generic_2player,
+    run_generic_2player,
+)
+from polyclinch import auction
+from polyclinch.auction import polytope_vertices
 from polyclinch.cli import _run_instance
 from polyclinch.instances import parse_instance
 from polyclinch.verify import IMPOSSIBILITY_BUDGETS, IMPOSSIBILITY_RHS, IMPOSSIBILITY_ROWS
@@ -64,3 +81,117 @@ def test_traced_run_matches_pinned_digest(name):
     outcome = run()
     assert len(outcome.trace) == steps
     assert trace_digest(outcome) == digest
+
+
+# ---------------------------------------------------------------------------
+# the integer callbacks against the Fraction reference
+# ---------------------------------------------------------------------------
+
+COEFFICIENTS = [F(0), F(0), F(1, 3), F(5, 4), F(7, 6), F(1), F(2)]
+RIGHT_HAND_SIDES = [F(0), F(1), F(5, 2), F(7, 3), F(3), F(6)]
+MIX = [F(0), F(1), F(1, 2), F(1, 3), F(3, 2)]    # weights >1 leave P
+DEMANDS = [F(0), F(1, 4), F(2, 3), F(1), F(7, 2), F(100)]   # 100 lies beyond every cap
+AXIS_ROWS = ((F(1, 3), F(0)), (F(0), F(7, 6)))
+
+
+def engine_callbacks(a, b) -> tuple:
+    """``(demands_fn, clinch_fn, fhat_fn)`` as ``run_generic_2player`` hands them to the loop."""
+    captured = []
+
+    def capture(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        captured.extend((demands_fn, clinch_fn, fhat_fn))
+    with mock.patch.object(auction, "_run_loop", capture):
+        run_generic_2player(a, b, [Bidder(F(1), None)] * 2,
+                            AuctionConfig(epsilon=F(1), trace=True))
+    return tuple(captured)
+
+
+def outcome_of(fn, *args):
+    """fn's value, or the type, message and witness of the error it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, PreconditionError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+
+
+@st.composite
+def packing_cases(draw):
+    """A 2D packing polytope, rho drawn around its vertices and demands d.
+
+    Rows mix denominators 3, 4 and 6 and have zero coefficients and b = 0;
+    a row may repeat a rescaled earlier one, so rows tie.  rho is a vertex, a
+    point on a segment between two vertices (a facet when they are
+    adjacent), or such a point pushed out of P.
+    """
+    n_rows = draw(st.integers(1, 4))
+    a = [tuple(draw(st.sampled_from(COEFFICIENTS)) for _ in range(2)) for _ in range(n_rows)]
+    b = [draw(st.sampled_from(RIGHT_HAND_SIDES)) for _ in range(n_rows)]
+    for i in range(2):                   # bounded, so the demand caps exist
+        if not any(row[i] > 0 for row in a):
+            a.append(AXIS_ROWS[i])
+            b.append(draw(st.sampled_from(RIGHT_HAND_SIDES)))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(a) - 1))
+        k = draw(st.sampled_from([F(1), F(3), F(2, 5)]))
+        a.append((k * a[j][0], k * a[j][1]))
+        b.append(k * b[j])
+    vertices = polytope_vertices(a, b)
+    p, q = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
+    t, u = draw(st.sampled_from(MIX)), draw(st.sampled_from(MIX))
+    rho = tuple(t * x + u * y for x, y in zip(p, q))
+    d = tuple(draw(st.sampled_from(DEMANDS)) for _ in range(2))
+    return tuple(a), tuple(b), rho, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_cases())
+def test_integer_callbacks_match_fraction_reference(case):
+    a, b, rho, d = case
+    demands_fn, clinch_fn, fhat_fn = engine_callbacks(a, b)
+    clinch = outcome_of(clinch_fn, rho, d)
+    assert clinch == outcome_of(ref.clinch_2d, a, b, rho, d)
+    assert outcome_of(clinch_generic_2player, a, b, rho, d) == clinch
+    if min(ref.slack(a, b, rho)) < 0:
+        return                            # rho outside P: no caps, no residual total
+    schedules = demands_fn([F(0), F(0)], list(rho), [None, None])
+    assert tuple(s(F(0)) for s in schedules) == ref.caps(a, b, rho)
+    assert fhat_fn(rho, d) == ref.residual_total(a, b, rho, d)
+    after = tuple(q + x for q, x in zip(rho, clinch))   # the post-clinch point the loop uses
+    nu = tuple(q - x for q, x in zip(d, clinch))
+    assert fhat_fn(after, nu) == ref.residual_total(a, b, after, nu)
+
+
+# ---------------------------------------------------------------------------
+# the error contract of clinch_generic_2player
+# ---------------------------------------------------------------------------
+
+def test_negative_demand_is_a_domain_error():
+    for d in ((F(1), F(-1)), (F(-1, 3), F(0))):
+        with pytest.raises(DomainError) as err:
+            clinch_generic_2player(MIXED_ROWS, MIXED_RHS, (F(0), F(0)), d)
+        assert str(err.value) == "demands must be >= 0"
+    with pytest.raises(DomainError):              # checked before rho's slack
+        clinch_generic_2player(MIXED_ROWS, MIXED_RHS, (F(3), F(0)), (F(0), F(-1)))
+
+
+@pytest.mark.parametrize("rho, row, message", [
+    ((F(3), F(0)), 1, "rho violates packing row 1: slack -1/2 < 0"),
+    ((F(1, 2), F(3, 2)), 0, "rho violates packing row 0: slack -1/24 < 0"),
+])
+def test_infeasible_rho_names_its_row_and_the_given_rows_slack(rho, row, message):
+    # the slack printed is b_j - a_j rho of the row as given, not of its
+    # integer rescaling
+    with pytest.raises(PreconditionError) as err:
+        clinch_generic_2player(MIXED_ROWS, MIXED_RHS, rho, (F(1), F(1)))
+    assert err.value.witness == row
+    assert str(err.value) == message
+
+
+def test_rescaled_rows_clinch_the_same():
+    # a row and the same row times a positive integer are one constraint
+    for rho, d in (((F(0), F(0)), (F(1), F(1))), ((F(1, 2), F(1)), (F(3), F(1, 5))),
+                   ((F(1), F(1, 3)), (F(2, 7), F(100)))):
+        clinch = clinch_generic_2player(MIXED_ROWS, MIXED_RHS, rho, d)
+        for k in (2, 12, 35):
+            rows = [(k * a0, k * a1) for a0, a1 in MIXED_ROWS]
+            assert clinch_generic_2player(rows, [k * c for c in MIXED_RHS], rho, d) == clinch
