@@ -20,7 +20,8 @@ Engines:
   concave valuations and the marginal-threshold demand rule (the variant
   that is deliberately not truthful).
 * :func:`run_generic_2player`      -- 2-bidder packing H-polytopes, clinching
-  straight from the geometric definition; used by the Pareto-failure demo.
+  straight from the geometric definition on integer rows; used by the
+  Pareto-failure demo.
 
 A run never charges above the clock, never exceeds a budget, and keeps the
 promised allocation inside the polytope at every step.
@@ -552,8 +553,11 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     delta_i is the largest x_i that leaves the other bidder's option set
     untouched: with g(x_0) = max{x_1 : (x_0, x_1) in P_{rho,d}}, delta_0 =
     max{x_0 : (x_0, g(0)) in P_{rho,d}}, symmetrically for delta_1.  Solved
-    by exact one-dimensional maximization over the constraint rows.  The
-    generic path is deliberately 2-bidder-only.
+    by exact one-dimensional maximization over the constraint rows, each
+    scaled to integers by its own lcm (:func:`_clinch_2d`).  Raises
+    :class:`DomainError` on a negative demand and :class:`PreconditionError`
+    (witness: the row index) when rho violates a row, naming that row's
+    slack b_j - a_j rho.  The generic path is deliberately 2-bidder-only.
     """
     a, b = _validate_packing(rows_a, rhs)
     if any(len(row) != 2 for row in a):

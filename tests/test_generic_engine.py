@@ -89,7 +89,7 @@ def test_traced_run_matches_pinned_digest(name):
 
 COEFFICIENTS = [F(0), F(0), F(1, 3), F(5, 4), F(7, 6), F(1), F(2)]
 RIGHT_HAND_SIDES = [F(0), F(1), F(5, 2), F(7, 3), F(3), F(6)]
-MIX = [F(0), F(1), F(1, 2), F(1, 3), F(3, 2)]    # weights >1 leave P
+MIX = [F(0), F(1), F(1, 2), F(1, 3), F(3, 2)]    # weights summing past 1 may leave P
 DEMANDS = [F(0), F(1, 4), F(2, 3), F(1), F(7, 2), F(100)]   # 100 lies beyond every cap
 AXIS_ROWS = ((F(1, 3), F(0)), (F(0), F(7, 6)))
 
