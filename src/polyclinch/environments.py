@@ -10,11 +10,11 @@ for the function defining the feasible-allocation polytope:
 * ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
   a max-flow on integers over the capacities' least common denominator.
 
-``decompose`` searches for per-keyword click vectors realizing an aggregate
-allocation.  It never consults the aggregated oracle: feasibility is decided
-by an exact phase-1 simplex over the per-keyword inequality system, so it
-serves as an independent cross-check that the aggregate function captures
-feasibility exactly.
+``decompose`` splits an aggregate allocation into per-keyword click vectors
+with one max-flow on the keywords' threshold network, the same integer
+Edmonds-Karp the vod-cut oracle runs.  It never consults the aggregated
+oracle, so it serves as an independent cross-check that the aggregate
+function captures feasibility exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._simplex import feasible_point
 from .errors import DomainError
 from .submodular import (
     Rational,
@@ -31,7 +30,6 @@ from .submodular import (
     ZERO,
     _over_common_denominator,
     as_fraction,
-    check_enumeration_size,
     vector,
 )
 
@@ -87,14 +85,16 @@ class InterestGraph:
         keyword_bidders = []
         bidder_keywords = [set() for _ in range(n)]
         for k, bidders in enumerate(interests):
-            members = frozenset(bidders)
-            for i in members:
+            bidders = list(bidders)
+            for i in bidders:
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise DomainError(f"keyword {k} lists bidder {i!r}, not an int index")
                 if not 0 <= i < n:
                     raise DomainError(f"keyword {k} lists bidder {i} outside 0..{n - 1}")
                 bidder_keywords[i].add(k)
-            if not members:
+            if not bidders:
                 raise DomainError(f"keyword {k} has no interested bidder")
-            keyword_bidders.append(members)
+            keyword_bidders.append(frozenset(bidders))
         return cls(n, m, tuple(keyword_bidders),
                    tuple(frozenset(s) for s in bidder_keywords))
 
@@ -241,52 +241,46 @@ class CapacitatedNetwork:
         return cls(tuple(parsed), source, tuple(bidder_nodes))
 
 
-def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
-    """f(S) = min-cut from the source to the nodes of S (0 if unreachable).
+class _ArcNetwork:
+    """A directed network laid out as flat arc arrays for integer max-flow.
 
-    The network is laid out once as flat arc arrays: nodes renumbered to
-    ints, arc ``a`` from ``head[a ^ 1]`` to ``head[a]``, its reverse ``a ^ 1``,
-    and capacities as integers over their least common denominator D.  Each
-    bidder has one arc to a super-sink, closed (capacity 0) until a mask
-    opens it above the total capacity.  Each value is one Edmonds-Karp
-    max-flow on those integers, returned as ``flow / D``: exact, with no
-    ``Fraction`` arithmetic inside the flow.
+    Node labels are renumbered to ints on first use.  Arc ``a`` runs from
+    ``head[a ^ 1]`` to ``head[a]``; ``a ^ 1`` is its reverse, which starts at
+    capacity 0.  ``cap`` holds the integer capacities of both, indexed by arc.
     """
-    n = len(net.bidder_nodes)
-    index: Dict[object, int] = {}
-    head: List[int] = []
-    adj: List[List[int]] = []
 
-    def node(v) -> int:
-        if v not in index:
-            index[v] = len(adj)
-            adj.append([])
-        return index[v]
+    def __init__(self):
+        self.index: Dict[object, int] = {}
+        self.head: List[int] = []
+        self.adj: List[List[int]] = []
+        self.cap: List[int] = []
 
-    def arc(u: int, v: int) -> int:
-        adj[u].append(len(head))
-        head.append(v)
-        adj[v].append(len(head))
-        head.append(u)
-        return len(head) - 2
+    def node(self, v) -> int:
+        if v not in self.index:
+            self.index[v] = len(self.adj)
+            self.adj.append([])
+        return self.index[v]
 
-    source = node(net.source)
-    den, nums = _over_common_denominator([capacity for _, _, capacity in net.edges])
-    cap: List[int] = []
-    for (u, v, _), num in zip(net.edges, nums):
-        arc(node(u), node(v))
-        cap += [num, 0]
-    sink = node(object())                    # a label no network node has
-    sink_arcs = [arc(node(b), sink) for b in net.bidder_nodes]
-    size = len(adj)
-    cap += [0, 0] * n
-    bound = sum(nums) + 1                    # above every cut of the network
+    def arc(self, u, v, capacity: int = 0) -> int:
+        """Add an arc from label u to label v and its reverse; return its index."""
+        u, v = self.node(u), self.node(v)
+        self.adj[u].append(len(self.head))
+        self.head.append(v)
+        self.adj[v].append(len(self.head))
+        self.head.append(u)
+        self.cap += [capacity, 0]
+        return len(self.head) - 2
 
-    def fn(mask: int) -> Fraction:
-        residual = cap[:]
-        for i in range(n):
-            if mask >> i & 1:
-                residual[sink_arcs[i]] = bound
+    def max_flow(self, residual: List[int], source, sink) -> int:
+        """Edmonds-Karp from label ``source`` to label ``sink``.
+
+        ``residual`` starts as a copy of ``cap`` (the caller may change it
+        first) and is left holding the residual capacities of a maximum
+        flow, so ``residual[a ^ 1]`` is the flow on arc ``a``.  Returns the
+        flow's value.
+        """
+        head, adj, size = self.head, self.adj, len(self.adj)
+        source, sink = self.index[source], self.index[sink]
         flow = 0
         while True:
             into: List[Optional[int]] = [None] * size    # BFS tree arc into each node
@@ -301,7 +295,7 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
                 if into[sink] is not None:
                     break
             if into[sink] is None:
-                return Fraction(flow, den)
+                return flow
             path = []
             v = sink
             while v != source:
@@ -314,6 +308,33 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
                 residual[a ^ 1] += bottleneck
             flow += bottleneck
 
+
+def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
+    """f(S) = min-cut from the source to the nodes of S (0 if unreachable).
+
+    The network is laid out once as an :class:`_ArcNetwork`, capacities as
+    integers over their least common denominator D.  Each bidder has one arc
+    to a super-sink, closed (capacity 0) until a mask opens it above the
+    total capacity.  Each value is one max-flow on those integers, returned
+    as ``flow / D``: exact, with no ``Fraction`` arithmetic inside the flow.
+    """
+    n = len(net.bidder_nodes)
+    graph = _ArcNetwork()
+    graph.node(net.source)
+    den, nums = _over_common_denominator([capacity for _, _, capacity in net.edges])
+    for (u, v, _), num in zip(net.edges, nums):
+        graph.arc(u, v, num)
+    sink = object()                          # a label no network node has
+    sink_arcs = [graph.arc(b, sink) for b in net.bidder_nodes]
+    bound = sum(nums) + 1                    # above every cut of the network
+
+    def fn(mask: int) -> Fraction:
+        residual = graph.cap[:]
+        for i in range(n):
+            if mask >> i & 1:
+                residual[sink_arcs[i]] = bound
+        return Fraction(graph.max_flow(residual, net.source, sink), den)
+
     return SubmodularOracle(n, fn, True, f"vod-cut({n} bidders)")
 
 
@@ -321,50 +342,42 @@ def decompose(inst: AdWordsInstance, x: Sequence[Rational]
               ) -> Optional[List[Dict[int, Fraction]]]:
     """Split x into per-keyword click vectors, or None if x is infeasible.
 
-    Searches for y[i][k] >= 0 with sum_k y[i][k] = x_i and, for every keyword
-    k and every S <= Gamma(k), y^k(S) <= f_k(S).  Feasibility is decided by an
-    exact simplex over exactly that inequality system.  Returns one dict per
-    keyword mapping interested bidders to their click share.
+    Keyword k's function is a sum of scaled uniform matroids,
+    f_k(S) = sum_j w_kj * min(|S & Gamma(k)|, j) with
+    w_kj = alpha_kj - alpha_k,j+1.  So x is feasible exactly when one
+    max-flow saturates every source arc of the threshold network
+    source -> bidder i (capacity x_i) -> node (k, j) (capacity w_kj, for i
+    in Gamma(k)) -> sink (capacity j * w_kj), on integers over the least
+    common denominator (McDiarmid 1975, "Rado's theorem for polymatroids").
+    The network is built from the CTRs and the interest graph, never from
+    the aggregated oracle.  Returns one dict per keyword mapping every
+    bidder of Gamma(k) to y_ik = sum_j flow(i -> (k, j)).
     """
     vec = vector(x, inst.n)
     for i, xi in enumerate(vec):
         if xi < 0:
             raise DomainError(f"allocations must be >= 0, got x[{i}] = {xi}")
-    check_enumeration_size(max(inst.n, inst.m), "adwords decomposition")
+    thresholds = []                          # (k, j, w_kj) with w_kj > 0
+    for k, alpha in enumerate(inst.ctrs):
+        for j, (a, b) in enumerate(zip(alpha, alpha[1:] + (ZERO,)), 1):
+            if a > b:
+                thresholds.append((k, j, a - b))
+    den, nums = _over_common_denominator(list(vec) + [w for _, _, w in thresholds])
 
-    variables = []                   # (bidder, keyword) pairs
-    index = {}
+    graph = _ArcNetwork()
+    graph.node("source")
+    graph.node("sink")
     for i in range(inst.n):
-        for k in sorted(inst.graph.bidder_keywords[i]):
-            index[(i, k)] = len(variables)
-            variables.append((i, k))
-
-    eq_rows = []
-    for i in range(inst.n):
-        coeffs = {index[(i, k)]: Fraction(1) for k in inst.graph.bidder_keywords[i]}
-        if not coeffs:
-            if vec[i] != 0:
-                return None          # bidder with no keywords cannot receive clicks
-            continue
-        eq_rows.append((coeffs, vec[i]))
-
-    le_rows = []
-    for k in range(inst.m):
-        members = sorted(inst.graph.keyword_bidders[k])
-        check_enumeration_size(len(members), f"keyword {k} subset constraints")
-        prefix = [ZERO]
-        for a in inst.ctrs[k]:
-            prefix.append(prefix[-1] + a)
-        for submask in range(1, 1 << len(members)):
-            coeffs = {index[(members[t], k)]: Fraction(1)
-                      for t in range(len(members)) if submask >> t & 1}
-            bound = prefix[min(len(coeffs), len(prefix) - 1)]
-            le_rows.append((coeffs, bound))
-
-    solution = feasible_point(len(variables), eq_rows, le_rows)
-    if solution is None:
+        graph.arc("source", ("bidder", i), nums[i])
+    share_arcs = []                          # (i, k, arc from bidder i into (k, j))
+    for (k, j, _), w in zip(thresholds, nums[inst.n:]):
+        for i in sorted(inst.graph.keyword_bidders[k]):
+            share_arcs.append((i, k, graph.arc(("bidder", i), (k, j), w)))
+        graph.arc((k, j), "sink", j * w)
+    residual = graph.cap[:]
+    if graph.max_flow(residual, "source", "sink") != sum(nums[:inst.n]):
         return None
-    split: List[Dict[int, Fraction]] = [dict() for _ in range(inst.m)]
-    for (i, k), j in index.items():
-        split[k][i] = solution[j]
+    split = [{i: ZERO for i in sorted(members)} for members in inst.graph.keyword_bidders]
+    for i, k, a in share_arcs:
+        split[k][i] += Fraction(residual[a ^ 1], den)
     return split

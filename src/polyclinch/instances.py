@@ -242,7 +242,7 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
                 raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
                                  f"keyword {k} has no interested bidder")
             for i in members:
-                if not isinstance(i, int) or not 0 <= i < n:
+                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
                     raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
                                      f"keyword {k} lists invalid bidder {i!r}")
         return {"interests": [list(m) for m in interests],

@@ -18,6 +18,7 @@ from polyclinch import (
     verify_submodular,
     vod_cut_oracle,
 )
+from polyclinch.instances import generate_instance
 
 from corpus import random_adwords, random_oracle
 
@@ -99,6 +100,32 @@ def test_adwords_rejects_empty_keyword():
         AdWordsInstance.build(2, [[0], []], [[1], [1]])
 
 
+def test_adwords_rejects_bool_and_non_int_bidders():
+    for interests in ([[0, True], [1]], [[0.5], [1]], [[1, True], [0]], [["0"], [1]]):
+        with pytest.raises(DomainError, match="not an int index"):
+            AdWordsInstance.build(2, interests, [[1, 1], [1]])
+
+
+def test_adwords_threshold_identity():
+    # f*(S) = sum_k sum_j w_kj * min(|S & Gamma(k)|, j), w_kj = alpha_kj - alpha_k,j+1
+    rng = random.Random(12)
+    insts = [random_adwords(rng, rng.randint(1, 8), rng.randint(1, 5)) for _ in range(40)]
+    # CTR lists padded (keyword 0), truncated (keyword 1) and all zero (keyword 2)
+    insts.append(AdWordsInstance.build(
+        4, [[0, 1, 2], [1, 3], [0, 2, 3]], [[5], [4, 3, 2, 1], [0, 0, 0]]))
+    for inst in insts:
+        oracle = adwords_oracle(inst)
+        masks = [sum(1 << i for i in members) for members in inst.graph.keyword_bidders]
+        for mask in range(1 << inst.n):
+            expected = F(0)
+            for k, alpha in enumerate(inst.ctrs):
+                size = bin(mask & masks[k]).count("1")
+                for j, a in enumerate(alpha, 1):
+                    w = a - (alpha[j] if j < len(alpha) else 0)
+                    expected += w * min(size, j)
+            assert oracle.value_mask(mask) == expected
+
+
 def test_decompose_known_split():
     inst = two_keyword_instance()
     split = decompose(inst, [2, 4])
@@ -142,6 +169,29 @@ def test_mcdiarmid_equivalence_small():
         assert member == (split is not None)
         agreements += 1
     assert agreements == 60
+
+
+def test_decompose_past_the_enumeration_cap():
+    inst = generate_instance("adwords", 40, 20, seed=0).build_adwords()
+    oracle = adwords_oracle(inst)
+    singletons = [oracle.singleton(i) for i in range(inst.n)]
+    point = [f / inst.n for f in singletons]       # feasible by monotonicity
+    split = decompose(inst, point)
+    assert split is not None
+    totals = [F(0)] * inst.n
+    for k, shares in enumerate(split):
+        assert set(shares) == inst.graph.keyword_bidders[k]
+        for i, amount in shares.items():
+            assert amount >= 0
+            totals[i] += amount
+        # y^k in P(f_k) iff its top-t entries sum to at most alpha_1 + ... + alpha_t
+        top = sorted(shares.values(), reverse=True)
+        for t in range(1, len(top) + 1):
+            assert sum(top[:t]) <= sum(inst.ctrs[k][:t])
+    assert totals == point
+    raised = point[:]
+    raised[7] = singletons[7] + F(1, 3)
+    assert decompose(inst, raised) is None
 
 
 # ---------------------------------------------------------------------------
