@@ -12,7 +12,8 @@ Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, clinched by
   :func:`~polyclinch.submodular.clinch_kernel` (cardinality minima on
-  single-keyword oracles, which carry a CTR list; the 2^n table otherwise).
+  single-keyword and multi-unit oracles, which carry their rank list; the
+  2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -172,11 +173,11 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
 
 def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
                       d: Sequence[Rational]) -> Fraction:
-    """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} on a single-keyword environment.
+    """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} for f(S) = A_|S|.
 
-    With f(S) = A_|S|, A_t the sum of the top t CTRs, this is the total of
-    the CTR clinch that :func:`clinch_kernel` runs on such oracles; rho must
-    lie in P(f), or :class:`PreconditionError` is raised.
+    A_t is the sum of the first t ``ctrs``; this is the total of the clinch
+    that :func:`clinch_kernel` runs on cardinality oracles.  rho must lie in
+    P(f), or :class:`PreconditionError` is raised.
     """
     n = len(rho)
     return _ctr_clinch(vector(ctrs), vector(rho, n), _demand_vector(d, n))[0]
@@ -186,7 +187,7 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
 
     Every oracle is clinched by :func:`clinch_kernel`, which returns
-    ``(fhat([n]), delta)`` and needs no value table on oracles with CTRs.
+    ``(fhat([n]), delta)`` and needs no value table on cardinality oracles.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop calls ``fhat_fn`` right after each clinch, at (rho + delta,
@@ -312,8 +313,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     """Clinching auction over the polymatroid defined by ``oracle``.
 
     Each clinch is one :func:`clinch_kernel` call (see
-    :func:`_clinch_callbacks`), so single-keyword oracles, which carry their
-    CTRs, run past the enumeration cap.
+    :func:`_clinch_callbacks`), so cardinality oracles (single-keyword and
+    multi-unit), which carry their rank list, run past the enumeration cap.
     """
     n = oracle.n
     if len(bidders) != n:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -34,16 +35,36 @@ from .submodular import (
 )
 
 
+def _rank_list(values: Sequence[Rational], what: str) -> tuple:
+    """``values`` as exact rationals, >= 0 and nonincreasing; errors name them ``what``."""
+    values = list(values)
+    if any(isinstance(a, (list, tuple)) for a in values):
+        raise DomainError(f"{what} must be rationals, not lists")
+    alpha = vector(values)
+    shown = ", ".join(map(str, alpha))
+    if any(a < 0 for a in alpha):
+        raise DomainError(f"{what} must be >= 0, got ({shown})")
+    if any(a < b for a, b in zip(alpha, alpha[1:])):
+        raise DomainError(f"{what} must be nonincreasing, got ({shown})")
+    return alpha
+
+
+def _prefix_sums(alpha: Sequence[Fraction]) -> list:
+    """``[A_0, A_1, ..]`` with A_t the sum of the first t entries of alpha."""
+    return list(accumulate(alpha, initial=ZERO))
+
+
+def _cardinality_oracle(n: int, alpha: tuple, name: str) -> SubmodularOracle:
+    """f(S) = A_|S| for the rank list alpha, which counts as 0 past its end."""
+    prefix = _prefix_sums(alpha)
+    return SubmodularOracle(n, lambda mask: prefix[min(mask.bit_count(), len(alpha))],
+                            True, name, ctrs=alpha)
+
+
 def multi_unit_oracle(total: Rational, n: int) -> SubmodularOracle:
-    """Uniform supply of `total` divisible units shared by n bidders."""
-    q = as_fraction(total)
-    if q < 0:
-        raise DomainError(f"supply must be >= 0, got {q}")
-    return SubmodularOracle(n, lambda m: q if m else ZERO, True, f"multi-unit(Q={q})")
-
-
-def _nonincreasing(values: Sequence[Fraction]) -> bool:
-    return all(a >= b for a, b in zip(values, values[1:]))
+    """Uniform supply of `total` divisible units shared by n bidders: alpha = (Q,)."""
+    alpha = _rank_list([total], "supply")
+    return _cardinality_oracle(n, alpha, f"multi-unit(Q={alpha[0]})")
 
 
 def single_keyword_oracle(ctrs: Sequence[Rational]) -> SubmodularOracle:
@@ -52,22 +73,10 @@ def single_keyword_oracle(ctrs: Sequence[Rational]) -> SubmodularOracle:
     f(S) = sum of the top |S| CTRs; a vector is feasible iff x(S) <= f(S)
     for every S.
     """
-    alpha = vector(ctrs)
+    alpha = _rank_list(ctrs, "click-through rates")
     if not alpha:
         raise DomainError("at least one position is required")
-    if any(a < 0 for a in alpha):
-        raise DomainError("click-through rates must be >= 0")
-    if not _nonincreasing(alpha):
-        raise DomainError(f"click-through rates must be nonincreasing, got {alpha}")
-    n = len(alpha)
-    prefix = [ZERO]
-    for a in alpha:
-        prefix.append(prefix[-1] + a)
-
-    def fn(mask: int) -> Fraction:
-        return prefix[bin(mask).count("1")]
-
-    return SubmodularOracle(n, fn, True, f"single-keyword({len(alpha)} slots)", ctrs=alpha)
+    return _cardinality_oracle(len(alpha), alpha, f"single-keyword({len(alpha)} slots)")
 
 
 @dataclass(frozen=True)
@@ -77,26 +86,24 @@ class InterestGraph:
     n: int
     m: int
     keyword_bidders: tuple          # Gamma(k) as frozensets, one per keyword
-    bidder_keywords: tuple          # Gamma(i) as frozensets, one per bidder
 
     @classmethod
     def from_keyword_side(cls, n: int, interests: Sequence[Iterable[int]]) -> "InterestGraph":
-        m = len(interests)
         keyword_bidders = []
-        bidder_keywords = [set() for _ in range(n)]
         for k, bidders in enumerate(interests):
-            bidders = list(bidders)
+            seen = set()
             for i in bidders:
                 if isinstance(i, bool) or not isinstance(i, int):
                     raise DomainError(f"keyword {k} lists bidder {i!r}, not an int index")
                 if not 0 <= i < n:
                     raise DomainError(f"keyword {k} lists bidder {i} outside 0..{n - 1}")
-                bidder_keywords[i].add(k)
-            if not bidders:
+                if i in seen:
+                    raise DomainError(f"keyword {k} lists bidder {i} twice")
+                seen.add(i)
+            if not seen:
                 raise DomainError(f"keyword {k} has no interested bidder")
-            keyword_bidders.append(frozenset(bidders))
-        return cls(n, m, tuple(keyword_bidders),
-                   tuple(frozenset(s) for s in bidder_keywords))
+            keyword_bidders.append(frozenset(seen))
+        return cls(n, len(keyword_bidders), tuple(keyword_bidders))
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,9 @@ class AdWordsInstance:
             raise DomainError(f"expected {graph.m} CTR lists, got {len(ctrs)}")
         normalized = []
         for k, raw in enumerate(ctrs):
-            if any(isinstance(a, (list, tuple)) for a in raw):
-                raise DomainError(f"keyword {k}: CTR entries must be rationals, not lists")
-            alpha = list(vector(raw))
-            if any(a < 0 for a in alpha):
-                raise DomainError(f"keyword {k}: click-through rates must be >= 0")
-            if not _nonincreasing(alpha):
-                raise DomainError(f"keyword {k}: click-through rates must be nonincreasing")
+            alpha = _rank_list(raw, f"keyword {k}: click-through rates")
             slots = len(graph.keyword_bidders[k])
-            alpha = (alpha + [ZERO] * slots)[:slots]
-            normalized.append(tuple(alpha))
+            normalized.append((alpha + (ZERO,) * slots)[:slots])
         gamma = None
         if quality is not None:
             if any(isinstance(g, (list, tuple)) for g in quality):
@@ -157,12 +157,7 @@ def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:
     The transversal matroid is the special case of one unit-CTR slot per
     keyword.  Quality factors are handled by the scaled auction path, not here.
     """
-    prefixes = []
-    for alpha in inst.ctrs:
-        prefix = [ZERO]
-        for a in alpha:
-            prefix.append(prefix[-1] + a)
-        prefixes.append(prefix)
+    prefixes = [_prefix_sums(alpha) for alpha in inst.ctrs]
     masks = [0 for _ in range(inst.m)]
     for k, bidders in enumerate(inst.graph.keyword_bidders):
         for i in bidders:

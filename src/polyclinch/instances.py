@@ -245,6 +245,9 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
                 if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
                     raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
                                      f"keyword {k} lists invalid bidder {i!r}")
+            if len(set(members)) != len(members):
+                raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
+                                 f"keyword {k} lists a bidder more than once")
         return {"interests": [list(m) for m in interests],
                 "ctrs": [[parse_rational(c, f"{where}.ctrs[{k}][{j}]")
                           for j, c in enumerate(alpha)] for k, alpha in enumerate(ctrs)]}

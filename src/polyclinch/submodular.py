@@ -39,6 +39,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ClinchError, DomainError, PreconditionError, SizeError
@@ -140,9 +141,9 @@ class SubmodularOracle:
         self.n = n
         self.monotone = monotone
         self.name = name
-        # Single-keyword oracles carry their CTR list (f(S) = sum of the top
-        # |S| CTRs), so clinch_kernel can minimize over cardinalities
-        # instead of over a 2^n table.
+        # Cardinality oracles (single-keyword, multi-unit) carry their rank
+        # list: f(S) = A_|S|, A_t the sum of its first t entries, so
+        # clinch_kernel minimizes over cardinalities, not a 2^n table.
         self.ctrs = ctrs
         self._fn = fn_mask
         self._memo = {0: ZERO}
@@ -448,7 +449,7 @@ def _min_without_bit(values: list, i: int) -> int:
 def _cardinality_min(alpha: Sequence, c: Sequence):
     """min over T of A_|T| - c(T), A_t the sum of the first t entries of alpha.
 
-    alpha is nonincreasing, as CTRs are, and counts as 0 past its end.  For
+    alpha is a rank list, nonincreasing, and counts as 0 past its end.  For
     each size t the minimizing T is the t largest entries of c, so one sort
     and one running-sum scan over t = 0..len(c) give the minimum.
     """
@@ -461,17 +462,23 @@ def _cardinality_min(alpha: Sequence, c: Sequence):
 
 def _ctr_clinch(ctrs: Sequence[Fraction], rho: Sequence[Fraction],
                 d: Sequence[Fraction]) -> tuple:
-    """:func:`clinch_kernel` on f(S) = A_|S|, A_t the sum of the top t ``ctrs``.
+    """:func:`clinch_kernel` on f(S) = A_|S|, A_t the sum of the first t ``ctrs``.
 
-    Raises :class:`PreconditionError` unless rho lies in P(f).
+    Raises :class:`PreconditionError` unless rho lies in P(f), with the set
+    :func:`membership` names as witness: the t largest promises for the
+    smallest t that minimizes A_t - rho(top t).  As A is nonincreasing, that
+    t never splits a tie among the promises, so the set is unique.
     """
     n = len(rho)
     den, nums = _over_common_denominator([*rho, *d, *ctrs])
     rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
     if _cardinality_min(anum, rnum) < 0:
+        order = sorted(range(n), key=lambda i: (-rnum[i], i))
+        runs = list(accumulate(a - rnum[i] for a, i in zip(anum + [0] * n, order)))
+        witness = frozenset(order[:runs.index(min(runs)) + 1])
         raise PreconditionError(
-            "rho is not in the single-keyword polymatroid: the top t promises "
-            "exceed the top t CTRs for some t")
+            "rho is not in the cardinality polymatroid: rho(S) exceeds f(S) on "
+            f"S = {sorted(witness)}", witness=witness)
     c = list(map(operator.add, rnum, dnum))
     low = _cardinality_min(anum, c)
     return Fraction(sum(dnum) + low, den), tuple(
@@ -488,12 +495,13 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     without i.  Both branches take them on integers over one common
     denominator; exact, and equal to the values :class:`ResidualOracle` gives.
 
-    * Oracles with ``ctrs`` (f(S) = A_|S|, A_t the sum of the top t CTRs):
-      among the sets of size t, h is least on the t largest entries of
-      rho + d, so each minimum is one :func:`_cardinality_min` and no table
-      is built.  This branch checks that rho lies in P(f), which is
-      ``_cardinality_min(ctrs, rho) >= 0``, and raises
-      :class:`PreconditionError` otherwise.
+    * Cardinality oracles, which carry their rank list as ``ctrs``
+      (single-keyword and multi-unit; f(S) = A_|S|, A_t the sum of the
+      first t entries): among the sets of size t, h is least on the t
+      largest entries of rho + d, so each minimum is one
+      :func:`_cardinality_min` and no table is built.  This branch checks
+      that rho lies in P(f), which is ``_cardinality_min(ctrs, rho) >= 0``,
+      and raises :class:`PreconditionError` with the violated set otherwise.
     * All other oracles: h over all 2^n masks, from the oracle's cached
       integer table.  When a minimizer T* of h avoids i the two minima agree
       and delta_i = d_i, so only the bits of T* need the second minimum.
@@ -539,10 +547,10 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
                    d: Sequence[Rational]) -> tuple:
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
-    Checks that rho >= 0, d >= 0 and rho lies in P(f) first: on oracles with
-    ``ctrs`` the kernel decides rho in P(f) itself, without a 2^n table, so
-    those run above ``CLINCH_BRUTE_FORCE_CAP``.  The result satisfies
-    0 <= delta <= d and rho + delta in P(f).
+    Checks that rho >= 0, d >= 0 and rho lies in P(f) first: on cardinality
+    oracles (``ctrs`` set) the kernel decides rho in P(f) itself, without a
+    2^n table, so those run above ``CLINCH_BRUTE_FORCE_CAP``.  The result
+    satisfies 0 <= delta <= d and rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
     dem = _demand_vector(d, oracle.n)

@@ -34,6 +34,7 @@ from .auction import (
 )
 from .errors import ClinchError, DomainError, SizeError
 from .submodular import (
+    MembershipResult,
     SubmodularOracle,
     ZERO,
     _argmin,
@@ -145,7 +146,10 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"bidder {pareto_witness['j']}")
 
     _add_payment_checks(report, bidders, outcome)
-    member = membership(oracle, x)
+    # the slack table already decides x in P(f); membership runs only to
+    # name the violated set, or to reject a negative x
+    feasible = min(slack) >= 0 and min(x) >= 0
+    member = MembershipResult(True) if feasible else membership(oracle, x)
     report.add("membership", member.ok,
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})

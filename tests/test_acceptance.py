@@ -200,20 +200,22 @@ def test_criterion_5_greedy_clinch_equivalence():
         if fast_residual_max(oracle.ctrs, rho, d) != residual(oracle, rho, d).full_value():
             mismatches += 1
     run_mismatches = 0
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        oracle = random_oracle(rng, "single-keyword", n)
-        bidders = random_bidders(rng, n)
-        cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
-        fast = run_clinching(oracle, bidders, cfg)
-        slow = run_clinching(without_ctrs(oracle), bidders, cfg)
-        if (fast.allocation, fast.payments, fast.trace) != \
-                (slow.allocation, slow.payments, slow.trace):
-            run_mismatches += 1
+    for kind in ("single-keyword", "multi-unit"):
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            oracle = random_oracle(rng, kind, n)
+            bidders = random_bidders(rng, n)
+            cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
+            fast = run_clinching(oracle, bidders, cfg)
+            slow = run_clinching(without_ctrs(oracle), bidders, cfg)
+            if (fast.allocation, fast.payments, fast.trace) != \
+                    (slow.allocation, slow.payments, slow.trace):
+                run_mismatches += 1
     clock.__exit__()
     ok = mismatches == 0 and run_mismatches == 0 and clock.elapsed < clock.limit
     assert _verdict(5, "greedy fast path equals residual oracle", ok,
-                    f"500 value triples + 40 full runs, exact; {clock.summary()}")
+                    f"500 value triples + 40 full runs per cardinality kind "
+                    f"(single-keyword, multi-unit), exact; {clock.summary()}")
 
 
 def test_criterion_6_step_invariants(corpus_runs):

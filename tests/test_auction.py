@@ -155,16 +155,18 @@ def test_fast_residual_matches_residual_oracle(data):
 
 def test_fast_and_generic_paths_identical_outcomes_and_traces():
     rng = random.Random(31)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        oracle = random_oracle(rng, "single-keyword", n)
-        bidders = random_bidders(rng, n)
-        cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
-        fast = run_clinching(oracle, bidders, cfg)
-        slow = run_clinching(without_ctrs(oracle), bidders, cfg)
-        assert fast.allocation == slow.allocation
-        assert fast.payments == slow.payments
-        assert fast.trace == slow.trace     # per-step deltas and fhat agree
+    for kind in ("single-keyword", "multi-unit"):
+        for _ in range(25):
+            n = rng.randint(2, 6)
+            oracle = random_oracle(rng, kind, n)
+            assert oracle.ctrs is not None
+            bidders = random_bidders(rng, n)
+            cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
+            fast = run_clinching(oracle, bidders, cfg)
+            slow = run_clinching(without_ctrs(oracle), bidders, cfg)
+            assert fast.allocation == slow.allocation
+            assert fast.payments == slow.payments
+            assert fast.trace == slow.trace     # per-step deltas and fhat agree
 
 
 def test_traced_ctr_run_reuses_the_clinch(monkeypatch):
@@ -204,6 +206,41 @@ def test_ctr_clinch_runs_above_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "6")
     out = run_clinching(oracle, inst.bidders, cfg)
     assert out == reference and any(out.allocation)
+
+
+def _classic_multi_unit_kernel(supply):
+    # uniform supply, independent of cardinality minima: fhat([n]) is
+    # min(d([n]), s_rem) and delta_i = min(d_i, [s_rem - rivals' demands]^+)
+    def kernel(oracle, rho, d):
+        s_rem, total = supply - sum(rho), sum(d)
+        return min(total, s_rem), tuple(min(di, max(F(0), s_rem - (total - di))) for di in d)
+    return kernel
+
+
+def test_multi_unit_runs_above_the_enumeration_cap(monkeypatch):
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    inst = generate_instance("multi-unit", 40, None, 0)
+    supply = inst.environment.payload["supply"]
+    rng = random.Random(4040)
+    curves = []
+    for _ in range(20):
+        cut = F(rng.randint(1, 5), 6) * supply
+        high = rng.randint(2, 6)
+        curves.append(ConcaveCurve.from_slopes([(cut, high), (supply - cut, rng.randint(1, high))]))
+    budgets = [None if rng.random() < 0.2 else F(rng.randint(1, 6)) for _ in curves]
+    runs = [(run_clinching, (inst.build_oracle(), inst.bidders, AuctionConfig(trace=True))),
+            (run_decreasing_marginals, (curves, budgets, supply, AuctionConfig(trace=True)))]
+    with monkeypatch.context() as patched:
+        patched.setattr(auction, "clinch_kernel", _classic_multi_unit_kernel(supply))
+        references = [engine(*args) for engine, args in runs]
+
+    def no_table(self):
+        raise AssertionError(f"{self.name}: integer table built")
+    monkeypatch.setattr(SubmodularOracle, "integer_table", no_table)
+    for (engine, args), reference in zip(runs, references):
+        out = engine(*args)
+        assert out == reference and any(out.allocation)
+        assert sum(out.allocation) <= supply
 
 
 def test_clinch_matches_classic_multi_unit_formula():

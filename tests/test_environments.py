@@ -63,6 +63,28 @@ def test_single_keyword_rejects_increasing_ctrs():
         single_keyword_oracle([1, 2])
 
 
+def test_cardinality_oracles_carry_their_rank_list():
+    assert multi_unit_oracle(5, 3).ctrs == (5,)
+    assert single_keyword_oracle([3, 2, 0]).ctrs == (3, 2, 0)
+    oracle = multi_unit_oracle(F(7, 2), 40)     # no 2^40 table behind it
+    assert oracle.value(range(40)) == oracle.value({39}) == F(7, 2)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([-1, 0], ">= 0"), ([1, 2], "nonincreasing"), ([[1], 0], "not lists")])
+def test_ctr_lists_rejected(bad, match):
+    with pytest.raises(DomainError, match="click-through rates .*" + match):
+        single_keyword_oracle(bad)
+    with pytest.raises(DomainError, match="keyword 1: click-through rates .*" + match):
+        AdWordsInstance.build(2, [[0], [0, 1]], [[1], bad])
+
+
+@pytest.mark.parametrize("supply, match", [(-1, ">= 0"), ([1], "not lists")])
+def test_multi_unit_rejects_bad_supply(supply, match):
+    with pytest.raises(DomainError, match="supply .*" + match):
+        multi_unit_oracle(supply, 2)
+
+
 # ---------------------------------------------------------------------------
 # adwords oracle and decomposition
 # ---------------------------------------------------------------------------
@@ -98,6 +120,11 @@ def test_adwords_rejects_per_keyword_quality():
 def test_adwords_rejects_empty_keyword():
     with pytest.raises(DomainError):
         AdWordsInstance.build(2, [[0], []], [[1], [1]])
+
+
+def test_adwords_rejects_a_bidder_listed_twice():
+    with pytest.raises(DomainError, match="keyword 0 lists bidder 0 twice"):
+        AdWordsInstance.build(2, [[0, 0], [1]], [[2, 1], [1]])
 
 
 def test_adwords_rejects_bool_and_non_int_bidders():

@@ -80,6 +80,14 @@ def test_inconsistent_interest_graph_rejected():
     assert err.value.code == "inconsistent-graph"
 
 
+def test_bidder_listed_twice_in_a_keyword_rejected():
+    env = {"kind": "adwords", "interests": [[0, 0]], "ctrs": [["2", "1"]]}
+    with pytest.raises(ParseError) as err:
+        parse_instance_data(minimal(environment=env))
+    assert err.value.code == "inconsistent-graph"
+    assert err.value.field.endswith("interests[0]")
+
+
 @pytest.mark.parametrize("bidder", [True, 0.5, "1", None])
 def test_non_int_interest_bidder_rejected(bidder):
     env = {"kind": "adwords", "interests": [[0, bidder]], "ctrs": [["1", "1"]]}

@@ -220,7 +220,7 @@ def test_one_demand_per_step_and_schedules_once_per_clinch():
     for kind in ("single-keyword", "graphic", "multi-unit"):
         n = rng.randint(3, 5)
         oracle = random_oracle(rng, kind, n)
-        assert (oracle.ctrs is not None) == (kind == "single-keyword")
+        assert (oracle.ctrs is not None) == (kind in ("single-keyword", "multi-unit"))
         runs.append((run_clinching, (oracle, random_bidders(rng, n), cfg), n))
     runs.append((run_decreasing_marginals,
                  (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,

@@ -15,6 +15,7 @@ from polyclinch import (
     SizeError,
     SubmodularOracle,
     clinch_amounts,
+    fast_residual_max,
     greedy_vertex,
     membership,
     min_constrained,
@@ -616,3 +617,27 @@ def test_clinch_amounts_on_ctr_oracles_needs_no_table(monkeypatch):
     # feasible for every single bidder, but the top two promises exceed 20 + 19
     with pytest.raises(PreconditionError):
         clinch_amounts(single_keyword_oracle(range(20, 0, -1)), [20, 20] + [0] * 18, [1] * 20)
+
+
+def test_cardinality_precondition_witness_matches_membership():
+    # planted infeasible promises on a few levels, so many of them tie
+    rng = random.Random(2718)
+    checked = 0
+    for kind in ("single-keyword", "multi-unit"):
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            oracle = random_oracle(rng, kind, n)
+            total = oracle.value_mask((1 << n) - 1)
+            rho = tuple(F(rng.randint(0, 3), rng.choice((1, 2))) * total / n for _ in range(n))
+            expected = membership(oracle, rho)
+            if expected.ok:
+                continue
+            d = random_demands(rng, n)
+            for call in (lambda: clinch_kernel(oracle, rho, d),
+                         lambda: clinch_amounts(oracle, rho, d),
+                         lambda: fast_residual_max(oracle.ctrs, rho, d)):
+                with pytest.raises(PreconditionError) as err:
+                    call()
+                assert err.value.witness == expected.violating
+            checked += 1
+    assert checked >= 40

@@ -12,6 +12,7 @@ from polyclinch import (
     Bidder,
     ClinchError,
     ConcaveCurve,
+    DomainError,
     Outcome,
     bidder,
     check_dominated_direction,
@@ -105,6 +106,24 @@ def test_check_outcome_flags_infeasible_allocation():
     report = check_outcome(oracle, [bidder(2, 1), bidder(1, 1)],
                            outcome_of([1, 1], [0, 0]))
     assert not report.result("membership").passed
+
+
+def test_check_outcome_runs_membership_only_to_name_a_witness(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return membership(*args)
+    monkeypatch.setattr(verify, "membership", counted)
+    oracle = multi_unit_oracle(2, 2)
+    bidders = [bidder(2, 1), bidder(1, 1)]
+    assert check_outcome(oracle, bidders, outcome_of([1, 1], [0, 0])).result("membership").passed
+    assert not calls
+    report = check_outcome(oracle, bidders, outcome_of([2, 1], [0, 0]))
+    assert report.result("membership").witness == {"violating_set": [0, 1], "deficit": "-1"}
+    assert len(calls) == 1
+    with pytest.raises(DomainError):
+        check_outcome(oracle, bidders, outcome_of([-1, 1], [0, 0]))
 
 
 def _min_constrained_pareto_witness(oracle, bidders, outcome):
