@@ -10,6 +10,12 @@ for the function defining the feasible-allocation polytope:
 * ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
   a max-flow on integers over the capacities' least common denominator.
 
+The last two also supply a :class:`~polyclinch.submodular.LatticeStep`, so
+their value tables are one walk over the subset lattice in which each set
+extends its parent's state: component labels for graphic, a maximum flow to
+augment for vod-cut.  One value read before the table exists is still
+evaluated on its own.
+
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
 Edmonds-Karp the vod-cut oracle runs.  It never consults the aggregated
@@ -26,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .submodular import (
+    LatticeStep,
     Rational,
     SubmodularOracle,
     ZERO,
@@ -175,7 +182,11 @@ def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:
 def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     """Graphic-matroid rank: f(S) = |V(S)| - #components of the edges in S.
 
-    Bidder i labels exactly edge i of the undirected multigraph.
+    Bidder i labels exactly edge i of the undirected multigraph.  One value
+    is a union-find over the edges of S.  The table is one lattice walk
+    whose state is each vertex's component label: S + i has rank f(S) + 1
+    exactly when edge i joins two components of S, and the child relabels
+    one of them.  Values are integers, so the table's denominator is 1.
     """
     if not edges:
         raise DomainError("at least one bidder-labeled edge is required")
@@ -185,6 +196,16 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
             raise DomainError(f"edge {e} must be a pair of vertices, got {edge!r}")
         parsed.append((int(edge[0]), int(edge[1])))
     n = len(parsed)
+    vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in parsed for v in edge))}
+    ends = [(vertex[u], vertex[v]) for u, v in parsed]
+
+    def step(state: tuple, i: int) -> tuple:
+        rank, label = state
+        u, v = label[ends[i][0]], label[ends[i][1]]
+        if u == v:
+            return rank, state
+        joined = [u if x == v else x for x in label]
+        return rank + 1, (rank + 1, joined)
 
     def fn(mask: int) -> Fraction:
         parent: Dict[int, int] = {}
@@ -205,7 +226,8 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
                     rank += 1
         return Fraction(rank)
 
-    return SubmodularOracle(n, fn, True, f"graphic({n} edges)")
+    return SubmodularOracle(n, fn, True, f"graphic({n} edges)",
+                            step=LatticeStep(1, (0, list(range(len(vertex)))), step))
 
 
 @dataclass(frozen=True)
@@ -266,13 +288,15 @@ class _ArcNetwork:
         self.cap += [capacity, 0]
         return len(self.head) - 2
 
-    def max_flow(self, residual: List[int], source, sink) -> int:
+    def max_flow(self, residual: List[int], source, sink) -> tuple:
         """Edmonds-Karp from label ``source`` to label ``sink``.
 
-        ``residual`` starts as a copy of ``cap`` (the caller may change it
-        first) and is left holding the residual capacities of a maximum
-        flow, so ``residual[a ^ 1]`` is the flow on arc ``a``.  Returns the
-        flow's value.
+        ``residual`` holds the residual capacities of any feasible flow, such
+        as a copy of ``cap`` (zero flow), possibly changed by the caller.  It
+        is augmented in place to those of a maximum flow, so for a zero
+        start ``residual[a ^ 1]`` is the flow on arc ``a``.  Returns the value
+        added and the last BFS's tree, indexed by node number: ``None`` for
+        the nodes the source no longer reaches.
         """
         head, adj, size = self.head, self.adj, len(self.adj)
         source, sink = self.index[source], self.index[sink]
@@ -290,7 +314,7 @@ class _ArcNetwork:
                 if into[sink] is not None:
                     break
             if into[sink] is None:
-                return flow
+                return flow, into
             path = []
             v = sink
             while v != source:
@@ -310,8 +334,15 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     The network is laid out once as an :class:`_ArcNetwork`, capacities as
     integers over their least common denominator D.  Each bidder has one arc
     to a super-sink, closed (capacity 0) until a mask opens it above the
-    total capacity.  Each value is one max-flow on those integers, returned
-    as ``flow / D``: exact, with no ``Fraction`` arithmetic inside the flow.
+    total capacity.  One value is a cold max-flow on those integers,
+    returned as ``flow / D``: exact, with no ``Fraction`` arithmetic inside
+    the flow.
+
+    The table is one lattice walk, warm-started: S's maximum flow stays
+    feasible when bidder i's sink arc opens, so S + i copies S's residual,
+    opens the arc and augments from there.  If S's last BFS did not reach
+    bidder i's node, no augmenting path exists: the BFS is skipped and
+    f(S + i) = f(S).  The table holds the flows' numerators over D.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -321,6 +352,7 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         graph.arc(u, v, num)
     sink = object()                          # a label no network node has
     sink_arcs = [graph.arc(b, sink) for b in net.bidder_nodes]
+    bidder_index = [graph.index[b] for b in net.bidder_nodes]
     bound = sum(nums) + 1                    # above every cut of the network
 
     def fn(mask: int) -> Fraction:
@@ -328,9 +360,21 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         for i in range(n):
             if mask >> i & 1:
                 residual[sink_arcs[i]] = bound
-        return Fraction(graph.max_flow(residual, net.source, sink), den)
+        return Fraction(graph.max_flow(residual, net.source, sink)[0], den)
 
-    return SubmodularOracle(n, fn, True, f"vod-cut({n} bidders)")
+    def step(state: tuple, i: int) -> tuple:
+        flow, residual, reached = state
+        residual = residual[:]
+        residual[sink_arcs[i]] = bound
+        if reached[bidder_index[i]] is not None:
+            extra, reached = graph.max_flow(residual, net.source, sink)
+            flow += extra
+        return flow, (flow, residual, reached)
+
+    root = graph.cap[:]
+    root_state = (0, root, graph.max_flow(root, net.source, sink)[1])
+    return SubmodularOracle(n, fn, True, f"vod-cut({n} bidders)",
+                            step=LatticeStep(den, root_state, step))
 
 
 def decompose(inst: AdWordsInstance, x: Sequence[Rational]
@@ -370,7 +414,7 @@ def decompose(inst: AdWordsInstance, x: Sequence[Rational]
             share_arcs.append((i, k, graph.arc(("bidder", i), (k, j), w)))
         graph.arc((k, j), "sink", j * w)
     residual = graph.cap[:]
-    if graph.max_flow(residual, "source", "sink") != sum(nums[:inst.n]):
+    if graph.max_flow(residual, "source", "sink")[0] != sum(nums[:inst.n]):
         return None
     split = [{i: ZERO for i in sorted(members)} for members in inst.graph.keyword_bidders]
     for i, k, a in share_arcs:

@@ -21,7 +21,10 @@ over a common denominator, while :class:`ResidualOracle` evaluates the
 definition on ``Fraction`` tables and serves as the reference it is checked
 against.
 
-The brute-force verifiers decide on the same integer table:
+That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
+walk over the subset lattice; oracles that supply a :class:`LatticeStep`
+extend each set's value from its parent's instead of evaluating it afresh.
+The brute-force verifiers decide on the same table:
 :func:`membership` takes one minimum of f - x, :func:`verify_submodular`
 tests local second differences, and :func:`residual_totals` gives the n + 1
 residual values a trace check needs.  ``Fraction`` scans run only to name the
@@ -126,16 +129,61 @@ def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
     return sums
 
 
+class LatticeStep:
+    """How an oracle extends its value from a set S to S + i, on integers.
+
+    ``step(state, i)`` returns ``(num, child)``: f(S + i) = num / ``den`` and
+    the state that S + i hands on to its own children; ``root`` is the state
+    of the empty set.  A step never modifies the state it is given, since
+    every child of S starts from it.
+    """
+
+    __slots__ = ("den", "root", "step")
+
+    def __init__(self, den: int, root, step: Callable[[object, int], tuple]):
+        self.den, self.root, self.step = den, root, step
+
+
+def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
+    """values[m] for every mask m, with values[0] = 0, in one walk.
+
+    Depth-first over the subset lattice: each nonempty mask is reached from
+    its parent, the mask without its highest bit, by ``step(parent state,
+    bit)``, which returns the mask's value and its state.  Only the states
+    on the current path, at most n + 1, are alive at a time.
+    """
+    values = [0] * (1 << n)
+    _visit(values, step, 0, root)
+    return values
+
+
+def _visit(values: list, step: Callable[[object, int], tuple], mask: int, state) -> None:
+    """Fill values below ``mask``, whose state is given, depth-first.
+
+    Module-level, not a closure that calls itself, so a walk leaves no
+    reference cycle holding its states for the garbage collector.
+    """
+    n = len(values).bit_length() - 1
+    for i in range(mask.bit_length(), n):
+        child = mask | 1 << i
+        values[child], child_state = step(state, i)
+        if i + 1 < n:
+            _visit(values, step, child, child_state)
+
+
 class SubmodularOracle:
     """Memoizing value oracle for a normalized set function on {0..n-1}.
 
-    ``monotone`` is a claim by the constructor, checkable with
-    :func:`verify_submodular`.  Oracles are immutable after construction and
-    safe to share read-only across threads.
+    ``fn_mask`` evaluates one mask from scratch.  An oracle may also supply a
+    :class:`LatticeStep`, with which :meth:`integer_table` extends each mask
+    from its parent instead.  ``monotone`` is a claim by the constructor,
+    checkable with :func:`verify_submodular`.  Oracles are immutable after
+    construction and safe to share read-only across threads.
     """
 
     def __init__(self, n: int, fn_mask: Callable[[int], Fraction],
-                 monotone: bool, name: str, ctrs: Optional[tuple] = None):
+                 monotone: bool, name: str, ctrs: Optional[tuple] = None,
+                 step: Optional[LatticeStep] = None):
         if n < 1:
             raise DomainError(f"ground set must have n >= 1, got {n}")
         self.n = n
@@ -146,6 +194,7 @@ class SubmodularOracle:
         # clinch_kernel minimizes over cardinalities, not a 2^n table.
         self.ctrs = ctrs
         self._fn = fn_mask
+        self._step = step
         self._memo = {0: ZERO}
         self._table = None
 
@@ -157,7 +206,10 @@ class SubmodularOracle:
     def value_mask(self, mask: int) -> Fraction:
         cached = self._memo.get(mask)
         if cached is None:
-            cached = as_fraction(self._fn(mask))
+            if self._table is None:
+                cached = as_fraction(self._fn(mask))
+            else:
+                cached = Fraction(self._table[1][mask], self._table[0])
             self._memo[mask] = cached
         return cached
 
@@ -172,13 +224,21 @@ class SubmodularOracle:
     def integer_table(self) -> tuple:
         """``(D, nums)`` with ``f(m) = nums[m] / D`` for every mask m.
 
-        D is the least common denominator of the whole table; both are built
-        on first use, from one evaluation per mask, and kept.
+        Built on first use by one :func:`_lattice_walk` and kept.  With a
+        :class:`LatticeStep` each mask's numerator comes from its parent's
+        state, over the step's own D, and no ``Fraction`` is built.  Without
+        one each mask is evaluated once (memo first, then ``fn_mask``) and D
+        is the least common denominator of the table.  Once the table exists,
+        memo misses read it.
         """
         if self._table is None:
             check_enumeration_size(self.n, f"value table of {self.name!r}")
-            self._table = _over_common_denominator(
-                [self.value_mask(m) for m in range(1 << self.n)])
+            if self._step is not None:
+                self._table = self._step.den, _lattice_walk(
+                    self.n, self._step.root, self._step.step)
+            else:
+                self._table = _over_common_denominator(_lattice_walk(
+                    self.n, 0, lambda m, i: (self.value_mask(m | 1 << i), m | 1 << i)))
         return self._table
 
     def __repr__(self):
@@ -212,12 +272,16 @@ def _locally_submodular(nums: Sequence[int], n: int) -> bool:
 def verify_submodular(oracle) -> OracleCheck:
     """Exhaustively check normalization, submodularity and claimed monotonicity.
 
-    Decided on integers over a common denominator.  Submodularity uses the
-    local second differences, ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for
-    every S and i < j outside it (C(n,2) 2^(n-2) checks), which is equivalent
-    to ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  Only on a
-    violation does the pairwise scan run, in ascending mask order, so the
-    reported pair is the first violating one and failures are reproducible.
+    Decided on integers over a common denominator: a
+    :class:`SubmodularOracle`'s own :meth:`~SubmodularOracle.integer_table`,
+    or, for other oracles (a :class:`ResidualOracle`), one evaluation per
+    mask.  Submodularity uses the local second differences,
+    ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for every S and i < j outside it
+    (C(n,2) 2^(n-2) checks), which is equivalent to
+    ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  ``Fraction``
+    values are built only on a violation, to name it: the pairwise scan runs
+    in ascending mask order, so the reported pair is the first violating one
+    and failures are reproducible.
     """
     n = oracle.n
     check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}")
@@ -225,9 +289,12 @@ def verify_submodular(oracle) -> OracleCheck:
         return OracleCheck(False, "normalization", (frozenset(),),
                            f"f(empty) = {oracle.value_mask(0)} != 0")
     size = 1 << n
-    values = [oracle.value_mask(m) for m in range(size)]
-    nums = _over_common_denominator(values)[1]
+    if isinstance(oracle, SubmodularOracle):
+        nums = oracle.integer_table()[1]
+    else:
+        nums = _over_common_denominator([oracle.value_mask(m) for m in range(size)])[1]
     if not _locally_submodular(nums, n):
+        values = [oracle.value_mask(m) for m in range(size)]
         for s in range(size):
             for t in range(s + 1, size):
                 if values[s | t] + values[s & t] > values[s] + values[t]:
@@ -243,7 +310,8 @@ def verify_submodular(oracle) -> OracleCheck:
                 if not s >> i & 1 and nums[s | 1 << i] < nums[s]:
                     return OracleCheck(
                         False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
-                        f"f(S) = {values[s]} > {values[s | 1 << i]} = f(S+{i})")
+                        f"f(S) = {oracle.value_mask(s)} > "
+                        f"{oracle.value_mask(s | 1 << i)} = f(S+{i})")
     return OracleCheck(True)
 
 
@@ -449,12 +517,13 @@ def _min_without_bit(values: list, i: int) -> int:
 def _cardinality_min(alpha: Sequence, c: Sequence):
     """min over T of A_|T| - c(T), A_t the sum of the first t entries of alpha.
 
-    alpha is a rank list, nonincreasing, and counts as 0 past its end.  For
-    each size t the minimizing T is the t largest entries of c, so one sort
-    and one running-sum scan over t = 0..len(c) give the minimum.
+    alpha is a rank list, nonincreasing, padded with zeros to at least
+    len(c) entries.  For each size t the minimizing T is the t largest
+    entries of c, so one sort and one running-sum scan over t = 0..len(c)
+    give the minimum.
     """
     low = run = 0
-    for a, v in zip(list(alpha) + [0] * (len(c) - len(alpha)), sorted(c, reverse=True)):
+    for a, v in zip(alpha, sorted(c, reverse=True)):
         run += a - v
         low = min(low, run)
     return low
@@ -472,9 +541,10 @@ def _ctr_clinch(ctrs: Sequence[Fraction], rho: Sequence[Fraction],
     n = len(rho)
     den, nums = _over_common_denominator([*rho, *d, *ctrs])
     rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
+    anum += [0] * (n - len(anum))            # A_t stays flat past the list
     if _cardinality_min(anum, rnum) < 0:
         order = sorted(range(n), key=lambda i: (-rnum[i], i))
-        runs = list(accumulate(a - rnum[i] for a, i in zip(anum + [0] * n, order)))
+        runs = list(accumulate(a - rnum[i] for a, i in zip(anum, order)))
         witness = frozenset(order[:runs.index(min(runs)) + 1])
         raise PreconditionError(
             "rho is not in the cardinality polymatroid: rho(S) exceeds f(S) on "

@@ -249,6 +249,62 @@ def test_graphic_rank_never_exceeds_cardinality():
 
 
 # ---------------------------------------------------------------------------
+# value tables: the lattice walk against one evaluation per mask
+# ---------------------------------------------------------------------------
+
+def _walked_and_per_mask(build):
+    """A fresh oracle's walked table as Fractions, and another fresh one's
+    value_mask on every mask."""
+    walked, fresh = build(), build()
+    den, nums = walked.integer_table()
+    return [F(v, den) for v in nums], [fresh.value_mask(m) for m in range(1 << fresh.n)]
+
+
+def _random_network(rng, n):
+    """Parallel arcs, self-loops, zero capacities, mixed denominators, bidders
+    sharing nodes and bidders on a node no arc reaches."""
+    inner = ["s"] + [f"v{k}" for k in range(rng.randint(2, 7))]
+    edges = [(rng.choice(inner), rng.choice(inner[1:]),
+              F(rng.choice((0, 0, 1, 2, 3, 5)), rng.choice((1, 2, 3, 4, 6))))
+             for _ in range(rng.randint(1, 20))]
+    edges += [(u, u, F(rng.randint(0, 3), 2)) for u in rng.sample(inner, 2)]
+    edges += edges[:rng.randint(0, 3)]
+    nodes = inner[1:] + ["island"]
+    return CapacitatedNetwork.build(edges, "s", [rng.choice(nodes) for _ in range(n)])
+
+
+def _random_multigraph(rng, n):
+    vertices = rng.randint(1, 6)
+    edges = [(rng.randrange(vertices), rng.randrange(vertices)) for _ in range(n)]
+    for e in rng.sample(range(n), rng.randint(0, n // 3)):
+        edges[e] = rng.choice(edges)               # parallel edges
+    return edges
+
+
+def test_walked_tables_match_per_mask_values():
+    rng = random.Random(1512)
+    for t in range(120):
+        n = rng.randint(1, 10)
+        if t % 2:
+            net = _random_network(rng, n)
+            build = lambda: vod_cut_oracle(net)         # noqa: E731
+        else:
+            edges = _random_multigraph(rng, n)
+            build = lambda: graphic_oracle(edges)       # noqa: E731
+        walked, per_mask = _walked_and_per_mask(build)
+        assert walked == per_mask, t
+
+
+def test_walked_tables_match_per_mask_values_on_generated_markets():
+    for kind in ("vod-cut", "graphic"):
+        for n, seeds in ((4, range(8)), (10, range(3)), (12, range(2))):
+            for seed in seeds:
+                inst = generate_instance(kind, n, None, seed)
+                walked, per_mask = _walked_and_per_mask(inst.build_oracle)
+                assert walked == per_mask, (kind, n, seed)
+
+
+# ---------------------------------------------------------------------------
 # video-on-demand cut oracle
 # ---------------------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from polyclinch import (
 
 from polyclinch import submodular
 from polyclinch.submodular import (
+    LatticeStep,
     MembershipResult,
     OracleCheck,
     _mask_sums,
@@ -226,6 +227,60 @@ def test_verify_submodular_raises_when_the_two_scans_disagree(monkeypatch):
     monkeypatch.setattr(submodular, "_locally_submodular", lambda nums, n: False)
     with pytest.raises(ClinchError):
         verify_submodular(multi_unit_oracle(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# value tables: one walk over the subset lattice
+# ---------------------------------------------------------------------------
+
+def _stepped_square(n, calls, steps):
+    """f(S) = |S|^2 (not submodular) with a LatticeStep whose state is the mask;
+    fn_mask and step calls are recorded."""
+    def step(mask, i):
+        steps.append((mask, i))
+        child = mask | 1 << i
+        return child.bit_count() ** 2, child
+    return SubmodularOracle(n, lambda m: calls.append(m) or F(m.bit_count() ** 2), False,
+                            "stepped square", step=LatticeStep(1, 0, step))
+
+
+def test_walk_steps_each_mask_from_its_parent():
+    calls, steps = [], []
+    oracle = _stepped_square(7, calls, steps)
+    den, nums = oracle.integer_table()
+    assert (den, nums) == (1, [m.bit_count() ** 2 for m in range(1 << 7)])
+    # each nonempty mask once, from the mask without its highest bit
+    assert sorted(mask | 1 << i for mask, i in steps) == list(range(1, 1 << 7))
+    assert all(mask.bit_length() <= i for mask, i in steps)
+    assert calls == []
+
+
+def test_value_mask_reads_the_built_table():
+    calls, steps = [], []
+    oracle = _stepped_square(5, calls, steps)
+    assert oracle.value_mask(0b11) == 4 and calls == [0b11]
+    oracle.integer_table()
+    assert [oracle.value_mask(m) for m in range(32)] == [F(m.bit_count() ** 2) for m in range(32)]
+    assert calls == [0b11] and len(steps) == 31
+
+
+def test_verify_submodular_names_violations_from_the_walked_table():
+    calls = []
+    check = verify_submodular(_stepped_square(4, calls, []))
+    assert calls == []
+    expected = _pairwise_verify_submodular(
+        SubmodularOracle.from_set_function(4, lambda s: len(s) ** 2))
+    assert check == expected and check.violation == "submodularity"
+
+
+def test_integer_table_checks_the_cap_before_it_walks(monkeypatch):
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
+    calls, steps = [], []
+    for oracle in (_stepped_square(5, calls, steps),
+                   SubmodularOracle(5, lambda m: calls.append(m) or F(1), True, "flat")):
+        with pytest.raises(SizeError):
+            oracle.integer_table()
+    assert calls == [] and steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +650,9 @@ def test_clinch_kernel_builds_the_integer_table_once():
     clinch_kernel(oracle, (F(1, 5),) * 4, (F(1, 7),) * 4)
     assert oracle.integer_table() is first
     assert sorted(calls) == list(range(1, 16))
+    # without a step: 2^n - 1 evaluations, each mask once, then reads only
+    assert [oracle.value_mask(m) for m in range(16)] == [F(v, 3) for v in first[1]]
+    assert len(calls) == 15
 
 
 def test_clinch_amounts_keeps_its_prechecks():
