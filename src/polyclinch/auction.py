@@ -96,8 +96,10 @@ class AuctionConfig:
             object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
             if self.epsilon <= 0:
                 raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be positive")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise DomainError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        if type(self.trace) is not bool:
+            raise DomainError(f"trace must be a boolean, got {self.trace!r}")
 
     def resolve_epsilon(self, thresholds: Sequence[Fraction]) -> Fraction:
         if self.epsilon != "auto":
@@ -491,11 +493,23 @@ def _validate_packing(rows_a: Sequence[Sequence[Rational]],
                       rhs: Sequence[Rational]) -> Tuple[tuple, tuple]:
     a = tuple(vector(row) for row in rows_a)
     b = vector(rhs, len(a))
+    if any(len(row) != 2 for row in a):
+        raise SizeError("generic-polytope clinching is restricted to 2 bidders")
     for j, row in enumerate(a):
         if any(c < 0 for c in row):
-            raise DomainError(f"packing constraints need A >= 0; row {j} is {row}")
+            raise DomainError(f"packing constraints need A >= 0; row {j} is ({row[0]}, {row[1]})")
         if b[j] < 0:
             raise DomainError(f"packing constraints need b >= 0; b[{j}] = {b[j]}")
+    return a, b
+
+
+def _bounded_packing_2d(rows_a: Sequence[Sequence[Rational]],
+                        rhs: Sequence[Rational]) -> Tuple[tuple, tuple]:
+    """:func:`_validate_packing`, with each coordinate bounded by some row."""
+    a, b = _validate_packing(rows_a, rhs)
+    for i in range(2):
+        if not any(row[i] > 0 for row in a):
+            raise DomainError(f"coordinate {i} is unbounded; the polytope must be bounded")
     return a, b
 
 
@@ -561,8 +575,6 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     slack b_j - a_j rho.  The generic path is deliberately 2-bidder-only.
     """
     a, b = _validate_packing(rows_a, rhs)
-    if any(len(row) != 2 for row in a):
-        raise SizeError("generic-polytope clinching is restricted to 2 bidders")
     return _clinch_2d(_integer_rows(a, b), vector(rho, 2), vector(d, 2))
 
 
@@ -644,12 +656,9 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     max{x_0 + x_1 : x in P_{rho,d}} (the generic analogue of fhat([n])),
     the best sum over the vertices of P_{rho,d}.
     """
-    a, b = _validate_packing(rows_a, rhs)
-    if len(bidders) != 2 or any(len(row) != 2 for row in a):
+    a, b = _bounded_packing_2d(rows_a, rhs)
+    if len(bidders) != 2:
         raise SizeError("the generic engine is restricted to exactly 2 bidders")
-    for i in range(2):
-        if not any(row[i] > 0 for row in a):
-            raise DomainError(f"coordinate {i} is unbounded; the polytope must be bounded")
     rows = _integer_rows(a, b)
     values = [bd.value for bd in bidders]
     eps = cfg.resolve_epsilon(values)

@@ -10,11 +10,10 @@ for the function defining the feasible-allocation polytope:
 * ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
   a max-flow on integers over the capacities' least common denominator.
 
-The last two also supply a :class:`~polyclinch.submodular.LatticeStep`, so
-their value tables are one walk over the subset lattice in which each set
-extends its parent's state: component labels for graphic, a maximum flow to
-augment for vod-cut.  One value read before the table exists is still
-evaluated on its own.
+Each is defined by one :class:`~polyclinch.submodular.LatticeStep` alone,
+which gives both its value table and any value read before the table exists:
+a count per rank list for the first three (:func:`_rank_sum_oracle`),
+component labels for graphic, a maximum flow to augment for vod-cut.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -56,22 +54,38 @@ def _rank_list(values: Sequence[Rational], what: str) -> tuple:
     return alpha
 
 
-def _prefix_sums(alpha: Sequence[Fraction]) -> list:
-    """``[A_0, A_1, ..]`` with A_t the sum of the first t entries of alpha."""
-    return list(accumulate(alpha, initial=ZERO))
+def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOracle:
+    """f(S) = sum over (members, alpha) in groups of A_|S & members|.
 
+    A_t is the sum of the first t entries of the rank list alpha, which
+    counts as 0 past its end.  The step's state is f(S), as a numerator over
+    the lists' least common denominator, and the count |S & members| of
+    each group: S + i adds to f the entry of alpha at the old count of each
+    group that holds i.  When one group holds every bidder, f is a
+    cardinality oracle and carries alpha as ``ctrs``.
+    """
+    den = _over_common_denominator([a for _, alpha in groups for a in alpha])[0]
+    lists = [[int(a * den) for a in alpha] + [0] * (len(members) - len(alpha))
+             for members, alpha in groups]
+    holding = [[g for g, (members, _) in enumerate(groups) if i in members] for i in range(n)]
 
-def _cardinality_oracle(n: int, alpha: tuple, name: str) -> SubmodularOracle:
-    """f(S) = A_|S| for the rank list alpha, which counts as 0 past its end."""
-    prefix = _prefix_sums(alpha)
-    return SubmodularOracle(n, lambda mask: prefix[min(mask.bit_count(), len(alpha))],
-                            True, name, ctrs=alpha)
+    def step(state: tuple, i: int) -> tuple:
+        num, counts = state
+        counts = list(counts)
+        for g in holding[i]:
+            num += lists[g][counts[g]]
+            counts[g] += 1
+        return num, (num, counts)
+
+    ctrs = groups[0][1] if len(groups) == 1 and len(groups[0][0]) == n else None
+    rank_sum = LatticeStep(den, (0, [0] * len(groups)), step)
+    return SubmodularOracle(n, rank_sum.value, True, name, ctrs=ctrs, step=rank_sum)
 
 
 def multi_unit_oracle(total: Rational, n: int) -> SubmodularOracle:
     """Uniform supply of `total` divisible units shared by n bidders: alpha = (Q,)."""
     alpha = _rank_list([total], "supply")
-    return _cardinality_oracle(n, alpha, f"multi-unit(Q={alpha[0]})")
+    return _rank_sum_oracle(n, [(range(n), alpha)], f"multi-unit(Q={alpha[0]})")
 
 
 def single_keyword_oracle(ctrs: Sequence[Rational]) -> SubmodularOracle:
@@ -83,7 +97,8 @@ def single_keyword_oracle(ctrs: Sequence[Rational]) -> SubmodularOracle:
     alpha = _rank_list(ctrs, "click-through rates")
     if not alpha:
         raise DomainError("at least one position is required")
-    return _cardinality_oracle(len(alpha), alpha, f"single-keyword({len(alpha)} slots)")
+    n = len(alpha)
+    return _rank_sum_oracle(n, [(range(n), alpha)], f"single-keyword({n} slots)")
 
 
 @dataclass(frozen=True)
@@ -164,40 +179,26 @@ def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:
     The transversal matroid is the special case of one unit-CTR slot per
     keyword.  Quality factors are handled by the scaled auction path, not here.
     """
-    prefixes = [_prefix_sums(alpha) for alpha in inst.ctrs]
-    masks = [0 for _ in range(inst.m)]
-    for k, bidders in enumerate(inst.graph.keyword_bidders):
-        for i in bidders:
-            masks[k] |= 1 << i
-
-    def fn(mask: int) -> Fraction:
-        total = ZERO
-        for k in range(inst.m):
-            total += prefixes[k][bin(mask & masks[k]).count("1")]
-        return total
-
-    return SubmodularOracle(inst.n, fn, True, f"adwords({inst.n}x{inst.m})")
+    return _rank_sum_oracle(inst.n, list(zip(inst.graph.keyword_bidders, inst.ctrs)),
+                            f"adwords({inst.n}x{inst.m})")
 
 
 def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     """Graphic-matroid rank: f(S) = |V(S)| - #components of the edges in S.
 
-    Bidder i labels exactly edge i of the undirected multigraph.  One value
-    is a union-find over the edges of S.  The table is one lattice walk
-    whose state is each vertex's component label: S + i has rank f(S) + 1
-    exactly when edge i joins two components of S, and the child relabels
-    one of them.  Values are integers, so the table's denominator is 1.
+    Bidder i labels exactly edge i of the undirected multigraph.  The step's
+    state is each vertex's component label: S + i has rank f(S) + 1 exactly
+    when edge i joins two components of S, and the child relabels one of
+    them.  Values are integers, so the step's denominator is 1.
     """
     if not edges:
         raise DomainError("at least one bidder-labeled edge is required")
-    parsed = []
     for e, edge in enumerate(edges):
         if len(edge) != 2:
             raise DomainError(f"edge {e} must be a pair of vertices, got {edge!r}")
-        parsed.append((int(edge[0]), int(edge[1])))
-    n = len(parsed)
-    vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in parsed for v in edge))}
-    ends = [(vertex[u], vertex[v]) for u, v in parsed]
+    n = len(edges)
+    vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
+    ends = [(vertex[u], vertex[v]) for u, v in edges]
 
     def step(state: tuple, i: int) -> tuple:
         rank, label = state
@@ -207,27 +208,8 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
         joined = [u if x == v else x for x in label]
         return rank + 1, (rank + 1, joined)
 
-    def fn(mask: int) -> Fraction:
-        parent: Dict[int, int] = {}
-
-        def find(v: int) -> int:
-            parent.setdefault(v, v)
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        rank = 0
-        for i in range(n):
-            if mask >> i & 1:
-                ru, rv = find(parsed[i][0]), find(parsed[i][1])
-                if ru != rv:
-                    parent[ru] = rv
-                    rank += 1
-        return Fraction(rank)
-
-    return SubmodularOracle(n, fn, True, f"graphic({n} edges)",
-                            step=LatticeStep(1, (0, list(range(len(vertex)))), step))
+    rank = LatticeStep(1, (0, list(range(len(vertex)))), step)
+    return SubmodularOracle(n, rank.value, True, f"graphic({n} edges)", step=rank)
 
 
 @dataclass(frozen=True)
@@ -333,16 +315,14 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
 
     The network is laid out once as an :class:`_ArcNetwork`, capacities as
     integers over their least common denominator D.  Each bidder has one arc
-    to a super-sink, closed (capacity 0) until a mask opens it above the
-    total capacity.  One value is a cold max-flow on those integers,
-    returned as ``flow / D``: exact, with no ``Fraction`` arithmetic inside
-    the flow.
+    to a super-sink, closed (capacity 0) until a set opens it above the
+    total capacity.  f(S) is the maximum flow on those integers over D:
+    exact, with no ``Fraction`` arithmetic inside the flow.
 
-    The table is one lattice walk, warm-started: S's maximum flow stays
-    feasible when bidder i's sink arc opens, so S + i copies S's residual,
-    opens the arc and augments from there.  If S's last BFS did not reach
-    bidder i's node, no augmenting path exists: the BFS is skipped and
-    f(S + i) = f(S).  The table holds the flows' numerators over D.
+    The step warm-starts: S's maximum flow stays feasible when bidder i's
+    sink arc opens, so S + i copies S's residual, opens the arc and augments
+    from there.  If S's last BFS did not reach bidder i's node, no
+    augmenting path exists: the BFS is skipped and f(S + i) = f(S).
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -355,13 +335,6 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     bidder_index = [graph.index[b] for b in net.bidder_nodes]
     bound = sum(nums) + 1                    # above every cut of the network
 
-    def fn(mask: int) -> Fraction:
-        residual = graph.cap[:]
-        for i in range(n):
-            if mask >> i & 1:
-                residual[sink_arcs[i]] = bound
-        return Fraction(graph.max_flow(residual, net.source, sink)[0], den)
-
     def step(state: tuple, i: int) -> tuple:
         flow, residual, reached = state
         residual = residual[:]
@@ -372,9 +345,8 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         return flow, (flow, residual, reached)
 
     root = graph.cap[:]
-    root_state = (0, root, graph.max_flow(root, net.source, sink)[1])
-    return SubmodularOracle(n, fn, True, f"vod-cut({n} bidders)",
-                            step=LatticeStep(den, root_state, step))
+    flow = LatticeStep(den, (0, root, graph.max_flow(root, net.source, sink)[1]), step)
+    return SubmodularOracle(n, flow.value, True, f"vod-cut({n} bidders)", step=flow)
 
 
 def decompose(inst: AdWordsInstance, x: Sequence[Rational]

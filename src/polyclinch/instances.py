@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .auction import AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED
+from .auction import AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_packing_2d
 from .environments import (
     AdWordsInstance,
     CapacitatedNetwork,
@@ -42,7 +42,7 @@ from .environments import (
     single_keyword_oracle,
     vod_cut_oracle,
 )
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +76,14 @@ def _require(obj, key: str, where: str):
     if key not in obj:
         raise ParseError("missing-field", f"{where}.{key}", f"missing field {where}.{key}")
     return obj[key]
+
+
+def _list_of(value, field: str, size: Optional[int] = None) -> list:
+    """``value``, which must be a JSON list (of ``size`` entries, if given)."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        shape = "a list" if size is None else f"a list of {size} entries"
+        raise ParseError("bad-value", field, f"{field}: expected {shape}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -122,9 +130,9 @@ class InstanceFile:
                                      self.quality)
 
     def polytope_rows(self):
-        """(rows, rhs) for the h-polytope-2d kind."""
+        """Checked (rows, rhs) for the h-polytope-2d kind."""
         rows = self.environment.payload["rows"]
-        return tuple(r[:2] for r in rows), tuple(r[2] for r in rows)
+        return _bounded_packing_2d([r[:2] for r in rows], [r[2] for r in rows])
 
 
 def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
@@ -170,15 +178,15 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         raise ParseError("bad-json", f"{where}.config", "config must be a JSON object")
     eps_raw = cfg_raw.get("epsilon", "auto")
     epsilon = "auto" if eps_raw == "auto" else parse_rational(eps_raw, f"{where}.config.epsilon")
-    if epsilon != "auto" and epsilon <= 0:
-        raise ParseError("bad-value", f"{where}.config.epsilon", "epsilon must be > 0")
-    config = AuctionConfig(epsilon=epsilon,
-                           max_steps=int(cfg_raw.get("max_steps", 1_000_000)),
-                           trace=bool(cfg_raw.get("trace", False)))
+    try:
+        config = AuctionConfig(epsilon=epsilon, max_steps=cfg_raw.get("max_steps", 1_000_000),
+                               trace=cfg_raw.get("trace", False))
+    except DomainError as exc:
+        raise ParseError("bad-value", f"{where}.config", str(exc)) from exc
 
     quality = None
     if "quality" in data and data["quality"] is not None:
-        raw = data["quality"]
+        raw = _list_of(data["quality"], f"{where}.quality")
         if any(isinstance(g, (list, dict)) for g in raw):
             raise ParseError("bad-value", f"{where}.quality",
                              "quality factors must be uniform per bidder (one rational "
@@ -195,6 +203,7 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         if kind != "multi-unit":
             raise ParseError("bad-value", f"{where}.curves",
                              "curves are supported on multi-unit environments only")
+        _list_of(curves_raw, f"{where}.curves")
         if len(curves_raw) != n:
             raise ParseError("bad-value", f"{where}.curves",
                              f"expected {n} curves, got {len(curves_raw)}")
@@ -226,59 +235,57 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
     if kind == "multi-unit":
         return {"supply": parse_rational(_require(env_raw, "supply", where), f"{where}.supply")}
     if kind == "single-keyword":
-        ctrs = _require(env_raw, "ctrs", where)
+        ctrs = _list_of(_require(env_raw, "ctrs", where), f"{where}.ctrs")
         if len(ctrs) != n:
             raise ParseError("bad-value", f"{where}.ctrs",
                              f"expected {n} CTR entries (one slot per bidder), got {len(ctrs)}")
         return {"ctrs": [parse_rational(c, f"{where}.ctrs[{j}]") for j, c in enumerate(ctrs)]}
     if kind == "adwords":
-        interests = _require(env_raw, "interests", where)
-        ctrs = _require(env_raw, "ctrs", where)
+        interests = _list_of(_require(env_raw, "interests", where), f"{where}.interests")
+        ctrs = _list_of(_require(env_raw, "ctrs", where), f"{where}.ctrs")
         if len(interests) != len(ctrs):
             raise ParseError("inconsistent-graph", f"{where}.interests",
                              f"{len(interests)} keywords but {len(ctrs)} CTR lists")
         for k, members in enumerate(interests):
-            if not members:
-                raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
-                                 f"keyword {k} has no interested bidder")
-            for i in members:
-                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
-                    raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
-                                     f"keyword {k} lists invalid bidder {i!r}")
-            if len(set(members)) != len(members):
-                raise ParseError("inconsistent-graph", f"{where}.interests[{k}]",
-                                 f"keyword {k} lists a bidder more than once")
+            loc = f"{where}.interests[{k}]"
+            invalid = [i for i in _list_of(members, loc) if type(i) is not int or not 0 <= i < n]
+            problem = ("has no interested bidder" if not members else
+                       f"lists invalid bidder {invalid[0]!r}" if invalid else
+                       "lists a bidder more than once" if len(set(members)) < len(members) else "")
+            if problem:
+                raise ParseError("inconsistent-graph", loc, f"keyword {k} {problem}")
         return {"interests": [list(m) for m in interests],
                 "ctrs": [[parse_rational(c, f"{where}.ctrs[{k}][{j}]")
-                          for j, c in enumerate(alpha)] for k, alpha in enumerate(ctrs)]}
+                          for j, c in enumerate(_list_of(alpha, f"{where}.ctrs[{k}]"))]
+                         for k, alpha in enumerate(ctrs)]}
     if kind == "graphic":
-        edges = _require(env_raw, "edges", where)
+        edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
         if len(edges) != n:
             raise ParseError("bad-value", f"{where}.edges",
                              f"expected one edge per bidder ({n}), got {len(edges)}")
-        return {"edges": [(int(u), int(v)) for u, v in edges]}
+        for j, edge in enumerate(edges):
+            loc = f"{where}.edges[{j}]"
+            if any(type(v) is not int for v in _list_of(edge, loc, 2)):
+                raise ParseError("bad-value", loc, f"{loc}: vertices must be ints, got {edge!r}")
+        return {"edges": [tuple(edge) for edge in edges]}
     if kind == "vod-cut":
-        edges = _require(env_raw, "edges", where)
+        edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
         source = _require(env_raw, "source", where)
-        nodes = _require(env_raw, "bidder_nodes", where)
+        nodes = _list_of(_require(env_raw, "bidder_nodes", where), f"{where}.bidder_nodes")
         if len(nodes) != n:
             raise ParseError("bad-value", f"{where}.bidder_nodes",
                              f"expected {n} bidder nodes, got {len(nodes)}")
+        edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
         return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
                           for j, (u, v, c) in enumerate(edges)],
                 "source": source, "bidder_nodes": list(nodes)}
     if kind == "h-polytope-2d":
-        rows = _require(env_raw, "rows", where)
+        rows = _list_of(_require(env_raw, "rows", where), f"{where}.rows")
         if n != 2:
             raise ParseError("bad-value", f"{where}", "h-polytope-2d requires exactly 2 bidders")
-        parsed = []
-        for j, row in enumerate(rows):
-            if len(row) != 3:
-                raise ParseError("bad-value", f"{where}.rows[{j}]",
-                                 "each row is [a0, a1, rhs]")
-            parsed.append(tuple(parse_rational(c, f"{where}.rows[{j}][{t}]")
-                                for t, c in enumerate(row)))
-        return {"rows": parsed}
+        return {"rows": [tuple(parse_rational(c, f"{where}.rows[{j}][{t}]")
+                               for t, c in enumerate(_list_of(row, f"{where}.rows[{j}]", 3)))
+                         for j, row in enumerate(rows)]}
     raise ParseError("unknown-kind", f"{where}.kind", f"unknown kind {kind!r}")
 
 

@@ -23,7 +23,7 @@ against.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
-extend each set's value from its parent's instead of evaluating it afresh.
+extend each set's value from its parent's, and fold the same step for one.
 The brute-force verifiers decide on the same table:
 :func:`membership` takes one minimum of f - x, :func:`verify_submodular`
 tests local second differences, and :func:`residual_totals` gives the n + 1
@@ -135,13 +135,22 @@ class LatticeStep:
     ``step(state, i)`` returns ``(num, child)``: f(S + i) = num / ``den`` and
     the state that S + i hands on to its own children; ``root`` is the state
     of the empty set.  A step never modifies the state it is given, since
-    every child of S starts from it.
+    every child of S starts from it.  :meth:`value` folds it for one mask.
     """
 
     __slots__ = ("den", "root", "step")
 
     def __init__(self, den: int, root, step: Callable[[object, int], tuple]):
         self.den, self.root, self.step = den, root, step
+
+    def value(self, mask: int) -> Fraction:
+        """f(mask), folding the step from the root over the mask's bits in
+        ascending order: the path :func:`_lattice_walk` takes to the mask."""
+        num, state = 0, self.root
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                num, state = self.step(state, i)
+        return Fraction(num, self.den)
 
 
 def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
@@ -176,9 +185,11 @@ class SubmodularOracle:
 
     ``fn_mask`` evaluates one mask from scratch.  An oracle may also supply a
     :class:`LatticeStep`, with which :meth:`integer_table` extends each mask
-    from its parent instead.  ``monotone`` is a claim by the constructor,
-    checkable with :func:`verify_submodular`.  Oracles are immutable after
-    construction and safe to share read-only across threads.
+    from its parent instead; the built-in oracles pass its
+    :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
+    table exists runs the same code.  ``monotone`` is a claim by the
+    constructor, checkable with :func:`verify_submodular`.  Oracles are
+    immutable after construction and safe to share read-only across threads.
     """
 
     def __init__(self, n: int, fn_mask: Callable[[int], Fraction],
@@ -189,9 +200,9 @@ class SubmodularOracle:
         self.n = n
         self.monotone = monotone
         self.name = name
-        # Cardinality oracles (single-keyword, multi-unit) carry their rank
-        # list: f(S) = A_|S|, A_t the sum of its first t entries, so
-        # clinch_kernel minimizes over cardinalities, not a 2^n table.
+        # Cardinality oracles carry their rank list: f(S) = A_|S|, A_t the
+        # sum of its first t entries, so clinch_kernel minimizes over
+        # cardinalities, not a 2^n table.
         self.ctrs = ctrs
         self._fn = fn_mask
         self._step = step
@@ -566,9 +577,9 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     denominator; exact, and equal to the values :class:`ResidualOracle` gives.
 
     * Cardinality oracles, which carry their rank list as ``ctrs``
-      (single-keyword and multi-unit; f(S) = A_|S|, A_t the sum of the
-      first t entries): among the sets of size t, h is least on the t
-      largest entries of rho + d, so each minimum is one
+      (single-keyword, multi-unit, one-keyword AdWords; f(S) = A_|S|, A_t
+      the sum of the first t entries): among the sets of size t, h is least
+      on the t largest entries of rho + d, so each minimum is one
       :func:`_cardinality_min` and no table is built.  This branch checks
       that rho lies in P(f), which is ``_cardinality_min(ctrs, rho) >= 0``,
       and raises :class:`PreconditionError` with the violated set otherwise.

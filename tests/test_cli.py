@@ -149,6 +149,22 @@ def test_unknown_kind_exits_input_error(tmp_path, capsys):
     assert "unknown-kind" in err
 
 
+@pytest.mark.parametrize("environment, config, code_name", [
+    ({"kind": "graphic", "edges": [["a", 1]]}, {}, "bad-value"),
+    ({"kind": "multi-unit", "supply": "1"}, {"max_steps": "abc"}, "bad-value"),
+    ({"kind": "h-polytope-2d", "rows": [["1", "-1", "2"], ["0", "1", "1"]]}, {},
+     "bad-environment")])
+def test_malformed_environment_and_config_exit_input_error(tmp_path, capsys, environment,
+                                                           config, code_name):
+    bad = tmp_path / "bad.json"
+    bidders = [{"value": "1", "budget": "1"}] * (2 if "rows" in environment else 1)
+    bad.write_text(json.dumps({"schema": 1, "environment": environment,
+                               "bidders": bidders, "config": config}))
+    code, _, err = run_cli(capsys, "run", "-i", str(bad))
+    assert code == EXIT_INPUT
+    assert f"input error [{code_name}]" in err
+
+
 def test_gen_twice_identical_and_verifies(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (a, b):

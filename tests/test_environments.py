@@ -1,5 +1,6 @@
 """Environment constructors, the AdWords decomposition, and cut oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -142,15 +143,10 @@ def test_adwords_threshold_identity():
         4, [[0, 1, 2], [1, 3], [0, 2, 3]], [[5], [4, 3, 2, 1], [0, 0, 0]]))
     for inst in insts:
         oracle = adwords_oracle(inst)
-        masks = [sum(1 << i for i in members) for members in inst.graph.keyword_bidders]
-        for mask in range(1 << inst.n):
-            expected = F(0)
-            for k, alpha in enumerate(inst.ctrs):
-                size = bin(mask & masks[k]).count("1")
-                for j, a in enumerate(alpha, 1):
-                    w = a - (alpha[j] if j < len(alpha) else 0)
-                    expected += w * min(size, j)
-            assert oracle.value_mask(mask) == expected
+        expected = _threshold_table(inst)
+        assert [oracle.value_mask(m) for m in range(1 << inst.n)] == expected
+        den, nums = adwords_oracle(inst).integer_table()
+        assert [F(v, den) for v in nums] == expected
 
 
 def test_decompose_known_split():
@@ -249,7 +245,8 @@ def test_graphic_rank_never_exceeds_cardinality():
 
 
 # ---------------------------------------------------------------------------
-# value tables: the lattice walk against one evaluation per mask
+# value tables: the lattice walk, the fold of one mask, and references that
+# share no code with either
 # ---------------------------------------------------------------------------
 
 def _walked_and_per_mask(build):
@@ -258,6 +255,86 @@ def _walked_and_per_mask(build):
     walked, fresh = build(), build()
     den, nums = walked.integer_table()
     return [F(v, den) for v in nums], [fresh.value_mask(m) for m in range(1 << fresh.n)]
+
+
+def _prefix_sum_table(alpha, n):
+    """f(mask) = sum of the first |mask| entries of alpha, for every mask."""
+    return [sum(alpha[:mask.bit_count()], F(0)) for mask in range(1 << n)]
+
+
+def _threshold_table(inst):
+    """f*(mask) = sum_k sum_j w_kj * min(|mask & Gamma(k)|, j), with
+    w_kj = alpha_kj - alpha_k,j+1, for every mask."""
+    masks = [sum(1 << i for i in members) for members in inst.graph.keyword_bidders]
+    by_size = []                                    # f_k by |S & Gamma(k)|
+    for alpha, members in zip(inst.ctrs, inst.graph.keyword_bidders):
+        w = [a - b for a, b in zip(alpha, alpha[1:] + (0,))]
+        by_size.append([sum((w_j * min(size, j) for j, w_j in enumerate(w, 1)), F(0))
+                        for size in range(len(members) + 1)])
+    return [sum((f_k[(mask & m).bit_count()] for f_k, m in zip(by_size, masks)), F(0))
+            for mask in range(1 << inst.n)]
+
+
+def _forest_rank_table(edges):
+    """Graphic rank of every mask: the edges a union-find keeps."""
+    table = []
+    for mask in range(1 << len(edges)):
+        parent = {}
+
+        def root(v):
+            while parent.setdefault(v, v) != v:
+                v = parent[v]
+            return v
+
+        rank = 0
+        for e, (u, v) in enumerate(edges):
+            if mask >> e & 1 and root(u) != root(v):
+                parent[root(u)] = root(v)
+                rank += 1
+        table.append(F(rank))
+    return table
+
+
+def _min_cut_table(net):
+    """f(mask) for every mask, straight from max-flow = min-cut.
+
+    The minimum of cap(X -> V \\ X) over node sets X that hold the source and
+    none of the mask's bidder nodes.  Each X's cut is summed once; a
+    subset minimum over the other nodes then serves every mask.
+    """
+    n = len(net.bidder_nodes)
+    nodes = {v for u, w, _ in net.edges for v in (u, w)} | set(net.bidder_nodes)
+    others = list(nodes - {net.source})
+    bit = {v: 1 << k for k, v in enumerate(others)}
+    full = (1 << len(others)) - 1
+    bit[net.source] = full + 1                      # on the source side of every cut
+    den = math.lcm(*(c.denominator for _, _, c in net.edges))
+    arcs = [(bit[u], bit[w], int(c * den)) for u, w, c in net.edges]
+    best = []
+    for side in range(full + 1):
+        side |= full + 1
+        best.append(sum(c for u, w, c in arcs if side & u and not side & w))
+    for b in range(len(others)):                    # best[Y] = min over X <= Y of cut(X)
+        for side in range(full + 1):
+            if side >> b & 1 and best[side ^ 1 << b] < best[side]:
+                best[side] = best[side ^ 1 << b]
+    return [F(best[full & ~sum({bit[net.bidder_nodes[i]] for i in range(n) if mask >> i & 1})],
+              den) for mask in range(1 << n)]
+
+
+def _reference_table(inst):
+    """Every mask's value for a generated instance, from its payload alone."""
+    kind, payload = inst.environment.kind, inst.environment.payload
+    if kind == "multi-unit":
+        return _prefix_sum_table([payload["supply"]], inst.n)
+    if kind == "single-keyword":
+        return _prefix_sum_table(payload["ctrs"], inst.n)
+    if kind == "adwords":
+        return _threshold_table(inst.build_adwords())
+    if kind == "graphic":
+        return _forest_rank_table(payload["edges"])
+    return _min_cut_table(CapacitatedNetwork.build(
+        payload["edges"], payload["source"], payload["bidder_nodes"]))
 
 
 def _random_network(rng, n):
@@ -288,20 +365,37 @@ def test_walked_tables_match_per_mask_values():
         if t % 2:
             net = _random_network(rng, n)
             build = lambda: vod_cut_oracle(net)         # noqa: E731
+            reference = _min_cut_table(net)
         else:
             edges = _random_multigraph(rng, n)
             build = lambda: graphic_oracle(edges)       # noqa: E731
+            reference = _forest_rank_table(edges)
         walked, per_mask = _walked_and_per_mask(build)
-        assert walked == per_mask, t
+        assert walked == per_mask == reference, t
 
 
 def test_walked_tables_match_per_mask_values_on_generated_markets():
-    for kind in ("vod-cut", "graphic"):
+    for kind in ("multi-unit", "single-keyword", "adwords", "vod-cut", "graphic"):
         for n, seeds in ((4, range(8)), (10, range(3)), (12, range(2))):
             for seed in seeds:
                 inst = generate_instance(kind, n, None, seed)
                 walked, per_mask = _walked_and_per_mask(inst.build_oracle)
                 assert walked == per_mask, (kind, n, seed)
+                if kind != "vod-cut" or n <= 10:
+                    assert walked == _reference_table(inst), (kind, n, seed)
+
+
+def test_cardinality_tables_are_prefix_sums():
+    rng = random.Random(44)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        ctrs = sorted((F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)),
+                      reverse=True)
+        supply = F(rng.randint(0, 9), rng.choice((1, 4)))
+        for oracle, alpha in ((single_keyword_oracle(ctrs), ctrs),
+                              (multi_unit_oracle(supply, n), [supply])):
+            walked, per_mask = _walked_and_per_mask(lambda: oracle)
+            assert walked == per_mask == _prefix_sum_table(alpha, n), (ctrs, supply)
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +420,6 @@ def test_vod_cut_disconnected_bidder_gets_zero():
     oracle = vod_cut_oracle(net)
     assert oracle.value({1}) == 0
     assert oracle.value({0, 1}) == 2
-
-
-def _min_cut_table(net):
-    """f(mask) for every mask, straight from max-flow = min-cut.
-
-    The minimum of cap(X -> V \\ X) over node sets X that hold the source and
-    none of the mask's bidder nodes.
-    """
-    n = len(net.bidder_nodes)
-    nodes = {v for u, w, _ in net.edges for v in (u, w)} | set(net.bidder_nodes)
-    others = list(nodes - {net.source})
-    table = []
-    for mask in range(1 << n):
-        blocked = {net.bidder_nodes[i] for i in range(n) if mask >> i & 1}
-        free = [v for v in others if v not in blocked]
-        cuts = []
-        for pick in range(1 << len(free)):
-            side = {net.source} | {free[k] for k in range(len(free)) if pick >> k & 1}
-            cuts.append(sum((c for u, w, c in net.edges if u in side and w not in side), F(0)))
-        table.append(min(cuts))
-    return table
 
 
 def _awkward_network(rng, source, others, island):

@@ -110,13 +110,39 @@ def test_missing_instance_file():
 
 
 def test_malformed_structures_raise_parse_errors():
+    vod_cut = {"kind": "vod-cut", "edges": [["s", "a"]], "source": "s",
+               "bidder_nodes": ["a", "b"]}
     for data in (["not", "an", "object"],
                  minimal(environment="multi-unit"),
                  minimal(bidders=["3"]),
                  minimal(bidders={"value": "3"}),
-                 minimal(config="fast")):
-        with pytest.raises(ParseError):
+                 minimal(config="fast"),
+                 minimal(environment={"kind": "graphic", "edges": [[0], [0, 1]]}),
+                 minimal(environment={"kind": "graphic", "edges": [["a", 1], [0, 1]]}),
+                 minimal(environment={"kind": "graphic", "edges": [[0, 1.5], [0, 1]]}),
+                 minimal(environment=vod_cut),
+                 minimal(environment={"kind": "single-keyword", "ctrs": 5}),
+                 minimal(environment={"kind": "adwords", "interests": [[0, 1]], "ctrs": 5}),
+                 minimal(quality=5),
+                 minimal(config={"max_steps": "abc"}),
+                 minimal(config={"max_steps": 0}),
+                 minimal(config={"max_steps": 2.7}),
+                 minimal(config={"max_steps": True}),
+                 minimal(config={"trace": "false"})):
+        with pytest.raises(ParseError) as err:
             parse_instance_data(data)
+        assert err.value.code and err.value.field, data
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([["-1", "1", "3"], ["1", "1", "2"]], "A >= 0; row 0 is"),
+    ([["1", "0", "3"]], "coordinate 1 is unbounded"),
+    ([["0", "2", "3"], ["0", "1", "1"]], "coordinate 0 is unbounded")])
+def test_h_polytope_rows_checked_at_parse_time(rows, match):
+    env = {"kind": "h-polytope-2d", "rows": rows}
+    with pytest.raises(ParseError, match=match) as err:
+        parse_instance_data(minimal(environment=env))
+    assert (err.value.code, err.value.field) == ("bad-environment", "instance.environment")
 
 
 def test_generation_is_deterministic():
