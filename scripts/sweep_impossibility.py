@@ -25,10 +25,11 @@ from polyclinch import (  # noqa: E402
     check_dominated_direction,
     run_generic_2player,
 )
-
-ROWS = ((2, 1), (1, 2))
-RHS = (6, 6)
-BUDGETS = (Fraction(1), Fraction(1))
+from polyclinch.verify import (  # noqa: E402
+    IMPOSSIBILITY_BUDGETS as BUDGETS,
+    IMPOSSIBILITY_RHS as RHS,
+    IMPOSSIBILITY_ROWS as ROWS,
+)
 
 
 def main():

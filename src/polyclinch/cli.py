@@ -47,81 +47,69 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _run_instance(inst: InstanceFile, force_trace: bool = False):
-    """Dispatch an instance to the right engine and return its Outcome."""
-    cfg = inst.config
-    if force_trace and not cfg.trace:
-        cfg = replace(cfg, trace=True)
+def _run_instance(inst: InstanceFile, trace: bool, oracle=None):
+    """Run an instance on the engine its kind needs, with a trace iff ``trace``;
+    ``oracle``, if given, is the one ``inst.build_oracle()`` would return."""
+    cfg = replace(inst.config, trace=trace)
     if inst.environment.kind == "h-polytope-2d":
-        rows, rhs = inst.polytope_rows()
-        return run_generic_2player(rows, rhs, inst.bidders, cfg)
+        return run_generic_2player(*inst.polytope_rows(), inst.bidders, cfg)
     if inst.curves is not None:
-        supply = inst.environment.payload["supply"]
         return run_decreasing_marginals(inst.curves, [b.budget for b in inst.bidders],
-                                        supply, cfg)
-    oracle = inst.build_oracle()
+                                        inst.environment.payload["supply"], cfg)
+    if oracle is None:
+        oracle = inst.build_oracle()
     if inst.quality is not None:
         return run_scaled(oracle, inst.quality, inst.bidders, cfg)
     return run_clinching(oracle, inst.bidders, cfg)
 
 
+def _verify(inst: InstanceFile):
+    """Run an instance and check what its kind lets us check: (outcome, report)."""
+    if inst.environment.kind == "h-polytope-2d":
+        outcome = _run_instance(inst, False)
+        direction = check_dominated_direction(*inst.polytope_rows(), inst.bidders, outcome)
+        report = VerificationReport()
+        report.add("pareto-optimal", direction is None,
+                   None if direction is None else {"direction": [str(t) for t in direction]})
+        return outcome, report
+    oracle = inst.build_oracle()
+    if inst.curves is not None:
+        outcome = _run_instance(inst, True)
+        return outcome, validate_trace(oracle, outcome.trace)
+    if inst.quality is not None:
+        outcome = _run_instance(inst, False, oracle)
+        return outcome, check_scaled_outcome(oracle, inst.quality, inst.bidders, outcome)
+    outcome, report = run_with_monitors(oracle, inst.bidders, inst.config)
+    report.properties += check_outcome(oracle, inst.bidders, outcome).properties
+    return outcome, report
+
+
 def execute(command: str, inst: InstanceFile | None, args) -> dict:
     """Run one command and assemble the report dict (the ReportFile)."""
-    report = {"schema": 1, "command": command}
+    outcome = None
     if command == "run":
-        outcome = _run_instance(inst, force_trace=bool(args.trace_out))
-        report["outcome"] = outcome.to_json(with_trace=False)
-        if outcome.trace is not None and args.trace_out:
+        outcome, ver = _run_instance(inst, bool(args.trace_out)), VerificationReport()
+        if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
                 json.dump([s.to_json() for s in outcome.trace], fh, indent=1)
                 fh.write("\n")
-        report["properties"] = []
-        return report
-
-    if command == "verify":
-        if inst.environment.kind == "h-polytope-2d":
-            outcome = _run_instance(inst)
-            rows, rhs = inst.polytope_rows()
-            direction = check_dominated_direction(rows, rhs, inst.bidders, outcome)
-            ver = VerificationReport()
-            ver.add("pareto-optimal", direction is None,
-                    None if direction is None else {"direction": [str(t) for t in direction]})
-        elif inst.curves is not None:
-            outcome = _run_instance(inst, force_trace=True)
-            ver = validate_trace(inst.build_oracle(), outcome.trace)
-        else:
-            oracle = inst.build_oracle()
-            if inst.quality is not None:
-                outcome = run_scaled(oracle, inst.quality, inst.bidders, inst.config)
-                ver = check_scaled_outcome(oracle, inst.quality, inst.bidders, outcome)
-            else:
-                outcome, ver = run_with_monitors(oracle, inst.bidders, inst.config)
-                for prop in check_outcome(oracle, inst.bidders, outcome).properties:
-                    ver.properties.append(prop)
-        report["outcome"] = outcome.to_json(with_trace=False)
-        report["properties"] = [p.to_json() for p in ver.properties]
-        return report
-
-    if command == "check-submodular":
-        oracle = inst.build_oracle()
-        check = verify_submodular(oracle)
-        prop = {"name": "submodular-oracle", "passed": check.ok}
-        if not check.ok:
-            prop["witness"] = {"violation": check.violation,
-                               "sets": [sorted(w) for w in check.witness]}
-            prop["detail"] = check.detail
-        report["properties"] = [prop]
-        return report
-
-    if command == "demo":
+    elif command == "verify":
+        outcome, ver = _verify(inst)
+    elif command == "check-submodular":
+        check, ver = verify_submodular(inst.build_oracle()), VerificationReport()
+        ver.add("submodular-oracle", check.ok, None if check.ok else {
+            "violation": check.violation, "sets": [sorted(w) for w in check.witness]},
+            check.detail)
+    elif command == "demo":
         ver = demo_appendix_d() if args.which == "appendix-d" else demo_impossibility()
-        payload = ver.to_json()
-        report["properties"] = payload["properties"]
-        report["narrative"] = payload.get("narrative", [])
-        report["attachments"] = payload.get("attachments", {})
-        return report
-
-    raise DomainError(f"unknown command {command!r}")
+    else:
+        raise DomainError(f"unknown command {command!r}")
+    report = {"schema": 1, "command": command}
+    if outcome is not None:
+        report["outcome"] = outcome.to_json(with_trace=False)
+    report.update(ver.to_json())
+    del report["ok"]                    # render_report derives the verdict from the properties
+    return report
 
 
 def render_report(report: dict, fmt: str = "text") -> tuple:
@@ -152,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clinch",
         description="Polyhedral clinching auctions with exact-rational verification.")
+    parser.set_defaults(which=None, trace_out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -193,8 +182,6 @@ def main(argv=None) -> int:
         inst = None
         if args.command in ("run", "verify", "check-submodular"):
             inst = parse_instance(args.instance)
-        setattr(args, "which", getattr(args, "which", None))
-        setattr(args, "trace_out", getattr(args, "trace_out", None))
         report = execute(args.command, inst, args)
     except ParseError as exc:
         print(f"input error [{exc.code}] at {exc.field}: {exc}", file=sys.stderr)

@@ -15,12 +15,12 @@ Example::
     }
 
 Kind-specific payloads: ``single-keyword`` takes ``ctrs``; ``adwords`` takes
-``bidders_count``, ``interests`` (bidder lists per keyword) and per-keyword
-``ctrs``; ``graphic`` takes ``edges`` (one per bidder); ``vod-cut`` takes
-``edges`` [u, v, cap], ``source`` and ``bidder_nodes``; ``h-polytope-2d``
-takes constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
-factors) and ``curves`` (piecewise-linear breakpoints, multi-unit only) are
-optional top-level fields.
+``interests`` (bidder lists per keyword) and per-keyword ``ctrs``;
+``graphic`` takes ``edges`` (one per bidder); ``vod-cut`` takes ``edges``
+[u, v, cap], ``source`` and ``bidder_nodes``; ``h-polytope-2d`` takes
+constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
+factors, polymatroid kinds without curves) and ``curves`` (piecewise-linear
+breakpoints, multi-unit only) are optional top-level fields.
 """
 
 from __future__ import annotations
@@ -186,6 +186,10 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
 
     quality = None
     if "quality" in data and data["quality"] is not None:
+        if kind == "h-polytope-2d" or curves_raw is not None:
+            raise ParseError("bad-value", f"{where}.quality",
+                             "quality factors scale a polymatroid of linear bidders; "
+                             "drop them for h-polytope-2d and curve instances")
         raw = _list_of(data["quality"], f"{where}.quality")
         if any(isinstance(g, (list, dict)) for g in raw):
             raise ParseError("bad-value", f"{where}.quality",

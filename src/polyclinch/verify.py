@@ -358,8 +358,9 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     """Recompute the step invariants of a traced run from its snapshots.
 
     Monitors: the conserved quantity 1'rho + fhat([n]) equals f([n]) at every
-    snapshot; after each clinch fhat([n]) <= fhat([n] \\ j) for all j;
-    re-clinching immediately yields zero; rho stays in the polytope; remaining
+    snapshot, and the snapshot's recorded fhat([n]) is the recomputed one;
+    after each clinch fhat([n]) <= fhat([n] \\ j) for all j; re-clinching
+    immediately yields zero; rho stays in the polytope; remaining
     budgets stay nonnegative.  A violation produces a fail entry with the
     first offending step, never a crash.
 
@@ -428,8 +429,12 @@ def _residual_witnesses(snap: TraceSnapshot, target: Fraction, total: Fraction,
     snapshot, from fhat([n]) = ``total`` and fhat([n] \\ j) = ``without[j]``;
     None where a monitor holds."""
     value = sum(snap.promised, ZERO) + total
-    conserved = None if value == target else {
-        "step": snap.step, "value": str(value), "expected": str(target)}
+    conserved = None
+    if value != target:
+        conserved = {"step": snap.step, "value": str(value), "expected": str(target)}
+    elif snap.residual_total != total:
+        conserved = {"step": snap.step, "fhat_full": str(snap.residual_total),
+                     "recomputed": str(total)}
     # fhat([n]) > fhat([n] \ j) breaks dominance and makes the re-clinch of j nonzero
     j = next((j for j, rest in enumerate(without) if total > rest), None)
     if j is None:

@@ -165,6 +165,15 @@ def test_malformed_environment_and_config_exit_input_error(tmp_path, capsys, env
     assert f"input error [{code_name}]" in err
 
 
+def test_quality_on_the_generic_polytope_exits_input_error(tmp_path, capsys):
+    data = json.loads((FIXTURES / "impossibility.json").read_text())
+    bad = tmp_path / "scaled-polytope.json"
+    bad.write_text(json.dumps({**data, "quality": ["3", "1"]}))
+    code, _, err = run_cli(capsys, "run", "-i", str(bad))
+    assert code == EXIT_INPUT
+    assert "input error [bad-value] at instance.quality" in err
+
+
 def test_gen_twice_identical_and_verifies(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (a, b):

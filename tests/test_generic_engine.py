@@ -58,7 +58,7 @@ def sweep_run(v0, v1):
 
 PINNED = {
     "impossibility fixture": (
-        lambda: _run_instance(parse_instance(FIXTURES / "impossibility.json")),
+        lambda: _run_instance(parse_instance(FIXTURES / "impossibility.json"), True),
         26, "c988b0e79a7106445c276f32091c1af31f310dcd84898db863e3a43ff4be06ba"),
     # the longest sweep run; its promises reach 185-digit denominators
     "sweep v=(2,10)": (

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from functools import partial
 
 import pytest
 
@@ -109,10 +110,23 @@ def test_missing_instance_file():
     assert err.value.code == "missing-file"
 
 
+@pytest.mark.parametrize("stem, quality", [("impossibility", ["3", "1"]),
+                                            ("appendix-d", ["2", "1"])])
+def test_quality_outside_linear_polymatroid_rejected(stem, quality):
+    # the generic 2-bidder engine and curve runs take no scale factors
+    data = json.loads((FIXTURES / f"{stem}.json").read_text())
+    with pytest.raises(ParseError) as err:
+        parse_instance_data({**data, "quality": quality})
+    assert (err.value.code, err.value.field) == ("bad-value", "instance.quality")
+
+
 def test_malformed_structures_raise_parse_errors():
     vod_cut = {"kind": "vod-cut", "edges": [["s", "a"]], "source": "s",
                "bidder_nodes": ["a", "b"]}
-    for data in (["not", "an", "object"],
+    two_curves = [[["1", "2"]], [["1", "1"]]]
+    cases = [partial(parse_instance_data, data) for data in (
+                 ["not", "an", "object"],
+                 minimal(schema=2),
                  minimal(environment="multi-unit"),
                  minimal(bidders=["3"]),
                  minimal(bidders={"value": "3"}),
@@ -123,15 +137,26 @@ def test_malformed_structures_raise_parse_errors():
                  minimal(environment=vod_cut),
                  minimal(environment={"kind": "single-keyword", "ctrs": 5}),
                  minimal(environment={"kind": "adwords", "interests": [[0, 1]], "ctrs": 5}),
+                 minimal(bidders=[{"budget": "2"}, {"value": "1", "budget": "inf"}]),
+                 minimal(bidders=[{"value": "0", "budget": "2"}, {"value": "1", "budget": "1"}]),
+                 minimal(bidders=[{"value": "3", "budget": "-1"}, {"value": "1", "budget": "1"}]),
                  minimal(quality=5),
+                 minimal(quality=["1"]),
+                 minimal(quality=["1", "0"]),
+                 minimal(environment={"kind": "single-keyword", "ctrs": ["2", "1"]},
+                         curves=two_curves),
+                 minimal(curves=two_curves[:1]),
+                 minimal(curves=[[["1", "1"], ["2", "3"]], [["1", "1"]]]),
                  minimal(config={"max_steps": "abc"}),
                  minimal(config={"max_steps": 0}),
                  minimal(config={"max_steps": 2.7}),
                  minimal(config={"max_steps": True}),
-                 minimal(config={"trace": "false"})):
+                 minimal(config={"trace": "false"}))]
+    cases.append(partial(generate_instance, "multi-unit", 0))
+    for case in cases:
         with pytest.raises(ParseError) as err:
-            parse_instance_data(data)
-        assert err.value.code and err.value.field, data
+            case()
+        assert err.value.code and err.value.field, case.args
 
 
 @pytest.mark.parametrize("rows, match", [

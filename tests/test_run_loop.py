@@ -115,8 +115,8 @@ def test_impossibility_sweep_matches_reference_loop():
 @pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_fixtures_match_reference_loop(stem):
     inst = parse_instance(FIXTURES / f"{stem}.json")
-    for force_trace in (False, True):
-        assert_matches_reference(_run_instance, inst, force_trace)
+    for trace in (False, True):
+        assert_matches_reference(_run_instance, inst, trace)
 
 
 def callback_events(engine, *args) -> tuple:

@@ -1,6 +1,7 @@
 """Outcome checkers, truthfulness fuzzing, monitors, and the demos."""
 
 import json
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,12 +33,14 @@ from polyclinch import (
     value_deviation_grid,
 )
 from polyclinch import verify
+from polyclinch.instances import parse_instance
 from polyclinch.submodular import ResidualOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
 
 from corpus import KINDS, random_bidders, random_feasible_point, random_oracle
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def outcome_of(x, pay, exhausted=()):
@@ -351,7 +354,8 @@ def test_infeasible_trace_reports_the_violated_set_and_stops():
 
 
 def _reference_validate_trace(oracle, snapshots):
-    """validate_trace as first written: a Fraction ResidualOracle per snapshot."""
+    """validate_trace as first written, plus the recorded-total comparison: a
+    Fraction ResidualOracle per snapshot."""
     n = oracle.n
     full = (1 << n) - 1
     target = oracle.value_mask(full)
@@ -378,6 +382,9 @@ def _reference_validate_trace(oracle, snapshots):
             conserved = {"step": snap.step,
                          "value": str(sum(snap.promised, F(0)) + total),
                          "expected": str(target)}
+        elif conserved is None and snap.residual_total != total:
+            conserved = {"step": snap.step, "fhat_full": str(snap.residual_total),
+                         "recomputed": str(total)}
         if dominance is None:
             for j in range(n):
                 if total > res.value_mask(full ^ (1 << j)):
@@ -462,14 +469,37 @@ def test_tampered_skipped_step_fails_at_that_step():
     assert snap.promised == (0, 0, F(1, 3)) and snap.demands[0] == F(4, 3)
     shaved = replace(snap, promised=(0, 0, F(1, 3) - F(1, 7)))
     lowered = replace(snap, demands=(F(4, 9),) + snap.demands[1:])
-    for tampered, reclinch in ((shaved, ["0", "0", "1/7"]), (lowered, ["0", "0", "8/9"])):
+    # the shaved promise also leaves the recorded fhat([n]) = 8/3 behind the
+    # recomputed 59/21; the lowered demand does not move fhat([n])
+    conserved = {"step": k, "fhat_full": "8/3", "recomputed": "59/21"}
+    for tampered, reclinch, total in ((shaved, ["0", "0", "1/7"], conserved),
+                                      (lowered, ["0", "0", "8/9"], None)):
         snaps[k] = tampered
         report = validate_trace(oracle, snaps)
         assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
-        assert [p.name for p in report.failures()] == ["post-clinch-dominance",
-                                                       "reclinch-zero"]
+        assert report.result("conserved-quantity").witness == total
+        assert [p.name for p in report.failures() if p.name != "conserved-quantity"] == [
+            "post-clinch-dominance", "reclinch-zero"]
         assert report.result("post-clinch-dominance").witness == {"step": k, "j": 2}
         assert report.result("reclinch-zero").witness == {"step": k, "delta": reclinch}
+
+
+def test_tampered_recorded_total_fails_conservation():
+    # a snapshot's recorded fhat([n]) must be the one its (rho, d) gives; the
+    # other monitors recompute it and cannot see a wrong record
+    inst = parse_instance(FIXTURES / "single-keyword.json")
+    oracle = inst.build_oracle()
+    outcome, clean = run_with_monitors(oracle, inst.bidders, inst.config)
+    assert clean.ok()
+    snaps = list(outcome.trace)
+    k = len(snaps) // 2
+    recorded = snaps[k].residual_total
+    snaps[k] = replace(snaps[k], residual_total=recorded + 7)
+    report = validate_trace(oracle, snaps)
+    assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
+    assert [p.name for p in report.failures()] == ["conserved-quantity"]
+    assert report.result("conserved-quantity").witness == {
+        "step": snaps[k].step, "fhat_full": str(recorded + 7), "recomputed": str(recorded)}
 
 
 def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
