@@ -12,8 +12,9 @@ Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, clinched by
   :func:`~polyclinch.submodular.clinch_kernel` (cardinality minima on
-  single-keyword and multi-unit oracles, which carry their rank list; the
-  2^n table otherwise).
+  single-keyword and multi-unit oracles, which carry their rank list;
+  reduced-rank max-flows on vod-cut oracles from n = 10; the 2^n table
+  otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -189,7 +190,9 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
 
     Every oracle is clinched by :func:`clinch_kernel`, which returns
-    ``(fhat([n]), delta)`` and needs no value table on cardinality oracles.
+    ``(fhat([n]), delta)`` and needs no value table on cardinality oracles,
+    nor on vod-cut oracles, which it clinches by reduced-rank max-flows from
+    n = 10.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop calls ``fhat_fn`` right after each clinch, at (rho + delta,
@@ -316,7 +319,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
 
     Each clinch is one :func:`clinch_kernel` call (see
     :func:`_clinch_callbacks`), so cardinality oracles (single-keyword and
-    multi-unit), which carry their rank list, run past the enumeration cap.
+    multi-unit), which carry their rank list, and vod-cut oracles, which
+    carry a reduced-rank max-flow, run past the enumeration cap.
     """
     n = oracle.n
     if len(bidders) != n:

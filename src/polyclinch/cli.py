@@ -29,7 +29,7 @@ from .instances import (
     parse_instance,
     write_instance,
 )
-from .submodular import verify_submodular
+from .submodular import check_enumeration_size, verify_submodular
 from .verify import (
     VerificationReport,
     check_dominated_direction,
@@ -73,6 +73,11 @@ def _verify(inst: InstanceFile):
                    None if direction is None else {"direction": [str(t) for t in direction]})
         return outcome, report
     oracle = inst.build_oracle()
+    # every check below reads the 2^n value table, so refuse before the run
+    check_enumeration_size(
+        oracle.n, "verify's value table",
+        "`clinch run` handles this instance without the table."
+        if oracle.ctrs is not None or oracle.reduced_rank is not None else "")
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)

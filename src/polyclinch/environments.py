@@ -13,7 +13,11 @@ for the function defining the feasible-allocation polytope:
 Each is defined by one :class:`~polyclinch.submodular.LatticeStep` alone,
 which gives both its value table and any value read before the table exists:
 a count per rank list for the first three (:func:`_rank_sum_oracle`),
-component labels for graphic, a maximum flow to augment for vod-cut.
+component labels for graphic, a maximum flow to augment for vod-cut.  The
+vod-cut oracle also carries a :class:`~polyclinch.submodular.ReducedRank`:
+R(c) = min over T of f(T) + c([n] \\ T) is one maximum flow with bidder i's
+sink arc at c_i, so its auctions clinch without the 2^n table and run past
+the enumeration cap.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -32,6 +36,7 @@ from .errors import DomainError
 from .submodular import (
     LatticeStep,
     Rational,
+    ReducedRank,
     SubmodularOracle,
     ZERO,
     _over_common_denominator,
@@ -309,6 +314,22 @@ class _ArcNetwork:
                 residual[a ^ 1] += bottleneck
             flow += bottleneck
 
+    def reaching(self, residual: List[int], target) -> List[bool]:
+        """Which nodes, by number, reach label ``target`` along arcs of
+        positive residual capacity: one breadth-first search backwards."""
+        head, adj = self.head, self.adj
+        target = self.index[target]
+        seen = [False] * len(adj)
+        seen[target] = True
+        queue = [target]
+        for v in queue:
+            for a in adj[v]:                 # a runs from v to u, a ^ 1 from u to v
+                u = head[a]
+                if residual[a ^ 1] and not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        return seen
+
 
 def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     """f(S) = min-cut from the source to the nodes of S (0 if unreachable).
@@ -323,6 +344,13 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     sink arc opens, so S + i copies S's residual, opens the arc and augments
     from there.  If S's last BFS did not reach bidder i's node, no
     augmenting path exists: the BFS is skipped and f(S + i) = f(S).
+
+    The reduced rank R(c) = min over T of f(T) + c([n] \\ T) is one cold
+    maximum flow with bidder i's sink arc at c_i (Fujishige, *Submodular
+    Functions and Optimization*, 2005, section 3.1).  Its smallest minimizer
+    T* is read off the final residual: the bidders with c_i > 0 whose node
+    still reaches the sink.  (With c_i = 0, dropping i from a minimizer
+    keeps it one.)
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -344,9 +372,19 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             flow += extra
         return flow, (flow, residual, reached)
 
+    def solve(scale: int, c: Sequence[int]) -> tuple:
+        residual = [capacity * scale for capacity in graph.cap]
+        for a, ci in zip(sink_arcs, c):
+            residual[a] = ci
+        total = graph.max_flow(residual, net.source, sink)[0]
+        reaches = graph.reaching(residual, sink)
+        return total, sum(1 << i for i, (b, ci) in enumerate(zip(bidder_index, c))
+                          if ci and reaches[b])
+
     root = graph.cap[:]
     flow = LatticeStep(den, (0, root, graph.max_flow(root, net.source, sink)[1]), step)
-    return SubmodularOracle(n, flow.value, True, f"vod-cut({n} bidders)", step=flow)
+    return SubmodularOracle(n, flow.value, True, f"vod-cut({n} bidders)", step=flow,
+                            reduced_rank=ReducedRank(den, solve))
 
 
 def decompose(inst: AdWordsInstance, x: Sequence[Rational]

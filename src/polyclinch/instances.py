@@ -11,7 +11,7 @@ Example::
       "schema": 1,
       "environment": {"kind": "multi-unit", "supply": "5"},
       "bidders": [{"value": "3", "budget": "2"}, {"value": "1", "budget": "inf"}],
-      "config": {"epsilon": "auto", "max_steps": 1000000, "trace": true}
+      "config": {"epsilon": "auto", "max_steps": 1000000, "trace": false}
     }
 
 Kind-specific payloads: ``single-keyword`` takes ``ctrs``; ``adwords`` takes
@@ -397,6 +397,6 @@ def generate_instance(kind: str, n: int, m: Optional[int] = None,
         "schema": SCHEMA_VERSION,
         "environment": env,
         "bidders": bidders,
-        "config": {"epsilon": "auto", "max_steps": 1_000_000, "trace": True},
+        "config": {"epsilon": "auto", "max_steps": 1_000_000, "trace": False},
     }
     return parse_instance_data(data)

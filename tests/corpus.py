@@ -9,6 +9,7 @@ so both regimes (value-limited and budget-limited) occur.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,15 @@ def random_adwords(rng: random.Random, n: int, m: int) -> AdWordsInstance:
 def without_ctrs(oracle: SubmodularOracle) -> SubmodularOracle:
     """The same set function without its CTR list, so engines take the kernel clinch."""
     return SubmodularOracle(oracle.n, oracle.value_mask, oracle.monotone, oracle.name)
+
+
+def reduced_rank(oracle: SubmodularOracle, c) -> tuple:
+    """R(c) as a Fraction and its smallest minimizer T* as a mask, from the
+    oracle's :class:`~polyclinch.submodular.ReducedRank`; c holds Fractions."""
+    rank = oracle.reduced_rank
+    den = math.lcm(rank.den, *(v.denominator for v in c))
+    total, smallest = rank.solve(den // rank.den, [int(v * den) for v in c])
+    return Fraction(total, den), smallest
 
 
 def random_bidders(rng: random.Random, n: int, max_value: int = 6,

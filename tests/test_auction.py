@@ -1,5 +1,7 @@
 """Clinching engines: the ascending loop, fast path, scaling, curve demands."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -31,8 +33,8 @@ from polyclinch import (
     single_keyword_oracle,
 )
 
-from polyclinch import auction
-from polyclinch.instances import generate_instance
+from polyclinch import auction, submodular
+from polyclinch.instances import generate_instance, parse_instance
 from polyclinch.submodular import SubmodularOracle, clinch_kernel
 from polyclinch.verify import (
     APPENDIX_D_BUDGETS,
@@ -43,10 +45,12 @@ from polyclinch.verify import (
     appendix_d_curves,
 )
 
-from corpus import KINDS, random_bidders, random_oracle, without_ctrs
+from corpus import (KINDS, polymatroid_cases, random_bidders, random_oracle, reduced_rank,
+                    without_ctrs)
 from reference_loop import clinching_steps, demands_at, recorded_run, reference_run
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +210,66 @@ def test_ctr_clinch_runs_above_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "6")
     out = run_clinching(oracle, inst.bidders, cfg)
     assert out == reference and any(out.allocation)
+
+
+# ---------------------------------------------------------------------------
+# vod-cut: the reduced-rank max-flow clinch against the table
+# ---------------------------------------------------------------------------
+
+def _flow_and_table_json(monkeypatch, oracle, bidders, cfg=AuctionConfig(trace=True)):
+    """The traced outcome's JSON with the flow clinch at every n, then with the table."""
+    texts = []
+    for min_n in (1, 1 << 30):
+        monkeypatch.setattr(submodular, "_FLOW_MIN_N", min_n)
+        texts.append(json.dumps(run_clinching(oracle, bidders, cfg).to_json()))
+    return texts
+
+
+def test_flow_clinch_matches_the_table_on_the_vod_cut_corpus(monkeypatch):
+    sold = 0
+    for label, oracle, bidders in polymatroid_cases(seed=1803, count=40, n_max=12,
+                                                    kinds=("vod-cut",)):
+        assert oracle.reduced_rank is not None
+        flow, table = _flow_and_table_json(monkeypatch, oracle, bidders)
+        assert flow == table, label
+        sold += any(x != "0" for x in json.loads(flow)["x"])
+    assert sold >= 30
+
+
+def test_flow_clinch_matches_the_table_at_n16(monkeypatch):
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    for seed in range(4):
+        inst = generate_instance("vod-cut", 16, None, seed)
+        flow, table = _flow_and_table_json(monkeypatch, inst.build_oracle(), inst.bidders)
+        assert flow == table, seed
+
+
+def test_flow_clinch_matches_the_table_on_vod_cut_fixtures(monkeypatch):
+    fixtures = [path for path in sorted(FIXTURES.glob("*.json"))
+                if json.loads(path.read_text())["environment"]["kind"] == "vod-cut"]
+    assert fixtures
+    for path in fixtures:
+        inst = parse_instance(path)
+        for cfg in (inst.config, AuctionConfig(trace=True)):
+            flow, table = _flow_and_table_json(monkeypatch, inst.build_oracle(),
+                                               inst.bidders, cfg)
+            assert flow == table, (path.name, cfg)
+
+
+def test_vod_cut_runs_above_the_enumeration_cap(monkeypatch):
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    inst = generate_instance("vod-cut", 40, None, 0)
+    oracle = inst.build_oracle()
+
+    def no_table(self):
+        raise AssertionError(f"{self.name}: integer table built")
+    monkeypatch.setattr(SubmodularOracle, "integer_table", no_table)
+    out = run_clinching(oracle, inst.bidders, AuctionConfig())
+    for b, x, pay in zip(inst.bidders, out.allocation, out.payments):
+        assert 0 <= pay <= b.value * x                               # individual rationality
+        assert b.budget is None or pay <= b.budget                   # budget feasibility
+    # x in P(f): the most that fits under x is all of x
+    assert reduced_rank(oracle, out.allocation)[0] == sum(out.allocation) > 0
 
 
 def _classic_multi_unit_kernel(supply):

@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-from polyclinch.cli import EXIT_INPUT, EXIT_OK, main
+from polyclinch import cli, verify
+from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -194,6 +195,22 @@ def test_gen_output_passes_verify_and_check(tmp_path, capsys, kind):
     assert code == EXIT_OK
     code, _, _ = run_cli(capsys, "check-submodular", "-i", str(dest))
     assert code == EXIT_OK
+
+
+def test_verify_refuses_past_the_cap_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    dest = tmp_path / "vod-cut-20.json"
+    assert run_cli(capsys, "gen", "--kind", "vod-cut", "--n", "20", "--seed", "0",
+                   "-o", str(dest))[0] == EXIT_OK
+
+    def no_run(*args):
+        raise AssertionError("the auction ran")
+    monkeypatch.setattr(cli, "run_clinching", no_run)
+    monkeypatch.setattr(verify, "run_clinching", no_run)
+    code, out, err = run_cli(capsys, "verify", "-i", str(dest))
+    assert code == EXIT_INTERNAL and out == ""
+    assert "exceeds the cap of 16" in err and "CLINCH_BRUTE_FORCE_CAP" in err
+    assert "`clinch run` handles this instance" in err
 
 
 def test_check_submodular_fixture(capsys):

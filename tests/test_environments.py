@@ -21,7 +21,7 @@ from polyclinch import (
 )
 from polyclinch.instances import generate_instance
 
-from corpus import random_adwords, random_oracle
+from corpus import random_adwords, random_oracle, reduced_rank
 
 F = Fraction
 
@@ -453,6 +453,39 @@ def test_vod_cut_matches_brute_force_min_cut():
     for net in nets:
         oracle = vod_cut_oracle(net)
         assert [oracle.value_mask(m) for m in range(1 << oracle.n)] == _min_cut_table(net), net
+
+
+def test_reduced_rank_matches_its_definition():
+    # zero capacities, two bidders on one node and bidders the source cannot
+    # reach come from _random_network; c mixes zeros and denominators
+    rng = random.Random(3103)
+    cases = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
+             (CapacitatedNetwork.build([("s", "a", 2)], "s", ["a", "island"]), (F(7), F(1, 2))),
+             (hub_network(), (F(0), F(0)))]
+    for t in range(150):
+        n = rng.randint(1, 8)
+        if t % 3:
+            net = _random_network(rng, n)
+        else:
+            payload = generate_instance("vod-cut", n, None, t).environment.payload
+            net = CapacitatedNetwork.build(payload["edges"], payload["source"],
+                                           payload["bidder_nodes"])
+        c = tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
+                  for _ in range(n))
+        cases.append((net, c))
+    ties = 0
+    for net, c in cases:
+        oracle = vod_cut_oracle(net)
+        n = oracle.n
+        den, nums = oracle.integer_table()
+        values = [F(nums[m], den) + sum(c[i] for i in range(n) if not m >> i & 1)
+                  for m in range(1 << n)]
+        total, smallest = reduced_rank(oracle, c)
+        assert total == min(values) == values[smallest], (net, c)
+        minimizers = [m for m, v in enumerate(values) if v == total]
+        assert all(m & smallest == smallest for m in minimizers), (net, c)
+        ties += len(minimizers) > 1
+    assert ties >= 20
 
 
 def test_vod_cut_rejects_source_as_bidder():
