@@ -13,8 +13,7 @@ Engines:
 * :func:`run_clinching`            -- polymatroid environments, clinched by
   :func:`~polyclinch.submodular.clinch_kernel` (cardinality minima on
   single-keyword and multi-unit oracles, which carry their rank list;
-  reduced-rank max-flows on vod-cut oracles from n = 10; the 2^n table
-  otherwise).
+  reduced-rank max-flows on vod-cut oracles; the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -191,8 +190,7 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
 
     Every oracle is clinched by :func:`clinch_kernel`, which returns
     ``(fhat([n]), delta)`` and needs no value table on cardinality oracles,
-    nor on vod-cut oracles, which it clinches by reduced-rank max-flows from
-    n = 10.
+    nor on vod-cut oracles, which it clinches by reduced-rank max-flows.
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop calls ``fhat_fn`` right after each clinch, at (rho + delta,

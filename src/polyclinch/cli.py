@@ -29,7 +29,7 @@ from .instances import (
     parse_instance,
     write_instance,
 )
-from .submodular import check_enumeration_size, verify_submodular
+from .submodular import check_enumeration_size, clinches_without_table, verify_submodular
 from .verify import (
     VerificationReport,
     check_dominated_direction,
@@ -77,7 +77,7 @@ def _verify(inst: InstanceFile):
     check_enumeration_size(
         oracle.n, "verify's value table",
         "`clinch run` handles this instance without the table."
-        if oracle.ctrs is not None or oracle.reduced_rank is not None else "")
+        if clinches_without_table(oracle) else "")
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)

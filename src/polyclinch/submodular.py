@@ -22,7 +22,7 @@ definition on ``Fraction`` tables and serves as the reference it is checked
 against.  Also ``fhat([n]) = R(rho + d) - rho([n])``, with the reduced rank
 ``R(c) = min over T of f(T) + c([n] \\ T)``; an oracle that computes R
 without a table (a :class:`ReducedRank`, such as the vod-cut max-flow) is
-clinched that way from n = 10 on, and past the enumeration cap.
+always clinched that way, and its promises are checked by one more R.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
@@ -36,7 +36,8 @@ witness of a failure, so witnesses stay those of the definition.
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); the verifiers are meant
 for desk-scale verification, not for large-scale submodular minimization.
-Only cardinality and reduced-rank oracles clinch past the cap.
+Only cardinality and reduced-rank oracles clinch past the cap
+(:func:`clinches_without_table`); the verifiers still need the table there.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ from .errors import ClinchError, DomainError, PreconditionError, SizeError
 
 DEFAULT_BRUTE_FORCE_CAP = 16
 _CAP_ENV = "CLINCH_BRUTE_FORCE_CAP"
-# clinch_kernel prefers an oracle's reduced rank to its table from this many
-# elements on: on generated vod-cut markets (seeds 0-3) the two are even at
-# n = 8, and from n = 10 the flow runs a whole auction 1.7-18x faster.
-_FLOW_MIN_N = 10
 
 Rational = Union[int, str, Fraction]
 
@@ -485,12 +482,31 @@ def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
 
 
 def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction], what: str) -> None:
-    check_enumeration_size(oracle.n, what)
-    result = membership(oracle, rho)
-    if not result.ok:
+    """Raise :class:`PreconditionError` unless rho lies in P(f), naming the
+    set :func:`membership` names.
+
+    An oracle with a :class:`ReducedRank` decides it without the table:
+    rho is in P(f) iff R(rho) = rho([n]).  Otherwise the minimizers of
+    f - rho are the most-violated sets, and the smallest one, T*, is the
+    unique one of least cardinality, which is membership's witness.
+    """
+    rank = oracle.reduced_rank
+    if rank is None:
+        check_enumeration_size(oracle.n, what)
+        result = membership(oracle, rho)
+        witness = None if result.ok else result.violating
+    else:
+        for i, ri in enumerate(rho):
+            if ri < 0:
+                raise DomainError(f"membership requires x >= 0, got x[{i}] = {ri}")
+        den = math.lcm(rank.den, *(v.denominator for v in rho))
+        rnum = [v.numerator * (den // v.denominator) for v in rho]
+        total, smallest = rank.solve(den // rank.den, rnum)
+        witness = None if total == sum(rnum) else set_of(smallest)
+    if witness is not None:
         raise PreconditionError(
             f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
-            f"S = {sorted(result.violating)}", witness=result.violating)
+            f"S = {sorted(witness)}", witness=witness)
 
 
 class ResidualOracle:
@@ -638,26 +654,25 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
       :func:`_cardinality_min` and no table is built.  This branch checks
       that rho lies in P(f), which is ``_cardinality_min(ctrs, rho) >= 0``,
       and raises :class:`PreconditionError` with the violated set otherwise.
-    * Oracles with a :class:`ReducedRank` (vod-cut), when n >= 10 or n is
-      above the enumeration cap: min h = R(rho + d) - (rho + d)([n]), one
-      max-flow, plus one more for each bidder in the smallest minimizer T*
-      of h (:func:`_flow_clinch`).  No table is built.  Below n = 10 the
-      table branch runs; the two are close there.
+    * Oracles with a :class:`ReducedRank` (vod-cut): min h = R(rho + d) -
+      (rho + d)([n]), one max-flow, plus one more for each bidder in the
+      smallest minimizer T* of h (:func:`_flow_clinch`).  No table is built.
     * All other oracles: h over all 2^n masks, from the oracle's cached
       integer table.  When a minimizer T* of h avoids i the two minima agree
       and delta_i = d_i, so only the bits of T* need the second minimum.
 
+    The first two are the oracles :func:`clinches_without_table` names.
     The last two branches leave rho in P(f) unchecked: the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
     kernel on such an oracle.
 
     rho and d are Fraction vectors with d >= 0.
     """
-    if oracle.ctrs is not None:
-        return _ctr_clinch(oracle.ctrs, rho, d)
-    n = oracle.n
-    if oracle.reduced_rank is not None and (n >= _FLOW_MIN_N or n > brute_force_cap()):
+    if clinches_without_table(oracle):
+        if oracle.ctrs is not None:
+            return _ctr_clinch(oracle.ctrs, rho, d)
         return _flow_clinch(oracle.reduced_rank, rho, d)
+    n = oracle.n
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     low = min(h)
     argmin = h.index(low)
@@ -668,6 +683,13 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
         else:
             delta.append(d[i])
     return Fraction(sum(dnum) + low, den), tuple(delta)
+
+
+def clinches_without_table(oracle: SubmodularOracle) -> bool:
+    """Whether :func:`clinch_kernel` clinches ``oracle`` without its 2^n value
+    table, and so past the enumeration cap: oracles that carry ``ctrs`` or a
+    :class:`ReducedRank`."""
+    return oracle.ctrs is not None or oracle.reduced_rank is not None
 
 
 def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
@@ -693,8 +715,9 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
     Checks that rho >= 0, d >= 0 and rho lies in P(f) first: on cardinality
-    oracles (``ctrs`` set) the kernel decides rho in P(f) itself, without a
-    2^n table, so those run above ``CLINCH_BRUTE_FORCE_CAP``.  The result
+    oracles (``ctrs`` set) the kernel decides rho in P(f) itself, and on
+    oracles with a reduced rank one more flow decides it, so neither needs
+    a 2^n table and both run above ``CLINCH_BRUTE_FORCE_CAP``.  The result
     satisfies 0 <= delta <= d and rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)

@@ -30,7 +30,8 @@ def random_adwords(rng: random.Random, n: int, m: int) -> AdWordsInstance:
 
 
 def without_ctrs(oracle: SubmodularOracle) -> SubmodularOracle:
-    """The same set function without its CTR list, so engines take the kernel clinch."""
+    """The same set function without its CTR list, lattice step or reduced
+    rank, so engines clinch it on the 2^n table."""
     return SubmodularOracle(oracle.n, oracle.value_mask, oracle.monotone, oracle.name)
 
 

@@ -33,7 +33,7 @@ from polyclinch import (
     single_keyword_oracle,
 )
 
-from polyclinch import auction, submodular
+from polyclinch import auction
 from polyclinch.instances import generate_instance, parse_instance
 from polyclinch.submodular import SubmodularOracle, clinch_kernel
 from polyclinch.verify import (
@@ -216,21 +216,21 @@ def test_ctr_clinch_runs_above_the_enumeration_cap(monkeypatch):
 # vod-cut: the reduced-rank max-flow clinch against the table
 # ---------------------------------------------------------------------------
 
-def _flow_and_table_json(monkeypatch, oracle, bidders, cfg=AuctionConfig(trace=True)):
-    """The traced outcome's JSON with the flow clinch at every n, then with the table."""
-    texts = []
-    for min_n in (1, 1 << 30):
-        monkeypatch.setattr(submodular, "_FLOW_MIN_N", min_n)
-        texts.append(json.dumps(run_clinching(oracle, bidders, cfg).to_json()))
-    return texts
+def _flow_and_table_json(oracle, bidders, cfg=AuctionConfig(trace=True)):
+    """The traced outcome's JSON with the flow clinch, then on the same set
+    function without its reduced rank, which the kernel clinches on the table."""
+    flow = run_clinching(oracle, bidders, cfg)
+    oracle.integer_table()              # the reference reads the lattice-walk table
+    table = run_clinching(without_ctrs(oracle), bidders, cfg)
+    return json.dumps(flow.to_json()), json.dumps(table.to_json())
 
 
-def test_flow_clinch_matches_the_table_on_the_vod_cut_corpus(monkeypatch):
+def test_flow_clinch_matches_the_table_on_the_vod_cut_corpus():
     sold = 0
     for label, oracle, bidders in polymatroid_cases(seed=1803, count=40, n_max=12,
                                                     kinds=("vod-cut",)):
         assert oracle.reduced_rank is not None
-        flow, table = _flow_and_table_json(monkeypatch, oracle, bidders)
+        flow, table = _flow_and_table_json(oracle, bidders)
         assert flow == table, label
         sold += any(x != "0" for x in json.loads(flow)["x"])
     assert sold >= 30
@@ -240,19 +240,18 @@ def test_flow_clinch_matches_the_table_at_n16(monkeypatch):
     monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
     for seed in range(4):
         inst = generate_instance("vod-cut", 16, None, seed)
-        flow, table = _flow_and_table_json(monkeypatch, inst.build_oracle(), inst.bidders)
+        flow, table = _flow_and_table_json(inst.build_oracle(), inst.bidders)
         assert flow == table, seed
 
 
-def test_flow_clinch_matches_the_table_on_vod_cut_fixtures(monkeypatch):
+def test_flow_clinch_matches_the_table_on_vod_cut_fixtures():
     fixtures = [path for path in sorted(FIXTURES.glob("*.json"))
                 if json.loads(path.read_text())["environment"]["kind"] == "vod-cut"]
     assert fixtures
     for path in fixtures:
         inst = parse_instance(path)
         for cfg in (inst.config, AuctionConfig(trace=True)):
-            flow, table = _flow_and_table_json(monkeypatch, inst.build_oracle(),
-                                               inst.bidders, cfg)
+            flow, table = _flow_and_table_json(inst.build_oracle(), inst.bidders, cfg)
             assert flow == table, (path.name, cfg)
 
 

@@ -26,6 +26,7 @@ from polyclinch import (
 )
 
 from polyclinch import submodular
+from polyclinch.instances import generate_instance
 from polyclinch.submodular import (
     LatticeStep,
     MembershipResult,
@@ -677,6 +678,42 @@ def test_clinch_amounts_on_ctr_oracles_needs_no_table(monkeypatch):
     # feasible for every single bidder, but the top two promises exceed 20 + 19
     with pytest.raises(PreconditionError):
         clinch_amounts(single_keyword_oracle(range(20, 0, -1)), [20, 20] + [0] * 18, [1] * 20)
+
+
+def test_clinch_amounts_on_vod_cut_checks_promises_by_flow(monkeypatch):
+    # rho in P(f) is decided by R(rho) = rho([n]); a failure names the set
+    # membership names, and a pass gives the table kernel's clinch
+    rng = random.Random(3141)
+    failed = 0
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        oracle = random_oracle(rng, "vod-cut", n)
+        total = oracle.value_mask((1 << n) - 1)
+        rho = tuple(F(rng.randint(0, 3), rng.choice((1, 2))) * total / n for _ in range(n))
+        d = random_demands(rng, n)
+        expected = membership(oracle, rho)
+        if expected.ok:
+            assert clinch_amounts(oracle, rho, d) == clinch_amounts(without_ctrs(oracle), rho, d)
+            continue
+        with pytest.raises(PreconditionError) as err:
+            clinch_amounts(oracle, rho, d)
+        assert err.value.witness == expected.violating
+        failed += 1
+    assert failed >= 20
+    with pytest.raises(DomainError):
+        clinch_amounts(oracle, (F(-1),) + rho[1:], d)
+
+    # past the cap, without the table
+    def no_table(self):
+        raise AssertionError(f"{self.name}: integer table built")
+    monkeypatch.setattr(SubmodularOracle, "integer_table", no_table)
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "16")
+    oracle = generate_instance("vod-cut", 20, None, 0).build_oracle()
+    delta = clinch_amounts(oracle, [0] * 20, [1] * 20)
+    assert all(0 <= x <= 1 for x in delta) and any(delta)
+    with pytest.raises(PreconditionError) as err:
+        clinch_amounts(oracle, [oracle.singleton(0) + 1] + [0] * 19, [1] * 20)
+    assert err.value.witness == frozenset({0})
 
 
 def test_cardinality_precondition_witness_matches_membership():
