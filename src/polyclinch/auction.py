@@ -11,9 +11,9 @@ when every demand is zero.
 Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, clinched by
-  :func:`~polyclinch.submodular.clinch_kernel` (cardinality minima on
-  single-keyword and multi-unit oracles, which carry their rank list;
-  reduced-rank max-flows on vod-cut oracles; the 2^n table otherwise).
+  :func:`~polyclinch.submodular.clinch_kernel` (reduced ranks on oracles
+  that carry them: one sort on single-keyword and multi-unit oracles, one
+  max-flow on vod-cut oracles; the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -39,9 +39,11 @@ from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
-    _ctr_clinch,
+    _cardinality_rank,
+    _check_rank_promises,
     _demand_vector,
     _over_common_denominator,
+    _reduced_rank_clinch,
     as_fraction,
     clinch_kernel,
     vector,
@@ -177,20 +179,23 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
                       d: Sequence[Rational]) -> Fraction:
     """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} for f(S) = A_|S|.
 
-    A_t is the sum of the first t ``ctrs``; this is the total of the clinch
-    that :func:`clinch_kernel` runs on cardinality oracles.  rho must lie in
+    A_t is the sum of the first t ``ctrs``, which must be >= 0 and
+    nonincreasing; this is the total of the clinch that :func:`clinch_kernel`
+    runs on cardinality oracles, by their reduced rank.  rho must lie in
     P(f), or :class:`PreconditionError` is raised.
     """
     n = len(rho)
-    return _ctr_clinch(vector(ctrs), vector(rho, n), _demand_vector(d, n))[0]
+    rank, prom, dem = _cardinality_rank(ctrs), vector(rho, n), _demand_vector(d, n)
+    _check_rank_promises(rank, prom)
+    return _reduced_rank_clinch(rank, prom, dem)[0]
 
 
 def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
 
     Every oracle is clinched by :func:`clinch_kernel`, which returns
-    ``(fhat([n]), delta)`` and needs no value table on cardinality oracles,
-    nor on vod-cut oracles, which it clinches by reduced-rank max-flows.
+    ``(fhat([n]), delta)`` and needs no value table on oracles with a
+    reduced rank (cardinality and vod-cut).
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop calls ``fhat_fn`` right after each clinch, at (rho + delta,
@@ -316,9 +321,9 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     """Clinching auction over the polymatroid defined by ``oracle``.
 
     Each clinch is one :func:`clinch_kernel` call (see
-    :func:`_clinch_callbacks`), so cardinality oracles (single-keyword and
-    multi-unit), which carry their rank list, and vod-cut oracles, which
-    carry a reduced-rank max-flow, run past the enumeration cap.
+    :func:`_clinch_callbacks`), so oracles with a reduced rank (single-keyword
+    and multi-unit by one sort, vod-cut by one max-flow) run past the
+    enumeration cap.
     """
     n = oracle.n
     if len(bidders) != n:

@@ -14,10 +14,11 @@ Each is defined by one :class:`~polyclinch.submodular.LatticeStep` alone,
 which gives both its value table and any value read before the table exists:
 a count per rank list for the first three (:func:`_rank_sum_oracle`),
 component labels for graphic, a maximum flow to augment for vod-cut.  The
-vod-cut oracle also carries a :class:`~polyclinch.submodular.ReducedRank`:
-R(c) = min over T of f(T) + c([n] \\ T) is one maximum flow with bidder i's
-sink arc at c_i, so its auctions clinch without the 2^n table and run past
-the enumeration cap.
+multi-unit, single-keyword and vod-cut oracles also carry a
+:class:`~polyclinch.submodular.ReducedRank`, R(c) = min over T of f(T) +
+c([n] \\ T): one sort of c for the first two, whose rank list becomes it,
+and one maximum flow with bidder i's sink arc at c_i for vod-cut.  So their
+auctions clinch without the 2^n table and run past the enumeration cap.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -40,23 +41,10 @@ from .submodular import (
     SubmodularOracle,
     ZERO,
     _over_common_denominator,
+    _rank_list,
     as_fraction,
     vector,
 )
-
-
-def _rank_list(values: Sequence[Rational], what: str) -> tuple:
-    """``values`` as exact rationals, >= 0 and nonincreasing; errors name them ``what``."""
-    values = list(values)
-    if any(isinstance(a, (list, tuple)) for a in values):
-        raise DomainError(f"{what} must be rationals, not lists")
-    alpha = vector(values)
-    shown = ", ".join(map(str, alpha))
-    if any(a < 0 for a in alpha):
-        raise DomainError(f"{what} must be >= 0, got ({shown})")
-    if any(a < b for a, b in zip(alpha, alpha[1:])):
-        raise DomainError(f"{what} must be nonincreasing, got ({shown})")
-    return alpha
 
 
 def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOracle:
@@ -67,7 +55,8 @@ def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOr
     the lists' least common denominator, and the count |S & members| of
     each group: S + i adds to f the entry of alpha at the old count of each
     group that holds i.  When one group holds every bidder, f is a
-    cardinality oracle and carries alpha as ``ctrs``.
+    cardinality oracle, built with alpha as ``ctrs``, which the oracle turns
+    into its reduced rank.
     """
     den = _over_common_denominator([a for _, alpha in groups for a in alpha])[0]
     lists = [[int(a * den) for a in alpha] + [0] * (len(members) - len(alpha))

@@ -21,8 +21,9 @@ over a common denominator, while :class:`ResidualOracle` evaluates the
 definition on ``Fraction`` tables and serves as the reference it is checked
 against.  Also ``fhat([n]) = R(rho + d) - rho([n])``, with the reduced rank
 ``R(c) = min over T of f(T) + c([n] \\ T)``; an oracle that computes R
-without a table (a :class:`ReducedRank`, such as the vod-cut max-flow) is
-always clinched that way, and its promises are checked by one more R.
+without a table (a :class:`ReducedRank`: one sort for a cardinality oracle's
+rank list, :func:`_cardinality_rank`, or the vod-cut max-flow) is always
+clinched that way, and its promises are checked by one more R.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
@@ -36,8 +37,9 @@ witness of a failure, so witnesses stay those of the definition.
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); the verifiers are meant
 for desk-scale verification, not for large-scale submodular minimization.
-Only cardinality and reduced-rank oracles clinch past the cap
-(:func:`clinches_without_table`); the verifiers still need the table there.
+Only reduced-rank oracles clinch past the cap (:func:`clinches_without_table`),
+and :func:`clinch_amounts` checks their promises there too; the verifiers
+still need the table.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ClinchError, DomainError, PreconditionError, SizeError
@@ -106,6 +107,20 @@ def vector(values: Iterable[Rational], n: Optional[int] = None) -> tuple:
     if n is not None and len(vec) != n:
         raise DomainError(f"expected a vector of length {n}, got {len(vec)}")
     return vec
+
+
+def _rank_list(values: Iterable[Rational], what: str) -> tuple:
+    """``values`` as exact rationals, >= 0 and nonincreasing; errors name them ``what``."""
+    values = list(values)
+    if any(isinstance(a, (list, tuple)) for a in values):
+        raise DomainError(f"{what} must be rationals, not lists")
+    alpha = vector(values)
+    shown = ", ".join(map(str, alpha))
+    if any(a < 0 for a in alpha):
+        raise DomainError(f"{what} must be >= 0, got ({shown})")
+    if any(a < b for a, b in zip(alpha, alpha[1:])):
+        raise DomainError(f"{what} must be nonincreasing, got ({shown})")
+    return alpha
 
 
 def mask_of(subset: Iterable[int], n: int) -> int:
@@ -175,6 +190,34 @@ class ReducedRank:
         self.den, self.solve = den, solve
 
 
+def _cardinality_rank(ctrs: Iterable[Rational]) -> ReducedRank:
+    """The reduced rank of f(S) = A_|S|, A_t the sum of the first t ``ctrs``.
+
+    The list must be >= 0 and nonincreasing, and counts as 0 past its end.
+    Among the sets of size t, f(T) - c(T) is least on the t largest entries
+    of c, so R(c) = c([n]) + min over t of A_t - (the t largest c summed):
+    one sort and one running-sum scan.  The smallest minimizing t never
+    splits a tie, since A_t - A_(t-1) does not grow with t: if the t-th and
+    (t+1)-th largest entries were equal, t + 1 would do strictly better than
+    t.  So the entries at least the t-th largest are the smallest minimizer.
+    """
+    den, alpha = _over_common_denominator(_rank_list(ctrs, "rank list"))
+
+    def solve(scale: int, c: Sequence[int]) -> tuple:
+        top = sorted(c, reverse=True)
+        low = run = size = 0
+        for t, v in enumerate(top):
+            run += (alpha[t] * scale if t < len(alpha) else 0) - v
+            if run < low:
+                low, size = run, t + 1
+        if size == 0:
+            return sum(c), 0
+        cut = top[size - 1]
+        return sum(c) + low, sum(1 << i for i, ci in enumerate(c) if ci >= cut)
+
+    return ReducedRank(den, solve)
+
+
 def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
     """values[m] for every mask m, with values[0] = 0, in one walk.
 
@@ -211,8 +254,11 @@ class SubmodularOracle:
     :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
     table exists runs the same code.  An oracle whose reduced rank has a
     fast solver may supply it as a :class:`ReducedRank`, and
-    :func:`clinch_kernel` then clinches without the table.  ``monotone`` is a
-    claim by the constructor, checkable with :func:`verify_submodular`.
+    :func:`clinch_kernel` then clinches without the table.  A cardinality
+    oracle, f(S) = A_|S| with A_t the sum of the first t entries of a
+    nonincreasing list >= 0, gives the list as ``ctrs`` instead, and the
+    constructor turns it into its :func:`_cardinality_rank`.  ``monotone`` is
+    a claim by the constructor, checkable with :func:`verify_submodular`.
     Oracles are immutable after construction and safe to share read-only
     across threads.
     """
@@ -223,12 +269,15 @@ class SubmodularOracle:
                  reduced_rank: Optional[ReducedRank] = None):
         if n < 1:
             raise DomainError(f"ground set must have n >= 1, got {n}")
+        if ctrs is not None:
+            if reduced_rank is not None:
+                raise DomainError("give an oracle ctrs or a reduced_rank, not both")
+            reduced_rank = _cardinality_rank(ctrs)
         self.n = n
         self.monotone = monotone
         self.name = name
-        # Cardinality oracles carry their rank list: f(S) = A_|S|, A_t the
-        # sum of its first t entries, so clinch_kernel minimizes over
-        # cardinalities, not a 2^n table.
+        # The rank list a cardinality oracle was built from, kept so that a
+        # wrapper can build the same oracle again; the reduced rank is its use.
         self.ctrs = ctrs
         self.reduced_rank = reduced_rank
         self._fn = fn_mask
@@ -481,32 +530,37 @@ def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
     return dem
 
 
+def _outside(witness: frozenset) -> PreconditionError:
+    return PreconditionError(
+        f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
+        f"S = {sorted(witness)}", witness=witness)
+
+
+def _check_rank_promises(rank: ReducedRank, rho: Sequence[Fraction]) -> None:
+    """:func:`_check_promises` by one reduced rank: rho is in P(f) iff
+    R(rho) = rho([n]).  Otherwise the minimizers of f - rho are the
+    most-violated sets, and the smallest one, T*, is the unique one of least
+    cardinality, which is membership's witness."""
+    for i, ri in enumerate(rho):
+        if ri < 0:
+            raise DomainError(f"membership requires x >= 0, got x[{i}] = {ri}")
+    den = math.lcm(rank.den, *(v.denominator for v in rho))
+    rnum = [v.numerator * (den // v.denominator) for v in rho]
+    total, smallest = rank.solve(den // rank.den, rnum)
+    if total != sum(rnum):
+        raise _outside(set_of(smallest))
+
+
 def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction], what: str) -> None:
     """Raise :class:`PreconditionError` unless rho lies in P(f), naming the
-    set :func:`membership` names.
-
-    An oracle with a :class:`ReducedRank` decides it without the table:
-    rho is in P(f) iff R(rho) = rho([n]).  Otherwise the minimizers of
-    f - rho are the most-violated sets, and the smallest one, T*, is the
-    unique one of least cardinality, which is membership's witness.
-    """
-    rank = oracle.reduced_rank
-    if rank is None:
-        check_enumeration_size(oracle.n, what)
-        result = membership(oracle, rho)
-        witness = None if result.ok else result.violating
-    else:
-        for i, ri in enumerate(rho):
-            if ri < 0:
-                raise DomainError(f"membership requires x >= 0, got x[{i}] = {ri}")
-        den = math.lcm(rank.den, *(v.denominator for v in rho))
-        rnum = [v.numerator * (den // v.denominator) for v in rho]
-        total, smallest = rank.solve(den // rank.den, rnum)
-        witness = None if total == sum(rnum) else set_of(smallest)
-    if witness is not None:
-        raise PreconditionError(
-            f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
-            f"S = {sorted(witness)}", witness=witness)
+    set :func:`membership` names; an oracle with a :class:`ReducedRank`
+    decides it without the table (:func:`_check_rank_promises`)."""
+    if oracle.reduced_rank is not None:
+        return _check_rank_promises(oracle.reduced_rank, rho)
+    check_enumeration_size(oracle.n, what)
+    result = membership(oracle, rho)
+    if not result.ok:
+        raise _outside(result.violating)
 
 
 class ResidualOracle:
@@ -571,50 +625,8 @@ def _min_without_bit(values: list, i: int) -> int:
     return min(min(values[s:s + width]) for s in range(0, size, period))
 
 
-def _cardinality_min(alpha: Sequence, c: Sequence):
-    """min over T of A_|T| - c(T), A_t the sum of the first t entries of alpha.
-
-    alpha is a rank list, nonincreasing, padded with zeros to at least
-    len(c) entries.  For each size t the minimizing T is the t largest
-    entries of c, so one sort and one running-sum scan over t = 0..len(c)
-    give the minimum.
-    """
-    low = run = 0
-    for a, v in zip(alpha, sorted(c, reverse=True)):
-        run += a - v
-        low = min(low, run)
-    return low
-
-
-def _ctr_clinch(ctrs: Sequence[Fraction], rho: Sequence[Fraction],
-                d: Sequence[Fraction]) -> tuple:
-    """:func:`clinch_kernel` on f(S) = A_|S|, A_t the sum of the first t ``ctrs``.
-
-    Raises :class:`PreconditionError` unless rho lies in P(f), with the set
-    :func:`membership` names as witness: the t largest promises for the
-    smallest t that minimizes A_t - rho(top t).  As A is nonincreasing, that
-    t never splits a tie among the promises, so the set is unique.
-    """
-    n = len(rho)
-    den, nums = _over_common_denominator([*rho, *d, *ctrs])
-    rnum, dnum, anum = nums[:n], nums[n:2 * n], nums[2 * n:]
-    anum += [0] * (n - len(anum))            # A_t stays flat past the list
-    if _cardinality_min(anum, rnum) < 0:
-        order = sorted(range(n), key=lambda i: (-rnum[i], i))
-        runs = list(accumulate(a - rnum[i] for a, i in zip(anum, order)))
-        witness = frozenset(order[:runs.index(min(runs)) + 1])
-        raise PreconditionError(
-            "rho is not in the cardinality polymatroid: rho(S) exceeds f(S) on "
-            f"S = {sorted(witness)}", witness=witness)
-    c = list(map(operator.add, rnum, dnum))
-    low = _cardinality_min(anum, c)
-    return Fraction(sum(dnum) + low, den), tuple(
-        Fraction(max(0, dnum[i] + low - _cardinality_min(anum, c[:i] + c[i + 1:])), den)
-        for i in range(n))
-
-
-def _flow_clinch(rank: ReducedRank, rho: Sequence[Fraction],
-                 d: Sequence[Fraction]) -> tuple:
+def _reduced_rank_clinch(rank: ReducedRank, rho: Sequence[Fraction],
+                         d: Sequence[Fraction]) -> tuple:
     """:func:`clinch_kernel` by reduced ranks, on integers over one common denominator.
 
     With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
@@ -644,34 +656,26 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 
     With ``h = f - rho - d``, ``fhat(S) = d(S) + min over T <= S of h(T)``, so
     the clinch needs only n + 1 minima of h: over all sets, and over the sets
-    without i.  Three branches take them on integers over one common
+    without i.  Two branches take them on integers over one common
     denominator; exact, and equal to the values :class:`ResidualOracle` gives.
 
-    * Cardinality oracles, which carry their rank list as ``ctrs``
-      (single-keyword, multi-unit, one-keyword AdWords; f(S) = A_|S|, A_t
-      the sum of the first t entries): among the sets of size t, h is least
-      on the t largest entries of rho + d, so each minimum is one
-      :func:`_cardinality_min` and no table is built.  This branch checks
-      that rho lies in P(f), which is ``_cardinality_min(ctrs, rho) >= 0``,
-      and raises :class:`PreconditionError` with the violated set otherwise.
-    * Oracles with a :class:`ReducedRank` (vod-cut): min h = R(rho + d) -
-      (rho + d)([n]), one max-flow, plus one more for each bidder in the
-      smallest minimizer T* of h (:func:`_flow_clinch`).  No table is built.
+    * Oracles with a :class:`ReducedRank` (cardinality oracles by one sort,
+      vod-cut by one max-flow): min h = R(rho + d) - (rho + d)([n]), plus
+      one more R for each bidder in the smallest minimizer T* of h
+      (:func:`_reduced_rank_clinch`).  No table is built; these are the
+      oracles :func:`clinches_without_table` names.
     * All other oracles: h over all 2^n masks, from the oracle's cached
       integer table.  When a minimizer T* of h avoids i the two minima agree
       and delta_i = d_i, so only the bits of T* need the second minimum.
 
-    The first two are the oracles :func:`clinches_without_table` names.
-    The last two branches leave rho in P(f) unchecked: the engines keep it
+    Neither branch checks that rho lies in P(f): the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
-    kernel on such an oracle.
+    kernel.
 
     rho and d are Fraction vectors with d >= 0.
     """
     if clinches_without_table(oracle):
-        if oracle.ctrs is not None:
-            return _ctr_clinch(oracle.ctrs, rho, d)
-        return _flow_clinch(oracle.reduced_rank, rho, d)
+        return _reduced_rank_clinch(oracle.reduced_rank, rho, d)
     n = oracle.n
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     low = min(h)
@@ -687,9 +691,9 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 
 def clinches_without_table(oracle: SubmodularOracle) -> bool:
     """Whether :func:`clinch_kernel` clinches ``oracle`` without its 2^n value
-    table, and so past the enumeration cap: oracles that carry ``ctrs`` or a
+    table, and so past the enumeration cap: oracles that carry a
     :class:`ReducedRank`."""
-    return oracle.ctrs is not None or oracle.reduced_rank is not None
+    return oracle.reduced_rank is not None
 
 
 def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
@@ -714,18 +718,15 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
                    d: Sequence[Rational]) -> tuple:
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
-    Checks that rho >= 0, d >= 0 and rho lies in P(f) first: on cardinality
-    oracles (``ctrs`` set) the kernel decides rho in P(f) itself, and on
-    oracles with a reduced rank one more flow decides it, so neither needs
-    a 2^n table and both run above ``CLINCH_BRUTE_FORCE_CAP``.  The result
-    satisfies 0 <= delta <= d and rho + delta in P(f).
+    Checks that rho >= 0, d >= 0 and rho lies in P(f) first; on oracles
+    with a reduced rank one more R decides rho in P(f), so neither the check
+    nor the clinch needs a 2^n table and both run above
+    ``CLINCH_BRUTE_FORCE_CAP``.  The result satisfies 0 <= delta <= d and
+    rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
     dem = _demand_vector(d, oracle.n)
-    if oracle.ctrs is None:
-        _check_promises(oracle, prom, "clinch computation")
-    elif min(prom) < 0:
-        raise DomainError(f"promises must be >= 0, got rho = ({', '.join(map(str, prom))})")
+    _check_promises(oracle, prom, "clinch computation")
     return clinch_kernel(oracle, prom, dem)[1]
 
 

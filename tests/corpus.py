@@ -29,9 +29,9 @@ def random_adwords(rng: random.Random, n: int, m: int) -> AdWordsInstance:
     return generate_instance("adwords", n, m, rng.randrange(_SEEDS)).build_adwords()
 
 
-def without_ctrs(oracle: SubmodularOracle) -> SubmodularOracle:
-    """The same set function without its CTR list, lattice step or reduced
-    rank, so engines clinch it on the 2^n table."""
+def table_only(oracle: SubmodularOracle) -> SubmodularOracle:
+    """The same set function with no lattice step and no reduced rank (so no
+    rank list either), so engines clinch it on the 2^n table."""
     return SubmodularOracle(oracle.n, oracle.value_mask, oracle.monotone, oracle.name)
 
 

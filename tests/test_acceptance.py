@@ -57,7 +57,7 @@ from corpus import (
     random_feasible_point,
     random_oracle,
     polymatroid_cases,
-    without_ctrs,
+    table_only,
 )
 
 F = Fraction
@@ -207,7 +207,7 @@ def test_criterion_5_greedy_clinch_equivalence():
             bidders = random_bidders(rng, n)
             cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
             fast = run_clinching(oracle, bidders, cfg)
-            slow = run_clinching(without_ctrs(oracle), bidders, cfg)
+            slow = run_clinching(table_only(oracle), bidders, cfg)
             if (fast.allocation, fast.payments, fast.trace) != \
                     (slow.allocation, slow.payments, slow.trace):
                 run_mismatches += 1

@@ -46,7 +46,7 @@ from polyclinch.verify import (
 )
 
 from corpus import (KINDS, polymatroid_cases, random_bidders, random_oracle, reduced_rank,
-                    without_ctrs)
+                    table_only)
 from reference_loop import clinching_steps, demands_at, recorded_run, reference_run
 
 F = Fraction
@@ -128,7 +128,7 @@ def test_rejects_wrong_bidder_count():
 
 
 # ---------------------------------------------------------------------------
-# CTR clinch (cardinality minima on single-keyword environments)
+# cardinality oracles: the reduced rank of a rank list, by one sort
 # ---------------------------------------------------------------------------
 
 def test_fast_residual_max_examples():
@@ -140,8 +140,6 @@ def test_fast_residual_max_examples():
 def test_fast_residual_max_rejects_infeasible_promises():
     with pytest.raises(PreconditionError):
         fast_residual_max([3, 2], [4, 0], [1, 1])
-    with pytest.raises(PreconditionError):
-        clinch_kernel(single_keyword_oracle([3, 2]), (F(4), F(0)), (F(1), F(1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,7 +165,7 @@ def test_fast_and_generic_paths_identical_outcomes_and_traces():
             bidders = random_bidders(rng, n)
             cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
             fast = run_clinching(oracle, bidders, cfg)
-            slow = run_clinching(without_ctrs(oracle), bidders, cfg)
+            slow = run_clinching(table_only(oracle), bidders, cfg)
             assert fast.allocation == slow.allocation
             assert fast.payments == slow.payments
             assert fast.trace == slow.trace     # per-step deltas and fhat agree
@@ -202,7 +200,7 @@ def test_ctr_clinch_runs_above_the_enumeration_cap(monkeypatch):
     inst = generate_instance("single-keyword", 10, None, 3)
     oracle = inst.build_oracle()
     cfg = AuctionConfig(trace=True)
-    reference = run_clinching(without_ctrs(oracle), inst.bidders, cfg)
+    reference = run_clinching(table_only(oracle), inst.bidders, cfg)
 
     def no_table(self):
         raise AssertionError(f"{self.name}: integer table built")
@@ -221,7 +219,7 @@ def _flow_and_table_json(oracle, bidders, cfg=AuctionConfig(trace=True)):
     function without its reduced rank, which the kernel clinches on the table."""
     flow = run_clinching(oracle, bidders, cfg)
     oracle.integer_table()              # the reference reads the lattice-walk table
-    table = run_clinching(without_ctrs(oracle), bidders, cfg)
+    table = run_clinching(table_only(oracle), bidders, cfg)
     return json.dumps(flow.to_json()), json.dumps(table.to_json())
 
 
@@ -356,7 +354,7 @@ def _post_clinch_demand_cases():
         cfg = AuctionConfig(epsilon="auto" if t % 2 else F(1, 4), trace=True)
         cases.append((run_clinching, (oracle, bidders, cfg), oracle))
         if oracle.ctrs is not None:
-            cases.append((run_clinching, (without_ctrs(oracle), bidders, cfg), oracle))
+            cases.append((run_clinching, (table_only(oracle), bidders, cfg), oracle))
     cases.append((run_decreasing_marginals,
                   (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,
                    AuctionConfig(epsilon=F(1, 20), trace=True)), None))
@@ -436,7 +434,7 @@ def test_trace_snapshots_reuse_the_clinch(monkeypatch):
         n = rng.randint(1, 6)
         oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
         out, runs, reference_runs, steps = _kernel_runs(
-            calls, run_clinching, without_ctrs(oracle), random_bidders(rng, n),
+            calls, run_clinching, table_only(oracle), random_bidders(rng, n),
             AuctionConfig(trace=True))
         assert reference_runs == len(out.trace)     # the reference clinches every step
         assert runs == len(clinching_steps(steps))

@@ -10,8 +10,10 @@ from polyclinch import (
     AdWordsInstance,
     CapacitatedNetwork,
     DomainError,
+    SubmodularOracle,
     adwords_oracle,
     decompose,
+    fast_residual_max,
     graphic_oracle,
     membership,
     multi_unit_oracle,
@@ -72,12 +74,25 @@ def test_cardinality_oracles_carry_their_rank_list():
 
 
 @pytest.mark.parametrize("bad, match", [
-    ([-1, 0], ">= 0"), ([1, 2], "nonincreasing"), ([[1], 0], "not lists")])
+    ([-1, 0], ">= 0"), ([1, 2], "nonincreasing"), ([[1], 0], "not lists"),
+    ([1, 3], "nonincreasing"), ([-1], ">= 0")])
 def test_ctr_lists_rejected(bad, match):
     with pytest.raises(DomainError, match="click-through rates .*" + match):
         single_keyword_oracle(bad)
     with pytest.raises(DomainError, match="keyword 1: click-through rates .*" + match):
         AdWordsInstance.build(2, [[0], [0, 1]], [[1], bad])
+    # also where a list becomes a reduced rank outside the constructors:
+    # [1, 3] read as f({i}) = 1, f({0, 1}) = 4 is not submodular
+    with pytest.raises(DomainError, match="rank list .*" + match):
+        fast_residual_max(bad, [0, 0], [5, 5])
+    with pytest.raises(DomainError, match="rank list .*" + match):
+        SubmodularOracle(2, lambda m: F(0), True, "bad", ctrs=bad)
+
+
+def test_an_oracle_takes_ctrs_or_a_reduced_rank_not_both():
+    rank = single_keyword_oracle([2, 1]).reduced_rank
+    with pytest.raises(DomainError, match="not both"):
+        SubmodularOracle(2, lambda m: F(0), True, "both", ctrs=(2, 1), reduced_rank=rank)
 
 
 @pytest.mark.parametrize("supply, match", [(-1, ">= 0"), ([1], "not lists")])
@@ -456,12 +471,18 @@ def test_vod_cut_matches_brute_force_min_cut():
 
 
 def test_reduced_rank_matches_its_definition():
-    # zero capacities, two bidders on one node and bidders the source cannot
-    # reach come from _random_network; c mixes zeros and denominators
+    # Vod-cut: zero capacities, two bidders on one node and bidders the
+    # source cannot reach come from _random_network.  Cardinality: zero CTRs,
+    # multi-unit lists (Q,) shorter than n.  c mixes ties, zeros and
+    # denominators.
+    def random_c(rng, n):
+        return tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
+                     for _ in range(n))
+
     rng = random.Random(3103)
-    cases = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
-             (CapacitatedNetwork.build([("s", "a", 2)], "s", ["a", "island"]), (F(7), F(1, 2))),
-             (hub_network(), (F(0), F(0)))]
+    nets = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
+            (CapacitatedNetwork.build([("s", "a", 2)], "s", ["a", "island"]), (F(7), F(1, 2))),
+            (hub_network(), (F(0), F(0)))]
     for t in range(150):
         n = rng.randint(1, 8)
         if t % 3:
@@ -470,22 +491,33 @@ def test_reduced_rank_matches_its_definition():
             payload = generate_instance("vod-cut", n, None, t).environment.payload
             net = CapacitatedNetwork.build(payload["edges"], payload["source"],
                                            payload["bidder_nodes"])
-        c = tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
-                  for _ in range(n))
-        cases.append((net, c))
-    ties = 0
-    for net, c in cases:
-        oracle = vod_cut_oracle(net)
+        nets.append((net, random_c(rng, n)))
+    cases = [(vod_cut_oracle(net), c) for net, c in nets]
+    cases += [(single_keyword_oracle([0, 0, 0]), (F(1), F(0), F(1))),
+              (single_keyword_oracle([3, 3, 0, 0]), (F(3), F(3), F(3), F(0))),
+              (multi_unit_oracle(F(5, 2), 4), (F(5, 2), F(0), F(5, 2), F(1)))]
+    rng = random.Random(3104)
+    for t in range(100):
+        n = rng.randint(1, 8)
+        if t % 2:
+            oracle = single_keyword_oracle(sorted(
+                (F(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))) for _ in range(n)),
+                reverse=True))
+        else:
+            oracle = multi_unit_oracle(F(rng.randint(0, 8), rng.choice((1, 2, 3))), n)
+        cases.append((oracle, random_c(rng, n)))
+    ties = {"vod-cut": 0, "cardinality": 0}
+    for oracle, c in cases:
         n = oracle.n
         den, nums = oracle.integer_table()
         values = [F(nums[m], den) + sum(c[i] for i in range(n) if not m >> i & 1)
                   for m in range(1 << n)]
         total, smallest = reduced_rank(oracle, c)
-        assert total == min(values) == values[smallest], (net, c)
+        assert total == min(values) == values[smallest], (oracle, c)
         minimizers = [m for m, v in enumerate(values) if v == total]
-        assert all(m & smallest == smallest for m in minimizers), (net, c)
-        ties += len(minimizers) > 1
-    assert ties >= 20
+        assert all(m & smallest == smallest for m in minimizers), (oracle, c)
+        ties["cardinality" if oracle.ctrs is not None else "vod-cut"] += len(minimizers) > 1
+    assert min(ties.values()) >= 20, ties
 
 
 def test_vod_cut_rejects_source_as_bidder():

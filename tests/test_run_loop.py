@@ -38,7 +38,7 @@ from polyclinch.verify import (
     curve_deviation_grid,
 )
 
-from corpus import KINDS, polymatroid_cases, random_bidders, random_oracle, without_ctrs
+from corpus import KINDS, polymatroid_cases, random_bidders, random_oracle, table_only
 from reference_loop import clinching_steps, recorded_run, reference_run
 
 F = Fraction
@@ -68,7 +68,7 @@ def test_seeded_corpus_matches_reference_loop():
             skipped += assert_matches_reference(run_clinching, oracle, bidders, cfg)
             if label.startswith("single-keyword"):
                 skipped += assert_matches_reference(
-                    run_clinching, without_ctrs(oracle), bidders, cfg)
+                    run_clinching, table_only(oracle), bidders, cfg)
     assert skipped > 0
 
 

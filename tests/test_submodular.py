@@ -37,7 +37,7 @@ from polyclinch.submodular import (
     set_of,
 )
 
-from corpus import KINDS, random_demands, random_feasible_point, random_oracle, without_ctrs
+from corpus import KINDS, random_demands, random_feasible_point, random_oracle, table_only
 
 F = Fraction
 
@@ -489,7 +489,7 @@ def test_membership_matches_fraction_scan_on_and_around_facets():
 def test_membership_raises_when_the_two_scans_disagree():
     # An oracle without a step fills its memo while it builds the table, so
     # the Fraction scan reads the memo, not the tampered table.
-    oracle = without_ctrs(single_keyword_oracle([3, 2, 1]))
+    oracle = table_only(single_keyword_oracle([3, 2, 1]))
     den, nums = oracle.integer_table()
     nums[0b101] -= 10 * den         # a violated set the oracle does not have
     with pytest.raises(ClinchError):
@@ -671,8 +671,8 @@ def test_clinch_amounts_keeps_its_prechecks():
 
 
 def test_clinch_amounts_on_ctr_oracles_needs_no_table(monkeypatch):
-    # Single-keyword oracles past the enumeration cap: the kernel's CTR
-    # branch decides rho in P(f) without a 2^n membership test.
+    # Single-keyword oracles past the enumeration cap: one reduced rank of
+    # the CTR list decides rho in P(f) without a 2^n membership test.
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "16")
     assert clinch_amounts(single_keyword_oracle([3] * 20), [0] * 20, [1] * 20) == (1,) * 20
     # feasible for every single bidder, but the top two promises exceed 20 + 19
@@ -693,7 +693,7 @@ def test_clinch_amounts_on_vod_cut_checks_promises_by_flow(monkeypatch):
         d = random_demands(rng, n)
         expected = membership(oracle, rho)
         if expected.ok:
-            assert clinch_amounts(oracle, rho, d) == clinch_amounts(without_ctrs(oracle), rho, d)
+            assert clinch_amounts(oracle, rho, d) == clinch_amounts(table_only(oracle), rho, d)
             continue
         with pytest.raises(PreconditionError) as err:
             clinch_amounts(oracle, rho, d)
@@ -730,8 +730,7 @@ def test_cardinality_precondition_witness_matches_membership():
             if expected.ok:
                 continue
             d = random_demands(rng, n)
-            for call in (lambda: clinch_kernel(oracle, rho, d),
-                         lambda: clinch_amounts(oracle, rho, d),
+            for call in (lambda: clinch_amounts(oracle, rho, d),
                          lambda: fast_residual_max(oracle.ctrs, rho, d)):
                 with pytest.raises(PreconditionError) as err:
                     call()
