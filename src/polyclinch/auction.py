@@ -34,16 +34,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .environments import _rank_sum_oracle
 from .errors import DivergenceError, DomainError, PreconditionError, SizeError
 from .submodular import (
     Rational,
     SubmodularOracle,
     ZERO,
-    _cardinality_rank,
-    _check_rank_promises,
+    _check_promises,
     _demand_vector,
     _over_common_denominator,
-    _reduced_rank_clinch,
+    _rank_list,
     as_fraction,
     clinch_kernel,
     vector,
@@ -180,14 +180,15 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} for f(S) = A_|S|.
 
     A_t is the sum of the first t ``ctrs``, which must be >= 0 and
-    nonincreasing; this is the total of the clinch that :func:`clinch_kernel`
-    runs on cardinality oracles, by their reduced rank.  rho must lie in
-    P(f), or :class:`PreconditionError` is raised.
+    nonincreasing: the total of :func:`clinch_kernel` on the cardinality
+    oracle of the list, by its reduced rank.  rho must lie in P(f), or
+    :class:`PreconditionError` is raised.
     """
     n = len(rho)
-    rank, prom, dem = _cardinality_rank(ctrs), vector(rho, n), _demand_vector(d, n)
-    _check_rank_promises(rank, prom)
-    return _reduced_rank_clinch(rank, prom, dem)[0]
+    oracle = _rank_sum_oracle(n, [(range(n), _rank_list(ctrs, "rank list"))], "cardinality")
+    prom, dem = vector(rho, n), _demand_vector(d, n)
+    _check_promises(oracle, prom)
+    return clinch_kernel(oracle, prom, dem)[0]
 
 
 def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:

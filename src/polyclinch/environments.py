@@ -124,24 +124,20 @@ class InterestGraph:
 
 @dataclass(frozen=True)
 class AdWordsInstance:
-    """n advertisers, m keywords, per-keyword CTR lists, optional quality factors.
+    """n advertisers, m keywords, per-keyword CTR lists.
 
     CTR lists are normalized to exactly |Gamma(k)| positions (padded with
-    zeros or truncated).  Quality factors must be uniform per bidder: one
-    positive rational each.  Per-keyword quality factors do not yield a
-    polymatroid and are rejected at construction.
+    zeros or truncated).
     """
 
     n: int
     m: int
     graph: InterestGraph
     ctrs: tuple
-    quality: Optional[tuple] = None
 
     @classmethod
     def build(cls, n: int, interests: Sequence[Iterable[int]],
-              ctrs: Sequence[Sequence[Rational]],
-              quality: Optional[Sequence[Rational]] = None) -> "AdWordsInstance":
+              ctrs: Sequence[Sequence[Rational]]) -> "AdWordsInstance":
         graph = InterestGraph.from_keyword_side(n, interests)
         if len(ctrs) != graph.m:
             raise DomainError(f"expected {graph.m} CTR lists, got {len(ctrs)}")
@@ -150,17 +146,7 @@ class AdWordsInstance:
             alpha = _rank_list(raw, f"keyword {k}: click-through rates")
             slots = len(graph.keyword_bidders[k])
             normalized.append((alpha + (ZERO,) * slots)[:slots])
-        gamma = None
-        if quality is not None:
-            if any(isinstance(g, (list, tuple)) for g in quality):
-                raise DomainError(
-                    "per-keyword (heterogeneous) quality factors are not supported: "
-                    "the feasible set is not a polymatroid; supply one uniform "
-                    "factor per bidder instead")
-            gamma = vector(quality, n)
-            if any(g <= 0 for g in gamma):
-                raise DomainError("quality factors must be > 0")
-        return cls(n, graph.m, graph, tuple(normalized), gamma)
+        return cls(n, graph.m, graph, tuple(normalized))
 
     def keyword_oracle(self, k: int) -> SubmodularOracle:
         """Single-keyword oracle for keyword k over its interested bidders."""

@@ -126,8 +126,7 @@ class InstanceFile:
 
     def build_adwords(self) -> AdWordsInstance:
         payload = self.environment.payload
-        return AdWordsInstance.build(self.n, payload["interests"], payload["ctrs"],
-                                     self.quality)
+        return AdWordsInstance.build(self.n, payload["interests"], payload["ctrs"])
 
     def polytope_rows(self):
         """Checked (rows, rhs) for the h-polytope-2d kind."""

@@ -23,22 +23,24 @@ against.  Also ``fhat([n]) = R(rho + d) - rho([n])``, with the reduced rank
 ``R(c) = min over T of f(T) + c([n] \\ T)``; an oracle that computes R
 without a table (a :class:`ReducedRank`: one sort for a cardinality oracle's
 rank list, :func:`_cardinality_rank`, or the vod-cut max-flow) is always
-clinched that way, and its promises are checked by one more R.
+clinched that way, and :func:`membership` decides x in P(f) on it by one more
+R, since x is in P(f) iff R(x) = x([n]).
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
 extend each set's value from its parent's, and fold the same step for one.
 The brute-force verifiers decide on the same table:
-:func:`membership` takes one minimum of f - x, :func:`verify_submodular`
-tests local second differences, and :func:`residual_totals` gives the n + 1
-residual values a trace check needs.  ``Fraction`` scans run only to name the
-witness of a failure, so witnesses stay those of the definition.
+:func:`membership` takes one minimum of f - x (on oracles without a reduced
+rank), :func:`verify_submodular` tests local second differences, and
+:func:`residual_totals` gives the n + 1 residual values a trace check needs.
+``Fraction`` scans run only to name the witness of a failure, so witnesses
+stay those of the definition.
 
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); the verifiers are meant
 for desk-scale verification, not for large-scale submodular minimization.
 Only reduced-rank oracles clinch past the cap (:func:`clinches_without_table`),
-and :func:`clinch_amounts` checks their promises there too; the verifiers
+and :func:`membership` decides their points there too; the other verifiers
 still need the table.
 """
 
@@ -140,6 +142,13 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
     """``(D, nums)`` with ``values[k] = nums[k] / D``, D the least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _scaled(den: int, *vectors: Sequence[Fraction]) -> tuple:
+    """``(D, [nums, ...])``: D the least common multiple of ``den`` and the
+    denominators of the Fraction vectors, and each vector's numerators over D."""
+    den = math.lcm(den, *(v.denominator for vec in vectors for v in vec))
+    return den, [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
 
 
 def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
@@ -429,8 +438,7 @@ def _slack_table(oracle: SubmodularOracle, *vectors: Sequence[Fraction]) -> tupl
     ``scaled`` holds each vector's numerators over D.
     """
     fden, fnum = oracle.integer_table()
-    den = math.lcm(fden, *(v.denominator for vec in vectors for v in vec))
-    scaled = [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
+    den, scaled = _scaled(fden, *vectors)
     sums = [0]
     for weight in map(sum, zip(*scaled)):
         sums += [s + weight for s in sums]
@@ -465,14 +473,28 @@ def _argmin(masks: Iterable[int], value_of: Callable[[int], object]) -> tuple:
 def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipResult:
     """Decide x in P(f) exactly; on failure report a most-violated set.
 
-    Decided by one minimum of f - x on integers; only an infeasible point
-    runs the ``Fraction`` scan that names the violated set.
+    On an oracle with a :class:`ReducedRank`, one R decides it without the
+    table or the cap: R(x) - x([n]) is the least value of f - x, so x is in
+    P(f) iff R(x) = x([n]).  Otherwise the smallest minimizer T* is the
+    violated set: every other minimizer contains it, so it is the unique one
+    of least cardinality, which is the set the tie-break of :func:`_precedes`
+    names.  Other oracles take one minimum of f - x on their integer table;
+    only an infeasible point runs the ``Fraction`` scan that names the
+    violated set.
     """
     n = oracle.n
     vec = vector(x, n)
     for i, xi in enumerate(vec):
         if xi < 0:
             raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
+    rank = oracle.reduced_rank
+    if rank is not None:
+        den, (nums,) = _scaled(rank.den, vec)
+        total, smallest = rank.solve(den // rank.den, nums)
+        low = total - sum(nums)
+        if low == 0:
+            return MembershipResult(True)
+        return MembershipResult(False, set_of(smallest), Fraction(low, den))
     check_enumeration_size(n, "membership test")
     if min(_slack_table(oracle, vec)[1]) >= 0:
         return MembershipResult(True)
@@ -530,37 +552,14 @@ def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
     return dem
 
 
-def _outside(witness: frozenset) -> PreconditionError:
-    return PreconditionError(
-        f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
-        f"S = {sorted(witness)}", witness=witness)
-
-
-def _check_rank_promises(rank: ReducedRank, rho: Sequence[Fraction]) -> None:
-    """:func:`_check_promises` by one reduced rank: rho is in P(f) iff
-    R(rho) = rho([n]).  Otherwise the minimizers of f - rho are the
-    most-violated sets, and the smallest one, T*, is the unique one of least
-    cardinality, which is membership's witness."""
-    for i, ri in enumerate(rho):
-        if ri < 0:
-            raise DomainError(f"membership requires x >= 0, got x[{i}] = {ri}")
-    den = math.lcm(rank.den, *(v.denominator for v in rho))
-    rnum = [v.numerator * (den // v.denominator) for v in rho]
-    total, smallest = rank.solve(den // rank.den, rnum)
-    if total != sum(rnum):
-        raise _outside(set_of(smallest))
-
-
-def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction], what: str) -> None:
+def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction]) -> None:
     """Raise :class:`PreconditionError` unless rho lies in P(f), naming the
-    set :func:`membership` names; an oracle with a :class:`ReducedRank`
-    decides it without the table (:func:`_check_rank_promises`)."""
-    if oracle.reduced_rank is not None:
-        return _check_rank_promises(oracle.reduced_rank, rho)
-    check_enumeration_size(oracle.n, what)
+    set :func:`membership` names."""
     result = membership(oracle, rho)
     if not result.ok:
-        raise _outside(result.violating)
+        raise PreconditionError(
+            f"rho is not in the base polymatroid: rho(S) exceeds f(S) on "
+            f"S = {sorted(result.violating)}", witness=result.violating)
 
 
 class ResidualOracle:
@@ -583,7 +582,7 @@ class ResidualOracle:
         self.name = f"residual({base.name})"
         self.rho = vector(rho, base.n)
         self.demand = _demand_vector(d, base.n)
-        _check_promises(base, self.rho, "residual oracle construction")
+        _check_promises(base, self.rho)
         self._fhat = None
 
     def _fhat_table(self) -> list:
@@ -634,9 +633,7 @@ def _reduced_rank_clinch(rank: ReducedRank, rho: Sequence[Fraction],
     with c_j = 0, less rho([n] \\ j), since f is monotone, so
     delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
     """
-    den = math.lcm(rank.den, *(v.denominator for v in rho), *(v.denominator for v in d))
-    rnum = [v.numerator * (den // v.denominator) for v in rho]
-    dnum = [v.numerator * (den // v.denominator) for v in d]
+    den, (rnum, dnum) = _scaled(rank.den, rho, d)
     c = list(map(operator.add, rnum, dnum))
     scale = den // rank.den
     total, smallest = rank.solve(scale, c)
@@ -718,15 +715,14 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
                    d: Sequence[Rational]) -> tuple:
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
-    Checks that rho >= 0, d >= 0 and rho lies in P(f) first; on oracles
-    with a reduced rank one more R decides rho in P(f), so neither the check
-    nor the clinch needs a 2^n table and both run above
-    ``CLINCH_BRUTE_FORCE_CAP``.  The result satisfies 0 <= delta <= d and
-    rho + delta in P(f).
+    Checks that rho >= 0, d >= 0 and rho lies in P(f) (:func:`membership`)
+    first; on oracles with a reduced rank neither the check nor the clinch
+    needs a 2^n table, and both run above ``CLINCH_BRUTE_FORCE_CAP``.  The
+    result satisfies 0 <= delta <= d and rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
     dem = _demand_vector(d, oracle.n)
-    _check_promises(oracle, prom, "clinch computation")
+    _check_promises(oracle, prom)
     return clinch_kernel(oracle, prom, dem)[1]
 
 

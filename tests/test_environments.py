@@ -128,11 +128,6 @@ def test_adwords_ctr_lists_padded_and_truncated():
     assert inst.ctrs[1] == (4,)            # truncated to one interested bidder
 
 
-def test_adwords_rejects_per_keyword_quality():
-    with pytest.raises(DomainError, match="polymatroid"):
-        AdWordsInstance.build(2, [[0, 1]], [[2, 1]], quality=[[1, 2], [2, 1]])
-
-
 def test_adwords_rejects_empty_keyword():
     with pytest.raises(DomainError):
         AdWordsInstance.build(2, [[0], []], [[1], [1]])

@@ -102,6 +102,7 @@ def test_per_keyword_quality_rejected():
     with pytest.raises(ParseError) as err:
         parse_instance_data(data)
     assert err.value.code == "bad-value"
+    assert "not a polymatroid" in str(err.value)
 
 
 def test_missing_instance_file():

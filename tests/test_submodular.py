@@ -122,13 +122,15 @@ def test_verify_respects_brute_force_cap(monkeypatch):
 
 
 def test_size_error_names_its_cap_and_how_to_raise_it(monkeypatch):
+    # a table oracle: one with a reduced rank decides membership past the cap
+    oracle = table_only(multi_unit_oracle(1, 5))
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "3")
     with pytest.raises(SizeError) as err:
-        membership(multi_unit_oracle(1, 5), [0] * 5)
+        membership(oracle, [0] * 5)
     assert (err.value.n, err.value.cap, err.value.what) == (5, 3, "membership test")
     assert "CLINCH_BRUTE_FORCE_CAP" in str(err.value) and "5" in str(err.value)
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "5")
-    assert membership(multi_unit_oracle(1, 5), [0] * 5).ok
+    assert membership(oracle, [0] * 5).ok
 
 
 def _pairwise_verify_submodular(oracle) -> OracleCheck:
@@ -462,6 +464,7 @@ def _scan_membership(oracle, x) -> MembershipResult:
 def test_membership_matches_fraction_scan_on_and_around_facets():
     rng = random.Random(7373)
     outcomes = {"on": 0, "outside": 0}
+    rank_outside = 0                # infeasible points decided by one R
     for t in range(200):
         n = rng.randint(1, 7)
         oracle = (_fractional_oracle(rng, n) if t % 6 == 5
@@ -483,7 +486,26 @@ def test_membership_matches_fraction_scan_on_and_around_facets():
         expected = _scan_membership(oracle, x)
         assert membership(oracle, x) == expected, (t, x)
         outcomes["on" if expected.ok else "outside"] += 1
+        rank_outside += not expected.ok and oracle.reduced_rank is not None
     assert min(outcomes.values()) >= 50, outcomes
+    assert rank_outside >= 40, rank_outside
+
+
+def test_membership_by_reduced_rank_needs_no_table(monkeypatch):
+    # past the cap: a tight feasible point, and a promise above f({i}) alone,
+    # whose smallest violated set is {i}
+    def no_table(self):
+        raise AssertionError(f"{self.name}: integer table built")
+    monkeypatch.setattr(SubmodularOracle, "integer_table", no_table)
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "16")
+    for kind, n in (("single-keyword", 64), ("multi-unit", 64), ("vod-cut", 40)):
+        oracle = generate_instance(kind, n, None, 0).build_oracle()
+        assert membership(oracle, greedy_vertex(oracle, range(n - 1, -1, -1))).ok, kind
+        i = n // 3
+        x = [0] * n
+        x[i] = oracle.singleton(i) + F(1, 3)
+        assert membership(oracle, x) == \
+            MembershipResult(False, frozenset({i}), F(-1, 3)), kind
 
 
 def test_membership_raises_when_the_two_scans_disagree():
@@ -691,7 +713,8 @@ def test_clinch_amounts_on_vod_cut_checks_promises_by_flow(monkeypatch):
         total = oracle.value_mask((1 << n) - 1)
         rho = tuple(F(rng.randint(0, 3), rng.choice((1, 2))) * total / n for _ in range(n))
         d = random_demands(rng, n)
-        expected = membership(oracle, rho)
+        expected = membership(table_only(oracle), rho)
+        assert membership(oracle, rho) == expected
         if expected.ok:
             assert clinch_amounts(oracle, rho, d) == clinch_amounts(table_only(oracle), rho, d)
             continue
@@ -726,7 +749,8 @@ def test_cardinality_precondition_witness_matches_membership():
             oracle = random_oracle(rng, kind, n)
             total = oracle.value_mask((1 << n) - 1)
             rho = tuple(F(rng.randint(0, 3), rng.choice((1, 2))) * total / n for _ in range(n))
-            expected = membership(oracle, rho)
+            expected = membership(table_only(oracle), rho)
+            assert membership(oracle, rho) == expected
             if expected.ok:
                 continue
             d = random_demands(rng, n)
