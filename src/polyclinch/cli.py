@@ -73,13 +73,12 @@ def _verify(inst: InstanceFile):
                    None if direction is None else {"direction": [str(t) for t in direction]})
         return outcome, report
     oracle = inst.build_oracle()
-    if inst.quality is None or not clinches_without_table(oracle):
-        # every check below reads the 2^n value table, so refuse before the
-        # run; the scaled checks on an oracle with a reduced rank need none
+    if not clinches_without_table(oracle):
+        # every check below reads the 2^n value table of such an oracle, so
+        # refuse before the run; on a reduced rank they need no table
         check_enumeration_size(
             oracle.n, "verify's value table",
-            "`clinch run` handles this instance without the table."
-            if clinches_without_table(oracle) else "")
+            "Single-keyword, multi-unit and vod-cut files verify past the cap.")
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)

@@ -29,9 +29,9 @@ R, since x is in P(f) iff R(x) = x([n]).
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
 extend each set's value from its parent's, and fold the same step for one.
-The brute-force verifiers decide on the same table:
-:func:`membership` takes one minimum of f - x (on oracles without a reduced
-rank), :func:`verify_submodular` tests local second differences, and
+On oracles without a reduced rank the brute-force verifiers decide on the
+same table: :func:`membership` takes one minimum of f - x,
+:func:`verify_submodular` tests local second differences, and
 :func:`residual_totals` gives the n + 1 residual values a trace check needs.
 ``Fraction`` scans run only to name the witness of a failure, so witnesses
 stay those of the definition.
@@ -39,9 +39,10 @@ stay those of the definition.
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); the verifiers are meant
 for desk-scale verification, not for large-scale submodular minimization.
-Only reduced-rank oracles clinch past the cap (:func:`clinches_without_table`),
-and :func:`membership` decides their points there too; the other verifiers
-still need the table.
+Reduced-rank oracles need no enumeration (:func:`clinches_without_table`):
+they clinch past the cap, and :func:`membership` and :func:`residual_totals`
+decide on them by R there too; only :func:`verify_submodular` and the
+``Fraction`` reference :class:`ResidualOracle` still need the table.
 """
 
 from __future__ import annotations
@@ -576,6 +577,7 @@ class ResidualOracle:
 
     def __init__(self, base: SubmodularOracle, rho: Sequence[Rational],
                  d: Sequence[Rational]):
+        check_enumeration_size(base.n, "residual oracle construction")
         self.base = base
         self.n = base.n
         self.monotone = False
@@ -689,7 +691,8 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 def clinches_without_table(oracle: SubmodularOracle) -> bool:
     """Whether :func:`clinch_kernel` clinches ``oracle`` without its 2^n value
     table, and so past the enumeration cap: oracles that carry a
-    :class:`ReducedRank`."""
+    :class:`ReducedRank`.  :func:`membership`, :func:`residual_totals` and
+    the outcome checks built on them decide on these oracles by R too."""
     return oracle.reduced_rank is not None
 
 
@@ -701,9 +704,22 @@ def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
     evaluated on integers over a common denominator.  Unlike
     :func:`clinch_kernel`, every one of the n + 1 minima is taken over its
     whole range, so a check built on these values does not inherit the
-    kernel's argmin shortcut.  rho and d are Fraction vectors; rho must lie
-    in P(f), which is not checked here.
+    kernel's argmin shortcut.  On an oracle with a :class:`ReducedRank`
+    that is n + 1 full solves, with no table and no cap: with c = rho + d,
+    fhat([n]) = R(c) - rho([n]), and, f being monotone, fhat([n] \\ j) =
+    R(c with c_j = 0) - rho([n] \\ j).  Other oracles take the minima over
+    their integer table.  rho and d are Fraction vectors; rho must lie in
+    P(f), which is not checked here.
     """
+    rank = oracle.reduced_rank
+    if rank is not None:
+        den, (rnum, dnum) = _scaled(rank.den, rho, d)
+        c = list(map(operator.add, rnum, dnum))
+        scale, rtotal = den // rank.den, sum(rnum)
+        without = (rank.solve(scale, c[:j] + [0] + c[j + 1:])[0] + rnum[j]
+                   for j in range(len(c)))
+        return (Fraction(rank.solve(scale, c)[0] - rtotal, den),
+                tuple(Fraction(r - rtotal, den) for r in without))
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     dtotal = sum(dnum)
     return (Fraction(dtotal + min(h), den),

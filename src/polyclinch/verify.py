@@ -38,9 +38,11 @@ from .submodular import (
     SubmodularOracle,
     ZERO,
     _argmin,
+    _scaled,
     _slack_table,
     _supersets,
     as_fraction,
+    brute_force_cap,
     membership,
     residual,
     residual_totals,
@@ -103,11 +105,21 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                   outcome: Outcome) -> VerificationReport:
     """Polymatroid outcome checks: sold-out, tight-set separation, IR, budgets.
 
-    The separation check runs, for every bidder i with slack budget and every
-    bidder j with a strictly smaller value, an exhaustive minimization of
-    f(S) - x(S) over sets containing i and avoiding j; Pareto optimality
-    requires the minimum to be zero (a tight separating set).  The slack
-    f(S) - x(S) is tabulated once, on integers over a common denominator.
+    Pareto optimality requires, for every bidder i with slack budget and
+    every bidder j with a strictly smaller value, a tight set (f(S) = x(S))
+    that holds i but not j.  When no set holding i has negative slack
+    f(S) - x(S), as when x lies in P(f), the tight sets holding i are closed
+    under intersection by submodularity, so that set exists iff some tight
+    set holds i and j is outside the smallest one, T_i: one minimum per
+    bidder i decides all its pairs.  Otherwise each pair takes its own
+    minimum of the slack over the sets holding i and not j.  The first
+    failing pair is named with that minimum and its smallest minimizer.
+
+    On an oracle with a :class:`~polyclinch.submodular.ReducedRank`,
+    :func:`membership` decides x in P(f) by one R, and each minimum is one
+    R (:func:`_tight_sets_by_rank`), with no table and no cap.  Other
+    oracles tabulate the slack f(S) - x(S) once on integers
+    (:func:`_tight_sets_by_table`).
     """
     n = oracle.n
     x = outcome.allocation
@@ -120,22 +132,23 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if sold == full_value else {"x_total": str(sold), "f_full": str(full_value)},
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
+    if oracle.reduced_rank is not None:
+        member, smallest_tight, separation = _tight_sets_by_rank(oracle, x, full_value)
+    else:
+        member, smallest_tight, separation = _tight_sets_by_table(oracle, x)
     pareto_witness = None
-    den, slack, _ = _slack_table(oracle, x)
     for i in range(n):
         if bidders[i].budget is not None and pay[i] >= bidders[i].budget:
             continue
-        for j in range(n):
-            if bidders[j].value >= bidders[i].value:
-                continue
-            masks = list(_supersets(n, 1 << i, 1 << j))
-            if min(slack[m] for m in masks) != 0:
-                tight_set, low = _argmin(masks, slack.__getitem__)
-                pareto_witness = {
-                    "i": i, "j": j,
-                    "min_set": sorted(set_of(tight_set)),
-                    "min_slack": str(Fraction(low, den)),
-                }
+        lower = [j for j in range(n) if bidders[j].value < bidders[i].value]
+        tight = smallest_tight(i) if lower else None
+        for j in lower:
+            if tight is not None and not tight >> j & 1:
+                continue                    # T_i separates i from j
+            tight_set, low = separation(i, j)
+            if low != 0:
+                pareto_witness = {"i": i, "j": j, "min_set": sorted(set_of(tight_set)),
+                                  "min_slack": str(low)}
                 break
         if pareto_witness:
             break
@@ -146,14 +159,77 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"bidder {pareto_witness['j']}")
 
     _add_payment_checks(report, bidders, outcome)
-    # the slack table already decides x in P(f); membership runs only to
-    # name the violated set, or to reject a negative x
-    feasible = min(slack) >= 0 and min(x) >= 0
-    member = MembershipResult(True) if feasible else membership(oracle, x)
     report.add("membership", member.ok,
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})
     return report
+
+
+def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
+                        full_value: Fraction) -> tuple:
+    """``(member, smallest_tight, separation)`` for :func:`check_outcome`, by R.
+
+    ``member`` is :func:`membership` of x.  ``separation(i, j)`` is the
+    smallest minimizer of f - x over the sets holding i (and not j, if j is
+    given) and the minimum, and ``smallest_tight(i)`` is T_i, that
+    minimizer when the minimum is 0, else None.  Each is one R at c = x
+    with c_i = M and c_j = 0: as M > f([n]) + x([n]), every set without i
+    costs more than any set with it, and with c_j = 0 dropping j from a set
+    never costs more, f being monotone.  So the minimizers of R are those of f - x over the
+    sets holding i (and not j), and the minimum is R - c([n]) + M - x_i.
+    The smallest minimizer is the unique one of least cardinality, the set
+    :func:`~polyclinch.submodular._argmin` names on the table.
+    """
+    member = membership(oracle, x)
+    rank = oracle.reduced_rank
+    den, (xnum,) = _scaled(rank.den, x)
+    scale = den // rank.den
+    big = math.floor(full_value * den) + sum(xnum) + 1
+
+    def separation(i: int, j: Optional[int] = None) -> tuple:
+        c = list(xnum)
+        c[i] = big
+        if j is not None:
+            c[j] = 0
+        total, smallest = rank.solve(scale, c)
+        return smallest, Fraction(total - sum(c) + big - xnum[i], den)
+
+    def smallest_tight(i: int) -> Optional[int]:
+        smallest, low = separation(i)
+        return smallest if low == 0 else None
+
+    return member, smallest_tight, separation
+
+
+def _tight_sets_by_table(oracle: SubmodularOracle, x: Sequence[Fraction]) -> tuple:
+    """``(member, smallest_tight, separation)`` for :func:`check_outcome`, as
+    :func:`_tight_sets_by_rank` gives them, on the integer slack table.
+
+    The table decides x in P(f) (min slack >= 0); :func:`membership` runs
+    only to name the violated set, or to reject a negative x.  Then T_i is
+    the AND of the zero-slack masks that hold i, found in one pass; outside
+    P(f) it is left None, and each pair is scanned.  ``separation(i, j)``
+    scans the masks that hold i and not j.
+    """
+    n = oracle.n
+    den, slack, _ = _slack_table(oracle, x)
+    feasible = min(slack) >= 0 and min(x) >= 0
+    member = MembershipResult(True) if feasible else membership(oracle, x)
+    tight = [None] * n
+    if feasible:
+        for m, s in enumerate(slack):
+            if s == 0:
+                rest = m
+                while rest:
+                    i = (rest & -rest).bit_length() - 1
+                    tight[i] = m if tight[i] is None else tight[i] & m
+                    rest &= rest - 1
+
+    def separation(i: int, j: int) -> tuple:
+        tight_set, low = _argmin(_supersets(n, 1 << i, 1 << j), slack.__getitem__)
+        return tight_set, Fraction(low, den)
+
+    return member, tight.__getitem__, separation
 
 
 def check_scaled_outcome(oracle: SubmodularOracle, gamma: Sequence[Fraction],
@@ -365,19 +441,23 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     first offending step, never a crash.
 
     The monitors are decided on integers (:func:`membership`,
-    :func:`residual_totals`).  At a snapshot where one of them newly fails,
-    the ``Fraction`` reference oracle that :func:`residual` builds must give
-    the same witnesses, or :class:`ClinchError` is raised.  A snapshot
-    with the same (rho, d) as the one before it, as a step that skipped its
-    clinch leaves, reuses that snapshot's membership result and totals.
+    :func:`residual_totals`), by reduced ranks on oracles that carry one, so
+    past the enumeration cap too.  At a snapshot where one of them newly
+    fails, the ``Fraction`` reference oracle that :func:`residual` builds
+    must give the same witnesses, or :class:`ClinchError` is raised; that
+    cross-check enumerates 2^n sets, so it is skipped above the cap.  A
+    snapshot with the same (rho, d) and recorded fhat([n]) as the one before
+    it, as a step that skipped its clinch leaves, is skipped after its
+    budget check: its witnesses could only repeat ones already found.
     """
     n = oracle.n
     full = (1 << n) - 1
     target = oracle.value_mask(full)
+    cross_check = n <= brute_force_cap()
     report = VerificationReport()
     feasible = budgets_ok = None
     found = (None, None, None)           # conserved, dominance, reclinch
-    seen = totals = None                 # (rho, d) of the last snapshot and its residual totals
+    last = None                          # (rho, d, fhat([n])) of the snapshot before
 
     for snap in snapshots:
         if budgets_ok is None:
@@ -385,32 +465,32 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
                 if b is not None and b < 0:
                     budgets_ok = {"step": snap.step, "bidder": i, "budget": str(b)}
                     break
-        if (snap.promised, snap.demands) != seen:
-            if any(v < 0 for v in snap.promised):
-                feasible = {"step": snap.step, "violating_set": [],
-                            "detail": "negative promised allocation"}
-            else:
-                member = membership(oracle, snap.promised)
-                if not member.ok:
-                    feasible = {"step": snap.step,
-                                "violating_set": sorted(member.violating)}
-            if feasible is not None:
-                # Without feasibility the residual oracle is undefined; report
-                # the feasibility breach and stop recomputing the rest.
-                break
-            seen = snap.promised, snap.demands
-            totals = residual_totals(oracle, *seen)
-        witnesses = _residual_witnesses(snap, target, *totals)
-        if all(old is not None or new is None for old, new in zip(found, witnesses)):
+        if (snap.promised, snap.demands, snap.residual_total) == last:
             continue
-        # A monitor newly failed: the Fraction reference table must agree.
-        res = residual(oracle, snap.promised, snap.demands)
-        reference = _residual_witnesses(
-            snap, target, res.value_mask(full),
-            [res.value_mask(full ^ (1 << j)) for j in range(n)])
-        if reference != witnesses:
-            raise ClinchError(f"step {snap.step}: the integer residual values and the "
-                              "Fraction reference give different monitor witnesses")
+        last = snap.promised, snap.demands, snap.residual_total
+        if any(v < 0 for v in snap.promised):
+            feasible = {"step": snap.step, "violating_set": [],
+                        "detail": "negative promised allocation"}
+        else:
+            member = membership(oracle, snap.promised)
+            if not member.ok:
+                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
+        if feasible is not None:
+            # Without feasibility the residual oracle is undefined; report
+            # the feasibility breach and stop recomputing the rest.
+            break
+        witnesses = _residual_witnesses(
+            snap, target, *residual_totals(oracle, snap.promised, snap.demands))
+        if cross_check and any(old is None and new is not None
+                               for old, new in zip(found, witnesses)):
+            # A monitor newly failed: the Fraction reference table must agree.
+            res = residual(oracle, snap.promised, snap.demands)
+            reference = _residual_witnesses(
+                snap, target, res.value_mask(full),
+                [res.value_mask(full ^ (1 << j)) for j in range(n)])
+            if reference != witnesses:
+                raise ClinchError(f"step {snap.step}: the integer residual values and the "
+                                  "Fraction reference give different monitor witnesses")
         found = tuple(new if old is None else old for old, new in zip(found, witnesses))
     conserved, dominance, reclinch = found
 

@@ -199,8 +199,9 @@ def test_gen_output_passes_verify_and_check(tmp_path, capsys, kind):
 
 def test_verify_refuses_past_the_cap_before_running(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
-    dest = tmp_path / "vod-cut-20.json"
-    assert run_cli(capsys, "gen", "--kind", "vod-cut", "--n", "20", "--seed", "0",
+    # graphic oracles carry no reduced rank, so their checks need the table
+    dest = tmp_path / "graphic-20.json"
+    assert run_cli(capsys, "gen", "--kind", "graphic", "--n", "20", "--seed", "0",
                    "-o", str(dest))[0] == EXIT_OK
 
     def no_run(*args):
@@ -210,7 +211,20 @@ def test_verify_refuses_past_the_cap_before_running(tmp_path, capsys, monkeypatc
     code, out, err = run_cli(capsys, "verify", "-i", str(dest))
     assert code == EXIT_INTERNAL and out == ""
     assert "exceeds the cap of 16" in err and "CLINCH_BRUTE_FORCE_CAP" in err
-    assert "`clinch run` handles this instance" in err
+    assert "Single-keyword, multi-unit and vod-cut files verify past the cap" in err
+
+
+@pytest.mark.parametrize("kind", ["single-keyword", "multi-unit", "vod-cut"])
+def test_verify_runs_past_the_cap_on_reduced_ranks(tmp_path, capsys, monkeypatch, kind):
+    # every check decides by reduced ranks, so none needs the value table
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
+    dest = tmp_path / f"{kind}-8.json"
+    assert run_cli(capsys, "gen", "--kind", kind, "--n", "8", "--seed", "3",
+                   "-o", str(dest))[0] == EXIT_OK
+    code, out, err = run_cli(capsys, "verify", "-i", str(dest))
+    assert code == EXIT_OK and err == "" and "FAIL" not in out
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "8")
+    assert run_cli(capsys, "verify", "-i", str(dest))[1] == out
 
 
 def test_check_submodular_fixture(capsys):

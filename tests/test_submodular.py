@@ -314,6 +314,16 @@ def test_residual_recovers_base_at_origin():
         assert res.value(subset) == oracle.value(subset)
 
 
+def test_residual_oracle_checks_the_cap(monkeypatch):
+    # the reference tabulates 2^n sets even on an oracle with a reduced rank,
+    # whose membership test needs no enumeration
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    with pytest.raises(SizeError) as err:
+        residual(multi_unit_oracle(5, 18), [0] * 18, [1] * 18)
+    assert (err.value.n, err.value.cap) == (18, 16)
+    assert "CLINCH_BRUTE_FORCE_CAP" in str(err.value)
+
+
 def test_residual_rejects_infeasible_promises():
     oracle = single_keyword_oracle([3, 2])
     with pytest.raises(PreconditionError) as err:

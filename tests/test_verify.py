@@ -15,6 +15,7 @@ from polyclinch import (
     ConcaveCurve,
     DomainError,
     Outcome,
+    SizeError,
     bidder,
     check_dominated_direction,
     check_outcome,
@@ -37,7 +38,7 @@ from polyclinch.instances import parse_instance
 from polyclinch.submodular import ResidualOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
 
-from corpus import KINDS, random_bidders, random_feasible_point, random_oracle
+from corpus import KINDS, random_bidders, random_feasible_point, random_oracle, table_only
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -118,7 +119,9 @@ def test_check_outcome_runs_membership_only_to_name_a_witness(monkeypatch):
         calls.append(1)
         return membership(*args)
     monkeypatch.setattr(verify, "membership", counted)
-    oracle = multi_unit_oracle(2, 2)
+    # the table path; on a reduced rank membership is the one R that decides
+    # x in P(f), so it runs every time
+    oracle = table_only(multi_unit_oracle(2, 2))
     bidders = [bidder(2, 1), bidder(1, 1)]
     assert check_outcome(oracle, bidders, outcome_of([1, 1], [0, 0])).result("membership").passed
     assert not calls
@@ -172,6 +175,53 @@ def test_check_outcome_tight_sets_match_min_constrained():
             == expected, t
         failing += expected is not None
     assert 20 <= failing <= 100, failing
+
+
+RANK_KINDS = ("single-keyword", "multi-unit", "vod-cut")
+
+
+def _planted(rng, oracle, out):
+    """The outcome and three perturbations of it: a shift between two
+    bidders, an inflated allocation (outside P(f)) and a random point of
+    P(f) with random payments."""
+    n = oracle.n
+    i, j = rng.sample(range(n), 2)
+    shifted = list(out.allocation)
+    step = min(shifted[i], F(1, rng.choice((2, 3, 7))))
+    shifted[i] -= step
+    shifted[j] += step
+    inflated = list(out.allocation)
+    inflated[i] += F(1, rng.choice((1, 2, 5)))
+    return [out, replace(out, allocation=tuple(shifted)),
+            replace(out, allocation=tuple(inflated)),
+            outcome_of(random_feasible_point(rng, oracle),
+                       [F(rng.randint(0, 3), 4) for _ in range(n)])]
+
+
+def test_reduced_rank_verifiers_match_the_table_path():
+    # check_outcome and validate_trace by R give the reports the integer
+    # table gives on the same set function, on clean and planted outcomes
+    # and traces, inside P(f) and outside it
+    rng = random.Random(2121)
+    failing = infeasible = pareto = 0
+    for t in range(90):
+        n = rng.randint(2, 8)
+        oracle = random_oracle(rng, RANK_KINDS[t % 3], n)
+        table = table_only(oracle)
+        bidders = random_bidders(rng, n)
+        out = run_clinching(oracle, bidders, AuctionConfig(trace=True))
+        for planted in _planted(rng, oracle, out):
+            expected = check_outcome(table, bidders, planted)
+            assert check_outcome(oracle, bidders, planted).to_json() == expected.to_json(), t
+            failing += not expected.ok()
+            feasible = expected.result("membership").passed
+            infeasible += not feasible
+            pareto += feasible and not expected.result("pareto-tight-sets").passed
+        for how in ("clean", "shaved-promise", "inflated-promise", "tampered-demand"):
+            snaps = out.trace if how == "clean" else _corrupt(rng, out.trace, how)
+            assert validate_trace(oracle, snaps).to_json() == \
+                validate_trace(table, snaps).to_json(), (t, how)
+    assert failing >= 180 and infeasible >= 90 and pareto >= 80, (failing, infeasible, pareto)
 
 
 def test_check_outcome_witnesses_replay():
@@ -482,6 +532,13 @@ def test_tampered_skipped_step_fails_at_that_step():
             "post-clinch-dominance", "reclinch-zero"]
         assert report.result("post-clinch-dominance").witness == {"step": k, "j": 2}
         assert report.result("reclinch-zero").witness == {"step": k, "delta": reclinch}
+    # a wrong recorded fhat([n]) on an otherwise repeated snapshot is no
+    # repeat either
+    snaps[k] = replace(snap, residual_total=snap.residual_total + 1)
+    report = validate_trace(oracle, snaps)
+    assert [p.name for p in report.failures()] == ["conserved-quantity"]
+    assert report.result("conserved-quantity").witness == {
+        "step": k, "fhat_full": "11/3", "recomputed": "8/3"}
 
 
 def test_tampered_recorded_total_fails_conservation():
@@ -500,6 +557,23 @@ def test_tampered_recorded_total_fails_conservation():
     assert [p.name for p in report.failures()] == ["conserved-quantity"]
     assert report.result("conserved-quantity").witness == {
         "step": snaps[k].step, "fhat_full": str(recorded + 7), "recomputed": str(recorded)}
+
+
+def test_validate_trace_reports_failures_past_the_cap(monkeypatch):
+    # past the cap the Fraction cross-check, which tabulates 2^n sets, is
+    # skipped; the monitors by reduced ranks report the same witnesses
+    oracle = multi_unit_oracle(3, 6)
+    out = run_clinching(oracle, [bidder(6 - i, 2) for i in range(6)], AuctionConfig(trace=True))
+    snaps = list(out.trace)
+    k = len(snaps) - 1
+    snaps[k] = replace(snaps[k], promised=(snaps[k].promised[0] - F(1, 7),)
+                       + snaps[k].promised[1:])
+    expected = validate_trace(oracle, snaps).to_json()
+    assert not expected["ok"]
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
+    assert validate_trace(oracle, snaps).to_json() == expected
+    with pytest.raises(SizeError):
+        validate_trace(table_only(oracle), snaps)
 
 
 def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
