@@ -17,8 +17,9 @@ component labels for graphic, a maximum flow to augment for vod-cut.  The
 multi-unit, single-keyword and vod-cut oracles also carry a
 :class:`~polyclinch.submodular.ReducedRank`, R(c) = min over T of f(T) +
 c([n] \\ T): one sort of c for the first two, whose rank list becomes it,
-and one maximum flow with bidder i's sink arc at c_i for vod-cut.  So their
-auctions clinch without the 2^n table and run past the enumeration cap.
+and one maximum flow with bidder i's sink arc at c_i for vod-cut, from
+which R with one sink arc closed re-augments.  So their auctions clinch
+without the 2^n table and run past the enumeration cap.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -37,6 +38,7 @@ from .errors import DomainError
 from .submodular import (
     LatticeStep,
     Rational,
+    RankSolution,
     ReducedRank,
     SubmodularOracle,
     ZERO,
@@ -289,6 +291,46 @@ class _ArcNetwork:
                 residual[a ^ 1] += bottleneck
             flow += bottleneck
 
+    def cancel(self, residual: List[int], arc: int, source) -> None:
+        """Close ``arc`` and take its flow out of the network, in place.
+
+        ``residual`` holds the residual capacities of a flow from zero, so
+        ``residual[a]`` is the flow on arc ``a ^ 1`` for every odd ``a``.
+        The arc's flow is set to 0 and sent back from its tail to label
+        ``source`` along paths of reverse arcs that carry flow, each found by
+        one breadth-first search; what is left is a feasible flow, smaller
+        by what the arc carried, and no arc's flow grows.  Such paths exist
+        while flow is left to send: the nodes that reach the tail along them
+        would otherwise take in more flow than they send on.
+        """
+        head, adj, size = self.head, self.adj, len(self.adj)
+        source, tail = self.index[source], head[arc ^ 1]
+        left = residual[arc ^ 1]
+        residual[arc] = residual[arc ^ 1] = 0
+        while left:
+            into: List[Optional[int]] = [None] * size    # BFS tree arc into each node
+            into[tail] = -1
+            queue = [tail]
+            for u in queue:
+                for a in adj[u]:
+                    v = head[a]
+                    if a & 1 and residual[a] and into[v] is None:
+                        into[v] = a
+                        queue.append(v)
+                if into[source] is not None:
+                    break
+            path = []
+            v = source
+            while v != tail:
+                a = into[v]
+                path.append(a)
+                v = head[a ^ 1]
+            sent = min(left, *(residual[a] for a in path))
+            for a in path:
+                residual[a] -= sent
+                residual[a ^ 1] += sent
+            left -= sent
+
     def reaching(self, residual: List[int], target) -> List[bool]:
         """Which nodes, by number, reach label ``target`` along arcs of
         positive residual capacity: one breadth-first search backwards."""
@@ -320,12 +362,16 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     from there.  If S's last BFS did not reach bidder i's node, no
     augmenting path exists: the BFS is skipped and f(S + i) = f(S).
 
-    The reduced rank R(c) = min over T of f(T) + c([n] \\ T) is one cold
-    maximum flow with bidder i's sink arc at c_i (Fujishige, *Submodular
-    Functions and Optimization*, 2005, section 3.1).  Its smallest minimizer
-    T* is read off the final residual: the bidders with c_i > 0 whose node
-    still reaches the sink.  (With c_i = 0, dropping i from a minimizer
-    keeps it one.)
+    The reduced rank R(c) = min over T of f(T) + c([n] \\ T) is one
+    maximum flow from zero with bidder i's sink arc at c_i (Fujishige,
+    *Submodular Functions and Optimization*, 2005, section 3.1), and the
+    solution keeps its residual.  Its smallest minimizer T*, read off that
+    residual on request, is the bidders with c_i > 0 whose node still
+    reaches the sink.  (With c_i = 0, dropping i from a minimizer keeps it
+    one.)  ``without(j)``, R with c_j = 0, is R(c) itself when sink arc j
+    carries no flow; otherwise it copies the residual, closes the arc,
+    cancels its flow back to the source (:meth:`_ArcNetwork.cancel`) and
+    augments from there.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -347,14 +393,28 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             flow += extra
         return flow, (flow, residual, reached)
 
-    def solve(scale: int, c: Sequence[int]) -> tuple:
+    def solve(scale: int, c: Sequence[int]) -> RankSolution:
         residual = [capacity * scale for capacity in graph.cap]
         for a, ci in zip(sink_arcs, c):
             residual[a] = ci
         total = graph.max_flow(residual, net.source, sink)[0]
-        reaches = graph.reaching(residual, sink)
-        return total, sum(1 << i for i, (b, ci) in enumerate(zip(bidder_index, c))
-                          if ci and reaches[b])
+
+        def smallest() -> int:
+            # residual[a] + residual[a ^ 1] is sink arc a's capacity, c_i
+            reaches = graph.reaching(residual, sink)
+            return sum(1 << i for i, (a, b) in enumerate(zip(sink_arcs, bidder_index))
+                       if residual[a] + residual[a ^ 1] and reaches[b])
+
+        def without(j: int) -> int:
+            a = sink_arcs[j]
+            carried = residual[a ^ 1]
+            if not carried:
+                return total
+            warm = residual[:]
+            graph.cancel(warm, a, net.source)
+            return total - carried + graph.max_flow(warm, net.source, sink)[0]
+
+        return RankSolution(total, smallest, without)
 
     root = graph.cap[:]
     flow = LatticeStep(den, (0, root, graph.max_flow(root, net.source, sink)[1]), step)

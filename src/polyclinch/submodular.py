@@ -24,7 +24,10 @@ against.  Also ``fhat([n]) = R(rho + d) - rho([n])``, with the reduced rank
 without a table (a :class:`ReducedRank`: one sort for a cardinality oracle's
 rank list, :func:`_cardinality_rank`, or the vod-cut max-flow) is always
 clinched that way, and :func:`membership` decides x in P(f) on it by one more
-R, since x is in P(f) iff R(x) = x([n]).
+R, since x is in P(f) iff R(x) = x([n]).  A solve returns a
+:class:`RankSolution`, from which each leave-one-out R (c_j = 0) the clinch
+and :func:`residual_totals` need is computed warm, and the smallest
+minimizer only on request.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
@@ -42,7 +45,8 @@ for desk-scale verification, not for large-scale submodular minimization.
 Reduced-rank oracles need no enumeration (:func:`clinches_without_table`):
 they clinch past the cap, and :func:`membership` and :func:`residual_totals`
 decide on them by R there too; only :func:`verify_submodular` and the
-``Fraction`` reference :class:`ResidualOracle` still need the table.
+``Fraction`` reference :class:`ResidualOracle` still need the table, and
+the first decides cardinality oracles from their rank list instead.
 """
 
 from __future__ import annotations
@@ -189,15 +193,32 @@ class ReducedRank:
     """R(c) = min over T of f(T) + c([n] \\ T) for c >= 0, on integers.
 
     R(c) is also max{y([n]) : y in P(f), y <= c}.  ``solve(scale, c)`` takes
-    c_i = c[i] / (``den`` * scale) and returns ``(R(c) * den * scale, T*)``,
-    T* the smallest minimizer as a mask: the minimizers of a submodular
-    function are closed under intersection, so one set is contained in all.
+    c_i = c[i] / (``den`` * scale) and returns a :class:`RankSolution` at c.
     """
 
     __slots__ = ("den", "solve")
 
-    def __init__(self, den: int, solve: Callable[[int, Sequence[int]], tuple]):
+    def __init__(self, den: int, solve: Callable[[int, Sequence[int]], "RankSolution"]):
         self.den, self.solve = den, solve
+
+
+class RankSolution:
+    """One solve of a :class:`ReducedRank`, all values over ``den`` * scale.
+
+    ``total`` is R(c).  ``smallest()`` is T*, the smallest minimizer, as a
+    mask: the minimizers of a submodular function are closed under
+    intersection, so one set is contained in all.  ``without(j)`` is R at c
+    with c_j = 0, started from this solve's own work (for vod-cut, its
+    maximum flow).  Both are computed only when called and change nothing,
+    so they can be asked in any order, any number of times; the state they
+    start from lives here, never on the oracle.
+    """
+
+    __slots__ = ("total", "smallest", "without")
+
+    def __init__(self, total: int, smallest: Callable[[], int],
+                 without: Callable[[int], int]):
+        self.total, self.smallest, self.without = total, smallest, without
 
 
 def _cardinality_rank(ctrs: Iterable[Rational]) -> ReducedRank:
@@ -210,20 +231,37 @@ def _cardinality_rank(ctrs: Iterable[Rational]) -> ReducedRank:
     splits a tie, since A_t - A_(t-1) does not grow with t: if the t-th and
     (t+1)-th largest entries were equal, t + 1 would do strictly better than
     t.  So the entries at least the t-th largest are the smallest minimizer.
+    ``without(j)`` needs no sort: c with c_j = 0, sorted, is the sorted c
+    less one entry equal to c_j, with a 0 appended, so it is one more scan.
     """
     den, alpha = _over_common_denominator(_rank_list(ctrs, "rank list"))
 
-    def solve(scale: int, c: Sequence[int]) -> tuple:
-        top = sorted(c, reverse=True)
+    def scan(scale: int, top: list) -> tuple:
+        """(min over t of A_t - top_t, the least t attaining it), top sorted descending."""
         low = run = size = 0
         for t, v in enumerate(top):
             run += (alpha[t] * scale if t < len(alpha) else 0) - v
             if run < low:
                 low, size = run, t + 1
-        if size == 0:
-            return sum(c), 0
-        cut = top[size - 1]
-        return sum(c) + low, sum(1 << i for i, ci in enumerate(c) if ci >= cut)
+        return low, size
+
+    def solve(scale: int, c: Sequence[int]) -> RankSolution:
+        c = list(c)                          # the solution's own copy
+        top = sorted(c, reverse=True)
+        low, size = scan(scale, top)
+        total = sum(c)
+
+        def smallest() -> int:
+            if size == 0:
+                return 0
+            cut = top[size - 1]
+            return sum(1 << i for i, ci in enumerate(c) if ci >= cut)
+
+        def without(j: int) -> int:
+            k = top.index(c[j])
+            return total - c[j] + scan(scale, top[:k] + top[k + 1:] + [0])[0]
+
+        return RankSolution(total + low, smallest, without)
 
     return ReducedRank(den, solve)
 
@@ -366,6 +404,31 @@ def _locally_submodular(nums: Sequence[int], n: int) -> bool:
     return True
 
 
+def _cardinality_check(n: int, ctrs: Sequence[Rational], monotone: bool) -> OracleCheck:
+    """:func:`verify_submodular` of f(S) = A_|S| on {0..n-1} from its rank list, in O(n).
+
+    A_t is the sum of the first t entries alpha_0, alpha_1, .. of ``ctrs``,
+    0 past its end, and f(empty) = A_0 = 0.  A function of |S| alone is
+    submodular iff it is concave in |S|, that is iff alpha_0 >= .. >=
+    alpha_(n-1); and it is monotone iff each of those is >= 0.  A failing
+    step k is witnessed by S = {0..k-1} and T = {0..k-2, k}, for which
+    f(S|T) + f(S&T) - f(S) - f(T) = alpha_k - alpha_(k-1); a negative
+    alpha_k by {0..k-1} and {0..k}, the pair the table scan would name.
+    """
+    alpha = (vector(ctrs) + (ZERO,) * n)[:n]
+    for k in range(1, n):
+        if alpha[k - 1] < alpha[k]:
+            return OracleCheck(False, "submodularity",
+                               (frozenset(range(k)), frozenset(range(k - 1)) | {k}),
+                               f"f(S|T)+f(S&T)-f(S)-f(T) = {alpha[k] - alpha[k - 1]} > 0")
+    for k, a in enumerate(alpha):
+        if monotone and a < 0:
+            return OracleCheck(False, "monotonicity",
+                               (frozenset(range(k)), frozenset(range(k + 1))),
+                               f"f(S+{k}) - f(S) = {a} < 0")
+    return OracleCheck(True)
+
+
 def verify_submodular(oracle) -> OracleCheck:
     """Exhaustively check normalization, submodularity and claimed monotonicity.
 
@@ -378,10 +441,16 @@ def verify_submodular(oracle) -> OracleCheck:
     ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  ``Fraction``
     values are built only on a violation, to name it: the pairwise scan runs
     in ascending mask order, so the reported pair is the first violating one
-    and failures are reproducible.
+    and failures are reproducible.  A cardinality oracle (one with ``ctrs``)
+    is decided from its rank list instead (:func:`_cardinality_check`), at
+    any n; every other oracle needs the enumeration cap.
     """
     n = oracle.n
-    check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}")
+    if getattr(oracle, "ctrs", None) is not None:
+        return _cardinality_check(n, oracle.ctrs, oracle.monotone)
+    check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}",
+                           "Single-keyword and multi-unit oracles pass it at any size, "
+                           "from their rank list")
     if oracle.value_mask(0) != 0:
         return OracleCheck(False, "normalization", (frozenset(),),
                            f"f(empty) = {oracle.value_mask(0)} != 0")
@@ -491,11 +560,11 @@ def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipRes
     rank = oracle.reduced_rank
     if rank is not None:
         den, (nums,) = _scaled(rank.den, vec)
-        total, smallest = rank.solve(den // rank.den, nums)
-        low = total - sum(nums)
+        solution = rank.solve(den // rank.den, nums)
+        low = solution.total - sum(nums)
         if low == 0:
             return MembershipResult(True)
-        return MembershipResult(False, set_of(smallest), Fraction(low, den))
+        return MembershipResult(False, set_of(solution.smallest()), Fraction(low, den))
     check_enumeration_size(n, "membership test")
     if min(_slack_table(oracle, vec)[1]) >= 0:
         return MembershipResult(True)
@@ -633,16 +702,17 @@ def _reduced_rank_clinch(rank: ReducedRank, rho: Sequence[Fraction],
     With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
     smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
     with c_j = 0, less rho([n] \\ j), since f is monotone, so
-    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
+    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).  One solve at c
+    gives R(c), T* and, warm from it, each R with c_j = 0
+    (:meth:`RankSolution.without`).
     """
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    c = list(map(operator.add, rnum, dnum))
-    scale = den // rank.den
-    total, smallest = rank.solve(scale, c)
+    solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
+    total, smallest = solution.total, solution.smallest()
     delta = []
-    for j in range(len(c)):
+    for j in range(len(rnum)):
         if smallest >> j & 1:
-            without = rank.solve(scale, c[:j] + [0] + c[j + 1:])[0]
+            without = solution.without(j)
             delta.append(Fraction(max(0, total - without - rnum[j]), den))
         else:
             delta.append(d[j])
@@ -660,9 +730,9 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 
     * Oracles with a :class:`ReducedRank` (cardinality oracles by one sort,
       vod-cut by one max-flow): min h = R(rho + d) - (rho + d)([n]), plus
-      one more R for each bidder in the smallest minimizer T* of h
-      (:func:`_reduced_rank_clinch`).  No table is built; these are the
-      oracles :func:`clinches_without_table` names.
+      one more R, warm from that solve, for each bidder in the smallest
+      minimizer T* of h (:func:`_reduced_rank_clinch`).  No table is
+      built; these are the oracles :func:`clinches_without_table` names.
     * All other oracles: h over all 2^n masks, from the oracle's cached
       integer table.  When a minimizer T* of h avoids i the two minima agree
       and delta_i = d_i, so only the bits of T* need the second minimum.
@@ -707,19 +777,20 @@ def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
     kernel's argmin shortcut.  On an oracle with a :class:`ReducedRank`
     that is n + 1 full solves, with no table and no cap: with c = rho + d,
     fhat([n]) = R(c) - rho([n]), and, f being monotone, fhat([n] \\ j) =
-    R(c with c_j = 0) - rho([n] \\ j).  Other oracles take the minima over
+    R(c with c_j = 0) - rho([n] \\ j), each R with c_j = 0 the
+    :meth:`RankSolution.without` of the solve at c: complete, but started
+    from that solve's work.  Other oracles take the minima over
     their integer table.  rho and d are Fraction vectors; rho must lie in
     P(f), which is not checked here.
     """
     rank = oracle.reduced_rank
     if rank is not None:
         den, (rnum, dnum) = _scaled(rank.den, rho, d)
-        c = list(map(operator.add, rnum, dnum))
-        scale, rtotal = den // rank.den, sum(rnum)
-        without = (rank.solve(scale, c[:j] + [0] + c[j + 1:])[0] + rnum[j]
-                   for j in range(len(c)))
-        return (Fraction(rank.solve(scale, c)[0] - rtotal, den),
-                tuple(Fraction(r - rtotal, den) for r in without))
+        solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
+        rtotal = sum(rnum)
+        return (Fraction(solution.total - rtotal, den),
+                tuple(Fraction(solution.without(j) + rnum[j] - rtotal, den)
+                      for j in range(len(rnum))))
     den, h, (_, dnum) = _slack_table(oracle, rho, d)
     dtotal = sum(dnum)
     return (Fraction(dtotal + min(h), den),

@@ -170,13 +170,14 @@ def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
     """``(member, smallest_tight, separation)`` for :func:`check_outcome`, by R.
 
     ``member`` is :func:`membership` of x.  ``separation(i, j)`` is the
-    smallest minimizer of f - x over the sets holding i (and not j, if j is
-    given) and the minimum, and ``smallest_tight(i)`` is T_i, that
-    minimizer when the minimum is 0, else None.  Each is one R at c = x
-    with c_i = M and c_j = 0: as M > f([n]) + x([n]), every set without i
-    costs more than any set with it, and with c_j = 0 dropping j from a set
-    never costs more, f being monotone.  So the minimizers of R are those of f - x over the
-    sets holding i (and not j), and the minimum is R - c([n]) + M - x_i.
+    smallest minimizer of f - x over the sets holding i and not j, and the
+    minimum, and ``smallest_tight(i)`` is T_i, the smallest minimizer over
+    the sets holding i when that minimum is 0, else None (and then no
+    minimizer is computed).  Each is one R at c = x with c_i = M (and
+    c_j = 0): as M > f([n]) + x([n]), every set without i costs more than
+    any set with it, and with c_j = 0 dropping j from a set never costs
+    more, f being monotone.  So the minimizers of R are those of f - x over
+    the sets holding i (and not j), and the minimum is R - c([n]) + M - x_i.
     The smallest minimizer is the unique one of least cardinality, the set
     :func:`~polyclinch.submodular._argmin` names on the table.
     """
@@ -186,17 +187,21 @@ def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
     scale = den // rank.den
     big = math.floor(full_value * den) + sum(xnum) + 1
 
-    def separation(i: int, j: Optional[int] = None) -> tuple:
+    def solved(i: int, j: Optional[int] = None) -> tuple:
         c = list(xnum)
         c[i] = big
         if j is not None:
             c[j] = 0
-        total, smallest = rank.solve(scale, c)
-        return smallest, Fraction(total - sum(c) + big - xnum[i], den)
+        solution = rank.solve(scale, c)
+        return solution, Fraction(solution.total - sum(c) + big - xnum[i], den)
+
+    def separation(i: int, j: int) -> tuple:
+        solution, low = solved(i, j)
+        return solution.smallest(), low
 
     def smallest_tight(i: int) -> Optional[int]:
-        smallest, low = separation(i)
-        return smallest if low == 0 else None
+        solution, low = solved(i)
+        return solution.smallest() if low == 0 else None
 
     return member, smallest_tight, separation
 

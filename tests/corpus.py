@@ -40,8 +40,8 @@ def reduced_rank(oracle: SubmodularOracle, c) -> tuple:
     oracle's :class:`~polyclinch.submodular.ReducedRank`; c holds Fractions."""
     rank = oracle.reduced_rank
     den = math.lcm(rank.den, *(v.denominator for v in c))
-    total, smallest = rank.solve(den // rank.den, [int(v * den) for v in c])
-    return Fraction(total, den), smallest
+    solution = rank.solve(den // rank.den, [int(v * den) for v in c])
+    return Fraction(solution.total, den), solution.smallest()
 
 
 def random_bidders(rng: random.Random, n: int, max_value: int = 6,

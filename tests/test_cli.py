@@ -234,6 +234,20 @@ def test_check_submodular_fixture(capsys):
     assert "[PASS] submodular-oracle" in out
 
 
+def test_check_submodular_past_the_cap_on_rank_lists(tmp_path, capsys, monkeypatch):
+    # single-keyword is decided from its rank list; vod-cut still needs the table
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    for kind, n in (("single-keyword", 128), ("vod-cut", 17)):
+        assert run_cli(capsys, "gen", "--kind", kind, "--n", str(n), "--seed", "0",
+                       "-o", str(tmp_path / f"{kind}.json"))[0] == EXIT_OK
+    code, out, err = run_cli(capsys, "check-submodular", "-i",
+                             str(tmp_path / "single-keyword.json"))
+    assert code == EXIT_OK and err == "" and "[PASS] submodular-oracle" in out
+    code, out, err = run_cli(capsys, "check-submodular", "-i", str(tmp_path / "vod-cut.json"))
+    assert code == EXIT_INTERNAL and out == "" and "exceeds the cap of 16" in err
+    assert "Single-keyword and multi-unit oracles pass it at any size" in err
+
+
 def test_verify_pareto_failure_exits_one_with_witness(tmp_path, capsys):
     # tied low values on the fixed 2D polytope land on a dominated corner
     bad = tmp_path / "tied.json"

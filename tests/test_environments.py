@@ -1,6 +1,8 @@
 """Environment constructors, the AdWords decomposition, and cut oracles."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -465,11 +467,14 @@ def test_vod_cut_matches_brute_force_min_cut():
         assert [oracle.value_mask(m) for m in range(1 << oracle.n)] == _min_cut_table(net), net
 
 
-def test_reduced_rank_matches_its_definition():
-    # Vod-cut: zero capacities, two bidders on one node and bidders the
-    # source cannot reach come from _random_network.  Cardinality: zero CTRs,
-    # multi-unit lists (Q,) shorter than n.  c mixes ties, zeros and
-    # denominators.
+def _reduced_rank_cases():
+    """(oracle, c) pairs for the reduced-rank tests.
+
+    Vod-cut: zero capacities, two bidders on one node and bidders the
+    source cannot reach come from _random_network.  Cardinality: zero CTRs,
+    multi-unit lists (Q,) shorter than n.  c mixes ties, zeros and
+    denominators.
+    """
     def random_c(rng, n):
         return tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
                      for _ in range(n))
@@ -501,18 +506,88 @@ def test_reduced_rank_matches_its_definition():
         else:
             oracle = multi_unit_oracle(F(rng.randint(0, 8), rng.choice((1, 2, 3))), n)
         cases.append((oracle, random_c(rng, n)))
+    return cases
+
+
+def _rank_table(oracle, c):
+    """f(T) + c([n] \\ T) for every mask T."""
+    den, nums = oracle.integer_table()
+    inside = [F(0)] * len(nums)                  # c(T), each mask from its lowest bit
+    for m in range(1, len(nums)):
+        low = m & -m
+        inside[m] = inside[m ^ low] + c[low.bit_length() - 1]
+    return [F(num, den) + sum(c) - c_in for num, c_in in zip(nums, inside)]
+
+
+def _smallest_minimizer(values):
+    low = min(values)
+    return functools.reduce(operator.and_, (m for m, v in enumerate(values) if v == low))
+
+
+def test_reduced_rank_matches_its_definition():
     ties = {"vod-cut": 0, "cardinality": 0}
-    for oracle, c in cases:
-        n = oracle.n
-        den, nums = oracle.integer_table()
-        values = [F(nums[m], den) + sum(c[i] for i in range(n) if not m >> i & 1)
-                  for m in range(1 << n)]
+    for oracle, c in _reduced_rank_cases():
+        values = _rank_table(oracle, c)
         total, smallest = reduced_rank(oracle, c)
         assert total == min(values) == values[smallest], (oracle, c)
         minimizers = [m for m, v in enumerate(values) if v == total]
         assert all(m & smallest == smallest for m in minimizers), (oracle, c)
         ties["cardinality" if oracle.ctrs is not None else "vod-cut"] += len(minimizers) > 1
     assert min(ties.values()) >= 20, ties
+
+
+def test_without_equals_a_cold_solve():
+    # R with c_j = 0 from the solve at c equals a solve from scratch, for
+    # every j: at c as drawn, and with one entry above f([n]) + c([n]), as
+    # check_outcome's tight-set search sets it.  Asking for every without(j)
+    # first leaves total and smallest() as a fresh solve gives them, and
+    # smallest() is the intersection of the minimizers.
+    warm = {"vod-cut": 0, "cardinality": 0}
+    for oracle, c in _reduced_rank_cases():
+        rank, n = oracle.reduced_rank, oracle.n
+        den = math.lcm(rank.den, *(v.denominator for v in c))
+        scale = den // rank.den
+        nums = [int(v * den) for v in c]
+        big = int(oracle.value_mask((1 << n) - 1) * den) + sum(nums) + 1
+        for point in [nums] + [nums[:i] + [big] + nums[i + 1:] for i in range(n)]:
+            solution = rank.solve(scale, point)
+            for j in range(n):
+                cold = rank.solve(scale, point[:j] + [0] + point[j + 1:]).total
+                assert solution.without(j) == cold, (oracle, point, j)
+                warm["cardinality" if oracle.ctrs is not None else "vod-cut"] += (
+                    cold < solution.total)
+            fresh = rank.solve(scale, point)
+            assert solution.total == fresh.total, (oracle, point)
+            assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
+                _rank_table(oracle, [F(v, den) for v in point])), (oracle, point)
+    assert min(warm.values()) >= 100, warm
+
+
+def test_two_solves_on_one_oracle_do_not_share_state():
+    # Interleaving the questions to two solutions changes neither: the state
+    # each starts from is its own, not the oracle's.
+    rng = random.Random(5150)
+    oracles = [vod_cut_oracle(_random_network(rng, 6)) for _ in range(10)]
+    oracles += [single_keyword_oracle([5, 3, 3, 1, 0, 0]), multi_unit_oracle(4, 6)]
+    for oracle in oracles:
+        rank = oracle.reduced_rank
+        points = [[rng.randint(0, 9 * rank.den) for _ in range(6)] for _ in range(2)]
+        alone = []
+        for point in points:
+            solution = rank.solve(1, point)
+            alone.append((solution.total, solution.smallest(),
+                          [solution.without(j) for j in range(6)]))
+        first, second = (rank.solve(1, point) for point in points)
+        asked = [second.smallest()]
+        for j in range(6):
+            asked += [first.without(j), second.without(5 - j)]
+        asked.append(first.smallest())
+        expected = [alone[1][1]]
+        for j in range(6):
+            expected += [alone[0][2][j], alone[1][2][5 - j]]
+        expected.append(alone[0][1])
+        assert asked == expected, oracle
+        assert (first.total, second.total) == (alone[0][0], alone[1][0]), oracle
 
 
 def test_vod_cut_rejects_source_as_bidder():

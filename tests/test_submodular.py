@@ -116,9 +116,11 @@ def test_false_monotone_claim_caught():
 
 
 def test_verify_respects_brute_force_cap(monkeypatch):
+    # a table oracle: a cardinality oracle is checked from its rank list
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "3")
-    with pytest.raises(SizeError):
-        verify_submodular(multi_unit_oracle(1, 4))
+    with pytest.raises(SizeError) as err:
+        verify_submodular(table_only(multi_unit_oracle(1, 4)))
+    assert "Single-keyword and multi-unit oracles pass it at any size" in str(err.value)
 
 
 def test_size_error_names_its_cap_and_how_to_raise_it(monkeypatch):
@@ -229,7 +231,37 @@ def test_verify_submodular_works_without_an_integer_table():
 def test_verify_submodular_raises_when_the_two_scans_disagree(monkeypatch):
     monkeypatch.setattr(submodular, "_locally_submodular", lambda nums, n: False)
     with pytest.raises(ClinchError):
-        verify_submodular(multi_unit_oracle(2, 3))
+        verify_submodular(table_only(multi_unit_oracle(2, 3)))
+
+
+def test_cardinality_oracles_are_checked_from_their_rank_list(monkeypatch):
+    # Lists of every sign pattern, with ties, shorter and longer than n: the
+    # O(n) verdict is the table check's on the same function given without
+    # its list, and each witness replays.
+    rng = random.Random(2207)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        alpha = [F(rng.randint(-1, 3), rng.choice((1, 2))) for _ in range(rng.randint(0, n + 1))]
+        monotone = rng.random() < 0.7
+        table = SubmodularOracle.from_set_function(
+            n, lambda s: sum(alpha[:len(s)]), monotone, "cardinality")
+        check = submodular._cardinality_check(n, alpha, monotone)
+        expected = verify_submodular(table)
+        assert (check.ok, check.violation) == (expected.ok, expected.violation), (alpha, n)
+        if check.violation == "submodularity":
+            s, t = check.witness
+            assert table.value(s | t) + table.value(s & t) > table.value(s) + table.value(t)
+        elif check.violation == "monotonicity":
+            assert check.witness == expected.witness, (alpha, n)
+        verdicts.add(check.violation)
+    assert verdicts == {None, "submodularity", "monotonicity"}
+    # past the cap: built-in cardinality oracles pass without a table
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
+    for oracle in (single_keyword_oracle(range(200, 0, -1)), multi_unit_oracle(3, 200),
+                   single_keyword_oracle([2, 2] + [0] * 30)):
+        assert verify_submodular(oracle) == OracleCheck(True)
+        assert oracle._table is None
 
 
 # ---------------------------------------------------------------------------
