@@ -11,9 +11,9 @@ when every demand is zero.
 Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, clinched by
-  :func:`~polyclinch.submodular.clinch_kernel` (reduced ranks on oracles
-  that carry them: one sort on single-keyword and multi-unit oracles, one
-  max-flow on vod-cut oracles; the 2^n table otherwise).
+  :func:`~polyclinch.submodular.clinch_kernel` (by the oracle's reduced
+  rank: one sort on single-keyword and multi-unit oracles, one max-flow on
+  vod-cut oracles, the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -196,7 +196,7 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
 
     Every oracle is clinched by :func:`clinch_kernel`, which returns
     ``(fhat([n]), delta)`` and needs no value table on oracles with a
-    reduced rank (cardinality and vod-cut).
+    structural reduced rank (cardinality and vod-cut).
 
     fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
     loop calls ``fhat_fn`` right after each clinch, at (rho + delta,

@@ -29,7 +29,7 @@ from .instances import (
     parse_instance,
     write_instance,
 )
-from .submodular import check_enumeration_size, clinches_without_table, verify_submodular
+from .submodular import verify_submodular
 from .verify import (
     VerificationReport,
     check_dominated_direction,
@@ -73,12 +73,6 @@ def _verify(inst: InstanceFile):
                    None if direction is None else {"direction": [str(t) for t in direction]})
         return outcome, report
     oracle = inst.build_oracle()
-    if not clinches_without_table(oracle):
-        # every check below reads the 2^n value table of such an oracle, so
-        # refuse before the run; on a reduced rank they need no table
-        check_enumeration_size(
-            oracle.n, "verify's value table",
-            "Single-keyword, multi-unit and vod-cut files verify past the cap.")
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)

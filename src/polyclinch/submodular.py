@@ -19,34 +19,33 @@ from ``fhat`` evaluated at the full set and at each full-set-minus-one; the
 auction engines get both from :func:`clinch_kernel`, which works on integers
 over a common denominator, while :class:`ResidualOracle` evaluates the
 definition on ``Fraction`` tables and serves as the reference it is checked
-against.  Also ``fhat([n]) = R(rho + d) - rho([n])``, with the reduced rank
-``R(c) = min over T of f(T) + c([n] \\ T)``; an oracle that computes R
-without a table (a :class:`ReducedRank`: one sort for a cardinality oracle's
-rank list, :func:`_cardinality_rank`, or the vod-cut max-flow) is always
-clinched that way, and :func:`membership` decides x in P(f) on it by one more
-R, since x is in P(f) iff R(x) = x([n]).  A solve returns a
-:class:`RankSolution`, from which each leave-one-out R (c_j = 0) the clinch
-and :func:`residual_totals` need is computed warm, and the smallest
-minimizer only on request.
+against.
+
+Every decision goes through one quantity, the reduced rank ``R(c) = min over
+T of f(T) + c([n] \\ T)``: ``fhat([n]) = R(rho + d) - rho([n])``, and x is in
+P(f) iff ``R(x) = x([n])``.  Each oracle has one :class:`ReducedRank`
+(:meth:`SubmodularOracle.rank`): a fast structural solver when it carries
+one (one sort for a cardinality oracle's rank list,
+:func:`_cardinality_rank`, or the vod-cut max-flow), else the table solver
+:func:`_table_rank`, one minimum over the oracle's integer value table.  A
+solve returns a :class:`RankSolution`, from which each leave-one-out R
+(c_j = 0) that :func:`clinch_kernel` and :func:`residual_totals` need is
+computed warm, and the smallest minimizer only on request;
+:func:`membership` names that minimizer as the violated set.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
 extend each set's value from its parent's, and fold the same step for one.
-On oracles without a reduced rank the brute-force verifiers decide on the
-same table: :func:`membership` takes one minimum of f - x,
-:func:`verify_submodular` tests local second differences, and
-:func:`residual_totals` gives the n + 1 residual values a trace check needs.
-``Fraction`` scans run only to name the witness of a failure, so witnesses
-stay those of the definition.
+:func:`verify_submodular` tests local second differences on the same table.
 
 All subset enumeration is capped (default 16 elements, override with the
 ``CLINCH_BRUTE_FORCE_CAP`` environment variable); the verifiers are meant
 for desk-scale verification, not for large-scale submodular minimization.
-Reduced-rank oracles need no enumeration (:func:`clinches_without_table`):
-they clinch past the cap, and :func:`membership` and :func:`residual_totals`
-decide on them by R there too; only :func:`verify_submodular` and the
-``Fraction`` reference :class:`ResidualOracle` still need the table, and
-the first decides cardinality oracles from their rank list instead.
+The cap is checked where a table is built, so oracles with a structural
+reduced rank clinch, and are checked by :func:`membership` and
+:func:`residual_totals`, past it; only :func:`verify_submodular` and the
+``Fraction`` reference :class:`ResidualOracle` still need the table there,
+and the first decides cardinality oracles from their rank list instead.
 """
 
 from __future__ import annotations
@@ -266,6 +265,56 @@ def _cardinality_rank(ctrs: Iterable[Rational]) -> ReducedRank:
     return ReducedRank(den, solve)
 
 
+def _min_without_bit(values: list, i: int) -> int:
+    """min of values[m] over the masks m that do not contain bit i."""
+    width = 1 << i
+    period = 2 * width
+    size = len(values)
+    if width <= size // period:
+        # Few residues: each one is a strided slice.
+        return min(min(values[r::period]) for r in range(width))
+    # Few periods: each one starts with a contiguous run of masks without bit i.
+    return min(min(values[s:s + width]) for s in range(0, size, period))
+
+
+def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
+    """The reduced rank of f(m) = nums[m] / den, from the 2^n value table.
+
+    ``solve`` tabulates h = f - c over every mask, and R(c) = c([n]) + min h.
+    ``without(j)`` is c([n]) - c_j + the minimum of h over the masks without
+    j: R with c_j = 0 when f is monotone, and for any f the minimum over the
+    T not holding j of f(T) + c([n] \\ j \\ T), the definition of
+    fhat([n] \\ j), so :func:`clinch_kernel` equals :class:`ResidualOracle`
+    on any set function.  Every minimizer holds j iff that minimum rises
+    above min h, so ``smallest()``, the AND of the minimizers, is those bits
+    of the first minimizer; the minima it takes are kept for ``without``.
+    If the AND is not itself a minimizer (f is not submodular), the
+    minimizer :func:`_precedes` ranks first stands in for it.
+    """
+    def solve(scale: int, c: Sequence[int]) -> RankSolution:
+        c = list(c)                          # the solution's own copy
+        sums = [0]
+        for weight in c:
+            sums += [s + weight for s in sums]
+        h = list(map(operator.sub, nums if scale == 1 else [v * scale for v in nums], sums))
+        total, low = sum(c), min(h)
+        first = h.index(low)
+        minima = {}
+
+        def min_without(j: int) -> int:
+            if j not in minima:
+                minima[j] = _min_without_bit(h, j)
+            return minima[j]
+
+        def smallest() -> int:
+            mask = sum(1 << j for j in range(len(c)) if first >> j & 1 and min_without(j) > low)
+            return mask if h[mask] == low else _argmin(range(len(h)), h.__getitem__)[0]
+
+        return RankSolution(total + low, smallest, lambda j: total - c[j] + min_without(j))
+
+    return ReducedRank(den, solve)
+
+
 def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
     """values[m] for every mask m, with values[0] = 0, in one walk.
 
@@ -301,11 +350,12 @@ class SubmodularOracle:
     from its parent instead; the built-in oracles pass its
     :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
     table exists runs the same code.  An oracle whose reduced rank has a
-    fast solver may supply it as a :class:`ReducedRank`, and
-    :func:`clinch_kernel` then clinches without the table.  A cardinality
+    fast solver may supply it as a :class:`ReducedRank`; a cardinality
     oracle, f(S) = A_|S| with A_t the sum of the first t entries of a
     nonincreasing list >= 0, gives the list as ``ctrs`` instead, and the
-    constructor turns it into its :func:`_cardinality_rank`.  ``monotone`` is
+    constructor turns it into its :func:`_cardinality_rank`.  :meth:`rank`
+    returns that solver, or else the table solver, and the kernel and the
+    verifiers decide through it alone.  ``monotone`` is
     a claim by the constructor, checkable with :func:`verify_submodular`.
     Oracles are immutable after construction and safe to share read-only
     across threads.
@@ -332,6 +382,7 @@ class SubmodularOracle:
         self._step = step
         self._memo = {0: ZERO}
         self._table = None
+        self._table_rank = None
 
     @classmethod
     def from_set_function(cls, n: int, fn: Callable[[frozenset], Rational],
@@ -367,7 +418,10 @@ class SubmodularOracle:
         memo misses read it.
         """
         if self._table is None:
-            check_enumeration_size(self.n, f"value table of {self.name!r}")
+            check_enumeration_size(
+                self.n, f"value table of {self.name!r}",
+                "Single-keyword, multi-unit and vod-cut oracles need no value table "
+                "and run past the cap")
             if self._step is not None:
                 self._table = self._step.den, _lattice_walk(
                     self.n, self._step.root, self._step.step)
@@ -375,6 +429,16 @@ class SubmodularOracle:
                 self._table = _over_common_denominator(_lattice_walk(
                     self.n, 0, lambda m, i: (self.value_mask(m | 1 << i), m | 1 << i)))
         return self._table
+
+    def rank(self) -> ReducedRank:
+        """The oracle's :class:`ReducedRank`: the one it was given, else
+        :func:`_table_rank` over :meth:`integer_table` (which checks the
+        cap), built on first call and kept."""
+        if self.reduced_rank is not None:
+            return self.reduced_rank
+        if self._table_rank is None:
+            self._table_rank = _table_rank(*self.integer_table())
+        return self._table_rank
 
     def __repr__(self):
         return f"SubmodularOracle({self.name}, n={self.n}, monotone={self.monotone})"
@@ -500,24 +564,6 @@ def _precedes(mask: int, other: int) -> bool:
     return sorted(set_of(mask)) < sorted(set_of(other))
 
 
-def _slack_table(oracle: SubmodularOracle, *vectors: Sequence[Fraction]) -> tuple:
-    """``(D, s, scaled)`` with ``f(m) - v(m) = s[m] / D`` for every mask m, on integers.
-
-    v is the sum of the given Fraction vectors; D is the least common multiple
-    of the denominators of the oracle's integer table and of the vectors;
-    ``scaled`` holds each vector's numerators over D.
-    """
-    fden, fnum = oracle.integer_table()
-    den, scaled = _scaled(fden, *vectors)
-    sums = [0]
-    for weight in map(sum, zip(*scaled)):
-        sums += [s + weight for s in sums]
-    scale = den // fden
-    if scale != 1:
-        fnum = [v * scale for v in fnum]
-    return den, list(map(operator.sub, fnum, sums)), scaled
-
-
 def _supersets(n: int, inc: int, exc: int) -> Iterator[int]:
     """Masks m with inc <= m and no bit of exc, in descending order."""
     free = ((1 << n) - 1) & ~inc & ~exc
@@ -543,37 +589,31 @@ def _argmin(masks: Iterable[int], value_of: Callable[[int], object]) -> tuple:
 def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipResult:
     """Decide x in P(f) exactly; on failure report a most-violated set.
 
-    On an oracle with a :class:`ReducedRank`, one R decides it without the
-    table or the cap: R(x) - x([n]) is the least value of f - x, so x is in
-    P(f) iff R(x) = x([n]).  Otherwise the smallest minimizer T* is the
-    violated set: every other minimizer contains it, so it is the unique one
-    of least cardinality, which is the set the tie-break of :func:`_precedes`
-    names.  Other oracles take one minimum of f - x on their integer table;
-    only an infeasible point runs the ``Fraction`` scan that names the
-    violated set.
+    One R of :meth:`SubmodularOracle.rank` decides it: R(x) - x([n]) is the
+    least value of f - x, so x is in P(f) iff R(x) = x([n]).  Otherwise the
+    smallest minimizer T* is the violated set: every other minimizer
+    contains it, so it is the unique one of least cardinality, which is the
+    set the tie-break of :func:`_precedes` names.  One evaluation of f(T*)
+    guards the witness: f(T*) - x(T*) must equal the deficit, or
+    :class:`ClinchError` is raised.
     """
     n = oracle.n
     vec = vector(x, n)
     for i, xi in enumerate(vec):
         if xi < 0:
             raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
-    rank = oracle.reduced_rank
-    if rank is not None:
-        den, (nums,) = _scaled(rank.den, vec)
-        solution = rank.solve(den // rank.den, nums)
-        low = solution.total - sum(nums)
-        if low == 0:
-            return MembershipResult(True)
-        return MembershipResult(False, set_of(solution.smallest()), Fraction(low, den))
-    check_enumeration_size(n, "membership test")
-    if min(_slack_table(oracle, vec)[1]) >= 0:
+    rank = oracle.rank()
+    den, (nums,) = _scaled(rank.den, vec)
+    solution = rank.solve(den // rank.den, nums)
+    low = solution.total - sum(nums)
+    if low == 0:
         return MembershipResult(True)
-    sums = _mask_sums(vec, n)
-    best_mask, best = _argmin(range(1, 1 << n), lambda m: oracle.value_mask(m) - sums[m])
-    if best >= 0:
-        raise ClinchError(f"membership in P({oracle.name}): the integer table finds a "
-                          "violated set but the Fraction scan does not")
-    return MembershipResult(False, set_of(best_mask), best)
+    mask, deficit = solution.smallest(), Fraction(low, den)
+    violating = set_of(mask)
+    if oracle.value_mask(mask) - sum((vec[i] for i in violating), ZERO) != deficit:
+        raise ClinchError(f"membership in P({oracle.name}): the reduced rank names "
+                          f"{sorted(violating)} with deficit {deficit}, which f does not give")
+    return MembershipResult(False, violating, deficit)
 
 
 def min_constrained(evaluator, n: Optional[int] = None,
@@ -683,119 +723,56 @@ def residual(oracle: SubmodularOracle, rho: Sequence[Rational],
     return ResidualOracle(oracle, rho, d)
 
 
-def _min_without_bit(values: list, i: int) -> int:
-    """min of values[m] over the masks m that do not contain bit i."""
-    width = 1 << i
-    period = 2 * width
-    size = len(values)
-    if width <= size // period:
-        # Few residues: each one is a strided slice.
-        return min(min(values[r::period]) for r in range(width))
-    # Few periods: each one starts with a contiguous run of masks without bit i.
-    return min(min(values[s:s + width]) for s in range(0, size, period))
+def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
+                  d: Sequence[Fraction]) -> tuple:
+    """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
+    By one solve of :meth:`SubmodularOracle.rank`, on integers over one
+    common denominator; exact, and equal to the values
+    :class:`ResidualOracle` gives.  With c = rho + d, fhat([n]) = R(c) -
+    rho([n]).  For j outside the smallest minimizer T*, delta_j = d_j; for
+    j in T*, fhat([n] \\ j) is R with c_j = 0 (:meth:`RankSolution.without`,
+    warm from the solve at c), less rho([n] \\ j), so
+    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
 
-def _reduced_rank_clinch(rank: ReducedRank, rho: Sequence[Fraction],
-                         d: Sequence[Fraction]) -> tuple:
-    """:func:`clinch_kernel` by reduced ranks, on integers over one common denominator.
+    The kernel does not check that rho lies in P(f): the engines keep it
+    invariant, and :func:`clinch_amounts` checks it before it calls the
+    kernel.
 
-    With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
-    smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
-    with c_j = 0, less rho([n] \\ j), since f is monotone, so
-    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).  One solve at c
-    gives R(c), T* and, warm from it, each R with c_j = 0
-    (:meth:`RankSolution.without`).
+    rho and d are Fraction vectors with d >= 0.
     """
+    rank = oracle.rank()
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
     solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
     total, smallest = solution.total, solution.smallest()
     delta = []
     for j in range(len(rnum)):
         if smallest >> j & 1:
-            without = solution.without(j)
-            delta.append(Fraction(max(0, total - without - rnum[j]), den))
+            delta.append(Fraction(max(0, total - solution.without(j) - rnum[j]), den))
         else:
             delta.append(d[j])
     return Fraction(total - sum(rnum), den), tuple(delta)
-
-
-def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
-                  d: Sequence[Fraction]) -> tuple:
-    """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
-
-    With ``h = f - rho - d``, ``fhat(S) = d(S) + min over T <= S of h(T)``, so
-    the clinch needs only n + 1 minima of h: over all sets, and over the sets
-    without i.  Two branches take them on integers over one common
-    denominator; exact, and equal to the values :class:`ResidualOracle` gives.
-
-    * Oracles with a :class:`ReducedRank` (cardinality oracles by one sort,
-      vod-cut by one max-flow): min h = R(rho + d) - (rho + d)([n]), plus
-      one more R, warm from that solve, for each bidder in the smallest
-      minimizer T* of h (:func:`_reduced_rank_clinch`).  No table is
-      built; these are the oracles :func:`clinches_without_table` names.
-    * All other oracles: h over all 2^n masks, from the oracle's cached
-      integer table.  When a minimizer T* of h avoids i the two minima agree
-      and delta_i = d_i, so only the bits of T* need the second minimum.
-
-    Neither branch checks that rho lies in P(f): the engines keep it
-    invariant, and :func:`clinch_amounts` checks it before it calls the
-    kernel.
-
-    rho and d are Fraction vectors with d >= 0.
-    """
-    if clinches_without_table(oracle):
-        return _reduced_rank_clinch(oracle.reduced_rank, rho, d)
-    n = oracle.n
-    den, h, (_, dnum) = _slack_table(oracle, rho, d)
-    low = min(h)
-    argmin = h.index(low)
-    delta = []
-    for i in range(n):
-        if argmin >> i & 1:
-            delta.append(Fraction(max(0, dnum[i] + low - _min_without_bit(h, i)), den))
-        else:
-            delta.append(d[i])
-    return Fraction(sum(dnum) + low, den), tuple(delta)
-
-
-def clinches_without_table(oracle: SubmodularOracle) -> bool:
-    """Whether :func:`clinch_kernel` clinches ``oracle`` without its 2^n value
-    table, and so past the enumeration cap: oracles that carry a
-    :class:`ReducedRank`.  :func:`membership`, :func:`residual_totals` and
-    the outcome checks built on them decide on these oracles by R too."""
-    return oracle.reduced_rank is not None
 
 
 def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
                     d: Sequence[Fraction]) -> tuple:
     """``(fhat([n]), (fhat([n] \\ j) for each j))``, each straight from the definition.
 
-    ``fhat(S) = d(S) + min over T <= S of h(T)`` with ``h = f - rho - d``,
-    evaluated on integers over a common denominator.  Unlike
-    :func:`clinch_kernel`, every one of the n + 1 minima is taken over its
-    whole range, so a check built on these values does not inherit the
-    kernel's argmin shortcut.  On an oracle with a :class:`ReducedRank`
-    that is n + 1 full solves, with no table and no cap: with c = rho + d,
-    fhat([n]) = R(c) - rho([n]), and, f being monotone, fhat([n] \\ j) =
-    R(c with c_j = 0) - rho([n] \\ j), each R with c_j = 0 the
-    :meth:`RankSolution.without` of the solve at c: complete, but started
-    from that solve's work.  Other oracles take the minima over
-    their integer table.  rho and d are Fraction vectors; rho must lie in
-    P(f), which is not checked here.
+    With c = rho + d, fhat([n]) = R(c) - rho([n]) and fhat([n] \\ j) =
+    R(c with c_j = 0) - rho([n] \\ j): n + 1 values of
+    :meth:`SubmodularOracle.rank`, each R with c_j = 0 the
+    :meth:`RankSolution.without` of the solve at c.  Unlike
+    :func:`clinch_kernel`, every one is complete, so a check built on these
+    values does not inherit the kernel's shortcut through T*.  rho and d
+    are Fraction vectors; rho must lie in P(f), which is not checked here.
     """
-    rank = oracle.reduced_rank
-    if rank is not None:
-        den, (rnum, dnum) = _scaled(rank.den, rho, d)
-        solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
-        rtotal = sum(rnum)
-        return (Fraction(solution.total - rtotal, den),
-                tuple(Fraction(solution.without(j) + rnum[j] - rtotal, den)
-                      for j in range(len(rnum))))
-    den, h, (_, dnum) = _slack_table(oracle, rho, d)
-    dtotal = sum(dnum)
-    return (Fraction(dtotal + min(h), den),
-            tuple(Fraction(dtotal - dnum[j] + _min_without_bit(h, j), den)
-                  for j in range(oracle.n)))
+    rank = oracle.rank()
+    den, (rnum, dnum) = _scaled(rank.den, rho, d)
+    solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
+    rtotal = sum(rnum)
+    return (Fraction(solution.total - rtotal, den),
+            tuple(Fraction(solution.without(j) + rnum[j] - rtotal, den)
+                  for j in range(len(rnum))))
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
@@ -803,9 +780,10 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
     """Per-bidder clinch vector: delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
     Checks that rho >= 0, d >= 0 and rho lies in P(f) (:func:`membership`)
-    first; on oracles with a reduced rank neither the check nor the clinch
-    needs a 2^n table, and both run above ``CLINCH_BRUTE_FORCE_CAP``.  The
-    result satisfies 0 <= delta <= d and rho + delta in P(f).
+    first; on oracles with a structural reduced rank neither the check nor
+    the clinch needs a 2^n table, and both run above
+    ``CLINCH_BRUTE_FORCE_CAP``.  The result satisfies 0 <= delta <= d and
+    rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
     dem = _demand_vector(d, oracle.n)

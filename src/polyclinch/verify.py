@@ -34,13 +34,9 @@ from .auction import (
 )
 from .errors import ClinchError, DomainError, SizeError
 from .submodular import (
-    MembershipResult,
     SubmodularOracle,
     ZERO,
-    _argmin,
     _scaled,
-    _slack_table,
-    _supersets,
     as_fraction,
     brute_force_cap,
     membership,
@@ -115,11 +111,11 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     minimum of the slack over the sets holding i and not j.  The first
     failing pair is named with that minimum and its smallest minimizer.
 
-    On an oracle with a :class:`~polyclinch.submodular.ReducedRank`,
-    :func:`membership` decides x in P(f) by one R, and each minimum is one
-    R (:func:`_tight_sets_by_rank`), with no table and no cap.  Other
-    oracles tabulate the slack f(S) - x(S) once on integers
-    (:func:`_tight_sets_by_table`).
+    :func:`membership` decides x in P(f) by one R of the oracle's
+    :meth:`~polyclinch.submodular.SubmodularOracle.rank`, and each minimum
+    is one more R (:func:`_tight_sets`): with no table and no cap on an
+    oracle with a structural reduced rank, on the value table otherwise.
+    Those minima take f to be monotone, as a polymatroid's f is.
     """
     n = oracle.n
     x = outcome.allocation
@@ -132,10 +128,7 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if sold == full_value else {"x_total": str(sold), "f_full": str(full_value)},
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
-    if oracle.reduced_rank is not None:
-        member, smallest_tight, separation = _tight_sets_by_rank(oracle, x, full_value)
-    else:
-        member, smallest_tight, separation = _tight_sets_by_table(oracle, x)
+    member, smallest_tight, separation = _tight_sets(oracle, x, full_value)
     pareto_witness = None
     for i in range(n):
         if bidders[i].budget is not None and pay[i] >= bidders[i].budget:
@@ -165,8 +158,8 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     return report
 
 
-def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
-                        full_value: Fraction) -> tuple:
+def _tight_sets(oracle: SubmodularOracle, x: Sequence[Fraction],
+                full_value: Fraction) -> tuple:
     """``(member, smallest_tight, separation)`` for :func:`check_outcome`, by R.
 
     ``member`` is :func:`membership` of x.  ``separation(i, j)`` is the
@@ -179,10 +172,10 @@ def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
     more, f being monotone.  So the minimizers of R are those of f - x over
     the sets holding i (and not j), and the minimum is R - c([n]) + M - x_i.
     The smallest minimizer is the unique one of least cardinality, the set
-    :func:`~polyclinch.submodular._argmin` names on the table.
+    :func:`~polyclinch.submodular.min_constrained` names.
     """
     member = membership(oracle, x)
-    rank = oracle.reduced_rank
+    rank = oracle.rank()
     den, (xnum,) = _scaled(rank.den, x)
     scale = den // rank.den
     big = math.floor(full_value * den) + sum(xnum) + 1
@@ -204,37 +197,6 @@ def _tight_sets_by_rank(oracle: SubmodularOracle, x: Sequence[Fraction],
         return solution.smallest() if low == 0 else None
 
     return member, smallest_tight, separation
-
-
-def _tight_sets_by_table(oracle: SubmodularOracle, x: Sequence[Fraction]) -> tuple:
-    """``(member, smallest_tight, separation)`` for :func:`check_outcome`, as
-    :func:`_tight_sets_by_rank` gives them, on the integer slack table.
-
-    The table decides x in P(f) (min slack >= 0); :func:`membership` runs
-    only to name the violated set, or to reject a negative x.  Then T_i is
-    the AND of the zero-slack masks that hold i, found in one pass; outside
-    P(f) it is left None, and each pair is scanned.  ``separation(i, j)``
-    scans the masks that hold i and not j.
-    """
-    n = oracle.n
-    den, slack, _ = _slack_table(oracle, x)
-    feasible = min(slack) >= 0 and min(x) >= 0
-    member = MembershipResult(True) if feasible else membership(oracle, x)
-    tight = [None] * n
-    if feasible:
-        for m, s in enumerate(slack):
-            if s == 0:
-                rest = m
-                while rest:
-                    i = (rest & -rest).bit_length() - 1
-                    tight[i] = m if tight[i] is None else tight[i] & m
-                    rest &= rest - 1
-
-    def separation(i: int, j: int) -> tuple:
-        tight_set, low = _argmin(_supersets(n, 1 << i, 1 << j), slack.__getitem__)
-        return tight_set, Fraction(low, den)
-
-    return member, tight.__getitem__, separation
 
 
 def check_scaled_outcome(oracle: SubmodularOracle, gamma: Sequence[Fraction],
@@ -445,12 +407,13 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     budgets stay nonnegative.  A violation produces a fail entry with the
     first offending step, never a crash.
 
-    The monitors are decided on integers (:func:`membership`,
-    :func:`residual_totals`), by reduced ranks on oracles that carry one, so
-    past the enumeration cap too.  At a snapshot where one of them newly
-    fails, the ``Fraction`` reference oracle that :func:`residual` builds
-    must give the same witnesses, or :class:`ClinchError` is raised; that
-    cross-check enumerates 2^n sets, so it is skipped above the cap.  A
+    The monitors are decided on integers by reduced ranks
+    (:func:`membership`, :func:`residual_totals`), so past the enumeration
+    cap on oracles with a structural solver.  At a snapshot where one of
+    them newly fails, the ``Fraction`` reference oracle that
+    :func:`residual` builds must give the same witnesses, or
+    :class:`ClinchError` is raised; that cross-check enumerates 2^n sets,
+    so it is skipped above the cap.  A
     snapshot with the same (rho, d) and recorded fhat([n]) as the one before
     it, as a step that skipped its clinch leaves, is skipped after its
     budget check: its witnesses could only repeat ones already found.

@@ -38,7 +38,7 @@ def table_only(oracle: SubmodularOracle) -> SubmodularOracle:
 def reduced_rank(oracle: SubmodularOracle, c) -> tuple:
     """R(c) as a Fraction and its smallest minimizer T* as a mask, from the
     oracle's :class:`~polyclinch.submodular.ReducedRank`; c holds Fractions."""
-    rank = oracle.reduced_rank
+    rank = oracle.rank()
     den = math.lcm(rank.den, *(v.denominator for v in c))
     solution = rank.solve(den // rank.den, [int(v * den) for v in c])
     return Fraction(solution.total, den), solution.smallest()

@@ -25,7 +25,7 @@ from polyclinch import (
 )
 from polyclinch.instances import generate_instance
 
-from corpus import random_adwords, random_oracle, reduced_rank
+from corpus import random_adwords, random_oracle, reduced_rank, table_only
 
 F = Fraction
 
@@ -472,8 +472,9 @@ def _reduced_rank_cases():
 
     Vod-cut: zero capacities, two bidders on one node and bidders the
     source cannot reach come from _random_network.  Cardinality: zero CTRs,
-    multi-unit lists (Q,) shorter than n.  c mixes ties, zeros and
-    denominators.
+    multi-unit lists (Q,) shorter than n.  Table: graphic and AdWords
+    oracles, and built-in oracles stripped to their value table, all on the
+    table solver.  c mixes ties, zeros and denominators.
     """
     def random_c(rng, n):
         return tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
@@ -506,7 +507,19 @@ def _reduced_rank_cases():
         else:
             oracle = multi_unit_oracle(F(rng.randint(0, 8), rng.choice((1, 2, 3))), n)
         cases.append((oracle, random_c(rng, n)))
+    rng = random.Random(3105)
+    for t in range(90):
+        n = rng.randint(1, 8)
+        kind = ("graphic", "adwords", "vod-cut", "single-keyword", "multi-unit")[t % 5]
+        oracle = random_oracle(rng, kind, n)
+        cases.append((oracle if t % 5 < 2 else table_only(oracle), random_c(rng, n)))
     return cases
+
+
+def _bucket(oracle):
+    if oracle.ctrs is not None:
+        return "cardinality"
+    return "table" if oracle.reduced_rank is None else "vod-cut"
 
 
 def _rank_table(oracle, c):
@@ -525,14 +538,14 @@ def _smallest_minimizer(values):
 
 
 def test_reduced_rank_matches_its_definition():
-    ties = {"vod-cut": 0, "cardinality": 0}
+    ties = {"vod-cut": 0, "cardinality": 0, "table": 0}
     for oracle, c in _reduced_rank_cases():
         values = _rank_table(oracle, c)
         total, smallest = reduced_rank(oracle, c)
         assert total == min(values) == values[smallest], (oracle, c)
         minimizers = [m for m, v in enumerate(values) if v == total]
         assert all(m & smallest == smallest for m in minimizers), (oracle, c)
-        ties["cardinality" if oracle.ctrs is not None else "vod-cut"] += len(minimizers) > 1
+        ties[_bucket(oracle)] += len(minimizers) > 1
     assert min(ties.values()) >= 20, ties
 
 
@@ -542,9 +555,9 @@ def test_without_equals_a_cold_solve():
     # check_outcome's tight-set search sets it.  Asking for every without(j)
     # first leaves total and smallest() as a fresh solve gives them, and
     # smallest() is the intersection of the minimizers.
-    warm = {"vod-cut": 0, "cardinality": 0}
+    warm = {"vod-cut": 0, "cardinality": 0, "table": 0}
     for oracle, c in _reduced_rank_cases():
-        rank, n = oracle.reduced_rank, oracle.n
+        rank, n = oracle.rank(), oracle.n
         den = math.lcm(rank.den, *(v.denominator for v in c))
         scale = den // rank.den
         nums = [int(v * den) for v in c]
@@ -554,8 +567,7 @@ def test_without_equals_a_cold_solve():
             for j in range(n):
                 cold = rank.solve(scale, point[:j] + [0] + point[j + 1:]).total
                 assert solution.without(j) == cold, (oracle, point, j)
-                warm["cardinality" if oracle.ctrs is not None else "vod-cut"] += (
-                    cold < solution.total)
+                warm[_bucket(oracle)] += cold < solution.total
             fresh = rank.solve(scale, point)
             assert solution.total == fresh.total, (oracle, point)
             assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
@@ -569,8 +581,10 @@ def test_two_solves_on_one_oracle_do_not_share_state():
     rng = random.Random(5150)
     oracles = [vod_cut_oracle(_random_network(rng, 6)) for _ in range(10)]
     oracles += [single_keyword_oracle([5, 3, 3, 1, 0, 0]), multi_unit_oracle(4, 6)]
+    oracles += [random_oracle(rng, kind, 6) for kind in ("graphic", "adwords")]
+    oracles.append(table_only(oracles[0]))
     for oracle in oracles:
-        rank = oracle.reduced_rank
+        rank = oracle.rank()
         points = [[rng.randint(0, 9 * rank.den) for _ in range(6)] for _ in range(2)]
         alone = []
         for point in points:

@@ -31,6 +31,8 @@ from polyclinch.submodular import (
     LatticeStep,
     MembershipResult,
     OracleCheck,
+    RankSolution,
+    ReducedRank,
     _mask_sums,
     clinch_kernel,
     residual_totals,
@@ -124,12 +126,14 @@ def test_verify_respects_brute_force_cap(monkeypatch):
 
 
 def test_size_error_names_its_cap_and_how_to_raise_it(monkeypatch):
-    # a table oracle: one with a reduced rank decides membership past the cap
+    # a table oracle: one with a structural reduced rank decides membership
+    # past the cap; this one's table solver asks for the value table
     oracle = table_only(multi_unit_oracle(1, 5))
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "3")
     with pytest.raises(SizeError) as err:
         membership(oracle, [0] * 5)
-    assert (err.value.n, err.value.cap, err.value.what) == (5, 3, "membership test")
+    assert (err.value.n, err.value.cap, err.value.what) == (
+        5, 3, "value table of 'multi-unit(Q=1)'")
     assert "CLINCH_BRUTE_FORCE_CAP" in str(err.value) and "5" in str(err.value)
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "5")
     assert membership(oracle, [0] * 5).ok
@@ -464,6 +468,10 @@ def test_witness_tie_break_matches_full_key_under_forced_ties():
                 (False, set_of(best), slack(best))
         else:
             assert result.ok
+    # The first minimizer by mask, {0, 1}, is not the witness, {2}.
+    table = [0, 1, 1, 0, 0, 2, 2, 3]
+    result = membership(SubmodularOracle(3, lambda m: F(table[m]), False, "ties"), [1, 1, 2])
+    assert (result.violating, result.deficit) == ({2}, -2)
 
 
 def test_min_constrained_rejects_overlap():
@@ -558,6 +566,23 @@ def test_membership_raises_when_the_two_scans_disagree():
     nums[0b101] -= 10 * den         # a violated set the oracle does not have
     with pytest.raises(ClinchError):
         membership(oracle, [1, 1, 1])
+
+
+def test_membership_raises_when_the_rank_names_a_wrong_set():
+    # the solver's total is right but its smallest() names {0}, whose
+    # deficit is not the one R gives
+    honest = single_keyword_oracle([3, 2, 1])
+    rank = honest.reduced_rank
+
+    def solve(scale, c):
+        solution = rank.solve(scale, c)
+        return RankSolution(solution.total, lambda: 0b001, solution.without)
+    lying = SubmodularOracle(3, honest.value_mask, True, "lying",
+                             reduced_rank=ReducedRank(rank.den, solve))
+    assert membership(lying, [1, 1, 1]).ok
+    assert membership(honest, [3, 3, 0]).violating == {0, 1}
+    with pytest.raises(ClinchError):
+        membership(lying, [3, 3, 0])
 
 
 def test_membership_rejects_negative():

@@ -112,22 +112,22 @@ def test_check_outcome_flags_infeasible_allocation():
     assert not report.result("membership").passed
 
 
-def test_check_outcome_runs_membership_only_to_name_a_witness(monkeypatch):
+def test_check_outcome_runs_membership_once_per_report(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(1)
         return membership(*args)
     monkeypatch.setattr(verify, "membership", counted)
-    # the table path; on a reduced rank membership is the one R that decides
-    # x in P(f), so it runs every time
+    # membership is the one R that decides x in P(f), on the table solver as
+    # on a structural reduced rank, so it runs once per report
     oracle = table_only(multi_unit_oracle(2, 2))
     bidders = [bidder(2, 1), bidder(1, 1)]
     assert check_outcome(oracle, bidders, outcome_of([1, 1], [0, 0])).result("membership").passed
-    assert not calls
+    assert len(calls) == 1
     report = check_outcome(oracle, bidders, outcome_of([2, 1], [0, 0]))
     assert report.result("membership").witness == {"violating_set": [0, 1], "deficit": "-1"}
-    assert len(calls) == 1
+    assert len(calls) == 2
     with pytest.raises(DomainError):
         check_outcome(oracle, bidders, outcome_of([-1, 1], [0, 0]))
 
