@@ -19,7 +19,10 @@ multi-unit, single-keyword and vod-cut oracles also carry a
 c([n] \\ T): one sort of c for the first two, whose rank list becomes it,
 and one maximum flow with bidder i's sink arc at c_i for vod-cut, from
 which R with one sink arc closed re-augments.  So their auctions clinch
-without the 2^n table and run past the enumeration cap.
+without the 2^n table and run past the enumeration cap.  Every vod-cut
+question -- a table value, R, R with one arc closed, the smallest
+minimizer -- goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``,
+with an optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -252,15 +255,18 @@ class _ArcNetwork:
         self.cap += [capacity, 0]
         return len(self.head) - 2
 
-    def max_flow(self, residual: List[int], source, sink) -> tuple:
+    def max_flow(self, residual: List[int], source, sink,
+                 limit: Optional[int] = None) -> tuple:
         """Edmonds-Karp from label ``source`` to label ``sink``.
 
         ``residual`` holds the residual capacities of any feasible flow, such
         as a copy of ``cap`` (zero flow), possibly changed by the caller.  It
         is augmented in place to those of a maximum flow, so for a zero
-        start ``residual[a ^ 1]`` is the flow on arc ``a``.  Returns the value
+        start ``residual[a ^ 1]`` is the flow on arc ``a``; with a ``limit``
+        it stops once that much flow has been added.  Returns the value
         added and the last BFS's tree, indexed by node number: ``None`` for
-        the nodes the source no longer reaches.
+        the nodes the source no longer reaches.  The tree is defined only
+        when no limit stopped the search.
         """
         head, adj, size = self.head, self.adj, len(self.adj)
         source, sink = self.index[source], self.index[sink]
@@ -286,66 +292,14 @@ class _ArcNetwork:
                 path.append(a)
                 v = head[a ^ 1]
             bottleneck = min(residual[a] for a in path)
+            if limit is not None:
+                bottleneck = min(bottleneck, limit - flow)
             for a in path:
                 residual[a] -= bottleneck
                 residual[a ^ 1] += bottleneck
             flow += bottleneck
-
-    def cancel(self, residual: List[int], arc: int, source) -> None:
-        """Close ``arc`` and take its flow out of the network, in place.
-
-        ``residual`` holds the residual capacities of a flow from zero, so
-        ``residual[a]`` is the flow on arc ``a ^ 1`` for every odd ``a``.
-        The arc's flow is set to 0 and sent back from its tail to label
-        ``source`` along paths of reverse arcs that carry flow, each found by
-        one breadth-first search; what is left is a feasible flow, smaller
-        by what the arc carried, and no arc's flow grows.  Such paths exist
-        while flow is left to send: the nodes that reach the tail along them
-        would otherwise take in more flow than they send on.
-        """
-        head, adj, size = self.head, self.adj, len(self.adj)
-        source, tail = self.index[source], head[arc ^ 1]
-        left = residual[arc ^ 1]
-        residual[arc] = residual[arc ^ 1] = 0
-        while left:
-            into: List[Optional[int]] = [None] * size    # BFS tree arc into each node
-            into[tail] = -1
-            queue = [tail]
-            for u in queue:
-                for a in adj[u]:
-                    v = head[a]
-                    if a & 1 and residual[a] and into[v] is None:
-                        into[v] = a
-                        queue.append(v)
-                if into[source] is not None:
-                    break
-            path = []
-            v = source
-            while v != tail:
-                a = into[v]
-                path.append(a)
-                v = head[a ^ 1]
-            sent = min(left, *(residual[a] for a in path))
-            for a in path:
-                residual[a] -= sent
-                residual[a ^ 1] += sent
-            left -= sent
-
-    def reaching(self, residual: List[int], target) -> List[bool]:
-        """Which nodes, by number, reach label ``target`` along arcs of
-        positive residual capacity: one breadth-first search backwards."""
-        head, adj = self.head, self.adj
-        target = self.index[target]
-        seen = [False] * len(adj)
-        seen[target] = True
-        queue = [target]
-        for v in queue:
-            for a in adj[v]:                 # a runs from v to u, a ^ 1 from u to v
-                u = head[a]
-                if residual[a ^ 1] and not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        return seen
+            if flow == limit:
+                return flow, into
 
 
 def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
@@ -369,9 +323,16 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     residual on request, is the bidders with c_i > 0 whose node still
     reaches the sink.  (With c_i = 0, dropping i from a minimizer keeps it
     one.)  ``without(j)``, R with c_j = 0, is R(c) itself when sink arc j
-    carries no flow; otherwise it copies the residual, closes the arc,
-    cancels its flow back to the source (:meth:`_ArcNetwork.cancel`) and
-    augments from there.
+    carries no flow.  Otherwise it copies the residual and closes the arc,
+    which leaves the ``carried`` units the arc took as excess at j's node.
+    The flow paths through arc j, reversed, are residual paths from that
+    node back to the source with ``carried`` units of capacity in all (flow
+    decomposition), so a search limited to ``carried`` always sends exactly
+    that much back.  A path of it that passes through the sink only shifts
+    flow between sink arcs, so what is left is a feasible flow of value
+    R(c) - ``carried``, and augmenting from it ends at a maximum flow.  Only
+    that number leaves ``without``; T* is read from the solve's own
+    residual, which ``without`` never touches.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -400,10 +361,14 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         total = graph.max_flow(residual, net.source, sink)[0]
 
         def smallest() -> int:
-            # residual[a] + residual[a ^ 1] is sink arc a's capacity, c_i
-            reaches = graph.reaching(residual, sink)
+            # One search from the sink over reversed residual arcs: the flow
+            # is maximum, so it never reaches the source, adds nothing, and
+            # its tree marks the nodes that reach the sink.  residual[a] +
+            # residual[a ^ 1] is sink arc a's capacity, c_i.
+            reversed_arcs = [residual[a ^ 1] for a in range(len(residual))]
+            reaches = graph.max_flow(reversed_arcs, sink, net.source)[1]
             return sum(1 << i for i, (a, b) in enumerate(zip(sink_arcs, bidder_index))
-                       if residual[a] + residual[a ^ 1] and reaches[b])
+                       if residual[a] + residual[a ^ 1] and reaches[b] is not None)
 
         def without(j: int) -> int:
             a = sink_arcs[j]
@@ -411,7 +376,8 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             if not carried:
                 return total
             warm = residual[:]
-            graph.cancel(warm, a, net.source)
+            warm[a] = warm[a ^ 1] = 0
+            graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)
             return total - carried + graph.max_flow(warm, net.source, sink)[0]
 
         return RankSolution(total, smallest, without)

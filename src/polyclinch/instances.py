@@ -17,7 +17,8 @@ Example::
 Kind-specific payloads: ``single-keyword`` takes ``ctrs``; ``adwords`` takes
 ``interests`` (bidder lists per keyword) and per-keyword ``ctrs``;
 ``graphic`` takes ``edges`` (one per bidder); ``vod-cut`` takes ``edges``
-[u, v, cap], ``source`` and ``bidder_nodes``; ``h-polytope-2d`` takes
+[u, v, cap], ``source`` and ``bidder_nodes``, node labels being strings or
+ints; ``h-polytope-2d`` takes
 constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
 factors, polymatroid kinds without curves) and ``curves`` (piecewise-linear
 breakpoints, multi-unit only) are optional top-level fields.
@@ -279,6 +280,14 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
             raise ParseError("bad-value", f"{where}.bidder_nodes",
                              f"expected {n} bidder nodes, got {len(nodes)}")
         edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
+        # Only strings and ints (not bools): 1, true and 1.0 are one dict key.
+        labels = [(source, f"{where}.source")]
+        labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]
+        labels += [(v, f"{where}.bidder_nodes[{i}]") for i, v in enumerate(nodes)]
+        for v, loc in labels:
+            if type(v) not in (str, int):
+                raise ParseError("bad-value", loc,
+                                 f"{loc}: node labels must be strings or ints, got {v!r}")
         return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
                           for j, (u, v, c) in enumerate(edges)],
                 "source": source, "bidder_nodes": list(nodes)}

@@ -165,6 +165,19 @@ def test_malformed_environment_and_config_exit_input_error(tmp_path, capsys, env
     assert f"input error [{code_name}]" in err
 
 
+def test_vod_cut_labels_one_dict_key_exit_input_error(tmp_path, capsys):
+    # 1 and true would be one node with both arcs into it: f({0}) = 5, not 2.
+    bad = tmp_path / "merged-labels.json"
+    bad.write_text(json.dumps({
+        "schema": 1,
+        "environment": {"kind": "vod-cut", "edges": [["s", 1, "2"], ["s", True, "3"]],
+                        "source": "s", "bidder_nodes": [1, True]},
+        "bidders": [{"value": "3", "budget": "10"}, {"value": "2", "budget": "10"}]}))
+    code, out, err = run_cli(capsys, "run", "-i", str(bad))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "input error [bad-value] at instance.environment.edges[1]" in err
+
+
 def test_quality_on_the_generic_polytope_exits_input_error(tmp_path, capsys):
     data = json.loads((FIXTURES / "impossibility.json").read_text())
     bad = tmp_path / "scaled-polytope.json"

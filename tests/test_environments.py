@@ -23,6 +23,7 @@ from polyclinch import (
     verify_submodular,
     vod_cut_oracle,
 )
+from polyclinch.environments import _ArcNetwork
 from polyclinch.instances import generate_instance
 
 from corpus import random_adwords, random_oracle, reduced_rank, table_only
@@ -465,6 +466,69 @@ def test_vod_cut_matches_brute_force_min_cut():
     for net in nets:
         oracle = vod_cut_oracle(net)
         assert [oracle.value_mask(m) for m in range(1 << oracle.n)] == _min_cut_table(net), net
+
+
+def _arc_network(rng, net):
+    """The network on integer capacities, each bidder's node joined to a
+    super-sink by an arc of random capacity (0 included)."""
+    den = math.lcm(*(capacity.denominator for _, _, capacity in net.edges))
+    graph = _ArcNetwork()
+    graph.node(net.source)
+    for u, v, capacity in net.edges:
+        graph.arc(u, v, int(capacity * den))
+    sink = object()
+    sink_arcs = [graph.arc(b, sink, rng.choice((0, 1, 2, 5, 9, 100)))
+                 for b in net.bidder_nodes]
+    return graph, sink, sink_arcs
+
+
+def _net_outflow(graph, residual):
+    """Flow out of each node minus flow into it, by node number, for a flow
+    from zero: residual[a ^ 1] is the flow on every even arc a."""
+    out = [0] * len(graph.adj)
+    for a in range(0, len(residual), 2):
+        out[graph.head[a ^ 1]] += residual[a ^ 1]
+        out[graph.head[a]] -= residual[a ^ 1]
+    return out
+
+
+def test_max_flow_stops_at_its_limit():
+    # The value is min(limit, maximum flow), the residual stays a flow's
+    # (no entry below 0, each arc pair keeping its capacity sum), and flow
+    # is conserved at every node but the two ends.  Closing a sink arc that
+    # carries flow and sending that flow from the bidder's node back to the
+    # source, limited to what the arc carried, leaves a flow conserved
+    # everywhere but the source and the sink.
+    rng = random.Random(2404)
+    closed = 0
+    for _ in range(120):
+        net = _random_network(rng, rng.randint(1, 6))
+        graph, sink, sink_arcs = _arc_network(rng, net)
+        source, end = graph.index[net.source], graph.index[sink]
+        full = graph.max_flow(graph.cap[:], net.source, sink)[0]
+        for limit in (1, full // 2, full, full + 1, None):
+            residual = graph.cap[:]
+            value = graph.max_flow(residual, net.source, sink, limit)[0]
+            assert value == (full if limit is None else min(limit, full)), (net, limit)
+            assert min(residual) >= 0, (net, limit)
+            assert all(residual[a] + residual[a ^ 1] == graph.cap[a]
+                       for a in range(0, len(residual), 2)), (net, limit)
+            out = _net_outflow(graph, residual)
+            assert out[source] == value == -out[end], (net, limit)
+            assert not any(out[v] for v in range(len(out)) if v not in (source, end)), (net, limit)
+        for j, a in enumerate(sink_arcs):
+            carried = residual[a ^ 1]
+            if not carried:
+                continue
+            warm = residual[:]
+            warm[a] = warm[a ^ 1] = 0
+            sent = graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)[0]
+            assert sent == carried and min(warm) >= 0, (net, j)
+            out = _net_outflow(graph, warm)
+            assert out[source] == full - carried == -out[end], (net, j)
+            assert not any(out[v] for v in range(len(out)) if v not in (source, end)), (net, j)
+            closed += 1
+    assert closed >= 50, closed
 
 
 def _reduced_rank_cases():

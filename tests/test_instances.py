@@ -160,6 +160,30 @@ def test_malformed_structures_raise_parse_errors():
         assert err.value.code and err.value.field, case.args
 
 
+def _vod_cut(edges, bidder_nodes, source="s"):
+    return minimal(environment={"kind": "vod-cut", "edges": edges, "source": source,
+                                "bidder_nodes": bidder_nodes})
+
+
+@pytest.mark.parametrize("label", [True, 1.0, [1], {"a": 1}])
+def test_vod_cut_labels_json_keeps_apart_rejected(label):
+    # 1, true and 1.0 are one dict key, and lists and objects none at all,
+    # so a label that is not a string or an int is named by its field.
+    cases = [(_vod_cut([["s", 1, "2"], ["s", label, "3"]], [1, 2]), "edges[1]"),
+             (_vod_cut([["s", 1, "2"], ["s", 2, "3"]], [1, label]), "bidder_nodes[1]"),
+             (_vod_cut([["s", 1, "2"], ["s", 2, "3"]], [1, 2], label), "source")]
+    for data, field in cases:
+        with pytest.raises(ParseError, match="strings or ints") as err:
+            parse_instance_data(data)
+        assert (err.value.code, err.value.field) == (
+            "bad-value", f"instance.environment.{field}")
+
+
+def test_vod_cut_string_and_int_labels_parse():
+    inst = parse_instance_data(_vod_cut([[0, 1, "2"], [0, "1", "3"]], [1, "1"], source=0))
+    assert [inst.build_oracle().value({i}) for i in range(2)] == [2, 3]
+
+
 @pytest.mark.parametrize("rows, match", [
     ([["-1", "1", "3"], ["1", "1", "2"]], "A >= 0; row 0 is"),
     ([["1", "0", "3"]], "coordinate 1 is unbounded"),
