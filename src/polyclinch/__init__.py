@@ -26,7 +26,6 @@ from .auction import (
 from .environments import (
     AdWordsInstance,
     CapacitatedNetwork,
-    InterestGraph,
     adwords_oracle,
     decompose,
     graphic_oracle,

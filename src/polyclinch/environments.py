@@ -101,15 +101,22 @@ def single_keyword_oracle(ctrs: Sequence[Rational]) -> SubmodularOracle:
 
 
 @dataclass(frozen=True)
-class InterestGraph:
-    """Bipartite bidder/keyword adjacency, stored consistently from both sides."""
+class AdWordsInstance:
+    """n advertisers, m keywords, per-keyword CTR lists.
+
+    ``keyword_bidders[k]`` is Gamma(k), the bidders interested in keyword
+    k, as a frozenset.  CTR lists are normalized to exactly |Gamma(k)|
+    positions (padded with zeros or truncated).
+    """
 
     n: int
     m: int
-    keyword_bidders: tuple          # Gamma(k) as frozensets, one per keyword
+    keyword_bidders: tuple
+    ctrs: tuple
 
     @classmethod
-    def from_keyword_side(cls, n: int, interests: Sequence[Iterable[int]]) -> "InterestGraph":
+    def build(cls, n: int, interests: Sequence[Iterable[int]],
+              ctrs: Sequence[Sequence[Rational]]) -> "AdWordsInstance":
         keyword_bidders = []
         for k, bidders in enumerate(interests):
             seen = set()
@@ -124,34 +131,14 @@ class InterestGraph:
             if not seen:
                 raise DomainError(f"keyword {k} has no interested bidder")
             keyword_bidders.append(frozenset(seen))
-        return cls(n, len(keyword_bidders), tuple(keyword_bidders))
-
-
-@dataclass(frozen=True)
-class AdWordsInstance:
-    """n advertisers, m keywords, per-keyword CTR lists.
-
-    CTR lists are normalized to exactly |Gamma(k)| positions (padded with
-    zeros or truncated).
-    """
-
-    n: int
-    m: int
-    graph: InterestGraph
-    ctrs: tuple
-
-    @classmethod
-    def build(cls, n: int, interests: Sequence[Iterable[int]],
-              ctrs: Sequence[Sequence[Rational]]) -> "AdWordsInstance":
-        graph = InterestGraph.from_keyword_side(n, interests)
-        if len(ctrs) != graph.m:
-            raise DomainError(f"expected {graph.m} CTR lists, got {len(ctrs)}")
+        if len(ctrs) != len(keyword_bidders):
+            raise DomainError(f"expected {len(keyword_bidders)} CTR lists, got {len(ctrs)}")
         normalized = []
         for k, raw in enumerate(ctrs):
             alpha = _rank_list(raw, f"keyword {k}: click-through rates")
-            slots = len(graph.keyword_bidders[k])
+            slots = len(keyword_bidders[k])
             normalized.append((alpha + (ZERO,) * slots)[:slots])
-        return cls(n, graph.m, graph, tuple(normalized))
+        return cls(n, len(keyword_bidders), tuple(keyword_bidders), tuple(normalized))
 
     def keyword_oracle(self, k: int) -> SubmodularOracle:
         """Single-keyword oracle for keyword k over its interested bidders."""
@@ -164,7 +151,7 @@ def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:
     The transversal matroid is the special case of one unit-CTR slot per
     keyword.  Quality factors are handled by the scaled auction path, not here.
     """
-    return _rank_sum_oracle(inst.n, list(zip(inst.graph.keyword_bidders, inst.ctrs)),
+    return _rank_sum_oracle(inst.n, list(zip(inst.keyword_bidders, inst.ctrs)),
                             f"adwords({inst.n}x{inst.m})")
 
 
@@ -202,7 +189,9 @@ class CapacitatedNetwork:
     """Directed network with rational edge capacities for video-on-demand.
 
     ``bidder_nodes[i]`` is the node bidder i streams to; the source must be a
-    distinct node.
+    distinct node.  Node labels are strings or ints (not bools), so that two
+    labels are one node exactly when they are equal: 1, True and 1.0 would
+    be one dict key.
     """
 
     edges: tuple                     # (u, v, capacity)
@@ -218,6 +207,12 @@ class CapacitatedNetwork:
             if capacity < 0:
                 raise DomainError(f"edge {e}: capacity must be >= 0, got {capacity}")
             parsed.append((u, v, capacity))
+        labels = [("the source", source)]
+        labels += [(f"edge {e}", v) for e, edge in enumerate(parsed) for v in edge[:2]]
+        labels += [(f"bidder node {i}", v) for i, v in enumerate(bidder_nodes)]
+        for where, v in labels:
+            if type(v) not in (str, int):
+                raise DomainError(f"{where}: node labels must be strings or ints, got {v!r}")
         if source in bidder_nodes:
             raise DomainError("the source must be distinct from every bidder node")
         if not bidder_nodes:
@@ -421,13 +416,13 @@ def decompose(inst: AdWordsInstance, x: Sequence[Rational]
         graph.arc("source", ("bidder", i), nums[i])
     share_arcs = []                          # (i, k, arc from bidder i into (k, j))
     for (k, j, _), w in zip(thresholds, nums[inst.n:]):
-        for i in sorted(inst.graph.keyword_bidders[k]):
+        for i in sorted(inst.keyword_bidders[k]):
             share_arcs.append((i, k, graph.arc(("bidder", i), (k, j), w)))
         graph.arc((k, j), "sink", j * w)
     residual = graph.cap[:]
     if graph.max_flow(residual, "source", "sink")[0] != sum(nums[:inst.n]):
         return None
-    split = [{i: ZERO for i in sorted(members)} for members in inst.graph.keyword_bidders]
+    split = [{i: ZERO for i in sorted(members)} for members in inst.keyword_bidders]
     for i, k, a in share_arcs:
         split[k][i] += Fraction(residual[a ^ 1], den)
     return split

@@ -45,7 +45,8 @@ The cap is checked where a table is built, so oracles with a structural
 reduced rank clinch, and are checked by :func:`membership` and
 :func:`residual_totals`, past it; only :func:`verify_submodular` and the
 ``Fraction`` reference :class:`ResidualOracle` still need the table there,
-and the first decides cardinality oracles from their rank list instead.
+and the first passes cardinality oracles, whose rank list the constructor
+has checked, without one.
 """
 
 from __future__ import annotations
@@ -220,20 +221,21 @@ class RankSolution:
         self.total, self.smallest, self.without = total, smallest, without
 
 
-def _cardinality_rank(ctrs: Iterable[Rational]) -> ReducedRank:
+def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     """The reduced rank of f(S) = A_|S|, A_t the sum of the first t ``ctrs``.
 
-    The list must be >= 0 and nonincreasing, and counts as 0 past its end.
-    Among the sets of size t, f(T) - c(T) is least on the t largest entries
-    of c, so R(c) = c([n]) + min over t of A_t - (the t largest c summed):
-    one sort and one running-sum scan.  The smallest minimizing t never
+    ``ctrs`` is a list :func:`_rank_list` has checked (>= 0 and
+    nonincreasing); it counts as 0 past its end.  Among the sets of size
+    t, f(T) - c(T) is least on the t largest entries of c, so R(c) =
+    c([n]) + min over t of A_t - (the t largest c summed): one sort and one
+    running-sum scan.  The smallest minimizing t never
     splits a tie, since A_t - A_(t-1) does not grow with t: if the t-th and
     (t+1)-th largest entries were equal, t + 1 would do strictly better than
     t.  So the entries at least the t-th largest are the smallest minimizer.
     ``without(j)`` needs no sort: c with c_j = 0, sorted, is the sorted c
     less one entry equal to c_j, with a 0 appended, so it is one more scan.
     """
-    den, alpha = _over_common_denominator(_rank_list(ctrs, "rank list"))
+    den, alpha = _over_common_denominator(ctrs)
 
     def scan(scale: int, top: list) -> tuple:
         """(min over t of A_t - top_t, the least t attaining it), top sorted descending."""
@@ -345,15 +347,17 @@ def _visit(values: list, step: Callable[[object, int], tuple], mask: int, state)
 class SubmodularOracle:
     """Memoizing value oracle for a normalized set function on {0..n-1}.
 
-    ``fn_mask`` evaluates one mask from scratch.  An oracle may also supply a
-    :class:`LatticeStep`, with which :meth:`integer_table` extends each mask
-    from its parent instead; the built-in oracles pass its
+    f(empty) = 0 by definition, so ``fn_mask`` is never asked for mask 0;
+    it evaluates one nonempty mask from scratch.  An oracle may also supply
+    a :class:`LatticeStep`, with which :meth:`integer_table` extends each
+    mask from its parent instead; the built-in oracles pass its
     :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
     table exists runs the same code.  An oracle whose reduced rank has a
     fast solver may supply it as a :class:`ReducedRank`; a cardinality
     oracle, f(S) = A_|S| with A_t the sum of the first t entries of a
     nonincreasing list >= 0, gives the list as ``ctrs`` instead, and the
-    constructor turns it into its :func:`_cardinality_rank`.  :meth:`rank`
+    constructor checks it (:func:`_rank_list`), keeps the checked tuple and
+    turns it into its :func:`_cardinality_rank`.  :meth:`rank`
     returns that solver, or else the table solver, and the kernel and the
     verifiers decide through it alone.  ``monotone`` is
     a claim by the constructor, checkable with :func:`verify_submodular`.
@@ -370,11 +374,12 @@ class SubmodularOracle:
         if ctrs is not None:
             if reduced_rank is not None:
                 raise DomainError("give an oracle ctrs or a reduced_rank, not both")
+            ctrs = _rank_list(ctrs, "rank list")
             reduced_rank = _cardinality_rank(ctrs)
         self.n = n
         self.monotone = monotone
         self.name = name
-        # The rank list a cardinality oracle was built from, kept so that a
+        # The checked rank list of a cardinality oracle, kept so that a
         # wrapper can build the same oracle again; the reduced rank is its use.
         self.ctrs = ctrs
         self.reduced_rank = reduced_rank
@@ -387,6 +392,8 @@ class SubmodularOracle:
     @classmethod
     def from_set_function(cls, n: int, fn: Callable[[frozenset], Rational],
                           monotone: bool = False, name: str = "custom") -> "SubmodularOracle":
+        """The oracle of ``fn`` on frozensets; ``fn`` is never called on the
+        empty set, whose value is 0 by definition."""
         return cls(n, lambda m: as_fraction(fn(set_of(m))), monotone, name)
 
     def value_mask(self, mask: int) -> Fraction:
@@ -449,7 +456,7 @@ class OracleCheck:
     """Result of verify_submodular: ok, or a named violation with witness sets."""
 
     ok: bool
-    violation: Optional[str] = None          # normalization | submodularity | monotonicity
+    violation: Optional[str] = None          # submodularity | monotonicity
     witness: Optional[tuple] = None          # tuple of frozensets reproducing the violation
     detail: str = ""
 
@@ -468,61 +475,29 @@ def _locally_submodular(nums: Sequence[int], n: int) -> bool:
     return True
 
 
-def _cardinality_check(n: int, ctrs: Sequence[Rational], monotone: bool) -> OracleCheck:
-    """:func:`verify_submodular` of f(S) = A_|S| on {0..n-1} from its rank list, in O(n).
+def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
+    """Exhaustively check submodularity and claimed monotonicity.
 
-    A_t is the sum of the first t entries alpha_0, alpha_1, .. of ``ctrs``,
-    0 past its end, and f(empty) = A_0 = 0.  A function of |S| alone is
-    submodular iff it is concave in |S|, that is iff alpha_0 >= .. >=
-    alpha_(n-1); and it is monotone iff each of those is >= 0.  A failing
-    step k is witnessed by S = {0..k-1} and T = {0..k-2, k}, for which
-    f(S|T) + f(S&T) - f(S) - f(T) = alpha_k - alpha_(k-1); a negative
-    alpha_k by {0..k-1} and {0..k}, the pair the table scan would name.
-    """
-    alpha = (vector(ctrs) + (ZERO,) * n)[:n]
-    for k in range(1, n):
-        if alpha[k - 1] < alpha[k]:
-            return OracleCheck(False, "submodularity",
-                               (frozenset(range(k)), frozenset(range(k - 1)) | {k}),
-                               f"f(S|T)+f(S&T)-f(S)-f(T) = {alpha[k] - alpha[k - 1]} > 0")
-    for k, a in enumerate(alpha):
-        if monotone and a < 0:
-            return OracleCheck(False, "monotonicity",
-                               (frozenset(range(k)), frozenset(range(k + 1))),
-                               f"f(S+{k}) - f(S) = {a} < 0")
-    return OracleCheck(True)
-
-
-def verify_submodular(oracle) -> OracleCheck:
-    """Exhaustively check normalization, submodularity and claimed monotonicity.
-
-    Decided on integers over a common denominator: a
-    :class:`SubmodularOracle`'s own :meth:`~SubmodularOracle.integer_table`,
-    or, for other oracles (a :class:`ResidualOracle`), one evaluation per
-    mask.  Submodularity uses the local second differences,
-    ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for every S and i < j outside it
-    (C(n,2) 2^(n-2) checks), which is equivalent to
+    A cardinality oracle (one with ``ctrs``) passes at once, at any n: its
+    constructor has checked that the list is >= 0 and nonincreasing, and
+    f(S) = A_|S| is then submodular (concave in |S|) and monotone.  Every
+    other oracle is decided on its :meth:`~SubmodularOracle.integer_table`,
+    which needs the enumeration cap.  Submodularity uses the local second
+    differences, ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for every S and
+    i < j outside it (C(n,2) 2^(n-2) checks), which is equivalent to
     ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  ``Fraction``
     values are built only on a violation, to name it: the pairwise scan runs
     in ascending mask order, so the reported pair is the first violating one
-    and failures are reproducible.  A cardinality oracle (one with ``ctrs``)
-    is decided from its rank list instead (:func:`_cardinality_check`), at
-    any n; every other oracle needs the enumeration cap.
+    and failures are reproducible.
     """
+    if oracle.ctrs is not None:
+        return OracleCheck(True)
     n = oracle.n
-    if getattr(oracle, "ctrs", None) is not None:
-        return _cardinality_check(n, oracle.ctrs, oracle.monotone)
     check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}",
                            "Single-keyword and multi-unit oracles pass it at any size, "
                            "from their rank list")
-    if oracle.value_mask(0) != 0:
-        return OracleCheck(False, "normalization", (frozenset(),),
-                           f"f(empty) = {oracle.value_mask(0)} != 0")
     size = 1 << n
-    if isinstance(oracle, SubmodularOracle):
-        nums = oracle.integer_table()[1]
-    else:
-        nums = _over_common_denominator([oracle.value_mask(m) for m in range(size)])[1]
+    nums = oracle.integer_table()[1]
     if not _locally_submodular(nums, n):
         values = [oracle.value_mask(m) for m in range(size)]
         for s in range(size):
@@ -672,10 +647,11 @@ def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction]) -> None:
             f"S = {sorted(result.violating)}", witness=result.violating)
 
 
-class ResidualOracle:
+class ResidualOracle(SubmodularOracle):
     """Oracle for the residual polymatroid P_{rho,d} of a base polymatroid.
 
-    Evaluates ``fhat(S) = min over T <= S of f(T) - rho(T) + d(S \\ T)`` by
+    A :class:`SubmodularOracle` like any other, not monotone, whose values
+    are ``fhat(S) = min over T <= S of f(T) - rho(T) + d(S \\ T)`` by
     exhaustive enumeration with memoized base values.  Since ``d(S \\ T) =
     d(S) - d(T)`` the whole table reduces to a subset-min transform of
     ``h(T) = f(T) - rho(T) - d(T)``, computed once per (rho, d) snapshot.
@@ -687,10 +663,9 @@ class ResidualOracle:
     def __init__(self, base: SubmodularOracle, rho: Sequence[Rational],
                  d: Sequence[Rational]):
         check_enumeration_size(base.n, "residual oracle construction")
+        super().__init__(base.n, lambda m: self._fhat_table()[m], False,
+                         f"residual({base.name})")
         self.base = base
-        self.n = base.n
-        self.monotone = False
-        self.name = f"residual({base.name})"
         self.rho = vector(rho, base.n)
         self.demand = _demand_vector(d, base.n)
         _check_promises(base, self.rho)
@@ -705,12 +680,6 @@ class ResidualOracle:
             minh = _min_over_subsets(h, n)
             self._fhat = [dsum[m] + minh[m] for m in range(1 << n)]
         return self._fhat
-
-    def value_mask(self, mask: int) -> Fraction:
-        return self._fhat_table()[mask]
-
-    def value(self, subset: Iterable[int]) -> Fraction:
-        return self.value_mask(mask_of(subset, self.n))
 
     def full_value(self) -> Fraction:
         """fhat([n]): the total amount the residual polytope can still absorb."""

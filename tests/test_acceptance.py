@@ -251,7 +251,7 @@ def test_criterion_7_mcdiarmid_equivalence():
                     for i, amount in shares.items():
                         totals[i] += amount
                     share = [shares[i] for i in sorted(shares)]
-                    if (set(shares) != inst.graph.keyword_bidders[k]
+                    if (set(shares) != inst.keyword_bidders[k]
                             or not membership(inst.keyword_oracle(k), share).ok):
                         disagreements.append((t, point, k, "share outside P(f_k)"))
                 if totals != list(point):

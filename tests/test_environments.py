@@ -172,7 +172,7 @@ def test_decompose_known_split():
             assert amount >= 0
             totals[i] += amount
         oracle_k = inst.keyword_oracle(k)
-        members = sorted(inst.graph.keyword_bidders[k])
+        members = sorted(inst.keyword_bidders[k])
         vec = [shares.get(i, F(0)) for i in members]
         assert membership(oracle_k, vec).ok
     assert totals == [2, 4]
@@ -216,7 +216,7 @@ def test_decompose_past_the_enumeration_cap():
     assert split is not None
     totals = [F(0)] * inst.n
     for k, shares in enumerate(split):
-        assert set(shares) == inst.graph.keyword_bidders[k]
+        assert set(shares) == inst.keyword_bidders[k]
         for i, amount in shares.items():
             assert amount >= 0
             totals[i] += amount
@@ -278,9 +278,9 @@ def _prefix_sum_table(alpha, n):
 def _threshold_table(inst):
     """f*(mask) = sum_k sum_j w_kj * min(|mask & Gamma(k)|, j), with
     w_kj = alpha_kj - alpha_k,j+1, for every mask."""
-    masks = [sum(1 << i for i in members) for members in inst.graph.keyword_bidders]
+    masks = [sum(1 << i for i in members) for members in inst.keyword_bidders]
     by_size = []                                    # f_k by |S & Gamma(k)|
-    for alpha, members in zip(inst.ctrs, inst.graph.keyword_bidders):
+    for alpha, members in zip(inst.ctrs, inst.keyword_bidders):
         w = [a - b for a, b in zip(alpha, alpha[1:] + (0,))]
         by_size.append([sum((w_j * min(size, j) for j, w_j in enumerate(w, 1)), F(0))
                         for size in range(len(members) + 1)])
@@ -671,6 +671,19 @@ def test_two_solves_on_one_oracle_do_not_share_state():
 def test_vod_cut_rejects_source_as_bidder():
     with pytest.raises(DomainError):
         CapacitatedNetwork.build([("s", "a", 1)], "s", ["s"])
+
+
+def test_vod_cut_rejects_labels_that_are_one_dict_key():
+    # 1, True and 1.0 are one dict key, so the arcs' 2 and 3 would merge
+    for other in (True, 1.0):
+        with pytest.raises(DomainError) as err:
+            vod_cut_oracle(CapacitatedNetwork.build([("s", 1, 2), ("s", other, 3)], "s",
+                                                    [1, other]))
+        assert "edge 1" in str(err.value) and repr(other) in str(err.value)
+    for source, nodes in ((None, ["a"]), ("s", ["a", ("b",)])):
+        with pytest.raises(DomainError) as err:
+            CapacitatedNetwork.build([("s", "a", 1)], source, nodes)
+        assert "strings or ints" in str(err.value)
 
 
 def test_vod_cut_submodular_and_monotone():

@@ -222,13 +222,13 @@ def test_verify_submodular_matches_pairwise_scan_on_planted_perturbations():
     assert all(caught.values()), caught
 
 
-def test_verify_submodular_works_without_an_integer_table():
+def test_verify_submodular_checks_residual_oracles_like_any_oracle():
     rng = random.Random(6262)
     for _ in range(30):
         n = rng.randint(2, 5)
         oracle = random_oracle(rng, rng.choice(KINDS), n)
         res = residual(oracle, random_feasible_point(rng, oracle), random_demands(rng, n))
-        assert not hasattr(res, "integer_table")
+        assert isinstance(res, SubmodularOracle)
         assert verify_submodular(res) == _pairwise_verify_submodular(res) == OracleCheck(True)
 
 
@@ -239,33 +239,46 @@ def test_verify_submodular_raises_when_the_two_scans_disagree(monkeypatch):
 
 
 def test_cardinality_oracles_are_checked_from_their_rank_list(monkeypatch):
-    # Lists of every sign pattern, with ties, shorter and longer than n: the
-    # O(n) verdict is the table check's on the same function given without
-    # its list, and each witness replays.
+    # Lists of every sign pattern, with ties, shorter and longer than n: a
+    # list on which the table check of A_|S| fails is refused by the
+    # constructor, so an oracle built with it as ctrs passes with no table.
     rng = random.Random(2207)
-    verdicts = set()
+    verdicts, accepted, refused = set(), 0, 0
     for _ in range(300):
         n = rng.randint(1, 6)
         alpha = [F(rng.randint(-1, 3), rng.choice((1, 2))) for _ in range(rng.randint(0, n + 1))]
         monotone = rng.random() < 0.7
-        table = SubmodularOracle.from_set_function(
-            n, lambda s: sum(alpha[:len(s)]), monotone, "cardinality")
-        check = submodular._cardinality_check(n, alpha, monotone)
-        expected = verify_submodular(table)
-        assert (check.ok, check.violation) == (expected.ok, expected.violation), (alpha, n)
-        if check.violation == "submodularity":
-            s, t = check.witness
-            assert table.value(s | t) + table.value(s & t) > table.value(s) + table.value(t)
-        elif check.violation == "monotonicity":
-            assert check.witness == expected.witness, (alpha, n)
-        verdicts.add(check.violation)
+        expected = verify_submodular(SubmodularOracle.from_set_function(
+            n, lambda s: sum(alpha[:len(s)]), monotone, "cardinality"))
+        verdicts.add(expected.violation)
+        try:
+            oracle = SubmodularOracle(n, lambda m: sum(alpha[:m.bit_count()], F(0)), monotone,
+                                      "cardinality", ctrs=alpha)
+        except DomainError:
+            refused += 1
+            continue
+        accepted += 1
+        assert expected.ok, (alpha, n, monotone)
+        assert verify_submodular(oracle) == OracleCheck(True)
+        assert oracle._table is None
     assert verdicts == {None, "submodularity", "monotonicity"}
+    assert accepted and refused
     # past the cap: built-in cardinality oracles pass without a table
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
     for oracle in (single_keyword_oracle(range(200, 0, -1)), multi_unit_oracle(3, 200),
                    single_keyword_oracle([2, 2] + [0] * 30)):
         assert verify_submodular(oracle) == OracleCheck(True)
         assert oracle._table is None
+
+
+def test_cardinality_oracles_keep_the_checked_rank_list():
+    # a caller that changes its list afterwards changes neither .ctrs nor R
+    alpha = [3, 2]
+    oracle = SubmodularOracle(2, lambda m: F(0), True, "x", ctrs=alpha)
+    alpha[1] = 5
+    assert oracle.ctrs == (3, 2)
+    assert verify_submodular(oracle).ok
+    assert oracle.rank().solve(1, [5, 5]).total == 5
 
 
 # ---------------------------------------------------------------------------
