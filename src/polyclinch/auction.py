@@ -216,6 +216,12 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     return clinch_fn, fhat_fn
 
 
+def _check_bidder_count(n: int, bidders: Sequence[Bidder]) -> None:
+    """Refuse a bidder list that does not hold one bidder per element."""
+    if len(bidders) != n:
+        raise DomainError(f"expected {n} bidders, got {len(bidders)}")
+
+
 def _demand_schedule(budget_rem: Optional[Fraction], value: Fraction, cap: Fraction) -> Callable:
     """One bidder's :func:`demand` as a function of its own clock price."""
     return lambda price: demand(budget_rem, price, value, cap)
@@ -327,8 +333,7 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     enumeration cap.
     """
     n = oracle.n
-    if len(bidders) != n:
-        raise DomainError(f"expected {n} bidders, got {len(bidders)}")
+    _check_bidder_count(n, bidders)
     values = [b.value for b in bidders]
     eps = cfg.resolve_epsilon(values)
     singles = [oracle.singleton(i) for i in range(n)]

@@ -366,6 +366,8 @@ def generate_instance(kind: str, n: int, m: Optional[int] = None,
                          f"gen supports {POLYMATROID_KINDS}, got {kind!r}")
     if n < 1:
         raise ParseError("bad-value", "n", "need n >= 1")
+    if kind == "adwords" and m is not None and m < 1:
+        raise ParseError("bad-value", "m", "need m >= 1")
     rng = random.Random(f"{kind}:{n}:{m}:{seed}")
 
     if kind == "multi-unit":

@@ -25,6 +25,7 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _check_bidder_count,
     _packing_lines,
     _vertices_from_lines,
     polytope_vertices,
@@ -45,6 +46,8 @@ from .submodular import (
     set_of,
     vector,
 )
+
+DEVIATION_GRID_SIZE = 20       # value_deviation_grid keeps this many misreports
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,7 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     Those minima take f to be monotone, as a polymatroid's f is.
     """
     n = oracle.n
+    _check_bidder_count(n, bidders)
     x = outcome.allocation
     pay = outcome.payments
     report = VerificationReport()
@@ -207,6 +211,7 @@ def check_scaled_outcome(oracle: SubmodularOracle, gamma: Sequence[Fraction],
     individual rationality and budgets are checked as in :func:`check_outcome`,
     on the stretched allocation.
     """
+    _check_bidder_count(oracle.n, bidders)
     report = VerificationReport()
     member = membership(oracle, [x / g for x, g in zip(outcome.allocation, gamma)])
     report.add("scaled-membership", member.ok,
@@ -352,10 +357,10 @@ def _describe_report(report) -> object:
     return str(report)
 
 
-def value_deviation_grid(values: Sequence[Fraction], i: int, eps: Fraction,
-                         size: int = 20) -> list:
+def value_deviation_grid(values: Sequence[Fraction], i: int, eps: Fraction) -> list:
     """Deviation grid for linear bidders: multiplicative sweeps of v_i within
-    [v/4, 4v], a near-zero report, and the rivals' values +- eps."""
+    [v/4, 4v], a near-zero report, and the rivals' values +- eps, the first
+    :data:`DEVIATION_GRID_SIZE` distinct positive ones other than v_i."""
     v = as_fraction(values[i])
     factors = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
                Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(9, 10),
@@ -372,9 +377,7 @@ def value_deviation_grid(values: Sequence[Fraction], i: int, eps: Fraction,
         if c > 0 and c not in seen:
             seen.add(c)
             grid.append(c)
-        if len(grid) == size:
-            break
-    return grid
+    return grid[:DEVIATION_GRID_SIZE]
 
 
 def curve_deviation_grid(curve: ConcaveCurve) -> list:

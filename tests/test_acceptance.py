@@ -343,7 +343,7 @@ def test_criterion_10_oracle_hygiene():
         kind = KINDS[t % len(KINDS)]
         n = rng.randint(2, 8)
         if kind == "adwords":
-            n = min(n, 6)          # keep the pairwise check quick
+            n = min(n, 6)          # as first written, so the seeded draws stay the same
         oracle = random_oracle(rng, kind, n)
         if not verify_submodular(oracle).ok:
             failures.append((kind, t))

@@ -187,6 +187,16 @@ def test_quality_on_the_generic_polytope_exits_input_error(tmp_path, capsys):
     assert "input error [bad-value] at instance.quality" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_gen_adwords_without_keywords_exits_input_error(tmp_path, capsys, m):
+    dest = tmp_path / "aw.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "adwords", "--n", "3", "--m", m,
+                           "--seed", "0", "-o", str(dest))
+    assert code == EXIT_INPUT
+    assert "input error [bad-value] at m" in err
+    assert not dest.exists()
+
+
 def test_gen_twice_identical_and_verifies(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (a, b):

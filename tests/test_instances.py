@@ -203,6 +203,18 @@ def test_generation_is_deterministic():
     assert json.dumps(a) != json.dumps(c)
 
 
+def test_generation_refuses_adwords_without_keywords():
+    # m < 1 would write a market with no interests, in which nothing is sold
+    for m in (0, -1):
+        with pytest.raises(ParseError) as err:
+            generate_instance("adwords", 3, m)
+        assert (err.value.code, err.value.field) == ("bad-value", "m")
+    assert len(generate_instance("adwords", 3, 1).environment.payload["interests"]) == 1
+    # the other kinds ignore m
+    for kind in ("multi-unit", "single-keyword", "graphic", "vod-cut"):
+        generate_instance(kind, 3, 0).build_oracle()
+
+
 @pytest.mark.parametrize("kind", ["multi-unit", "single-keyword", "adwords",
                                   "graphic", "vod-cut"])
 def test_generated_instances_build_valid_oracles(kind):

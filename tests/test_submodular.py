@@ -1,6 +1,7 @@
 """Oracle, residual-polytope and clinch-amount primitives."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from polyclinch import (
     verify_submodular,
 )
 
-from polyclinch import submodular
 from polyclinch.instances import generate_instance
 from polyclinch.submodular import (
     LatticeStep,
@@ -166,6 +166,39 @@ def _pairwise_verify_submodular(oracle) -> OracleCheck:
     return OracleCheck(True)
 
 
+def _first_local_violation(oracle) -> OracleCheck:
+    """The witness verify_submodular names, on Fraction values: the first
+    (S+i, S+j), S ascending and then i < j outside S, with
+    f(S+i) + f(S+j) < f(S+i+j) + f(S)."""
+    n = oracle.n
+    f = oracle.value_mask
+    for s in range(1 << n):
+        outside = [i for i in range(n) if not s >> i & 1]
+        for k, i in enumerate(outside):
+            for j in outside[k + 1:]:
+                si, sj = s | 1 << i, s | 1 << j
+                if f(si) + f(sj) < f(si | sj) + f(s):
+                    return OracleCheck(False, "submodularity", (set_of(si), set_of(sj)),
+                                       f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
+                                       f"{f(si) + f(sj)} = f(S)+f(T)")
+    return OracleCheck(True)
+
+
+def _check_against_references(oracle) -> OracleCheck:
+    """verify_submodular(oracle) against the 4^n scan: the same verdict and
+    violation, the same result in full unless it names a submodularity
+    witness, which must be the first local violation and replay."""
+    got, old = verify_submodular(oracle), _pairwise_verify_submodular(oracle)
+    assert (got.ok, got.violation) == (old.ok, old.violation)
+    if got.violation != "submodularity":
+        assert got == old
+        return got
+    assert got == _first_local_violation(oracle)
+    s, t = got.witness
+    assert oracle.value(s | t) + oracle.value(s & t) > oracle.value(s) + oracle.value(t)
+    return got
+
+
 def _table_oracle(table, monotone):
     n = len(table).bit_length() - 1
     return SubmodularOracle(n, lambda m: table[m], monotone, "table")
@@ -199,9 +232,7 @@ def test_verify_submodular_matches_pairwise_scan_on_seeded_tables():
             table = [curve[m.bit_count()] + sum((weights[i] for i in set_of(m)), F(0))
                      for m in range(1 << n)]
         monotone = rng.random() < 0.7
-        expected = _pairwise_verify_submodular(_table_oracle(table, monotone))
-        assert verify_submodular(_table_oracle(table, monotone)) == expected, (t, table)
-        seen.add(expected.violation)
+        seen.add(_check_against_references(_table_oracle(table, monotone)).violation)
     assert seen == {None, "submodularity", "monotonicity"}
 
 
@@ -215,9 +246,7 @@ def test_verify_submodular_matches_pairwise_scan_on_planted_perturbations():
         table = [base.value_mask(m) for m in range(1 << n)]
         mask = rng.randrange(1, 1 << n)
         table[mask] += rng.choice((F(1), F(-1), F(1, 3), F(-1, 7)))
-        expected = _pairwise_verify_submodular(_table_oracle(table, True))
-        assert verify_submodular(_table_oracle(table, True)) == expected, (t, kind, mask)
-        caught[kind] += not expected.ok
+        caught[kind] += not _check_against_references(_table_oracle(table, True)).ok
         assert verify_submodular(base).ok
     assert all(caught.values()), caught
 
@@ -232,10 +261,20 @@ def test_verify_submodular_checks_residual_oracles_like_any_oracle():
         assert verify_submodular(res) == _pairwise_verify_submodular(res) == OracleCheck(True)
 
 
-def test_verify_submodular_raises_when_the_two_scans_disagree(monkeypatch):
-    monkeypatch.setattr(submodular, "_locally_submodular", lambda nums, n: False)
-    with pytest.raises(ClinchError):
-        verify_submodular(table_only(multi_unit_oracle(2, 3)))
+def test_verify_submodular_names_a_planted_violation_at_n12_quickly():
+    # f(S) = A_|S| with steps 100 - 9t, plus 12 on {0..10}: the only failing
+    # pairs have union {0..10}, which a scan of all set pairs takes seconds to reach
+    alpha = [100 - 9 * t for t in range(12)]
+    curve = [sum(alpha[:k]) for k in range(13)]
+    bumped = frozenset(range(11))
+    oracle = SubmodularOracle.from_set_function(
+        12, lambda s: curve[len(s)] + (12 if s == bumped else 0), True, "planted")
+    start = time.perf_counter()
+    check = verify_submodular(oracle)
+    assert time.perf_counter() - start < 1
+    assert check == OracleCheck(
+        False, "submodularity", (frozenset(range(10)), frozenset(range(9)) | {10}),
+        f"f(S|T)+f(S&T) = {curve[11] + 12 + curve[9]} > {2 * curve[10]} = f(S)+f(T)")
 
 
 def test_cardinality_oracles_are_checked_from_their_rank_list(monkeypatch):

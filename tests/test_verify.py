@@ -105,6 +105,24 @@ def test_check_scaled_outcome_reports_payment_witnesses():
     assert over.result("individual-rationality").passed
     assert over.result("budget-feasibility").passed
 
+def test_verifiers_refuse_a_bidder_list_of_the_wrong_length():
+    # bidder 2 pays 5, above its budget 1 and its value x allocation 1; a
+    # list without it would hide both failures, so both lengths are refused
+    oracle = multi_unit_oracle(3, 3)
+    bidders = [bidder(2, 9), bidder(2, 9), bidder(1, 1)]
+    outcome = outcome_of([1, 1, 1], [0, 0, 5])
+    for report in (check_outcome(oracle, bidders, outcome),
+                   check_scaled_outcome(oracle, [1, 1, 1], bidders, outcome)):
+        assert not report.result("individual-rationality").passed
+        assert not report.result("budget-feasibility").passed
+    for wrong in (bidders[:2], bidders + [bidder(1, 1)]):
+        message = f"expected 3 bidders, got {len(wrong)}"
+        with pytest.raises(DomainError, match=message):
+            check_outcome(oracle, wrong, outcome)
+        with pytest.raises(DomainError, match=message):
+            check_scaled_outcome(oracle, [1, 1, 1], wrong, outcome)
+
+
 def test_check_outcome_flags_infeasible_allocation():
     oracle = multi_unit_oracle(1, 2)
     report = check_outcome(oracle, [bidder(2, 1), bidder(1, 1)],
@@ -297,6 +315,18 @@ def test_constant_mechanism_is_truthful():
     report = fuzz_truthfulness(run_fn, [F(2), F(2)],
                                [[F(1), F(3)], [F(1), F(3)]], utility)
     assert report.ok()
+
+
+def test_value_deviation_grid_keeps_the_first_distinct_misreports():
+    # two bidders: 16 sweeps, v/1000 and the rival +- eps, less v itself
+    assert len(value_deviation_grid([F(7), F(5)], 0, F(1, 7))) == 19
+    values = [F(k) for k in range(1, 12)]
+    grid = value_deviation_grid(values, 0, F(1, 100))
+    assert len(grid) == verify.DEVIATION_GRID_SIZE == 20
+    assert len(set(grid)) == 20 and values[0] not in grid and min(grid) > 0
+    assert grid[:16] == [values[0] * f for f in (
+        F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(3, 4), F(9, 10),
+        F(11, 10), F(5, 4), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), F(4))]
 
 
 def test_clinching_fuzz_finds_nothing_small():
