@@ -55,7 +55,6 @@ from .verify import (
     VerificationReport,
     check_dominated_direction,
     check_outcome,
-    check_scaled_outcome,
     curve_deviation_grid,
     demo_appendix_d,
     demo_impossibility,

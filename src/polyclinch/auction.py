@@ -352,19 +352,27 @@ def run_scaled(oracle: SubmodularOracle, gamma: Sequence[Rational],
                cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Auction over the scaled polymatroid P_gamma = {x : (x_i / gamma_i) in P}.
 
-    Runs the ordinary auction on P with values gamma_i * v_i, then stretches
-    the allocation back by gamma; payments carry over unchanged.  The trace,
-    when requested, is the underlying unit-scale run.
+    It is the ordinary auction on P at values gamma_i * v_i (:func:`_scaled_bidders`),
+    its allocation stretched back by gamma (:func:`_stretched`); payments and
+    the trace are the base run's, and ``clinch verify`` checks that base run.
     """
-    n = oracle.n
+    factors, base_bidders = _scaled_bidders(oracle.n, gamma, bidders)
+    return _stretched(factors, run_clinching(oracle, base_bidders, cfg))
+
+
+def _scaled_bidders(n: int, gamma: Sequence[Rational],
+                    bidders: Sequence[Bidder]) -> tuple:
+    """The n factors gamma, all > 0, and the n bidders at values gamma_i * v_i."""
     factors = vector(gamma, n)
     if any(g <= 0 for g in factors):
         raise DomainError("scale factors must be > 0")
-    scaled_bidders = [replace(b, value=factors[i] * b.value)
-                      for i, b in enumerate(bidders)]
-    base = run_clinching(oracle, scaled_bidders, cfg)
-    allocation = tuple(factors[i] * base.allocation[i] for i in range(n))
-    return Outcome(allocation, base.payments, base.trace, base.exhausted)
+    _check_bidder_count(n, bidders)
+    return factors, [replace(b, value=g * b.value) for g, b in zip(factors, bidders)]
+
+
+def _stretched(factors: Sequence[Fraction], base: Outcome) -> Outcome:
+    """A base-polymatroid outcome with allocation x_i stretched to gamma_i * x_i."""
+    return replace(base, allocation=tuple(g * x for g, x in zip(factors, base.allocation)))
 
 
 @dataclass(frozen=True)

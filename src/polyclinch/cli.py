@@ -20,7 +20,14 @@ import json
 import sys
 from dataclasses import replace
 
-from .auction import run_clinching, run_decreasing_marginals, run_generic_2player, run_scaled
+from .auction import (
+    _scaled_bidders,
+    _stretched,
+    run_clinching,
+    run_decreasing_marginals,
+    run_generic_2player,
+    run_scaled,
+)
 from .errors import ClinchError, DivergenceError, DomainError, ParseError, SizeError
 from .instances import (
     POLYMATROID_KINDS,
@@ -34,7 +41,6 @@ from .verify import (
     VerificationReport,
     check_dominated_direction,
     check_outcome,
-    check_scaled_outcome,
     demo_appendix_d,
     demo_impossibility,
     run_with_monitors,
@@ -47,24 +53,22 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _run_instance(inst: InstanceFile, trace: bool, oracle=None):
-    """Run an instance on the engine its kind needs, with a trace iff ``trace``;
-    ``oracle``, if given, is the one ``inst.build_oracle()`` would return."""
+def _run_instance(inst: InstanceFile, trace: bool):
+    """Run an instance on the engine its kind needs, with a trace iff ``trace``."""
     cfg = replace(inst.config, trace=trace)
     if inst.environment.kind == "h-polytope-2d":
         return run_generic_2player(*inst.polytope_rows(), inst.bidders, cfg)
     if inst.curves is not None:
         return run_decreasing_marginals(inst.curves, [b.budget for b in inst.bidders],
                                         inst.environment.payload["supply"], cfg)
-    if oracle is None:
-        oracle = inst.build_oracle()
     if inst.quality is not None:
-        return run_scaled(oracle, inst.quality, inst.bidders, cfg)
-    return run_clinching(oracle, inst.bidders, cfg)
+        return run_scaled(inst.build_oracle(), inst.quality, inst.bidders, cfg)
+    return run_clinching(inst.build_oracle(), inst.bidders, cfg)
 
 
 def _verify(inst: InstanceFile):
-    """Run an instance and check what its kind lets us check: (outcome, report)."""
+    """Run an instance and check what its kind lets us check: (outcome, report).
+    A file with ``quality`` is checked as its base market (:func:`run_scaled`)."""
     if inst.environment.kind == "h-polytope-2d":
         outcome = _run_instance(inst, False)
         direction = check_dominated_direction(*inst.polytope_rows(), inst.bidders, outcome)
@@ -76,11 +80,13 @@ def _verify(inst: InstanceFile):
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)
+    bidders = inst.bidders
     if inst.quality is not None:
-        outcome = _run_instance(inst, False, oracle)
-        return outcome, check_scaled_outcome(oracle, inst.quality, inst.bidders, outcome)
-    outcome, report = run_with_monitors(oracle, inst.bidders, inst.config)
-    report.properties += check_outcome(oracle, inst.bidders, outcome).properties
+        factors, bidders = _scaled_bidders(oracle.n, inst.quality, bidders)
+    outcome, report = run_with_monitors(oracle, bidders, inst.config)
+    report.properties += check_outcome(oracle, bidders, outcome).properties
+    if inst.quality is not None:
+        outcome = _stretched(factors, outcome)
     return outcome, report
 
 

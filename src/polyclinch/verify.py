@@ -25,6 +25,7 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _bounded_packing_2d,
     _check_bidder_count,
     _packing_lines,
     _vertices_from_lines,
@@ -155,7 +156,20 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"no tight set contains bidder {pareto_witness['i']} without "
                f"bidder {pareto_witness['j']}")
 
-    _add_payment_checks(report, bidders, outcome)
+    ir_witness = None
+    for i, b in enumerate(bidders):
+        if pay[i] > b.value * x[i]:
+            ir_witness = {"i": i, "pay": str(pay[i]), "value_times_x": str(b.value * x[i])}
+            break
+    report.add("individual-rationality", ir_witness is None, ir_witness)
+
+    budget_witness = None
+    for i, b in enumerate(bidders):
+        if b.budget is not None and pay[i] > b.budget:
+            budget_witness = {"i": i, "pay": str(pay[i]), "budget": str(b.budget)}
+            break
+    report.add("budget-feasibility", budget_witness is None, budget_witness)
+
     report.add("membership", member.ok,
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})
@@ -203,43 +217,6 @@ def _tight_sets(oracle: SubmodularOracle, x: Sequence[Fraction],
     return member, smallest_tight, separation
 
 
-def check_scaled_outcome(oracle: SubmodularOracle, gamma: Sequence[Fraction],
-                         bidders: Sequence[Bidder], outcome: Outcome) -> VerificationReport:
-    """Checks for a :func:`~polyclinch.auction.run_scaled` outcome.
-
-    The allocation divided by ``gamma`` must lie in the base polymatroid;
-    individual rationality and budgets are checked as in :func:`check_outcome`,
-    on the stretched allocation.
-    """
-    _check_bidder_count(oracle.n, bidders)
-    report = VerificationReport()
-    member = membership(oracle, [x / g for x, g in zip(outcome.allocation, gamma)])
-    report.add("scaled-membership", member.ok,
-               None if member.ok else {"violating_set": sorted(member.violating)},
-               "x / gamma lies in the base polymatroid")
-    _add_payment_checks(report, bidders, outcome)
-    return report
-
-
-def _add_payment_checks(report: VerificationReport, bidders: Sequence[Bidder],
-                        outcome: Outcome) -> None:
-    """Individual rationality (pay <= v x) and budget feasibility, each with its first witness."""
-    x, pay = outcome.allocation, outcome.payments
-    ir_witness = None
-    for i, b in enumerate(bidders):
-        if pay[i] > b.value * x[i]:
-            ir_witness = {"i": i, "pay": str(pay[i]), "value_times_x": str(b.value * x[i])}
-            break
-    report.add("individual-rationality", ir_witness is None, ir_witness)
-
-    budget_witness = None
-    for i, b in enumerate(bidders):
-        if b.budget is not None and pay[i] > b.budget:
-            budget_witness = {"i": i, "pay": str(pay[i]), "budget": str(b.budget)}
-            break
-    report.add("budget-feasibility", budget_witness is None, budget_witness)
-
-
 def _strictly_dominated(rows_a, rhs, y) -> bool:
     """y is in X and some coordinate can still strictly increase inside X."""
     for j, row in enumerate(rows_a):
@@ -261,14 +238,14 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
     A witness is a direction d with x + d strictly below the Pareto frontier
     of X, d.v >= 0, and d_i <= 0 for every budget-exhausted bidder; its
     existence certifies that (x, pay) is not Pareto-optimal.  The search is
-    exact and complete for 2D H-polytopes: it enumerates the vertices of the
-    constrained region, their midpoints and the centroid, which must meet the
-    dominated region whenever it is nonempty.
+    exact and complete for bounded 2D packing polytopes, the only rows it
+    accepts (:func:`~polyclinch.auction._bounded_packing_2d`): it enumerates
+    the vertices of the constrained region, their midpoints and the centroid,
+    which must meet the dominated region whenever it is nonempty.
     """
     if len(bidders) != 2:
         raise SizeError("the dominated-direction search supports exactly 2 bidders")
-    a = [vector(row, 2) for row in rows_a]
-    b = vector(rhs, len(a))
+    a, b = _bounded_packing_2d(rows_a, rhs)
     x = outcome.allocation
     v = [bd.value for bd in bidders]
 
@@ -297,9 +274,9 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
 
 
 def replay_dominated_direction(rows_a, rhs, bidders, outcome, direction) -> bool:
-    """Independently confirm a witness direction (used for witness soundness)."""
-    a = [vector(row, 2) for row in rows_a]
-    b = vector(rhs, len(a))
+    """Independently confirm a witness direction (used for witness soundness),
+    on the same bounded 2D packing polytopes as :func:`check_dominated_direction`."""
+    a, b = _bounded_packing_2d(rows_a, rhs)
     x = outcome.allocation
     v = [bd.value for bd in bidders]
     d = vector(direction, 2)
@@ -319,7 +296,12 @@ def fuzz_truthfulness(run_fn: Callable, true_reports: Sequence,
     trajectory (fixed epsilon) for the truthfulness guarantee to apply.
     ``utility_fn(i, outcome)`` evaluates bidder i's TRUE utility.  Comparisons
     are exact; the report carries the most profitable deviation found.
+    ``deviation_grids`` holds one grid per bidder; an empty grid skips that
+    bidder.
     """
+    if len(deviation_grids) != len(true_reports):
+        raise DomainError(f"expected one deviation grid per bidder: {len(true_reports)} "
+                          f"reports, {len(deviation_grids)} grids")
     baseline = run_fn(list(true_reports))
     best = None
     checked = 0

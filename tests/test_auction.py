@@ -494,6 +494,13 @@ def test_scaled_rejects_nonpositive_factor():
         run_scaled(multi_unit_oracle(1, 2), [1, 0], [bidder(1, 1), bidder(1, 1)])
 
 
+def test_scaled_rejects_a_bidder_list_of_the_wrong_length():
+    # a long list used to fail with a bare IndexError
+    for k in (1, 3):
+        with pytest.raises(DomainError, match=f"expected 2 bidders, got {k}"):
+            run_scaled(multi_unit_oracle(1, 2), [1, 2], [bidder(1, 1)] * k)
+
+
 # ---------------------------------------------------------------------------
 # concave curves and decreasing marginals
 # ---------------------------------------------------------------------------

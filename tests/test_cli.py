@@ -2,10 +2,14 @@
 
 import json
 import pathlib
+import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PROPERTY_FAIL, main
+from polyclinch.instances import POLYMATROID_KINDS, generate_instance, write_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -49,7 +53,7 @@ MONITORS = ["conserved-quantity", "post-clinch-dominance", "reclinch-zero",
 OUTCOME_CHECKS = ["sold-out", "pareto-tight-sets", "individual-rationality",
                   "budget-feasibility", "membership"]
 VERIFY_PROPERTIES = {
-    "adwords-quality": ["scaled-membership", "individual-rationality", "budget-feasibility"],
+    "adwords-quality": MONITORS + OUTCOME_CHECKS,
     "adwords": MONITORS + OUTCOME_CHECKS,
     "appendix-d": MONITORS,
     "graphic": MONITORS + OUTCOME_CHECKS,
@@ -68,6 +72,60 @@ def test_verify_passes_on_every_fixture(capsys, stem):
     properties = json.loads(out)["properties"]
     assert [p["name"] for p in properties] == VERIFY_PROPERTIES[stem]
     assert all(p["passed"] for p in properties)
+
+
+def test_verify_checks_a_quality_market_as_its_base_market(tmp_path, capsys):
+    # gamma = (2, 1, 1) at epsilon 2: bidder 0's base value 4 is above bidder
+    # 2's value 3 and its budget does not bind, yet no tight set separates them
+    inst = generate_instance("multi-unit", 3, None, 0)
+    inst = replace(inst, quality=(Fraction(2), Fraction(1), Fraction(1)),
+                   config=replace(inst.config, epsilon=Fraction(2)))
+    dest = tmp_path / "multi-unit-quality.json"
+    write_instance(inst, dest)
+    code, out, _ = run_cli(capsys, "verify", "-i", str(dest), "--format", "json")
+    assert code == EXIT_PROPERTY_FAIL
+    report = json.loads(out)
+    assert report["outcome"]["x"] == ["1", "0", "7/2"]
+    assert [p["name"] for p in report["properties"]] == MONITORS + OUTCOME_CHECKS
+    failed = [p for p in report["properties"] if not p["passed"]]
+    assert [p["name"] for p in failed] == ["pareto-tight-sets"]
+    witness = failed[0]["witness"]
+    assert witness == {"i": 0, "j": 2, "min_set": [0], "min_slack": "7/2"}
+    # replay in the base market: values gamma_i * v_i, allocation x_i / gamma_i
+    gamma = inst.quality
+    values = [g * b.value for g, b in zip(gamma, inst.bidders)]
+    x = [Fraction(t) / g for t, g in zip(report["outcome"]["x"], gamma)]
+    i, j = witness["i"], witness["j"]
+    assert values[i] > values[j]
+    assert Fraction(report["outcome"]["pay"][i]) < inst.bidders[i].budget
+    oracle = inst.build_oracle()
+    slacks = {mask: oracle.value_mask(mask) - sum(x[k] for k in range(3) if mask >> k & 1)
+              for mask in range(8) if mask >> i & 1 and not mask >> j & 1}
+    low = min(slacks.values())
+    assert low == Fraction(witness["min_slack"]) > 0
+    smallest = min((m for m in slacks if slacks[m] == low), key=lambda m: bin(m).count("1"))
+    assert [k for k in range(3) if smallest >> k & 1] == witness["min_set"]
+
+
+def test_verify_passes_a_seeded_quality_corpus(tmp_path, capsys):
+    # random quality factors on every polymatroid kind, auto epsilon: every
+    # property of the base market holds, and run reports the same outcome
+    rng = random.Random(27)
+    factors = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+    for kind in POLYMATROID_KINDS:
+        for k in range(5):
+            n = 3 + k
+            inst = generate_instance(kind, n, 2, rng.randrange(10**6))
+            inst = replace(inst, quality=tuple(rng.choice(factors) for _ in range(n)))
+            dest = tmp_path / f"{kind}-{k}.json"
+            write_instance(inst, dest)
+            code, out, _ = run_cli(capsys, "verify", "-i", str(dest), "--format", "json")
+            report = json.loads(out)
+            assert [p["name"] for p in report["properties"]] == MONITORS + OUTCOME_CHECKS
+            assert code == EXIT_OK, (kind, k, report["properties"])
+            run_code, run_out, _ = run_cli(capsys, "run", "-i", str(dest), "--format", "json")
+            assert (run_code, json.loads(run_out)["outcome"]) == (EXIT_OK, report["outcome"])
+
 
 def test_trace_file_written(tmp_path, capsys):
     trace_out = tmp_path / "trace.json"

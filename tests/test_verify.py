@@ -19,7 +19,6 @@ from polyclinch import (
     bidder,
     check_dominated_direction,
     check_outcome,
-    check_scaled_outcome,
     curve_deviation_grid,
     demo_appendix_d,
     demo_impossibility,
@@ -34,6 +33,7 @@ from polyclinch import (
     value_deviation_grid,
 )
 from polyclinch import verify
+from polyclinch.auction import _scaled_bidders, _stretched
 from polyclinch.instances import parse_instance
 from polyclinch.submodular import ResidualOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
@@ -89,21 +89,26 @@ def test_check_outcome_flags_ir_and_budget_breaches():
 
 
 
-def test_check_scaled_outcome_reports_payment_witnesses():
+def test_check_outcome_reports_payment_witnesses_in_the_base_view():
+    # quality factors gamma = (2, 1): the base bidders hold values gamma_i * v_i
+    # and the base allocation x_i / gamma_i, so v * x and the payments are those
+    # of the scaled market
     oracle = multi_unit_oracle(2, 2)
-    bidders = [bidder(1, 2), bidder(3, 5)]
-    report = check_scaled_outcome(oracle, [2, 1], bidders, outcome_of([2, 1], [3, 0]))
-    assert [p.name for p in report.properties] == [
-        "scaled-membership", "individual-rationality", "budget-feasibility"]
-    assert report.result("scaled-membership").passed       # x / gamma = (1, 1)
+    factors, base = _scaled_bidders(2, [2, 1], [bidder(1, 2), bidder(3, 5)])
+    assert base == [bidder(2, 2), bidder(3, 5)]
+    outcome = outcome_of([1, 1], [3, 0])
+    assert _stretched(factors, outcome).allocation == (2, 1)
+    report = check_outcome(oracle, base, outcome)
+    assert report.result("membership").passed
     assert report.result("individual-rationality").witness == {
         "i": 0, "pay": "3", "value_times_x": "2"}
     assert report.result("budget-feasibility").witness == {
         "i": 0, "pay": "3", "budget": "2"}
-    over = check_scaled_outcome(oracle, [2, 1], bidders, outcome_of([4, 1], [0, 0]))
-    assert over.result("scaled-membership").witness == {"violating_set": [0, 1]}
+    over = check_outcome(oracle, base, outcome_of([2, 1], [0, 0]))   # scaled (4, 1)
+    assert over.result("membership").witness == {"violating_set": [0, 1], "deficit": "-1"}
     assert over.result("individual-rationality").passed
     assert over.result("budget-feasibility").passed
+
 
 def test_verifiers_refuse_a_bidder_list_of_the_wrong_length():
     # bidder 2 pays 5, above its budget 1 and its value x allocation 1; a
@@ -111,16 +116,12 @@ def test_verifiers_refuse_a_bidder_list_of_the_wrong_length():
     oracle = multi_unit_oracle(3, 3)
     bidders = [bidder(2, 9), bidder(2, 9), bidder(1, 1)]
     outcome = outcome_of([1, 1, 1], [0, 0, 5])
-    for report in (check_outcome(oracle, bidders, outcome),
-                   check_scaled_outcome(oracle, [1, 1, 1], bidders, outcome)):
-        assert not report.result("individual-rationality").passed
-        assert not report.result("budget-feasibility").passed
+    report = check_outcome(oracle, bidders, outcome)
+    assert not report.result("individual-rationality").passed
+    assert not report.result("budget-feasibility").passed
     for wrong in (bidders[:2], bidders + [bidder(1, 1)]):
-        message = f"expected 3 bidders, got {len(wrong)}"
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"expected 3 bidders, got {len(wrong)}"):
             check_outcome(oracle, wrong, outcome)
-        with pytest.raises(DomainError, match=message):
-            check_scaled_outcome(oracle, [1, 1, 1], wrong, outcome)
 
 
 def test_check_outcome_flags_infeasible_allocation():
@@ -301,6 +302,21 @@ def test_wrong_corner_under_tied_values_is_dominated():
     assert replay_dominated_direction(ROWS, RHS, bidders, out, direction)
 
 
+@pytest.mark.parametrize("rows, rhs, message", [
+    (((1, 0),), (2,), "coordinate 1 is unbounded"),
+    (((-1, 1), (1, 1)), (1, 2), "need A >= 0; row 0 is"),
+])
+def test_dominated_direction_refuses_rows_outside_bounded_packing(rows, rhs, message):
+    # neither polytope is a bounded 2D packing polytope, where alone the search
+    # is exact; both used to return a direction, (-2, 1) and (-2/3, 1/3)
+    bidders = [bidder(1, 1), bidder(1, 1)]
+    out = outcome_of([1, 1], [0, 0])
+    with pytest.raises(DomainError, match=message):
+        check_dominated_direction(rows, rhs, bidders, out)
+    with pytest.raises(DomainError, match=message):
+        replay_dominated_direction(rows, rhs, bidders, out, (-1, 1))
+
+
 # ---------------------------------------------------------------------------
 # truthfulness fuzzing
 # ---------------------------------------------------------------------------
@@ -315,6 +331,27 @@ def test_constant_mechanism_is_truthful():
     report = fuzz_truthfulness(run_fn, [F(2), F(2)],
                                [[F(1), F(3)], [F(1), F(3)]], utility)
     assert report.ok()
+
+
+def test_fuzz_takes_one_grid_per_bidder():
+    runs = []
+
+    def run_fn(reports):
+        runs.append(list(reports))
+        return outcome_of([1, 1], [0, 0])
+
+    def utility(i, out):
+        return out.allocation[i]
+
+    for grids in ([[F(1)]], [[F(1)], [F(3)], [F(5)]]):
+        message = f"one deviation grid per bidder: 2 reports, {len(grids)} grids"
+        with pytest.raises(DomainError, match=message):
+            fuzz_truthfulness(run_fn, [F(2), F(2)], grids, utility)
+    assert runs == []
+    # an empty grid skips its bidder: only bidder 1 deviates
+    report = fuzz_truthfulness(run_fn, [F(2), F(2)], [[], [F(3)]], utility)
+    assert runs == [[2, 2], [2, 3]]
+    assert report.result("truthfulness").detail == "no profitable deviation among 1 misreports"
 
 
 def test_value_deviation_grid_keeps_the_first_distinct_misreports():
