@@ -6,14 +6,17 @@ that cannot restrict anyone else (the clinch), charges the current clock
 price for it, lowers the demands by the clinched amounts, then advances one
 clock by ``epsilon`` round-robin.  A step whose demands are those the last
 clinch left behind clinches zero, so it skips the clinch.  The loop ends
-when every demand is zero.
+when every demand is zero.  It keeps its state as integers: clock ticks,
+and numerators over one denominator that grows by an integer factor when a
+demand or a clinch needs it; ``Fraction`` values are built only for the
+outcome, the trace and a :class:`DivergenceError`.
 
 Engines:
 
 * :func:`run_clinching`            -- polymatroid environments, clinched by
-  :func:`~polyclinch.submodular.clinch_kernel` (by the oracle's reduced
-  rank: one sort on single-keyword and multi-unit oracles, one max-flow on
-  vod-cut oracles, the 2^n table otherwise).
+  the integer core of :func:`~polyclinch.submodular.clinch_kernel` (by the
+  oracle's reduced rank: one sort on single-keyword and multi-unit oracles,
+  one max-flow on vod-cut oracles, the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -30,6 +33,7 @@ promised allocation inside the polytope at every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -38,9 +42,11 @@ from .environments import _rank_sum_oracle
 from .errors import DivergenceError, DomainError, PreconditionError, SizeError
 from .submodular import (
     Rational,
+    ReducedRank,
     SubmodularOracle,
     ZERO,
     _check_promises,
+    _clinch_nums,
     _demand_vector,
     _over_common_denominator,
     _rank_list,
@@ -166,13 +172,34 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
     The cap is the single-bidder feasibility bound (f({i}) - rho_i), which
     keeps the residual polytope unchanged while avoiding an unbounded demand
     at price zero; :func:`run_decreasing_marginals` passes the curve's reach
-    beyond the holding instead.
+    beyond the holding instead.  The rule itself is :func:`_demand_nums`,
+    on integers over common denominators.
+    """
+    unit, (p, v) = _over_common_denominator([price, value])
+    den, (c, b) = _over_common_denominator([cap, ZERO if budget_rem is None else budget_rem])
+    return Fraction(_demand_nums(p, v, None if budget_rem is None else b * unit, c), den)
+
+
+def _demand_nums(price: int, value: int, budget: Optional[int], cap):
+    """:func:`demand` on integers: 0 at or above the value, else min(budget / price, cap).
+
+    ``price`` and ``value`` are over one unit u and ``cap`` over a unit q
+    (an int, or a Fraction of q), ``budget`` over q * u, so budget / price
+    is over q; at price 0 or an unbounded budget the demand is the cap.
+    The result is over q: an int, or a Fraction where budget / price is not
+    whole.
     """
     if price >= value:
-        return ZERO
-    if price == 0 or budget_rem is None:
+        return 0
+    if price == 0 or budget is None or cap * price <= budget:
         return cap
-    return min(budget_rem / price, cap)
+    return _ratio(budget, price)
+
+
+def _ratio(num: int, den: int):
+    """num / den as an int when it is whole, else as a Fraction."""
+    whole, rest = divmod(num, den)
+    return Fraction(num, den) if rest else whole
 
 
 def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
@@ -191,10 +218,46 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     return clinch_kernel(oracle, prom, dem)[0]
 
 
-def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
-    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``oracle``.
+class _Units:
+    """The exact units of one :func:`_run_loop` run, shared with its engine's callbacks.
 
-    Every oracle is clinched by :func:`clinch_kernel`, which returns
+    epsilon = ``tick`` / ``per`` in lowest terms, and a bidder's clock price
+    at tick t is t * epsilon.  A quantity (promise, demand, clinch, f, a
+    curve's reach) is an integer over ``den``, D; money (payments and
+    budgets) is an integer over D * ``per``.  The loop multiplies D by an
+    integer whenever a demand or a clinch is not whole over it, and rescales
+    its state; a callback reads D when it is called.
+    """
+
+    __slots__ = ("tick", "per", "den")
+
+    def __init__(self, eps: Fraction, den: int):
+        self.tick, self.per, self.den = eps.numerator, eps.denominator, den
+
+
+def _clock_terms(units: _Units, value: Fraction, budget: Optional[int]) -> tuple:
+    """``(rate, top, budget)``: :func:`_demand_nums` at tick t takes price t * rate.
+
+    The price t * epsilon and ``value`` go over 1 / (E q), q the value's
+    denominator and E = ``units.per``; the budget, over D * E, goes over D
+    times that, so budget / price is over D.
+    """
+    q = value.denominator
+    return (units.tick * q, value.numerator * units.per,
+            None if budget is None else budget * q)
+
+
+def _demand_schedule(units: _Units, value: Fraction, budget: Optional[int], cap) -> Callable:
+    """One bidder's demand over D as a function of its own clock tick."""
+    rate, top, budget = _clock_terms(units, value, budget)
+    return lambda t: _demand_nums(t * rate, top, budget, cap)
+
+
+def _clinch_callbacks(rank: ReducedRank, units: _Units) -> tuple:
+    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``rank``.
+
+    Every clinch is one :func:`~polyclinch.submodular._clinch_nums` on the
+    loop's numerators over D (a multiple of ``rank.den``), which returns
     ``(fhat([n]), delta)`` and needs no value table on oracles with a
     structural reduced rank (cardinality and vod-cut).
 
@@ -206,12 +269,12 @@ def _clinch_callbacks(oracle: SubmodularOracle) -> tuple:
     last = []                                    # fhat([n]) and delta of the last clinch
 
     def clinch_fn(rho, d):
-        last[:] = clinch_kernel(oracle, rho, d)
+        last[:] = _clinch_nums(rank, units.den // rank.den, rho, d)
         return last[1]
 
     def fhat_fn(rho, d):
         total, delta = last
-        return total - sum(delta, ZERO)
+        return total - sum(delta)
 
     return clinch_fn, fhat_fn
 
@@ -222,12 +285,7 @@ def _check_bidder_count(n: int, bidders: Sequence[Bidder]) -> None:
         raise DomainError(f"expected {n} bidders, got {len(bidders)}")
 
 
-def _demand_schedule(budget_rem: Optional[Fraction], value: Fraction, cap: Fraction) -> Callable:
-    """One bidder's :func:`demand` as a function of its own clock price."""
-    return lambda price: demand(budget_rem, price, value, cap)
-
-
-def _run_loop(n: int, eps: Fraction, max_steps: int,
+def _run_loop(n: int, units: _Units, max_steps: int,
               budgets0: Sequence[Optional[Fraction]],
               demands_fn: Callable, clinch_fn: Callable,
               fhat_fn: Optional[Callable]):
@@ -239,11 +297,25 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     each ``clinch_fn`` call, at the post-clinch promises and demands, and
     its value is the residual total of every snapshot up to the next clinch.
 
-    ``demands_fn(prices, promised, budgets)`` returns n schedules: schedule i
-    maps a price to bidder i's demand at that clock price while the promises
+    The state is integers in the :class:`_Units` the engine shares with its
+    callbacks: clock ticks, promises and demands over D, payments and
+    budgets over D * E.  D starts as the lcm of the engine's D and the
+    budgets' denominators.  ``clinch_fn(rho, d)`` returns delta and
+    ``fhat_fn`` the residual total over D; a demand or a clinch entry may be
+    a Fraction that is not whole, and then D grows by the lcm of their
+    denominators and every numerator of the state with it.  ``Fraction``
+    values are built only for the :class:`Outcome`, the snapshots and the
+    :class:`DivergenceError`; a snapshot converts only the entries that
+    changed since the last one.
+
+    ``demands_fn(ticks, promised, budgets)`` returns n schedules: schedule i
+    maps a tick to bidder i's demand at that clock price while the promises
     and remaining budgets stay as passed.  The loop builds the schedules at
     the start and again after each clinch, at the post-clinch promises and
-    budgets, and evaluates all n of them only at the first step.
+    budgets, and evaluates all n of them only at the first step.  A demand
+    that grows D always differs from the carried one, so the next step
+    clinches and builds the schedules anew: a schedule is only evaluated
+    at the D it was built for.
 
     The post-clinch demands are d - delta, the demands the engine's own rule
     gives at the new promises and budgets (delta <= d, and a clinch at
@@ -271,63 +343,119 @@ def _run_loop(n: int, eps: Fraction, max_steps: int,
     from d into rho and leaves f - rho - d unchanged), so when that value
     equals nu's entry the step's clinch is zero and ``clinch_fn`` is not
     called.  Such a step leaves rho and nu as they were, so its snapshot
-    keeps the last total and nu stays the demand vector at the new prices.
+    reuses the last one's tuples and total, with the clocked price moved.
     """
-    prices = [ZERO] * n
-    promised = [ZERO] * n
-    payments = [ZERO] * n
-    budgets = list(budgets0)
-    clock = 0
-    snapshots: List[TraceSnapshot] = []
-    no_clinch = (ZERO,) * n
-    schedules = demands_fn(prices, promised, budgets)
-    demands = [schedule(price) for schedule, price in zip(schedules, prices)]
+    tick, per = units.tick, units.per
+    units.den = math.lcm(units.den, *(b.denominator for b in budgets0 if b is not None))
+    money = units.den * per
+    ticks = [0] * n
+    promised = [0] * n
+    payments = [0] * n
+    budgets = [None if b is None else b.numerator * (money // b.denominator) for b in budgets0]
+
+    def whole(values: list, carried: list) -> list:
+        """``values`` as integers over D: D, the state and ``carried`` grow by
+        the lcm of their denominators."""
+        k = math.lcm(*(v.denominator for v in values))
+        if k == 1:
+            return values
+        units.den *= k
+        for vec in (promised, payments, budgets, carried):
+            for i, x in enumerate(vec):
+                if x is not None:
+                    vec[i] = x * k
+        return [v.numerator * (k // v.denominator) for v in values]
+
+    if fhat_fn is not None:
+        snapshots: List[TraceSnapshot] = []
+        prices = [ZERO] * n
+        unclinched = (ZERO,) * n
+    no_clinch = (0,) * n
+    fresh = range(n)                     # the entries of this step's demands not in nu
+    schedules = demands_fn(ticks, promised, budgets)
+    demands = whole([schedule(0) for schedule in schedules], [])
     for step in range(max_steps):
         if demands is None:              # this step's demands are nu
             delta = no_clinch
         else:
-            delta = clinch_fn(promised, demands)
-            for i in range(n):
-                if delta[i] != 0:
-                    promised[i] += delta[i]
-                    charge = prices[i] * delta[i]
+            delta = whole(clinch_fn(promised, demands), demands)
+            for i, x in enumerate(delta):
+                if x:
+                    promised[i] += x
+                    charge = ticks[i] * tick * x
                     payments[i] += charge
                     if budgets[i] is not None:
                         budgets[i] -= charge
             nu = [q - x for q, x in zip(demands, delta)]
-            schedules = demands_fn(prices, promised, budgets)
+            schedules = demands_fn(ticks, promised, budgets)
             if fhat_fn is not None:
-                total = fhat_fn(promised, nu)
+                snap = _snapshot(step, prices, units, promised, nu, delta, budgets,
+                                 fhat_fn(promised, nu), fresh, snapshots[-1] if snapshots else None)
         if fhat_fn is not None:
-            snapshots.append(TraceSnapshot(
-                step, tuple(prices), tuple(promised), tuple(nu),
-                tuple(delta), tuple(budgets), total))
-        moved = clock
-        prices[moved] += eps
-        clock = (moved + 1) % n
+            if demands is None:
+                snap = TraceSnapshot(step, tuple(prices), snap.promised, snap.demands,
+                                     unclinched, snap.budgets, snap.residual_total)
+            snapshots.append(snap)
+        moved = step % n
+        ticks[moved] += 1
+        if fhat_fn is not None:
+            prices[moved] = Fraction(ticks[moved] * tick, per)
         if not any(nu):
             break
-        q = schedules[moved](prices[moved])
-        demands = None if q == nu[moved] else nu[:moved] + [q] + nu[moved + 1:]
+        q = schedules[moved](ticks[moved])
+        if type(q) is not int:
+            (q,) = whole([q], nu)
+        if q == nu[moved]:
+            demands = None
+        else:
+            demands = nu[:moved] + [q] + nu[moved + 1:]
+            fresh = (moved,)
     else:
+        stopped = tuple(Fraction(t * tick, per) for t in ticks)
+        demanded = tuple(Fraction(x, units.den) for x in nu)
         raise DivergenceError(
             f"auction did not terminate within {max_steps} steps: it stopped at "
-            f"prices ({', '.join(map(str, prices))}) with demands "
-            f"({', '.join(map(str, nu))}) still positive; raise max_steps "
+            f"prices ({', '.join(map(str, stopped))}) with demands "
+            f"({', '.join(map(str, demanded))}) still positive; raise max_steps "
             "or epsilon, or check the reported values",
-            step=max_steps, prices=tuple(prices), demands=tuple(nu))
+            step=max_steps, prices=stopped, demands=demanded)
 
-    exhausted = frozenset(i for i in range(n)
-                          if budgets0[i] is not None and payments[i] == budgets0[i])
-    return Outcome(tuple(promised), tuple(payments),
+    den = units.den
+    exhausted = frozenset(i for i in range(n) if budgets[i] == 0)
+    return Outcome(tuple(Fraction(x, den) if x else ZERO for x in promised),
+                   tuple(Fraction(x, den * per) if x else ZERO for x in payments),
                    tuple(snapshots) if fhat_fn is not None else None, exhausted)
+
+
+def _snapshot(step: int, prices: list, units: _Units, promised: list, nu: list,
+              delta: list, budgets: list, total, fresh, last: Optional[TraceSnapshot]):
+    """The snapshot of a step that clinched, as ``Fraction`` values.
+
+    Against the ``last`` snapshot only the entries the clinch moved and the
+    ``fresh`` demands change, so only those are converted; the other
+    entries are the last snapshot's.  The first snapshot converts all.
+    """
+    n, den = len(nu), units.den
+    if last is None:
+        rho, dem, rem, clinched = [None] * n, [None] * n, [None] * n, range(n)
+    else:
+        rho, dem, rem = list(last.promised), list(last.demands), list(last.budgets)
+        clinched = [i for i, x in enumerate(delta) if x]
+    for i in clinched:
+        rho[i] = Fraction(promised[i], den)
+        rem[i] = None if budgets[i] is None else Fraction(budgets[i], den * units.per)
+    for i in {*fresh, *clinched}:
+        dem[i] = Fraction(nu[i], den)
+    return TraceSnapshot(step, tuple(prices), tuple(rho), tuple(dem),
+                         tuple(Fraction(x, den) if x else ZERO for x in delta),
+                         tuple(rem), Fraction(total, den))
 
 
 def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                   cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Clinching auction over the polymatroid defined by ``oracle``.
 
-    Each clinch is one :func:`clinch_kernel` call (see
+    Each clinch is one reduced-rank solve on the loop's integers (see
     :func:`_clinch_callbacks`), so oracles with a reduced rank (single-keyword
     and multi-unit by one sort, vod-cut by one max-flow) run past the
     enumeration cap.
@@ -336,14 +464,17 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     _check_bidder_count(n, bidders)
     values = [b.value for b in bidders]
     eps = cfg.resolve_epsilon(values)
-    singles = [oracle.singleton(i) for i in range(n)]
+    rank = oracle.rank()
+    base, singles = _over_common_denominator([oracle.singleton(i) for i in range(n)])
+    units = _Units(eps, math.lcm(rank.den, base))
 
-    def demands_fn(prices, promised, budgets):
-        return [_demand_schedule(budgets[i], values[i], singles[i] - promised[i])
+    def demands_fn(ticks, promised, budgets):
+        scale = units.den // base
+        return [_demand_schedule(units, values[i], budgets[i], singles[i] * scale - promised[i])
                 for i in range(n)]
 
-    clinch_fn, fhat_fn = _clinch_callbacks(oracle)
-    return _run_loop(n, eps, cfg.max_steps, [b.budget for b in bidders],
+    clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
+    return _run_loop(n, units, cfg.max_steps, [b.budget for b in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None)
 
 
@@ -494,19 +625,35 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
 
     slopes = [slope for curve in curves for _, _, slope in curve.segments()]
     eps = cfg.resolve_epsilon(slopes)
+    rank = oracle.rank()
+    base = math.lcm(rank.den, *(q.denominator for curve in curves for q, _ in curve.breakpoints))
+    units = _Units(eps, base)
+    # each curve's segments as (the last tick whose price its slope reaches, its end over D)
+    reaches = [[(slope.numerator * units.per // (units.tick * slope.denominator),
+                 end.numerator * (base // end.denominator)) for _, end, slope in curve.segments()]
+               for curve in curves]
 
-    def schedule(curve, held, budget_rem):
+    def schedule(i, held, budget_rem, scale):
         # the curve's reach beyond the holding caps B_rem / p; its first
         # slope plays the value, above which demand_quantity is zero anyway
-        top = curve.segments()[0][2]
-        return lambda price: demand(budget_rem, price, top,
-                                    curve.demand_quantity(held, price))
+        rate, top, budget = _clock_terms(units, curves[i].segments()[0][2], budget_rem)
+        ends = [(last, end * scale) for last, end in reaches[i]]
 
-    def demands_fn(prices, promised, budgets_rem):
-        return [schedule(curves[i], promised[i], budgets_rem[i]) for i in range(n)]
+        def at(t):
+            reach = 0
+            for last, end in ends:
+                if t > last:
+                    break
+                reach = end
+            return _demand_nums(t * rate, top, budget, max(0, reach - held))
+        return at
 
-    clinch_fn, fhat_fn = _clinch_callbacks(oracle)
-    return _run_loop(n, eps, cfg.max_steps, normalized_budgets, demands_fn,
+    def demands_fn(ticks, promised, budgets_rem):
+        scale = units.den // base
+        return [schedule(i, promised[i], budgets_rem[i], scale) for i in range(n)]
+
+    clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
+    return _run_loop(n, units, cfg.max_steps, normalized_budgets, demands_fn,
                      clinch_fn, fhat_fn if cfg.trace else None)
 
 
@@ -596,18 +743,17 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     slack b_j - a_j rho.  The generic path is deliberately 2-bidder-only.
     """
     a, b = _validate_packing(rows_a, rhs)
-    return _clinch_2d(_integer_rows(a, b), vector(rho, 2), vector(d, 2))
+    den, nums = _over_common_denominator([*vector(rho, 2), *vector(d, 2)])
+    return tuple(Fraction(x, den) for x in _clinch_2d(_integer_rows(a, b), den, *nums))
 
 
-def _clinch_2d(rows: Sequence[tuple], rho: Sequence[Fraction],
-               d: Sequence[Fraction]) -> tuple:
-    """:func:`clinch_generic_2player` on :func:`_integer_rows`, rho and d exact.
+def _clinch_2d(rows: Sequence[tuple], den: int, r0: int, r1: int, e0: int, e1: int) -> tuple:
+    """:func:`clinch_generic_2player` on :func:`_integer_rows`, with rho = (r0, r1) / den
+    and d = (e0, e1) / den.
 
-    rho and d go over one common denominator D, so the slacks and the four
-    axis maxima are integers; the two clinched amounts are the only
-    ``Fraction`` values built.
+    The slacks and the four axis maxima are integers; the two clinched
+    amounts are over den, each an int or a Fraction (:func:`_ratio`).
     """
-    den, (r0, r1, e0, e1) = _over_common_denominator([*rho, *d])
     if e0 < 0 or e1 < 0:
         raise DomainError("demands must be >= 0")
     slack = _row_slacks(rows, den, r0, r1)
@@ -620,7 +766,7 @@ def _clinch_2d(rows: Sequence[tuple], rho: Sequence[Fraction],
     h0, h0_den = _axis_reach(rows, slack, 0, e0)
     x0, x0_den = _axis_reach(rows, slack, 0, e0 * g0_den, (g0, g0_den))
     x1, x1_den = _axis_reach(rows, slack, 1, e1 * h0_den, (h0, h0_den))
-    return Fraction(x0, x0_den * g0_den * den), Fraction(x1, x1_den * h0_den * den)
+    return _ratio(x0, x0_den * g0_den), _ratio(x1, x1_den * h0_den)
 
 
 def _line_vertices(lines: Sequence[tuple]) -> Iterator[tuple]:
@@ -670,10 +816,11 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     """Ascending-clock loop with the generic 2-bidder clinch.
 
     The packing rows are scaled to integers once per run
-    (:func:`_integer_rows`).  At each call the loop's promises and demands go
-    over one common denominator, so the clinch, the demand caps and the
-    traced residual total all run on integers and build ``Fraction`` values
-    only for what they return.  The trace's residual-total field records
+    (:func:`_integer_rows`).  The clinch, the demand caps and the traced
+    residual total run on the loop's numerators over D; each returns its
+    value over D as an int, or as a Fraction where it is not whole
+    (:func:`_ratio`), and the loop grows D for a clinch or a cap that is
+    not.  The trace's residual-total field records
     max{x_0 + x_1 : x in P_{rho,d}} (the generic analogue of fhat([n])),
     the best sum over the vertices of P_{rho,d}.
     """
@@ -682,27 +829,26 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
         raise SizeError("the generic engine is restricted to exactly 2 bidders")
     rows = _integer_rows(a, b)
     values = [bd.value for bd in bidders]
-    eps = cfg.resolve_epsilon(values)
+    units = _Units(cfg.resolve_epsilon(values), 1)
 
-    def demands_fn(prices, promised, budgets_rem):
-        den, (r0, r1) = _over_common_denominator(promised)
-        slack = _row_slacks(rows, den, r0, r1)
-        caps = [_axis_reach(rows, slack, i) for i in range(2)]
-        return [_demand_schedule(budgets_rem[i], values[i], Fraction(num, cap_den * den))
-                for i, (num, cap_den) in enumerate(caps)]
+    def demands_fn(ticks, promised, budgets_rem):
+        slack = _row_slacks(rows, units.den, *promised)
+        return [_demand_schedule(units, values[i], budgets_rem[i],
+                                 _ratio(*_axis_reach(rows, slack, i)))
+                for i in range(2)]
 
     def clinch_fn(promised, demands):
-        return _clinch_2d(rows, promised, demands)
+        return _clinch_2d(rows, units.den, *promised, *demands)
 
     def fhat_fn(promised, demands):
-        den, (r0, r1, e0, e1) = _over_common_denominator([*promised, *demands])
-        lines = [(p0, p1, s) for (p0, p1, _, _), s in zip(rows, _row_slacks(rows, den, r0, r1))]
-        lines += [(-1, 0, 0), (0, -1, 0), (1, 0, e0), (0, 1, e1)]
+        lines = [(p0, p1, s) for (p0, p1, _, _), s in
+                 zip(rows, _row_slacks(rows, units.den, *promised))]
+        lines += [(-1, 0, 0), (0, -1, 0), (1, 0, demands[0]), (0, 1, demands[1])]
         best, best_den = 0, 1                  # the origin is a vertex of P_{rho,d}
         for n0, n1, det in _line_vertices(lines):
             if (n0 + n1) * best_den > best * det:
                 best, best_den = n0 + n1, det
-        return Fraction(best, best_den * den)
+        return _ratio(best, best_den)
 
-    return _run_loop(2, eps, cfg.max_steps, [bd.budget for bd in bidders],
+    return _run_loop(2, units, cfg.max_steps, [bd.budget for bd in bidders],
                      demands_fn, clinch_fn, fhat_fn if cfg.trace else None)

@@ -15,9 +15,10 @@ a polymatroid, defined by
 
 ``fhat`` need not be monotone; its monotonization ``fbar(S) = min over
 supersets S' of fhat(S')`` defines the same polytope.  Clinch amounts derive
-from ``fhat`` evaluated at the full set and at each full-set-minus-one; the
-auction engines get both from :func:`clinch_kernel`, which works on integers
-over a common denominator, while :class:`ResidualOracle` evaluates the
+from ``fhat`` evaluated at the full set and at each full-set-minus-one;
+:func:`clinch_kernel` gives both, on integers over a common denominator (the
+auction engines call its integer core, :func:`_clinch_nums`, on the clock
+loop's own numerators), while :class:`ResidualOracle` evaluates the
 definition on ``Fraction`` tables and serves as the reference it is checked
 against.
 
@@ -51,6 +52,7 @@ has checked, without one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -232,25 +234,25 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     splits a tie, since A_t - A_(t-1) does not grow with t: if the t-th and
     (t+1)-th largest entries were equal, t + 1 would do strictly better than
     t.  So the entries at least the t-th largest are the smallest minimizer.
+
     ``without(j)`` needs no sort: c with c_j = 0, sorted, is the sorted c
-    less one entry equal to c_j, with a 0 appended, so it is one more scan.
+    less one entry equal to c_j, at position k, with a 0 appended.  Its
+    running sums are run_t for t < k and top_k + g_t for t >= k, where g_t =
+    run_(t+1) - a_(t+1) (a_t the t-th increment of A) and g_(n-1) =
+    run_(n-1).  So the first ``without`` call builds the prefix minima of
+    run and the suffix minima of g, and each call is then one lookup.
     """
     den, alpha = _over_common_denominator(ctrs)
-
-    def scan(scale: int, top: list) -> tuple:
-        """(min over t of A_t - top_t, the least t attaining it), top sorted descending."""
-        low = run = size = 0
-        for t, v in enumerate(top):
-            run += (alpha[t] * scale if t < len(alpha) else 0) - v
-            if run < low:
-                low, size = run, t + 1
-        return low, size
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         c = list(c)                          # the solution's own copy
         top = sorted(c, reverse=True)
-        low, size = scan(scale, top)
+        steps = [a * scale for a in alpha[:len(top)]] + [0] * (len(top) - len(alpha))
+        run = list(itertools.accumulate(map(operator.sub, steps, top)))
+        low = min(0, min(run))
+        size = run.index(low) + 1 if low < 0 else 0
         total = sum(c)
+        minima = []                          # prefix minima of run, suffix minima of g, positions
 
         def smallest() -> int:
             if size == 0:
@@ -259,8 +261,15 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
             return sum(1 << i for i, ci in enumerate(c) if ci >= cut)
 
         def without(j: int) -> int:
-            k = top.index(c[j])
-            return total - c[j] + scan(scale, top[:k] + top[k + 1:] + [0])[0]
+            if not minima:
+                prefix = list(itertools.accumulate([0] + run[:-1], min))
+                g = list(map(operator.sub, run[1:], steps[1:])) + run[-1:]
+                suffix = list(itertools.accumulate(reversed(g), min))[::-1]
+                first = {v: k for k, v in reversed(list(enumerate(top)))}
+                minima[:] = prefix, suffix, first
+            prefix, suffix, first = minima
+            k = first[c[j]]
+            return total - c[j] + min(prefix[k], top[k] + suffix[k])
 
         return RankSolution(total + low, smallest, without)
 
@@ -682,12 +691,9 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     """``(fhat([n]), delta)`` with delta_i = max{0, fhat([n]) - fhat([n]\\i)}.
 
     By one solve of :meth:`SubmodularOracle.rank`, on integers over one
-    common denominator; exact, and equal to the values
-    :class:`ResidualOracle` gives.  With c = rho + d, fhat([n]) = R(c) -
-    rho([n]).  For j outside the smallest minimizer T*, delta_j = d_j; for
-    j in T*, fhat([n] \\ j) is R with c_j = 0 (:meth:`RankSolution.without`,
-    warm from the solve at c), less rho([n] \\ j), so
-    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
+    common denominator (:func:`_clinch_nums`, which the engines call on the
+    clock loop's own integers); exact, and equal to the values
+    :class:`ResidualOracle` gives.
 
     The kernel does not check that rho lies in P(f): the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
@@ -697,15 +703,25 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     """
     rank = oracle.rank()
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
+    total, delta = _clinch_nums(rank, den // rank.den, rnum, dnum)
+    return Fraction(total, den), tuple(Fraction(x, den) for x in delta)
+
+
+def _clinch_nums(rank: ReducedRank, scale: int, rho: Sequence[int],
+                 d: Sequence[int]) -> tuple:
+    """:func:`clinch_kernel` on numerators over ``rank.den * scale``: ``(fhat([n]), delta)``
+    as numerators over the same denominator.
+
+    With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
+    smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
+    with c_j = 0 (:meth:`RankSolution.without`, warm from the solve at c),
+    less rho([n] \\ j), so delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
+    """
+    solution = rank.solve(scale, list(map(operator.add, rho, d)))
     total, smallest = solution.total, solution.smallest()
-    delta = []
-    for j in range(len(rnum)):
-        if smallest >> j & 1:
-            delta.append(Fraction(max(0, total - solution.without(j) - rnum[j]), den))
-        else:
-            delta.append(d[j])
-    return Fraction(total - sum(rnum), den), tuple(delta)
+    delta = [max(0, total - solution.without(j) - rho[j]) if smallest >> j & 1 else d[j]
+             for j in range(len(rho))]
+    return total - sum(rho), delta
 
 
 def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],

@@ -33,7 +33,7 @@ from polyclinch import (
     single_keyword_oracle,
 )
 
-from polyclinch import auction
+from polyclinch import auction, submodular
 from polyclinch.instances import generate_instance, parse_instance
 from polyclinch.submodular import SubmodularOracle, clinch_kernel
 from polyclinch.verify import (
@@ -47,7 +47,7 @@ from polyclinch.verify import (
 
 from corpus import (KINDS, polymatroid_cases, random_bidders, random_oracle, reduced_rank,
                     table_only)
-from reference_loop import clinching_steps, demands_at, recorded_run, reference_run
+from reference_loop import clinching_steps, fraction_rules, reference_run
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -176,8 +176,8 @@ def test_traced_ctr_run_reuses_the_clinch(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return clinch_kernel(*args)
-    monkeypatch.setattr(auction, "clinch_kernel", counted)
+        return submodular._clinch_nums(*args)
+    monkeypatch.setattr(auction, "_clinch_nums", counted)
     rng = random.Random(1010)
     for _ in range(10):
         n = rng.randint(2, 6)
@@ -271,10 +271,14 @@ def test_vod_cut_runs_above_the_enumeration_cap(monkeypatch):
 
 def _classic_multi_unit_kernel(supply):
     # uniform supply, independent of cardinality minima: fhat([n]) is
-    # min(d([n]), s_rem) and delta_i = min(d_i, [s_rem - rivals' demands]^+)
-    def kernel(oracle, rho, d):
-        s_rem, total = supply - sum(rho), sum(d)
-        return min(total, s_rem), tuple(min(di, max(F(0), s_rem - (total - di))) for di in d)
+    # min(d([n]), s_rem) and delta_i = min(d_i, [s_rem - rivals' demands]^+),
+    # on the loop's numerators over den = rank.den * scale, as the engines'
+    # integer clinch takes them
+    def kernel(rank, scale, rho, d):
+        whole = supply * rank.den * scale
+        assert whole.denominator == 1
+        s_rem, total = whole.numerator - sum(rho), sum(d)
+        return min(total, s_rem), [min(di, max(0, s_rem - (total - di))) for di in d]
     return kernel
 
 
@@ -292,7 +296,7 @@ def test_multi_unit_runs_above_the_enumeration_cap(monkeypatch):
     runs = [(run_clinching, (inst.build_oracle(), inst.bidders, AuctionConfig(trace=True))),
             (run_decreasing_marginals, (curves, budgets, supply, AuctionConfig(trace=True)))]
     with monkeypatch.context() as patched:
-        patched.setattr(auction, "clinch_kernel", _classic_multi_unit_kernel(supply))
+        patched.setattr(auction, "_clinch_nums", _classic_multi_unit_kernel(supply))
         references = [engine(*args) for engine, args in runs]
 
     def no_table(self):
@@ -376,17 +380,17 @@ def _post_clinch_demand_cases():
 
 
 def _check_post_clinch_demands(engine, args, oracle):
-    out, _, demands_fn = recorded_run(engine, *args)
+    out = engine(*args)
+    demands = fraction_rules(engine, *args).demands
     budgets0 = out.trace[0].budgets
     for snap in out.trace:
-        after = demands_at(demands_fn, list(snap.prices), list(snap.promised),
-                           list(snap.budgets))
+        after = demands(list(snap.prices), list(snap.promised), list(snap.budgets))
         assert tuple(after) == snap.demands
         pre_budget = [None if budgets0[i] is None else
                       snap.budgets[i] + snap.prices[i] * snap.clinched[i]
                       for i in range(len(budgets0))]
         pre_rho = [r - x for r, x in zip(snap.promised, snap.clinched)]
-        pre_d = demands_at(demands_fn, list(snap.prices), pre_rho, pre_budget)
+        pre_d = demands(list(snap.prices), pre_rho, pre_budget)
         assert tuple(q - x for q, x in zip(pre_d, snap.clinched)) == snap.demands
         if oracle is not None:              # the polymatroid rule, written out
             values = [b.value for b in args[1]]
@@ -398,20 +402,25 @@ def _check_post_clinch_demands(engine, args, oracle):
 
 def test_second_demand_recompute_equals_first_minus_clinch():
     # the loop carries d - delta forward as the post-clinch demands instead of
-    # asking the demand rule again; the engine's own rule, applied to the
-    # snapshot's promises, budgets and prices, must give the same vector, and
-    # so must the rule before the clinch less the clinch
+    # asking the demand rule again; the engine's rule in Fraction arithmetic
+    # (reference_loop.fraction_rules), applied to the snapshot's promises,
+    # budgets and prices, must give the same vector, and so must the rule
+    # before the clinch less the clinch
     for engine, args, oracle in _post_clinch_demand_cases():
         _check_post_clinch_demands(engine, args, oracle)
 
 
 def _counting_kernel(monkeypatch):
+    # the engines clinch by _clinch_nums on the loop's integers, and the
+    # reference loop by clinch_kernel, which runs the same _clinch_nums
     calls = []
+    kernel = submodular._clinch_nums
 
-    def counted(oracle, rho, d):
+    def counted(rank, scale, rho, d):
         calls.append(1)
-        return clinch_kernel(oracle, rho, d)
-    monkeypatch.setattr(auction, "clinch_kernel", counted)
+        return kernel(rank, scale, rho, d)
+    monkeypatch.setattr(auction, "_clinch_nums", counted)
+    monkeypatch.setattr(submodular, "_clinch_nums", counted)
     return calls
 
 

@@ -34,6 +34,7 @@ from polyclinch import auction
 from polyclinch.auction import polytope_vertices
 from polyclinch.cli import _run_instance
 from polyclinch.instances import parse_instance
+from polyclinch.submodular import _over_common_denominator
 from polyclinch.verify import IMPOSSIBILITY_BUDGETS, IMPOSSIBILITY_RHS, IMPOSSIBILITY_ROWS
 
 F = Fraction
@@ -95,15 +96,38 @@ AXIS_ROWS = ((F(1, 3), F(0)), (F(0), F(7, 6)))
 
 
 def engine_callbacks(a, b) -> tuple:
-    """``(demands_fn, clinch_fn, fhat_fn)`` as ``run_generic_2player`` hands them to the loop."""
+    """``(caps, clinch, fhat)``: the loop callbacks of ``run_generic_2player`` on
+    ``Fraction`` values.
+
+    The loop passes numerators over its denominator D, which the callbacks
+    read from the run's units; each wrapper puts its vectors over their
+    least common denominator, sets D to it and divides what the callback
+    returns by D.  ``caps(rho)`` evaluates the demand schedules at price 0.
+    """
     captured = []
 
-    def capture(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
-        captured.extend((demands_fn, clinch_fn, fhat_fn))
+    def capture(n, units, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        captured.extend((units, demands_fn, clinch_fn, fhat_fn))
     with mock.patch.object(auction, "_run_loop", capture):
         run_generic_2player(a, b, [Bidder(F(1), None)] * 2,
                             AuctionConfig(epsilon=F(1), trace=True))
-    return tuple(captured)
+    units, demands_fn, clinch_fn, fhat_fn = captured
+
+    def numerators(*vectors):
+        units.den, nums = _over_common_denominator([v for vec in vectors for v in vec])
+        return nums[:2], nums[2:]
+
+    def caps(rho):
+        rnum, _ = numerators(rho)
+        return tuple(Fraction(s(0), units.den) for s in demands_fn([0, 0], rnum, [None, None]))
+
+    def clinch(rho, d):
+        return tuple(Fraction(x, units.den) for x in clinch_fn(*numerators(rho, d)))
+
+    def fhat(rho, d):
+        return Fraction(fhat_fn(*numerators(rho, d)), units.den)
+
+    return caps, clinch, fhat
 
 
 def outcome_of(fn, *args):
@@ -147,14 +171,13 @@ def packing_cases(draw):
 @given(packing_cases())
 def test_integer_callbacks_match_fraction_reference(case):
     a, b, rho, d = case
-    demands_fn, clinch_fn, fhat_fn = engine_callbacks(a, b)
+    caps, clinch_fn, fhat_fn = engine_callbacks(a, b)
     clinch = outcome_of(clinch_fn, rho, d)
     assert clinch == outcome_of(ref.clinch_2d, a, b, rho, d)
     assert outcome_of(clinch_generic_2player, a, b, rho, d) == clinch
     if min(ref.slack(a, b, rho)) < 0:
         return                            # rho outside P: no caps, no residual total
-    schedules = demands_fn([F(0), F(0)], list(rho), [None, None])
-    assert tuple(s(F(0)) for s in schedules) == ref.caps(a, b, rho)
+    assert caps(rho) == ref.caps(a, b, rho)
     assert fhat_fn(rho, d) == ref.residual_total(a, b, rho, d)
     after = tuple(q + x for q, x in zip(rho, clinch))   # the post-clinch point the loop uses
     nu = tuple(q - x for q, x in zip(d, clinch))

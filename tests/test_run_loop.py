@@ -1,11 +1,12 @@
 """The clock loop skips provably zero clinches: exact against the every-step loop.
 
 Every engine runs twice, once on ``auction._run_loop`` and once on the
-reference loop of ``reference_loop.py``, which clinches at every step and
-recomputes the post-clinch demands.  Outcomes and traces must agree byte for
-byte; the skipping loop must clinch at exactly the steps whose demands differ
-from the previous step's post-clinch demands, and the reference clinch must
-be zero at every other step.
+reference loop of ``reference_loop.py``, which clinches at every step,
+recomputes the post-clinch demands and works in ``Fraction`` arithmetic
+throughout.  Outcomes and traces must agree byte for byte; the skipping loop
+must clinch at exactly the steps whose demands differ from the previous
+step's post-clinch demands, and the reference clinch must be zero at every
+other step.
 """
 
 import json
@@ -20,9 +21,12 @@ from polyclinch import (
     AuctionConfig,
     Bidder,
     ConcaveCurve,
+    DivergenceError,
+    multi_unit_oracle,
     run_clinching,
     run_decreasing_marginals,
     run_generic_2player,
+    single_keyword_oracle,
 )
 from polyclinch import auction
 from polyclinch.auction import polytope_vertices
@@ -49,7 +53,7 @@ CONFIGS = [AuctionConfig(epsilon=eps, trace=trace)
 
 def assert_matches_reference(engine, *args) -> int:
     """Check one run against the reference loop; returns the steps skipped."""
-    new, calls, _ = recorded_run(engine, *args)
+    new, calls = recorded_run(engine, *args)
     ref, steps = reference_run(engine, *args)
     assert new == ref                    # allocation, payments, trace, exhausted
     assert json.dumps(new.to_json()) == json.dumps(ref.to_json())
@@ -125,7 +129,7 @@ def callback_events(engine, *args) -> tuple:
     events = []
     loop = auction._run_loop
 
-    def recording(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+    def recording(n, units, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
         def clinch(rho, d):
             events.append("clinch")
             return clinch_fn(rho, d)
@@ -133,7 +137,7 @@ def callback_events(engine, *args) -> tuple:
         def fhat(rho, d):
             events.append("fhat")
             return fhat_fn(rho, d)
-        return loop(n, eps, max_steps, budgets0, demands_fn, clinch, fhat)
+        return loop(n, units, max_steps, budgets0, demands_fn, clinch, fhat)
     with mock.patch.object(auction, "_run_loop", recording):
         return engine(*args), events
 
@@ -192,9 +196,10 @@ def test_generic_trace_totals_are_the_best_vertex_sums():
 
 def counted_run(engine, *args) -> tuple:
     """``engine(*args)`` on ``auction._run_loop``: ``(outcome, counts)``, the
-    calls of the loop's ``demands_fn`` and ``clinch_fn`` and of ``demand``."""
+    calls of the loop's ``demands_fn`` and ``clinch_fn`` and of the demand
+    rule every schedule evaluation runs, ``_demand_nums``."""
     counts = {"demands_fn": 0, "clinch_fn": 0, "demand": 0}
-    loop, demand = auction._run_loop, auction.demand
+    loop, demand = auction._run_loop, auction._demand_nums
 
     def counting(name, fn):
         def counted(*fn_args):
@@ -202,11 +207,11 @@ def counted_run(engine, *args) -> tuple:
             return fn(*fn_args)
         return counted
 
-    def recording(n, eps, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
-        return loop(n, eps, max_steps, budgets0, counting("demands_fn", demands_fn),
+    def recording(n, units, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        return loop(n, units, max_steps, budgets0, counting("demands_fn", demands_fn),
                     counting("clinch_fn", clinch_fn), fhat_fn)
     with mock.patch.object(auction, "_run_loop", recording), \
-            mock.patch.object(auction, "demand", counting("demand", demand)):
+            mock.patch.object(auction, "_demand_nums", counting("demand", demand)):
         return engine(*args), counts
 
 
@@ -236,3 +241,63 @@ def test_one_demand_per_step_and_schedules_once_per_clinch():
         assert counts["clinch_fn"] < steps, engine.__name__
         assert counts["demands_fn"] == 1 + counts["clinch_fn"], engine.__name__
         assert counts["demand"] == n + steps - 1, engine.__name__
+
+
+def _denominators_at_clinches(engine, *args) -> tuple:
+    """``engine(*args)`` on ``auction._run_loop``: ``(outcome, D at each clinch_fn call)``."""
+    dens = []
+    loop = auction._run_loop
+
+    def recording(n, units, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
+        def clinch(rho, d):
+            dens.append(units.den)
+            return clinch_fn(rho, d)
+        return loop(n, units, max_steps, budgets0, demands_fn, clinch, fhat_fn)
+    with mock.patch.object(auction, "_run_loop", recording):
+        return engine(*args), dens
+
+
+def _growing_denominator_runs(cfg):
+    """``(engine, args)`` on every engine at ``cfg``, with budgets 5/3 and 7/11
+    that bind for several ticks, so that B / p brings new denominators."""
+    budgets = [F(5, 3), F(7, 11), None]
+    bidders = [Bidder(F(3), budgets[0]), Bidder(F(5, 2), budgets[1]), Bidder(F(2), None)]
+    curves = [ConcaveCurve.from_slopes([(1, 4), (2, F(3, 2))]),
+              ConcaveCurve.from_slopes([(F(3, 2), 3), (F(3, 2), 1)])]
+    return [
+        (run_clinching, (multi_unit_oracle(F(3), 3), bidders, cfg)),
+        (run_clinching, (single_keyword_oracle([F(2), F(1), F(1, 2)]), bidders, cfg)),
+        (run_decreasing_marginals, (curves, budgets[:2], F(3), cfg)),
+        (run_generic_2player, (IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders[:2], cfg)),
+    ]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_growing_denominator_matches_reference_loop(trace):
+    # epsilon = 1/7 and budgets 5/3 and 7/11: the demands B / p at the ticks
+    # where a budget binds are not whole over the starting D, so D grows
+    # between clinches, and outcomes and traces still equal the Fraction loop's
+    cfg = AuctionConfig(epsilon=F(1, 7), trace=trace)
+    for engine, args in _growing_denominator_runs(cfg):
+        out, dens = _denominators_at_clinches(engine, *args)
+        assert len(set(dens)) >= 3, engine.__name__           # D grew at least twice
+        assert all(b % a == 0 for a, b in zip(dens, dens[1:]))  # by integer factors
+        assert out.exhausted, engine.__name__                    # a budget bound
+        assert_matches_reference(engine, *args)
+
+
+def test_divergence_matches_reference_loop():
+    # a run cut at max_steps reports the step, prices and demands it stopped
+    # at, and the message, exactly as the Fraction loop does
+    for max_steps in (1, 4, 9):
+        for trace in (False, True):
+            cfg = AuctionConfig(epsilon=F(1, 7), max_steps=max_steps, trace=trace)
+            for engine, args in _growing_denominator_runs(cfg):
+                with pytest.raises(DivergenceError) as new:
+                    engine(*args)
+                with pytest.raises(DivergenceError) as ref:
+                    reference_run(engine, *args)
+                assert new.value.step == ref.value.step == max_steps
+                assert new.value.prices == ref.value.prices
+                assert new.value.demands == ref.value.demands
+                assert str(new.value) == str(ref.value)
