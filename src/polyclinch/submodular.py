@@ -52,6 +52,7 @@ has checked, without one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -154,8 +155,9 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
 def _scaled(den: int, *vectors: Sequence[Fraction]) -> tuple:
     """``(D, [nums, ...])``: D the least common multiple of ``den`` and the
     denominators of the Fraction vectors, and each vector's numerators over D."""
-    den = math.lcm(den, *(v.denominator for vec in vectors for v in vec))
-    return den, [[v.numerator * (den // v.denominator) for v in vec] for vec in vectors]
+    ratios = [[v.as_integer_ratio() for v in vec] for vec in vectors]
+    den = math.lcm(den, *(q for vec in ratios for _, q in vec))
+    return den, [[p * (den // q) for p, q in vec] for vec in ratios]
 
 
 def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
@@ -276,16 +278,31 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     return ReducedRank(den, solve)
 
 
-def _min_without_bit(values: list, i: int) -> int:
-    """min of values[m] over the masks m that do not contain bit i."""
+@functools.cache
+def _bit_slices(size: int, i: int) -> tuple:
+    """``(at, without, with_)`` slices that split a list indexed by mask, of
+    ``size`` (a power of 2) entries, along bit i.
+
+    ``without`` picks masks that do not contain bit i, ``with_`` the same
+    masks with bit i set, in the same order, and ``at`` their positions in
+    the list of the masks without bit i in ascending order; together the
+    triples cover every mask once.  Few residues: one strided triple per
+    residue r < 2^i.  Few periods: one contiguous triple per period, which
+    starts with a run of masks without bit i.  Kept per (size, i), since
+    the table solver asks for the same few on every solve.
+    """
     width = 1 << i
     period = 2 * width
-    size = len(values)
     if width <= size // period:
-        # Few residues: each one is a strided slice.
-        return min(min(values[r::period]) for r in range(width))
-    # Few periods: each one starts with a contiguous run of masks without bit i.
-    return min(min(values[s:s + width]) for s in range(0, size, period))
+        return tuple((slice(r, None, width), slice(r, None, period),
+                      slice(r + width, None, period)) for r in range(width))
+    return tuple((slice(s // 2, s // 2 + width), slice(s, s + width),
+                  slice(s + width, s + period)) for s in range(0, size, period))
+
+
+def _min_without_bit(values: list, i: int) -> int:
+    """min of values[m] over the masks m that do not contain bit i."""
+    return min(min(values[without]) for _, without, _ in _bit_slices(len(values), i))
 
 
 def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
@@ -483,9 +500,13 @@ def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
     which needs the enumeration cap.  Submodularity uses the local second
     differences, ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for every S and
     i < j outside it (C(n,2) 2^(n-2) checks), which is equivalent to
-    ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.  The first failing
-    ``(S+i, S+j)`` (S ascending, then i < j) is the witness, since its union
-    is S+i+j and its intersection S, so failures are reproducible.
+    ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs;
+    :func:`_local_test` decides them, and monotonicity, by whole-slice
+    comparisons.  Only a detected violation is then named by an ordered
+    scan: the first failing ``(S+i, S+j)`` (S ascending, then i < j) is the
+    witness, since its union is S+i+j and its intersection S, so failures
+    are reproducible; a monotonicity witness is the first (S, S+i), S
+    ascending, then i.
     """
     if oracle.ctrs is not None:
         return OracleCheck(True)
@@ -495,16 +516,18 @@ def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
                            "from their rank list")
     nums = oracle.integer_table()[1]
     f = oracle.value_mask
-    for s, base in enumerate(nums):
-        grown = [s | 1 << i for i in range(n) if not s >> i & 1]
-        for k, si in enumerate(grown):
-            for sj in grown[k + 1:]:
-                if nums[si] + nums[sj] < nums[si | sj] + base:
-                    return OracleCheck(
-                        False, "submodularity", (set_of(si), set_of(sj)),
-                        f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
-                        f"{f(si) + f(sj)} = f(S)+f(T)")
-    if oracle.monotone:
+    submodular, monotone = _local_test(nums, n)
+    if not submodular:
+        for s, base in enumerate(nums):
+            grown = [s | 1 << i for i in range(n) if not s >> i & 1]
+            for k, si in enumerate(grown):
+                for sj in grown[k + 1:]:
+                    if nums[si] + nums[sj] < nums[si | sj] + base:
+                        return OracleCheck(
+                            False, "submodularity", (set_of(si), set_of(sj)),
+                            f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
+                            f"{f(si) + f(sj)} = f(S)+f(T)")
+    if oracle.monotone and not monotone:
         for s, base in enumerate(nums):
             for i in range(n):
                 if not s >> i & 1 and nums[s | 1 << i] < base:
@@ -512,6 +535,30 @@ def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
                         False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
                         f"f(S) = {f(s)} > {f(s | 1 << i)} = f(S+{i})")
     return OracleCheck(True)
+
+
+def _local_test(nums: list, n: int) -> tuple:
+    """``(submodular, monotone)`` for the set function with value table ``nums``.
+
+    For each i, the marginal vector g_i(S) = nums[S+i] - nums[S] over the
+    masks S without i is built from the slices :func:`_bit_slices` gives,
+    in the ascending order of those masks, in which bit j > i of S is bit
+    j - 1 of its index.  Monotonicity is min g_i >= 0 for every i, and
+    submodularity g_i(S) >= g_i(S+j) for every i < j, compared a slice
+    pair at a time.  The test stops at the first failed submodularity
+    comparison, and then ``monotone`` covers only the marginals built.
+    """
+    half = len(nums) // 2
+    monotone = True
+    for i in range(n):
+        gain = [0] * half
+        for at, without, with_ in _bit_slices(len(nums), i):
+            gain[at] = map(operator.sub, nums[with_], nums[without])
+        monotone = monotone and min(gain) >= 0
+        if any(any(map(operator.lt, gain[without], gain[with_]))
+               for j in range(i, n - 1) for _, without, with_ in _bit_slices(half, j)):
+            return False, monotone
+    return True, monotone
 
 
 @dataclass(frozen=True)
@@ -735,14 +782,25 @@ def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
     :func:`clinch_kernel`, every one is complete, so a check built on these
     values does not inherit the kernel's shortcut through T*.  rho and d
     are Fraction vectors; rho must lie in P(f), which is not checked here.
+    The integers come from :func:`_residual_nums`, which
+    :func:`~polyclinch.verify.validate_trace` calls on a snapshot's own
+    numerators.
     """
     rank = oracle.rank()
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    solution = rank.solve(den // rank.den, list(map(operator.add, rnum, dnum)))
-    rtotal = sum(rnum)
-    return (Fraction(solution.total - rtotal, den),
-            tuple(Fraction(solution.without(j) + rnum[j] - rtotal, den)
-                  for j in range(len(rnum))))
+    total, without = _residual_nums(rank, den // rank.den, rnum, dnum)
+    return Fraction(total, den), tuple(Fraction(w, den) for w in without)
+
+
+def _residual_nums(rank: ReducedRank, scale: int, rho: Sequence[int],
+                   d: Sequence[int]) -> tuple:
+    """:func:`residual_totals` on numerators over ``rank.den * scale``:
+    ``(fhat([n]), [fhat([n] \\ j) for each j])`` as numerators over the same
+    denominator, from one solve at c = rho + d and its ``without(j)``s."""
+    solution = rank.solve(scale, list(map(operator.add, rho, d)))
+    rtotal = sum(rho)
+    return solution.total - rtotal, [solution.without(j) + r - rtotal
+                                     for j, r in enumerate(rho)]
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],

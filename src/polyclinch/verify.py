@@ -38,12 +38,12 @@ from .errors import ClinchError, DomainError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
+    _residual_nums,
     _scaled,
     as_fraction,
     brute_force_cap,
     membership,
     residual,
-    residual_totals,
     set_of,
     vector,
 )
@@ -381,6 +381,10 @@ def curve_deviation_grid(curve: ConcaveCurve) -> list:
     return grid
 
 
+# The per-bidder vectors of a TraceSnapshot, each of n entries.
+_SNAPSHOT_VECTORS = ("promised", "demands", "clinched", "prices", "budgets")
+
+
 def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
                    ) -> VerificationReport:
     """Recompute the step invariants of a traced run from its snapshots.
@@ -390,50 +394,81 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     after each clinch fhat([n]) <= fhat([n] \\ j) for all j; re-clinching
     immediately yields zero; rho stays in the polytope; remaining
     budgets stay nonnegative.  A violation produces a fail entry with the
-    first offending step, never a crash.
+    first offending step, never a crash.  A malformed snapshot, one whose
+    ``promised``, ``demands``, ``clinched``, ``prices`` or ``budgets`` does
+    not have n entries or whose demands are not >= 0, raises
+    :class:`DomainError` naming the step and the field.
 
-    The monitors are decided on integers by reduced ranks
-    (:func:`membership`, :func:`residual_totals`), so past the enumeration
-    cap on oracles with a structural solver.  At a snapshot where one of
-    them newly fails, the ``Fraction`` reference oracle that
-    :func:`residual` builds must give the same witnesses, or
-    :class:`ClinchError` is raised; that cross-check enumerates 2^n sets,
-    so it is skipped above the cap.  A
-    snapshot with the same (rho, d) and recorded fhat([n]) as the one before
-    it, as a step that skipped its clinch leaves, is skipped after its
-    budget check: its witnesses could only repeat ones already found.
+    The monitors are decided on integers, by reduced ranks, so past the
+    enumeration cap on oracles with a structural solver.  A snapshot's rho,
+    d, recorded fhat([n]) and f([n]) go over one denominator with the
+    rank's; rho is in P(f) iff R(rho) = rho([n]) (:func:`membership` runs
+    only to name the violated set, and a rho equal to the one before is not
+    solved again), and fhat([n]) and every fhat([n] \\ j) come from one
+    solve at rho + d (:func:`~polyclinch.submodular._residual_nums`, the
+    core of :func:`residual_totals`).  Witnesses are built, as
+    ``Fraction``s, only where a monitor fails.  Where one newly fails, the
+    ``Fraction`` reference oracle that :func:`residual` builds must give
+    the same witnesses, or :class:`ClinchError` is raised; that cross-check
+    enumerates 2^n sets, so it is skipped above the cap.  A snapshot with
+    the same (rho, d) and recorded fhat([n]) as the one before it, as a step
+    that skipped its clinch leaves, is skipped after its budget check: its
+    witnesses could only repeat ones already found.  Budgets are checked
+    once per budgets tuple, which such a step shares with the one before.
     """
     n = oracle.n
     full = (1 << n) - 1
     target = oracle.value_mask(full)
+    rank = oracle.rank()
     cross_check = n <= brute_force_cap()
     report = VerificationReport()
     feasible = budgets_ok = None
     found = (None, None, None)           # conserved, dominance, reclinch
     last = None                          # (rho, d, fhat([n])) of the snapshot before
+    budgets = None                       # the budgets tuple checked last
 
     for snap in snapshots:
-        if budgets_ok is None:
-            for i, b in enumerate(snap.budgets):
-                if b is not None and b < 0:
-                    budgets_ok = {"step": snap.step, "bidder": i, "budget": str(b)}
-                    break
-        if (snap.promised, snap.demands, snap.residual_total) == last:
+        for name in _SNAPSHOT_VECTORS:
+            size = len(getattr(snap, name))
+            if size != n:
+                raise DomainError(f"trace step {snap.step}: {name} has {size} entries, "
+                                  f"expected one per bidder ({n})")
+        if budgets_ok is None and snap.budgets is not budgets:
+            budgets = snap.budgets
+            i = next((i for i, b in enumerate(budgets) if b is not None and b.numerator < 0),
+                     None)
+            if i is not None:
+                budgets_ok = {"step": snap.step, "bidder": i, "budget": str(budgets[i])}
+        recorded = snap.residual_total
+        if (snap.promised, snap.demands, recorded) == last:
             continue
-        last = snap.promised, snap.demands, snap.residual_total
-        if any(v < 0 for v in snap.promised):
+        # rho seen at the snapshot before, which passed feasibility, passes again
+        checked = last is not None and snap.promised == last[0]
+        last = snap.promised, snap.demands, recorded
+        den, (rho, d) = _scaled(math.lcm(rank.den, target.denominator, recorded.denominator),
+                                snap.promised, snap.demands)
+        if min(d) < 0:
+            i = next(i for i, v in enumerate(d) if v < 0)
+            raise DomainError(f"trace step {snap.step}: demands must be >= 0, "
+                              f"got demands[{i}] = {snap.demands[i]}")
+        scale, rtotal = den // rank.den, sum(rho)
+        if min(rho) < 0:
             feasible = {"step": snap.step, "violating_set": [],
                         "detail": "negative promised allocation"}
-        else:
-            member = membership(oracle, snap.promised)
-            if not member.ok:
-                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
+        elif not checked and rank.solve(scale, rho).total != rtotal:
+            feasible = {"step": snap.step,
+                        "violating_set": sorted(membership(oracle, snap.promised).violating)}
         if feasible is not None:
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        witnesses = _residual_witnesses(
-            snap, target, *residual_totals(oracle, snap.promised, snap.demands))
+        total, without = _residual_nums(rank, scale, rho, d)
+        if (rtotal + total == target.numerator * (den // target.denominator)
+                and total == recorded.numerator * (den // recorded.denominator)
+                and total <= min(without)):
+            continue
+        witnesses = _residual_witnesses(snap, target, Fraction(total, den),
+                                        [Fraction(w, den) for w in without])
         if cross_check and any(old is None and new is not None
                                for old, new in zip(found, witnesses)):
             # A monitor newly failed: the Fraction reference table must agree.

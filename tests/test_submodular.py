@@ -33,6 +33,7 @@ from polyclinch.submodular import (
     OracleCheck,
     RankSolution,
     ReducedRank,
+    _local_test,
     _mask_sums,
     clinch_kernel,
     residual_totals,
@@ -169,7 +170,9 @@ def _pairwise_verify_submodular(oracle) -> OracleCheck:
 def _first_local_violation(oracle) -> OracleCheck:
     """The witness verify_submodular names, on Fraction values: the first
     (S+i, S+j), S ascending and then i < j outside S, with
-    f(S+i) + f(S+j) < f(S+i+j) + f(S)."""
+    f(S+i) + f(S+j) < f(S+i+j) + f(S); else, if the oracle claims
+    monotonicity, the first (S, S+i), S ascending and then i, with
+    f(S+i) < f(S)."""
     n = oracle.n
     f = oracle.value_mask
     for s in range(1 << n):
@@ -181,6 +184,11 @@ def _first_local_violation(oracle) -> OracleCheck:
                     return OracleCheck(False, "submodularity", (set_of(si), set_of(sj)),
                                        f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
                                        f"{f(si) + f(sj)} = f(S)+f(T)")
+    for s in range(1 << n) if oracle.monotone else ():
+        for i in range(n):
+            if not s >> i & 1 and f(s | 1 << i) < f(s):
+                return OracleCheck(False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
+                                   f"f(S) = {f(s)} > {f(s | 1 << i)} = f(S+{i})")
     return OracleCheck(True)
 
 
@@ -259,6 +267,69 @@ def test_verify_submodular_checks_residual_oracles_like_any_oracle():
         res = residual(oracle, random_feasible_point(rng, oracle), random_demands(rng, n))
         assert isinstance(res, SubmodularOracle)
         assert verify_submodular(res) == _pairwise_verify_submodular(res) == OracleCheck(True)
+
+
+def _coverage_table(n, weight):
+    """f(S) = the sum of weight(a, b) over the pairs a < b that meet S:
+    monotone, and f(S+a) + f(S+b) - f(S+a+b) - f(S) = weight(a, b) at every S."""
+    pairs = [(a, b, weight(a, b)) for a in range(n) for b in range(a + 1, n)]
+    return [sum(w for a, b, w in pairs if (m >> a | m >> b) & 1) for m in range(1 << n)]
+
+
+def _check_slice_test(table, monotone, expected):
+    """The slice test's verdict and verify_submodular's witness against the
+    ordered scan of Fraction values, on an integer table."""
+    n = len(table).bit_length() - 1
+    oracle = _table_oracle([F(v) for v in table], monotone)
+    reference = _first_local_violation(oracle)
+    assert reference.violation == expected
+    submodular, increasing = _local_test(table, n)
+    assert submodular == (expected != "submodularity")
+    if submodular:
+        assert increasing == all(table[m | 1 << i] >= table[m]
+                                 for m in range(1 << n) for i in range(n))
+    assert verify_submodular(oracle) == reference
+    return reference
+
+
+def test_slice_test_finds_a_planted_violation_at_every_pair():
+    # Coverage weights 3, except 1 on the pair (i, j), plus 2 on the sets
+    # holding S + i + j: the only failing second differences are those of
+    # the pair (i, j) at the sets holding S, so (S+i, S+j) is the witness.
+    # With S all the other elements it is the one failing comparison.  n runs
+    # to 9, so that bits 0-4 meet both slice layouts of _bit_slices (strided
+    # on tables of 2^(2i+1) entries or more) and every bit the blockwise one.
+    rng = random.Random(7070)
+    for n in range(1, 10):
+        _check_slice_test(_coverage_table(n, lambda a, b: 3), True, None)
+        for i in range(n):
+            for j in range(i + 1, n):
+                others = [k for k in range(n) if k not in (i, j)]
+                table = _coverage_table(n, lambda a, b: 1 if (a, b) == (i, j) else 3)
+                for base in (others, [k for k in others if rng.random() < 0.5]):
+                    top = sum(1 << k for k in base) | 1 << i | 1 << j
+                    planted = [v + 2 * (m & top == top) for m, v in enumerate(table)]
+                    check = _check_slice_test(planted, rng.random() < 0.5, "submodularity")
+                    assert check.witness == (frozenset(base) | {i}, frozenset(base) | {j})
+
+
+def test_slice_test_finds_monotonicity_only_violations():
+    # A modular term -m x_k keeps twice a coverage function submodular;
+    # element k's marginal at S is twice the weight of its pairs outside
+    # S + k, less m, so with m = 1 it dips only at S = [n] - k, and with
+    # larger m earlier.  An oracle that makes no monotonicity claim passes.
+    rng = random.Random(7171)
+    for n in range(1, 10):
+        for k in sorted({0, rng.randrange(n), n - 1}):
+            weights = {(a, b): rng.choice((1, 2)) for a in range(n) for b in range(a + 1, n)}
+            table = _coverage_table(n, lambda a, b: weights[a, b])
+            for cut in (1, rng.randint(1, 2 * n)):
+                dipping = [2 * v - cut * (m >> k & 1) for m, v in enumerate(table)]
+                check = _check_slice_test(dipping, True, "monotonicity")
+                if cut == 1:
+                    everyone = (1 << n) - 1
+                    assert check.witness == (set_of(everyone ^ 1 << k), set_of(everyone))
+                _check_slice_test(dipping, False, None)
 
 
 def test_verify_submodular_names_a_planted_violation_at_n12_quickly():

@@ -1,6 +1,7 @@
 """Outcome checkers, truthfulness fuzzing, monitors, and the demos."""
 
 import json
+import math
 import pathlib
 import random
 from dataclasses import replace
@@ -542,6 +543,12 @@ def _corrupt(rng, snaps, how):
         # A lowered demand can free a rival's clinch or leave supply unsold.
         snap = replace(snap, demands=snap.demands[:i] + (snap.demands[i] / 3,)
                        + snap.demands[i + 1:])
+    elif how == "shifted-total":
+        # 1/(7 D), D the snapshot's common denominator: a recorded fhat([n])
+        # over a denominator no other entry has
+        den = math.lcm(*(v.denominator for v in
+                         snap.promised + snap.demands + (snap.residual_total,)))
+        snap = replace(snap, residual_total=snap.residual_total + F(1, 7 * den))
     else:
         snap = replace(snap, budgets=snap.budgets[:i] + (F(-1, 4),) + snap.budgets[i + 1:])
     snaps[k] = snap
@@ -551,7 +558,7 @@ def _corrupt(rng, snaps, how):
 def test_validate_trace_matches_fraction_reference():
     rng = random.Random(3131)
     corruptions = ("shaved-promise", "inflated-promise", "tampered-demand",
-                   "negative-budget")
+                   "negative-budget", "shifted-total")
     failed = {how: 0 for how in corruptions}
     for t in range(60):
         kind = KINDS[t % len(KINDS)]
@@ -643,32 +650,64 @@ def test_validate_trace_reports_failures_past_the_cap(monkeypatch):
         validate_trace(table_only(oracle), snaps)
 
 
+@pytest.mark.parametrize("cap", [None, "2"])
+def test_validate_trace_refuses_malformed_snapshots(monkeypatch, cap):
+    # a vector with other than n entries, or a negative demand, is a
+    # malformed trace, not a failed monitor: DomainError names the step and
+    # the field, at n <= cap and past it (where no Fraction cross-check runs)
+    oracle = multi_unit_oracle(3, 3)
+    out = run_clinching(oracle, [bidder(3, 1), bidder(2, 1), bidder(1, "inf")],
+                        AuctionConfig(epsilon=F(1, 4), trace=True))
+    if cap is not None:
+        monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", cap)
+    assert validate_trace(oracle, out.trace).ok()
+    k = 9
+    snap = out.trace[k]
+    assert snap.demands[0] > 0
+    for name in ("promised", "demands", "clinched", "prices", "budgets"):
+        vec = getattr(snap, name)
+        for wrong in (vec + vec[-1:], vec[:-1]):
+            snaps = list(out.trace)
+            snaps[k] = replace(snap, **{name: wrong})
+            with pytest.raises(DomainError, match=rf"^trace step {k}: {name} has "
+                                                  rf"{len(wrong)} entries, expected one per "
+                                                  r"bidder \(3\)$"):
+                validate_trace(oracle, snaps)
+    snaps = list(out.trace)
+    snaps[k] = replace(snap, demands=(-snap.demands[0],) + snap.demands[1:])
+    with pytest.raises(DomainError, match=rf"^trace step {k}: demands must be >= 0, "
+                                          rf"got demands\[0\] = -{snap.demands[0]}$"):
+        validate_trace(oracle, snaps)
+
+
 def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
-    # residual_totals drifting from the definition is a bug in the checker,
-    # not a failed monitor: whenever a monitor fails, the Fraction reference
-    # must give the same witnesses
+    # the integer residual values drifting from the definition is a bug in
+    # the checker, not a failed monitor: whenever a monitor fails, the
+    # Fraction reference must give the same witnesses
     oracle = multi_unit_oracle(2, 2)
     out = run_clinching(oracle, [bidder(3, 2), bidder(1, 2)], AuctionConfig(trace=True))
     snaps = list(out.trace)
     k = len(snaps) - 1
     shaved = (snaps[k].promised[0] - F(1, 7),) + snaps[k].promised[1:]
     snaps[k] = replace(snaps[k], promised=shaved)
-    totals = verify.residual_totals
+    nums = verify._residual_nums
 
-    def shifted(oracle, rho, d, at=None):
-        total, without = totals(oracle, rho, d)
-        return (total + F(1, 5) if at in (None, tuple(rho)) else total), without
+    def shifted(rank, scale, rho, d, at=None):
+        # fhat([n]) one unit of the snapshot's denominator too high
+        total, without = nums(rank, scale, rho, d)
+        here = tuple(F(r, rank.den * scale) for r in rho)
+        return (total + 1 if at in (None, here) else total), without
 
     # a clean trace whose shifted totals break conservation at step 0
-    monkeypatch.setattr(verify, "residual_totals", shifted)
+    monkeypatch.setattr(verify, "_residual_nums", shifted)
     with pytest.raises(ClinchError, match=f"step {out.trace[0].step}:"):
         validate_trace(oracle, out.trace)
     # conservation fails on both sides at the shaved step, with other values
-    monkeypatch.setattr(verify, "residual_totals",
-                        lambda oracle, rho, d: shifted(oracle, rho, d, at=shaved))
+    monkeypatch.setattr(verify, "_residual_nums",
+                        lambda rank, scale, rho, d: shifted(rank, scale, rho, d, at=shaved))
     with pytest.raises(ClinchError, match=f"step {snaps[k].step}:"):
         validate_trace(oracle, snaps)
-    monkeypatch.setattr(verify, "residual_totals", totals)
+    monkeypatch.setattr(verify, "_residual_nums", nums)
     assert not validate_trace(oracle, snaps).result("conserved-quantity").passed
 
 
