@@ -16,6 +16,7 @@ subset-enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -142,7 +143,10 @@ def render_report(report: dict, fmt: str = "text") -> tuple:
     return "\n".join(lines) + "\n", code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``clinch`` parser, built once: each ``parse_args`` call returns a
+    fresh namespace, so calls share no parsed state."""
     parser = argparse.ArgumentParser(
         prog="clinch",
         description="Polyhedral clinching auctions with exact-rational verification.")

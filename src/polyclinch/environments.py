@@ -14,6 +14,12 @@ Each is defined by one :class:`~polyclinch.submodular.LatticeStep` alone,
 which gives both its value table and any value read before the table exists:
 a count per rank list for the first three (:func:`_rank_sum_oracle`),
 component labels for graphic, a maximum flow to augment for vod-cut.  The
+rank-sum and vod-cut tables are built depth-first, which keeps at most
+n + 1 states alive: their states hold lists (the counts, the residual
+arrays), and a level would hold 2^(n-1) of them.  Graphic's state is one
+string of labels, so its step (:class:`_ComponentLabels`) builds the table
+level by level, one pass per edge over the masks below it, with no call
+per mask.  The
 multi-unit, single-keyword and vod-cut oracles also carry a
 :class:`~polyclinch.submodular.ReducedRank`, R(c) = min over T of f(T) +
 c([n] \\ T): one sort of c for the first two, whose rank list becomes it,
@@ -155,13 +161,55 @@ def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:
                             f"adwords({inst.n}x{inst.m})")
 
 
+def _joined(labels: Sequence[str], a: int, b: int) -> List[str]:
+    """Each forest in ``labels`` plus an edge from vertex a to vertex b.
+
+    A forest is one component label per vertex, a str with one character
+    each.  b's component takes a's label; when a and b already share one,
+    the labels stay as they are.
+    """
+    return [s.replace(s[b], s[a]) for s in labels]
+
+
+class _ComponentLabels(LatticeStep):
+    """Graphic rank's step, whose state is f(S) and S's component labels.
+
+    The labels are a str, not bytes, so that a graph with more than 256
+    vertices still folds.  Edge i = (a, b) adds one to the rank exactly
+    when a and b have different labels, and the child's labels come from
+    :func:`_joined`.  :meth:`walk` goes level by level: the masks with
+    highest bit i are the masks below 2^i plus edge i, so each level is one
+    pass over the values and labels before it.
+    """
+
+    __slots__ = ("ends",)
+
+    def __init__(self, ends: Sequence[Tuple[int, int]], vertices: int):
+        def step(state: tuple, i: int) -> tuple:
+            rank, labels = state
+            a, b = ends[i]
+            rank += labels[a] != labels[b]
+            return rank, (rank, _joined((labels,), a, b)[0])
+
+        super().__init__(1, (0, "".join(map(chr, range(vertices)))), step)
+        self.ends = ends
+
+    def walk(self, n: int) -> list:
+        values, labels = [0], [self.root[1]]
+        for i, (a, b) in enumerate(self.ends):
+            values += [v + (s[a] != s[b]) for v, s in zip(values, labels)]
+            if i + 1 < n:                    # the last level's labels extend nothing
+                labels += _joined(labels, a, b)
+        return values
+
+
 def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     """Graphic-matroid rank: f(S) = |V(S)| - #components of the edges in S.
 
-    Bidder i labels exactly edge i of the undirected multigraph.  The step's
-    state is each vertex's component label: S + i has rank f(S) + 1 exactly
-    when edge i joins two components of S, and the child relabels one of
-    them.  Values are integers, so the step's denominator is 1.
+    Bidder i labels exactly edge i of the undirected multigraph.  The step
+    (:class:`_ComponentLabels`) carries each vertex's component label: S + i
+    has rank f(S) + 1 exactly when edge i joins two components of S.  Values
+    are integers, so the step's denominator is 1.
     """
     if not edges:
         raise DomainError("at least one bidder-labeled edge is required")
@@ -170,17 +218,7 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
             raise DomainError(f"edge {e} must be a pair of vertices, got {edge!r}")
     n = len(edges)
     vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
-    ends = [(vertex[u], vertex[v]) for u, v in edges]
-
-    def step(state: tuple, i: int) -> tuple:
-        rank, label = state
-        u, v = label[ends[i][0]], label[ends[i][1]]
-        if u == v:
-            return rank, state
-        joined = [u if x == v else x for x in label]
-        return rank + 1, (rank + 1, joined)
-
-    rank = LatticeStep(1, (0, list(range(len(vertex)))), step)
+    rank = _ComponentLabels([(vertex[u], vertex[v]) for u, v in edges], len(vertex))
     return SubmodularOracle(n, rank.value, True, f"graphic({n} edges)", step=rank)
 
 

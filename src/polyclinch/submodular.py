@@ -36,7 +36,8 @@ computed warm, and the smallest minimizer only on request;
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
 walk over the subset lattice; oracles that supply a :class:`LatticeStep`
-extend each set's value from its parent's, and fold the same step for one.
+extend each set's value from its parent's (depth-first, or level by level
+for graphic rank), and fold the same step for one.
 :func:`verify_submodular` tests local second differences on the same table.
 
 All subset enumeration is capped (default 16 elements, override with the
@@ -175,13 +176,24 @@ class LatticeStep:
     ``step(state, i)`` returns ``(num, child)``: f(S + i) = num / ``den`` and
     the state that S + i hands on to its own children; ``root`` is the state
     of the empty set.  A step never modifies the state it is given, since
-    every child of S starts from it.  :meth:`value` folds it for one mask.
+    every child of S starts from it.  :meth:`value` folds it for one mask
+    and :meth:`walk` builds the table.  A subclass may override
+    :meth:`walk` with a faster build of the same table: graphic rank's
+    (``environments._ComponentLabels``) goes level by level, with no call
+    per mask.  The rank-sum and vod-cut steps keep the depth-first walk,
+    which holds at most n + 1 of their list-holding states at a time
+    instead of a level's 2^(n-1).
     """
 
     __slots__ = ("den", "root", "step")
 
     def __init__(self, den: int, root, step: Callable[[object, int], tuple]):
         self.den, self.root, self.step = den, root, step
+
+    def walk(self, n: int) -> list:
+        """The numerators of f over ``den`` for every mask below 2^n, by
+        one depth-first :func:`_lattice_walk`."""
+        return _lattice_walk(n, self.root, self.step)
 
     def value(self, mask: int) -> Fraction:
         """f(mask), folding the step from the root over the mask's bits in
@@ -443,12 +455,13 @@ class SubmodularOracle:
     def integer_table(self) -> tuple:
         """``(D, nums)`` with ``f(m) = nums[m] / D`` for every mask m.
 
-        Built on first use by one :func:`_lattice_walk` and kept.  With a
-        :class:`LatticeStep` each mask's numerator comes from its parent's
-        state, over the step's own D, and no ``Fraction`` is built.  Without
-        one each mask is evaluated once (memo first, then ``fn_mask``) and D
-        is the least common denominator of the table.  Once the table exists,
-        memo misses read it.
+        Built on first use and kept, after the enumeration cap is checked.
+        With a :class:`LatticeStep` the numerators are its
+        :meth:`LatticeStep.walk`, over the step's own D, and no ``Fraction``
+        is built.  Without one each mask is evaluated once, in mask order
+        (memo first, then ``fn_mask``), and D is the least common
+        denominator of the table.  Once the table exists, memo misses read
+        it.
         """
         if self._table is None:
             check_enumeration_size(
@@ -456,11 +469,10 @@ class SubmodularOracle:
                 "Single-keyword, multi-unit and vod-cut oracles need no value table "
                 "and run past the cap")
             if self._step is not None:
-                self._table = self._step.den, _lattice_walk(
-                    self.n, self._step.root, self._step.step)
+                self._table = self._step.den, self._step.walk(self.n)
             else:
-                self._table = _over_common_denominator(_lattice_walk(
-                    self.n, 0, lambda m, i: (self.value_mask(m | 1 << i), m | 1 << i)))
+                self._table = _over_common_denominator(
+                    [self.value_mask(m) for m in range(1 << self.n)])
         return self._table
 
     def rank(self) -> ReducedRank:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyclinch import cli
 from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PROPERTY_FAIL, main
 from polyclinch.instances import POLYMATROID_KINDS, generate_instance, write_instance
 
@@ -149,6 +150,24 @@ def test_trace_file_written_when_instance_has_trace_off(tmp_path, capsys):
     trace = json.loads(trace_out.read_text())
     assert [snap["step"] for snap in trace] == list(range(len(trace)))
     assert json.loads(out)["outcome"]["x"] == trace[-1]["rho"]
+
+
+def test_main_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a --trace given to one call
+    # must not carry over to the next
+    seen = []
+    execute = cli.execute
+    monkeypatch.setattr(cli, "execute", lambda command, inst, args:
+                        seen.append((command, args.instance, args.trace_out))
+                        or execute(command, inst, args))
+    trace_out = tmp_path / "trace.json"
+    first, second = str(FIXTURES / "appendix-d.json"), str(FIXTURES / "multi-unit.json")
+    assert run_cli(capsys, "run", "-i", first, "--trace", str(trace_out))[0] == EXIT_OK
+    trace_out.unlink()
+    assert run_cli(capsys, "run", "-i", second)[0] == EXIT_OK
+    assert seen == [("run", first, str(trace_out)), ("run", second, None)]
+    assert not trace_out.exists()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_demo_appendix_d_exits_zero(capsys):

@@ -23,7 +23,9 @@ from polyclinch import (
     verify_submodular,
     vod_cut_oracle,
 )
+from polyclinch import environments
 from polyclinch.environments import _ArcNetwork
+from polyclinch.submodular import LatticeStep
 from polyclinch.instances import generate_instance
 
 from corpus import random_adwords, random_oracle, reduced_rank, table_only
@@ -396,6 +398,58 @@ def test_walked_tables_match_per_mask_values_on_generated_markets():
                 assert walked == per_mask, (kind, n, seed)
                 if kind != "vod-cut" or n <= 10:
                     assert walked == _reference_table(inst), (kind, n, seed)
+
+
+def test_graphic_level_table_matches_union_find_rank():
+    # self-loops, parallel edges and vertices shared by several edges, on int
+    # and str vertex labels: the level-by-level table, the depth-first walk
+    # of the same step and a fresh oracle's per-mask fold equal a union-find
+    rng = random.Random(3030)
+    for t in range(150):
+        n = rng.randint(1, 10)
+        edges = _random_multigraph(rng, n)
+        loop = rng.randrange(n)
+        edges[loop] = (edges[loop][0], edges[loop][0])
+        if t % 2:
+            edges = [(f"v{u}", f"v{v}") for u, v in edges]
+        oracle = graphic_oracle(edges)
+        walked, per_mask = _walked_and_per_mask(lambda: graphic_oracle(edges))
+        assert walked == per_mask == _forest_rank_table(edges), t
+        assert oracle.integer_table() == (1, LatticeStep.walk(oracle._step, n)), t
+
+
+def test_graphic_level_table_matches_the_depth_first_walk_on_generated_markets():
+    for n, seeds in ((4, range(8)), (10, range(3)), (12, range(3)), (16, range(1))):
+        for seed in seeds:
+            oracle = generate_instance("graphic", n, None, seed).build_oracle()
+            assert oracle.integer_table()[1] == LatticeStep.walk(oracle._step, n), (n, seed)
+
+
+def test_graphic_table_calls_no_step_per_mask(monkeypatch):
+    # one relabelling pass per level but the last, and the step never runs
+    oracle = generate_instance("graphic", 10, None, 0).build_oracle()
+    expected = LatticeStep.walk(oracle._step, 10)
+    passes = []
+    joined = environments._joined
+    monkeypatch.setattr(environments, "_joined", lambda labels, a, b:
+                        passes.append(len(labels)) or joined(labels, a, b))
+
+    def refuse(state, i):
+        raise AssertionError("the level loop called the step")
+
+    oracle._step.step = refuse
+    assert oracle.integer_table() == (1, expected)
+    assert passes == [1 << i for i in range(9)]
+
+
+def test_graphic_fold_past_256_vertices():
+    full = (1 << 300) - 1
+    path = graphic_oracle([(k, k + 1) for k in range(300)])
+    assert path.value_mask(full) == 300
+    assert path.value_mask(full ^ 1 << 150) == 299
+    cycle = graphic_oracle([(k, (k + 1) % 300) for k in range(300)])
+    assert cycle.value_mask(full) == 299
+    assert cycle.value_mask(full ^ 1 << 150) == 299
 
 
 def test_cardinality_tables_are_prefix_sums():
