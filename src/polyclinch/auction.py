@@ -235,22 +235,23 @@ class _Units:
         self.tick, self.per, self.den = eps.numerator, eps.denominator, den
 
 
-def _clock_terms(units: _Units, value: Fraction, budget: Optional[int]) -> tuple:
-    """``(rate, top, budget)``: :func:`_demand_nums` at tick t takes price t * rate.
+def _demand_rule(units: _Units, values: Sequence[Fraction], budgets: list,
+                 cap: Callable) -> Callable:
+    """``demand(i, t)``: bidder i's demand over D at its clock tick t.
 
-    The price t * epsilon and ``value`` go over 1 / (E q), q the value's
-    denominator and E = ``units.per``; the budget, over D * E, goes over D
-    times that, so budget / price is over D.
+    ``cap(i, t)`` is the engine's cap over D.  The rule reads ``budgets``
+    (over D * E, E = ``units.per``) and D when it is called: the price
+    t * epsilon and the value go over 1 / (E q), q the value's denominator,
+    and the budget over D times that, so budget / price is over D.
     """
-    q = value.denominator
-    return (units.tick * q, value.numerator * units.per,
-            None if budget is None else budget * q)
+    terms = [(units.tick * v.denominator, v.numerator * units.per, v.denominator)
+             for v in values]
 
-
-def _demand_schedule(units: _Units, value: Fraction, budget: Optional[int], cap) -> Callable:
-    """One bidder's demand over D as a function of its own clock tick."""
-    rate, top, budget = _clock_terms(units, value, budget)
-    return lambda t: _demand_nums(t * rate, top, budget, cap)
+    def demand(i, t):
+        rate, top, q = terms[i]
+        budget = budgets[i]
+        return _demand_nums(t * rate, top, None if budget is None else budget * q, cap(i, t))
+    return demand
 
 
 def _clinch_callbacks(rank: ReducedRank, units: _Units) -> tuple:
@@ -308,14 +309,16 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     :class:`DivergenceError`; a snapshot converts only the entries that
     changed since the last one.
 
-    ``demands_fn(ticks, promised, budgets)`` returns n schedules: schedule i
-    maps a tick to bidder i's demand at that clock price while the promises
-    and remaining budgets stay as passed.  The loop builds the schedules at
-    the start and again after each clinch, at the post-clinch promises and
-    budgets, and evaluates all n of them only at the first step.  A demand
-    that grows D always differs from the carried one, so the next step
-    clinches and builds the schedules anew: a schedule is only evaluated
-    at the D it was built for.
+    ``demands_fn(ticks, promised, budgets)`` runs once, before the first
+    step, on the loop's own lists, and returns the engine's demand rule
+    ``demand(i, t)``: bidder i's demand over D at its tick t, read from the
+    promises, the remaining budgets and D as they stand at the call.  The
+    loop changes those lists only in place (a clinch and a growth of D
+    mutate them; nothing rebinds them), so the rule always reads the live
+    state.  It is bound to these lists: a copy of the loop's state needs
+    its own ``demands_fn`` call.  The first step evaluates the rule for
+    every bidder, and every later step only for the bidder whose clock just
+    moved.
 
     The post-clinch demands are d - delta, the demands the engine's own rule
     gives at the new promises and budgets (delta <= d, and a clinch at
@@ -337,8 +340,8 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     So the loop keeps nu = d - delta instead of asking for the demands
     again.  Until the next clinch the promises and budgets stay put and each
     step moves one clock, so nu with the clocked bidder's entry replaced by
-    its schedule's value at the new price is the engine's demand vector:
-    one schedule evaluation per step is exact.  Clinching again at
+    the rule's value at its new tick is the engine's demand vector: one
+    demand evaluation per step is exact.  Clinching again at
     (rho + delta, nu) gives zero (re-clinch nullity: the clinch moves delta
     from d into rho and leaves f - rho - d unchanged), so when that value
     equals nu's entry the step's clinch is zero and ``clinch_fn`` is not
@@ -370,14 +373,11 @@ def _run_loop(n: int, units: _Units, max_steps: int,
         snapshots: List[TraceSnapshot] = []
         prices = [ZERO] * n
         unclinched = (ZERO,) * n
-    no_clinch = (0,) * n
     fresh = range(n)                     # the entries of this step's demands not in nu
-    schedules = demands_fn(ticks, promised, budgets)
-    demands = whole([schedule(0) for schedule in schedules], [])
+    demand_of = demands_fn(ticks, promised, budgets)
+    demands = whole([demand_of(i, 0) for i in range(n)], [])
     for step in range(max_steps):
-        if demands is None:              # this step's demands are nu
-            delta = no_clinch
-        else:
+        if demands is not None:          # else this step's demands are nu: no clinch
             delta = whole(clinch_fn(promised, demands), demands)
             for i, x in enumerate(delta):
                 if x:
@@ -387,7 +387,6 @@ def _run_loop(n: int, units: _Units, max_steps: int,
                     if budgets[i] is not None:
                         budgets[i] -= charge
             nu = [q - x for q, x in zip(demands, delta)]
-            schedules = demands_fn(ticks, promised, budgets)
             if fhat_fn is not None:
                 snap = _snapshot(step, prices, units, promised, nu, delta, budgets,
                                  fhat_fn(promised, nu), fresh, snapshots[-1] if snapshots else None)
@@ -402,7 +401,7 @@ def _run_loop(n: int, units: _Units, max_steps: int,
             prices[moved] = Fraction(ticks[moved] * tick, per)
         if not any(nu):
             break
-        q = schedules[moved](ticks[moved])
+        q = demand_of(moved, ticks[moved])
         if type(q) is not int:
             (q,) = whole([q], nu)
         if q == nu[moved]:
@@ -469,9 +468,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     units = _Units(eps, math.lcm(rank.den, base))
 
     def demands_fn(ticks, promised, budgets):
-        scale = units.den // base
-        return [_demand_schedule(units, values[i], budgets[i], singles[i] * scale - promised[i])
-                for i in range(n)]
+        return _demand_rule(units, values, budgets,
+                            lambda i, t: singles[i] * (units.den // base) - promised[i])
 
     clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
     return _run_loop(n, units, cfg.max_steps, [b.budget for b in bidders],
@@ -628,29 +626,22 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
     rank = oracle.rank()
     base = math.lcm(rank.den, *(q.denominator for curve in curves for q, _ in curve.breakpoints))
     units = _Units(eps, base)
-    # each curve's segments as (the last tick whose price its slope reaches, its end over D)
+    # each curve's segments as (the last tick whose price its slope reaches, its end over base)
     reaches = [[(slope.numerator * units.per // (units.tick * slope.denominator),
                  end.numerator * (base // end.denominator)) for _, end, slope in curve.segments()]
                for curve in curves]
 
-    def schedule(i, held, budget_rem, scale):
-        # the curve's reach beyond the holding caps B_rem / p; its first
-        # slope plays the value, above which demand_quantity is zero anyway
-        rate, top, budget = _clock_terms(units, curves[i].segments()[0][2], budget_rem)
-        ends = [(last, end * scale) for last, end in reaches[i]]
-
-        def at(t):
+    def demands_fn(ticks, promised, budgets_rem):
+        def cap(i, t):
+            # the curve's reach beyond the holding caps B_rem / p
             reach = 0
-            for last, end in ends:
+            for last, end in reaches[i]:
                 if t > last:
                     break
                 reach = end
-            return _demand_nums(t * rate, top, budget, max(0, reach - held))
-        return at
-
-    def demands_fn(ticks, promised, budgets_rem):
-        scale = units.den // base
-        return [schedule(i, promised[i], budgets_rem[i], scale) for i in range(n)]
+            return max(0, reach * (units.den // base) - promised[i])
+        # each curve's first slope plays the value, above which demand_quantity is zero anyway
+        return _demand_rule(units, [curve.segments()[0][2] for curve in curves], budgets_rem, cap)
 
     clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
     return _run_loop(n, units, cfg.max_steps, normalized_budgets, demands_fn,
@@ -832,10 +823,8 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     units = _Units(cfg.resolve_epsilon(values), 1)
 
     def demands_fn(ticks, promised, budgets_rem):
-        slack = _row_slacks(rows, units.den, *promised)
-        return [_demand_schedule(units, values[i], budgets_rem[i],
-                                 _ratio(*_axis_reach(rows, slack, i)))
-                for i in range(2)]
+        return _demand_rule(units, values, budgets_rem, lambda i, t: _ratio(
+            *_axis_reach(rows, _row_slacks(rows, units.den, *promised), i)))
 
     def clinch_fn(promised, demands):
         return _clinch_2d(rows, units.den, *promised, *demands)

@@ -203,10 +203,21 @@ class _ComponentLabels(LatticeStep):
         return values
 
 
+def _check_label(where: str, what: str, v) -> None:
+    """Refuse a node label that is not a str or an int (bools are refused).
+
+    Nodes are told apart by dict key, and 1, True and 1.0 are one key, so
+    only these two types keep equal labels one node and others apart.
+    """
+    if type(v) not in (str, int):
+        raise DomainError(f"{where}: {what} labels must be strings or ints, got {v!r}")
+
+
 def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     """Graphic-matroid rank: f(S) = |V(S)| - #components of the edges in S.
 
-    Bidder i labels exactly edge i of the undirected multigraph.  The step
+    Bidder i labels exactly edge i of the undirected multigraph, whose
+    vertex labels are strings or ints (:func:`_check_label`).  The step
     (:class:`_ComponentLabels`) carries each vertex's component label: S + i
     has rank f(S) + 1 exactly when edge i joins two components of S.  Values
     are integers, so the step's denominator is 1.
@@ -216,6 +227,8 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     for e, edge in enumerate(edges):
         if len(edge) != 2:
             raise DomainError(f"edge {e} must be a pair of vertices, got {edge!r}")
+        for v in edge:
+            _check_label(f"edge {e}", "vertex", v)
     n = len(edges)
     vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
     rank = _ComponentLabels([(vertex[u], vertex[v]) for u, v in edges], len(vertex))
@@ -227,9 +240,7 @@ class CapacitatedNetwork:
     """Directed network with rational edge capacities for video-on-demand.
 
     ``bidder_nodes[i]`` is the node bidder i streams to; the source must be a
-    distinct node.  Node labels are strings or ints (not bools), so that two
-    labels are one node exactly when they are equal: 1, True and 1.0 would
-    be one dict key.
+    distinct node.  Node labels are strings or ints (:func:`_check_label`).
     """
 
     edges: tuple                     # (u, v, capacity)
@@ -249,8 +260,7 @@ class CapacitatedNetwork:
         labels += [(f"edge {e}", v) for e, edge in enumerate(parsed) for v in edge[:2]]
         labels += [(f"bidder node {i}", v) for i, v in enumerate(bidder_nodes)]
         for where, v in labels:
-            if type(v) not in (str, int):
-                raise DomainError(f"{where}: node labels must be strings or ints, got {v!r}")
+            _check_label(where, "node", v)
         if source in bidder_nodes:
             raise DomainError("the source must be distinct from every bidder node")
         if not bidder_nodes:

@@ -4,7 +4,8 @@
 clinches and moved its state to integers.  It runs in ``Fraction``
 arithmetic, calls the clinch at every step, evaluates every bidder's demand
 at every step, and evaluates them all again for the post-clinch demands.
-``auction._run_loop`` evaluates only the clocked bidder's schedule, skips a
+``auction._run_loop`` takes one demand rule per run from the engine and,
+after the first step, evaluates it only for the clocked bidder; it skips a
 step's clinch when the step's demands equal the last clinch's d - delta,
 carries d - delta forward as the post-clinch demands, and keeps its state as
 integers over a growing denominator.  The two must give identical outcomes,

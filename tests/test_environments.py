@@ -249,6 +249,21 @@ def test_graphic_forest_rank_equals_cardinality():
         assert oracle.value(mask_set) == len(mask_set)
 
 
+def test_graphic_rejects_labels_that_are_one_dict_key():
+    # 1, True and 1.0 are one dict key: edge 1 would read as a self-loop
+    # (f({1}) = 0) and edge 2 would join vertex 1
+    cases = [([(0, 1), (1, True), (1.0, 2)], 1, True), ([(0, 1), (1, 2), (1.0, 2)], 2, 1.0),
+             ([("a", None)], 0, None), ([(0, 1), ((0,), 1)], 1, (0,))]
+    for edges, e, label in cases:
+        with pytest.raises(DomainError) as err:
+            graphic_oracle(edges)
+        assert str(err.value) == (f"edge {e}: vertex labels must be strings or ints, "
+                                  f"got {label!r}")
+    oracle = graphic_oracle([(0, 1), (1, "1"), ("1", 2)])     # 1 and "1" are two vertices
+    assert [oracle.value({i}) for i in range(3)] == [1, 1, 1]
+    assert oracle.value({0, 1, 2}) == 3
+
+
 def test_graphic_rank_never_exceeds_cardinality():
     rng = random.Random(5)
     for _ in range(30):

@@ -102,7 +102,7 @@ def engine_callbacks(a, b) -> tuple:
     The loop passes numerators over its denominator D, which the callbacks
     read from the run's units; each wrapper puts its vectors over their
     least common denominator, sets D to it and divides what the callback
-    returns by D.  ``caps(rho)`` evaluates the demand schedules at price 0.
+    returns by D.  ``caps(rho)`` evaluates the demand rule at price 0.
     """
     captured = []
 
@@ -119,7 +119,8 @@ def engine_callbacks(a, b) -> tuple:
 
     def caps(rho):
         rnum, _ = numerators(rho)
-        return tuple(Fraction(s(0), units.den) for s in demands_fn([0, 0], rnum, [None, None]))
+        demand = demands_fn([0, 0], rnum, [None, None])
+        return tuple(Fraction(demand(i, 0), units.den) for i in range(2))
 
     def clinch(rho, d):
         return tuple(Fraction(x, units.den) for x in clinch_fn(*numerators(rho, d)))

@@ -195,10 +195,11 @@ def test_generic_trace_totals_are_the_best_vertex_sums():
 
 
 def counted_run(engine, *args) -> tuple:
-    """``engine(*args)`` on ``auction._run_loop``: ``(outcome, counts)``, the
-    calls of the loop's ``demands_fn`` and ``clinch_fn`` and of the demand
-    rule every schedule evaluation runs, ``_demand_nums``."""
+    """``engine(*args)`` on ``auction._run_loop``: ``(outcome, counts, dens)``,
+    the calls of the loop's ``demands_fn`` and ``clinch_fn`` and of the
+    demand rule's core, ``_demand_nums``, and D at each ``_demand_nums`` call."""
     counts = {"demands_fn": 0, "clinch_fn": 0, "demand": 0}
+    dens = []
     loop, demand = auction._run_loop, auction._demand_nums
 
     def counting(name, fn):
@@ -208,17 +209,21 @@ def counted_run(engine, *args) -> tuple:
         return counted
 
     def recording(n, units, max_steps, budgets0, demands_fn, clinch_fn, fhat_fn):
-        return loop(n, units, max_steps, budgets0, counting("demands_fn", demands_fn),
-                    counting("clinch_fn", clinch_fn), fhat_fn)
-    with mock.patch.object(auction, "_run_loop", recording), \
-            mock.patch.object(auction, "_demand_nums", counting("demand", demand)):
-        return engine(*args), counts
+        def demand_at_den(*fn_args):
+            dens.append(units.den)
+            return demand(*fn_args)
+        with mock.patch.object(auction, "_demand_nums", counting("demand", demand_at_den)):
+            return loop(n, units, max_steps, budgets0, counting("demands_fn", demands_fn),
+                        counting("clinch_fn", clinch_fn), fhat_fn)
+    with mock.patch.object(auction, "_run_loop", recording):
+        return engine(*args), counts, dens
 
 
-def test_one_demand_per_step_and_schedules_once_per_clinch():
-    # the schedules are built at the start and after each clinch; after the
-    # first step, which evaluates all n, a step evaluates only the clocked
-    # bidder's schedule
+def test_one_demand_per_step_and_one_demand_rule_per_run():
+    # demands_fn runs once per run and returns the demand rule, which reads
+    # the loop's live state; the first step evaluates it for all n bidders,
+    # every later step only for the clocked bidder, with no rebuild after a
+    # clinch, also where D grows between clinches
     rng = random.Random(4242)
     cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
     runs = []
@@ -226,21 +231,29 @@ def test_one_demand_per_step_and_schedules_once_per_clinch():
         n = rng.randint(3, 5)
         oracle = random_oracle(rng, kind, n)
         assert (oracle.ctrs is not None) == (kind in ("single-keyword", "multi-unit"))
-        runs.append((run_clinching, (oracle, random_bidders(rng, n), cfg), n))
+        runs.append((run_clinching, (oracle, random_bidders(rng, n), cfg), n, False))
     runs.append((run_decreasing_marginals,
                  (appendix_d_curves(), list(APPENDIX_D_BUDGETS), APPENDIX_D_SUPPLY,
-                  AuctionConfig(epsilon=F(1, 20), trace=True)), len(APPENDIX_D_BUDGETS)))
+                  AuctionConfig(epsilon=F(1, 20), trace=True)), len(APPENDIX_D_BUDGETS), False))
     for v0, v1 in ((F(1, 2), F(3, 5)), (F(1), F(4))):
         bidders = [Bidder(v, b) for v, b in zip((v0, v1), IMPOSSIBILITY_BUDGETS)]
         runs.append((run_generic_2player,
                      (IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders,
-                      AuctionConfig(epsilon=F(1, 20), trace=True)), 2))
-    for engine, args, n in runs:
-        out, counts = counted_run(engine, *args)
+                      AuctionConfig(epsilon=F(1, 20), trace=True)), 2, False))
+    for engine, args in _growing_denominator_runs(AuctionConfig(epsilon=F(1, 7), trace=True)):
+        n = len(args[2] if engine is run_generic_2player else args[1])
+        runs.append((engine, args, n, True))
+    engines = set()
+    for engine, args, n, growing in runs:
+        out, counts, dens = counted_run(engine, *args)
         steps = len(out.trace)
         assert counts["clinch_fn"] < steps, engine.__name__
-        assert counts["demands_fn"] == 1 + counts["clinch_fn"], engine.__name__
+        assert counts["demands_fn"] == 1, engine.__name__
         assert counts["demand"] == n + steps - 1, engine.__name__
+        if growing:                                      # the rule read several D
+            assert len(set(dens)) >= 3, engine.__name__
+        engines.add(engine)
+    assert engines == {run_clinching, run_decreasing_marginals, run_generic_2player}
 
 
 def _denominators_at_clinches(engine, *args) -> tuple:
