@@ -13,16 +13,18 @@ outcome, the trace and a :class:`DivergenceError`.
 
 Engines:
 
-* :func:`run_clinching`            -- polymatroid environments, clinched by
-  the integer core of :func:`~polyclinch.submodular.clinch_kernel` (by the
-  oracle's reduced rank: one sort on single-keyword and multi-unit oracles,
-  one max-flow on vod-cut oracles, the 2^n table otherwise).
+* :func:`run_clinching`            -- polymatroid environments, on the
+  polymatroid clock :func:`_run_polymatroid`, clinched by the integer core
+  of :func:`~polyclinch.submodular.clinch_kernel` (by the oracle's reduced
+  rank: one sort on single-keyword and multi-unit oracles, one max-flow on
+  vod-cut oracles, the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
-* :func:`run_decreasing_marginals` -- uniform supply with piecewise-linear
-  concave valuations and the marginal-threshold demand rule (the variant
-  that is deliberately not truthful).
+* :func:`run_decreasing_marginals` -- the same clock on the uniform
+  polymatroid of a supply, with piecewise-linear concave valuations and
+  the marginal-threshold demand rule (the variant that is deliberately not
+  truthful).
 * :func:`run_generic_2player`      -- 2-bidder packing H-polytopes, clinching
   straight from the geometric definition on integer rows; used by the
   Pareto-failure demo.
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .environments import _rank_sum_oracle
+from .environments import _rank_sum_oracle, multi_unit_oracle
 from .errors import DivergenceError, DomainError, PreconditionError, SizeError
 from .submodular import (
     Rational,
@@ -254,32 +256,6 @@ def _demand_rule(units: _Units, values: Sequence[Fraction], budgets: list,
     return demand
 
 
-def _clinch_callbacks(rank: ReducedRank, units: _Units) -> tuple:
-    """``(clinch_fn, fhat_fn)`` for :func:`_run_loop` over the polymatroid of ``rank``.
-
-    Every clinch is one :func:`~polyclinch.submodular._clinch_nums` on the
-    loop's numerators over D (a multiple of ``rank.den``), which returns
-    ``(fhat([n]), delta)`` and needs no value table on oracles with a
-    structural reduced rank (cardinality and vod-cut).
-
-    fhat(S) = d(S) + min over T <= S of h(T) with h = f - (rho + d).  The
-    loop calls ``fhat_fn`` right after each clinch, at (rho + delta,
-    d - delta): h is unchanged, so fhat([n]) there is the clinch's total
-    less the sum of delta.
-    """
-    last = []                                    # fhat([n]) and delta of the last clinch
-
-    def clinch_fn(rho, d):
-        last[:] = _clinch_nums(rank, units.den // rank.den, rho, d)
-        return last[1]
-
-    def fhat_fn(rho, d):
-        total, delta = last
-        return total - sum(delta)
-
-    return clinch_fn, fhat_fn
-
-
 def _check_bidder_count(n: int, bidders: Sequence[Bidder]) -> None:
     """Refuse a bidder list that does not hold one bidder per element."""
     if len(bidders) != n:
@@ -450,14 +426,51 @@ def _snapshot(step: int, prices: list, units: _Units, promised: list, nu: list,
                          tuple(rem), Fraction(total, den))
 
 
+def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],
+                     eps: Fraction, budgets: Sequence[Optional[Fraction]],
+                     reach: Callable, cfg: AuctionConfig) -> Outcome:
+    """The clock of :func:`run_clinching` and :func:`run_decreasing_marginals`
+    over the polymatroid of ``rank``.
+
+    ``reach(i, t)`` is the most bidder i may hold at its tick t, over
+    ``base``; D starts as the lcm of ``base`` and ``rank.den``, and the
+    demand cap is the reach over D less the promise, floored at 0.  Every
+    clinch is one :func:`~polyclinch.submodular._clinch_nums` on the loop's
+    numerators, which returns ``(fhat([n]), delta)``.  The trace total is
+    asked for right after it, at (rho + delta, d - delta), where h = f -
+    (rho + d) is unchanged, so fhat([n]) is the clinch's total less the sum
+    of delta.
+    """
+    units = _Units(eps, math.lcm(rank.den, base))
+    last = []                                    # fhat([n]) and delta of the last clinch
+
+    def demands_fn(ticks, promised, budgets_rem):
+        def cap(i, t):
+            c = reach(i, t) * (units.den // base) - promised[i]
+            return c if c > 0 else 0                 # not max(): this runs once per step
+        return _demand_rule(units, values, budgets_rem, cap)
+
+    def clinch_fn(rho, d):
+        last[:] = _clinch_nums(rank, units.den // rank.den, rho, d)
+        return last[1]
+
+    def fhat_fn(rho, d):
+        total, delta = last
+        return total - sum(delta)
+
+    return _run_loop(len(values), units, cfg.max_steps, budgets, demands_fn, clinch_fn,
+                     fhat_fn if cfg.trace else None)
+
+
 def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                   cfg: AuctionConfig = AuctionConfig()) -> Outcome:
     """Clinching auction over the polymatroid defined by ``oracle``.
 
     Each clinch is one reduced-rank solve on the loop's integers (see
-    :func:`_clinch_callbacks`), so oracles with a reduced rank (single-keyword
+    :func:`_run_polymatroid`), so oracles with a reduced rank (single-keyword
     and multi-unit by one sort, vod-cut by one max-flow) run past the
-    enumeration cap.
+    enumeration cap.  A bidder's reach is f({i}), which rho in P(f) never
+    exceeds.
     """
     n = oracle.n
     _check_bidder_count(n, bidders)
@@ -465,15 +478,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     eps = cfg.resolve_epsilon(values)
     rank = oracle.rank()
     base, singles = _over_common_denominator([oracle.singleton(i) for i in range(n)])
-    units = _Units(eps, math.lcm(rank.den, base))
-
-    def demands_fn(ticks, promised, budgets):
-        return _demand_rule(units, values, budgets,
-                            lambda i, t: singles[i] * (units.den // base) - promised[i])
-
-    clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
-    return _run_loop(n, units, cfg.max_steps, [b.budget for b in bidders],
-                     demands_fn, clinch_fn, fhat_fn if cfg.trace else None)
+    return _run_polymatroid(rank, base, values, eps, [b.budget for b in bidders],
+                            lambda i, t: singles[i], cfg)
 
 
 def run_scaled(oracle: SubmodularOracle, gamma: Sequence[Rational],
@@ -606,8 +612,6 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
     truthful in general; the non-truthfulness witness lives in the verify
     module.
     """
-    from .environments import multi_unit_oracle
-
     n = len(curves)
     total = as_fraction(supply)
     if total <= 0:
@@ -619,33 +623,20 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
     normalized_budgets = [None if b is None else as_fraction(b) for b in budgets]
     if len(normalized_budgets) != n:
         raise DomainError(f"expected {n} budgets, got {len(normalized_budgets)}")
-    oracle = multi_unit_oracle(total, n)
+    rank = multi_unit_oracle(total, n).rank()
 
     slopes = [slope for curve in curves for _, _, slope in curve.segments()]
     eps = cfg.resolve_epsilon(slopes)
-    rank = oracle.rank()
-    base = math.lcm(rank.den, *(q.denominator for curve in curves for q, _ in curve.breakpoints))
-    units = _Units(eps, base)
-    # each curve's segments as (the last tick whose price its slope reaches, its end over base)
-    reaches = [[(slope.numerator * units.per // (units.tick * slope.denominator),
+    base = math.lcm(*(q.denominator for curve in curves for q, _ in curve.breakpoints))
+    # each curve's segments as (the last tick whose price its slope reaches, its end over base);
+    # the ends grow, so the reach at tick t is the largest end of a segment still reached
+    reaches = [[(slope.numerator * eps.denominator // (eps.numerator * slope.denominator),
                  end.numerator * (base // end.denominator)) for _, end, slope in curve.segments()]
                for curve in curves]
-
-    def demands_fn(ticks, promised, budgets_rem):
-        def cap(i, t):
-            # the curve's reach beyond the holding caps B_rem / p
-            reach = 0
-            for last, end in reaches[i]:
-                if t > last:
-                    break
-                reach = end
-            return max(0, reach * (units.den // base) - promised[i])
-        # each curve's first slope plays the value, above which demand_quantity is zero anyway
-        return _demand_rule(units, [curve.segments()[0][2] for curve in curves], budgets_rem, cap)
-
-    clinch_fn, fhat_fn = _clinch_callbacks(rank, units)
-    return _run_loop(n, units, cfg.max_steps, normalized_budgets, demands_fn,
-                     clinch_fn, fhat_fn if cfg.trace else None)
+    # each curve's first slope plays the value, above which demand_quantity is zero anyway
+    return _run_polymatroid(rank, base, [curve.segments()[0][2] for curve in curves], eps,
+                            normalized_budgets, lambda i, t: max(
+                                (end for last, end in reaches[i] if t <= last), default=0), cfg)
 
 
 def _validate_packing(rows_a: Sequence[Sequence[Rational]],

@@ -37,6 +37,7 @@ from .auction import AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_pa
 from .environments import (
     AdWordsInstance,
     CapacitatedNetwork,
+    _check_label,
     adwords_oracle,
     graphic_oracle,
     multi_unit_oracle,
@@ -280,14 +281,14 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
             raise ParseError("bad-value", f"{where}.bidder_nodes",
                              f"expected {n} bidder nodes, got {len(nodes)}")
         edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
-        # Only strings and ints (not bools): 1, true and 1.0 are one dict key.
         labels = [(source, f"{where}.source")]
         labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]
         labels += [(v, f"{where}.bidder_nodes[{i}]") for i, v in enumerate(nodes)]
         for v, loc in labels:
-            if type(v) not in (str, int):
-                raise ParseError("bad-value", loc,
-                                 f"{loc}: node labels must be strings or ints, got {v!r}")
+            try:
+                _check_label(loc, "node", v)
+            except DomainError as exc:
+                raise ParseError("bad-value", loc, str(exc)) from exc
         return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
                           for j, (u, v, c) in enumerate(edges)],
                 "source": source, "bidder_nodes": list(nodes)}

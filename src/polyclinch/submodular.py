@@ -425,7 +425,6 @@ class SubmodularOracle:
         self._step = step
         self._memo = {0: ZERO}
         self._table = None
-        self._table_rank = None
 
     @classmethod
     def from_set_function(cls, n: int, fn: Callable[[frozenset], Rational],
@@ -477,13 +476,11 @@ class SubmodularOracle:
 
     def rank(self) -> ReducedRank:
         """The oracle's :class:`ReducedRank`: the one it was given, else
-        :func:`_table_rank` over :meth:`integer_table` (which checks the
-        cap), built on first call and kept."""
+        :func:`_table_rank` over :meth:`integer_table`, which checks the cap
+        and is built on first use and kept; the solver is one closure."""
         if self.reduced_rank is not None:
             return self.reduced_rank
-        if self._table_rank is None:
-            self._table_rank = _table_rank(*self.integer_table())
-        return self._table_rank
+        return _table_rank(*self.integer_table())
 
     def __repr__(self):
         return f"SubmodularOracle({self.name}, n={self.n}, monotone={self.monotone})"

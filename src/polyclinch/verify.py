@@ -14,7 +14,10 @@ reproduces the violation.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -113,13 +116,21 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     set holds i and j is outside the smallest one, T_i: one minimum per
     bidder i decides all its pairs.  Otherwise each pair takes its own
     minimum of the slack over the sets holding i and not j.  The first
-    failing pair is named with that minimum and its smallest minimizer.
+    failing pair (i, then j, ascending) is named with that minimum and its
+    smallest minimizer.  Each i's lower-value bidders are a bitmask, taken
+    from one sort of the values.
 
     :func:`membership` decides x in P(f) by one R of the oracle's
     :meth:`~polyclinch.submodular.SubmodularOracle.rank`, and each minimum
-    is one more R (:func:`_tight_sets`): with no table and no cap on an
-    oracle with a structural reduced rank, on the value table otherwise.
-    Those minima take f to be monotone, as a polymatroid's f is.
+    is one more R, at c = x with c_i = M (and c_j = 0): as M > f([n]) +
+    x([n]), every set without i costs more than any set with it, and with
+    c_j = 0 dropping j from a set never costs more, f being monotone, as a
+    polymatroid's f is.  So the minimizers of R are those of f - x over the
+    sets holding i (and not j), the minimum is R - c([n]) + M - x_i, and
+    the smallest minimizer, the unique one of least cardinality, is the set
+    :func:`~polyclinch.submodular.min_constrained` names.  No table and no
+    cap on an oracle with a structural reduced rank; the value table
+    otherwise.
     """
     n = oracle.n
     _check_bidder_count(n, bidders)
@@ -133,21 +144,37 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if sold == full_value else {"x_total": str(sold), "f_full": str(full_value)},
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
-    member, smallest_tight, separation = _tight_sets(oracle, x, full_value)
+    member = membership(oracle, x)
+    rank = oracle.rank()
+    den, (xnum,) = _scaled(rank.den, x)
+    scale = den // rank.den
+    big = math.floor(full_value * den) + sum(xnum) + 1
+
+    def solved(i: int, j: Optional[int] = None) -> tuple:
+        c = list(xnum)
+        c[i] = big
+        if j is not None:
+            c[j] = 0
+        solution = rank.solve(scale, c)
+        return solution, solution.total - sum(c) + big - xnum[i]     # the least slack, over den
+
+    order = sorted(range(n), key=lambda k: bidders[k].value)
+    ranked = [bidders[k].value for k in order]
+    below = list(itertools.accumulate((1 << k for k in order), operator.or_, initial=0))
     pareto_witness = None
     for i in range(n):
-        if bidders[i].budget is not None and pay[i] >= bidders[i].budget:
+        lower = below[bisect.bisect_left(ranked, bidders[i].value)]
+        if not lower or bidders[i].budget is not None and pay[i] >= bidders[i].budget:
             continue
-        lower = [j for j in range(n) if bidders[j].value < bidders[i].value]
-        tight = smallest_tight(i) if lower else None
-        for j in lower:
-            if tight is not None and not tight >> j & 1:
-                continue                    # T_i separates i from j
-            tight_set, low = separation(i, j)
-            if low != 0:
-                pareto_witness = {"i": i, "j": j, "min_set": sorted(set_of(tight_set)),
-                                  "min_slack": str(low)}
-                break
+        solution, low = solved(i)
+        pending = lower if low else lower & solution.smallest()      # T_i separates the rest
+        while pending and pareto_witness is None:
+            j = (pending & -pending).bit_length() - 1
+            pending &= pending - 1
+            solution, low = solved(i, j)
+            if low:
+                pareto_witness = {"i": i, "j": j, "min_set": sorted(set_of(solution.smallest())),
+                                  "min_slack": str(Fraction(low, den))}
         if pareto_witness:
             break
     report.add("pareto-tight-sets", pareto_witness is None, pareto_witness,
@@ -174,47 +201,6 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if member.ok else {"violating_set": sorted(member.violating),
                                        "deficit": str(member.deficit)})
     return report
-
-
-def _tight_sets(oracle: SubmodularOracle, x: Sequence[Fraction],
-                full_value: Fraction) -> tuple:
-    """``(member, smallest_tight, separation)`` for :func:`check_outcome`, by R.
-
-    ``member`` is :func:`membership` of x.  ``separation(i, j)`` is the
-    smallest minimizer of f - x over the sets holding i and not j, and the
-    minimum, and ``smallest_tight(i)`` is T_i, the smallest minimizer over
-    the sets holding i when that minimum is 0, else None (and then no
-    minimizer is computed).  Each is one R at c = x with c_i = M (and
-    c_j = 0): as M > f([n]) + x([n]), every set without i costs more than
-    any set with it, and with c_j = 0 dropping j from a set never costs
-    more, f being monotone.  So the minimizers of R are those of f - x over
-    the sets holding i (and not j), and the minimum is R - c([n]) + M - x_i.
-    The smallest minimizer is the unique one of least cardinality, the set
-    :func:`~polyclinch.submodular.min_constrained` names.
-    """
-    member = membership(oracle, x)
-    rank = oracle.rank()
-    den, (xnum,) = _scaled(rank.den, x)
-    scale = den // rank.den
-    big = math.floor(full_value * den) + sum(xnum) + 1
-
-    def solved(i: int, j: Optional[int] = None) -> tuple:
-        c = list(xnum)
-        c[i] = big
-        if j is not None:
-            c[j] = 0
-        solution = rank.solve(scale, c)
-        return solution, Fraction(solution.total - sum(c) + big - xnum[i], den)
-
-    def separation(i: int, j: int) -> tuple:
-        solution, low = solved(i, j)
-        return solution.smallest(), low
-
-    def smallest_tight(i: int) -> Optional[int]:
-        solution, low = solved(i)
-        return solution.smallest() if low == 0 else None
-
-    return member, smallest_tight, separation
 
 
 def _strictly_dominated(rows_a, rhs, y) -> bool:

@@ -557,21 +557,27 @@ def test_curve_demand_shift_identity():
 
 
 def test_linear_curves_reduce_to_plain_clinching():
+    # linear curves make the curve engine the multi-unit auction: the same
+    # outcome, trace included, at a fixed and at an auto epsilon, with
+    # fractional supplies, values and budgets
     rng = random.Random(42)
-    for _ in range(15):
+    exhausted = fractional = 0
+    for t in range(15):
         n = rng.randint(2, 4)
-        supply = F(rng.randint(1, 5))
-        # keep every value off the eps grid so boundary ticks never occur
-        values = [F(rng.randint(1, 6)) + F(1, 7) for _ in range(n)]
-        budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 8))
+        supply = F(rng.randint(1, 10), rng.choice((1, 2, 3)))
+        values = [F(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+        budgets = [None if rng.random() < 0.3 else F(rng.randint(1, 16), rng.choice((1, 2, 5)))
                    for _ in range(n)]
-        cfg = AuctionConfig(epsilon=F(1, 4))
         curves = [ConcaveCurve.from_slopes([(supply, v)]) for v in values]
-        via_curves = run_decreasing_marginals(curves, budgets, supply, cfg)
-        plain = run_clinching(multi_unit_oracle(supply, n),
-                              [Bidder(v, b) for v, b in zip(values, budgets)], cfg)
-        assert via_curves.allocation == plain.allocation
-        assert via_curves.payments == plain.payments
+        for eps in (F(1, 4), "auto"):
+            cfg = AuctionConfig(epsilon=eps, trace=True)
+            via_curves = run_decreasing_marginals(curves, budgets, supply, cfg)
+            plain = run_clinching(multi_unit_oracle(supply, n),
+                                  [Bidder(v, b) for v, b in zip(values, budgets)], cfg)
+            assert via_curves.trace and via_curves == plain, (t, eps)
+            exhausted += bool(plain.exhausted)
+            fractional += any(x.denominator > 1 for x in plain.allocation)
+    assert exhausted >= 5 and fractional >= 5, (exhausted, fractional)
 
 
 def test_appendix_d_truthful_outcome_exact():

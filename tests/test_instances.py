@@ -173,10 +173,11 @@ def test_vod_cut_labels_json_keeps_apart_rejected(label):
              (_vod_cut([["s", 1, "2"], ["s", 2, "3"]], [1, label]), "bidder_nodes[1]"),
              (_vod_cut([["s", 1, "2"], ["s", 2, "3"]], [1, 2], label), "source")]
     for data, field in cases:
-        with pytest.raises(ParseError, match="strings or ints") as err:
+        with pytest.raises(ParseError) as err:
             parse_instance_data(data)
-        assert (err.value.code, err.value.field) == (
-            "bad-value", f"instance.environment.{field}")
+        loc = f"instance.environment.{field}"
+        assert (err.value.code, err.value.field, str(err.value)) == (
+            "bad-value", loc, f"{loc}: node labels must be strings or ints, got {label!r}")
 
 
 def test_vod_cut_string_and_int_labels_parse():
