@@ -335,9 +335,9 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     def whole(values: list, carried: list) -> list:
         """``values`` as integers over D: D, the state and ``carried`` grow by
         the lcm of their denominators."""
-        k = math.lcm(*(v.denominator for v in values))
-        if k == 1:
+        if all(type(v) is int for v in values):
             return values
+        k = math.lcm(*(v.denominator for v in values))
         units.den *= k
         for vec in (promised, payments, budgets, carried):
             for i, x in enumerate(vec):
@@ -600,6 +600,18 @@ class ConcaveCurve:
         return max(ZERO, reach - start)
 
 
+def _curve_supply(curves: Sequence[ConcaveCurve], supply: Rational) -> Fraction:
+    """The supply, which must be > 0 and where every curve ends."""
+    total = as_fraction(supply)
+    if total <= 0:
+        raise DomainError(f"supply must be > 0, got {total}")
+    for i, curve in enumerate(curves):
+        if curve.supply != total:
+            raise DomainError(f"curve {i} is defined on [0, {curve.supply}], expected "
+                              f"[0, {total}]: its last breakpoint must be at the supply")
+    return total
+
+
 def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
                              budgets: Sequence[Optional[Rational]],
                              supply: Rational,
@@ -613,13 +625,7 @@ def run_decreasing_marginals(curves: Sequence[ConcaveCurve],
     module.
     """
     n = len(curves)
-    total = as_fraction(supply)
-    if total <= 0:
-        raise DomainError(f"supply must be > 0, got {total}")
-    for i, curve in enumerate(curves):
-        if curve.supply != total:
-            raise DomainError(
-                f"curve {i} is defined on [0, {curve.supply}], expected [0, {total}]")
+    total = _curve_supply(curves, supply)
     normalized_budgets = [None if b is None else as_fraction(b) for b in budgets]
     if len(normalized_budgets) != n:
         raise DomainError(f"expected {n} budgets, got {len(normalized_budgets)}")

@@ -123,20 +123,7 @@ class AdWordsInstance:
     @classmethod
     def build(cls, n: int, interests: Sequence[Iterable[int]],
               ctrs: Sequence[Sequence[Rational]]) -> "AdWordsInstance":
-        keyword_bidders = []
-        for k, bidders in enumerate(interests):
-            seen = set()
-            for i in bidders:
-                if isinstance(i, bool) or not isinstance(i, int):
-                    raise DomainError(f"keyword {k} lists bidder {i!r}, not an int index")
-                if not 0 <= i < n:
-                    raise DomainError(f"keyword {k} lists bidder {i} outside 0..{n - 1}")
-                if i in seen:
-                    raise DomainError(f"keyword {k} lists bidder {i} twice")
-                seen.add(i)
-            if not seen:
-                raise DomainError(f"keyword {k} has no interested bidder")
-            keyword_bidders.append(frozenset(seen))
+        keyword_bidders = [_keyword_bidders(k, bidders, n) for k, bidders in enumerate(interests)]
         if len(ctrs) != len(keyword_bidders):
             raise DomainError(f"expected {len(keyword_bidders)} CTR lists, got {len(ctrs)}")
         normalized = []
@@ -149,6 +136,22 @@ class AdWordsInstance:
     def keyword_oracle(self, k: int) -> SubmodularOracle:
         """Single-keyword oracle for keyword k over its interested bidders."""
         return single_keyword_oracle(self.ctrs[k])
+
+
+def _keyword_bidders(k: int, bidders: Iterable[int], n: int) -> frozenset:
+    """Gamma(k) as a frozenset: distinct int indices in 0..n-1, at least one."""
+    seen = set()
+    for i in bidders:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise DomainError(f"keyword {k} lists bidder {i!r}, not an int index")
+        if not 0 <= i < n:
+            raise DomainError(f"keyword {k} lists bidder {i} outside 0..{n - 1}")
+        if i in seen:
+            raise DomainError(f"keyword {k} lists bidder {i} twice")
+        seen.add(i)
+    if not seen:
+        raise DomainError(f"keyword {k} has no interested bidder")
+    return frozenset(seen)
 
 
 def adwords_oracle(inst: AdWordsInstance) -> SubmodularOracle:

@@ -22,6 +22,9 @@ ints; ``h-polytope-2d`` takes
 constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
 factors, polymatroid kinds without curves) and ``curves`` (piecewise-linear
 breakpoints, multi-unit only) are optional top-level fields.
+
+The parser checks the JSON shape and names each field; each domain rule is
+the library's own, run through :func:`_checked`, so a file that parses runs.
 """
 
 from __future__ import annotations
@@ -33,18 +36,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .auction import AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_packing_2d
+from .auction import (AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_packing_2d,
+                      _curve_supply, _scaled_bidders)
 from .environments import (
     AdWordsInstance,
     CapacitatedNetwork,
     _check_label,
+    _keyword_bidders,
     adwords_oracle,
     graphic_oracle,
     multi_unit_oracle,
     single_keyword_oracle,
     vod_cut_oracle,
 )
-from .errors import DomainError, ParseError
+from .errors import ParseError
 
 SCHEMA_VERSION = 1
 
@@ -86,6 +91,17 @@ def _list_of(value, field: str, size: Optional[int] = None) -> list:
         shape = "a list" if size is None else f"a list of {size} entries"
         raise ParseError("bad-value", field, f"{field}: expected {shape}, got {value!r}")
     return value
+
+
+def _checked(code: str, field: str, check, *args):
+    """``check(*args)``, the library's own rule; any error but a ParseError
+    it raises is reported as a ParseError with ``code`` at ``field``."""
+    try:
+        return check(*args)
+    except ParseError:
+        raise
+    except Exception as exc:
+        raise ParseError(code, field, str(exc)) from exc
 
 
 @dataclass
@@ -179,11 +195,8 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         raise ParseError("bad-json", f"{where}.config", "config must be a JSON object")
     eps_raw = cfg_raw.get("epsilon", "auto")
     epsilon = "auto" if eps_raw == "auto" else parse_rational(eps_raw, f"{where}.config.epsilon")
-    try:
-        config = AuctionConfig(epsilon=epsilon, max_steps=cfg_raw.get("max_steps", 1_000_000),
-                               trace=cfg_raw.get("trace", False))
-    except DomainError as exc:
-        raise ParseError("bad-value", f"{where}.config", str(exc)) from exc
+    config = _checked("bad-value", f"{where}.config", AuctionConfig, epsilon,
+                      cfg_raw.get("max_steps", 1_000_000), cfg_raw.get("trace", False))
 
     quality = None
     if "quality" in data and data["quality"] is not None:
@@ -196,44 +209,28 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
             raise ParseError("bad-value", f"{where}.quality",
                              "quality factors must be uniform per bidder (one rational "
                              "each); per-keyword factors are not a polymatroid")
-        if len(raw) != n:
-            raise ParseError("bad-value", f"{where}.quality",
-                             f"expected {n} quality factors, got {len(raw)}")
         quality = tuple(parse_rational(g, f"{where}.quality[{i}]") for i, g in enumerate(raw))
-        if any(g <= 0 for g in quality):
-            raise ParseError("bad-value", f"{where}.quality", "quality factors must be > 0")
+        _checked("bad-value", f"{where}.quality", _scaled_bidders, n, quality, bidders)
 
     curves = None
     if curves_raw is not None:
         if kind != "multi-unit":
             raise ParseError("bad-value", f"{where}.curves",
                              "curves are supported on multi-unit environments only")
-        _list_of(curves_raw, f"{where}.curves")
-        if len(curves_raw) != n:
-            raise ParseError("bad-value", f"{where}.curves",
-                             f"expected {n} curves, got {len(curves_raw)}")
         curves = []
-        for i, pts in enumerate(curves_raw):
+        for i, pts in enumerate(_list_of(curves_raw, f"{where}.curves", n)):
             loc = f"{where}.curves[{i}]"
-            try:
-                curves.append(ConcaveCurve(tuple(
-                    (parse_rational(q, loc), parse_rational(v, loc)) for q, v in pts)))
-            except ParseError:
-                raise
-            except Exception as exc:
-                raise ParseError("bad-value", loc, f"{loc}: {exc}") from exc
+            curves.append(_checked("bad-value", loc, _parse_curve, pts, loc))
+        _checked("bad-value", f"{where}.curves", _curve_supply, curves, payload["supply"])
 
     inst = InstanceFile(EnvironmentSpec(kind, payload), bidders, config, quality, curves)
-    try:
-        if kind == "h-polytope-2d":
-            inst.polytope_rows()
-        else:
-            inst.build_oracle()
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError("bad-environment", f"{where}.environment", str(exc)) from exc
+    _checked("bad-environment", f"{where}.environment",
+             inst.polytope_rows if kind == "h-polytope-2d" else inst.build_oracle)
     return inst
+
+
+def _parse_curve(pts, loc: str) -> ConcaveCurve:
+    return ConcaveCurve(tuple((parse_rational(q, loc), parse_rational(v, loc)) for q, v in pts))
 
 
 def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
@@ -253,12 +250,7 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
                              f"{len(interests)} keywords but {len(ctrs)} CTR lists")
         for k, members in enumerate(interests):
             loc = f"{where}.interests[{k}]"
-            invalid = [i for i in _list_of(members, loc) if type(i) is not int or not 0 <= i < n]
-            problem = ("has no interested bidder" if not members else
-                       f"lists invalid bidder {invalid[0]!r}" if invalid else
-                       "lists a bidder more than once" if len(set(members)) < len(members) else "")
-            if problem:
-                raise ParseError("inconsistent-graph", loc, f"keyword {k} {problem}")
+            _checked("inconsistent-graph", loc, _keyword_bidders, k, _list_of(members, loc), n)
         return {"interests": [list(m) for m in interests],
                 "ctrs": [[parse_rational(c, f"{where}.ctrs[{k}][{j}]")
                           for j, c in enumerate(_list_of(alpha, f"{where}.ctrs[{k}]"))]
@@ -285,10 +277,7 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
         labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]
         labels += [(v, f"{where}.bidder_nodes[{i}]") for i, v in enumerate(nodes)]
         for v, loc in labels:
-            try:
-                _check_label(loc, "node", v)
-            except DomainError as exc:
-                raise ParseError("bad-value", loc, str(exc)) from exc
+            _checked("bad-value", loc, _check_label, loc, "node", v)
         return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
                           for j, (u, v, c) in enumerate(edges)],
                 "source": source, "bidder_nodes": list(nodes)}

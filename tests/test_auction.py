@@ -603,6 +603,8 @@ def test_appendix_d_deviation_trace():
 def test_curve_supply_mismatch_rejected():
     with pytest.raises(DomainError):
         run_decreasing_marginals([ConcaveCurve.from_slopes([(1, 2)])], [None], 2)
+    with pytest.raises(DomainError, match="expected 1 budgets, got 2"):
+        run_decreasing_marginals([ConcaveCurve.from_slopes([(2, 2)])], [None, 1], 2)
 
 
 # ---------------------------------------------------------------------------

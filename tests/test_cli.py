@@ -264,6 +264,17 @@ def test_quality_on_the_generic_polytope_exits_input_error(tmp_path, capsys):
     assert "input error [bad-value] at instance.quality" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_curves_off_the_supply_exit_input_error(tmp_path, capsys, command):
+    data = json.loads((FIXTURES / "appendix-d.json").read_text())
+    data["environment"]["supply"] = "3"              # the curves end at 2
+    bad = tmp_path / "off-supply.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, "-i", str(bad))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "input error [bad-value] at instance.curves" in err
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_gen_adwords_without_keywords_exits_input_error(tmp_path, capsys, m):
     dest = tmp_path / "aw.json"

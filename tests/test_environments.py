@@ -185,6 +185,8 @@ def test_decompose_zero_and_infeasible():
     assert decompose(inst, [0, 0]) is not None
     assert decompose(inst, [0, F(5) + F(1, 1000)]) is None   # exceeds f*({1}) = 5
     assert decompose(inst, [4, 3]) is None                   # exceeds f*({0,1}) = 6
+    with pytest.raises(DomainError, match=r"allocations must be >= 0, got x\[1\] = -1/2"):
+        decompose(inst, [0, F(-1, 2)])
 
 
 def test_decompose_probes_pin_singleton_value():

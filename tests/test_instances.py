@@ -2,12 +2,16 @@
 
 import json
 import pathlib
-from functools import partial
+import random
+from dataclasses import replace
+from functools import partial, reduce
 
 import pytest
 
-from polyclinch import ParseError
+from polyclinch import DivergenceError, ParseError, SizeError
+from polyclinch.cli import _verify
 from polyclinch.instances import (
+    POLYMATROID_KINDS,
     generate_instance,
     parse_instance,
     parse_instance_data,
@@ -158,6 +162,12 @@ def test_malformed_structures_raise_parse_errors():
         with pytest.raises(ParseError) as err:
             case()
         assert err.value.code and err.value.field, case.args
+    # the Appendix-D curves end at 2, the run's supply
+    appendix_d = json.loads((FIXTURES / "appendix-d.json").read_text())
+    appendix_d["environment"]["supply"] = "3"
+    with pytest.raises(ParseError) as err:
+        parse_instance_data(appendix_d)
+    assert (err.value.code, err.value.field) == ("bad-value", "instance.curves")
 
 
 def _vod_cut(edges, bidder_nodes, source="s"):
@@ -223,3 +233,56 @@ def test_generated_instances_build_valid_oracles(kind):
     for seed in range(3):
         inst = generate_instance(kind, 3, 2, seed=seed)
         assert verify_submodular(inst.build_oracle()).ok
+
+
+# What a mutation writes in place of a value: every JSON type, and strings
+# that are rationals, malformed rationals or keywords of the schema.
+MUTANT_VALUES = (None, True, False, 0, 1, -1, 2, 0.5, "0", "1", "2", "3", "-1", "1/2", "1/0",
+                 "1.5", "inf", "auto", "x", [], [0], [0, 1], ["1"], [["1", "1"]], {},
+                 {"kind": "multi-unit"})
+
+
+def _paths(node, path=()):
+    """The path to every value in a JSON document, the root's first."""
+    yield path
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutant(doc, rng: random.Random):
+    """A copy of ``doc`` with one value replaced from MUTANT_VALUES, or one
+    key or list entry deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_paths(doc))[1:])
+    parent = reduce(lambda node, key: node[key], path[:-1], doc)
+    if rng.random() < 0.25:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(MUTANT_VALUES)
+    return doc
+
+
+def test_a_file_that_parses_runs():
+    # The parser decides every domain rule by the function the run calls,
+    # so a file that parses also runs: it may only stop at the step cap or
+    # at the enumeration cap.
+    docs = [json.loads(path.read_text()) for path in FIXTURE_FILES]
+    docs += [serialize_instance(generate_instance(kind, 4)) for kind in POLYMATROID_KINDS]
+    rng = random.Random(1)
+    for _ in range(2000):
+        data = _mutant(rng.choice(docs), rng)
+        try:
+            inst = parse_instance_data(data)
+        except ParseError:
+            continue
+        inst.config = replace(inst.config, max_steps=min(inst.config.max_steps, 500))
+        try:
+            _verify(inst)
+        except DivergenceError:
+            pass
+        except SizeError as exc:
+            assert exc.cap is not None, (data, exc)
+        except Exception as exc:
+            pytest.fail(f"{json.dumps(data)} parses, but verifying it raises {exc!r}")

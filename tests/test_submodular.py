@@ -35,6 +35,7 @@ from polyclinch.submodular import (
     ReducedRank,
     _local_test,
     _mask_sums,
+    as_fraction,
     clinch_kernel,
     residual_totals,
     set_of,
@@ -138,6 +139,21 @@ def test_size_error_names_its_cap_and_how_to_raise_it(monkeypatch):
     assert "CLINCH_BRUTE_FORCE_CAP" in str(err.value) and "5" in str(err.value)
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "5")
     assert membership(oracle, [0] * 5).ok
+    # a value that is not a positive integer is refused, not read as a cap
+    for raw, message in (("many", "must be an integer, got 'many'"),
+                         ("0", "must be positive, got 0")):
+        monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", raw)
+        with pytest.raises(DomainError, match=f"CLINCH_BRUTE_FORCE_CAP {message}"):
+            membership(table_only(multi_unit_oracle(1, 5)), [0] * 5)
+
+
+def test_as_fraction_is_exact():
+    # a float or a bool is no exact rational; strings parse exactly
+    assert as_fraction("3/4") == F(3, 4) and as_fraction(-2) == -2
+    for raw, message in ((0.5, "exact rational, got float"), (True, "rational, got True"),
+                         ("3/0", "malformed rational '3/0'"), ("x", "malformed rational 'x'")):
+        with pytest.raises(DomainError, match=message):
+            as_fraction(raw)
 
 
 def _pairwise_verify_submodular(oracle) -> OracleCheck:

@@ -275,6 +275,8 @@ def test_efficient_vertex_admits_no_direction():
     bidders = [bidder(F(1, 10), 1), bidder(F(3, 10), 1)]
     out = outcome_of([0, 3], [0, F(1, 4)])
     assert check_dominated_direction(ROWS, RHS, bidders, out) is None
+    # past X no point of X reaches v.x, so there is no direction to search
+    assert check_dominated_direction(ROWS, RHS, bidders, outcome_of([3, 3], [0, 0])) is None
 
 
 def test_interior_outcome_is_dominated():
@@ -283,6 +285,9 @@ def test_interior_outcome_is_dominated():
     direction = check_dominated_direction(ROWS, RHS, bidders, out)
     assert direction is not None
     assert replay_dominated_direction(ROWS, RHS, bidders, out, direction)
+    # the replay refuses a direction that lowers v.x, leaves X or leaves y >= 0
+    for wrong in ((-1, 0), (3, 3), (-2, 2)):
+        assert not replay_dominated_direction(ROWS, RHS, bidders, out, wrong)
 
 
 def test_exhausted_bidder_blocks_positive_component():
@@ -292,6 +297,8 @@ def test_exhausted_bidder_blocks_positive_component():
     if direction is not None:
         assert direction[1] <= 0
         assert replay_dominated_direction(ROWS, RHS, bidders, out, direction)
+    # (-1, 1) raises v.x but gives the exhausted bidder 1 more
+    assert not replay_dominated_direction(ROWS, RHS, bidders, out, (-1, 1))
 
 
 def test_wrong_corner_under_tied_values_is_dominated():
@@ -405,6 +412,9 @@ def appendix_d_fuzz_report():
 def test_curve_grid_contains_the_known_witness():
     grid = curve_deviation_grid(ConcaveCurve.from_slopes([(1, 4), (1, 1)]))
     assert any(c.breakpoints == ((1, 4), (2, 6)) for c in grid)
+    # slopes (4, 3): halving the first or doubling the second breaks concavity
+    grid = curve_deviation_grid(ConcaveCurve.from_slopes([(1, 4), (1, 3)]))
+    assert [c.breakpoints for c in grid] == [((1, 8), (2, 11)), ((1, 4), (2, F(11, 2)))]
 
 
 def test_fuzz_finds_appendix_d_deviation():
@@ -678,6 +688,12 @@ def test_validate_trace_refuses_malformed_snapshots(monkeypatch, cap):
     with pytest.raises(DomainError, match=rf"^trace step {k}: demands must be >= 0, "
                                           rf"got demands\[0\] = -{snap.demands[0]}$"):
         validate_trace(oracle, snaps)
+    # a negative promise is no malformed snapshot but a failed feasibility monitor
+    snaps[k] = replace(snap, promised=(F(-1),) + snap.promised[1:])
+    report = validate_trace(oracle, snaps)
+    assert [p.name for p in report.failures()] == ["feasibility"]
+    assert report.result("feasibility").witness == {
+        "step": k, "violating_set": [], "detail": "negative promised allocation"}
 
 
 def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
