@@ -63,8 +63,8 @@ def _run_instance(inst: InstanceFile, trace: bool):
         return run_decreasing_marginals(inst.curves, [b.budget for b in inst.bidders],
                                         inst.environment.payload["supply"], cfg)
     if inst.quality is not None:
-        return run_scaled(inst.build_oracle(), inst.quality, inst.bidders, cfg)
-    return run_clinching(inst.build_oracle(), inst.bidders, cfg)
+        return run_scaled(inst.oracle, inst.quality, inst.bidders, cfg)
+    return run_clinching(inst.oracle, inst.bidders, cfg)
 
 
 def _verify(inst: InstanceFile):
@@ -77,7 +77,7 @@ def _verify(inst: InstanceFile):
         report.add("pareto-optimal", direction is None,
                    None if direction is None else {"direction": [str(t) for t in direction]})
         return outcome, report
-    oracle = inst.build_oracle()
+    oracle = inst.oracle
     if inst.curves is not None:
         outcome = _run_instance(inst, True)
         return outcome, validate_trace(oracle, outcome.trace)
@@ -103,7 +103,7 @@ def execute(command: str, inst: InstanceFile | None, args) -> dict:
     elif command == "verify":
         outcome, ver = _verify(inst)
     elif command == "check-submodular":
-        check, ver = verify_submodular(inst.build_oracle()), VerificationReport()
+        check, ver = verify_submodular(inst.oracle), VerificationReport()
         ver.add("submodular-oracle", check.ok, None if check.ok else {
             "violation": check.violation, "sets": [sorted(w) for w in check.witness]},
             check.detail)

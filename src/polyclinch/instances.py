@@ -23,8 +23,9 @@ constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
 factors, polymatroid kinds without curves) and ``curves`` (piecewise-linear
 breakpoints, multi-unit only) are optional top-level fields.
 
-The parser checks the JSON shape and names each field; each domain rule is
-the library's own, run through :func:`_checked`, so a file that parses runs.
+The parser checks the JSON shape and names each field; each domain rule,
+bidder signs and counts among them, is the library's own, run through
+:func:`_checked`, so a file that parses runs on the oracle it was checked with.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
 from .auction import (AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_packing_2d,
-                      _curve_supply, _scaled_bidders)
+                      _check_bidder_count, _curve_supply, _scaled_bidders)
 from .environments import (
     AdWordsInstance,
     CapacitatedNetwork,
@@ -112,7 +113,7 @@ class EnvironmentSpec:
 
 @dataclass
 class InstanceFile:
-    """Parsed and validated instance, ready to build and run."""
+    """Parsed and validated instance, ready to run on the oracle it was checked with."""
 
     environment: EnvironmentSpec
     bidders: List[Bidder]
@@ -120,13 +121,21 @@ class InstanceFile:
     quality: Optional[tuple] = None
     curves: Optional[List[ConcaveCurve]] = None
     schema: int = SCHEMA_VERSION
+    _oracle: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.bidders)
 
+    @property
+    def oracle(self):
+        """The environment's oracle, built by :meth:`build_oracle` on first use and kept."""
+        if self._oracle is None:
+            self._oracle = self.build_oracle()
+        return self._oracle
+
     def build_oracle(self):
-        """Oracle for polymatroid kinds; ParseError for the H-polytope kind."""
+        """A new oracle for polymatroid kinds; ParseError for the H-polytope kind."""
         kind, payload = self.environment.kind, self.environment.payload
         if kind == "multi-unit":
             return multi_unit_oracle(payload["supply"], self.n)
@@ -181,11 +190,7 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
             value = Fraction(1)          # unused: curve runs ignore linear values
         else:
             raise ParseError("missing-field", f"{loc}.value", f"missing field {loc}.value")
-        if value <= 0:
-            raise ParseError("bad-value", f"{loc}.value", f"{loc}: values must be > 0")
-        if budget is not None and budget < 0:
-            raise ParseError("bad-value", f"{loc}.budget", f"{loc}: budgets must be >= 0")
-        bidders.append(Bidder(value, budget))
+        bidders.append(_checked("bad-value", loc, Bidder, value, budget))
     n = len(bidders)
 
     payload = _parse_environment(kind, env_raw, n, f"{where}.environment")
@@ -224,8 +229,11 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         _checked("bad-value", f"{where}.curves", _curve_supply, curves, payload["supply"])
 
     inst = InstanceFile(EnvironmentSpec(kind, payload), bidders, config, quality, curves)
-    _checked("bad-environment", f"{where}.environment",
-             inst.polytope_rows if kind == "h-polytope-2d" else inst.build_oracle)
+    if kind == "h-polytope-2d":
+        _checked("bad-environment", f"{where}.environment", inst.polytope_rows)
+    else:
+        oracle = _checked("bad-environment", f"{where}.environment", lambda: inst.oracle)
+        _checked("bad-value", f"{where}.bidders", _check_bidder_count, oracle.n, bidders)
     return inst
 
 
@@ -238,9 +246,6 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
         return {"supply": parse_rational(_require(env_raw, "supply", where), f"{where}.supply")}
     if kind == "single-keyword":
         ctrs = _list_of(_require(env_raw, "ctrs", where), f"{where}.ctrs")
-        if len(ctrs) != n:
-            raise ParseError("bad-value", f"{where}.ctrs",
-                             f"expected {n} CTR entries (one slot per bidder), got {len(ctrs)}")
         return {"ctrs": [parse_rational(c, f"{where}.ctrs[{j}]") for j, c in enumerate(ctrs)]}
     if kind == "adwords":
         interests = _list_of(_require(env_raw, "interests", where), f"{where}.interests")
@@ -257,9 +262,6 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
                          for k, alpha in enumerate(ctrs)]}
     if kind == "graphic":
         edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
-        if len(edges) != n:
-            raise ParseError("bad-value", f"{where}.edges",
-                             f"expected one edge per bidder ({n}), got {len(edges)}")
         for j, edge in enumerate(edges):
             loc = f"{where}.edges[{j}]"
             if any(type(v) is not int for v in _list_of(edge, loc, 2)):
@@ -269,9 +271,6 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
         edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
         source = _require(env_raw, "source", where)
         nodes = _list_of(_require(env_raw, "bidder_nodes", where), f"{where}.bidder_nodes")
-        if len(nodes) != n:
-            raise ParseError("bad-value", f"{where}.bidder_nodes",
-                             f"expected {n} bidder nodes, got {len(nodes)}")
         edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
         labels = [(source, f"{where}.source")]
         labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]

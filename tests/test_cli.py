@@ -1,14 +1,16 @@
 """CLI dispatch, exit codes, and golden-outcome regressions."""
 
+import contextlib
 import json
 import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from polyclinch import cli
+from polyclinch import cli, instances
 from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PROPERTY_FAIL, main
 from polyclinch.instances import POLYMATROID_KINDS, generate_instance, write_instance
 
@@ -70,9 +72,12 @@ def test_verify_passes_on_every_fixture(capsys, stem):
     code, out, _ = run_cli(capsys, "verify", "-i", str(FIXTURES / f"{stem}.json"),
                            "--format", "json")
     assert code == EXIT_OK
-    properties = json.loads(out)["properties"]
+    report = json.loads(out)
+    properties = report["properties"]
     assert [p["name"] for p in properties] == VERIFY_PROPERTIES[stem]
     assert all(p["passed"] for p in properties)
+    # verify reaches its outcome by its own path (monitors, base market)
+    assert report["outcome"] == json.loads((GOLDEN / f"{stem}.outcome.json").read_text())
 
 
 def test_verify_checks_a_quality_market_as_its_base_market(tmp_path, capsys):
@@ -339,6 +344,26 @@ def test_check_submodular_fixture(capsys):
                            str(FIXTURES / "vod-cut.json"))
     assert code == EXIT_OK
     assert "[PASS] submodular-oracle" in out
+
+
+def test_check_submodular_refuses_the_generic_polytope(capsys):
+    code, out, err = run_cli(capsys, "check-submodular", "-i",
+                             str(FIXTURES / "impossibility.json"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "input error [unknown-kind]" in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "check-submodular"])
+@pytest.mark.parametrize("stem", ["single-keyword", "vod-cut", "appendix-d"])
+def test_each_command_builds_the_oracle_once(capsys, command, stem):
+    # the oracle the parser checked is the one the command runs
+    builders = ("single_keyword_oracle", "vod_cut_oracle", "multi_unit_oracle")
+    with contextlib.ExitStack() as stack:
+        counters = [stack.enter_context(mock.patch.object(
+            instances, name, wraps=getattr(instances, name))) for name in builders]
+        code, _, _ = run_cli(capsys, command, "-i", str(FIXTURES / f"{stem}.json"))
+    assert code == EXIT_OK
+    assert sum(c.call_count for c in counters) == 1
 
 
 def test_check_submodular_past_the_cap_on_rank_lists(tmp_path, capsys, monkeypatch):

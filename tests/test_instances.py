@@ -50,6 +50,12 @@ def test_parse_serialize_parse_is_identity(path):
     assert second.environment.kind == first.environment.kind
     assert second.curves == first.curves
     assert second.quality == first.quality
+    assert second == first                      # the kept oracle is not compared
+    if first.environment.kind != "h-polytope-2d":
+        # the oracle the parser checked is kept; build_oracle builds anew
+        assert first.oracle is first.oracle
+        assert first.build_oracle() is not first.oracle
+        assert replace(first).oracle is not first.oracle
 
 
 def test_zero_denominator_budget_rejected():
@@ -143,8 +149,6 @@ def test_malformed_structures_raise_parse_errors():
                  minimal(environment={"kind": "single-keyword", "ctrs": 5}),
                  minimal(environment={"kind": "adwords", "interests": [[0, 1]], "ctrs": 5}),
                  minimal(bidders=[{"budget": "2"}, {"value": "1", "budget": "inf"}]),
-                 minimal(bidders=[{"value": "0", "budget": "2"}, {"value": "1", "budget": "1"}]),
-                 minimal(bidders=[{"value": "3", "budget": "-1"}, {"value": "1", "budget": "1"}]),
                  minimal(quality=5),
                  minimal(quality=["1"]),
                  minimal(quality=["1", "0"]),
@@ -162,12 +166,27 @@ def test_malformed_structures_raise_parse_errors():
         with pytest.raises(ParseError) as err:
             case()
         assert err.value.code and err.value.field, case.args
-    # the Appendix-D curves end at 2, the run's supply
+    # rules the library decides, named at the parser's field in the library's words
     appendix_d = json.loads((FIXTURES / "appendix-d.json").read_text())
-    appendix_d["environment"]["supply"] = "3"
-    with pytest.raises(ParseError) as err:
-        parse_instance_data(appendix_d)
-    assert (err.value.code, err.value.field) == ("bad-value", "instance.curves")
+    appendix_d["environment"]["supply"] = "3"       # the curves end at 2
+    extra_node = {"kind": "vod-cut", "source": "s", "bidder_nodes": ["a", "b", "c"],
+                  "edges": [["s", "a", "2"], ["s", "b", "3"], ["s", "c", "1"]]}
+    library_rules = [
+        (appendix_d, "instance.curves", "curve 0 is defined on [0, 2], expected [0, 3]: "
+                                        "its last breakpoint must be at the supply"),
+        (minimal(environment={"kind": "single-keyword", "ctrs": ["3", "2", "1"]}),
+         "instance.bidders", "expected 3 bidders, got 2"),
+        (minimal(environment={"kind": "graphic", "edges": [[0, 1], [1, 2], [0, 2]]}),
+         "instance.bidders", "expected 3 bidders, got 2"),
+        (minimal(environment=extra_node), "instance.bidders", "expected 3 bidders, got 2"),
+        (minimal(bidders=[{"value": "3", "budget": "2"}, {"value": "0", "budget": "1"}]),
+         "instance.bidders[1]", "bidder values must be > 0, got 0"),
+        (minimal(bidders=[{"value": "3", "budget": "-1"}, {"value": "1", "budget": "1"}]),
+         "instance.bidders[0]", "budgets must be >= 0, got -1")]
+    for data, field, message in library_rules:
+        with pytest.raises(ParseError) as err:
+            parse_instance_data(data)
+        assert (err.value.code, err.value.field, str(err.value)) == ("bad-value", field, message)
 
 
 def _vod_cut(edges, bidder_nodes, source="s"):
