@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .environments import _rank_sum_oracle, multi_unit_oracle
+from .environments import multi_unit_oracle
 from .errors import DivergenceError, DomainError, PreconditionError, SizeError
 from .submodular import (
     Rational,
@@ -51,7 +51,6 @@ from .submodular import (
     _clinch_nums,
     _demand_vector,
     _over_common_denominator,
-    _rank_list,
     as_fraction,
     clinch_kernel,
     vector,
@@ -214,7 +213,7 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     :class:`PreconditionError` is raised.
     """
     n = len(rho)
-    oracle = _rank_sum_oracle(n, [(range(n), _rank_list(ctrs, "rank list"))], "cardinality")
+    oracle = SubmodularOracle(n, None, True, "cardinality", ctrs=ctrs)
     prom, dem = vector(rho, n), _demand_vector(d, n)
     _check_promises(oracle, prom)
     return clinch_kernel(oracle, prom, dem)[0]

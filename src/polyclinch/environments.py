@@ -10,22 +10,23 @@ for the function defining the feasible-allocation polytope:
 * ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
   a max-flow on integers over the capacities' least common denominator.
 
-Each is defined by one :class:`~polyclinch.submodular.LatticeStep` alone,
-which gives both its value table and any value read before the table exists:
-a count per rank list for the first three (:func:`_rank_sum_oracle`),
-component labels for graphic, a maximum flow to augment for vod-cut.  The
-rank-sum and vod-cut tables are built depth-first, which keeps at most
-n + 1 states alive: their states hold lists (the counts, the residual
-arrays), and a level would hold 2^(n-1) of them.  Graphic's state is one
-string of labels, so its step (:class:`_ComponentLabels`) builds the table
-level by level, one pass per edge over the masks below it, with no call
-per mask.  The
-multi-unit, single-keyword and vod-cut oracles also carry a
+The multi-unit and single-keyword oracles are cardinality oracles, defined
+by their rank list alone (``ctrs``), which gives their values and their
 :class:`~polyclinch.submodular.ReducedRank`, R(c) = min over T of f(T) +
-c([n] \\ T): one sort of c for the first two, whose rank list becomes it,
-and one maximum flow with bidder i's sink arc at c_i for vod-cut, from
-which R with one sink arc closed re-augments.  So their auctions clinch
-without the 2^n table and run past the enumeration cap.  Every vod-cut
+c([n] \\ T), by one sort of c.  Each other oracle is defined by one
+:class:`~polyclinch.submodular.LatticeStep`, which gives both its value
+table and any value read before the table exists: a count per keyword for
+AdWords (:func:`_rank_sum_oracle`), component labels for graphic, a
+maximum flow to augment for vod-cut.  The AdWords and vod-cut tables are
+built depth-first, which keeps at most n + 1 states alive: their states
+hold lists (the counts, the residual arrays), and a level would hold
+2^(n-1) of them.  Graphic's state is one string of labels, so its step
+(:class:`_ComponentLabels`) builds the table level by level, one pass per
+edge over the masks below it, with no call per mask.  Vod-cut also
+carries a reduced rank, one maximum flow with bidder i's sink arc at c_i,
+from which R with one sink arc closed re-augments.  So multi-unit,
+single-keyword and vod-cut auctions clinch without the 2^n table and run
+past the enumeration cap.  Every vod-cut
 question -- a table value, R, R with one arc closed, the smallest
 minimizer -- goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``,
 with an optional limit.
@@ -66,9 +67,10 @@ def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOr
     the lists' least common denominator, and the count |S & members| of
     each group: S + i adds to f the entry of alpha at the old count of each
     group that holds i.  When one group holds every bidder, f is a
-    cardinality oracle, built with alpha as ``ctrs``, which the oracle turns
-    into its reduced rank.
+    cardinality oracle, built from alpha as ``ctrs`` alone, with no step.
     """
+    if len(groups) == 1 and len(groups[0][0]) == n:
+        return SubmodularOracle(n, None, True, name, ctrs=groups[0][1])
     den = _over_common_denominator([a for _, alpha in groups for a in alpha])[0]
     lists = [[int(a * den) for a in alpha] + [0] * (len(members) - len(alpha))
              for members, alpha in groups]
@@ -82,9 +84,8 @@ def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOr
             counts[g] += 1
         return num, (num, counts)
 
-    ctrs = groups[0][1] if len(groups) == 1 and len(groups[0][0]) == n else None
     rank_sum = LatticeStep(den, (0, [0] * len(groups)), step)
-    return SubmodularOracle(n, rank_sum.value, True, name, ctrs=ctrs, step=rank_sum)
+    return SubmodularOracle(n, rank_sum.value, True, name, step=rank_sum)
 
 
 def multi_unit_oracle(total: Rational, n: int) -> SubmodularOracle:

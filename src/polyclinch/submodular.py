@@ -290,6 +290,14 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     return ReducedRank(den, solve)
 
 
+def _cardinality_value(ctrs: tuple, n: int) -> Callable[[int], Fraction]:
+    """f(mask) = A_|mask| for a checked rank list ``ctrs``, whose entries
+    past its end count as 0: its prefix sums, read by one lookup."""
+    sums = list(itertools.accumulate(ctrs[:n], initial=ZERO))
+    sums += sums[-1:] * (n + 1 - len(sums))
+    return lambda mask: sums[mask.bit_count()]
+
+
 @functools.cache
 def _bit_slices(size: int, i: int) -> tuple:
     """``(at, without, with_)`` slices that split a list indexed by mask, of
@@ -388,14 +396,16 @@ class SubmodularOracle:
     f(empty) = 0 by definition, so ``fn_mask`` is never asked for mask 0;
     it evaluates one nonempty mask from scratch.  An oracle may also supply
     a :class:`LatticeStep`, with which :meth:`integer_table` extends each
-    mask from its parent instead; the built-in oracles pass its
-    :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
+    mask from its parent instead; the built-in oracles that have one pass
+    its :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
     table exists runs the same code.  An oracle whose reduced rank has a
     fast solver may supply it as a :class:`ReducedRank`; a cardinality
     oracle, f(S) = A_|S| with A_t the sum of the first t entries of a
     nonincreasing list >= 0, gives the list as ``ctrs`` instead, and the
     constructor checks it (:func:`_rank_list`), keeps the checked tuple and
-    turns it into its :func:`_cardinality_rank`.  :meth:`rank`
+    turns it into its :func:`_cardinality_rank` and its values
+    (:func:`_cardinality_value`), so the list is its one definition and
+    ``fn_mask`` (which may be None) is never called.  :meth:`rank`
     returns that solver, or else the table solver, and the kernel and the
     verifiers decide through it alone.  ``monotone`` is
     a claim by the constructor, checkable with :func:`verify_submodular`.
@@ -403,7 +413,7 @@ class SubmodularOracle:
     across threads.
     """
 
-    def __init__(self, n: int, fn_mask: Callable[[int], Fraction],
+    def __init__(self, n: int, fn_mask: Optional[Callable[[int], Fraction]],
                  monotone: bool, name: str, ctrs: Optional[tuple] = None,
                  step: Optional[LatticeStep] = None,
                  reduced_rank: Optional[ReducedRank] = None):
@@ -414,6 +424,7 @@ class SubmodularOracle:
                 raise DomainError("give an oracle ctrs or a reduced_rank, not both")
             ctrs = _rank_list(ctrs, "rank list")
             reduced_rank = _cardinality_rank(ctrs)
+            fn_mask = _cardinality_value(ctrs, n)
         self.n = n
         self.monotone = monotone
         self.name = name

@@ -589,11 +589,13 @@ def _threshold_root() -> float:
 def demo_impossibility() -> VerificationReport:
     """Pareto failure of generic 2-bidder clinching on a non-polymatroid.
 
-    Fixed polytope {2x0 + x1 <= 6, x0 + 2x1 <= 6}, budgets (1, 1).  The sweep
-    covers the large-value-gap profiles singled out by the impossibility
-    argument (v0 between the exhaustion threshold ~0.619 and 2/3, v1 large)
-    plus close-value profiles.  Wherever the dominated-direction search finds
-    a witness, the witness is replayed for soundness.
+    Fixed polytope {2x0 + x1 <= 6, x0 + 2x1 <= 6}, budgets (1, 1), epsilon
+    1/20.  The untraced sweep covers the large-value-gap profiles singled
+    out by the impossibility argument (v0 between the exhaustion threshold
+    ~0.619 and 2/3, v1 large) and the grid v0, v1 in {1/10, .., 6/10} of
+    close and tied values.  ``pareto-failure-detected`` maps the profiles
+    whose dominated-direction witness replays for soundness, and
+    ``attachments.outcomes`` holds every profile's outcome.
 
     The impossibility argument concerns a hypothetical mechanism that is
     Pareto optimal whenever budgets do not bind; the round-robin clinching
@@ -607,15 +609,14 @@ def demo_impossibility() -> VerificationReport:
       falls short of the efficient (2, 2), and a dominated direction is
       found and replayed.
     """
-    cfg = AuctionConfig(epsilon=Fraction(1, 20), trace=True)
+    cfg = AuctionConfig(epsilon=Fraction(1, 20))
     rows, rhs = IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS
     report = VerificationReport()
 
+    grid = [Fraction(k, 10) for k in range(1, 7)]
     sweep = [(Fraction(13, 20), Fraction(10)),
              (Fraction(5, 8), Fraction(10)),
-             (Fraction(16, 25), Fraction(8)),
-             (Fraction(3, 10), Fraction(1, 2)),
-             (Fraction(1, 2), Fraction(1, 2))]
+             (Fraction(16, 25), Fraction(8))] + [(v0, v1) for v0 in grid for v1 in grid]
     found = {}
     outcomes = {}
     runs = {}
@@ -626,7 +627,7 @@ def demo_impossibility() -> VerificationReport:
         direction = check_dominated_direction(rows, rhs, bidders, outcome)
         key = f"v=({v0},{v1})"
         outcomes[key] = outcome.to_json(with_trace=False)
-        runs[key] = (outcome, direction)
+        runs[key] = (bidders, outcome, direction)
         if direction is not None and replay_dominated_direction(
                 rows, rhs, bidders, outcome, direction):
             found[key] = {"direction": [str(t) for t in direction]}
@@ -635,7 +636,7 @@ def demo_impossibility() -> VerificationReport:
                f"{len(found)} of {len(sweep)} profiles admit a replayed "
                "dominated direction")
 
-    pinned_out, pinned_dir = runs["v=(13/20,10)"]
+    _, pinned_out, pinned_dir = runs["v=(13/20,10)"]
     pinned_x = pinned_out.allocation
     facet = pinned_x[0] + 2 * pinned_x[1]
     report.add("pinned-profile-on-frontier",
@@ -647,10 +648,7 @@ def demo_impossibility() -> VerificationReport:
                "outcome sits on the facet x0 + 2x1 = 6, so no dominated "
                "direction exists")
 
-    small = [Bidder(Fraction(1, 10), IMPOSSIBILITY_BUDGETS[0]),
-             Bidder(Fraction(1, 10), IMPOSSIBILITY_BUDGETS[1])]
-    small_out = run_generic_2player(rows, rhs, small, cfg)
-    outcomes["v=(1/10,1/10)"] = small_out.to_json(with_trace=False)
+    small, small_out, small_dir = runs["v=(1/10,1/10)"]
     efficient = _efficient_value(rows, rhs, [b.value for b in small])
     welfare = sum(b.value * x for b, x in zip(small, small_out.allocation))
     report.add("small-values-no-exhaustion", not small_out.exhausted,
@@ -661,10 +659,7 @@ def demo_impossibility() -> VerificationReport:
                "tied values make (2,2) the unique welfare maximizer, but the "
                "round-robin clock retires one bidder first and the rival "
                "sweeps a corner")
-    small_dir = check_dominated_direction(rows, rhs, small, small_out)
-    report.add("small-values-direction-replayed",
-               small_dir is not None and replay_dominated_direction(
-                   rows, rhs, small, small_out, small_dir),
+    report.add("small-values-direction-replayed", "v=(1/10,1/10)" in found,
                None if small_dir is None else {"direction": [str(t) for t in small_dir]},
                "no budget binds, yet the corner outcome admits a dominated "
                "direction: the Pareto failure the impossibility predicts")

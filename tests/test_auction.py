@@ -634,6 +634,12 @@ def test_generic_clinch_rejects_infeasible_rho():
 def test_generic_clinch_dimension_guard():
     with pytest.raises(SizeError):
         clinch_generic_2player(((1, 1, 1),), (3,), [0, 0, 0], [1, 1, 1])
+    three = [bidder(1, 1)] * 3
+    with pytest.raises(SizeError):
+        run_generic_2player(ROWS, RHS, three, AuctionConfig(epsilon=F(1, 20)))
+    out = run_generic_2player(ROWS, RHS, three[:2], AuctionConfig(epsilon=F(1, 20)))
+    with pytest.raises(SizeError):
+        check_dominated_direction(ROWS, RHS, three, out)
 
 
 def test_generic_run_sole_high_value_takes_corner():

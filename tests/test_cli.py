@@ -214,6 +214,11 @@ def test_malformed_rational_exits_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "-i", str(bad))
     assert code == EXIT_INPUT
     assert "malformed-rational" in err
+    # a truncated file is not JSON at all
+    bad.write_text((FIXTURES / "multi-unit.json").read_text()[:100])
+    code, out, err = run_cli(capsys, "run", "-i", str(bad))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"input error [bad-json] at {bad}: invalid JSON" in err
 
 
 def test_unknown_kind_exits_input_error(tmp_path, capsys):
@@ -339,11 +344,16 @@ def test_verify_runs_past_the_cap_on_reduced_ranks(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, "verify", "-i", str(dest))[1] == out
 
 
-def test_check_submodular_fixture(capsys):
+def test_check_submodular_fixture(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check-submodular", "-i",
                            str(FIXTURES / "vod-cut.json"))
     assert code == EXIT_OK
     assert "[PASS] submodular-oracle" in out
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "abc")
+    code, out, err = run_cli(capsys, "check-submodular", "-i",
+                             str(FIXTURES / "vod-cut.json"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: CLINCH_BRUTE_FORCE_CAP must be an integer, got 'abc'\n"
 
 
 def test_check_submodular_refuses_the_generic_polytope(capsys):

@@ -74,6 +74,7 @@ def test_single_keyword_rejects_increasing_ctrs():
 def test_cardinality_oracles_carry_their_rank_list():
     assert multi_unit_oracle(5, 3).ctrs == (5,)
     assert single_keyword_oracle([3, 2, 0]).ctrs == (3, 2, 0)
+    assert multi_unit_oracle(5, 3)._step is single_keyword_oracle([3, 2, 0])._step is None
     oracle = multi_unit_oracle(F(7, 2), 40)     # no 2^40 table behind it
     assert oracle.value(range(40)) == oracle.value({39}) == F(7, 2)
 

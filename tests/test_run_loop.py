@@ -102,7 +102,7 @@ def test_decreasing_marginals_match_reference_loop():
 
 
 def test_impossibility_sweep_matches_reference_loop():
-    # the grid of scripts/sweep_impossibility.py and large-gap profiles
+    # the grid of the impossibility demo and large-gap profiles
     values = [F(k, 10) for k in range(1, 7)] + [F(1), F(2)]
     skipped = 0
     for v0 in values:

@@ -405,6 +405,9 @@ def test_cardinality_oracles_keep_the_checked_rank_list():
     assert oracle.ctrs == (3, 2)
     assert verify_submodular(oracle).ok
     assert oracle.rank().solve(1, [5, 5]).total == 5
+    # the list is the oracle's one definition: its values too, not fn_mask's 0
+    oracle = SubmodularOracle(2, lambda m: F(0), True, "x", ctrs=(3, 2))
+    assert (oracle.value({0}), oracle.value({0, 1})) == (3, 5)
 
 
 # ---------------------------------------------------------------------------

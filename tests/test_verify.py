@@ -757,3 +757,32 @@ def test_demo_impossibility_detects_failure_and_is_deterministic():
     b = json.dumps(demo_impossibility().to_json(), sort_keys=True)
     assert a == b
     assert "1.2381" in " ".join(report.narrative)
+
+
+def test_demo_impossibility_maps_the_grid_as_direct_runs_do(monkeypatch):
+    # a grid profile is mapped exactly when a direct run at epsilon 1/20 has
+    # a dominated direction that replays; the demo's runs are untraced
+    rows, rhs = verify.IMPOSSIBILITY_ROWS, verify.IMPOSSIBILITY_RHS
+    grid = [(F(v0, 10), F(v1, 10)) for v0 in range(1, 7) for v1 in range(1, 7)]
+    expected = set()
+    for v0, v1 in grid:
+        bidders = [Bidder(v0, verify.IMPOSSIBILITY_BUDGETS[0]),
+                   Bidder(v1, verify.IMPOSSIBILITY_BUDGETS[1])]
+        out = run_generic_2player(rows, rhs, bidders, AuctionConfig(epsilon=F(1, 20)))
+        direction = check_dominated_direction(rows, rhs, bidders, out)
+        if direction is not None and replay_dominated_direction(
+                rows, rhs, bidders, out, direction):
+            expected.add(f"v=({v0},{v1})")
+    traced = []
+    run = verify.run_generic_2player
+    monkeypatch.setattr(verify, "run_generic_2player", lambda rows, rhs, bidders, cfg:
+                        traced.append(cfg.trace) or run(rows, rhs, bidders, cfg))
+    report = demo_impossibility()
+    mapped = report.result("pareto-failure-detected")
+    profiles = set(mapped.witness["profiles"])
+    assert len(expected) == 18
+    assert profiles & {f"v=({v0},{v1})" for v0, v1 in grid} == expected
+    assert {"v=(1/2,1/2)", "v=(3/10,1/2)", "v=(1/10,1/10)"} <= profiles
+    assert mapped.detail == "18 of 39 profiles admit a replayed dominated direction"
+    assert len(report.attachments["outcomes"]) == 39
+    assert traced == [False] * 39
