@@ -125,6 +125,11 @@ def test_divergence_guard_raises():
 def test_rejects_wrong_bidder_count():
     with pytest.raises(DomainError):
         run_clinching(multi_unit_oracle(1, 2), [bidder(1, 1)])
+    # nor does a run start on a clock it cannot set
+    with pytest.raises(DomainError, match="^epsilon must be a rational or 'auto', got 'fast'$"):
+        AuctionConfig(epsilon="fast")
+    with pytest.raises(DomainError, match="^auto epsilon needs positive threshold values$"):
+        AuctionConfig().resolve_epsilon([])
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +527,8 @@ def test_curve_validation():
     curve = ConcaveCurve.from_slopes([(1, 4), (1, 1)])
     assert curve.breakpoints == ((1, 4), (2, 5))
     assert curve.value_at(F(3, 2)) == F(9, 2)
+    with pytest.raises(DomainError, match=r"^quantity 5/2 outside \[0, 2\]$"):
+        curve.value_at(F(5, 2))
 
 
 def test_curve_demand_quantity_rule():
@@ -605,6 +612,8 @@ def test_curve_supply_mismatch_rejected():
         run_decreasing_marginals([ConcaveCurve.from_slopes([(1, 2)])], [None], 2)
     with pytest.raises(DomainError, match="expected 1 budgets, got 2"):
         run_decreasing_marginals([ConcaveCurve.from_slopes([(2, 2)])], [None, 1], 2)
+    with pytest.raises(DomainError, match="^supply must be > 0, got 0$"):
+        run_decreasing_marginals([ConcaveCurve.from_slopes([(2, 2)])], [None], 0)
 
 
 # ---------------------------------------------------------------------------

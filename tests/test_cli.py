@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from polyclinch import cli, instances
+from polyclinch import ClinchError, cli, instances
 from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PROPERTY_FAIL, main
 from polyclinch.instances import POLYMATROID_KINDS, generate_instance, write_instance
 
@@ -329,6 +329,10 @@ def test_verify_refuses_past_the_cap_before_running(tmp_path, capsys, monkeypatc
     assert "exceeds the cap of 16" in err and "CLINCH_BRUTE_FORCE_CAP" in err
     assert ("Single-keyword, multi-unit and vod-cut oracles need no value table "
             "and run past the cap") in err
+    # a fault of the library exits 3 as well, named apart from a size refusal
+    with mock.patch.object(cli, "execute", side_effect=ClinchError("books do not balance")):
+        code, out, err = run_cli(capsys, "verify", "-i", str(dest))
+    assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: books do not balance\n")
 
 
 @pytest.mark.parametrize("kind", ["single-keyword", "multi-unit", "vod-cut"])

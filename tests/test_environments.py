@@ -69,6 +69,8 @@ def test_single_keyword_values():
 def test_single_keyword_rejects_increasing_ctrs():
     with pytest.raises(DomainError):
         single_keyword_oracle([1, 2])
+    with pytest.raises(DomainError, match="^at least one position is required$"):
+        single_keyword_oracle([])
 
 
 def test_cardinality_oracles_carry_their_rank_list():
@@ -132,6 +134,8 @@ def test_adwords_ctr_lists_padded_and_truncated():
     inst = AdWordsInstance.build(2, [[0, 1], [1]], [[5], [4, 3, 2]])
     assert inst.ctrs[0] == (5, 0)          # padded to two interested bidders
     assert inst.ctrs[1] == (4,)            # truncated to one interested bidder
+    with pytest.raises(DomainError, match="^expected 2 CTR lists, got 1$"):
+        AdWordsInstance.build(2, [[0], [1]], [[1]])
 
 
 def test_adwords_rejects_empty_keyword():
@@ -262,6 +266,11 @@ def test_graphic_rejects_labels_that_are_one_dict_key():
             graphic_oracle(edges)
         assert str(err.value) == (f"edge {e}: vertex labels must be strings or ints, "
                                   f"got {label!r}")
+    # nor is an empty edge list or an edge of other than two vertices a graph
+    with pytest.raises(DomainError, match="^at least one bidder-labeled edge is required$"):
+        graphic_oracle([])
+    with pytest.raises(DomainError, match=r"^edge 0 must be a pair of vertices, got \(0, 1, 2\)$"):
+        graphic_oracle([(0, 1, 2)])
     oracle = graphic_oracle([(0, 1), (1, "1"), ("1", 2)])     # 1 and "1" are two vertices
     assert [oracle.value({i}) for i in range(3)] == [1, 1, 1]
     assert oracle.value({0, 1, 2}) == 3
@@ -743,6 +752,8 @@ def test_two_solves_on_one_oracle_do_not_share_state():
 def test_vod_cut_rejects_source_as_bidder():
     with pytest.raises(DomainError):
         CapacitatedNetwork.build([("s", "a", 1)], "s", ["s"])
+    with pytest.raises(DomainError, match="^at least one bidder node is required$"):
+        CapacitatedNetwork.build([("s", "a", 1)], "s", [])
 
 
 def test_vod_cut_rejects_labels_that_are_one_dict_key():

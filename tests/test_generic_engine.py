@@ -8,12 +8,16 @@
 * The reference.  On random 2D packing polytopes the engine's clinch, demand
   caps and residual total equal those of ``reference_generic.py``, and an
   infeasible rho raises the same error.
+* The polymatroid engine.  On 2-bidder polymatroids the generic engine and
+  :func:`run_clinching` run one mechanism by independent code, so their
+  outcomes are equal, traces included.
 * The error contract of :func:`clinch_generic_2player`.
 """
 
 import hashlib
 import json
 import pathlib
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -27,7 +31,9 @@ from polyclinch import (
     Bidder,
     DomainError,
     PreconditionError,
+    SubmodularOracle,
     clinch_generic_2player,
+    run_clinching,
     run_generic_2player,
 )
 from polyclinch import auction
@@ -183,6 +189,32 @@ def test_integer_callbacks_match_fraction_reference(case):
     after = tuple(q + x for q, x in zip(rho, clinch))   # the post-clinch point the loop uses
     nu = tuple(q - x for q, x in zip(d, clinch))
     assert fhat_fn(after, nu) == ref.residual_total(a, b, after, nu)
+
+
+# ---------------------------------------------------------------------------
+# the polymatroid engine on the same market
+# ---------------------------------------------------------------------------
+
+def test_polymatroid_markets_run_the_same_on_both_engines():
+    # f({0}), f({1}) with denominators up to 4 and f({0,1}) between their
+    # maximum and their sum: the polymatroid is the polytope of the rows
+    # x0 <= f0, x1 <= f1, x0 + x1 <= f01
+    rng = random.Random(1212)
+    exhausted = unbounded = 0
+    for t in range(300):
+        f0, f1 = (F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(2))
+        f01 = max(f0, f1) + min(f0, f1) * F(rng.randint(0, 4), 4)
+        bidders = [Bidder(F(rng.randint(1, 8), rng.randint(1, 3)),
+                          None if rng.random() < 0.3 else F(rng.randint(1, 12), rng.randint(1, 4)))
+                   for _ in range(2)]
+        cfg = AuctionConfig(epsilon=rng.choice((F(1, 4), F(1, 5), F(1, 8))), trace=True)
+        f = {frozenset({0}): f0, frozenset({1}): f1, frozenset({0, 1}): f01}
+        poly = run_clinching(SubmodularOracle.from_set_function(2, f.__getitem__), bidders, cfg)
+        generic = run_generic_2player(((1, 0), (0, 1), (1, 1)), (f0, f1, f01), bidders, cfg)
+        assert poly.trace and generic == poly, (t, f0, f1, f01, bidders, cfg.epsilon)
+        exhausted += bool(poly.exhausted)
+        unbounded += any(b.budget is None for b in bidders)
+    assert exhausted >= 30 and unbounded >= 100, (exhausted, unbounded)
 
 
 # ---------------------------------------------------------------------------

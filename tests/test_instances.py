@@ -74,6 +74,10 @@ def test_unknown_kind_rejected():
     with pytest.raises(ParseError) as err:
         parse_instance_data(minimal(environment={"kind": "matroid-intersection"}))
     assert err.value.code == "unknown-kind"
+    # gen writes polymatroid markets only
+    with pytest.raises(ParseError, match="got 'h-polytope-2d'$") as err:
+        generate_instance("h-polytope-2d", 2)
+    assert (err.value.code, err.value.field) == ("unknown-kind", "kind")
 
 
 def test_missing_field_named():

@@ -81,6 +81,10 @@ def test_evaluate_rejects_out_of_range_index():
     oracle = multi_unit_oracle(1, 2)
     with pytest.raises(DomainError):
         oracle.value({5})
+    with pytest.raises(DomainError, match="^element 2 is outside the ground set of size 2$"):
+        oracle.singleton(2)
+    with pytest.raises(DomainError, match="^ground set must have n >= 1, got 0$"):
+        SubmodularOracle(0, lambda m: F(0), True, "empty")
 
 
 def test_evaluate_is_deterministic_across_calls():
@@ -566,6 +570,8 @@ def test_min_constrained_tight_set_search():
     x = (F(3), F(1))
     fn = lambda s: oracle.value(s) - sum(x[i] for i in s)  # noqa: E731
     assert min_constrained(fn, 2, include={0}, exclude={1}) == (frozenset({0}), 0)
+    # an oracle is minimized as given, with n read from it
+    assert min_constrained(oracle, include={1}) == (frozenset({1}), 3)
 
 
 def test_min_constrained_tie_break_smallest_then_lexicographic():
@@ -619,6 +625,8 @@ def test_witness_tie_break_matches_full_key_under_forced_ties():
 def test_min_constrained_rejects_overlap():
     with pytest.raises(DomainError):
         min_constrained(lambda s: 0, 2, include={0}, exclude={0})
+    with pytest.raises(DomainError, match="^min_constrained needs n when given a bare callable$"):
+        min_constrained(lambda s: 0)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +637,9 @@ def test_membership_origin_and_greedy_vertex():
     oracle = single_keyword_oracle([3, 2, 1])
     assert membership(oracle, [0, 0, 0]).ok
     assert membership(oracle, [3, 2, 1]).ok
+    assert greedy_vertex(oracle, [2, 0, 1]) == (2, 1, 3)
+    with pytest.raises(DomainError, match=r"^order must be a permutation of 0\.\.2$"):
+        greedy_vertex(oracle, [0, 0, 2])
 
 
 def test_membership_violation_witness():

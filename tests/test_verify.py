@@ -12,7 +12,6 @@ import pytest
 from polyclinch import (
     AuctionConfig,
     Bidder,
-    ClinchError,
     ConcaveCurve,
     DomainError,
     Outcome,
@@ -459,6 +458,7 @@ def test_corrupted_trace_fails_conservation_at_the_mutated_step():
     shaved = (snaps[k].promised[0] - F(1, 7),) + snaps[k].promised[1:]
     snaps[k] = replace(snaps[k], promised=shaved)
     report = validate_trace(oracle, snaps)
+    assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
     assert not report.ok()
     conserved = report.result("conserved-quantity")
     assert not conserved.passed and conserved.witness["step"] == snaps[k].step
@@ -473,6 +473,7 @@ def test_infeasible_trace_reports_the_violated_set_and_stops():
     inflated = (snaps[k].promised[0] + 1,) + snaps[k].promised[1:]
     snaps[k] = replace(snaps[k], promised=inflated)
     report = validate_trace(oracle, snaps)
+    assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
     feasible = report.result("feasibility")
     assert not feasible.passed
     assert feasible.witness == {"step": snaps[k].step,
@@ -644,18 +645,34 @@ def test_tampered_recorded_total_fails_conservation():
 
 
 def test_validate_trace_reports_failures_past_the_cap(monkeypatch):
-    # past the cap the Fraction cross-check, which tabulates 2^n sets, is
-    # skipped; the monitors by reduced ranks report the same witnesses
+    # the monitors go by reduced ranks at every n, so a cap below n changes
+    # no report: every corruption of a trace on an oracle with a structural
+    # solver is reported at cap 1 as at the default cap, which is the
+    # Fraction reference's report
+    rng = random.Random(4747)
+    corruptions = ("shaved-promise", "inflated-promise", "tampered-demand",
+                   "negative-budget", "shifted-total")
     oracle = multi_unit_oracle(3, 6)
     out = run_clinching(oracle, [bidder(6 - i, 2) for i in range(6)], AuctionConfig(trace=True))
     snaps = list(out.trace)
     k = len(snaps) - 1
     snaps[k] = replace(snaps[k], promised=(snaps[k].promised[0] - F(1, 7),)
                        + snaps[k].promised[1:])
-    expected = validate_trace(oracle, snaps).to_json()
-    assert not expected["ok"]
-    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
-    assert validate_trace(oracle, snaps).to_json() == expected
+    cases = [("multi-unit", "shaved-last", oracle, snaps)]
+    for kind in RANK_KINDS:
+        n = rng.randint(5, 6)
+        oracle = random_oracle(rng, kind, n)
+        out = run_clinching(oracle, random_bidders(rng, n), AuctionConfig(trace=True))
+        cases += [(kind, how, oracle, _corrupt(rng, out.trace, how)) for how in corruptions]
+    expected = []
+    for kind, how, oracle, snaps in cases:
+        report = validate_trace(oracle, snaps).to_json()
+        assert report == _reference_validate_trace(oracle, snaps).to_json(), (kind, how)
+        expected.append(report)
+    assert sum(not report["ok"] for report in expected) >= 14, expected
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "1")
+    for (kind, how, oracle, snaps), report in zip(cases, expected):
+        assert validate_trace(oracle, snaps).to_json() == report, (kind, how)
     with pytest.raises(SizeError):
         validate_trace(table_only(oracle), snaps)
 
@@ -664,7 +681,7 @@ def test_validate_trace_reports_failures_past_the_cap(monkeypatch):
 def test_validate_trace_refuses_malformed_snapshots(monkeypatch, cap):
     # a vector with other than n entries, or a negative demand, is a
     # malformed trace, not a failed monitor: DomainError names the step and
-    # the field, at n <= cap and past it (where no Fraction cross-check runs)
+    # the field, at n <= cap and past it
     oracle = multi_unit_oracle(3, 3)
     out = run_clinching(oracle, [bidder(3, 1), bidder(2, 1), bidder(1, "inf")],
                         AuctionConfig(epsilon=F(1, 4), trace=True))
@@ -691,15 +708,17 @@ def test_validate_trace_refuses_malformed_snapshots(monkeypatch, cap):
     # a negative promise is no malformed snapshot but a failed feasibility monitor
     snaps[k] = replace(snap, promised=(F(-1),) + snap.promised[1:])
     report = validate_trace(oracle, snaps)
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)   # the reference tabulates 2^n
+    assert report.to_json() == _reference_validate_trace(oracle, snaps).to_json()
     assert [p.name for p in report.failures()] == ["feasibility"]
     assert report.result("feasibility").witness == {
         "step": k, "violating_set": [], "detail": "negative promised allocation"}
 
 
-def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monkeypatch):
+def test_reference_catches_integer_totals_that_leave_it(monkeypatch):
     # the integer residual values drifting from the definition is a bug in
-    # the checker, not a failed monitor: whenever a monitor fails, the
-    # Fraction reference must give the same witnesses
+    # the checker, not a failed monitor: its report then leaves the Fraction
+    # reference's at the step where the values drift
     oracle = multi_unit_oracle(2, 2)
     out = run_clinching(oracle, [bidder(3, 2), bidder(1, 2)], AuctionConfig(trace=True))
     snaps = list(out.trace)
@@ -714,17 +733,24 @@ def test_validate_trace_raises_when_the_integer_totals_leave_the_reference(monke
         here = tuple(F(r, rank.den * scale) for r in rho)
         return (total + 1 if at in (None, here) else total), without
 
+    def conserved(report):
+        return report.to_json(), report.result("conserved-quantity").witness
+
     # a clean trace whose shifted totals break conservation at step 0
+    reference = _reference_validate_trace(oracle, out.trace)
+    assert reference.ok()
     monkeypatch.setattr(verify, "_residual_nums", shifted)
-    with pytest.raises(ClinchError, match=f"step {out.trace[0].step}:"):
-        validate_trace(oracle, out.trace)
+    report, witness = conserved(validate_trace(oracle, out.trace))
+    assert report != reference.to_json() and witness["step"] == out.trace[0].step
     # conservation fails on both sides at the shaved step, with other values
+    reference, expected = conserved(_reference_validate_trace(oracle, snaps))
     monkeypatch.setattr(verify, "_residual_nums",
                         lambda rank, scale, rho, d: shifted(rank, scale, rho, d, at=shaved))
-    with pytest.raises(ClinchError, match=f"step {snaps[k].step}:"):
-        validate_trace(oracle, snaps)
+    report, witness = conserved(validate_trace(oracle, snaps))
+    assert expected["step"] == witness["step"] == snaps[k].step
+    assert witness != expected and report != reference
     monkeypatch.setattr(verify, "_residual_nums", nums)
-    assert not validate_trace(oracle, snaps).result("conserved-quantity").passed
+    assert validate_trace(oracle, snaps).to_json() == reference
 
 
 # ---------------------------------------------------------------------------
