@@ -13,23 +13,22 @@ for the function defining the feasible-allocation polytope:
 The multi-unit and single-keyword oracles are cardinality oracles, defined
 by their rank list alone (``ctrs``), which gives their values and their
 :class:`~polyclinch.submodular.ReducedRank`, R(c) = min over T of f(T) +
-c([n] \\ T), by one sort of c.  Each other oracle is defined by one
-:class:`~polyclinch.submodular.LatticeStep`, which gives both its value
-table and any value read before the table exists: a count per keyword for
-AdWords (:func:`_rank_sum_oracle`), component labels for graphic, a
-maximum flow to augment for vod-cut.  The AdWords and vod-cut tables are
-built depth-first, which keeps at most n + 1 states alive: their states
-hold lists (the counts, the residual arrays), and a level would hold
-2^(n-1) of them.  Graphic's state is one string of labels, so its step
-(:class:`_ComponentLabels`) builds the table level by level, one pass per
-edge over the masks below it, with no call per mask.  Vod-cut also
-carries a reduced rank, one maximum flow with bidder i's sink arc at c_i,
-from which R with one sink arc closed re-augments.  So multi-unit,
-single-keyword and vod-cut auctions clinch without the 2^n table and run
-past the enumeration cap.  Every vod-cut
-question -- a table value, R, R with one arc closed, the smallest
-minimizer -- goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``,
-with an optional limit.
+c([n] \\ T), by one sort of c.  Each other oracle states its value on one
+mask and the builder of its whole integer value table (``table=``) side
+by side, by the same rule: one popcount per keyword for AdWords
+(:func:`_rank_sum_oracle`), with one pass over the masks per keyword for
+the table; component labels for graphic (:func:`_component_labels`),
+its table built level by level, one pass per edge over the masks below
+it, with no call per mask; a maximum flow augmented from the parent set's
+for vod-cut, its table walked depth-first (``submodular._lattice_walk``),
+which keeps at most n + 1 residual arrays alive where a level would hold
+2^(n-1).  Vod-cut also carries a reduced rank, one maximum flow with
+bidder i's sink arc at c_i, from which R with one sink arc closed
+re-augments.  So multi-unit, single-keyword and vod-cut auctions clinch
+without the 2^n table and run past the enumeration cap.  Every vod-cut
+question -- a value, R, R with one arc closed, the smallest minimizer --
+goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``, with an
+optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -40,21 +39,23 @@ function captures feasibility exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .submodular import (
-    LatticeStep,
     Rational,
     RankSolution,
     ReducedRank,
     SubmodularOracle,
     ZERO,
+    _lattice_walk,
     _over_common_denominator,
     _rank_list,
     as_fraction,
+    mask_of,
     vector,
 )
 
@@ -62,30 +63,33 @@ from .submodular import (
 def _rank_sum_oracle(n: int, groups: Sequence[tuple], name: str) -> SubmodularOracle:
     """f(S) = sum over (members, alpha) in groups of A_|S & members|.
 
-    A_t is the sum of the first t entries of the rank list alpha, which
-    counts as 0 past its end.  The step's state is f(S), as a numerator over
-    the lists' least common denominator, and the count |S & members| of
-    each group: S + i adds to f the entry of alpha at the old count of each
-    group that holds i.  When one group holds every bidder, f is a
-    cardinality oracle, built from alpha as ``ctrs`` alone, with no step.
+    A_t is the sum of the first t entries of the rank list alpha.  When one
+    group holds every bidder, f is a cardinality oracle, built from alpha as
+    ``ctrs`` alone, in which alpha counts as 0 past its end.  Otherwise each
+    alpha must have exactly len(members) entries, as
+    :meth:`AdWordsInstance.build` makes them.  Each group is then its
+    members' mask G and the prefix sums ``run`` of alpha over the lists'
+    least common denominator, so f(S) is the sum of run[|S & G|] over the
+    groups, one popcount each, and the table is one pass over every mask
+    per group.
     """
     if len(groups) == 1 and len(groups[0][0]) == n:
         return SubmodularOracle(n, None, True, name, ctrs=groups[0][1])
     den = _over_common_denominator([a for _, alpha in groups for a in alpha])[0]
-    lists = [[int(a * den) for a in alpha] + [0] * (len(members) - len(alpha))
-             for members, alpha in groups]
-    holding = [[g for g, (members, _) in enumerate(groups) if i in members] for i in range(n)]
+    runs = [(mask_of(members, n),
+             [int(t * den) for t in itertools.accumulate(alpha, initial=ZERO)])
+            for members, alpha in groups]
 
-    def step(state: tuple, i: int) -> tuple:
-        num, counts = state
-        counts = list(counts)
-        for g in holding[i]:
-            num += lists[g][counts[g]]
-            counts[g] += 1
-        return num, (num, counts)
+    def value(mask: int) -> Fraction:
+        return Fraction(sum(run[(mask & g).bit_count()] for g, run in runs), den)
 
-    rank_sum = LatticeStep(den, (0, [0] * len(groups)), step)
-    return SubmodularOracle(n, rank_sum.value, True, name, step=rank_sum)
+    def table() -> tuple:
+        nums = [0] * (1 << n)
+        for g, run in runs:
+            nums = [v + run[(m & g).bit_count()] for m, v in enumerate(nums)]
+        return den, nums
+
+    return SubmodularOracle(n, value, True, name, table=table)
 
 
 def multi_unit_oracle(total: Rational, n: int) -> SubmodularOracle:
@@ -175,36 +179,38 @@ def _joined(labels: Sequence[str], a: int, b: int) -> List[str]:
     return [s.replace(s[b], s[a]) for s in labels]
 
 
-class _ComponentLabels(LatticeStep):
-    """Graphic rank's step, whose state is f(S) and S's component labels.
+def _component_labels(ends: Sequence[Tuple[int, int]], vertices: int) -> tuple:
+    """Graphic rank's ``(value, table)``, by component labels.
 
-    The labels are a str, not bytes, so that a graph with more than 256
-    vertices still folds.  Edge i = (a, b) adds one to the rank exactly
-    when a and b have different labels, and the child's labels come from
-    :func:`_joined`.  :meth:`walk` goes level by level: the masks with
-    highest bit i are the masks below 2^i plus edge i, so each level is one
-    pass over the values and labels before it.
+    A set of edges labels each vertex with its component, one character
+    per vertex in a str (not bytes, so that a graph with more than 256
+    vertices still folds).  Edge i = (a, b) adds one to the rank exactly
+    when a and b have different labels, and the labels with it come from
+    :func:`_joined`.  ``value`` folds that over a mask's edges in ascending
+    order.  ``table`` goes level by level: the masks with highest bit i are
+    the masks below 2^i plus edge i, so each level is one pass over the
+    values and labels before it, with no call per mask.
     """
+    root = "".join(map(chr, range(vertices)))
 
-    __slots__ = ("ends",)
+    def value(mask: int) -> Fraction:
+        rank, labels = 0, root
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                a, b = ends[i]
+                rank += labels[a] != labels[b]
+                labels = _joined((labels,), a, b)[0]
+        return Fraction(rank)
 
-    def __init__(self, ends: Sequence[Tuple[int, int]], vertices: int):
-        def step(state: tuple, i: int) -> tuple:
-            rank, labels = state
-            a, b = ends[i]
-            rank += labels[a] != labels[b]
-            return rank, (rank, _joined((labels,), a, b)[0])
-
-        super().__init__(1, (0, "".join(map(chr, range(vertices)))), step)
-        self.ends = ends
-
-    def walk(self, n: int) -> list:
-        values, labels = [0], [self.root[1]]
-        for i, (a, b) in enumerate(self.ends):
+    def table() -> tuple:
+        values, labels = [0], [root]
+        for i, (a, b) in enumerate(ends):
             values += [v + (s[a] != s[b]) for v, s in zip(values, labels)]
-            if i + 1 < n:                    # the last level's labels extend nothing
+            if i + 1 < len(ends):            # the last level's labels extend nothing
                 labels += _joined(labels, a, b)
-        return values
+        return 1, values
+
+    return value, table
 
 
 def _check_label(where: str, what: str, v) -> None:
@@ -221,10 +227,10 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     """Graphic-matroid rank: f(S) = |V(S)| - #components of the edges in S.
 
     Bidder i labels exactly edge i of the undirected multigraph, whose
-    vertex labels are strings or ints (:func:`_check_label`).  The step
-    (:class:`_ComponentLabels`) carries each vertex's component label: S + i
-    has rank f(S) + 1 exactly when edge i joins two components of S.  Values
-    are integers, so the step's denominator is 1.
+    vertex labels are strings or ints (:func:`_check_label`).  Values and
+    table (:func:`_component_labels`) carry each vertex's component label:
+    S + i has rank f(S) + 1 exactly when edge i joins two components of S.
+    Values are integers, so the table's denominator is 1.
     """
     if not edges:
         raise DomainError("at least one bidder-labeled edge is required")
@@ -235,8 +241,8 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
             _check_label(f"edge {e}", "vertex", v)
     n = len(edges)
     vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
-    rank = _ComponentLabels([(vertex[u], vertex[v]) for u, v in edges], len(vertex))
-    return SubmodularOracle(n, rank.value, True, f"graphic({n} edges)", step=rank)
+    value, table = _component_labels([(vertex[u], vertex[v]) for u, v in edges], len(vertex))
+    return SubmodularOracle(n, value, True, f"graphic({n} edges)", table=table)
 
 
 @dataclass(frozen=True)
@@ -358,10 +364,13 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     total capacity.  f(S) is the maximum flow on those integers over D:
     exact, with no ``Fraction`` arithmetic inside the flow.
 
-    The step warm-starts: S's maximum flow stays feasible when bidder i's
-    sink arc opens, so S + i copies S's residual, opens the arc and augments
-    from there.  If S's last BFS did not reach bidder i's node, no
-    augmenting path exists: the BFS is skipped and f(S + i) = f(S).
+    Values warm-start: S's maximum flow stays feasible when bidder i's
+    sink arc opens, so ``step`` takes S + i from S by copying S's residual,
+    opening the arc and augmenting from there.  If S's last BFS did not
+    reach bidder i's node, no augmenting path exists: the BFS is skipped
+    and f(S + i) = f(S).  One value folds the step over the mask's bidders
+    in ascending order; the table is one depth-first :func:`_lattice_walk`
+    of it, which keeps at most n + 1 residual arrays alive.
 
     The reduced rank R(c) = min over T of f(T) + c([n] \\ T) is one
     maximum flow from zero with bidder i's sink arc at c_i (Fujishige,
@@ -429,9 +438,18 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
 
         return RankSolution(total, smallest, without)
 
-    root = graph.cap[:]
-    flow = LatticeStep(den, (0, root, graph.max_flow(root, net.source, sink)[1]), step)
-    return SubmodularOracle(n, flow.value, True, f"vod-cut({n} bidders)", step=flow,
+    closed = graph.cap[:]
+    root = (0, closed, graph.max_flow(closed, net.source, sink)[1])
+
+    def value(mask: int) -> Fraction:
+        num, state = 0, root
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                num, state = step(state, i)
+        return Fraction(num, den)
+
+    return SubmodularOracle(n, value, True, f"vod-cut({n} bidders)",
+                            table=lambda: (den, _lattice_walk(n, root, step)),
                             reduced_rank=ReducedRank(den, solve))
 
 

@@ -280,14 +280,13 @@ def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
         return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
                           for j, (u, v, c) in enumerate(edges)],
                 "source": source, "bidder_nodes": list(nodes)}
-    if kind == "h-polytope-2d":
-        rows = _list_of(_require(env_raw, "rows", where), f"{where}.rows")
-        if n != 2:
-            raise ParseError("bad-value", f"{where}", "h-polytope-2d requires exactly 2 bidders")
-        return {"rows": [tuple(parse_rational(c, f"{where}.rows[{j}][{t}]")
-                               for t, c in enumerate(_list_of(row, f"{where}.rows[{j}]", 3)))
-                         for j, row in enumerate(rows)]}
-    raise ParseError("unknown-kind", f"{where}.kind", f"unknown kind {kind!r}")
+    # h-polytope-2d: parse_instance_data has refused every other kind
+    rows = _list_of(_require(env_raw, "rows", where), f"{where}.rows")
+    if n != 2:
+        raise ParseError("bad-value", f"{where}", "h-polytope-2d requires exactly 2 bidders")
+    return {"rows": [tuple(parse_rational(c, f"{where}.rows[{j}][{t}]")
+                           for t, c in enumerate(_list_of(row, f"{where}.rows[{j}]", 3)))
+                     for j, row in enumerate(rows)]}
 
 
 def parse_instance(path) -> InstanceFile:

@@ -34,10 +34,11 @@ solve returns a :class:`RankSolution`, from which each leave-one-out R
 computed warm, and the smallest minimizer only on request;
 :func:`membership` names that minimizer as the violated set.
 
-That integer table (:meth:`SubmodularOracle.integer_table`) is built by one
-walk over the subset lattice; oracles that supply a :class:`LatticeStep`
-extend each set's value from its parent's (depth-first, or level by level
-for graphic rank), and fold the same step for one.
+That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
+by the oracle's own ``table`` builder when it has one (each built-in kind
+states its table next to its value, in :mod:`polyclinch.environments`;
+vod-cut's extends each set's maximum flow from its parent's by
+:func:`_lattice_walk`), else by one ``fn_mask`` call per set.
 :func:`verify_submodular` tests local second differences on the same table.
 
 All subset enumeration is capped (default 16 elements, override with the
@@ -168,41 +169,6 @@ def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
         low = m & -m
         sums[m] = sums[m ^ low] + vec[low.bit_length() - 1]
     return sums
-
-
-class LatticeStep:
-    """How an oracle extends its value from a set S to S + i, on integers.
-
-    ``step(state, i)`` returns ``(num, child)``: f(S + i) = num / ``den`` and
-    the state that S + i hands on to its own children; ``root`` is the state
-    of the empty set.  A step never modifies the state it is given, since
-    every child of S starts from it.  :meth:`value` folds it for one mask
-    and :meth:`walk` builds the table.  A subclass may override
-    :meth:`walk` with a faster build of the same table: graphic rank's
-    (``environments._ComponentLabels``) goes level by level, with no call
-    per mask.  The rank-sum and vod-cut steps keep the depth-first walk,
-    which holds at most n + 1 of their list-holding states at a time
-    instead of a level's 2^(n-1).
-    """
-
-    __slots__ = ("den", "root", "step")
-
-    def __init__(self, den: int, root, step: Callable[[object, int], tuple]):
-        self.den, self.root, self.step = den, root, step
-
-    def walk(self, n: int) -> list:
-        """The numerators of f over ``den`` for every mask below 2^n, by
-        one depth-first :func:`_lattice_walk`."""
-        return _lattice_walk(n, self.root, self.step)
-
-    def value(self, mask: int) -> Fraction:
-        """f(mask), folding the step from the root over the mask's bits in
-        ascending order: the path :func:`_lattice_walk` takes to the mask."""
-        num, state = 0, self.root
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                num, state = self.step(state, i)
-        return Fraction(num, self.den)
 
 
 class ReducedRank:
@@ -368,8 +334,9 @@ def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
 
     Depth-first over the subset lattice: each nonempty mask is reached from
     its parent, the mask without its highest bit, by ``step(parent state,
-    bit)``, which returns the mask's value and its state.  Only the states
-    on the current path, at most n + 1, are alive at a time.
+    bit)``, which returns the mask's value and its state; it must not modify
+    the state it is given, since every child of a mask starts from it.
+    Only the states on the current path, at most n + 1, are alive at a time.
     """
     values = [0] * (1 << n)
     _visit(values, step, 0, root)
@@ -395,10 +362,12 @@ class SubmodularOracle:
 
     f(empty) = 0 by definition, so ``fn_mask`` is never asked for mask 0;
     it evaluates one nonempty mask from scratch.  An oracle may also supply
-    a :class:`LatticeStep`, with which :meth:`integer_table` extends each
-    mask from its parent instead; the built-in oracles that have one pass
-    its :meth:`LatticeStep.value` as ``fn_mask``, so a value read before the
-    table exists runs the same code.  An oracle whose reduced rank has a
+    ``table``, a builder that takes no argument and returns the whole value
+    table as ``(D, nums)``, f(m) = nums[m] / D (the layout of
+    :meth:`integer_table`), from which :meth:`integer_table` takes the
+    table instead of evaluating each mask; ``fn_mask`` must then give the
+    same values, since it serves every read before the table exists and
+    the builder every read after.  An oracle whose reduced rank has a
     fast solver may supply it as a :class:`ReducedRank`; a cardinality
     oracle, f(S) = A_|S| with A_t the sum of the first t entries of a
     nonincreasing list >= 0, gives the list as ``ctrs`` instead, and the
@@ -415,7 +384,7 @@ class SubmodularOracle:
 
     def __init__(self, n: int, fn_mask: Optional[Callable[[int], Fraction]],
                  monotone: bool, name: str, ctrs: Optional[tuple] = None,
-                 step: Optional[LatticeStep] = None,
+                 table: Optional[Callable[[], tuple]] = None,
                  reduced_rank: Optional[ReducedRank] = None):
         if n < 1:
             raise DomainError(f"ground set must have n >= 1, got {n}")
@@ -433,7 +402,7 @@ class SubmodularOracle:
         self.ctrs = ctrs
         self.reduced_rank = reduced_rank
         self._fn = fn_mask
-        self._step = step
+        self._build_table = table
         self._memo = {0: ZERO}
         self._table = None
 
@@ -466,20 +435,19 @@ class SubmodularOracle:
         """``(D, nums)`` with ``f(m) = nums[m] / D`` for every mask m.
 
         Built on first use and kept, after the enumeration cap is checked.
-        With a :class:`LatticeStep` the numerators are its
-        :meth:`LatticeStep.walk`, over the step's own D, and no ``Fraction``
-        is built.  Without one each mask is evaluated once, in mask order
-        (memo first, then ``fn_mask``), and D is the least common
-        denominator of the table.  Once the table exists, memo misses read
-        it.
+        An oracle with a ``table`` builder calls it once, and no
+        ``Fraction`` is built.  Without one each mask is evaluated once, in
+        mask order (memo first, then ``fn_mask``), and D is the least
+        common denominator of the table.  Once the table exists, memo
+        misses read it.
         """
         if self._table is None:
             check_enumeration_size(
                 self.n, f"value table of {self.name!r}",
                 "Single-keyword, multi-unit and vod-cut oracles need no value table "
                 "and run past the cap")
-            if self._step is not None:
-                self._table = self._step.den, self._step.walk(self.n)
+            if self._build_table is not None:
+                self._table = self._build_table()
             else:
                 self._table = _over_common_denominator(
                     [self.value_mask(m) for m in range(1 << self.n)])

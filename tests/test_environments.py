@@ -25,7 +25,6 @@ from polyclinch import (
 )
 from polyclinch import environments
 from polyclinch.environments import _ArcNetwork
-from polyclinch.submodular import LatticeStep
 from polyclinch.instances import generate_instance
 
 from corpus import random_adwords, random_oracle, reduced_rank, table_only
@@ -76,7 +75,8 @@ def test_single_keyword_rejects_increasing_ctrs():
 def test_cardinality_oracles_carry_their_rank_list():
     assert multi_unit_oracle(5, 3).ctrs == (5,)
     assert single_keyword_oracle([3, 2, 0]).ctrs == (3, 2, 0)
-    assert multi_unit_oracle(5, 3)._step is single_keyword_oracle([3, 2, 0])._step is None
+    assert (multi_unit_oracle(5, 3)._build_table is single_keyword_oracle([3, 2, 0])._build_table
+            is None)
     oracle = multi_unit_oracle(F(7, 2), 40)     # no 2^40 table behind it
     assert oracle.value(range(40)) == oracle.value({39}) == F(7, 2)
 
@@ -417,20 +417,24 @@ def test_walked_tables_match_per_mask_values():
 
 
 def test_walked_tables_match_per_mask_values_on_generated_markets():
-    for kind in ("multi-unit", "single-keyword", "adwords", "vod-cut", "graphic"):
+    # the generator draws 1-3 keywords; m = 8 sends eight popcount groups
+    # through the AdWords table
+    markets = [(kind, None) for kind in
+               ("multi-unit", "single-keyword", "adwords", "vod-cut", "graphic")]
+    for kind, m in markets + [("adwords", 8)]:
         for n, seeds in ((4, range(8)), (10, range(3)), (12, range(2))):
             for seed in seeds:
-                inst = generate_instance(kind, n, None, seed)
+                inst = generate_instance(kind, n, m, seed)
                 walked, per_mask = _walked_and_per_mask(inst.build_oracle)
-                assert walked == per_mask, (kind, n, seed)
+                assert walked == per_mask, (kind, m, n, seed)
                 if kind != "vod-cut" or n <= 10:
-                    assert walked == _reference_table(inst), (kind, n, seed)
+                    assert walked == _reference_table(inst), (kind, m, n, seed)
 
 
 def test_graphic_level_table_matches_union_find_rank():
     # self-loops, parallel edges and vertices shared by several edges, on int
-    # and str vertex labels: the level-by-level table, the depth-first walk
-    # of the same step and a fresh oracle's per-mask fold equal a union-find
+    # and str vertex labels: the level-by-level table, over denominator 1,
+    # and a fresh oracle's per-mask fold equal a union-find
     rng = random.Random(3030)
     for t in range(150):
         n = rng.randint(1, 10)
@@ -439,32 +443,35 @@ def test_graphic_level_table_matches_union_find_rank():
         edges[loop] = (edges[loop][0], edges[loop][0])
         if t % 2:
             edges = [(f"v{u}", f"v{v}") for u, v in edges]
-        oracle = graphic_oracle(edges)
         walked, per_mask = _walked_and_per_mask(lambda: graphic_oracle(edges))
-        assert walked == per_mask == _forest_rank_table(edges), t
-        assert oracle.integer_table() == (1, LatticeStep.walk(oracle._step, n)), t
+        reference = _forest_rank_table(edges)
+        assert walked == per_mask == reference, t
+        assert graphic_oracle(edges).integer_table() == (1, reference), t
 
 
-def test_graphic_level_table_matches_the_depth_first_walk_on_generated_markets():
+def test_graphic_level_table_matches_the_per_mask_fold_on_generated_markets():
     for n, seeds in ((4, range(8)), (10, range(3)), (12, range(3)), (16, range(1))):
         for seed in seeds:
-            oracle = generate_instance("graphic", n, None, seed).build_oracle()
-            assert oracle.integer_table()[1] == LatticeStep.walk(oracle._step, n), (n, seed)
+            build = generate_instance("graphic", n, None, seed).build_oracle
+            walked, per_mask = _walked_and_per_mask(build)
+            assert walked == per_mask, (n, seed)
+            assert build().integer_table()[0] == 1, (n, seed)
 
 
 def test_graphic_table_calls_no_step_per_mask(monkeypatch):
-    # one relabelling pass per level but the last, and the step never runs
-    oracle = generate_instance("graphic", 10, None, 0).build_oracle()
-    expected = LatticeStep.walk(oracle._step, 10)
+    # one relabelling pass per level but the last, and no value per mask
+    inst = generate_instance("graphic", 10, None, 0)
+    expected = _forest_rank_table(inst.environment.payload["edges"])
+    oracle = inst.build_oracle()
     passes = []
     joined = environments._joined
     monkeypatch.setattr(environments, "_joined", lambda labels, a, b:
                         passes.append(len(labels)) or joined(labels, a, b))
 
-    def refuse(state, i):
-        raise AssertionError("the level loop called the step")
+    def refuse(mask):
+        raise AssertionError("the level loop called the per-mask fold")
 
-    oracle._step.step = refuse
+    oracle._fn = refuse
     assert oracle.integer_table() == (1, expected)
     assert passes == [1 << i for i in range(9)]
 

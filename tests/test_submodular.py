@@ -28,11 +28,11 @@ from polyclinch import (
 
 from polyclinch.instances import generate_instance
 from polyclinch.submodular import (
-    LatticeStep,
     MembershipResult,
     OracleCheck,
     RankSolution,
     ReducedRank,
+    _lattice_walk,
     _local_test,
     _mask_sums,
     as_fraction,
@@ -415,29 +415,39 @@ def test_cardinality_oracles_keep_the_checked_rank_list():
 
 
 # ---------------------------------------------------------------------------
-# value tables: one walk over the subset lattice
+# value tables: an oracle's own builder, or one fn_mask call per mask
 # ---------------------------------------------------------------------------
 
-def _stepped_square(n, calls, steps):
-    """f(S) = |S|^2 (not submodular) with a LatticeStep whose state is the mask;
-    fn_mask and step calls are recorded."""
+def _square_step(steps):
+    """A lattice step for f(S) = |S|^2 whose state is the mask; its calls
+    are recorded."""
     def step(mask, i):
         steps.append((mask, i))
         child = mask | 1 << i
         return child.bit_count() ** 2, child
+    return step
+
+
+def _stepped_square(n, calls, steps):
+    """f(S) = |S|^2 (not submodular), its table walked by :func:`_square_step`
+    from the empty set; fn_mask and step calls are recorded."""
+    step = _square_step(steps)
     return SubmodularOracle(n, lambda m: calls.append(m) or F(m.bit_count() ** 2), False,
-                            "stepped square", step=LatticeStep(1, 0, step))
+                            "stepped square", table=lambda: (1, _lattice_walk(n, 0, step)))
 
 
 def test_walk_steps_each_mask_from_its_parent():
-    calls, steps = [], []
-    oracle = _stepped_square(7, calls, steps)
-    den, nums = oracle.integer_table()
-    assert (den, nums) == (1, [m.bit_count() ** 2 for m in range(1 << 7)])
+    steps = []
+    nums = _lattice_walk(7, 0, _square_step(steps))
+    assert nums == [m.bit_count() ** 2 for m in range(1 << 7)]
     # each nonempty mask once, from the mask without its highest bit
     assert sorted(mask | 1 << i for mask, i in steps) == list(range(1, 1 << 7))
     assert all(mask.bit_length() <= i for mask, i in steps)
-    assert calls == []
+    # the oracle takes its table from the builder, once, and calls no fn_mask
+    calls, steps = [], []
+    oracle = _stepped_square(7, calls, steps)
+    assert oracle.integer_table() == oracle.integer_table() == (1, nums)
+    assert calls == [] and len(steps) == 127
 
 
 def test_value_mask_reads_the_built_table():
