@@ -47,6 +47,7 @@ from .submodular import (
     ReducedRank,
     SubmodularOracle,
     ZERO,
+    _RankChain,
     _check_promises,
     _clinch_nums,
     _demand_vector,
@@ -435,12 +436,15 @@ def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],
     ``base``; D starts as the lcm of ``base`` and ``rank.den``, and the
     demand cap is the reach over D less the promise, floored at 0.  Every
     clinch is one :func:`~polyclinch.submodular._clinch_nums` on the loop's
-    numerators, which returns ``(fhat([n]), delta)``.  The trace total is
-    asked for right after it, at (rho + delta, d - delta), where h = f -
-    (rho + d) is unchanged, so fhat([n]) is the clinch's total less the sum
-    of delta.
+    numerators, which returns ``(fhat([n]), delta)``, its solve started
+    from the last clinch's (``RankSolution.at``): consecutive clinches
+    differ in the entry of c the clock moved, with D times an integer.  The
+    trace total is asked for right after it, at (rho + delta, d - delta),
+    where h = f - (rho + d) is unchanged, so fhat([n]) is the clinch's
+    total less the sum of delta.
     """
     units = _Units(eps, math.lcm(rank.den, base))
+    chain = _RankChain(rank)                     # each clinch starts from the last one's solve
     last = []                                    # fhat([n]) and delta of the last clinch
 
     def demands_fn(ticks, promised, budgets_rem):
@@ -450,7 +454,7 @@ def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],
         return _demand_rule(units, values, budgets_rem, cap)
 
     def clinch_fn(rho, d):
-        last[:] = _clinch_nums(rank, units.den // rank.den, rho, d)
+        last[:] = _clinch_nums(chain, units.den // rank.den, rho, d)
         return last[1]
 
     def fhat_fn(rho, d):

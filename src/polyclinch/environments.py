@@ -23,12 +23,12 @@ it, with no call per mask; a maximum flow augmented from the parent set's
 for vod-cut, its table walked depth-first (``submodular._lattice_walk``),
 which keeps at most n + 1 residual arrays alive where a level would hold
 2^(n-1).  Vod-cut also carries a reduced rank, one maximum flow with
-bidder i's sink arc at c_i, from which R with one sink arc closed
-re-augments.  So multi-unit, single-keyword and vod-cut auctions clinch
-without the 2^n table and run past the enumeration cap.  Every vod-cut
-question -- a value, R, R with one arc closed, the smallest minimizer --
-goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``, with an
-optional limit.
+bidder i's sink arc at c_i, from which R with one sink arc closed, and R
+at the next c of a chain, re-augment.  So multi-unit, single-keyword and
+vod-cut auctions clinch without the 2^n table and run past the
+enumeration cap.  Every vod-cut question -- a value, R, R with one arc
+closed, R at a new c, the smallest minimizer -- goes to one Edmonds-Karp
+search, ``_ArcNetwork.max_flow``, with an optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -54,6 +54,7 @@ from .submodular import (
     _lattice_walk,
     _over_common_denominator,
     _rank_list,
+    _warm_start,
     as_fraction,
     mask_of,
     vector,
@@ -389,6 +390,14 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     R(c) - ``carried``, and augmenting from it ends at a maximum flow.  Only
     that number leaves ``without``; T* is read from the solve's own
     residual, which ``without`` never touches.
+
+    ``at(scale, c')`` starts from a copy of that residual times k, the
+    ratio of the scales: a maximum flow at c scaled by k is feasible at
+    k c.  Each changed sink arc is reset to c'_i; where c'_i is below the
+    flow it carries, the arc keeps c'_i and the rest goes back from the
+    bidder's node by the same limited search as in ``without``.  One
+    augmentation then ends at a maximum flow at c', whose value is read
+    off the sink arcs.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -414,7 +423,13 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         residual = [capacity * scale for capacity in graph.cap]
         for a, ci in zip(sink_arcs, c):
             residual[a] = ci
-        total = graph.max_flow(residual, net.source, sink)[0]
+        return solution(scale, list(c), residual)
+
+    def solution(scale: int, c: list, residual: list) -> RankSolution:
+        """The solution at c from ``residual``, the residual of a feasible
+        flow, which is augmented in place to a maximum one."""
+        graph.max_flow(residual, net.source, sink)
+        total = sum(residual[a ^ 1] for a in sink_arcs)
 
         def smallest() -> int:
             # One search from the sink over reversed residual arcs: the flow
@@ -436,7 +451,23 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)
             return total - carried + graph.max_flow(warm, net.source, sink)[0]
 
-        return RankSolution(total, smallest, without)
+        def at(new_scale: int, new_c: Sequence[int]) -> RankSolution:
+            warm = _warm_start(scale, c, new_scale, new_c)
+            if warm is None:
+                return solve(new_scale, new_c)
+            k, changed = warm
+            flow = residual[:] if k == 1 else [v * k for v in residual]
+            for i in changed:
+                a, ci = sink_arcs[i], new_c[i]
+                carried = flow[a ^ 1]
+                if ci >= carried:
+                    flow[a] = ci - carried
+                else:
+                    flow[a], flow[a ^ 1] = 0, ci
+                    graph.max_flow(flow, net.bidder_nodes[i], net.source, carried - ci)
+            return solution(new_scale, list(new_c), flow)
+
+        return RankSolution(total, smallest, without, at)
 
     closed = graph.cap[:]
     root = (0, closed, graph.max_flow(closed, net.source, sink)[1])

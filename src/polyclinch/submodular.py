@@ -32,7 +32,11 @@ one (one sort for a cardinality oracle's rank list,
 solve returns a :class:`RankSolution`, from which each leave-one-out R
 (c_j = 0) that :func:`clinch_kernel` and :func:`residual_totals` need is
 computed warm, and the smallest minimizer only on request;
-:func:`membership` names that minimizer as the violated set.
+:func:`membership` names that minimizer as the violated set.  A solution
+also solves again at a nearby c (:meth:`RankSolution.at`), which is how
+the clock's clinches and the verifiers' snapshot checks chain their
+solves (:class:`_RankChain`); the chain belongs to the caller, never to
+the oracle.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
 by the oracle's own ``table`` builder when it has one (each built-in kind
@@ -194,13 +198,60 @@ class RankSolution:
     maximum flow).  Both are computed only when called and change nothing,
     so they can be asked in any order, any number of times; the state they
     start from lives here, never on the oracle.
+
+    ``at(scale, c)`` is the solution that ``solve(scale, c)`` returns,
+    started from this one's state (the table's h, the maximum flow) and
+    changing nothing on it; the caller that keeps the last solution keeps
+    the chain.  Where :func:`_warm_start` finds no warm start, it is the
+    cold solve.
     """
 
-    __slots__ = ("total", "smallest", "without")
+    __slots__ = ("total", "smallest", "without", "at")
 
     def __init__(self, total: int, smallest: Callable[[], int],
-                 without: Callable[[int], int]):
-        self.total, self.smallest, self.without = total, smallest, without
+                 without: Callable[[int], int],
+                 at: Callable[[int, Sequence[int]], "RankSolution"]):
+        self.total, self.smallest, self.without, self.at = total, smallest, without, at
+
+
+def _warm_start(scale: int, c: Sequence[int], new_scale: int,
+                new_c: Sequence[int]) -> Optional[tuple]:
+    """``(k, changed)`` that carry a solution at c over ``den * scale`` to
+    new_c over ``den * new_scale``: k = new_scale / scale and ``changed``
+    the entries with new_c[i] != k * c[i].  None, for the cold solve, when
+    new_scale is not a multiple of scale or a quarter of the entries or
+    more changed: each changed entry costs a warm start one pass (the
+    table) or one search (the flow), and the cold solve pays for all n.
+    With n <= 4 one changed entry is a quarter, so the table solver, whose
+    16-entry tables the clock clinches by the thousand, gives those
+    solutions its cold solve as ``at`` and skips this call.
+    """
+    k, rest = divmod(new_scale, scale)
+    if rest:
+        return None
+    changed = [i for i, (a, b) in enumerate(zip(c, new_c)) if a * k != b]
+    return None if 4 * len(changed) >= len(c) else (k, changed)
+
+
+class _RankChain:
+    """One caller's chain of solves of a :class:`ReducedRank`: each
+    ``solve`` starts from the chain's last solution, by its
+    :meth:`RankSolution.at` (the first is the rank's own cold solve).
+
+    It stands in for the :class:`ReducedRank` (``den`` and ``solve``) in
+    :func:`_clinch_nums` and :func:`_residual_nums`.  The chain belongs to
+    its caller, so the oracle and its reduced rank keep no state.
+    """
+
+    __slots__ = ("den", "at")
+
+    def __init__(self, rank: ReducedRank):
+        self.den, self.at = rank.den, rank.solve
+
+    def solve(self, scale: int, c: Sequence[int]) -> RankSolution:
+        solution = self.at(scale, c)
+        self.at = solution.at
+        return solution
 
 
 def _cardinality_rank(ctrs: tuple) -> ReducedRank:
@@ -221,6 +272,9 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     run_(t+1) - a_(t+1) (a_t the t-th increment of A) and g_(n-1) =
     run_(n-1).  So the first ``without`` call builds the prefix minima of
     run and the suffix minima of g, and each call is then one lookup.
+
+    ``at`` is ``solve``: the sort and the scan are the whole solve, so
+    there is nothing a warm start would skip.
     """
     den, alpha = _over_common_denominator(ctrs)
 
@@ -251,7 +305,7 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
             k = first[c[j]]
             return total - c[j] + min(prefix[k], top[k] + suffix[k])
 
-        return RankSolution(total + low, smallest, without)
+        return RankSolution(total + low, smallest, without, solve)
 
     return ReducedRank(den, solve)
 
@@ -286,9 +340,21 @@ def _bit_slices(size: int, i: int) -> tuple:
                   slice(s + width, s + period)) for s in range(0, size, period))
 
 
-def _min_without_bit(values: list, i: int) -> int:
-    """min of values[m] over the masks m that do not contain bit i."""
-    return min(min(values[without]) for _, without, _ in _bit_slices(len(values), i))
+def _min_without_bit(values: list, i: int) -> tuple:
+    """``(low, where)``: low the min of values[m] over the masks m that do
+    not contain bit i, and where the slice of values, one of
+    :func:`_bit_slices`' masks without bit i, that holds a mask attaining it."""
+    low = None
+    for _, without, _ in _bit_slices(len(values), i):
+        part = min(values[without])
+        if low is None or part < low:
+            low, where = part, without
+    return low, where
+
+
+def _mask_at(values: list, where: slice, value: int) -> int:
+    """The first mask in the slice ``where`` of ``values`` whose entry is ``value``."""
+    return where.start + values[where].index(value) * (where.step or 1)
 
 
 def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
@@ -301,9 +367,19 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     fhat([n] \\ j), so :func:`clinch_kernel` equals :class:`ResidualOracle`
     on any set function.  Every minimizer holds j iff that minimum rises
     above min h, so ``smallest()``, the AND of the minimizers, is those bits
-    of the first minimizer; the minima it takes are kept for ``without``.
-    If the AND is not itself a minimizer (f is not submodular), the
-    minimizer :func:`_precedes` ranks first stands in for it.
+    of the first minimizer; the minima it takes are kept for ``without``,
+    each with the slice of h where a mask attains it.  If the AND is not
+    itself a minimizer (f is not submodular), the minimizer
+    :func:`_precedes` ranks first stands in for it.
+
+    ``at`` takes h from this solution's: k * h at the new scale (k the
+    ratio), and each changed entry's k * c_i - c'_i added over the masks
+    that hold its bit (:func:`_bit_slices`), one pass each.  When every
+    changed entry fell, the rest of h only rose, so a minimum whose mask
+    holds no changed bit is still one, times k: min h and the first
+    minimizer carry over when that minimizer holds none, and so does each
+    kept minimum whose mask (:func:`_mask_at`, looked up only here) holds
+    none.  With n <= 4, ``at`` is ``solve``.
     """
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         c = list(c)                          # the solution's own copy
@@ -311,20 +387,47 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
         for weight in c:
             sums += [s + weight for s in sums]
         h = list(map(operator.sub, nums if scale == 1 else [v * scale for v in nums], sums))
-        total, low = sum(c), min(h)
-        first = h.index(low)
-        minima = {}
+        return solution(scale, c, h, None, {})
+
+    def solution(scale: int, c: list, h: list, best: Optional[tuple],
+                 minima: dict) -> RankSolution:
+        """The solution at c from its h; ``best`` is (min h, first
+        minimizer) when known, ``minima`` the kept minima by bit."""
+        total = sum(c)
+        if best is None:
+            low = min(h)
+            best = low, h.index(low)
+        low, first = best
 
         def min_without(j: int) -> int:
             if j not in minima:
                 minima[j] = _min_without_bit(h, j)
-            return minima[j]
+            return minima[j][0]
 
         def smallest() -> int:
             mask = sum(1 << j for j in range(len(c)) if first >> j & 1 and min_without(j) > low)
             return mask if h[mask] == low else _argmin(range(len(h)), h.__getitem__)[0]
 
-        return RankSolution(total + low, smallest, lambda j: total - c[j] + min_without(j))
+        def at(new_scale: int, new_c: Sequence[int]) -> RankSolution:
+            warm = _warm_start(scale, c, new_scale, new_c)
+            if warm is None:
+                return solve(new_scale, new_c)
+            k, changed = warm
+            new_c = list(new_c)
+            g = h[:] if k == 1 else [v * k for v in h]
+            for i in changed:
+                rise = k * c[i] - new_c[i]
+                for _, _, with_ in _bit_slices(len(g), i):
+                    g[with_] = [v + rise for v in g[with_]]
+            if any(k * c[i] < new_c[i] for i in changed):
+                return solution(new_scale, new_c, g, None, {})
+            bits = sum(1 << i for i in changed)
+            return solution(new_scale, new_c, g, None if first & bits else (low * k, first),
+                            {j: (v * k, where) for j, (v, where) in minima.items()
+                             if not _mask_at(h, where, v) & bits})
+
+        return RankSolution(total + low, smallest, lambda j: total - c[j] + min_without(j),
+                            solve if len(c) <= 4 else at)     # see _warm_start
 
     return ReducedRank(den, solve)
 
@@ -742,10 +845,11 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     return Fraction(total, den), tuple(Fraction(x, den) for x in delta)
 
 
-def _clinch_nums(rank: ReducedRank, scale: int, rho: Sequence[int],
+def _clinch_nums(rank: Union[ReducedRank, _RankChain], scale: int, rho: Sequence[int],
                  d: Sequence[int]) -> tuple:
     """:func:`clinch_kernel` on numerators over ``rank.den * scale``: ``(fhat([n]), delta)``
-    as numerators over the same denominator.
+    as numerators over the same denominator.  ``rank`` solves at c; the
+    engines pass their :class:`_RankChain`, which starts from the last clinch.
 
     With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
     smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
@@ -780,11 +884,12 @@ def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
     return Fraction(total, den), tuple(Fraction(w, den) for w in without)
 
 
-def _residual_nums(rank: ReducedRank, scale: int, rho: Sequence[int],
+def _residual_nums(rank: Union[ReducedRank, _RankChain], scale: int, rho: Sequence[int],
                    d: Sequence[int]) -> tuple:
     """:func:`residual_totals` on numerators over ``rank.den * scale``:
     ``(fhat([n]), [fhat([n] \\ j) for each j])`` as numerators over the same
-    denominator, from one solve at c = rho + d and its ``without(j)``s."""
+    denominator, from one solve at c = rho + d (by ``rank``, a reduced rank
+    or a caller's :class:`_RankChain`) and its ``without(j)``s."""
     solution = rank.solve(scale, list(map(operator.add, rho, d)))
     rtotal = sum(rho)
     return solution.total - rtotal, [solution.without(j) + r - rtotal

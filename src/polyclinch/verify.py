@@ -41,6 +41,7 @@ from .errors import DomainError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
+    _RankChain,
     _residual_nums,
     _scaled,
     as_fraction,
@@ -127,9 +128,10 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     polymatroid's f is.  So the minimizers of R are those of f - x over the
     sets holding i (and not j), the minimum is R - c([n]) + M - x_i, and
     the smallest minimizer, the unique one of least cardinality, is the set
-    :func:`~polyclinch.submodular.min_constrained` names.  No table and no
-    cap on an oracle with a structural reduced rank; the value table
-    otherwise.
+    :func:`~polyclinch.submodular.min_constrained` names.  Each of those
+    solves starts from the one at x (``RankSolution.at``), from which its c
+    differs in one or two entries.  No table and no cap on an oracle with a
+    structural reduced rank; the value table otherwise.
     """
     n = oracle.n
     _check_bidder_count(n, bidders)
@@ -148,13 +150,14 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     den, (xnum,) = _scaled(rank.den, x)
     scale = den // rank.den
     big = math.floor(full_value * den) + sum(xnum) + 1
+    at_x = rank.solve(scale, xnum)
 
     def solved(i: int, j: Optional[int] = None) -> tuple:
         c = list(xnum)
         c[i] = big
         if j is not None:
             c[j] = 0
-        solution = rank.solve(scale, c)
+        solution = at_x.at(scale, c)
         return solution, solution.total - sum(c) + big - xnum[i]     # the least slack, over den
 
     order = sorted(range(n), key=lambda k: bidders[k].value)
@@ -387,14 +390,17 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     The monitors are decided on integers, by reduced ranks, so past the
     enumeration cap on oracles with a structural solver.  A snapshot's rho,
     d, recorded fhat([n]) and f([n]) go over one denominator with the
-    rank's; rho is in P(f) iff R(rho) = rho([n]) (:func:`membership` runs
-    only to name the violated set, and a rho equal to the one before is not
-    solved again), and fhat([n]) and every fhat([n] \\ j) come from one
-    solve at rho + d (:func:`~polyclinch.submodular._residual_nums`, the
-    core of :func:`residual_totals`).  Witnesses are built, as
-    ``Fraction``s, only where a monitor fails, and every n takes this one
-    path; the ``Fraction`` reference that tabulates 2^n sets lives in the
-    tests.  A snapshot with
+    rank's and the snapshots' before it; rho is in P(f) iff R(rho) =
+    rho([n]) (:func:`membership` runs only to name the violated set, and a
+    rho equal to the one before is not solved again), and fhat([n]) and
+    every fhat([n] \\ j) come from one solve at rho + d
+    (:func:`~polyclinch.submodular._residual_nums`, the core of
+    :func:`residual_totals`).  The solves at rho and those at rho + d are
+    two chains (``RankSolution.at``): each starts from the last of its
+    kind, since consecutive snapshots differ in a few entries.  Witnesses
+    are built, as ``Fraction``s, only where a monitor fails, and every n
+    takes this one path; the ``Fraction`` reference that tabulates 2^n sets
+    lives in the tests.  A snapshot with
     the same (rho, d) and recorded fhat([n]) as the one before it, as a step
     that skipped its clinch leaves, is skipped after its budget check: its
     witnesses could only repeat ones already found.  Budgets are checked
@@ -404,6 +410,8 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     full = (1 << n) - 1
     target = oracle.value_mask(full)
     rank = oracle.rank()
+    at_rho, at_c = _RankChain(rank), _RankChain(rank)     # solves at rho, and at rho + d
+    den = rank.den                       # only grows, so each solve can start from the last
     report = VerificationReport()
     feasible = budgets_ok = None
     found = (None, None, None)           # conserved, dominance, reclinch
@@ -428,7 +436,7 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
         # rho seen at the snapshot before, which passed feasibility, passes again
         checked = last is not None and snap.promised == last[0]
         last = snap.promised, snap.demands, recorded
-        den, (rho, d) = _scaled(math.lcm(rank.den, target.denominator, recorded.denominator),
+        den, (rho, d) = _scaled(math.lcm(den, target.denominator, recorded.denominator),
                                 snap.promised, snap.demands)
         if min(d) < 0:
             i = next(i for i, v in enumerate(d) if v < 0)
@@ -438,14 +446,14 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
         if min(rho) < 0:
             feasible = {"step": snap.step, "violating_set": [],
                         "detail": "negative promised allocation"}
-        elif not checked and rank.solve(scale, rho).total != rtotal:
+        elif not checked and at_rho.solve(scale, rho).total != rtotal:
             feasible = {"step": snap.step,
                         "violating_set": sorted(membership(oracle, snap.promised).violating)}
         if feasible is not None:
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        total, without = _residual_nums(rank, scale, rho, d)
+        total, without = _residual_nums(at_c, scale, rho, d)
         if (rtotal + total == target.numerator * (den // target.denominator)
                 and total == recorded.numerator * (den // recorded.denominator)
                 and total <= min(without)):

@@ -1,5 +1,6 @@
 """Environment constructors, the AdWords decomposition, and cut oracles."""
 
+import collections
 import functools
 import math
 import operator
@@ -23,7 +24,7 @@ from polyclinch import (
     verify_submodular,
     vod_cut_oracle,
 )
-from polyclinch import environments
+from polyclinch import environments, submodular
 from polyclinch.environments import _ArcNetwork
 from polyclinch.instances import generate_instance
 
@@ -619,6 +620,11 @@ def test_max_flow_stops_at_its_limit():
     assert closed >= 50, closed
 
 
+def _random_c(rng, n):
+    return tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
+                 for _ in range(n))
+
+
 def _reduced_rank_cases():
     """(oracle, c) pairs for the reduced-rank tests.
 
@@ -628,10 +634,6 @@ def _reduced_rank_cases():
     oracles, and built-in oracles stripped to their value table, all on the
     table solver.  c mixes ties, zeros and denominators.
     """
-    def random_c(rng, n):
-        return tuple(F(rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((1, 2, 3, 5)))
-                     for _ in range(n))
-
     rng = random.Random(3103)
     nets = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
             (CapacitatedNetwork.build([("s", "a", 2)], "s", ["a", "island"]), (F(7), F(1, 2))),
@@ -644,7 +646,7 @@ def _reduced_rank_cases():
             payload = generate_instance("vod-cut", n, None, t).environment.payload
             net = CapacitatedNetwork.build(payload["edges"], payload["source"],
                                            payload["bidder_nodes"])
-        nets.append((net, random_c(rng, n)))
+        nets.append((net, _random_c(rng, n)))
     cases = [(vod_cut_oracle(net), c) for net, c in nets]
     cases += [(single_keyword_oracle([0, 0, 0]), (F(1), F(0), F(1))),
               (single_keyword_oracle([3, 3, 0, 0]), (F(3), F(3), F(3), F(0))),
@@ -658,13 +660,13 @@ def _reduced_rank_cases():
                 reverse=True))
         else:
             oracle = multi_unit_oracle(F(rng.randint(0, 8), rng.choice((1, 2, 3))), n)
-        cases.append((oracle, random_c(rng, n)))
+        cases.append((oracle, _random_c(rng, n)))
     rng = random.Random(3105)
     for t in range(90):
         n = rng.randint(1, 8)
         kind = ("graphic", "adwords", "vod-cut", "single-keyword", "multi-unit")[t % 5]
         oracle = random_oracle(rng, kind, n)
-        cases.append((oracle if t % 5 < 2 else table_only(oracle), random_c(rng, n)))
+        cases.append((oracle if t % 5 < 2 else table_only(oracle), _random_c(rng, n)))
     return cases
 
 
@@ -727,6 +729,77 @@ def test_without_equals_a_cold_solve():
     assert min(warm.values()) >= 100, warm
 
 
+def _answers(solution, n):
+    return solution.total, solution.smallest(), [solution.without(j) for j in range(n)]
+
+
+def test_at_equals_a_cold_solve(monkeypatch):
+    # A chain of at() calls equals cold solves at every point, in total,
+    # smallest() and every without(j): moves lower, close or raise one
+    # entry, change several, scale by an integer k > 1, or go to a scale
+    # that is not a multiple (the cold fallback).  Besides the reduced-rank
+    # cases, longer chains run on oracles with 9 to 12 bidders, where
+    # several changed entries can be under a quarter and start warm.  Each solution is asked
+    # before its successor is made or not (the table then has no kept
+    # minima to carry), and answers as before once it is.
+    starts = {kind: collections.Counter() for kind in ("vod-cut", "cardinality", "table")}
+    warm_start = submodular._warm_start
+
+    def counted(scale, c, new_scale, new_c):
+        warm = warm_start(scale, c, new_scale, new_c)
+        tally = starts[bucket]
+        if warm is None:
+            tally["cold"] += 1
+        else:
+            k, changed = warm
+            tally.update(["warm"] + ["k > 1"] * (k > 1) + ["several"] * (len(changed) > 1))
+        return warm
+    monkeypatch.setattr(submodular, "_warm_start", counted)
+    monkeypatch.setattr(environments, "_warm_start", counted)
+    rng = random.Random(3106)
+    wide = [random_oracle(rng, ("graphic", "adwords", "vod-cut")[t % 3], rng.randint(9, 12))
+            for t in range(9)]
+    wide += [table_only(oracle) for oracle in wide[2::3]]
+    rng = random.Random(3939)
+    for oracle, c in _reduced_rank_cases() + [(o, _random_c(rng, o.n)) for o in wide]:
+        bucket, rank, n = _bucket(oracle), oracle.rank(), oracle.n
+        den = math.lcm(rank.den, *(v.denominator for v in c))
+        scale, point = den // rank.den, [int(v * den) for v in c]
+        solution = rank.solve(scale, point)
+        expected = _answers(rank.solve(scale, point), n)
+        for _ in range(6 if n < 9 else 24):
+            if rng.random() < 0.5:
+                assert _answers(solution, n) == expected, (oracle, scale, point)
+            move = rng.choice(("lower", "close", "raise", "several", "k", "ratio"))
+            j = rng.randrange(n)
+            new_scale, new = scale, point[:]
+            big = int(oracle.value_mask((1 << n) - 1) * rank.den * scale) + sum(point) + 1
+            if move == "lower":
+                new[j] //= 2
+            elif move == "close":
+                new[j] = 0
+            elif move == "raise":
+                new[j] += rng.choice((1, point[j] + 1, big))
+            elif move == "several":
+                for i in rng.sample(range(n), min(n, rng.randint(2, max(2, n // 3)))):
+                    new[i] = rng.choice((0, new[i] // 3, new[i] + 1, big))
+            elif move == "k":
+                k = rng.choice((2, 3, 6))
+                new_scale, new = scale * k, [v * k for v in new]
+                new[j] = rng.choice((new[j] // 2, new[j] + 1, new[j]))
+            else:
+                new_scale = scale + 1 if scale > 1 else 2 * scale + 1
+            successor = solution.at(new_scale, new)
+            assert _answers(solution, n) == expected, (oracle, scale, point)
+            expected = _answers(rank.solve(new_scale, new), n)
+            solution, scale, point = successor, new_scale, new
+        assert _answers(solution, n) == expected, (oracle, scale, point)
+    assert not starts["cardinality"], starts
+    for kind in ("vod-cut", "table"):
+        assert starts[kind]["cold"] >= 50 and starts[kind]["warm"] >= 200, starts
+        assert starts[kind]["k > 1"] >= 30 and starts[kind]["several"] >= 5, starts
+
+
 def test_two_solves_on_one_oracle_do_not_share_state():
     # Interleaving the questions to two solutions changes neither: the state
     # each starts from is its own, not the oracle's.
@@ -754,6 +827,18 @@ def test_two_solves_on_one_oracle_do_not_share_state():
         expected.append(alone[0][1])
         assert asked == expected, oracle
         assert (first.total, second.total) == (alone[0][0], alone[1][0]), oracle
+        # two chains of at() from the two points, stepped in turn, each asked
+        # between the other's steps: each answers as a cold solve at its point
+        chains = [first, second]
+        for _ in range(4):
+            for side in (0, 1):
+                point = points[side] = points[side][:]
+                point[rng.randrange(6)] = rng.randint(0, 9 * rank.den)
+                chains[side] = chains[side].at(1, point)
+                assert _answers(chains[1 - side], 6) == _answers(
+                    rank.solve(1, points[1 - side]), 6), oracle
+        assert [_answers(chain, 6) for chain in chains] == [
+            _answers(rank.solve(1, point), 6) for point in points], oracle
 
 
 def test_vod_cut_rejects_source_as_bidder():
