@@ -47,7 +47,6 @@ from .submodular import (
     ReducedRank,
     SubmodularOracle,
     ZERO,
-    _RankChain,
     _check_promises,
     _clinch_nums,
     _demand_vector,
@@ -436,16 +435,15 @@ def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],
     ``base``; D starts as the lcm of ``base`` and ``rank.den``, and the
     demand cap is the reach over D less the promise, floored at 0.  Every
     clinch is one :func:`~polyclinch.submodular._clinch_nums` on the loop's
-    numerators, which returns ``(fhat([n]), delta)``, its solve started
-    from the last clinch's (``RankSolution.at``): consecutive clinches
-    differ in the entry of c the clock moved, with D times an integer.  The
+    numerators, which returns ``(fhat([n]), delta, solution)``, its solve
+    started from the last clinch's solution: consecutive clinches differ
+    in the entry of c the clock moved, with D times an integer.  The
     trace total is asked for right after it, at (rho + delta, d - delta),
     where h = f - (rho + d) is unchanged, so fhat([n]) is the clinch's
     total less the sum of delta.
     """
     units = _Units(eps, math.lcm(rank.den, base))
-    chain = _RankChain(rank)                     # each clinch starts from the last one's solve
-    last = []                                    # fhat([n]) and delta of the last clinch
+    last = [None, None, rank]        # fhat([n]), delta and solution of the last clinch; rank: cold
 
     def demands_fn(ticks, promised, budgets_rem):
         def cap(i, t):
@@ -454,11 +452,11 @@ def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],
         return _demand_rule(units, values, budgets_rem, cap)
 
     def clinch_fn(rho, d):
-        last[:] = _clinch_nums(chain, units.den // rank.den, rho, d)
+        last[:] = _clinch_nums(last[2], units.den // rank.den, rho, d)
         return last[1]
 
     def fhat_fn(rho, d):
-        total, delta = last
+        total, delta, _ = last
         return total - sum(delta)
 
     return _run_loop(len(values), units, cfg.max_steps, budgets, demands_fn, clinch_fn,

@@ -23,8 +23,8 @@ it, with no call per mask; a maximum flow augmented from the parent set's
 for vod-cut, its table walked depth-first (``submodular._lattice_walk``),
 which keeps at most n + 1 residual arrays alive where a level would hold
 2^(n-1).  Vod-cut also carries a reduced rank, one maximum flow with
-bidder i's sink arc at c_i, from which R with one sink arc closed, and R
-at the next c of a chain, re-augment.  So multi-unit, single-keyword and
+bidder i's sink arc at c_i, from which R with one sink arc closed, and a
+solution's re-solve at the next c, re-augment.  So multi-unit, single-keyword and
 vod-cut auctions clinch without the 2^n table and run past the
 enumeration cap.  Every vod-cut question -- a value, R, R with one arc
 closed, R at a new c, the smallest minimizer -- goes to one Edmonds-Karp
@@ -391,12 +391,12 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     that number leaves ``without``; T* is read from the solve's own
     residual, which ``without`` never touches.
 
-    ``at(scale, c')`` starts from a copy of that residual times k, the
-    ratio of the scales: a maximum flow at c scaled by k is feasible at
-    k c.  Each changed sink arc is reset to c'_i; where c'_i is below the
-    flow it carries, the arc keeps c'_i and the rest goes back from the
-    bidder's node by the same limited search as in ``without``.  One
-    augmentation then ends at a maximum flow at c', whose value is read
+    A solution's ``solve(scale, c')`` starts from a copy of that residual
+    times k, the ratio of the scales: a maximum flow at c scaled by k is
+    feasible at k c.  Each changed sink arc is reset to c'_i; where c'_i is
+    below the flow it carries, the arc keeps c'_i and the rest goes back
+    from the bidder's node by the same limited search as in ``without``.
+    One augmentation then ends at a maximum flow at c', whose value is read
     off the sink arcs.
     """
     n = len(net.bidder_nodes)
@@ -451,7 +451,7 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)
             return total - carried + graph.max_flow(warm, net.source, sink)[0]
 
-        def at(new_scale: int, new_c: Sequence[int]) -> RankSolution:
+        def resolve(new_scale: int, new_c: Sequence[int]) -> RankSolution:
             warm = _warm_start(scale, c, new_scale, new_c)
             if warm is None:
                 return solve(new_scale, new_c)
@@ -467,7 +467,7 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
                     graph.max_flow(flow, net.bidder_nodes[i], net.source, carried - ci)
             return solution(new_scale, list(new_c), flow)
 
-        return RankSolution(total, smallest, without, at)
+        return RankSolution(total, smallest, without, resolve)
 
     closed = graph.cap[:]
     root = (0, closed, graph.max_flow(closed, net.source, sink)[1])

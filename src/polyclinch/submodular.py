@@ -33,10 +33,9 @@ solve returns a :class:`RankSolution`, from which each leave-one-out R
 (c_j = 0) that :func:`clinch_kernel` and :func:`residual_totals` need is
 computed warm, and the smallest minimizer only on request;
 :func:`membership` names that minimizer as the violated set.  A solution
-also solves again at a nearby c (:meth:`RankSolution.at`), which is how
-the clock's clinches and the verifiers' snapshot checks chain their
-solves (:class:`_RankChain`); the chain belongs to the caller, never to
-the oracle.
+answers ``solve(scale, c)`` as its reduced rank does, started from its own
+state, so the clock's clinches and the verifiers' snapshot checks each
+start from the last solution they keep; the oracle keeps none.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
 by the oracle's own ``table`` builder when it has one (each built-in kind
@@ -179,7 +178,8 @@ class ReducedRank:
     """R(c) = min over T of f(T) + c([n] \\ T) for c >= 0, on integers.
 
     R(c) is also max{y([n]) : y in P(f), y <= c}.  ``solve(scale, c)`` takes
-    c_i = c[i] / (``den`` * scale) and returns a :class:`RankSolution` at c.
+    c_i = c[i] / (``den`` * scale) and returns a :class:`RankSolution` at c,
+    solved cold; a solution answers the same call warm.
     """
 
     __slots__ = ("den", "solve")
@@ -199,19 +199,19 @@ class RankSolution:
     so they can be asked in any order, any number of times; the state they
     start from lives here, never on the oracle.
 
-    ``at(scale, c)`` is the solution that ``solve(scale, c)`` returns,
-    started from this one's state (the table's h, the maximum flow) and
-    changing nothing on it; the caller that keeps the last solution keeps
-    the chain.  Where :func:`_warm_start` finds no warm start, it is the
-    cold solve.
+    ``solve(scale, c)`` returns what the reduced rank's ``solve(scale, c)``
+    does, started from this solution's state (the table's h, the maximum
+    flow) and changing nothing on it, so a caller re-solves by keeping the
+    last solution it made.  Where :func:`_warm_start` finds no warm start,
+    it is the cold solve.
     """
 
-    __slots__ = ("total", "smallest", "without", "at")
+    __slots__ = ("total", "smallest", "without", "solve")
 
     def __init__(self, total: int, smallest: Callable[[], int],
                  without: Callable[[int], int],
-                 at: Callable[[int, Sequence[int]], "RankSolution"]):
-        self.total, self.smallest, self.without, self.at = total, smallest, without, at
+                 solve: Callable[[int, Sequence[int]], "RankSolution"]):
+        self.total, self.smallest, self.without, self.solve = total, smallest, without, solve
 
 
 def _warm_start(scale: int, c: Sequence[int], new_scale: int,
@@ -224,34 +224,13 @@ def _warm_start(scale: int, c: Sequence[int], new_scale: int,
     table) or one search (the flow), and the cold solve pays for all n.
     With n <= 4 one changed entry is a quarter, so the table solver, whose
     16-entry tables the clock clinches by the thousand, gives those
-    solutions its cold solve as ``at`` and skips this call.
+    solutions its cold solve as ``solve`` and skips this call.
     """
     k, rest = divmod(new_scale, scale)
     if rest:
         return None
     changed = [i for i, (a, b) in enumerate(zip(c, new_c)) if a * k != b]
     return None if 4 * len(changed) >= len(c) else (k, changed)
-
-
-class _RankChain:
-    """One caller's chain of solves of a :class:`ReducedRank`: each
-    ``solve`` starts from the chain's last solution, by its
-    :meth:`RankSolution.at` (the first is the rank's own cold solve).
-
-    It stands in for the :class:`ReducedRank` (``den`` and ``solve``) in
-    :func:`_clinch_nums` and :func:`_residual_nums`.  The chain belongs to
-    its caller, so the oracle and its reduced rank keep no state.
-    """
-
-    __slots__ = ("den", "at")
-
-    def __init__(self, rank: ReducedRank):
-        self.den, self.at = rank.den, rank.solve
-
-    def solve(self, scale: int, c: Sequence[int]) -> RankSolution:
-        solution = self.at(scale, c)
-        self.at = solution.at
-        return solution
 
 
 def _cardinality_rank(ctrs: tuple) -> ReducedRank:
@@ -273,8 +252,8 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     run_(n-1).  So the first ``without`` call builds the prefix minima of
     run and the suffix minima of g, and each call is then one lookup.
 
-    ``at`` is ``solve``: the sort and the scan are the whole solve, so
-    there is nothing a warm start would skip.
+    A solution's ``solve`` is the cold one: the sort and the scan are the
+    whole solve, so there is nothing a warm start would skip.
     """
     den, alpha = _over_common_denominator(ctrs)
 
@@ -372,14 +351,13 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     itself a minimizer (f is not submodular), the minimizer
     :func:`_precedes` ranks first stands in for it.
 
-    ``at`` takes h from this solution's: k * h at the new scale (k the
-    ratio), and each changed entry's k * c_i - c'_i added over the masks
-    that hold its bit (:func:`_bit_slices`), one pass each.  When every
-    changed entry fell, the rest of h only rose, so a minimum whose mask
-    holds no changed bit is still one, times k: min h and the first
-    minimizer carry over when that minimizer holds none, and so does each
-    kept minimum whose mask (:func:`_mask_at`, looked up only here) holds
-    none.  With n <= 4, ``at`` is ``solve``.
+    A solution's ``solve`` takes h from its own: k * h at the new scale (k
+    the ratio), and each changed entry's k * c_i - c'_i added over the
+    masks that hold its bit (:func:`_bit_slices`), one pass each.  When
+    every changed entry fell, the rest of h only rose, so a kept minimum
+    whose mask (:func:`_mask_at`, looked up only here) holds no changed bit
+    is still one, times k, and carries over.  With n <= 4 it is the cold
+    solve.
     """
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         c = list(c)                          # the solution's own copy
@@ -387,17 +365,13 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
         for weight in c:
             sums += [s + weight for s in sums]
         h = list(map(operator.sub, nums if scale == 1 else [v * scale for v in nums], sums))
-        return solution(scale, c, h, None, {})
+        return solution(scale, c, h, {})
 
-    def solution(scale: int, c: list, h: list, best: Optional[tuple],
-                 minima: dict) -> RankSolution:
-        """The solution at c from its h; ``best`` is (min h, first
-        minimizer) when known, ``minima`` the kept minima by bit."""
+    def solution(scale: int, c: list, h: list, minima: dict) -> RankSolution:
+        """The solution at c from its h; ``minima`` the kept minima by bit."""
         total = sum(c)
-        if best is None:
-            low = min(h)
-            best = low, h.index(low)
-        low, first = best
+        low = min(h)
+        first = h.index(low)
 
         def min_without(j: int) -> int:
             if j not in minima:
@@ -408,7 +382,7 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
             mask = sum(1 << j for j in range(len(c)) if first >> j & 1 and min_without(j) > low)
             return mask if h[mask] == low else _argmin(range(len(h)), h.__getitem__)[0]
 
-        def at(new_scale: int, new_c: Sequence[int]) -> RankSolution:
+        def resolve(new_scale: int, new_c: Sequence[int]) -> RankSolution:
             warm = _warm_start(scale, c, new_scale, new_c)
             if warm is None:
                 return solve(new_scale, new_c)
@@ -420,14 +394,14 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
                 for _, _, with_ in _bit_slices(len(g), i):
                     g[with_] = [v + rise for v in g[with_]]
             if any(k * c[i] < new_c[i] for i in changed):
-                return solution(new_scale, new_c, g, None, {})
+                return solution(new_scale, new_c, g, {})
             bits = sum(1 << i for i in changed)
-            return solution(new_scale, new_c, g, None if first & bits else (low * k, first),
-                            {j: (v * k, where) for j, (v, where) in minima.items()
-                             if not _mask_at(h, where, v) & bits})
+            return solution(new_scale, new_c, g, {
+                j: (v * k, where) for j, (v, where) in minima.items()
+                if not _mask_at(h, where, v) & bits})
 
         return RankSolution(total + low, smallest, lambda j: total - c[j] + min_without(j),
-                            solve if len(c) <= 4 else at)     # see _warm_start
+                            solve if len(c) <= 4 else resolve)     # see _warm_start
 
     return ReducedRank(den, solve)
 
@@ -481,8 +455,9 @@ class SubmodularOracle:
     returns that solver, or else the table solver, and the kernel and the
     verifiers decide through it alone.  ``monotone`` is
     a claim by the constructor, checkable with :func:`verify_submodular`.
-    Oracles are immutable after construction and safe to share read-only
-    across threads.
+    Its definition is fixed at construction; :meth:`value_mask` and
+    :meth:`integer_table` fill a memo and the value table on first use,
+    unlocked, with values that definition fixes, so reads agree in any order.
     """
 
     def __init__(self, n: int, fn_mask: Optional[Callable[[int], Fraction]],
@@ -700,24 +675,37 @@ def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipRes
     least value of f - x, so x is in P(f) iff R(x) = x([n]).  Otherwise the
     smallest minimizer T* is the violated set: every other minimizer
     contains it, so it is the unique one of least cardinality, which is the
-    set the tie-break of :func:`_precedes` names.  One evaluation of f(T*)
-    guards the witness: f(T*) - x(T*) must equal the deficit, or
-    :class:`ClinchError` is raised.
+    set the tie-break of :func:`_precedes` names.  :func:`_membership_from`
+    reads the result off that solve.
     """
-    n = oracle.n
+    vec = _allocation(x, oracle.n)
+    rank = oracle.rank()
+    den, (nums,) = _scaled(rank.den, vec)
+    return _membership_from(oracle, vec, rank.solve(den // rank.den, nums), den, sum(nums))
+
+
+def _allocation(x: Sequence[Rational], n: int) -> tuple:
+    """x as an exact vector, after :class:`DomainError` unless it has n
+    entries, all >= 0: the points :func:`membership` decides."""
     vec = vector(x, n)
     for i, xi in enumerate(vec):
         if xi < 0:
             raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
-    rank = oracle.rank()
-    den, (nums,) = _scaled(rank.den, vec)
-    solution = rank.solve(den // rank.den, nums)
-    low = solution.total - sum(nums)
+    return vec
+
+
+def _membership_from(oracle: SubmodularOracle, x: Sequence[Fraction], solution: RankSolution,
+                     den: int, total: int) -> MembershipResult:
+    """:func:`membership` of x from a solve at x in hand: ``solution`` is R
+    at x's numerators over ``den``, and ``total`` their sum.  One
+    evaluation of f(T*) guards the witness: f(T*) - x(T*) must equal the
+    deficit, or :class:`ClinchError` is raised."""
+    low = solution.total - total
     if low == 0:
         return MembershipResult(True)
     mask, deficit = solution.smallest(), Fraction(low, den)
     violating = set_of(mask)
-    if oracle.value_mask(mask) - sum((vec[i] for i in violating), ZERO) != deficit:
+    if oracle.value_mask(mask) - sum((x[i] for i in violating), ZERO) != deficit:
         raise ClinchError(f"membership in P({oracle.name}): the reduced rank names "
                           f"{sorted(violating)} with deficit {deficit}, which f does not give")
     return MembershipResult(False, violating, deficit)
@@ -841,26 +829,27 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     """
     rank = oracle.rank()
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    total, delta = _clinch_nums(rank, den // rank.den, rnum, dnum)
+    total, delta, _ = _clinch_nums(rank, den // rank.den, rnum, dnum)
     return Fraction(total, den), tuple(Fraction(x, den) for x in delta)
 
 
-def _clinch_nums(rank: Union[ReducedRank, _RankChain], scale: int, rho: Sequence[int],
+def _clinch_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Sequence[int],
                  d: Sequence[int]) -> tuple:
-    """:func:`clinch_kernel` on numerators over ``rank.den * scale``: ``(fhat([n]), delta)``
-    as numerators over the same denominator.  ``rank`` solves at c; the
-    engines pass their :class:`_RankChain`, which starts from the last clinch.
+    """:func:`clinch_kernel` on numerators over den * scale, den the rank's:
+    ``(fhat([n]), delta, solution)``, the numbers over the same denominator
+    and the solve at c by ``start``, the reduced rank or the engines' last
+    solution.
 
     With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
     smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
     with c_j = 0 (:meth:`RankSolution.without`, warm from the solve at c),
     less rho([n] \\ j), so delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
     """
-    solution = rank.solve(scale, list(map(operator.add, rho, d)))
+    solution = start.solve(scale, list(map(operator.add, rho, d)))
     total, smallest = solution.total, solution.smallest()
     delta = [max(0, total - solution.without(j) - rho[j]) if smallest >> j & 1 else d[j]
              for j in range(len(rho))]
-    return total - sum(rho), delta
+    return total - sum(rho), delta, solution
 
 
 def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
@@ -880,20 +869,20 @@ def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
     """
     rank = oracle.rank()
     den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    total, without = _residual_nums(rank, den // rank.den, rnum, dnum)
+    total, without, _ = _residual_nums(rank, den // rank.den, rnum, dnum)
     return Fraction(total, den), tuple(Fraction(w, den) for w in without)
 
 
-def _residual_nums(rank: Union[ReducedRank, _RankChain], scale: int, rho: Sequence[int],
+def _residual_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Sequence[int],
                    d: Sequence[int]) -> tuple:
-    """:func:`residual_totals` on numerators over ``rank.den * scale``:
-    ``(fhat([n]), [fhat([n] \\ j) for each j])`` as numerators over the same
-    denominator, from one solve at c = rho + d (by ``rank``, a reduced rank
-    or a caller's :class:`_RankChain`) and its ``without(j)``s."""
-    solution = rank.solve(scale, list(map(operator.add, rho, d)))
+    """:func:`residual_totals` on numerators over den * scale, den the rank's:
+    ``(fhat([n]), [fhat([n] \\ j) for each j], solution)``, the numbers over
+    the same denominator, from the solve at c = rho + d by ``start``, the
+    reduced rank or a caller's last solution, and its ``without(j)``s."""
+    solution = start.solve(scale, list(map(operator.add, rho, d)))
     rtotal = sum(rho)
     return solution.total - rtotal, [solution.without(j) + r - rtotal
-                                     for j, r in enumerate(rho)]
+                                     for j, r in enumerate(rho)], solution
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],

@@ -41,11 +41,11 @@ from .errors import DomainError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
-    _RankChain,
+    _allocation,
+    _membership_from,
     _residual_nums,
     _scaled,
     as_fraction,
-    membership,
     residual,  # no caller here: perfbench asserts that it wraps verify.residual
     set_of,
     vector,
@@ -120,22 +120,24 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     smallest minimizer.  Each i's lower-value bidders are a bitmask, taken
     from one sort of the values.
 
-    :func:`membership` decides x in P(f) by one R of the oracle's
-    :meth:`~polyclinch.submodular.SubmodularOracle.rank`, and each minimum
-    is one more R, at c = x with c_i = M (and c_j = 0): as M > f([n]) +
-    x([n]), every set without i costs more than any set with it, and with
-    c_j = 0 dropping j from a set never costs more, f being monotone, as a
-    polymatroid's f is.  So the minimizers of R are those of f - x over the
-    sets holding i (and not j), the minimum is R - c([n]) + M - x_i, and
-    the smallest minimizer, the unique one of least cardinality, is the set
-    :func:`~polyclinch.submodular.min_constrained` names.  Each of those
-    solves starts from the one at x (``RankSolution.at``), from which its c
-    differs in one or two entries.  No table and no cap on an oracle with a
-    structural reduced rank; the value table otherwise.
+    Membership is decided as :func:`~polyclinch.submodular.membership`
+    decides it (x of the wrong length or not >= 0 raises
+    :class:`DomainError` before any solve), by one R at c = x of the
+    oracle's :meth:`~polyclinch.submodular.SubmodularOracle.rank`, and each
+    minimum is one more R, at c = x with c_i = M (and c_j = 0): as M >
+    f([n]) + x([n]), every set without i costs more than any set with it,
+    and with c_j = 0 dropping j from a set never costs more, f being
+    monotone, as a polymatroid's f is.  So the minimizers of R are those of
+    f - x over the sets holding i (and not j), the minimum is R - c([n]) +
+    M - x_i, and the smallest minimizer, the unique one of least
+    cardinality, is the set :func:`~polyclinch.submodular.min_constrained`
+    names.  Each of those solves starts from the solution at x, from which
+    its c differs in one or two entries.  No table and no cap on an oracle
+    with a structural reduced rank; the value table otherwise.
     """
     n = oracle.n
     _check_bidder_count(n, bidders)
-    x = outcome.allocation
+    x = _allocation(outcome.allocation, n)
     pay = outcome.payments
     report = VerificationReport()
 
@@ -145,19 +147,19 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                None if sold == full_value else {"x_total": str(sold), "f_full": str(full_value)},
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
-    member = membership(oracle, x)
     rank = oracle.rank()
     den, (xnum,) = _scaled(rank.den, x)
-    scale = den // rank.den
-    big = math.floor(full_value * den) + sum(xnum) + 1
+    scale, xtotal = den // rank.den, sum(xnum)
     at_x = rank.solve(scale, xnum)
+    member = _membership_from(oracle, x, at_x, den, xtotal)
+    big = math.floor(full_value * den) + xtotal + 1
 
     def solved(i: int, j: Optional[int] = None) -> tuple:
         c = list(xnum)
         c[i] = big
         if j is not None:
             c[j] = 0
-        solution = at_x.at(scale, c)
+        solution = at_x.solve(scale, c)
         return solution, solution.total - sum(c) + big - xnum[i]     # the least slack, over den
 
     order = sorted(range(n), key=lambda k: bidders[k].value)
@@ -391,13 +393,13 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     enumeration cap on oracles with a structural solver.  A snapshot's rho,
     d, recorded fhat([n]) and f([n]) go over one denominator with the
     rank's and the snapshots' before it; rho is in P(f) iff R(rho) =
-    rho([n]) (:func:`membership` runs only to name the violated set, and a
-    rho equal to the one before is not solved again), and fhat([n]) and
-    every fhat([n] \\ j) come from one solve at rho + d
-    (:func:`~polyclinch.submodular._residual_nums`, the core of
-    :func:`residual_totals`).  The solves at rho and those at rho + d are
-    two chains (``RankSolution.at``): each starts from the last of its
-    kind, since consecutive snapshots differ in a few entries.  Witnesses
+    rho([n]), and where it is not, the same solve names the violated set as
+    :func:`~polyclinch.submodular.membership` would (a rho equal to the one
+    before is not solved again).  fhat([n]) and every fhat([n] \\ j) come
+    from one solve at rho + d (:func:`~polyclinch.submodular._residual_nums`,
+    the core of :func:`residual_totals`).  Each solve at rho starts from
+    the last solution at rho, and each at rho + d from the last at rho + d,
+    since consecutive snapshots differ in a few entries.  Witnesses
     are built, as ``Fraction``s, only where a monitor fails, and every n
     takes this one path; the ``Fraction`` reference that tabulates 2^n sets
     lives in the tests.  A snapshot with
@@ -410,7 +412,7 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     full = (1 << n) - 1
     target = oracle.value_mask(full)
     rank = oracle.rank()
-    at_rho, at_c = _RankChain(rank), _RankChain(rank)     # solves at rho, and at rho + d
+    at_rho = at_c = rank                 # the last solutions at rho and at rho + d; rank: cold
     den = rank.den                       # only grows, so each solve can start from the last
     report = VerificationReport()
     feasible = budgets_ok = None
@@ -446,14 +448,16 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
         if min(rho) < 0:
             feasible = {"step": snap.step, "violating_set": [],
                         "detail": "negative promised allocation"}
-        elif not checked and at_rho.solve(scale, rho).total != rtotal:
-            feasible = {"step": snap.step,
-                        "violating_set": sorted(membership(oracle, snap.promised).violating)}
+        elif not checked:
+            at_rho = at_rho.solve(scale, rho)
+            if at_rho.total != rtotal:
+                member = _membership_from(oracle, snap.promised, at_rho, den, rtotal)
+                feasible = {"step": snap.step, "violating_set": sorted(member.violating)}
         if feasible is not None:
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        total, without = _residual_nums(at_c, scale, rho, d)
+        total, without, at_c = _residual_nums(at_c, scale, rho, d)
         if (rtotal + total == target.numerator * (den // target.denominator)
                 and total == recorded.numerator * (den // recorded.denominator)
                 and total <= min(without)):

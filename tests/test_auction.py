@@ -278,12 +278,13 @@ def _classic_multi_unit_kernel(supply):
     # uniform supply, independent of cardinality minima: fhat([n]) is
     # min(d([n]), s_rem) and delta_i = min(d_i, [s_rem - rivals' demands]^+),
     # on the loop's numerators over den = rank.den * scale, as the engines'
-    # integer clinch takes them
+    # integer clinch takes them; it hands its start back as the solution, so
+    # the clock passes it the reduced rank every time
     def kernel(rank, scale, rho, d):
         whole = supply * rank.den * scale
         assert whole.denominator == 1
         s_rem, total = whole.numerator - sum(rho), sum(d)
-        return min(total, s_rem), [min(di, max(0, s_rem - (total - di))) for di in d]
+        return min(total, s_rem), [min(di, max(0, s_rem - (total - di))) for di in d], rank
     return kernel
 
 

@@ -733,15 +733,19 @@ def _answers(solution, n):
     return solution.total, solution.smallest(), [solution.without(j) for j in range(n)]
 
 
-def test_at_equals_a_cold_solve(monkeypatch):
-    # A chain of at() calls equals cold solves at every point, in total,
-    # smallest() and every without(j): moves lower, close or raise one
-    # entry, change several, scale by an integer k > 1, or go to a scale
-    # that is not a multiple (the cold fallback).  Besides the reduced-rank
-    # cases, longer chains run on oracles with 9 to 12 bidders, where
-    # several changed entries can be under a quarter and start warm.  Each solution is asked
-    # before its successor is made or not (the table then has no kept
-    # minima to carry), and answers as before once it is.
+def test_solution_solve_equals_a_cold_solve(monkeypatch):
+    # A chain of solution.solve() calls equals cold solves at every point,
+    # in total, smallest() and every without(j): moves lower, close or raise
+    # one entry, change several, scale by an integer k > 1, or go to a
+    # scale that is not a multiple (the cold fallback).  Besides the
+    # reduced-rank cases, longer chains run on oracles with 9 to 12
+    # bidders, where several changed entries can be under a quarter and
+    # start warm.  Each solution is asked before its successor is made or
+    # not (the table then has no kept minima to carry), and answers as
+    # before once it is.  Some successors come from _clinch_nums or
+    # _residual_nums started from the kept solution, at a random split of
+    # the new point into rho + d: their numbers equal the ones started from
+    # the reduced rank, and the solution they return is checked as any other.
     starts = {kind: collections.Counter() for kind in ("vod-cut", "cardinality", "table")}
     warm_start = submodular._warm_start
 
@@ -761,6 +765,7 @@ def test_at_equals_a_cold_solve(monkeypatch):
             for t in range(9)]
     wide += [table_only(oracle) for oracle in wide[2::3]]
     rng = random.Random(3939)
+    split, kernels = random.Random(2718), collections.Counter()    # the kernels' own draws
     for oracle, c in _reduced_rank_cases() + [(o, _random_c(rng, o.n)) for o in wide]:
         bucket, rank, n = _bucket(oracle), oracle.rank(), oracle.n
         den = math.lcm(rank.den, *(v.denominator for v in c))
@@ -789,12 +794,21 @@ def test_at_equals_a_cold_solve(monkeypatch):
                 new[j] = rng.choice((new[j] // 2, new[j] + 1, new[j]))
             else:
                 new_scale = scale + 1 if scale > 1 else 2 * scale + 1
-            successor = solution.at(new_scale, new)
+            kernel = split.choice((None, submodular._clinch_nums, submodular._residual_nums))
+            if kernel is None:
+                successor = solution.solve(new_scale, new)
+            else:
+                rho = [split.randint(0, v) for v in new]
+                d = list(map(operator.sub, new, rho))
+                *numbers, successor = kernel(solution, new_scale, rho, d)
+                assert numbers == list(kernel(rank, new_scale, rho, d)[:2]), (oracle, new)
+                kernels[kernel.__name__] += 1
             assert _answers(solution, n) == expected, (oracle, scale, point)
             expected = _answers(rank.solve(new_scale, new), n)
             solution, scale, point = successor, new_scale, new
         assert _answers(solution, n) == expected, (oracle, scale, point)
     assert not starts["cardinality"], starts
+    assert min(kernels.values()) >= 100, kernels
     for kind in ("vod-cut", "table"):
         assert starts[kind]["cold"] >= 50 and starts[kind]["warm"] >= 200, starts
         assert starts[kind]["k > 1"] >= 30 and starts[kind]["several"] >= 5, starts
@@ -827,14 +841,15 @@ def test_two_solves_on_one_oracle_do_not_share_state():
         expected.append(alone[0][1])
         assert asked == expected, oracle
         assert (first.total, second.total) == (alone[0][0], alone[1][0]), oracle
-        # two chains of at() from the two points, stepped in turn, each asked
-        # between the other's steps: each answers as a cold solve at its point
+        # two chains of solution.solve() from the two points, stepped in turn,
+        # each asked between the other's steps: each answers as a cold solve
+        # at its point
         chains = [first, second]
         for _ in range(4):
             for side in (0, 1):
                 point = points[side] = points[side][:]
                 point[rng.randrange(6)] = rng.randint(0, 9 * rank.den)
-                chains[side] = chains[side].at(1, point)
+                chains[side] = chains[side].solve(1, point)
                 assert _answers(chains[1 - side], 6) == _answers(
                     rank.solve(1, points[1 - side]), 6), oracle
         assert [_answers(chain, 6) for chain in chains] == [

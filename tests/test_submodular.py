@@ -739,7 +739,7 @@ def test_membership_raises_when_the_rank_names_a_wrong_set():
 
     def solve(scale, c):
         solution = rank.solve(scale, c)
-        return RankSolution(solution.total, lambda: 0b001, solution.without, solution.at)
+        return RankSolution(solution.total, lambda: 0b001, solution.without, solution.solve)
     lying = SubmodularOracle(3, honest.value_mask, True, "lying",
                              reduced_rank=ReducedRank(rank.den, solve))
     assert membership(lying, [1, 1, 1]).ok

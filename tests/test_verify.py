@@ -35,7 +35,7 @@ from polyclinch import (
 from polyclinch import verify
 from polyclinch.auction import _scaled_bidders, _stretched
 from polyclinch.instances import parse_instance
-from polyclinch.submodular import ResidualOracle, min_constrained
+from polyclinch.submodular import ReducedRank, ResidualOracle, SubmodularOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
 
 from corpus import KINDS, random_bidders, random_feasible_point, random_oracle, table_only
@@ -131,24 +131,53 @@ def test_check_outcome_flags_infeasible_allocation():
     assert not report.result("membership").passed
 
 
-def test_check_outcome_runs_membership_once_per_report(monkeypatch):
-    calls = []
+def _counting_rank(oracle, seen):
+    """The same set function, whose reduced rank notes in ``seen`` each c it
+    solves cold, as Fractions; the solutions' own re-solves go unnoted."""
+    rank = oracle.rank()
 
-    def counted(*args):
-        calls.append(1)
-        return membership(*args)
-    monkeypatch.setattr(verify, "membership", counted)
-    # membership is the one R that decides x in P(f), on the table solver as
-    # on a structural reduced rank, so it runs once per report
-    oracle = table_only(multi_unit_oracle(2, 2))
+    def solve(scale, c):
+        seen.append(tuple(F(v, rank.den * scale) for v in c))
+        return rank.solve(scale, c)
+    return SubmodularOracle(oracle.n, oracle.value_mask, oracle.monotone, oracle.name,
+                            reduced_rank=ReducedRank(rank.den, solve))
+
+
+def test_check_outcome_runs_membership_once_per_report():
+    # x in P(f) is decided by the one cold solve at x, which the tight-set
+    # solves then start from, on the table solver as on a structural
+    # reduced rank; a negative or wrong-length allocation is refused before
+    # any solve
     bidders = [bidder(2, 1), bidder(1, 1)]
-    assert check_outcome(oracle, bidders, outcome_of([1, 1], [0, 0])).result("membership").passed
-    assert len(calls) == 1
-    report = check_outcome(oracle, bidders, outcome_of([2, 1], [0, 0]))
-    assert report.result("membership").witness == {"violating_set": [0, 1], "deficit": "-1"}
-    assert len(calls) == 2
-    with pytest.raises(DomainError):
-        check_outcome(oracle, bidders, outcome_of([-1, 1], [0, 0]))
+    for base in (multi_unit_oracle(2, 2), table_only(multi_unit_oracle(2, 2))):
+        seen = []
+        oracle = _counting_rank(base, seen)
+        assert check_outcome(oracle, bidders, outcome_of([1, 1], [0, 0])).result(
+            "membership").passed
+        assert seen == [(1, 1)]
+        report = check_outcome(oracle, bidders, outcome_of([2, 1], [0, 0]))
+        assert report.result("membership").witness == {"violating_set": [0, 1], "deficit": "-1"}
+        assert seen == [(1, 1), (2, 1)]
+        for x in ([-1, 1], [1], [1, 1, 0]):
+            with pytest.raises(DomainError):
+                check_outcome(oracle, bidders, outcome_of(x, [0] * len(x)))
+        assert len(seen) == 2
+    # the property is membership(oracle, x), result and witness, on the
+    # seeded corpus, inside P(f) and outside it
+    rng = random.Random(4545)
+    infeasible = 0
+    for t in range(40):
+        n = rng.randint(2, 7)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
+        oracle = table_only(oracle) if t % 3 == 0 else oracle
+        bidders = random_bidders(rng, n)
+        for planted in _planted(rng, oracle, run_clinching(oracle, bidders)):
+            member = membership(oracle, planted.allocation)
+            result = check_outcome(oracle, bidders, planted).result("membership")
+            assert (result.passed, result.witness) == (member.ok, None if member.ok else {
+                "violating_set": sorted(member.violating), "deficit": str(member.deficit)}), t
+            infeasible += not member.ok
+    assert infeasible >= 30, infeasible
 
 
 def _min_constrained_pareto_witness(oracle, bidders, outcome):
@@ -727,11 +756,11 @@ def test_reference_catches_integer_totals_that_leave_it(monkeypatch):
     snaps[k] = replace(snaps[k], promised=shaved)
     nums = verify._residual_nums
 
-    def shifted(rank, scale, rho, d, at=None):
+    def shifted(start, scale, rho, d, at=None):
         # fhat([n]) one unit of the snapshot's denominator too high
-        total, without = nums(rank, scale, rho, d)
-        here = tuple(F(r, rank.den * scale) for r in rho)
-        return (total + 1 if at in (None, here) else total), without
+        total, without, solution = nums(start, scale, rho, d)
+        here = tuple(F(r, oracle.rank().den * scale) for r in rho)
+        return (total + 1 if at in (None, here) else total), without, solution
 
     def conserved(report):
         return report.to_json(), report.result("conserved-quantity").witness
@@ -745,7 +774,7 @@ def test_reference_catches_integer_totals_that_leave_it(monkeypatch):
     # conservation fails on both sides at the shaved step, with other values
     reference, expected = conserved(_reference_validate_trace(oracle, snaps))
     monkeypatch.setattr(verify, "_residual_nums",
-                        lambda rank, scale, rho, d: shifted(rank, scale, rho, d, at=shaved))
+                        lambda start, scale, rho, d: shifted(start, scale, rho, d, at=shaved))
     report, witness = conserved(validate_trace(oracle, snaps))
     assert expected["step"] == witness["step"] == snaps[k].step
     assert witness != expected and report != reference
