@@ -18,9 +18,9 @@ supersets S' of fhat(S')`` defines the same polytope.  Clinch amounts derive
 from ``fhat`` evaluated at the full set and at each full-set-minus-one;
 :func:`clinch_kernel` gives both, on integers over a common denominator (the
 auction engines call its integer core, :func:`_clinch_nums`, on the clock
-loop's own numerators), while :class:`ResidualOracle` evaluates the
-definition on ``Fraction`` tables and serves as the reference it is checked
-against.
+loop's own numerators, and :func:`~polyclinch.verify.validate_trace` on a
+snapshot's), while :class:`ResidualOracle` evaluates the definition on
+``Fraction`` tables and serves as the reference it is checked against.
 
 Every decision goes through one quantity, the reduced rank ``R(c) = min over
 T of f(T) + c([n] \\ T)``: ``fhat([n]) = R(rho + d) - rho([n])``, and x is in
@@ -30,12 +30,12 @@ one (one sort for a cardinality oracle's rank list,
 :func:`_cardinality_rank`, or the vod-cut max-flow), else the table solver
 :func:`_table_rank`, one minimum over the oracle's integer value table.  A
 solve returns a :class:`RankSolution`, from which each leave-one-out R
-(c_j = 0) that :func:`clinch_kernel` and :func:`residual_totals` need is
-computed warm, and the smallest minimizer only on request;
-:func:`membership` names that minimizer as the violated set.  A solution
-answers ``solve(scale, c)`` as its reduced rank does, started from its own
-state, so the clock's clinches and the verifiers' snapshot checks each
-start from the last solution they keep; the oracle keeps none.
+(c_j = 0) that :func:`clinch_kernel` needs is computed warm, and the
+smallest minimizer only on request; :func:`membership` names that minimizer
+as the violated set.  A solution answers ``solve(scale, c)`` as its reduced
+rank does, started from its own state, so the clock's clinches and the
+verifiers' snapshot checks each start from the last solution they keep; the
+oracle keeps none.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
 by the oracle's own ``table`` builder when it has one (each built-in kind
@@ -49,10 +49,11 @@ All subset enumeration is capped (default 16 elements, override with the
 for desk-scale verification, not for large-scale submodular minimization.
 The cap is checked where a table is built, so oracles with a structural
 reduced rank clinch, and are checked by :func:`membership` and
-:func:`residual_totals`, past it; only :func:`verify_submodular` and the
-``Fraction`` reference :class:`ResidualOracle` still need the table there,
-and the first passes cardinality oracles, whose rank list the constructor
-has checked, without one.
+:func:`~polyclinch.verify.validate_trace`, past it; only
+:func:`verify_submodular` and the ``Fraction`` reference
+:class:`ResidualOracle` still need the table there, and the first passes
+cardinality oracles, whose rank list the constructor has checked, without
+one.
 """
 
 from __future__ import annotations
@@ -818,8 +819,12 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
 
     By one solve of :meth:`SubmodularOracle.rank`, on integers over one
     common denominator (:func:`_clinch_nums`, which the engines call on the
-    clock loop's own integers); exact, and equal to the values
-    :class:`ResidualOracle` gives.
+    clock loop's own integers and :func:`~polyclinch.verify.validate_trace`
+    on a snapshot's); exact, and equal to the values :class:`ResidualOracle`
+    gives.  Each j outside the solve's smallest minimizer T* is answered
+    without a leave-one-out: for any minimizer T of f(T) + c([n] \\ T) and
+    j outside T, R(c with c_j = 0) = R(c) - c_j, submodular or not.  So the
+    run and its check both trust :meth:`RankSolution.smallest`.
 
     The kernel does not check that rho lies in P(f): the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
@@ -837,7 +842,7 @@ def _clinch_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Seque
                  d: Sequence[int]) -> tuple:
     """:func:`clinch_kernel` on numerators over den * scale, den the rank's:
     ``(fhat([n]), delta, solution)``, the numbers over the same denominator
-    and the solve at c by ``start``, the reduced rank or the engines' last
+    and the solve at c by ``start``, the reduced rank or a caller's last
     solution.
 
     With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
@@ -850,39 +855,6 @@ def _clinch_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Seque
     delta = [max(0, total - solution.without(j) - rho[j]) if smallest >> j & 1 else d[j]
              for j in range(len(rho))]
     return total - sum(rho), delta, solution
-
-
-def residual_totals(oracle: SubmodularOracle, rho: Sequence[Fraction],
-                    d: Sequence[Fraction]) -> tuple:
-    """``(fhat([n]), (fhat([n] \\ j) for each j))``, each straight from the definition.
-
-    With c = rho + d, fhat([n]) = R(c) - rho([n]) and fhat([n] \\ j) =
-    R(c with c_j = 0) - rho([n] \\ j): n + 1 values of
-    :meth:`SubmodularOracle.rank`, each R with c_j = 0 the
-    :meth:`RankSolution.without` of the solve at c.  Unlike
-    :func:`clinch_kernel`, every one is complete, so a check built on these
-    values does not inherit the kernel's shortcut through T*.  rho and d
-    are Fraction vectors; rho must lie in P(f), which is not checked here.
-    The integers come from :func:`_residual_nums`, which
-    :func:`~polyclinch.verify.validate_trace` calls on a snapshot's own
-    numerators.
-    """
-    rank = oracle.rank()
-    den, (rnum, dnum) = _scaled(rank.den, rho, d)
-    total, without, _ = _residual_nums(rank, den // rank.den, rnum, dnum)
-    return Fraction(total, den), tuple(Fraction(w, den) for w in without)
-
-
-def _residual_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Sequence[int],
-                   d: Sequence[int]) -> tuple:
-    """:func:`residual_totals` on numerators over den * scale, den the rank's:
-    ``(fhat([n]), [fhat([n] \\ j) for each j], solution)``, the numbers over
-    the same denominator, from the solve at c = rho + d by ``start``, the
-    reduced rank or a caller's last solution, and its ``without(j)``s."""
-    solution = start.solve(scale, list(map(operator.add, rho, d)))
-    rtotal = sum(rho)
-    return solution.total - rtotal, [solution.without(j) + r - rtotal
-                                     for j, r in enumerate(rho)], solution
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],

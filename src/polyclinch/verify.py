@@ -42,8 +42,8 @@ from .submodular import (
     SubmodularOracle,
     ZERO,
     _allocation,
+    _clinch_nums,
     _membership_from,
-    _residual_nums,
     _scaled,
     as_fraction,
     residual,  # no caller here: perfbench asserts that it wraps verify.residual
@@ -395,11 +395,16 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     rank's and the snapshots' before it; rho is in P(f) iff R(rho) =
     rho([n]), and where it is not, the same solve names the violated set as
     :func:`~polyclinch.submodular.membership` would (a rho equal to the one
-    before is not solved again).  fhat([n]) and every fhat([n] \\ j) come
-    from one solve at rho + d (:func:`~polyclinch.submodular._residual_nums`,
-    the core of :func:`residual_totals`).  Each solve at rho starts from
-    the last solution at rho, and each at rho + d from the last at rho + d,
-    since consecutive snapshots differ in a few entries.  Witnesses
+    before is not solved again).  fhat([n]) and the clinch delta come from
+    one solve at rho + d by the engines' own kernel,
+    :func:`~polyclinch.submodular._clinch_nums`: dominance and the re-clinch
+    fail exactly where some delta_j > 0, that is fhat([n]) > fhat([n] \\ j).
+    The kernel answers each j outside the solve's smallest minimizer T* by
+    d_j, which is exact for any minimizer, so this check trusts
+    ``smallest()`` as the run does: a set that is not a minimizer biases
+    the run and this check alike.  Each solve at rho starts from the last
+    solution at rho, and each at rho + d from the last at rho + d, since
+    consecutive snapshots differ in a few entries.  Witnesses
     are built, as ``Fraction``s, only where a monitor fails, and every n
     takes this one path; the ``Fraction`` reference that tabulates 2^n sets
     lives in the tests.  A snapshot with
@@ -457,13 +462,13 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             # Without feasibility the residual oracle is undefined; report
             # the feasibility breach and stop recomputing the rest.
             break
-        total, without, at_c = _residual_nums(at_c, scale, rho, d)
+        total, delta, at_c = _clinch_nums(at_c, scale, rho, d)
         if (rtotal + total == target.numerator * (den // target.denominator)
                 and total == recorded.numerator * (den // recorded.denominator)
-                and total <= min(without)):
+                and not any(delta)):
             continue
         witnesses = _residual_witnesses(snap, target, Fraction(total, den),
-                                        [Fraction(w, den) for w in without])
+                                        [Fraction(x, den) for x in delta])
         found = tuple(new if old is None else old for old, new in zip(found, witnesses))
     conserved, dominance, reclinch = found
 
@@ -477,9 +482,9 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
 
 
 def _residual_witnesses(snap: TraceSnapshot, target: Fraction, total: Fraction,
-                        without: Sequence[Fraction]) -> tuple:
+                        delta: Sequence[Fraction]) -> tuple:
     """Witnesses of the conservation, dominance and re-clinch monitors at one
-    snapshot, from fhat([n]) = ``total`` and fhat([n] \\ j) = ``without[j]``;
+    snapshot, from fhat([n]) = ``total`` and the clinch ``delta`` there;
     None where a monitor holds."""
     value = sum(snap.promised, ZERO) + total
     conserved = None
@@ -488,12 +493,12 @@ def _residual_witnesses(snap: TraceSnapshot, target: Fraction, total: Fraction,
     elif snap.residual_total != total:
         conserved = {"step": snap.step, "fhat_full": str(snap.residual_total),
                      "recomputed": str(total)}
-    # fhat([n]) > fhat([n] \ j) breaks dominance and makes the re-clinch of j nonzero
-    j = next((j for j, rest in enumerate(without) if total > rest), None)
+    # delta_j > 0 is fhat([n]) > fhat([n] \ j): dominance breaks, the re-clinch is nonzero
+    j = next((j for j, x in enumerate(delta) if x), None)
     if j is None:
         return conserved, None, None
     return conserved, {"step": snap.step, "j": j}, {
-        "step": snap.step, "delta": [str(max(ZERO, total - rest)) for rest in without]}
+        "step": snap.step, "delta": [str(x) for x in delta]}
 
 
 def run_with_monitors(oracle: SubmodularOracle, bidders: Sequence[Bidder],

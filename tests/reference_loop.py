@@ -15,8 +15,11 @@ The reference does not reuse the engines' callbacks, which work on the
 loop's integers: ``fraction_rules`` states each engine's demand, clinch and
 residual total with the public ``Fraction`` functions (``demand``,
 ``ConcaveCurve.demand_quantity``, ``clinch_kernel``,
-``clinch_generic_2player``, ``residual_totals``) and the ``Fraction``
-reference of the generic engine (``reference_generic.py``).
+``clinch_generic_2player``) and the ``Fraction`` reference of the generic
+engine (``reference_generic.py``).  A snapshot's residual total fhat([n])
+is R(rho + d) - rho([n]), from one solve of the oracle's reduced rank
+(``corpus.reduced_rank``) and not from a clinch kernel, so counting the
+kernel's runs counts the clinches alone.
 
 ``reference_run`` and ``recorded_run`` run an engine on either loop and
 record what the loop did, so tests can line the two runs up step by step.
@@ -31,6 +34,7 @@ from typing import List
 from unittest import mock
 
 import reference_generic
+from corpus import reduced_rank
 from polyclinch import auction
 from polyclinch.auction import (
     Outcome,
@@ -47,7 +51,7 @@ from polyclinch.auction import (
 from polyclinch.cli import _run_instance
 from polyclinch.environments import multi_unit_oracle
 from polyclinch.errors import DivergenceError
-from polyclinch.submodular import ZERO, as_fraction, clinch_kernel, residual_totals, vector
+from polyclinch.submodular import ZERO, as_fraction, clinch_kernel, vector
 
 # One reference step: promises and demands the clinch saw, the clinch, and
 # the demands recomputed after it.
@@ -62,7 +66,8 @@ Rules = namedtuple("Rules", "n eps max_steps budgets0 trace demands clinch fhat"
 def _polymatroid_rules(oracle, eps, cfg, budgets0, demands) -> Rules:
     return Rules(oracle.n, eps, cfg.max_steps, budgets0, cfg.trace, demands,
                  lambda rho, d: clinch_kernel(oracle, rho, d)[1],
-                 lambda rho, d: residual_totals(oracle, rho, d)[0])
+                 lambda rho, d: (reduced_rank(oracle, [r + q for r, q in zip(rho, d)])[0]
+                                 - sum(rho, ZERO)))
 
 
 def fraction_rules(engine, *args) -> Rules:

@@ -742,10 +742,10 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
     # bidders, where several changed entries can be under a quarter and
     # start warm.  Each solution is asked before its successor is made or
     # not (the table then has no kept minima to carry), and answers as
-    # before once it is.  Some successors come from _clinch_nums or
-    # _residual_nums started from the kept solution, at a random split of
-    # the new point into rho + d: their numbers equal the ones started from
-    # the reduced rank, and the solution they return is checked as any other.
+    # before once it is.  Some successors come from _clinch_nums started
+    # from the kept solution, at a random split of the new point into
+    # rho + d: its numbers equal the ones started from the reduced rank, and
+    # the solution it returns is checked as any other.
     starts = {kind: collections.Counter() for kind in ("vod-cut", "cardinality", "table")}
     warm_start = submodular._warm_start
 
@@ -794,7 +794,7 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
                 new[j] = rng.choice((new[j] // 2, new[j] + 1, new[j]))
             else:
                 new_scale = scale + 1 if scale > 1 else 2 * scale + 1
-            kernel = split.choice((None, submodular._clinch_nums, submodular._residual_nums))
+            kernel = split.choice((None, submodular._clinch_nums))
             if kernel is None:
                 successor = solution.solve(new_scale, new)
             else:

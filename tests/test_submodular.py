@@ -1,5 +1,6 @@
 """Oracle, residual-polytope and clinch-amount primitives."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -37,7 +38,6 @@ from polyclinch.submodular import (
     _mask_sums,
     as_fraction,
     clinch_kernel,
-    residual_totals,
     set_of,
 )
 
@@ -883,15 +883,42 @@ def test_clinch_kernel_matches_residual_oracle():
     assert ties >= 50 and zero_demands >= 50, (ties, zero_demands)   # both exercised
 
 
-def test_residual_totals_match_residual_oracle():
+def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
+    # the rule the clinch kernel runs on: with c = rho + d and T* the solve's
+    # smallest(), fhat([n]) = R(c) - rho([n]), and fhat([n] \ j) is
+    # R(c) - c_j - rho([n] \ j) for j outside T* and without(j) - rho([n] \ j)
+    # for j in it; the Fraction reference ResidualOracle must agree on every
+    # kernel case and on a table that is not submodular
     rng = random.Random(2206)
-    for t in range(80):
-        kind, oracle, rho, d = _kernel_case(rng, t)
+    cases = [_kernel_case(rng, t) for t in range(80)]
+    lumpy = SubmodularOracle.from_set_function(
+        4, lambda s: [0, 3, 4, 6, 9][len(s)] + (0 in s and 2 in s), name="lumpy")
+    assert not verify_submodular(lumpy).ok
+    # at c = (0, 2, 2, 3) the minimizers are {1, 3}, {2, 3} and {1, 2, 3}, with
+    # no smallest one: smallest() falls back to a minimizer, and 2 is outside it
+    assert lumpy.rank().solve(1, [0, 2, 2, 3]).smallest() == 0b1010
+    cases += [("lumpy", lumpy, (F(0),) * 4, tuple(map(F, d)))
+              for d in ((0, 2, 2, 3), (3, 3, 3, 3), (1, F(5, 2), 2, F(7, 3)))]
+    inside = outside = 0
+    for kind, oracle, rho, d in cases:
+        n, rank = oracle.n, oracle.rank()
+        c = [r + q for r, q in zip(rho, d)]
+        den = math.lcm(rank.den, *(v.denominator for v in c))
+        solution = rank.solve(den // rank.den, [int(v * den) for v in c])
+        total, smallest = F(solution.total, den), solution.smallest()
         res = ResidualOracle(oracle, rho, d)
-        full = (1 << oracle.n) - 1
-        assert residual_totals(oracle, rho, d) == (
-            res.value_mask(full),
-            tuple(res.value_mask(full ^ (1 << j)) for j in range(oracle.n))), (t, kind)
+        full = (1 << n) - 1
+        assert res.value_mask(full) == total - sum(rho), (kind, rho, d)
+        for j in range(n):
+            rest = sum(rho) - rho[j]
+            if smallest >> j & 1:
+                expected = F(solution.without(j), den) - rest
+                inside += 1
+            else:
+                expected = total - c[j] - rest
+                outside += 1
+            assert res.value_mask(full ^ (1 << j)) == expected, (kind, rho, d, j)
+    assert inside >= 100 and outside >= 100, (inside, outside)
 
 
 def test_clinch_kernel_builds_the_integer_table_once():

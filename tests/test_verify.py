@@ -754,13 +754,13 @@ def test_reference_catches_integer_totals_that_leave_it(monkeypatch):
     k = len(snaps) - 1
     shaved = (snaps[k].promised[0] - F(1, 7),) + snaps[k].promised[1:]
     snaps[k] = replace(snaps[k], promised=shaved)
-    nums = verify._residual_nums
+    nums = verify._clinch_nums
 
     def shifted(start, scale, rho, d, at=None):
         # fhat([n]) one unit of the snapshot's denominator too high
-        total, without, solution = nums(start, scale, rho, d)
+        total, delta, solution = nums(start, scale, rho, d)
         here = tuple(F(r, oracle.rank().den * scale) for r in rho)
-        return (total + 1 if at in (None, here) else total), without, solution
+        return (total + 1 if at in (None, here) else total), delta, solution
 
     def conserved(report):
         return report.to_json(), report.result("conserved-quantity").witness
@@ -768,17 +768,17 @@ def test_reference_catches_integer_totals_that_leave_it(monkeypatch):
     # a clean trace whose shifted totals break conservation at step 0
     reference = _reference_validate_trace(oracle, out.trace)
     assert reference.ok()
-    monkeypatch.setattr(verify, "_residual_nums", shifted)
+    monkeypatch.setattr(verify, "_clinch_nums", shifted)
     report, witness = conserved(validate_trace(oracle, out.trace))
     assert report != reference.to_json() and witness["step"] == out.trace[0].step
     # conservation fails on both sides at the shaved step, with other values
     reference, expected = conserved(_reference_validate_trace(oracle, snaps))
-    monkeypatch.setattr(verify, "_residual_nums",
+    monkeypatch.setattr(verify, "_clinch_nums",
                         lambda start, scale, rho, d: shifted(start, scale, rho, d, at=shaved))
     report, witness = conserved(validate_trace(oracle, snaps))
     assert expected["step"] == witness["step"] == snaps[k].step
     assert witness != expected and report != reference
-    monkeypatch.setattr(verify, "_residual_nums", nums)
+    monkeypatch.setattr(verify, "_clinch_nums", nums)
     assert validate_trace(oracle, snaps).to_json() == reference
 
 
