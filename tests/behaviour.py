@@ -6,11 +6,14 @@ A case is one market file or one demo.  A market is a fixture, or a
 at ``--format json`` in process, through ``cli.main``.  Each command is
 recorded as its exit code and the digests of its stdout and stderr, and for
 ``run`` of the trace file it wrote.  The market file's own digest is
-recorded too, so a moved generator shows as a moved ``file``.  A digest is
-the first 16 hex digits of the SHA-256 of the bytes.
+recorded too, so a moved generator shows as a moved ``file``.  One more case
+parses the mutated-file stream of ``tests/corpus.py`` and records the
+(code, field, message) of each file the parser rejects.  A digest is the
+first 16 hex digits of the SHA-256 of the bytes.
 
 ``tests/behaviour.json`` stores two sets: ``small`` (the fixtures, seeds 0-1
-of the five polymatroid kinds at n = 4 and 12, both demos), which
+of the five polymatroid kinds at n = 4 and 12, both demos, the parse
+errors), which
 ``tests/test_behaviour.py`` recomputes, and ``large`` (the seed-0 markets
 that take seconds), which CI recomputes.  A change that moves a digest names
 each moved case and says why.
@@ -33,12 +36,14 @@ import pathlib
 import sys
 import tempfile
 
-from polyclinch import cli
+from polyclinch import ParseError, cli
+from polyclinch.instances import POLYMATROID_KINDS, parse_instance_data
+
+from corpus import mutated_files
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 LOCK = pathlib.Path(__file__).resolve().parent / "behaviour.json"
-KINDS = ("multi-unit", "single-keyword", "adwords", "graphic", "vod-cut")
 COMMANDS = ("run", "verify", "check-submodular")
 
 # (kind, n, m) of the large set, each generated at seed 0
@@ -52,12 +57,12 @@ def digest(data: bytes) -> str:
 
 def cases(which: str) -> dict:
     """Case name -> how to make it: ("fixture", path), ("gen", kind, n, m, seed,
-    quality) or ("demo", name)."""
+    quality), ("demo", name) or ("parse-errors",)."""
     out = {}
     if which == "small":
         for path in sorted(FIXTURES.glob("*.json")):
             out[f"fixture/{path.stem}"] = ("fixture", path)
-        for kind in KINDS:
+        for kind in POLYMATROID_KINDS:
             for n in (4, 12):
                 for seed in (0, 1):
                     for quality in (False, True):
@@ -65,6 +70,7 @@ def cases(which: str) -> dict:
                         out[name] = ("gen", kind, n, 3, seed, quality)
         for demo in ("appendix-d", "impossibility"):
             out[f"demo/{demo}"] = ("demo", demo)
+        out["parse/mutated-files"] = ("parse-errors",)
     else:
         for kind, n, m in LARGE:
             out[f"gen/{kind}-n{n}" + f"-m{m}" * (m is not None) + "-s0"] = (
@@ -79,6 +85,20 @@ def _main(argv: list) -> dict:
         code = cli.main(argv)
     return {"exit": code, "stdout": digest(out.getvalue().encode()),
             "stderr": digest(err.getvalue().encode())}
+
+
+def _parse_errors() -> dict:
+    """(code, field, message) of each mutated file, None where it parses."""
+    errors = []
+    for data in mutated_files():
+        try:
+            parse_instance_data(data)
+            errors.append(None)
+        except ParseError as exc:
+            errors.append([exc.code, exc.field, str(exc)])
+    rejected = [tuple(e) for e in errors if e is not None]
+    return {"rejected": len(rejected), "distinct": len(set(rejected)),
+            "errors": digest(json.dumps(errors).encode())}
 
 
 def _market(path: pathlib.Path, tmp: pathlib.Path) -> dict:
@@ -103,6 +123,9 @@ def compute(which: str) -> dict:
         for case, how in cases(which).items():
             if how[0] == "demo":
                 records[case] = {"demo": _main(["demo", how[1], "--format", "json"])}
+                continue
+            if how[0] == "parse-errors":
+                records[case] = _parse_errors()
                 continue
             path = how[1] if how[0] == "fixture" else tmp / "market.json"
             if how[0] == "gen":

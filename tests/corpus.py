@@ -9,14 +9,18 @@ so both regimes (value-limited and budget-limited) occur.
 
 from __future__ import annotations
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 from polyclinch import AdWordsInstance, Bidder, SubmodularOracle, greedy_vertex
-from polyclinch.instances import generate_instance
+from polyclinch.instances import POLYMATROID_KINDS, generate_instance, serialize_instance
 
-KINDS = ("multi-unit", "single-keyword", "adwords", "graphic", "vod-cut")
+KINDS = POLYMATROID_KINDS
+FIXTURE_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 _SEEDS = 1 << 30
 
@@ -79,3 +83,42 @@ def polymatroid_cases(seed: int, count: int, n_max: int = 6,
         bidders = random_bidders(rng, n)
         cases.append((f"{kind}#{t}", oracle, bidders))
     return cases
+
+
+# What a mutation writes in place of a value: every JSON type, and strings
+# that are rationals, malformed rationals or keywords of the schema.
+MUTANT_VALUES = (None, True, False, 0, 1, -1, 2, 0.5, "0", "1", "2", "3", "-1", "1/2", "1/0",
+                 "1.5", "inf", "auto", "x", [], [0], [0, 1], ["1"], [["1", "1"]], {},
+                 {"kind": "multi-unit"})
+
+
+def _paths(node, path=()):
+    """The path to every value in a JSON document, the root's first."""
+    yield path
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutant(doc, rng: random.Random):
+    """A copy of ``doc`` with one value replaced from MUTANT_VALUES, or one
+    key or list entry deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_paths(doc))[1:])
+    parent = reduce(lambda node, key: node[key], path[:-1], doc)
+    if rng.random() < 0.25:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(MUTANT_VALUES)
+    return doc
+
+
+def mutated_files(count: int = 2000, seed: int = 1):
+    """The parser's mutated-file stream: ``count`` instance documents, each a
+    fixture or a generated n = 4 market with one value replaced or deleted."""
+    docs = [json.loads(path.read_text()) for path in FIXTURE_FILES]
+    docs += [serialize_instance(generate_instance(kind, 4)) for kind in POLYMATROID_KINDS]
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _mutant(rng.choice(docs), rng)
