@@ -31,6 +31,7 @@ from .auction import (
 )
 from .errors import ClinchError, DivergenceError, DomainError, ParseError, SizeError
 from .instances import (
+    KINDS,
     POLYMATROID_KINDS,
     InstanceFile,
     generate_instance,
@@ -57,7 +58,7 @@ EXIT_INTERNAL = 3
 def _run_instance(inst: InstanceFile, trace: bool):
     """Run an instance on the engine its kind needs, with a trace iff ``trace``."""
     cfg = replace(inst.config, trace=trace)
-    if inst.environment.kind == "h-polytope-2d":
+    if KINDS[inst.environment.kind].oracle is None:
         return run_generic_2player(*inst.polytope_rows(), inst.bidders, cfg)
     if inst.curves is not None:
         return run_decreasing_marginals(inst.curves, [b.budget for b in inst.bidders],
@@ -70,7 +71,7 @@ def _run_instance(inst: InstanceFile, trace: bool):
 def _verify(inst: InstanceFile):
     """Run an instance and check what its kind lets us check: (outcome, report).
     A file with ``quality`` is checked as its base market (:func:`run_scaled`)."""
-    if inst.environment.kind == "h-polytope-2d":
+    if KINDS[inst.environment.kind].oracle is None:
         outcome = _run_instance(inst, False)
         direction = check_dominated_direction(*inst.polytope_rows(), inst.bidders, outcome)
         report = VerificationReport()
@@ -98,8 +99,11 @@ def execute(command: str, inst: InstanceFile | None, args) -> dict:
         outcome, ver = _run_instance(inst, bool(args.trace_out)), VerificationReport()
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
-                json.dump([s.to_json() for s in outcome.trace], fh, indent=1)
-                fh.write("\n")
+                # json.dump(trace, fh, indent=1)'s bytes, one snapshot in memory at a time
+                for k, snap in enumerate(outcome.trace):
+                    entry = json.dumps(snap.to_json(), indent=1).replace("\n", "\n ")
+                    fh.write(("[\n " if k == 0 else ",\n ") + entry)
+                fh.write("\n]\n" if outcome.trace else "[]\n")
     elif command == "verify":
         outcome, ver = _verify(inst)
     elif command == "check-submodular":
@@ -187,9 +191,7 @@ def main(argv=None) -> int:
             write_instance(inst, args.output)
             print(f"wrote {args.output}")
             return EXIT_OK
-        inst = None
-        if args.command in ("run", "verify", "check-submodular"):
-            inst = parse_instance(args.instance)
+        inst = None if args.command == "demo" else parse_instance(args.instance)
         report = execute(args.command, inst, args)
     except ParseError as exc:
         print(f"input error [{exc.code}] at {exc.field}: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Instance files: JSON schema, validation, serialization and seeded generation.
 
-An instance file describes one auction: an environment (one of six kinds), the
-bidders, and the clock configuration.  All numbers travel as canonical
-rational strings "p/q" (or a plain integer string); budgets may be "inf".
-Floats never appear, so files round-trip losslessly.
+An instance file describes one auction: an environment (a kind of :data:`KINDS`
+and the payload its parser names), the bidders, and the clock configuration.
+All numbers travel as canonical rational strings "p/q" (or a plain integer
+string); budgets may be "inf".  Floats never appear, so files round-trip losslessly.
 
 Example::
 
@@ -14,14 +14,9 @@ Example::
       "config": {"epsilon": "auto", "max_steps": 1000000, "trace": false}
     }
 
-Kind-specific payloads: ``single-keyword`` takes ``ctrs``; ``adwords`` takes
-``interests`` (bidder lists per keyword) and per-keyword ``ctrs``;
-``graphic`` takes ``edges`` (one per bidder); ``vod-cut`` takes ``edges``
-[u, v, cap], ``source`` and ``bidder_nodes``, node labels being strings or
-ints; ``h-polytope-2d`` takes
-constraint ``rows`` [a0, a1, rhs].  ``quality`` (uniform per-bidder
-factors, polymatroid kinds without curves) and ``curves`` (piecewise-linear
-breakpoints, multi-unit only) are optional top-level fields.
+``quality`` (uniform per-bidder factors, polymatroid kinds without curves)
+and ``curves`` (piecewise-linear breakpoints, multi-unit only) are optional
+top-level fields.
 
 The parser checks the JSON shape and names each field; each domain rule,
 bidder signs and counts among them, is the library's own, run through
@@ -35,7 +30,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .auction import (AuctionConfig, Bidder, ConcaveCurve, UNBOUNDED, _bounded_packing_2d,
                       _check_bidder_count, _curve_supply, _scaled_bidders)
@@ -54,9 +49,6 @@ from .errors import ParseError
 
 SCHEMA_VERSION = 1
 
-POLYMATROID_KINDS = ("multi-unit", "single-keyword", "adwords", "graphic", "vod-cut")
-ALL_KINDS = POLYMATROID_KINDS + ("h-polytope-2d",)
-
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
@@ -74,10 +66,6 @@ def parse_rational(raw, field_name: str) -> Fraction:
                          f"{field_name}: zero denominator in {raw!r}") from None
 
 
-def format_rational(value: Optional[Fraction]) -> str:
-    return "inf" if value is None else str(value)
-
-
 def _require(obj, key: str, where: str):
     if not isinstance(obj, dict):
         raise ParseError("bad-json", where, f"{where} must be a JSON object")
@@ -92,6 +80,11 @@ def _list_of(value, field: str, size: Optional[int] = None) -> list:
         shape = "a list" if size is None else f"a list of {size} entries"
         raise ParseError("bad-value", field, f"{field}: expected {shape}, got {value!r}")
     return value
+
+
+def _rationals(value, field: str, size: Optional[int] = None) -> list:
+    """``value``, a JSON list of rationals (see :func:`_list_of`), parsed."""
+    return [parse_rational(c, f"{field}[{j}]") for j, c in enumerate(_list_of(value, field, size))]
 
 
 def _checked(code: str, field: str, check, *args):
@@ -136,24 +129,14 @@ class InstanceFile:
 
     def build_oracle(self):
         """A new oracle for polymatroid kinds; ParseError for the H-polytope kind."""
-        kind, payload = self.environment.kind, self.environment.payload
-        if kind == "multi-unit":
-            return multi_unit_oracle(payload["supply"], self.n)
-        if kind == "single-keyword":
-            return single_keyword_oracle(payload["ctrs"])
-        if kind == "adwords":
-            return adwords_oracle(self.build_adwords())
-        if kind == "graphic":
-            return graphic_oracle(payload["edges"])
-        if kind == "vod-cut":
-            return vod_cut_oracle(CapacitatedNetwork.build(
-                payload["edges"], payload["source"], payload["bidder_nodes"]))
-        raise ParseError("unknown-kind", "environment.kind",
-                         f"kind {kind!r} does not define a polymatroid oracle")
+        kind = self.environment.kind
+        if KINDS[kind].oracle is None:
+            raise ParseError("unknown-kind", "environment.kind",
+                             f"kind {kind!r} does not define a polymatroid oracle")
+        return KINDS[kind].oracle(self.environment.payload, self.n)
 
     def build_adwords(self) -> AdWordsInstance:
-        payload = self.environment.payload
-        return AdWordsInstance.build(self.n, payload["interests"], payload["ctrs"])
+        return _adwords(self.environment.payload, self.n)
 
     def polytope_rows(self):
         """Checked (rows, rhs) for the h-polytope-2d kind."""
@@ -171,9 +154,10 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
 
     env_raw = _require(data, "environment", where)
     kind = _require(env_raw, "kind", f"{where}.environment")
-    if kind not in ALL_KINDS:
+    if kind not in ALL_KINDS:                   # a tuple test: kinds may be unhashable
         raise ParseError("unknown-kind", f"{where}.environment.kind",
                          f"unknown environment kind {kind!r}; expected one of {ALL_KINDS}")
+    spec = KINDS[kind]
 
     bidders_raw = _require(data, "bidders", where)
     if not isinstance(bidders_raw, list) or not bidders_raw:
@@ -193,7 +177,7 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         bidders.append(_checked("bad-value", loc, Bidder, value, budget))
     n = len(bidders)
 
-    payload = _parse_environment(kind, env_raw, n, f"{where}.environment")
+    payload = spec.parse(env_raw, n, f"{where}.environment")
 
     cfg_raw = data.get("config", {})
     if not isinstance(cfg_raw, dict):
@@ -205,7 +189,7 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
 
     quality = None
     if "quality" in data and data["quality"] is not None:
-        if kind == "h-polytope-2d" or curves_raw is not None:
+        if spec.oracle is None or curves_raw is not None:
             raise ParseError("bad-value", f"{where}.quality",
                              "quality factors scale a polymatroid of linear bidders; "
                              "drop them for h-polytope-2d and curve instances")
@@ -214,12 +198,12 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
             raise ParseError("bad-value", f"{where}.quality",
                              "quality factors must be uniform per bidder (one rational "
                              "each); per-keyword factors are not a polymatroid")
-        quality = tuple(parse_rational(g, f"{where}.quality[{i}]") for i, g in enumerate(raw))
+        quality = tuple(_rationals(raw, f"{where}.quality"))
         _checked("bad-value", f"{where}.quality", _scaled_bidders, n, quality, bidders)
 
     curves = None
     if curves_raw is not None:
-        if kind != "multi-unit":
+        if not spec.curves:
             raise ParseError("bad-value", f"{where}.curves",
                              "curves are supported on multi-unit environments only")
         curves = []
@@ -229,7 +213,7 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         _checked("bad-value", f"{where}.curves", _curve_supply, curves, payload["supply"])
 
     inst = InstanceFile(EnvironmentSpec(kind, payload), bidders, config, quality, curves)
-    if kind == "h-polytope-2d":
+    if spec.oracle is None:
         _checked("bad-environment", f"{where}.environment", inst.polytope_rows)
     else:
         oracle = _checked("bad-environment", f"{where}.environment", lambda: inst.oracle)
@@ -239,54 +223,6 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
 
 def _parse_curve(pts, loc: str) -> ConcaveCurve:
     return ConcaveCurve(tuple((parse_rational(q, loc), parse_rational(v, loc)) for q, v in pts))
-
-
-def _parse_environment(kind: str, env_raw: dict, n: int, where: str) -> dict:
-    if kind == "multi-unit":
-        return {"supply": parse_rational(_require(env_raw, "supply", where), f"{where}.supply")}
-    if kind == "single-keyword":
-        ctrs = _list_of(_require(env_raw, "ctrs", where), f"{where}.ctrs")
-        return {"ctrs": [parse_rational(c, f"{where}.ctrs[{j}]") for j, c in enumerate(ctrs)]}
-    if kind == "adwords":
-        interests = _list_of(_require(env_raw, "interests", where), f"{where}.interests")
-        ctrs = _list_of(_require(env_raw, "ctrs", where), f"{where}.ctrs")
-        if len(interests) != len(ctrs):
-            raise ParseError("inconsistent-graph", f"{where}.interests",
-                             f"{len(interests)} keywords but {len(ctrs)} CTR lists")
-        for k, members in enumerate(interests):
-            loc = f"{where}.interests[{k}]"
-            _checked("inconsistent-graph", loc, _keyword_bidders, k, _list_of(members, loc), n)
-        return {"interests": [list(m) for m in interests],
-                "ctrs": [[parse_rational(c, f"{where}.ctrs[{k}][{j}]")
-                          for j, c in enumerate(_list_of(alpha, f"{where}.ctrs[{k}]"))]
-                         for k, alpha in enumerate(ctrs)]}
-    if kind == "graphic":
-        edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
-        for j, edge in enumerate(edges):
-            loc = f"{where}.edges[{j}]"
-            if any(type(v) is not int for v in _list_of(edge, loc, 2)):
-                raise ParseError("bad-value", loc, f"{loc}: vertices must be ints, got {edge!r}")
-        return {"edges": [tuple(edge) for edge in edges]}
-    if kind == "vod-cut":
-        edges = _list_of(_require(env_raw, "edges", where), f"{where}.edges")
-        source = _require(env_raw, "source", where)
-        nodes = _list_of(_require(env_raw, "bidder_nodes", where), f"{where}.bidder_nodes")
-        edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
-        labels = [(source, f"{where}.source")]
-        labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]
-        labels += [(v, f"{where}.bidder_nodes[{i}]") for i, v in enumerate(nodes)]
-        for v, loc in labels:
-            _checked("bad-value", loc, _check_label, loc, "node", v)
-        return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
-                          for j, (u, v, c) in enumerate(edges)],
-                "source": source, "bidder_nodes": list(nodes)}
-    # h-polytope-2d: parse_instance_data has refused every other kind
-    rows = _list_of(_require(env_raw, "rows", where), f"{where}.rows")
-    if n != 2:
-        raise ParseError("bad-value", f"{where}", "h-polytope-2d requires exactly 2 bidders")
-    return {"rows": [tuple(parse_rational(c, f"{where}.rows[{j}][{t}]")
-                           for t, c in enumerate(_list_of(row, f"{where}.rows[{j}]", 3)))
-                     for j, row in enumerate(rows)]}
 
 
 def parse_instance(path) -> InstanceFile:
@@ -317,7 +253,7 @@ def serialize_instance(inst: InstanceFile) -> dict:
     out = {
         "schema": inst.schema,
         "environment": {"kind": inst.environment.kind, **_to_json(inst.environment.payload)},
-        "bidders": [{"value": str(b.value), "budget": format_rational(b.budget)}
+        "bidders": [{"value": str(b.value), "budget": "inf" if b.budget is None else str(b.budget)}
                     for b in inst.bidders],
         "config": {
             "epsilon": _to_json(inst.config.epsilon),
@@ -339,8 +275,126 @@ def write_instance(inst: InstanceFile, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Seeded generation
+# Environment kinds and seeded generation
 # ---------------------------------------------------------------------------
+
+class Kind(NamedTuple):
+    """An environment kind; the generic 2-bidder kind has no oracle and no generator."""
+
+    parse: Callable                         # (env, n, where) -> checked payload
+    oracle: Optional[Callable] = None       # (payload, n) -> polymatroid oracle
+    generate: Optional[Callable] = None     # (rng, n, m) -> seeded JSON payload
+    curves: bool = False                    # bidders may bring concave value curves
+
+
+def _parse_multi_unit(env: dict, n: int, where: str) -> dict:
+    """``supply``: the number of divisible units."""
+    return {"supply": parse_rational(_require(env, "supply", where), f"{where}.supply")}
+
+
+def _parse_single_keyword(env: dict, n: int, where: str) -> dict:
+    """``ctrs``: the slots' click-through rates."""
+    return {"ctrs": _rationals(_require(env, "ctrs", where), f"{where}.ctrs")}
+
+
+def _generate_single_keyword(rng: random.Random, n: int, m: Optional[int]) -> dict:
+    ctrs = sorted((rng.randint(0, 5) for _ in range(n)), reverse=True)
+    ctrs[0] = max(ctrs[0], 1)
+    return {"ctrs": [str(c) for c in ctrs]}
+
+
+def _parse_adwords(env: dict, n: int, where: str) -> dict:
+    """``interests`` (bidder lists per keyword) and per-keyword ``ctrs``."""
+    interests = _list_of(_require(env, "interests", where), f"{where}.interests")
+    ctrs = _list_of(_require(env, "ctrs", where), f"{where}.ctrs")
+    if len(interests) != len(ctrs):
+        raise ParseError("inconsistent-graph", f"{where}.interests",
+                         f"{len(interests)} keywords but {len(ctrs)} CTR lists")
+    for k, members in enumerate(interests):
+        loc = f"{where}.interests[{k}]"
+        _checked("inconsistent-graph", loc, _keyword_bidders, k, _list_of(members, loc), n)
+    return {"interests": [list(m) for m in interests],
+            "ctrs": [_rationals(alpha, f"{where}.ctrs[{k}]") for k, alpha in enumerate(ctrs)]}
+
+
+def _adwords(payload: dict, n: int) -> AdWordsInstance:
+    return AdWordsInstance.build(n, payload["interests"], payload["ctrs"])
+
+
+def _generate_adwords(rng: random.Random, n: int, m: Optional[int]) -> dict:
+    if m is not None and m < 1:
+        raise ParseError("bad-value", "m", "need m >= 1")
+    interests, ctrs = [], []
+    for _ in range(m if m is not None else rng.randint(1, 3)):
+        members = sorted(rng.sample(range(n), rng.randint(1, n)))
+        interests.append(members)
+        alpha = sorted((rng.randint(0, 4) for _ in members), reverse=True)
+        ctrs.append([str(c) for c in alpha])
+    return {"interests": interests, "ctrs": ctrs}
+
+
+def _parse_graphic(env: dict, n: int, where: str) -> dict:
+    """``edges``: one [u, v] per bidder, vertices being ints."""
+    edges = _list_of(_require(env, "edges", where), f"{where}.edges")
+    for j, edge in enumerate(edges):
+        loc = f"{where}.edges[{j}]"
+        if any(type(v) is not int for v in _list_of(edge, loc, 2)):
+            raise ParseError("bad-value", loc, f"{loc}: vertices must be ints, got {edge!r}")
+    return {"edges": [tuple(edge) for edge in edges]}
+
+
+def _generate_graphic(rng: random.Random, n: int, m: Optional[int]) -> dict:
+    edges = [[rng.randrange(n + 1), rng.randrange(n + 1)] for _ in range(n)]
+    return {"edges": [[u, v if u != v else (v + 1) % (n + 1)] for u, v in edges]}
+
+
+def _parse_vod_cut(env: dict, n: int, where: str) -> dict:
+    """``edges`` [u, v, cap], ``source`` and ``bidder_nodes``, node labels
+    being strings or ints."""
+    edges = _list_of(_require(env, "edges", where), f"{where}.edges")
+    source = _require(env, "source", where)
+    nodes = _list_of(_require(env, "bidder_nodes", where), f"{where}.bidder_nodes")
+    edges = [_list_of(edge, f"{where}.edges[{j}]", 3) for j, edge in enumerate(edges)]
+    labels = [(source, f"{where}.source")]
+    labels += [(v, f"{where}.edges[{j}]") for j, edge in enumerate(edges) for v in edge[:2]]
+    labels += [(v, f"{where}.bidder_nodes[{i}]") for i, v in enumerate(nodes)]
+    for v, loc in labels:
+        _checked("bad-value", loc, _check_label, loc, "node", v)
+    return {"edges": [(u, v, parse_rational(c, f"{where}.edges[{j}]"))
+                      for j, (u, v, c) in enumerate(edges)],
+            "source": source, "bidder_nodes": list(nodes)}
+
+
+def _generate_vod_cut(rng: random.Random, n: int, m: Optional[int]) -> dict:
+    hubs = max(1, n // 2)
+    edges = [["s", f"h{h}", str(rng.randint(1, 6))] for h in range(hubs)]
+    edges += [[f"h{rng.randrange(hubs)}", f"b{i}", str(rng.randint(0, 5))] for i in range(n)]
+    return {"edges": edges, "source": "s", "bidder_nodes": [f"b{i}" for i in range(n)]}
+
+
+def _parse_h_polytope_2d(env: dict, n: int, where: str) -> dict:
+    """Constraint ``rows`` [a0, a1, rhs] on exactly 2 bidders."""
+    rows = _list_of(_require(env, "rows", where), f"{where}.rows")
+    if n != 2:
+        raise ParseError("bad-value", f"{where}", "h-polytope-2d requires exactly 2 bidders")
+    return {"rows": [tuple(_rationals(row, f"{where}.rows[{j}]", 3)) for j, row in enumerate(rows)]}
+
+
+# Builders look the oracle constructors up when called, so rebinding one here reaches them.
+KINDS = {
+    "multi-unit": Kind(_parse_multi_unit, lambda p, n: multi_unit_oracle(p["supply"], n),
+                       lambda rng, n, m: {"supply": str(rng.randint(1, 9))}, curves=True),
+    "single-keyword": Kind(_parse_single_keyword, lambda p, n: single_keyword_oracle(p["ctrs"]),
+                           _generate_single_keyword),
+    "adwords": Kind(_parse_adwords, lambda p, n: adwords_oracle(_adwords(p, n)), _generate_adwords),
+    "graphic": Kind(_parse_graphic, lambda p, n: graphic_oracle(p["edges"]), _generate_graphic),
+    "vod-cut": Kind(_parse_vod_cut, lambda p, n: vod_cut_oracle(CapacitatedNetwork.build(
+        p["edges"], p["source"], p["bidder_nodes"])), _generate_vod_cut),
+    "h-polytope-2d": Kind(_parse_h_polytope_2d),
+}
+POLYMATROID_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.oracle is not None)
+ALL_KINDS = tuple(KINDS)
+
 
 def generate_instance(kind: str, n: int, m: Optional[int] = None,
                       seed: int = 0) -> InstanceFile:
@@ -354,47 +408,12 @@ def generate_instance(kind: str, n: int, m: Optional[int] = None,
                          f"gen supports {POLYMATROID_KINDS}, got {kind!r}")
     if n < 1:
         raise ParseError("bad-value", "n", "need n >= 1")
-    if kind == "adwords" and m is not None and m < 1:
-        raise ParseError("bad-value", "m", "need m >= 1")
     rng = random.Random(f"{kind}:{n}:{m}:{seed}")
-
-    if kind == "multi-unit":
-        env = {"kind": kind, "supply": str(rng.randint(1, 9))}
-    elif kind == "single-keyword":
-        ctrs = sorted((rng.randint(0, 5) for _ in range(n)), reverse=True)
-        if ctrs[0] == 0:
-            ctrs[0] = 1
-        env = {"kind": kind, "ctrs": [str(c) for c in ctrs]}
-    elif kind == "adwords":
-        keywords = m if m is not None else rng.randint(1, 3)
-        interests, ctrs = [], []
-        for _ in range(keywords):
-            members = sorted(rng.sample(range(n), rng.randint(1, n)))
-            interests.append(members)
-            alpha = sorted((rng.randint(0, 4) for _ in members), reverse=True)
-            ctrs.append([str(c) for c in alpha])
-        env = {"kind": kind, "interests": interests, "ctrs": ctrs}
-    elif kind == "graphic":
-        vertices = n + 1
-        edges = [[rng.randrange(vertices), rng.randrange(vertices)] for _ in range(n)]
-        edges = [[u, v if u != v else (v + 1) % vertices] for u, v in edges]
-        env = {"kind": kind, "edges": edges}
-    else:                                   # vod-cut
-        hubs = max(1, n // 2)
-        edges = [["s", f"h{h}", str(rng.randint(1, 6))] for h in range(hubs)]
-        for i in range(n):
-            edges.append([f"h{rng.randrange(hubs)}", f"b{i}", str(rng.randint(0, 5))])
-        env = {"kind": kind, "edges": edges, "source": "s",
-               "bidder_nodes": [f"b{i}" for i in range(n)]}
+    env = {"kind": kind, **KINDS[kind].generate(rng, n, m)}
 
     bidders = []
     for _ in range(n):
         budget = "inf" if rng.random() < 0.2 else str(rng.randint(1, 6))
         bidders.append({"value": str(rng.randint(1, 6)), "budget": budget})
-    data = {
-        "schema": SCHEMA_VERSION,
-        "environment": env,
-        "bidders": bidders,
-        "config": {"epsilon": "auto", "max_steps": 1_000_000, "trace": False},
-    }
-    return parse_instance_data(data)
+    # the config is the parser's default: epsilon "auto", 1,000,000 steps, no trace
+    return parse_instance_data({"schema": SCHEMA_VERSION, "environment": env, "bidders": bidders})

@@ -304,8 +304,7 @@ def test_gen_twice_identical_and_verifies(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("kind", ["multi-unit", "single-keyword", "adwords",
-                                  "graphic", "vod-cut"])
+@pytest.mark.parametrize("kind", POLYMATROID_KINDS)
 def test_gen_output_passes_verify_and_check(tmp_path, capsys, kind):
     dest = tmp_path / f"{kind}.json"
     code, _, _ = run_cli(capsys, "gen", "--kind", kind, "--n", "3", "--m", "2",
