@@ -128,7 +128,7 @@ class InstanceFile:
         return self._oracle
 
     def build_oracle(self):
-        """A new oracle for polymatroid kinds; ParseError for the H-polytope kind."""
+        """A new oracle from the kind's builder; ParseError for a kind without one."""
         kind = self.environment.kind
         if KINDS[kind].oracle is None:
             raise ParseError("unknown-kind", "environment.kind",

@@ -13,9 +13,8 @@ first 16 hex digits of the SHA-256 of the bytes.
 
 ``tests/behaviour.json`` stores two sets: ``small`` (the fixtures, seeds 0-1
 of the five polymatroid kinds at n = 4 and 12, both demos, the parse
-errors), which
-``tests/test_behaviour.py`` recomputes, and ``large`` (the seed-0 markets
-that take seconds), which CI recomputes.  A change that moves a digest names
+errors), which ``tests/test_behaviour.py`` recomputes, and ``large`` (the
+seed-0 markets that take seconds), which CI recomputes.  A change that moves a digest names
 each moved case and says why.
 
 Usage, from the repository root::

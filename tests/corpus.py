@@ -20,7 +20,8 @@ from polyclinch import AdWordsInstance, Bidder, SubmodularOracle, greedy_vertex
 from polyclinch.instances import POLYMATROID_KINDS, generate_instance, serialize_instance
 
 KINDS = POLYMATROID_KINDS
-FIXTURE_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))
 
 _SEEDS = 1 << 30
 

@@ -1,7 +1,6 @@
 """Instance-file parsing, serialization round-trips and seeded generation."""
 
 import json
-import pathlib
 from dataclasses import replace
 from functools import partial
 
@@ -17,10 +16,7 @@ from polyclinch.instances import (
     serialize_instance,
 )
 
-from corpus import mutated_files
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-FIXTURE_FILES = sorted(p for p in FIXTURES.glob("*.json"))
+from corpus import FIXTURE_FILES, FIXTURES, mutated_files
 
 
 def minimal(**overrides):
