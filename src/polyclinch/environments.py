@@ -20,15 +20,15 @@ by side, by the same rule: one popcount per keyword for AdWords
 the table; component labels for graphic (:func:`_component_labels`),
 its table built level by level, one pass per edge over the masks below
 it, with no call per mask; a maximum flow augmented from the parent set's
-for vod-cut, its table walked depth-first (``submodular._lattice_walk``),
-which keeps at most n + 1 residual arrays alive where a level would hold
-2^(n-1).  Vod-cut also carries a reduced rank, one maximum flow with
-bidder i's sink arc at c_i, from which R with one sink arc closed, and a
-solution's re-solve at the next c, re-augment.  So multi-unit, single-keyword and
-vod-cut auctions clinch without the 2^n table and run past the
-enumeration cap.  Every vod-cut question -- a value, R, R with one arc
-closed, R at a new c, the smallest minimizer -- goes to one Edmonds-Karp
-search, ``_ArcNetwork.max_flow``, with an optional limit.
+for vod-cut, whose table augments only the sets that no subset less one
+bidder settles, keeping at most n + 1 residual arrays alive.  Vod-cut
+also carries a reduced rank, one maximum flow with bidder i's sink arc at
+c_i, from which R with one sink arc closed, and a solution's re-solve at
+the next c, re-augment.  So multi-unit, single-keyword and vod-cut
+auctions clinch without the 2^n table and run past the enumeration cap.
+Every vod-cut question -- a value, R, R with one arc closed, R at a new c,
+the smallest minimizer -- goes to one Edmonds-Karp search,
+``_ArcNetwork.max_flow``, with an optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -51,7 +51,6 @@ from .submodular import (
     ReducedRank,
     SubmodularOracle,
     ZERO,
-    _lattice_walk,
     _over_common_denominator,
     _rank_list,
     _warm_start,
@@ -366,12 +365,26 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     exact, with no ``Fraction`` arithmetic inside the flow.
 
     Values warm-start: S's maximum flow stays feasible when bidder i's
-    sink arc opens, so ``step`` takes S + i from S by copying S's residual,
-    opening the arc and augmenting from there.  If S's last BFS did not
-    reach bidder i's node, no augmenting path exists: the BFS is skipped
-    and f(S + i) = f(S).  One value folds the step over the mask's bidders
-    in ascending order; the table is one depth-first :func:`_lattice_walk`
-    of it, which keeps at most n + 1 residual arrays alive.
+    sink arc opens, so a value takes S + i from S by opening the arc and
+    augmenting from there.  If the source no longer reaches bidder i's node
+    in S's residual network, no augmenting path exists: f(S + i) = f(S),
+    and the same flow, with the same reached nodes, is maximum for S + i.
+    One value folds this over the mask's bidders in ascending order.
+
+    The table goes further.  The nodes the source reaches in a maximum
+    flow's residual are the smallest minimum cut's source side, the same
+    for every maximum flow, and that side only shrinks as sink arcs open.
+    So the masks walk in ascending order, each with its value and the mask
+    of the bidders whose node its side leaves out, and a mask that some
+    S - i settles (i left out by S - i) copies both from it.  Only the rest
+    augment, each from the flow of S less its lowest bit.  Every set of an
+    unsettled mask's highest bits is unsettled too, since S - i settling
+    S settles every superset of S, so each augmented flow is kept on a
+    chain while masks that hold it as their highest bits follow, and at
+    most n + 1 residual arrays are alive.  On the generated seed-0 n = 12
+    market, 149 of 4,095 masks augment.  Masks with highest bit h are handled
+    together: first copied from the mask less h, then the few that mask
+    does not settle are tested and augmented in order.
 
     The reduced rank R(c) = min over T of f(T) + c([n] \\ T) is one
     maximum flow from zero with bidder i's sink arc at c_i (Fujishige,
@@ -409,15 +422,6 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     sink_arcs = [graph.arc(b, sink) for b in net.bidder_nodes]
     bidder_index = [graph.index[b] for b in net.bidder_nodes]
     bound = sum(nums) + 1                    # above every cut of the network
-
-    def step(state: tuple, i: int) -> tuple:
-        flow, residual, reached = state
-        residual = residual[:]
-        residual[sink_arcs[i]] = bound
-        if reached[bidder_index[i]] is not None:
-            extra, reached = graph.max_flow(residual, net.source, sink)
-            flow += extra
-        return flow, (flow, residual, reached)
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         residual = [capacity * scale for capacity in graph.cap]
@@ -470,17 +474,47 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         return RankSolution(total, smallest, without, resolve)
 
     closed = graph.cap[:]
-    root = (0, closed, graph.max_flow(closed, net.source, sink)[1])
+    reach = graph.max_flow(closed, net.source, sink)[1]          # of the empty set's zero flow
+
+    def unreached(tree: list) -> int:
+        """The mask of the bidders whose node the BFS ``tree`` does not reach."""
+        return sum(1 << i for i, b in enumerate(bidder_index) if tree[b] is None)
 
     def value(mask: int) -> Fraction:
-        num, state = 0, root
+        flow, residual, tree = 0, closed[:], reach
         for i in range(mask.bit_length()):
             if mask >> i & 1:
-                num, state = step(state, i)
-        return Fraction(num, den)
+                residual[sink_arcs[i]] = bound
+                if tree[bidder_index[i]] is not None:
+                    extra, tree = graph.max_flow(residual, net.source, sink)
+                    flow += extra
+        return Fraction(flow, den)
 
-    return SubmodularOracle(n, value, True, f"vod-cut({n} bidders)",
-                            table=lambda: (den, _lattice_walk(n, root, step)),
+    def table() -> tuple:
+        values, free = [0] * (1 << n), [0] * (1 << n)
+        free[0] = unreached(reach)
+        chain = [(0, closed)]        # the augmented masks whose sets may still grow, and residuals
+        for h in range(n):
+            top = 1 << h
+            values[top:2 * top], free[top:2 * top] = values[:top], free[:top]
+            for m in [low | top for low, u in enumerate(free[:top]) if not u >> h & 1]:
+                rest = m ^ top           # m less top does not settle m; does m less another bit?
+                while rest and not free[m ^ (rest & -rest)] & rest & -rest:
+                    rest &= rest - 1
+                if rest:
+                    values[m], free[m] = values[m ^ (rest & -rest)], free[m ^ (rest & -rest)]
+                    continue
+                parent = m & m - 1
+                while chain[-1][0] != parent:
+                    chain.pop()
+                residual = chain[-1][1][:]
+                residual[sink_arcs[(m ^ parent).bit_length() - 1]] = bound
+                extra, tree = graph.max_flow(residual, net.source, sink)
+                values[m], free[m] = values[parent] + extra, unreached(tree)
+                chain.append((m, residual))
+        return den, values
+
+    return SubmodularOracle(n, value, True, f"vod-cut({n} bidders)", table=table,
                             reduced_rank=ReducedRank(den, solve))
 
 

@@ -40,8 +40,9 @@ oracle keeps none.
 That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
 by the oracle's own ``table`` builder when it has one (each built-in kind
 states its table next to its value, in :mod:`polyclinch.environments`;
-vod-cut's extends each set's maximum flow from its parent's by
-:func:`_lattice_walk`), else by one ``fn_mask`` call per set.
+vod-cut's augments a parent set's maximum flow only for the sets whose
+value no set less one bidder settles), else by one ``fn_mask`` call per
+set.
 :func:`verify_submodular` tests local second differences on the same table.
 
 All subset enumeration is capped (default 16 elements, override with the
@@ -405,34 +406,6 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
                             solve if len(c) <= 4 else resolve)     # see _warm_start
 
     return ReducedRank(den, solve)
-
-
-def _lattice_walk(n: int, root, step: Callable[[object, int], tuple]) -> list:
-    """values[m] for every mask m, with values[0] = 0, in one walk.
-
-    Depth-first over the subset lattice: each nonempty mask is reached from
-    its parent, the mask without its highest bit, by ``step(parent state,
-    bit)``, which returns the mask's value and its state; it must not modify
-    the state it is given, since every child of a mask starts from it.
-    Only the states on the current path, at most n + 1, are alive at a time.
-    """
-    values = [0] * (1 << n)
-    _visit(values, step, 0, root)
-    return values
-
-
-def _visit(values: list, step: Callable[[object, int], tuple], mask: int, state) -> None:
-    """Fill values below ``mask``, whose state is given, depth-first.
-
-    Module-level, not a closure that calls itself, so a walk leaves no
-    reference cycle holding its states for the garbage collector.
-    """
-    n = len(values).bit_length() - 1
-    for i in range(mask.bit_length(), n):
-        child = mask | 1 << i
-        values[child], child_state = step(state, i)
-        if i + 1 < n:
-            _visit(values, step, child, child_state)
 
 
 class SubmodularOracle:

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,13 @@ def _random_multigraph(rng, n):
     return edges
 
 
+def _modular_network(n):
+    """Each bidder on its own arc from the source, of capacity i + 1: f(S) is
+    the sum of S's capacities, and every set augments its table."""
+    return CapacitatedNetwork.build([("s", f"b{i}", i + 1) for i in range(n)], "s",
+                                    [f"b{i}" for i in range(n)])
+
+
 def test_walked_tables_match_per_mask_values():
     rng = random.Random(1512)
     for t in range(120):
@@ -415,6 +423,50 @@ def test_walked_tables_match_per_mask_values():
             reference = _forest_rank_table(edges)
         walked, per_mask = _walked_and_per_mask(build)
         assert walked == per_mask == reference, t
+    # bidders sharing a node, cycles, arcs out of bidder nodes and back to
+    # the source, zero and fractional capacities, and a modular network
+    for net in _cut_networks(rng, 40) + [_modular_network(9)]:
+        walked, per_mask = _walked_and_per_mask(lambda: vod_cut_oracle(net))
+        assert walked == per_mask == _min_cut_table(net), net
+
+
+def test_vod_cut_table_augments_only_unsettled_sets(monkeypatch):
+    # a set S settled by some S - i (f(S) = f(S - i)) copies its value; the
+    # others augment, one max_flow each, from the flow of S less its lowest bit
+    calls = []
+    max_flow = _ArcNetwork.max_flow
+    monkeypatch.setattr(_ArcNetwork, "max_flow",
+                        lambda self, *args: calls.append(args) or max_flow(self, *args))
+    rng = random.Random(4404)
+    builds = [generate_instance("vod-cut", n, None, seed).build_oracle
+              for n, seed in ((10, 0), (10, 1), (12, 0), (12, 1))]
+    builds += [functools.partial(vod_cut_oracle, net)
+               for net in _cut_networks(rng, 10) + [_modular_network(8)]]
+    counts = []
+    for build in builds:
+        oracle = build()
+        del calls[:]
+        nums = oracle.integer_table()[1]
+        unsettled = [m for m in range(1, len(nums))
+                     if all(nums[m] > nums[m ^ 1 << i] for i in range(oracle.n) if m >> i & 1)]
+        assert len(calls) == len(unsettled), oracle
+        counts.append(len(calls))
+    assert counts[0] == 47 and counts[2] == 149 and counts[-1] == 255
+
+
+def test_vod_cut_table_keeps_few_flows_alive():
+    # the modular network augments all 2^16 - 1 sets; one flow kept per set
+    # peaks near 54 MB, the chain of at most n + 1 flows under 8 MB
+    oracle = vod_cut_oracle(_modular_network(16))
+    tracemalloc.start()
+    try:
+        den, nums = oracle.integer_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert den == 1 and nums == [sum(i + 1 for i in range(16) if m >> i & 1)
+                                 for m in range(1 << 16)]
+    assert peak < 8 << 20, peak
 
 
 def test_walked_tables_match_per_mask_values_on_generated_markets():
@@ -538,6 +590,19 @@ def _awkward_network(rng, source, others, island):
     return CapacitatedNetwork.build(edges, source, bidders + [bidders[0], island])
 
 
+def _cut_networks(rng, count):
+    """``count`` networks of :func:`_awkward_network`, half on str labels and
+    half on int labels."""
+    nets = []
+    for k in range(count):
+        if k % 2:
+            labels = rng.sample(range(10), 8)
+            nets.append(_awkward_network(rng, labels[0], labels[1:7], labels[7]))
+        else:
+            nets.append(_awkward_network(rng, "s", ["a", "b", "c", "d", "e", "f"], "island"))
+    return nets
+
+
 def test_vod_cut_matches_brute_force_min_cut():
     rng = random.Random(29)
     nets = [
@@ -548,11 +613,7 @@ def test_vod_cut_matches_brute_force_min_cut():
                                   ("b", "x", 1), ("a", "d", 1), ("d", "e", 1), ("e", "y", 1)],
                                  "s", ["x", "y"]),
     ]
-    for _ in range(3):
-        nets.append(_awkward_network(rng, "s", ["a", "b", "c", "d", "e", "f"], "island"))
-        labels = rng.sample(range(10), 8)
-        nets.append(_awkward_network(rng, labels[0], labels[1:7], labels[7]))
-    for net in nets:
+    for net in nets + _cut_networks(rng, 6):
         oracle = vod_cut_oracle(net)
         assert [oracle.value_mask(m) for m in range(1 << oracle.n)] == _min_cut_table(net), net
 

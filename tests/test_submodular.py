@@ -33,7 +33,6 @@ from polyclinch.submodular import (
     OracleCheck,
     RankSolution,
     ReducedRank,
-    _lattice_walk,
     _local_test,
     _mask_sums,
     as_fraction,
@@ -418,45 +417,25 @@ def test_cardinality_oracles_keep_the_checked_rank_list():
 # value tables: an oracle's own builder, or one fn_mask call per mask
 # ---------------------------------------------------------------------------
 
-def _square_step(steps):
-    """A lattice step for f(S) = |S|^2 whose state is the mask; its calls
-    are recorded."""
-    def step(mask, i):
-        steps.append((mask, i))
-        child = mask | 1 << i
-        return child.bit_count() ** 2, child
-    return step
-
-
-def _stepped_square(n, calls, steps):
-    """f(S) = |S|^2 (not submodular), its table walked by :func:`_square_step`
-    from the empty set; fn_mask and step calls are recorded."""
-    step = _square_step(steps)
+def _stepped_square(n, calls, builds):
+    """f(S) = |S|^2 (not submodular) with a table builder; fn_mask calls
+    and builds are recorded."""
+    def table():
+        builds.append(n)
+        return 1, [m.bit_count() ** 2 for m in range(1 << n)]
     return SubmodularOracle(n, lambda m: calls.append(m) or F(m.bit_count() ** 2), False,
-                            "stepped square", table=lambda: (1, _lattice_walk(n, 0, step)))
-
-
-def test_walk_steps_each_mask_from_its_parent():
-    steps = []
-    nums = _lattice_walk(7, 0, _square_step(steps))
-    assert nums == [m.bit_count() ** 2 for m in range(1 << 7)]
-    # each nonempty mask once, from the mask without its highest bit
-    assert sorted(mask | 1 << i for mask, i in steps) == list(range(1, 1 << 7))
-    assert all(mask.bit_length() <= i for mask, i in steps)
-    # the oracle takes its table from the builder, once, and calls no fn_mask
-    calls, steps = [], []
-    oracle = _stepped_square(7, calls, steps)
-    assert oracle.integer_table() == oracle.integer_table() == (1, nums)
-    assert calls == [] and len(steps) == 127
+                            "stepped square", table=table)
 
 
 def test_value_mask_reads_the_built_table():
-    calls, steps = [], []
-    oracle = _stepped_square(5, calls, steps)
+    calls, builds = [], []
+    oracle = _stepped_square(5, calls, builds)
     assert oracle.value_mask(0b11) == 4 and calls == [0b11]
-    oracle.integer_table()
+    # the oracle takes its table from the builder, once, and calls no fn_mask
+    assert oracle.integer_table() == oracle.integer_table() == (
+        1, [m.bit_count() ** 2 for m in range(32)])
     assert [oracle.value_mask(m) for m in range(32)] == [F(m.bit_count() ** 2) for m in range(32)]
-    assert calls == [0b11] and len(steps) == 31
+    assert calls == [0b11] and builds == [5]
 
 
 def test_verify_submodular_names_violations_from_the_walked_table():
@@ -470,12 +449,12 @@ def test_verify_submodular_names_violations_from_the_walked_table():
 
 def test_integer_table_checks_the_cap_before_it_walks(monkeypatch):
     monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "4")
-    calls, steps = [], []
-    for oracle in (_stepped_square(5, calls, steps),
+    calls, builds = [], []
+    for oracle in (_stepped_square(5, calls, builds),
                    SubmodularOracle(5, lambda m: calls.append(m) or F(1), True, "flat")):
         with pytest.raises(SizeError):
             oracle.integer_table()
-    assert calls == [] and steps == []
+    assert calls == [] and builds == []
 
 
 # ---------------------------------------------------------------------------
