@@ -9,7 +9,8 @@ clinch left behind clinches zero, so it skips the clinch.  The loop ends
 when every demand is zero.  It keeps its state as integers: clock ticks,
 and numerators over one denominator that grows by an integer factor when a
 demand or a clinch needs it; ``Fraction`` values are built only for the
-outcome, the trace and a :class:`DivergenceError`.
+outcome and a :class:`DivergenceError`, and a trace snapshot builds its
+own when they are first read.
 
 Engines:
 
@@ -51,6 +52,7 @@ from .submodular import (
     _clinch_nums,
     _demand_vector,
     _over_common_denominator,
+    _scaled,
     as_fraction,
     clinch_kernel,
     vector,
@@ -122,9 +124,24 @@ class AuctionConfig:
         return bound / 2
 
 
+# The per-bidder vectors of a TraceSnapshot, each of n entries.
+_VECTORS = ("promised", "demands", "clinched", "prices", "budgets")
+
+
 @dataclass(frozen=True)
 class TraceSnapshot:
-    """One loop iteration, captured after clinching and before the price step."""
+    """One loop iteration, captured after clinching and before the price step.
+
+    A snapshot that :func:`_run_loop` takes keeps the loop's integers and
+    builds these fields on first read (:func:`_fill`), so ``==``, ``hash``,
+    ``repr``, :meth:`to_json` and :func:`dataclasses.replace` see the
+    ``Fraction`` values either way.  ``_nums`` is the integer view that
+    :func:`~polyclinch.verify.validate_trace` reads: ``(sizes, den, rho,
+    d, total, budgets)``, the lengths of the :data:`_VECTORS`, rho, d and
+    fhat([n]) over den, and the remaining budgets as numbers of their sign
+    (None for unbounded).  A loop snapshot holds it until its fields are
+    built; any other snapshot computes it from its fields on first read.
+    """
 
     step: int
     prices: tuple
@@ -133,6 +150,23 @@ class TraceSnapshot:
     clinched: tuple
     budgets: tuple                  # remaining; None marks an unbounded budget
     residual_total: Fraction        # fhat([n]) at this snapshot
+
+    def __getattr__(self, name: str):
+        # only an attribute the instance lacks gets here
+        if name == "_nums":
+            p, q = self.residual_total.as_integer_ratio()
+            den, (rho, d) = _scaled(q, self.promised, self.demands)
+            vars(self)[name] = (tuple(len(getattr(self, v)) for v in _VECTORS), den,
+                                tuple(rho), tuple(d), p * (den // q), self.budgets)
+        elif name in self.__dataclass_fields__:
+            _fill(self)
+        else:
+            raise AttributeError(name)
+        return vars(self)[name]
+
+    def __getstate__(self) -> dict:
+        # the fields alone, so a copy holds no chain of unbuilt snapshots
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def to_json(self) -> dict:
         return {
@@ -144,6 +178,51 @@ class TraceSnapshot:
             "B_rem": ["inf" if v is None else str(v) for v in self.budgets],
             "fhat_full": str(self.residual_total),
         }
+
+
+def _fill(snap: TraceSnapshot) -> None:
+    """Build the fields of a snapshot :func:`_run_loop` took, and of the
+    unbuilt ones before it, oldest first, with no recursion.
+
+    Each is built from the one before it, as the loop moved: one clock, the
+    one the last step moved, gets its new price, and a step that clinched
+    converts the entries its clinch moved and its ``fresh`` demands.  Every
+    other entry is the last snapshot's own object; a step that skipped its
+    clinch shares them all, its total, and the run's zero clinch.  Once its
+    fields are built, a snapshot lets go of the last one and of its
+    integers.
+    """
+    unbuilt = []
+    while snap is not None and "prices" not in vars(snap):
+        unbuilt.append(snap)
+        snap = snap._loop[0]
+    for snap in reversed(unbuilt):
+        last, (tick, per, unclinched), delta, fresh = snap._loop
+        _, den, promised, nu, total, budgets = snap._nums
+        n = len(nu)
+        if last is None:                 # step 0, which clinches: every entry is new
+            prices, rho, dem, rem = list(unclinched), [None] * n, [None] * n, [None] * n
+            clinched = fresh
+        else:
+            moved = (snap.step - 1) % n
+            prices = list(last.prices)
+            prices[moved] = Fraction(((snap.step - 1) // n + 1) * tick, per)
+            rho, dem, rem = list(last.promised), list(last.demands), list(last.budgets)
+            clinched = [] if delta is None else [i for i, x in enumerate(delta) if x]
+        if delta is None:
+            fields = (last.promised, last.demands, unclinched, last.budgets, last.residual_total)
+        else:
+            for i in clinched:
+                rho[i] = Fraction(promised[i], den)
+                rem[i] = None if budgets[i] is None else Fraction(budgets[i], den * per)
+            for i in {*fresh, *clinched}:
+                dem[i] = Fraction(nu[i], den)
+            clinch = tuple(Fraction(x, den) if x else ZERO for x in delta)
+            fields = (tuple(rho), tuple(dem), clinch, tuple(rem), Fraction(total, den))
+        built = vars(snap)
+        built.update(zip(("promised", "demands", "clinched", "budgets", "residual_total"), fields),
+                     prices=tuple(prices))
+        del built["_loop"], built["_nums"]
 
 
 @dataclass(frozen=True)
@@ -280,9 +359,11 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     ``fhat_fn`` the residual total over D; a demand or a clinch entry may be
     a Fraction that is not whole, and then D grows by the lcm of their
     denominators and every numerator of the state with it.  ``Fraction``
-    values are built only for the :class:`Outcome`, the snapshots and the
-    :class:`DivergenceError`; a snapshot converts only the entries that
-    changed since the last one.
+    values are built only for the :class:`Outcome` and the
+    :class:`DivergenceError`.  A snapshot keeps copies of the integers, the
+    last snapshot and which entries its step changed, and builds its
+    ``Fraction`` fields only when they are read (:func:`_fill`); its prices
+    follow from its step, since the clocks move round-robin, one a step.
 
     ``demands_fn(ticks, promised, budgets)`` runs once, before the first
     step, on the loop's own lists, and returns the engine's demand rule
@@ -321,7 +402,8 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     from d into rho and leaves f - rho - d unchanged), so when that value
     equals nu's entry the step's clinch is zero and ``clinch_fn`` is not
     called.  Such a step leaves rho and nu as they were, so its snapshot
-    reuses the last one's tuples and total, with the clocked price moved.
+    reuses the last one's integers, and its fields the last one's tuples
+    and total, with the clocked price moved.
     """
     tick, per = units.tick, units.per
     units.den = math.lcm(units.den, *(b.denominator for b in budgets0 if b is not None))
@@ -346,8 +428,8 @@ def _run_loop(n: int, units: _Units, max_steps: int,
 
     if fhat_fn is not None:
         snapshots: List[TraceSnapshot] = []
-        prices = [ZERO] * n
-        unclinched = (ZERO,) * n
+        clock = (tick, per, (ZERO,) * n)             # what each snapshot's prices come from
+        sizes = (n,) * len(_VECTORS)
     fresh = range(n)                     # the entries of this step's demands not in nu
     demand_of = demands_fn(ticks, promised, budgets)
     demands = whole([demand_of(i, 0) for i in range(n)], [])
@@ -362,18 +444,17 @@ def _run_loop(n: int, units: _Units, max_steps: int,
                     if budgets[i] is not None:
                         budgets[i] -= charge
             nu = [q - x for q, x in zip(demands, delta)]
-            if fhat_fn is not None:
-                snap = _snapshot(step, prices, units, promised, nu, delta, budgets,
-                                 fhat_fn(promised, nu), fresh, snapshots[-1] if snapshots else None)
         if fhat_fn is not None:
-            if demands is None:
-                snap = TraceSnapshot(step, tuple(prices), snap.promised, snap.demands,
-                                     unclinched, snap.budgets, snap.residual_total)
+            if demands is not None:      # else the last snapshot's integers still hold
+                nums = (sizes, units.den, tuple(promised), tuple(nu), fhat_fn(promised, nu),
+                        tuple(budgets))
+            snap = object.__new__(TraceSnapshot)
+            vars(snap).update(step=step, _nums=nums, _loop=(
+                snapshots[-1] if snapshots else None, clock,
+                None if demands is None else delta, fresh))
             snapshots.append(snap)
         moved = step % n
         ticks[moved] += 1
-        if fhat_fn is not None:
-            prices[moved] = Fraction(ticks[moved] * tick, per)
         if not any(nu):
             break
         q = demand_of(moved, ticks[moved])
@@ -399,30 +480,6 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     return Outcome(tuple(Fraction(x, den) if x else ZERO for x in promised),
                    tuple(Fraction(x, den * per) if x else ZERO for x in payments),
                    tuple(snapshots) if fhat_fn is not None else None, exhausted)
-
-
-def _snapshot(step: int, prices: list, units: _Units, promised: list, nu: list,
-              delta: list, budgets: list, total, fresh, last: Optional[TraceSnapshot]):
-    """The snapshot of a step that clinched, as ``Fraction`` values.
-
-    Against the ``last`` snapshot only the entries the clinch moved and the
-    ``fresh`` demands change, so only those are converted; the other
-    entries are the last snapshot's.  The first snapshot converts all.
-    """
-    n, den = len(nu), units.den
-    if last is None:
-        rho, dem, rem, clinched = [None] * n, [None] * n, [None] * n, range(n)
-    else:
-        rho, dem, rem = list(last.promised), list(last.demands), list(last.budgets)
-        clinched = [i for i, x in enumerate(delta) if x]
-    for i in clinched:
-        rho[i] = Fraction(promised[i], den)
-        rem[i] = None if budgets[i] is None else Fraction(budgets[i], den * units.per)
-    for i in {*fresh, *clinched}:
-        dem[i] = Fraction(nu[i], den)
-    return TraceSnapshot(step, tuple(prices), tuple(rho), tuple(dem),
-                         tuple(Fraction(x, den) if x else ZERO for x in delta),
-                         tuple(rem), Fraction(total, den))
 
 
 def _run_polymatroid(rank: ReducedRank, base: int, values: Sequence[Fraction],

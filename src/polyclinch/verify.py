@@ -28,6 +28,7 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _VECTORS,
     _bounded_packing_2d,
     _check_bidder_count,
     _packing_lines,
@@ -371,10 +372,6 @@ def curve_deviation_grid(curve: ConcaveCurve) -> list:
     return grid
 
 
-# The per-bidder vectors of a TraceSnapshot, each of n entries.
-_SNAPSHOT_VECTORS = ("promised", "demands", "clinched", "prices", "budgets")
-
-
 def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
                    ) -> VerificationReport:
     """Recompute the step invariants of a traced run from its snapshots.
@@ -390,10 +387,13 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     :class:`DomainError` naming the step and the field.
 
     The monitors are decided on integers, by reduced ranks, so past the
-    enumeration cap on oracles with a structural solver.  A snapshot's rho,
-    d, recorded fhat([n]) and f([n]) go over one denominator with the
-    rank's and the snapshots' before it; rho is in P(f) iff R(rho) =
-    rho([n]), and where it is not, the same solve names the violated set as
+    enumeration cap on oracles with a structural solver.  Each snapshot is
+    read through its integer view (``TraceSnapshot._nums``): the loop's own
+    integers for a snapshot the loop took, so that a trace whose monitors
+    pass builds no ``Fraction``.  Its rho, d and recorded fhat([n]) go over
+    one denominator with f([n]), the rank's and the snapshots' before it,
+    each by an integer ratio.  rho is in P(f) iff R(rho) = rho([n]), and
+    where it is not, the same solve names the violated set as
     :func:`~polyclinch.submodular.membership` would (a rho equal to the one
     before is not solved again).  fhat([n]) and the clinch delta come from
     one solve at rho + d by the engines' own kernel,
@@ -408,43 +408,45 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     are built, as ``Fraction``s, only where a monitor fails, and every n
     takes this one path; the ``Fraction`` reference that tabulates 2^n sets
     lives in the tests.  A snapshot with
-    the same (rho, d) and recorded fhat([n]) as the one before it, as a step
-    that skipped its clinch leaves, is skipped after its budget check: its
-    witnesses could only repeat ones already found.  Budgets are checked
-    once per budgets tuple, which such a step shares with the one before.
+    the same (rho, d) and recorded fhat([n]) over the same denominator as
+    the one before it, as a step that skipped its clinch leaves, is skipped
+    after its budget check: its witnesses could only repeat ones already
+    found.  Budgets are checked once per budgets tuple, which such a step
+    shares with the one before.
     """
     n = oracle.n
-    full = (1 << n) - 1
-    target = oracle.value_mask(full)
+    target = oracle.value_mask((1 << n) - 1)
+    sizes = (n,) * len(_VECTORS)
     rank = oracle.rank()
     at_rho = at_c = rank                 # the last solutions at rho and at rho + d; rank: cold
-    den = rank.den                       # only grows, so each solve can start from the last
+    den = math.lcm(rank.den, target.denominator)   # only grows: each solve starts from the last
     report = VerificationReport()
     feasible = budgets_ok = None
     found = (None, None, None)           # conserved, dominance, reclinch
-    last = None                          # (rho, d, fhat([n])) of the snapshot before
+    last = None                          # the integer view of the snapshot before
     budgets = None                       # the budgets tuple checked last
 
     for snap in snapshots:
-        for name in _SNAPSHOT_VECTORS:
-            size = len(getattr(snap, name))
-            if size != n:
-                raise DomainError(f"trace step {snap.step}: {name} has {size} entries, "
-                                  f"expected one per bidder ({n})")
-        if budgets_ok is None and snap.budgets is not budgets:
-            budgets = snap.budgets
-            i = next((i for i, b in enumerate(budgets) if b is not None and b.numerator < 0),
-                     None)
+        nums = snap._nums
+        shape, snap_den, rho, d, recorded, remaining = nums
+        if shape != sizes:
+            name, size = next((name, size) for name, size in zip(_VECTORS, shape) if size != n)
+            raise DomainError(f"trace step {snap.step}: {name} has {size} entries, "
+                              f"expected one per bidder ({n})")
+        if budgets_ok is None and remaining is not budgets:
+            budgets = remaining
+            i = next((i for i, b in enumerate(budgets) if b is not None and b < 0), None)
             if i is not None:
-                budgets_ok = {"step": snap.step, "bidder": i, "budget": str(budgets[i])}
-        recorded = snap.residual_total
-        if (snap.promised, snap.demands, recorded) == last:
+                budgets_ok = {"step": snap.step, "bidder": i, "budget": str(snap.budgets[i])}
+        if nums is last or last is not None and nums[1:5] == last[1:5]:
             continue
         # rho seen at the snapshot before, which passed feasibility, passes again
-        checked = last is not None and snap.promised == last[0]
-        last = snap.promised, snap.demands, recorded
-        den, (rho, d) = _scaled(math.lcm(den, target.denominator, recorded.denominator),
-                                snap.promised, snap.demands)
+        checked = last is not None and (snap_den, rho) == last[1:3]
+        last = nums
+        den = math.lcm(den, snap_den)
+        k = den // snap_den
+        if k != 1:
+            rho, d, recorded = [x * k for x in rho], [x * k for x in d], recorded * k
         if min(d) < 0:
             i = next(i for i, v in enumerate(d) if v < 0)
             raise DomainError(f"trace step {snap.step}: demands must be >= 0, "
@@ -464,8 +466,7 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             break
         total, delta, at_c = _clinch_nums(at_c, scale, rho, d)
         if (rtotal + total == target.numerator * (den // target.denominator)
-                and total == recorded.numerator * (den // recorded.denominator)
-                and not any(delta)):
+                and total == recorded and not any(delta)):
             continue
         witnesses = _residual_witnesses(snap, target, Fraction(total, den),
                                         [Fraction(x, den) for x in delta])

@@ -194,6 +194,30 @@ def test_generic_trace_totals_are_the_best_vertex_sums():
     assert skipped > 0
 
 
+def test_snapshots_built_on_first_read_match_the_reference():
+    # a loop snapshot keeps the loop's integers and builds its Fraction
+    # fields on first read, from the snapshot before it: whichever read comes
+    # first (hash, repr, to_json or ==), in whichever order the snapshots are
+    # read, last first included, each equals the reference loop's snapshot
+    reads = (hash, repr, lambda snap: json.dumps(snap.to_json()), lambda snap: snap)
+    runs = _traced_runs()
+    for label, oracle, bidders in polymatroid_cases(5151, 12, n_max=6):
+        runs.append((run_clinching, (oracle, bidders, AuctionConfig(trace=True))))
+    for t, (engine, args) in enumerate(runs):
+        trace = engine(*args).trace
+        ref = reference_run(engine, *args)[0].trace
+        assert not any(name in vars(snap) for snap in trace for name in ("prices", "promised"))
+        order = range(len(trace)) if t % 3 else range(len(trace) - 1, -1, -1)
+        for k in order:
+            read = reads[(k + t) % len(reads)]
+            assert read(trace[k]) == read(ref[k]), (engine.__name__, t, k)
+        assert trace == ref and list(map(hash, trace)) == list(map(hash, ref))
+        # built fields share the unchanged entries' objects with the snapshot before
+        for before, snap in zip(trace, trace[1:]):
+            assert all(a is b for a, b, x in zip(before.promised, snap.promised, snap.clinched)
+                       if not x)
+
+
 def counted_run(engine, *args) -> tuple:
     """``engine(*args)`` on ``auction._run_loop``: ``(outcome, counts, dens)``,
     the calls of the loop's ``demands_fn`` and ``clinch_fn`` and of the

@@ -34,7 +34,7 @@ from polyclinch import (
 )
 from polyclinch import verify
 from polyclinch.auction import _scaled_bidders, _stretched
-from polyclinch.instances import parse_instance
+from polyclinch.instances import generate_instance, parse_instance
 from polyclinch.submodular import ReducedRank, ResidualOracle, SubmodularOracle, min_constrained
 from polyclinch.verify import VerificationReport, replay_dominated_direction
 
@@ -615,6 +615,43 @@ def test_validate_trace_matches_fraction_reference():
             else:
                 failed[how] += not expected["ok"]
     assert all(count >= 20 for count in failed.values()), failed
+
+
+def test_replaced_snapshots_are_judged_as_loop_snapshots():
+    # validate_trace reads a loop snapshot's own integers, and the integer
+    # view a snapshot made by dataclasses.replace computes from its Fraction
+    # fields, as does a loop snapshot whose fields were built: the three
+    # give one report, the Fraction reference's, clean or corrupted
+    rng = random.Random(5353)
+    corruptions = ("shaved-promise", "inflated-promise", "tampered-demand",
+                   "negative-budget", "shifted-total")
+    for t in range(20):
+        n = rng.randint(1, 5)
+        oracle = random_oracle(rng, KINDS[t % len(KINDS)], n)
+        bidders = random_bidders(rng, n)
+        cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
+        loop_report = validate_trace(oracle, run_clinching(oracle, bidders, cfg).trace).to_json()
+        trace = run_clinching(oracle, bidders, cfg).trace
+        copies = [replace(snap) for snap in trace]
+        expected = _reference_validate_trace(oracle, copies).to_json()
+        assert validate_trace(oracle, copies).to_json() == loop_report == expected, t
+        assert validate_trace(oracle, trace).to_json() == expected, t
+        how = corruptions[t % len(corruptions)]
+        corrupted = _corrupt(random.Random(t), run_clinching(oracle, bidders, cfg).trace, how)
+        expected = _reference_validate_trace(oracle, corrupted).to_json()
+        assert validate_trace(oracle, corrupted).to_json() == expected, (t, how)
+
+
+def test_passing_validate_trace_builds_no_snapshot_fields():
+    # the monitors read the loop's integers, so a passing trace's snapshots
+    # never build their Fraction fields
+    inst = generate_instance("multi-unit", 64, None, 0)
+    oracle = inst.build_oracle()
+    out = run_clinching(oracle, inst.bidders, replace(inst.config, trace=True))
+    assert validate_trace(oracle, out.trace).ok()
+    fields = ("prices", "promised", "demands", "clinched", "budgets", "residual_total")
+    assert not any(name in vars(snap) for snap in out.trace for name in fields)
+    assert len(out.trace) > 64 and out.trace[-1].promised == out.allocation
 
 
 def test_tampered_skipped_step_fails_at_that_step():
