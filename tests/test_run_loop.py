@@ -9,8 +9,10 @@ step's post-clinch demands, and the reference clinch must be zero at every
 other step.
 """
 
+import copy
 import json
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -31,7 +33,7 @@ from polyclinch import (
 from polyclinch import auction
 from polyclinch.auction import polytope_vertices
 from polyclinch.cli import _run_instance
-from polyclinch.instances import parse_instance
+from polyclinch.instances import generate_instance, parse_instance
 from polyclinch.verify import (
     APPENDIX_D_BUDGETS,
     APPENDIX_D_SUPPLY,
@@ -216,6 +218,18 @@ def test_snapshots_built_on_first_read_match_the_reference():
         for before, snap in zip(trace, trace[1:]):
             assert all(a is b for a, b, x in zip(before.promised, snap.promised, snap.clinched)
                        if not x)
+
+
+def test_a_late_snapshot_copies_without_its_chain():
+    # an unbuilt snapshot links to the one before it; a copy or a pickle of
+    # the last snapshot of a long trace holds its fields alone, with no
+    # recursion down the chain
+    inst = generate_instance("multi-unit", 64, None, 0)
+    trace = run_clinching(inst.build_oracle(), inst.bidders,
+                          AuctionConfig(epsilon=inst.config.epsilon, trace=True)).trace
+    assert len(trace) > 500
+    for copied in (copy.deepcopy(trace[-1]), pickle.loads(pickle.dumps(trace[-1]))):
+        assert copied == trace[-1] and set(vars(copied)) == set(vars(trace[-1]))
 
 
 def counted_run(engine, *args) -> tuple:
