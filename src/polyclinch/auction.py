@@ -187,8 +187,10 @@ def _fill(snap: TraceSnapshot) -> None:
     Each is built from the one before it, as the loop moved: one clock, the
     one the last step moved, gets its new price, and a step that clinched
     converts the entries its clinch moved and its ``fresh`` demands.  Every
-    other entry is the last snapshot's own object; a step that skipped its
-    clinch shares them all, its total, and the run's zero clinch.  Once its
+    other entry is the last snapshot's own object, and a vector with no
+    entry converted is the last snapshot's tuple: a clinch of zero shares
+    the promises, the budgets and the run's zero clinch, and a step that
+    skipped its clinch shares the demands and the total too.  Once its
     fields are built, a snapshot lets go of the last one and of its
     integers.
     """
@@ -197,31 +199,34 @@ def _fill(snap: TraceSnapshot) -> None:
         unbuilt.append(snap)
         snap = snap._loop[0]
     for snap in reversed(unbuilt):
-        last, (tick, per, unclinched), delta, fresh = snap._loop
+        last, (tick, per, zeros), delta, fresh = snap._loop
         _, den, promised, nu, total, budgets = snap._nums
         n = len(nu)
         if last is None:                 # step 0, which clinches: every entry is new
-            prices, rho, dem, rem = list(unclinched), [None] * n, [None] * n, [None] * n
-            clinched = fresh
+            prices, rho, dem, rem, clinched = zeros, (None,) * n, (None,) * n, (None,) * n, fresh
         else:
-            moved = (snap.step - 1) % n
             prices = list(last.prices)
-            prices[moved] = Fraction(((snap.step - 1) // n + 1) * tick, per)
-            rho, dem, rem = list(last.promised), list(last.demands), list(last.budgets)
-            clinched = [] if delta is None else [i for i, x in enumerate(delta) if x]
-        if delta is None:
-            fields = (last.promised, last.demands, unclinched, last.budgets, last.residual_total)
-        else:
+            prices[(snap.step - 1) % n] = Fraction(((snap.step - 1) // n + 1) * tick, per)
+            prices, rho, dem, rem = tuple(prices), last.promised, last.demands, last.budgets
+            clinched = [i for i, x in enumerate(delta) if x] if delta and any(delta) else ()
+        if clinched:
+            rho, rem = list(rho), list(rem)
             for i in clinched:
                 rho[i] = Fraction(promised[i], den)
                 rem[i] = None if budgets[i] is None else Fraction(budgets[i], den * per)
+            rho, rem = tuple(rho), tuple(rem)
+        if delta is not None:
+            dem = list(dem)
             for i in {*fresh, *clinched}:
                 dem[i] = Fraction(nu[i], den)
-            clinch = tuple(Fraction(x, den) if x else ZERO for x in delta)
-            fields = (tuple(rho), tuple(dem), clinch, tuple(rem), Fraction(total, den))
+            dem, total = tuple(dem), Fraction(total, den)
+        else:
+            total = last.residual_total
+        clinch = tuple(Fraction(x, den) if x else ZERO for x in delta) if clinched else zeros
+        fields = (rho, dem, clinch, rem, total)
         built = vars(snap)
         built.update(zip(("promised", "demands", "clinched", "budgets", "residual_total"), fields),
-                     prices=tuple(prices))
+                     prices=prices)
         del built["_loop"], built["_nums"]
 
 
@@ -360,10 +365,12 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     a Fraction that is not whole, and then D grows by the lcm of their
     denominators and every numerator of the state with it.  ``Fraction``
     values are built only for the :class:`Outcome` and the
-    :class:`DivergenceError`.  A snapshot keeps copies of the integers, the
-    last snapshot and which entries its step changed, and builds its
-    ``Fraction`` fields only when they are read (:func:`_fill`); its prices
-    follow from its step, since the clocks move round-robin, one a step.
+    :class:`DivergenceError`.  A snapshot keeps copies of the integers
+    (those of the last one where a clinch of zero left them, over the same
+    D), the last snapshot and which entries its step changed, and builds
+    its ``Fraction`` fields only when they are read (:func:`_fill`); its
+    prices follow from its step, since the clocks move round-robin, one a
+    step.
 
     ``demands_fn(ticks, promised, budgets)`` runs once, before the first
     step, on the loop's own lists, and returns the engine's demand rule
@@ -428,7 +435,7 @@ def _run_loop(n: int, units: _Units, max_steps: int,
 
     if fhat_fn is not None:
         snapshots: List[TraceSnapshot] = []
-        clock = (tick, per, (ZERO,) * n)             # what each snapshot's prices come from
+        clock = (tick, per, (ZERO,) * n)       # the prices' units, and the zero prices and clinch
         sizes = (n,) * len(_VECTORS)
     fresh = range(n)                     # the entries of this step's demands not in nu
     demand_of = demands_fn(ticks, promised, budgets)
@@ -446,8 +453,9 @@ def _run_loop(n: int, units: _Units, max_steps: int,
             nu = [q - x for q, x in zip(demands, delta)]
         if fhat_fn is not None:
             if demands is not None:      # else the last snapshot's integers still hold
-                nums = (sizes, units.den, tuple(promised), tuple(nu), fhat_fn(promised, nu),
-                        tuple(budgets))
+                if not snapshots or any(delta) or nums[1] != units.den:
+                    held = tuple(promised), tuple(budgets)   # else as the last snapshot's
+                nums = (sizes, units.den, held[0], tuple(nu), fhat_fn(promised, nu), held[1])
             snap = object.__new__(TraceSnapshot)
             vars(snap).update(step=step, _nums=nums, _loop=(
                 snapshots[-1] if snapshots else None, clock,
