@@ -223,10 +223,9 @@ def _fill(snap: TraceSnapshot) -> None:
         else:
             total = last.residual_total
         clinch = tuple(Fraction(x, den) if x else ZERO for x in delta) if clinched else zeros
-        fields = (rho, dem, clinch, rem, total)
         built = vars(snap)
-        built.update(zip(("promised", "demands", "clinched", "budgets", "residual_total"), fields),
-                     prices=prices)
+        built.update(prices=prices, promised=rho, demands=dem, clinched=clinch, budgets=rem,
+                     residual_total=total)
         del built["_loop"], built["_nums"]
 
 
