@@ -438,7 +438,7 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
             i = next((i for i, b in enumerate(budgets) if b is not None and b < 0), None)
             if i is not None:
                 budgets_ok = {"step": snap.step, "bidder": i, "budget": str(snap.budgets[i])}
-        if nums is last or last is not None and nums[1:5] == last[1:5]:
+        if last is not None and nums[1:5] == last[1:5]:
             continue
         # rho seen at the snapshot before, which passed feasibility, passes again
         checked = last is not None and (snap_den, rho) == last[1:3]
