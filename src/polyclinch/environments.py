@@ -19,15 +19,15 @@ by side, by the same rule: one popcount per keyword for AdWords
 (:func:`_rank_sum_oracle`), with one pass over the masks per keyword for
 the table; component labels for graphic (:func:`_component_labels`),
 its table built level by level, one pass per edge over the masks below
-it, with no call per mask; a maximum flow augmented from the parent set's
-for vod-cut, whose table augments only the sets that no subset less one
-bidder settles, keeping at most n + 1 residual arrays alive.  Vod-cut
-also carries a reduced rank, one maximum flow with bidder i's sink arc at
-c_i, from which R with one sink arc closed, and a solution's re-solve at
-the next c, re-augment.  So multi-unit, single-keyword and vod-cut
-auctions clinch without the 2^n table and run past the enumeration cap.
-Every vod-cut question -- a value, R, R with one arc closed, R at a new c,
-the smallest minimizer -- goes to one Edmonds-Karp search,
+it, with no call per mask; for vod-cut, a value is one maximum flow from
+zero, and the table augments only the sets that no subset less one bidder
+settles, keeping at most n + 1 residual arrays alive.  Vod-cut also
+carries a reduced rank, one maximum flow with bidder i's sink arc at c_i,
+from which R with one sink arc closed, and a solution's re-solve at the
+next c, re-augment.  So multi-unit, single-keyword and vod-cut auctions
+clinch without the 2^n table and run past the enumeration cap.  Every
+vod-cut question -- a value, R, R with one arc closed, R at a new c, the
+smallest minimizer -- goes to one Edmonds-Karp search,
 ``_ArcNetwork.max_flow``, with an optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
@@ -360,18 +360,14 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
 
     The network is laid out once as an :class:`_ArcNetwork`, capacities as
     integers over their least common denominator D.  Each bidder has one arc
-    to a super-sink, closed (capacity 0) until a set opens it above the
-    total capacity.  f(S) is the maximum flow on those integers over D:
-    exact, with no ``Fraction`` arithmetic inside the flow.
+    to a super-sink, closed (capacity 0) until a set opens it at ``bound``,
+    above the total capacity.  f(S) is one maximum flow from zero with S's
+    arcs open, on those integers over D: exact, with no ``Fraction``
+    arithmetic inside the flow.  No cut of the network costs ``bound``, so
+    f(S) is R(bound * 1_S), the reduced rank below.
 
-    Values warm-start: S's maximum flow stays feasible when bidder i's
-    sink arc opens, so a value takes S + i from S by opening the arc and
-    augmenting from there.  If the source no longer reaches bidder i's node
-    in S's residual network, no augmenting path exists: f(S + i) = f(S),
-    and the same flow, with the same reached nodes, is maximum for S + i.
-    One value folds this over the mask's bidders in ascending order.
-
-    The table goes further.  The nodes the source reaches in a maximum
+    The table starts from the empty set's zero flow, one search, and
+    augments only where it must.  The nodes the source reaches in a maximum
     flow's residual are the smallest minimum cut's source side, the same
     for every maximum flow, and that side only shrinks as sink arcs open.
     So the masks walk in ascending order, each with its value and the mask
@@ -390,10 +386,12 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     maximum flow from zero with bidder i's sink arc at c_i (Fujishige,
     *Submodular Functions and Optimization*, 2005, section 3.1), and the
     solution keeps its residual.  Its smallest minimizer T*, read off that
-    residual on request, is the bidders with c_i > 0 whose node still
-    reaches the sink.  (With c_i = 0, dropping i from a minimizer keeps it
-    one.)  ``without(j)``, R with c_j = 0, is R(c) itself when sink arc j
-    carries no flow.  Otherwise it copies the residual and closes the arc,
+    residual by one search from the sink, is the bidders with c_i > 0
+    whose node still reaches the sink.  (With c_i = 0, dropping i from a
+    minimizer keeps it one.)  ``drops()`` reads T* from that same search, as
+    one bool per bidder.  For j outside T*, R with c_j = 0 is R(c) - c_j,
+    since a minimizer avoids j.  For j in T* it is R(c) itself when sink arc
+    j carries no flow.  Otherwise it copies the residual and closes the arc,
     which leaves the ``carried`` units the arc took as excess at j's node.
     The flow paths through arc j, reversed, are residual paths from that
     node back to the source with ``carried`` units of capacity in all (flow
@@ -401,14 +399,13 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     that much back.  A path of it that passes through the sink only shifts
     flow between sink arcs, so what is left is a feasible flow of value
     R(c) - ``carried``, and augmenting from it ends at a maximum flow.  Only
-    that number leaves ``without``; T* is read from the solve's own
-    residual, which ``without`` never touches.
+    that number leaves; the solve's own residual is never touched.
 
     A solution's ``solve(scale, c')`` starts from a copy of that residual
     times k, the ratio of the scales: a maximum flow at c scaled by k is
     feasible at k c.  Each changed sink arc is reset to c'_i; where c'_i is
     below the flow it carries, the arc keeps c'_i and the rest goes back
-    from the bidder's node by the same limited search as in ``without``.
+    from the bidder's node by the same limited search as in ``drops()``.
     One augmentation then ends at a maximum flow at c', whose value is read
     off the sink arcs.
     """
@@ -435,17 +432,19 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         graph.max_flow(residual, net.source, sink)
         total = sum(residual[a ^ 1] for a in sink_arcs)
 
-        def smallest() -> int:
-            # One search from the sink over reversed residual arcs: the flow
-            # is maximum, so it never reaches the source, adds nothing, and
-            # its tree marks the nodes that reach the sink.  residual[a] +
-            # residual[a ^ 1] is sink arc a's capacity, c_i.
+        def members() -> list:
+            # T*, one bool per bidder, by one search from the sink over the
+            # reversed residual arcs: the flow is maximum, so the search adds
+            # nothing, and its tree marks the nodes that reach the sink.
             reversed_arcs = [residual[a ^ 1] for a in range(len(residual))]
             reaches = graph.max_flow(reversed_arcs, sink, net.source)[1]
-            return sum(1 << i for i, (a, b) in enumerate(zip(sink_arcs, bidder_index))
-                       if residual[a] + residual[a ^ 1] and reaches[b] is not None)
+            return [ci > 0 and reaches[b] is not None for ci, b in zip(c, bidder_index)]
 
-        def without(j: int) -> int:
+        def smallest() -> int:
+            return sum(1 << i for i, inside in enumerate(members()) if inside)
+
+        def closed(j: int) -> int:
+            """R with sink arc j closed, for j in T*."""
             a = sink_arcs[j]
             carried = residual[a ^ 1]
             if not carried:
@@ -454,6 +453,10 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             warm[a] = warm[a ^ 1] = 0
             graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)
             return total - carried + graph.max_flow(warm, net.source, sink)[0]
+
+        def drops() -> list:
+            return [closed(j) if inside else total - cj
+                    for j, (inside, cj) in enumerate(zip(members(), c))]
 
         def resolve(new_scale: int, new_c: Sequence[int]) -> RankSolution:
             warm = _warm_start(scale, c, new_scale, new_c)
@@ -471,29 +474,25 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
                     graph.max_flow(flow, net.bidder_nodes[i], net.source, carried - ci)
             return solution(new_scale, list(new_c), flow)
 
-        return RankSolution(total, smallest, without, resolve)
+        return RankSolution(total, smallest, drops, resolve)
 
-    closed = graph.cap[:]
-    reach = graph.max_flow(closed, net.source, sink)[1]          # of the empty set's zero flow
+    def value(mask: int) -> Fraction:
+        residual = graph.cap[:]
+        for i, a in enumerate(sink_arcs):
+            if mask >> i & 1:
+                residual[a] = bound
+        return Fraction(graph.max_flow(residual, net.source, sink)[0], den)
 
     def unreached(tree: list) -> int:
         """The mask of the bidders whose node the BFS ``tree`` does not reach."""
         return sum(1 << i for i, b in enumerate(bidder_index) if tree[b] is None)
 
-    def value(mask: int) -> Fraction:
-        flow, residual, tree = 0, closed[:], reach
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                residual[sink_arcs[i]] = bound
-                if tree[bidder_index[i]] is not None:
-                    extra, tree = graph.max_flow(residual, net.source, sink)
-                    flow += extra
-        return Fraction(flow, den)
-
     def table() -> tuple:
+        zero = graph.cap[:]
+        reach = graph.max_flow(zero, net.source, sink)[1]        # of the empty set's zero flow
         values, free = [0] * (1 << n), [0] * (1 << n)
         free[0] = unreached(reach)
-        chain = [(0, closed)]        # the augmented masks whose sets may still grow, and residuals
+        chain = [(0, zero)]          # the augmented masks whose sets may still grow, and residuals
         for h in range(n):
             top = 1 << h
             values[top:2 * top], free[top:2 * top] = values[:top], free[:top]

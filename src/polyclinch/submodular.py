@@ -29,13 +29,13 @@ P(f) iff ``R(x) = x([n])``.  Each oracle has one :class:`ReducedRank`
 one (one sort for a cardinality oracle's rank list,
 :func:`_cardinality_rank`, or the vod-cut max-flow), else the table solver
 :func:`_table_rank`, one minimum over the oracle's integer value table.  A
-solve returns a :class:`RankSolution`, from which each leave-one-out R
-(c_j = 0) that :func:`clinch_kernel` needs is computed warm, and the
-smallest minimizer only on request; :func:`membership` names that minimizer
-as the violated set.  A solution answers ``solve(scale, c)`` as its reduced
-rank does, started from its own state, so the clock's clinches and the
-verifiers' snapshot checks each start from the last solution they keep; the
-oracle keeps none.
+solve returns a :class:`RankSolution`: its ``drops()`` are the n
+leave-one-outs R (c_j = 0) that :func:`clinch_kernel` needs, computed warm,
+and its smallest minimizer, computed only on request, is the violated set
+:func:`membership` names.  A solution answers ``solve(scale, c)`` as its
+reduced rank does, started from its own state, so the clock's clinches and
+the verifiers' snapshot checks each start from the last solution they keep;
+the oracle keeps none.
 
 That integer table (:meth:`SubmodularOracle.integer_table`) is built once:
 by the oracle's own ``table`` builder when it has one (each built-in kind
@@ -193,11 +193,11 @@ class ReducedRank:
 class RankSolution:
     """One solve of a :class:`ReducedRank`, all values over ``den`` * scale.
 
-    ``total`` is R(c).  ``smallest()`` is T*, the smallest minimizer, as a
-    mask: the minimizers of a submodular function are closed under
-    intersection, so one set is contained in all.  ``without(j)`` is R at c
-    with c_j = 0, started from this solve's own work (for vod-cut, its
-    maximum flow).  Both are computed only when called and change nothing,
+    ``total`` is R(c).  ``drops()`` lists R(c with c_j = 0) for every j,
+    started from this solve's own work.  ``smallest()`` is T*, the smallest
+    minimizer, as a mask (the minimizers of a submodular function are closed
+    under intersection, so one set is contained in all); only the witness
+    code reads it.  Both are computed only when called and change nothing,
     so they can be asked in any order, any number of times; the state they
     start from lives here, never on the oracle.
 
@@ -208,12 +208,11 @@ class RankSolution:
     it is the cold solve.
     """
 
-    __slots__ = ("total", "smallest", "without", "solve")
+    __slots__ = ("total", "smallest", "drops", "solve")
 
-    def __init__(self, total: int, smallest: Callable[[], int],
-                 without: Callable[[int], int],
+    def __init__(self, total: int, smallest: Callable[[], int], drops: Callable[[], list],
                  solve: Callable[[int, Sequence[int]], "RankSolution"]):
-        self.total, self.smallest, self.without, self.solve = total, smallest, without, solve
+        self.total, self.smallest, self.drops, self.solve = total, smallest, drops, solve
 
 
 def _warm_start(scale: int, c: Sequence[int], new_scale: int,
@@ -247,12 +246,13 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     (t+1)-th largest entries were equal, t + 1 would do strictly better than
     t.  So the entries at least the t-th largest are the smallest minimizer.
 
-    ``without(j)`` needs no sort: c with c_j = 0, sorted, is the sorted c
+    ``drops()`` needs no sort: c with c_j = 0, sorted, is the sorted c
     less one entry equal to c_j, at position k, with a 0 appended.  Its
     running sums are run_t for t < k and top_k + g_t for t >= k, where g_t =
     run_(t+1) - a_(t+1) (a_t the t-th increment of A) and g_(n-1) =
-    run_(n-1).  So the first ``without`` call builds the prefix minima of
-    run and the suffix minima of g, and each call is then one lookup.
+    run_(n-1).  So one pass builds the prefix minima of run and the suffix
+    minima of g, and each distinct value of c is then one lookup, at its
+    first position in the sorted c.
 
     A solution's ``solve`` is the cold one: the sort and the scan are the
     whole solve, so there is nothing a warm start would skip.
@@ -267,7 +267,6 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
         low = min(0, min(run))
         size = run.index(low) + 1 if low < 0 else 0
         total = sum(c)
-        minima = []                          # prefix minima of run, suffix minima of g, positions
 
         def smallest() -> int:
             if size == 0:
@@ -275,18 +274,17 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
             cut = top[size - 1]
             return sum(1 << i for i, ci in enumerate(c) if ci >= cut)
 
-        def without(j: int) -> int:
-            if not minima:
-                prefix = list(itertools.accumulate([0] + run[:-1], min))
-                g = list(map(operator.sub, run[1:], steps[1:])) + run[-1:]
-                suffix = list(itertools.accumulate(reversed(g), min))[::-1]
-                first = {v: k for k, v in reversed(list(enumerate(top)))}
-                minima[:] = prefix, suffix, first
-            prefix, suffix, first = minima
-            k = first[c[j]]
-            return total - c[j] + min(prefix[k], top[k] + suffix[k])
+        def drops() -> list:
+            prefix = itertools.accumulate([0] + run[:-1], min)
+            g = list(map(operator.sub, run[1:], steps[1:])) + run[-1:]
+            suffix = list(itertools.accumulate(reversed(g), min))[::-1]
+            by_value = {}
+            for v, before, after in zip(top, prefix, suffix):
+                if v not in by_value:
+                    by_value[v] = total - v + min(before, v + after)
+            return [by_value[v] for v in c]
 
-        return RankSolution(total + low, smallest, without, solve)
+        return RankSolution(total + low, smallest, drops, solve)
 
     return ReducedRank(den, solve)
 
@@ -342,13 +340,14 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     """The reduced rank of f(m) = nums[m] / den, from the 2^n value table.
 
     ``solve`` tabulates h = f - c over every mask, and R(c) = c([n]) + min h.
-    ``without(j)`` is c([n]) - c_j + the minimum of h over the masks without
-    j: R with c_j = 0 when f is monotone, and for any f the minimum over the
-    T not holding j of f(T) + c([n] \\ j \\ T), the definition of
+    Entry j of ``drops()`` is c([n]) - c_j + the minimum of h over the masks
+    without j: R with c_j = 0 when f is monotone, and for any f the minimum
+    over the T not holding j of f(T) + c([n] \\ j \\ T), the definition of
     fhat([n] \\ j), so :func:`clinch_kernel` equals :class:`ResidualOracle`
-    on any set function.  Every minimizer holds j iff that minimum rises
-    above min h, so ``smallest()``, the AND of the minimizers, is those bits
-    of the first minimizer; the minima it takes are kept for ``without``,
+    on any set function.  That minimum is min h for j outside the first
+    minimizer, and a pass over h for j in it.  Every minimizer holds j iff
+    it rises above min h, so ``smallest()``, the AND of the minimizers, is
+    those bits of the first minimizer; the minima either takes are kept,
     each with the slice of h where a mask attains it.  If the AND is not
     itself a minimizer (f is not submodular), the minimizer
     :func:`_precedes` ranks first stands in for it.
@@ -402,7 +401,11 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
                 j: (v * k, where) for j, (v, where) in minima.items()
                 if not _mask_at(h, where, v) & bits})
 
-        return RankSolution(total + low, smallest, lambda j: total - c[j] + min_without(j),
+        def drops() -> list:
+            return [total - cj + (min_without(j) if first >> j & 1 else low)
+                    for j, cj in enumerate(c)]
+
+        return RankSolution(total + low, smallest, drops,
                             solve if len(c) <= 4 else resolve)     # see _warm_start
 
     return ReducedRank(den, solve)
@@ -794,10 +797,8 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     common denominator (:func:`_clinch_nums`, which the engines call on the
     clock loop's own integers and :func:`~polyclinch.verify.validate_trace`
     on a snapshot's); exact, and equal to the values :class:`ResidualOracle`
-    gives.  Each j outside the solve's smallest minimizer T* is answered
-    without a leave-one-out: for any minimizer T of f(T) + c([n] \\ T) and
-    j outside T, R(c with c_j = 0) = R(c) - c_j, submodular or not.  So the
-    run and its check both trust :meth:`RankSolution.smallest`.
+    gives.  It is the definition: one R at c = rho + d and its n
+    leave-one-outs, :meth:`RankSolution.drops`.
 
     The kernel does not check that rho lies in P(f): the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
@@ -818,15 +819,14 @@ def _clinch_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Seque
     and the solve at c by ``start``, the reduced rank or a caller's last
     solution.
 
-    With c = rho + d, fhat([n]) = R(c) - rho([n]).  For j outside the
-    smallest minimizer T*, delta_j = d_j; for j in T*, fhat([n] \\ j) is R
-    with c_j = 0 (:meth:`RankSolution.without`, warm from the solve at c),
+    With c = rho + d, fhat([n]) = R(c) - rho([n]) and fhat([n] \\ j) is R
+    with c_j = 0 (:meth:`RankSolution.drops`, warm from the solve at c)
     less rho([n] \\ j), so delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
     """
     solution = start.solve(scale, list(map(operator.add, rho, d)))
-    total, smallest = solution.total, solution.smallest()
-    delta = [max(0, total - solution.without(j) - rho[j]) if smallest >> j & 1 else d[j]
-             for j in range(len(rho))]
+    total = solution.total
+    delta = [gap if (gap := total - drop - r) > 0 else 0
+             for drop, r in zip(solution.drops(), rho)]
     return total - sum(rho), delta, solution
 
 

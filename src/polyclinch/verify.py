@@ -398,12 +398,10 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     before is not solved again).  fhat([n]) and the clinch delta come from
     one solve at rho + d by the engines' own kernel,
     :func:`~polyclinch.submodular._clinch_nums`: dominance and the re-clinch
-    fail exactly where some delta_j > 0, that is fhat([n]) > fhat([n] \\ j).
-    The kernel answers each j outside the solve's smallest minimizer T* by
-    d_j, which is exact for any minimizer, so this check trusts
-    ``smallest()`` as the run does: a set that is not a minimizer biases
-    the run and this check alike.  Each solve at rho starts from the last
-    solution at rho, and each at rho + d from the last at rho + d, since
+    fail exactly where some delta_j > 0, that is fhat([n]) > fhat([n] \\ j),
+    with fhat([n] \\ j) from entry j of the solve's ``drops()``; a passing
+    trace reads no smallest minimizer.  Each solve at rho starts from the
+    last solution at rho, and each at rho + d from the last at rho + d, since
     consecutive snapshots differ in a few entries.  Witnesses
     are built, as ``Fraction``s, only where a monitor fails, and every n
     takes this one path; the ``Fraction`` reference that tabulates 2^n sets

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from polyclinch import (
 
 from polyclinch import auction, submodular
 from polyclinch.instances import generate_instance, parse_instance
-from polyclinch.submodular import SubmodularOracle, clinch_kernel
+from polyclinch.submodular import RankSolution, SubmodularOracle, clinch_kernel
 from polyclinch.verify import (
     APPENDIX_D_BUDGETS,
     APPENDIX_D_SUPPLY,
@@ -43,6 +44,7 @@ from polyclinch.verify import (
     IMPOSSIBILITY_RHS,
     IMPOSSIBILITY_ROWS,
     appendix_d_curves,
+    validate_trace,
 )
 
 from corpus import (KINDS, polymatroid_cases, random_bidders, random_oracle, reduced_rank,
@@ -730,3 +732,38 @@ def test_outcomes_feasible_ir_and_budgeted_across_environments():
             assert out.payments[i] <= b.value * out.allocation[i]
             if b.budget is not None:
                 assert out.payments[i] <= b.budget
+
+
+def test_no_run_reads_the_smallest_minimizer(monkeypatch):
+    # smallest() is the witness code's alone: planted in every RankSolution,
+    # a smallest() that drops T*'s lowest member leaves every traced run and
+    # its validate_trace as they were, and is never called.  The markets are
+    # the polymatroid fixtures and clinch gen seeds 0-2 of every kind at
+    # n = 4, 6 and 12 (m = 3).
+    markets = [parse_instance(path) for path in sorted(FIXTURES.glob("*.json"))]
+    markets = [inst for inst in markets
+               if inst.environment.kind in KINDS and inst.curves is None]
+    markets += [generate_instance(kind, n, 3, seed)
+                for kind in KINDS for n in (4, 6, 12) for seed in range(3)]
+    assert len(markets) == 51
+
+    def traced(inst):
+        config = replace(inst.config, trace=True)
+        out = (run_scaled(inst.oracle, inst.quality, inst.bidders, config)
+               if inst.quality else run_clinching(inst.oracle, inst.bidders, config))
+        return out, validate_trace(inst.oracle, out.trace).to_json()
+
+    honest = [traced(inst) for inst in markets]
+    calls = []
+    init = RankSolution.__init__
+
+    def planted(self, total, smallest, drops, solve):
+        def wrong():
+            calls.append(total)
+            mask = smallest()
+            return mask & mask - 1
+        init(self, total, wrong, drops, solve)
+    monkeypatch.setattr(RankSolution, "__init__", planted)
+    assert [traced(inst) for inst in markets] == honest
+    assert not calls
+    assert multi_unit_oracle(2, 3).rank().solve(1, [2, 2, 2]).smallest() == 0b110

@@ -431,8 +431,9 @@ def test_walked_tables_match_per_mask_values():
 
 
 def test_vod_cut_table_augments_only_unsettled_sets(monkeypatch):
-    # a set S settled by some S - i (f(S) = f(S - i)) copies its value; the
-    # others augment, one max_flow each, from the flow of S less its lowest bit
+    # one max_flow finds what the empty set's zero flow reaches; then a set S
+    # settled by some S - i (f(S) = f(S - i)) copies its value, and the others
+    # augment, one max_flow each, from the flow of S less its lowest bit
     calls = []
     max_flow = _ArcNetwork.max_flow
     monkeypatch.setattr(_ArcNetwork, "max_flow",
@@ -449,9 +450,31 @@ def test_vod_cut_table_augments_only_unsettled_sets(monkeypatch):
         nums = oracle.integer_table()[1]
         unsettled = [m for m in range(1, len(nums))
                      if all(nums[m] > nums[m ^ 1 << i] for i in range(oracle.n) if m >> i & 1)]
-        assert len(calls) == len(unsettled), oracle
-        counts.append(len(calls))
+        assert len(calls) == 1 + len(unsettled), oracle
+        counts.append(len(unsettled))
     assert counts[0] == 47 and counts[2] == 149 and counts[-1] == 255
+
+
+def test_vod_cut_value_is_one_max_flow(monkeypatch):
+    # a value read before any table is one max flow from zero with the set's
+    # sink arcs above every cut, R(bound * 1_S): one max_flow call per miss,
+    # and equal to the table's value where n allows one
+    calls = []
+    max_flow = _ArcNetwork.max_flow
+    monkeypatch.setattr(_ArcNetwork, "max_flow",
+                        lambda self, *args: calls.append(args) or max_flow(self, *args))
+    rng = random.Random(1264)
+    for n in (12, 64):
+        oracle = generate_instance("vod-cut", n, None, 0).build_oracle()
+        masks = list(dict.fromkeys([rng.getrandbits(n) | 1 for _ in range(20)] + [(1 << n) - 1]))
+        values = []
+        for mask in masks:
+            del calls[:]
+            values.append(oracle.value_mask(mask))
+            assert len(calls) == 1, (n, mask)
+        if n == 12:
+            den, nums = oracle.integer_table()
+            assert values == [F(nums[mask], den) for mask in masks]
 
 
 def test_vod_cut_table_keeps_few_flows_alive():
@@ -764,12 +787,13 @@ def test_reduced_rank_matches_its_definition():
     assert min(ties.values()) >= 20, ties
 
 
-def test_without_equals_a_cold_solve():
-    # R with c_j = 0 from the solve at c equals a solve from scratch, for
-    # every j: at c as drawn, and with one entry above f([n]) + c([n]), as
-    # check_outcome's tight-set search sets it.  Asking for every without(j)
-    # first leaves total and smallest() as a fresh solve gives them, and
-    # smallest() is the intersection of the minimizers.
+def test_drops_equal_cold_solves():
+    # Every entry j of drops(), R with c_j = 0 from the solve at c, equals a
+    # solve from scratch, inside T* and outside it: at c as drawn, and with
+    # one entry above f([n]) + c([n]), as check_outcome's tight-set search
+    # sets it.  Asking for drops() first leaves total and smallest() as a
+    # fresh solve gives them, and smallest() is the intersection of the
+    # minimizers.
     warm = {"vod-cut": 0, "cardinality": 0, "table": 0}
     for oracle, c in _reduced_rank_cases():
         rank, n = oracle.rank(), oracle.n
@@ -779,9 +803,10 @@ def test_without_equals_a_cold_solve():
         big = int(oracle.value_mask((1 << n) - 1) * den) + sum(nums) + 1
         for point in [nums] + [nums[:i] + [big] + nums[i + 1:] for i in range(n)]:
             solution = rank.solve(scale, point)
+            drops = solution.drops()
             for j in range(n):
                 cold = rank.solve(scale, point[:j] + [0] + point[j + 1:]).total
-                assert solution.without(j) == cold, (oracle, point, j)
+                assert drops[j] == cold, (oracle, point, j)
                 warm[_bucket(oracle)] += cold < solution.total
             fresh = rank.solve(scale, point)
             assert solution.total == fresh.total, (oracle, point)
@@ -791,12 +816,12 @@ def test_without_equals_a_cold_solve():
 
 
 def _answers(solution, n):
-    return solution.total, solution.smallest(), [solution.without(j) for j in range(n)]
+    return solution.total, solution.smallest(), solution.drops()
 
 
 def test_solution_solve_equals_a_cold_solve(monkeypatch):
     # A chain of solution.solve() calls equals cold solves at every point,
-    # in total, smallest() and every without(j): moves lower, close or raise
+    # in total, smallest() and drops(): moves lower, close or raise
     # one entry, change several, scale by an integer k > 1, or go to a
     # scale that is not a multiple (the cold fallback).  Besides the
     # reduced-rank cases, longer chains run on oracles with 9 to 12
@@ -889,17 +914,10 @@ def test_two_solves_on_one_oracle_do_not_share_state():
         alone = []
         for point in points:
             solution = rank.solve(1, point)
-            alone.append((solution.total, solution.smallest(),
-                          [solution.without(j) for j in range(6)]))
+            alone.append((solution.total, solution.smallest(), solution.drops()))
         first, second = (rank.solve(1, point) for point in points)
-        asked = [second.smallest()]
-        for j in range(6):
-            asked += [first.without(j), second.without(5 - j)]
-        asked.append(first.smallest())
-        expected = [alone[1][1]]
-        for j in range(6):
-            expected += [alone[0][2][j], alone[1][2][5 - j]]
-        expected.append(alone[0][1])
+        asked = [second.smallest(), first.drops(), second.drops(), first.smallest()]
+        expected = [alone[1][1], alone[0][2], alone[1][2], alone[0][1]]
         assert asked == expected, oracle
         assert (first.total, second.total) == (alone[0][0], alone[1][0]), oracle
         # two chains of solution.solve() from the two points, stepped in turn,

@@ -718,7 +718,7 @@ def test_membership_raises_when_the_rank_names_a_wrong_set():
 
     def solve(scale, c):
         solution = rank.solve(scale, c)
-        return RankSolution(solution.total, lambda: 0b001, solution.without, solution.solve)
+        return RankSolution(solution.total, lambda: 0b001, solution.drops, solution.solve)
     lying = SubmodularOracle(3, honest.value_mask, True, "lying",
                              reduced_rank=ReducedRank(rank.den, solve))
     assert membership(lying, [1, 1, 1]).ok
@@ -863,11 +863,11 @@ def test_clinch_kernel_matches_residual_oracle():
 
 
 def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
-    # the rule the clinch kernel runs on: with c = rho + d and T* the solve's
-    # smallest(), fhat([n]) = R(c) - rho([n]), and fhat([n] \ j) is
-    # R(c) - c_j - rho([n] \ j) for j outside T* and without(j) - rho([n] \ j)
-    # for j in it; the Fraction reference ResidualOracle must agree on every
-    # kernel case and on a table that is not submodular
+    # the rule the clinch kernel runs on: with c = rho + d, fhat([n]) =
+    # R(c) - rho([n]) and fhat([n] \ j) = drops()[j] - rho([n] \ j), and for j
+    # outside T*, the solve's smallest(), drops()[j] is R(c) - c_j; the
+    # Fraction reference ResidualOracle must agree on every kernel case and
+    # on a table that is not submodular
     rng = random.Random(2206)
     cases = [_kernel_case(rng, t) for t in range(80)]
     lumpy = SubmodularOracle.from_set_function(
@@ -888,15 +888,14 @@ def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
         res = ResidualOracle(oracle, rho, d)
         full = (1 << n) - 1
         assert res.value_mask(full) == total - sum(rho), (kind, rho, d)
-        for j in range(n):
+        for j, drop in enumerate(solution.drops()):
             rest = sum(rho) - rho[j]
             if smallest >> j & 1:
-                expected = F(solution.without(j), den) - rest
                 inside += 1
             else:
-                expected = total - c[j] - rest
+                assert F(drop, den) == total - c[j], (kind, rho, d, j)
                 outside += 1
-            assert res.value_mask(full ^ (1 << j)) == expected, (kind, rho, d, j)
+            assert res.value_mask(full ^ (1 << j)) == F(drop, den) - rest, (kind, rho, d, j)
     assert inside >= 100 and outside >= 100, (inside, outside)
 
 
