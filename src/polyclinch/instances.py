@@ -49,14 +49,14 @@ from .errors import ParseError
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(raw, field_name: str) -> Fraction:
     """Rational string "p/q" or integer string; exact, floats rejected."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
-    if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
+    if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw):
         raise ParseError("malformed-rational", field_name,
                          f"{field_name}: expected a rational string like '3/4', got {raw!r}")
     try:

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -13,6 +14,7 @@ from polyclinch.instances import (
     generate_instance,
     parse_instance,
     parse_instance_data,
+    parse_rational,
     serialize_instance,
 )
 
@@ -65,6 +67,15 @@ def test_float_rationals_rejected():
     with pytest.raises(ParseError) as err:
         parse_instance_data(minimal(bidders=[{"value": "1.5", "budget": "1"}]))
     assert err.value.code == "malformed-rational"
+
+
+def test_rationals_with_a_newline_a_space_or_non_ascii_digits_rejected():
+    # only ASCII digits, with nothing before or after: "\u0663" is an Arabic-Indic 3
+    for raw in ("3\n", "1/2\n", " 3", "3 ", "\u0663", "1/\u0664", "-3/4\n"):
+        with pytest.raises(ParseError) as err:
+            parse_instance_data(minimal(bidders=[{"value": raw, "budget": "1"}]))
+        assert err.value.code == "malformed-rational", raw
+    assert parse_rational("-3/4", "x") == Fraction(-3, 4)
 
 
 def test_unknown_kind_rejected():
