@@ -436,7 +436,8 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             # T*, one bool per bidder, by one search from the sink over the
             # reversed residual arcs: the flow is maximum, so the search adds
             # nothing, and its tree marks the nodes that reach the sink.
-            reversed_arcs = [residual[a ^ 1] for a in range(len(residual))]
+            reversed_arcs = residual[:]          # arc a ^ 1 is arc a's reverse
+            reversed_arcs[::2], reversed_arcs[1::2] = residual[1::2], residual[::2]
             reaches = graph.max_flow(reversed_arcs, sink, net.source)[1]
             return [ci > 0 and reaches[b] is not None for ci, b in zip(c, bidder_index)]
 
@@ -478,9 +479,9 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
 
     def value(mask: int) -> Fraction:
         residual = graph.cap[:]
-        for i, a in enumerate(sink_arcs):
+        for i in range(mask.bit_length()):
             if mask >> i & 1:
-                residual[a] = bound
+                residual[sink_arcs[i]] = bound
         return Fraction(graph.max_flow(residual, net.source, sink)[0], den)
 
     def unreached(tree: list) -> int:
