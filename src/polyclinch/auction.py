@@ -533,9 +533,9 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
 
     Each clinch is one reduced-rank solve on the loop's integers (see
     :func:`_run_polymatroid`), so oracles with a reduced rank (single-keyword
-    and multi-unit by one sort, vod-cut by one max-flow) run past the
-    enumeration cap.  A bidder's reach is f({i}), which rho in P(f) never
-    exceeds.
+    and multi-unit by one sort, vod-cut by one max-flow, graphic block by
+    block) run past the enumeration cap.  A bidder's reach is f({i}), which
+    rho in P(f) never exceeds.
     """
     n = oracle.n
     _check_bidder_count(n, bidders)

@@ -25,7 +25,11 @@ settles, keeping at most n + 1 residual arrays alive.  Vod-cut also
 carries a reduced rank, one maximum flow with bidder i's sink arc at c_i,
 from which R with one sink arc closed, and a solution's re-solve at the
 next c, re-augment.  So multi-unit, single-keyword and vod-cut auctions
-clinch without the 2^n table and run past the enumeration cap.  Every
+clinch without the 2^n table and run past the enumeration cap.  A graphic
+matroid is the direct sum of its 2-connected blocks (:func:`_blocks`), so a
+graph of more than one block carries the direct sum of its blocks' reduced
+ranks, each block on its own small table and each bridge or self-loop in
+closed form; it runs past the cap while every block fits under it.  Every
 vod-cut question -- a value, R, R with one arc closed, R at a new c, the
 smallest minimizer -- goes to one Edmonds-Karp search,
 ``_ArcNetwork.max_flow``, with an optional limit.
@@ -51,6 +55,7 @@ from .submodular import (
     ReducedRank,
     SubmodularOracle,
     ZERO,
+    _direct_sum_rank,
     _over_common_denominator,
     _rank_list,
     _warm_start,
@@ -213,6 +218,66 @@ def _component_labels(ends: Sequence[Tuple[int, int]], vertices: int) -> tuple:
     return value, table
 
 
+def _blocks(ends: Sequence[Tuple[int, int]], vertices: int) -> List[List[int]]:
+    """The edge ids of each 2-connected block, and of each self-loop alone.
+
+    Hopcroft and Tarjan's search (1973, "Algorithm 447"), iterative, over
+    edge ids: a tree edge skips only itself on the way back, so parallel
+    edges close a cycle and share a block.  When the search leaves v for its
+    parent u with low(v) >= the depth of u, the edges stacked since tree
+    edge u-v are one block.  O(V + E).
+    """
+    adj: List[list] = [[] for _ in range(vertices)]
+    blocks = []
+    for e, (a, b) in enumerate(ends):
+        if a == b:
+            blocks.append([e])
+        else:
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+    depth, low = [0] * vertices, [0] * vertices
+    stacked: List[int] = []                  # edge ids not yet in a block
+    for root in range(vertices):
+        if depth[root]:
+            continue
+        depth[root] = low[root] = 1
+        # (vertex, tree edge into it, that edge's place in stacked, neighbours left)
+        path = [(root, -1, 0, iter(adj[root]))]
+        while path:
+            v, into, at, rest = path[-1]
+            for w, e in rest:
+                if not depth[w]:
+                    depth[w] = low[w] = depth[v] + 1
+                    path.append((w, e, len(stacked), iter(adj[w])))
+                    stacked.append(e)
+                    break
+                if e != into and depth[w] < depth[v]:        # a back edge
+                    stacked.append(e)
+                    low[v] = min(low[v], depth[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= depth[u]:
+                        blocks.append(sorted(stacked[at:]))
+                        del stacked[at:]
+    return sorted(blocks)
+
+
+def _graphic(ends: Sequence[Tuple[int, int]], name: str,
+             reduced_rank: Optional[ReducedRank] = None) -> SubmodularOracle:
+    """The graphic oracle of edges ``ends``, numbered from 0 in order of first
+    appearance; its values and table by :func:`_component_labels`."""
+    vertex: Dict[int, int] = {}
+    for edge in ends:
+        for v in edge:
+            vertex.setdefault(v, len(vertex))
+    value, table = _component_labels([(vertex[a], vertex[b]) for a, b in ends], len(vertex))
+    return SubmodularOracle(len(ends), value, True, name, table=table,
+                            reduced_rank=reduced_rank)
+
+
 def _check_label(where: str, what: str, v) -> None:
     """Refuse a node label that is not a str or an int (bools are refused).
 
@@ -231,6 +296,17 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     table (:func:`_component_labels`) carry each vertex's component label:
     S + i has rank f(S) + 1 exactly when edge i joins two components of S.
     Values are integers, so the table's denominator is 1.
+
+    The rank is the direct sum of the ranks of the graph's 2-connected
+    blocks, a self-loop its own part (Oxley, *Matroid Theory*, 2nd ed.,
+    2011, ch. 4), so a graph of more than one block carries
+    :func:`~polyclinch.submodular._direct_sum_rank` over the blocks' own
+    graphic oracles as its reduced rank: a clinch reads each block's table,
+    of 2^|block| entries, and a bridge or a self-loop in closed form, and
+    the enumeration cap applies to each block.  A graph of one block keeps
+    the table solver.  The fold still gives the whole graph's values, and
+    the whole table still serves
+    :func:`~polyclinch.submodular.verify_submodular`.
     """
     if not edges:
         raise DomainError("at least one bidder-labeled edge is required")
@@ -241,8 +317,12 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
             _check_label(f"edge {e}", "vertex", v)
     n = len(edges)
     vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
-    value, table = _component_labels([(vertex[u], vertex[v]) for u, v in edges], len(vertex))
-    return SubmodularOracle(n, value, True, f"graphic({n} edges)", table=table)
+    ends = [(vertex[u], vertex[v]) for u, v in edges]
+    blocks = _blocks(ends, len(vertex))
+    rank = None if len(blocks) == 1 else _direct_sum_rank([
+        (block, _graphic([ends[e] for e in block], f"graphic(block of edges {block})"))
+        for block in blocks])
+    return _graphic(ends, f"graphic({n} edges)", rank)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ T of f(T) + c([n] \\ T)``: ``fhat([n]) = R(rho + d) - rho([n])``, and x is in
 P(f) iff ``R(x) = x([n])``.  Each oracle has one :class:`ReducedRank`
 (:meth:`SubmodularOracle.rank`): a fast structural solver when it carries
 one (one sort for a cardinality oracle's rank list,
-:func:`_cardinality_rank`, or the vod-cut max-flow), else the table solver
+:func:`_cardinality_rank`, the vod-cut max-flow, or the sum of a graphic
+oracle's blocks, :func:`_direct_sum_rank`), else the table solver
 :func:`_table_rank`, one minimum over the oracle's integer value table.  A
 solve returns a :class:`RankSolution`: its ``drops()`` are the n
 leave-one-outs R (c_j = 0) that :func:`clinch_kernel` needs, computed warm,
@@ -50,7 +51,8 @@ All subset enumeration is capped (default 16 elements, override with the
 for desk-scale verification, not for large-scale submodular minimization.
 The cap is checked where a table is built, so oracles with a structural
 reduced rank clinch, and are checked by :func:`membership` and
-:func:`~polyclinch.verify.validate_trace`, past it; only
+:func:`~polyclinch.verify.validate_trace`, past it (a direct sum while
+each of its parts fits under it); only
 :func:`verify_submodular` and the ``Fraction`` reference
 :class:`ResidualOracle` still need the table there, and the first passes
 cardinality oracles, whose rank list the constructor has checked, without
@@ -411,6 +413,67 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     return ReducedRank(den, solve)
 
 
+def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
+    """The reduced rank of a direct sum, f(S) = sum over parts of f_k(S & E_k).
+
+    ``parts`` are ``(elements, oracle)``: the elements E_k partition the
+    ground set, element i of a part's oracle is ``elements[i]``, and every
+    part's values are integers, so its rank's denominator is 1 (as a
+    graphic rank's is).  f(T) + c([n] \\ T) splits into the parts' terms,
+    so R(c) is the sum of the parts' R, each at its own entries of c, and
+    T* is the union of the parts' T*.  Entry j of ``drops()`` is R - R_k +
+    R_k's own entry for j, k the part holding j.
+
+    A one-element part {j} is read in closed form: it adds min(f({j}),
+    c_j) to R (f({j}) is 0 for a loop, its whole value for a coloop), and
+    j is in T* exactly when c_j > f({j}).  Each other part's
+    :meth:`~SubmodularOracle.rank` is called on the first solve, so the
+    enumeration cap applies to each part and a :class:`SizeError` names
+    it.  A solution's ``solve`` re-solves each part from that part's own
+    solution.
+    """
+    singles = [(elements[0], int(oracle.value_mask(1)))
+               for elements, oracle in parts if len(elements) == 1]
+    blocks = [(elements, oracle) for elements, oracle in parts if len(elements) > 1]
+    ranks = []                           # the blocks' ranks, made by the first solve
+
+    def solve(scale: int, c: Sequence[int]) -> RankSolution:
+        if not ranks:
+            ranks[:] = [oracle.rank() for _, oracle in blocks]
+        return solution(scale, c, ranks)
+
+    def solution(scale: int, c: Sequence[int], starts: list) -> RankSolution:
+        c = list(c)                          # the solution's own copy
+        sols = [start.solve(scale, [c[j] for j in elements])
+                for (elements, _), start in zip(blocks, starts)]
+        kept = [min(f * scale, c[j]) for j, f in singles]
+        total = sum(kept)
+        for s in sols:
+            total += s.total
+
+        def smallest() -> int:
+            mask = sum(1 << j for (j, _), r in zip(singles, kept) if r < c[j])
+            for (elements, _), s in zip(blocks, sols):
+                t = s.smallest()
+                mask |= sum(1 << j for i, j in enumerate(elements) if t >> i & 1)
+            return mask
+
+        def drops() -> list:
+            out = c[:]
+            for (j, _), r in zip(singles, kept):
+                out[j] = total - r
+            for (elements, _), s in zip(blocks, sols):
+                rest = total - s.total
+                for j, drop in zip(elements, s.drops()):
+                    out[j] = rest + drop
+            return out
+
+        return RankSolution(total, smallest, drops,
+                            lambda new_scale, new_c: solution(new_scale, new_c, sols))
+
+    return ReducedRank(1, solve)
+
+
 class SubmodularOracle:
     """Memoizing value oracle for a normalized set function on {0..n-1}.
 
@@ -500,7 +563,8 @@ class SubmodularOracle:
             check_enumeration_size(
                 self.n, f"value table of {self.name!r}",
                 "Single-keyword, multi-unit and vod-cut oracles need no value table "
-                "and run past the cap")
+                "and run past the cap; a graphic oracle needs one per 2-connected block "
+                "of its edges, so it runs past the cap while each block has at most the cap")
             if self._build_table is not None:
                 self._table = self._build_table()
             else:

@@ -47,7 +47,8 @@ COMMANDS = ("run", "verify", "check-submodular")
 
 # (kind, n, m) of the large set, each generated at seed 0
 LARGE = (("multi-unit", 512, None), ("single-keyword", 256, None), ("vod-cut", 256, None),
-         ("vod-cut", 16, None), ("adwords", 16, 3), ("graphic", 16, None))
+         ("vod-cut", 16, None), ("adwords", 16, 3), ("graphic", 16, None),
+         ("graphic", 20, None))
 
 
 def digest(data: bytes) -> str:

@@ -318,20 +318,42 @@ def test_gen_output_passes_verify_and_check(tmp_path, capsys, kind):
 
 def test_verify_refuses_past_the_cap_before_running(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
-    # graphic oracles carry no structural reduced rank, so the first clinch
-    # asks for the value table, which refuses before any report is written
-    dest = tmp_path / "graphic-20.json"
+    # a 20-edge cycle is one 2-connected block, so its graphic oracle has no
+    # reduced rank: the first clinch asks for the whole value table, which
+    # refuses before any report is written
+    dest = tmp_path / "cycle-20.json"
     assert run_cli(capsys, "gen", "--kind", "graphic", "--n", "20", "--seed", "0",
                    "-o", str(dest))[0] == EXIT_OK
+    data = json.loads(dest.read_text())
+    data["environment"]["edges"] = [[i, (i + 1) % 20] for i in range(20)]
+    dest.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "verify", "-i", str(dest))
     assert code == EXIT_INTERNAL and out == ""
+    assert "value table of 'graphic(20 edges)' over 20 elements" in err
     assert "exceeds the cap of 16" in err and "CLINCH_BRUTE_FORCE_CAP" in err
     assert ("Single-keyword, multi-unit and vod-cut oracles need no value table "
-            "and run past the cap") in err
+            "and run past the cap; a graphic oracle needs one per 2-connected block") in err
     # a fault of the library exits 3 as well, named apart from a size refusal
     with mock.patch.object(cli, "execute", side_effect=ClinchError("books do not balance")):
         code, out, err = run_cli(capsys, "verify", "-i", str(dest))
     assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: books do not balance\n")
+
+
+def test_graphic_verify_runs_past_the_cap_block_by_block(tmp_path, capsys, monkeypatch):
+    # seed-0 n = 20 graphic has one block of 11 edges and nine one-edge parts, so verify
+    # clinches on an 11-edge table; check-submodular still needs all 2^20 sets
+    monkeypatch.delenv("CLINCH_BRUTE_FORCE_CAP", raising=False)
+    dest = tmp_path / "graphic-20.json"
+    assert run_cli(capsys, "gen", "--kind", "graphic", "--n", "20", "--seed", "0",
+                   "-o", str(dest))[0] == EXIT_OK
+    code, out, err = run_cli(capsys, "verify", "-i", str(dest), "--format", "json")
+    assert code == EXIT_OK and err == ""
+    properties = json.loads(out)["properties"]
+    assert len(properties) == 10 and all(p["passed"] for p in properties)
+    code, out, err = run_cli(capsys, "check-submodular", "-i", str(dest))
+    assert code == EXIT_INTERNAL and out == ""
+    assert "pairwise submodularity check on 'graphic(20 edges)'" in err
+    assert "exceeds the cap of 16" in err
 
 
 @pytest.mark.parametrize("kind", ["single-keyword", "multi-unit", "vod-cut"])

@@ -562,6 +562,63 @@ def test_graphic_fold_past_256_vertices():
     assert cycle.value_mask(full ^ 1 << 150) == 299
 
 
+# hand-built multigraphs and the edge ids of their blocks, self-loops alone
+HAND_BUILT_GRAPHS = {
+    "parallel edges": ([(0, 1), (1, 2), (0, 1), (2, 3), (3, 1), (3, 4), (3, 4)],
+                       [[0, 2], [1, 3, 4], [5, 6]]),
+    "self-loop": ([(0, 1), (1, 1), (1, 2), (2, 0), (2, 3), (3, 3)], [[0, 2, 3], [1], [4], [5]]),
+    "forest": ([(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)], [[0], [1], [2], [3], [4]]),
+    "disconnected": ([(0, 1), ("a", "b"), (1, 2), ("b", "c"), (2, 0), ("c", "a"), ("c", "d")],
+                     [[0, 2, 4], [1, 3, 5], [6]]),
+    "2-connected": ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)],
+                    [[0, 1, 2, 3, 4, 5]]),
+}
+
+
+def _answers_at(solution):
+    return solution.total, solution.drops(), solution.smallest()
+
+
+def test_block_rank_equals_the_table_rank():
+    # Graphic's direct sum of block ranks answers as _table_rank on the
+    # whole 2^n table: R, every drops() entry and smallest(), cold, warm
+    # after one changed entry and warm at a scale k times larger, with c
+    # drawn to tie f({j}) on bridges and self-loops.  A graph that is one
+    # block keeps the table solver.
+    graphs = [(name, edges) for name, (edges, _) in HAND_BUILT_GRAPHS.items()]
+    graphs += [(f"gen n={n} seed={seed}",
+                generate_instance("graphic", n, None, seed).environment.payload["edges"])
+               for n in (4, 8, 12) for seed in range(10)]
+    rng = random.Random(4646)
+    summed = 0
+    for name, edges in graphs:
+        oracle, n = graphic_oracle(edges), len(edges)
+        table = submodular._table_rank(*oracle.integer_table())
+        if oracle.reduced_rank is None:
+            assert name == "2-connected" or n == 4, name
+            continue
+        summed += 1
+        for _ in range(8):
+            scale = rng.randint(1, 3)
+            c = [rng.choice((0, scale, rng.randint(0, 4 * scale))) for _ in range(n)]
+            solution = oracle.reduced_rank.solve(scale, c)
+            assert _answers_at(solution) == _answers_at(table.solve(scale, c)), (name, c)
+            for k in (1, rng.choice((2, 3))):
+                new = [v * k for v in c]
+                new[rng.randrange(n)] = rng.randint(0, 4 * scale * k)
+                warm = solution.solve(scale * k, new)
+                assert _answers_at(warm) == _answers_at(table.solve(scale * k, new)), (name, new)
+            assert _answers_at(solution) == _answers_at(table.solve(scale, c)), (name, c)
+    assert summed >= 30, summed
+
+
+def test_blocks_of_hand_built_graphs():
+    for name, (edges, blocks) in HAND_BUILT_GRAPHS.items():
+        vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
+        ends = [(vertex[a], vertex[b]) for a, b in edges]
+        assert environments._blocks(ends, len(vertex)) == blocks, name
+
+
 def test_cardinality_tables_are_prefix_sums():
     rng = random.Random(44)
     for _ in range(30):
@@ -714,9 +771,10 @@ def _reduced_rank_cases():
 
     Vod-cut: zero capacities, two bidders on one node and bidders the
     source cannot reach come from _random_network.  Cardinality: zero CTRs,
-    multi-unit lists (Q,) shorter than n.  Table: graphic and AdWords
-    oracles, and built-in oracles stripped to their value table, all on the
-    table solver.  c mixes ties, zeros and denominators.
+    multi-unit lists (Q,) shorter than n.  Table: AdWords oracles, graphic
+    oracles of one block, and built-in oracles stripped to their value
+    table, all on the table solver.  Direct sum: the other graphic oracles,
+    their blocks on the table solver.  c mixes ties, zeros and denominators.
     """
     rng = random.Random(3103)
     nets = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
@@ -757,7 +815,9 @@ def _reduced_rank_cases():
 def _bucket(oracle):
     if oracle.ctrs is not None:
         return "cardinality"
-    return "table" if oracle.reduced_rank is None else "vod-cut"
+    if oracle.reduced_rank is None:
+        return "table"
+    return "vod-cut" if oracle.name.startswith("vod-cut") else "direct-sum"
 
 
 def _rank_table(oracle, c):
@@ -776,7 +836,7 @@ def _smallest_minimizer(values):
 
 
 def test_reduced_rank_matches_its_definition():
-    ties = {"vod-cut": 0, "cardinality": 0, "table": 0}
+    ties = collections.Counter()
     for oracle, c in _reduced_rank_cases():
         values = _rank_table(oracle, c)
         total, smallest = reduced_rank(oracle, c)
@@ -784,7 +844,7 @@ def test_reduced_rank_matches_its_definition():
         minimizers = [m for m, v in enumerate(values) if v == total]
         assert all(m & smallest == smallest for m in minimizers), (oracle, c)
         ties[_bucket(oracle)] += len(minimizers) > 1
-    assert min(ties.values()) >= 20, ties
+    assert min(ties[kind] for kind in ("vod-cut", "cardinality", "table")) >= 20, ties
 
 
 def test_drops_equal_cold_solves():
@@ -794,7 +854,7 @@ def test_drops_equal_cold_solves():
     # sets it.  Asking for drops() first leaves total and smallest() as a
     # fresh solve gives them, and smallest() is the intersection of the
     # minimizers.
-    warm = {"vod-cut": 0, "cardinality": 0, "table": 0}
+    warm = collections.Counter()
     for oracle, c in _reduced_rank_cases():
         rank, n = oracle.rank(), oracle.n
         den = math.lcm(rank.den, *(v.denominator for v in c))
@@ -812,7 +872,7 @@ def test_drops_equal_cold_solves():
             assert solution.total == fresh.total, (oracle, point)
             assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
                 _rank_table(oracle, [F(v, den) for v in point])), (oracle, point)
-    assert min(warm.values()) >= 100, warm
+    assert min(warm[kind] for kind in ("vod-cut", "cardinality", "table")) >= 100, warm
 
 
 def _answers(solution, n):
@@ -832,7 +892,8 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
     # from the kept solution, at a random split of the new point into
     # rho + d: its numbers equal the ones started from the reduced rank, and
     # the solution it returns is checked as any other.
-    starts = {kind: collections.Counter() for kind in ("vod-cut", "cardinality", "table")}
+    starts = {kind: collections.Counter()
+              for kind in ("vod-cut", "cardinality", "table", "direct-sum")}
     warm_start = submodular._warm_start
 
     def counted(scale, c, new_scale, new_c):
