@@ -45,10 +45,10 @@ FIXTURES = ROOT / "fixtures"
 LOCK = pathlib.Path(__file__).resolve().parent / "behaviour.json"
 COMMANDS = ("run", "verify", "check-submodular")
 
-# (kind, n, m) of the large set, each generated at seed 0
-LARGE = (("multi-unit", 512, None), ("single-keyword", 256, None), ("vod-cut", 256, None),
-         ("vod-cut", 16, None), ("adwords", 16, 3), ("graphic", 16, None),
-         ("graphic", 20, None))
+# (kind, n, m, quality) of the large set, each generated at seed 0
+LARGE = (("multi-unit", 512, None, False), ("single-keyword", 256, None, False),
+         ("vod-cut", 256, None, False), ("vod-cut", 16, None, False), ("adwords", 16, 3, False),
+         ("graphic", 16, None, False), ("graphic", 20, None, False), ("vod-cut", 64, None, True))
 
 
 def digest(data: bytes) -> str:
@@ -72,9 +72,9 @@ def cases(which: str) -> dict:
             out[f"demo/{demo}"] = ("demo", demo)
         out["parse/mutated-files"] = ("parse-errors",)
     else:
-        for kind, n, m in LARGE:
-            out[f"gen/{kind}-n{n}" + f"-m{m}" * (m is not None) + "-s0"] = (
-                "gen", kind, n, m, 0, False)
+        for kind, n, m, quality in LARGE:
+            name = f"gen/{kind}-n{n}" + f"-m{m}" * (m is not None) + "-s0" + "-quality" * quality
+            out[name] = ("gen", kind, n, m, 0, quality)
     return out
 
 
