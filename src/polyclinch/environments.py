@@ -23,14 +23,14 @@ it, with no call per mask; for vod-cut, a value is one maximum flow from
 zero, and the table augments only the sets that no subset less one bidder
 settles, keeping at most n + 1 residual arrays alive.  Vod-cut also
 carries a reduced rank, one maximum flow with bidder i's sink arc at c_i,
-from which R with one sink arc closed, and a solution's re-solve at the
+from which R with one sink arc lowered, and a solution's re-solve at the
 next c, re-augment.  So multi-unit, single-keyword and vod-cut auctions
 clinch without the 2^n table and run past the enumeration cap.  A graphic
 matroid is the direct sum of its 2-connected blocks (:func:`_blocks`), so a
 graph of more than one block carries the direct sum of its blocks' reduced
 ranks, each block on its own small table and each bridge or self-loop in
 closed form; it runs past the cap while every block fits under it.  Every
-vod-cut question -- a value, R, R with one arc closed, R at a new c, the
+vod-cut question -- a value, R, R with one arc lowered, R at a new c, the
 smallest minimizer -- goes to one Edmonds-Karp search,
 ``_ArcNetwork.max_flow``, with an optional limit.
 
@@ -468,26 +468,23 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     solution keeps its residual.  Its smallest minimizer T*, read off that
     residual by one search from the sink, is the bidders with c_i > 0
     whose node still reaches the sink.  (With c_i = 0, dropping i from a
-    minimizer keeps it one.)  ``drops()`` reads T* from that same search, as
-    one bool per bidder.  For j outside T*, R with c_j = 0 is R(c) - c_j,
-    since a minimizer avoids j.  For j in T* it is R(c) itself when sink arc
-    j carries no flow.  Otherwise it copies the residual and closes the arc,
-    which leaves the ``carried`` units the arc took as excess at j's node.
-    The flow paths through arc j, reversed, are residual paths from that
-    node back to the source with ``carried`` units of capacity in all (flow
-    decomposition), so a search limited to ``carried`` always sends exactly
-    that much back.  A path of it that passes through the sink only shifts
-    flow between sink arcs, so what is left is a feasible flow of value
-    R(c) - ``carried``, and augmenting from it ends at a maximum flow.  Only
-    that number leaves; the solve's own residual is never touched.
+    minimizer keeps it one.)  ``clinch(rho)`` reads T* from that same
+    search, as one bool per bidder.  For j outside T*, delta_j = c_j - rho_j,
+    since a minimizer avoids j.  For j in T*, R(c with c_j = rho_j) is R(c)
+    when sink arc j carries at most rho_j, as the maximum flow stays
+    feasible; otherwise a copy of the residual has the arc lowered to rho_j
+    and is augmented, and only the number leaves.
 
-    A solution's ``solve(scale, c')`` starts from a copy of that residual
-    times k, the ratio of the scales: a maximum flow at c scaled by k is
-    feasible at k c.  Each changed sink arc is reset to c'_i; where c'_i is
-    below the flow it carries, the arc keeps c'_i and the rest goes back
-    from the bidder's node by the same limited search as in ``drops()``.
-    One augmentation then ends at a maximum flow at c', whose value is read
-    off the sink arcs.
+    One helper, ``set_sink_arc``, sets a sink arc to a capacity t.  Where
+    the arc carries more than t, the excess at the bidder's node goes back
+    to the source by a search limited to it: the flow paths through the
+    arc, reversed, are residual paths with that much capacity in all (flow
+    decomposition), and a path that passes through the sink only shifts
+    flow between sink arcs, so what is left is a feasible flow.  A
+    solution's ``solve(scale, c')`` starts from a copy of its residual times
+    k, the ratio of the scales (a maximum flow at c scaled by k is feasible
+    at k c), sets each changed sink arc to c'_i, and augments once to a
+    maximum flow at c', whose value is read off the sink arcs.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -499,6 +496,16 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     sink_arcs = [graph.arc(b, sink) for b in net.bidder_nodes]
     bidder_index = [graph.index[b] for b in net.bidder_nodes]
     bound = sum(nums) + 1                    # above every cut of the network
+
+    def set_sink_arc(flow: list, i: int, t: int) -> None:
+        """Set sink arc i to capacity t in ``flow``, a feasible flow's residual."""
+        a = sink_arcs[i]
+        carried = flow[a ^ 1]
+        if t >= carried:
+            flow[a] = t - carried
+        else:
+            flow[a], flow[a ^ 1] = 0, t
+            graph.max_flow(flow, net.bidder_nodes[i], net.source, carried - t)
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         residual = [capacity * scale for capacity in graph.cap]
@@ -524,20 +531,18 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         def smallest() -> int:
             return sum(1 << i for i, inside in enumerate(members()) if inside)
 
-        def closed(j: int) -> int:
-            """R with sink arc j closed, for j in T*."""
-            a = sink_arcs[j]
-            carried = residual[a ^ 1]
-            if not carried:
-                return total
+        def lowered(j: int, r: int) -> int:
+            """delta_j for j in T*: R(c) less R with sink arc j at r."""
+            excess = residual[sink_arcs[j] ^ 1] - r
+            if excess <= 0:
+                return 0
             warm = residual[:]
-            warm[a] = warm[a ^ 1] = 0
-            graph.max_flow(warm, net.bidder_nodes[j], net.source, carried)
-            return total - carried + graph.max_flow(warm, net.source, sink)[0]
+            set_sink_arc(warm, j, r)
+            return excess - graph.max_flow(warm, net.source, sink)[0]
 
-        def drops() -> list:
-            return [closed(j) if inside else total - cj
-                    for j, (inside, cj) in enumerate(zip(members(), c))]
+        def clinch(rho: Sequence[int]) -> list:
+            return [lowered(j, r) if inside else cj - r
+                    for j, (inside, cj, r) in enumerate(zip(members(), c, rho))]
 
         def resolve(new_scale: int, new_c: Sequence[int]) -> RankSolution:
             warm = _warm_start(scale, c, new_scale, new_c)
@@ -546,16 +551,10 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             k, changed = warm
             flow = residual[:] if k == 1 else [v * k for v in residual]
             for i in changed:
-                a, ci = sink_arcs[i], new_c[i]
-                carried = flow[a ^ 1]
-                if ci >= carried:
-                    flow[a] = ci - carried
-                else:
-                    flow[a], flow[a ^ 1] = 0, ci
-                    graph.max_flow(flow, net.bidder_nodes[i], net.source, carried - ci)
+                set_sink_arc(flow, i, new_c[i])
             return solution(new_scale, list(new_c), flow)
 
-        return RankSolution(total, smallest, drops, resolve)
+        return RankSolution(total, smallest, clinch, resolve)
 
     def value(mask: int) -> Fraction:
         residual = graph.cap[:]

@@ -30,11 +30,11 @@ one (one sort for a cardinality oracle's rank list,
 :func:`_cardinality_rank`, the vod-cut max-flow, or the sum of a graphic
 oracle's blocks, :func:`_direct_sum_rank`), else the table solver
 :func:`_table_rank`, one minimum over the oracle's integer value table.  A
-solve returns a :class:`RankSolution`: its ``drops()`` are the n
-leave-one-outs R (c_j = 0) that :func:`clinch_kernel` needs, computed warm,
-and its smallest minimizer, computed only on request, is the violated set
-:func:`membership` names.  A solution answers ``solve(scale, c)`` as its
-reduced rank does, started from its own state, so the clock's clinches and
+solve returns a :class:`RankSolution`: its ``clinch(rho)`` is the delta
+of :func:`clinch_kernel`, R(c) - R(c with c_j = rho_j) for each j,
+computed warm, and its smallest minimizer, computed only on request, is the
+violated set :func:`membership` names.  A solution answers ``solve(scale,
+c)`` as its reduced rank does, started from its own state, so the clock's clinches and
 the verifiers' snapshot checks each start from the last solution they keep;
 the oracle keeps none.
 
@@ -195,8 +195,14 @@ class ReducedRank:
 class RankSolution:
     """One solve of a :class:`ReducedRank`, all values over ``den`` * scale.
 
-    ``total`` is R(c).  ``drops()`` lists R(c with c_j = 0) for every j,
-    started from this solve's own work.  ``smallest()`` is T*, the smallest
+    ``total`` is R(c).  ``clinch(rho)``, for rho <= c, lists delta_j = R(c)
+    - R(c with c_j = rho_j) for every j, started from this solve's own work.
+    It is the clinch, max(0, fhat([n]) - fhat([n] \\ j)), on any set
+    function.  Write R(c with c_j = t) = min(A, B + t): A is the least f(T) +
+    c([n] \\ T) over the T that hold j, B the least f(T) + c([n] \\ T \\ j)
+    over the T that do not, and fhat([n]) - fhat([n] \\ j) = R(c) - B -
+    rho_j.  Both sides are 0 if A <= B + rho_j, and min(A, B + c_j) - B -
+    rho_j otherwise, since c_j >= rho_j.  ``smallest()`` is T*, the smallest
     minimizer, as a mask (the minimizers of a submodular function are closed
     under intersection, so one set is contained in all); only the witness
     code reads it.  Both are computed only when called and change nothing,
@@ -210,11 +216,12 @@ class RankSolution:
     it is the cold solve.
     """
 
-    __slots__ = ("total", "smallest", "drops", "solve")
+    __slots__ = ("total", "smallest", "clinch", "solve")
 
-    def __init__(self, total: int, smallest: Callable[[], int], drops: Callable[[], list],
+    def __init__(self, total: int, smallest: Callable[[], int],
+                 clinch: Callable[[Sequence[int]], list],
                  solve: Callable[[int, Sequence[int]], "RankSolution"]):
-        self.total, self.smallest, self.drops, self.solve = total, smallest, drops, solve
+        self.total, self.smallest, self.clinch, self.solve = total, smallest, clinch, solve
 
 
 def _warm_start(scale: int, c: Sequence[int], new_scale: int,
@@ -248,7 +255,8 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     (t+1)-th largest entries were equal, t + 1 would do strictly better than
     t.  So the entries at least the t-th largest are the smallest minimizer.
 
-    ``drops()`` needs no sort: c with c_j = 0, sorted, is the sorted c
+    ``clinch(rho)`` needs no sort.  f is monotone, so delta_j = max(0, R(c) -
+    R(c with c_j = 0) - rho_j), and c with c_j = 0, sorted, is the sorted c
     less one entry equal to c_j, at position k, with a 0 appended.  Its
     running sums are run_t for t < k and top_k + g_t for t >= k, where g_t =
     run_(t+1) - a_(t+1) (a_t the t-th increment of A) and g_(n-1) =
@@ -276,17 +284,17 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
             cut = top[size - 1]
             return sum(1 << i for i, ci in enumerate(c) if ci >= cut)
 
-        def drops() -> list:
+        def clinch(rho: Sequence[int]) -> list:
             prefix = itertools.accumulate([0] + run[:-1], min)
             g = list(map(operator.sub, run[1:], steps[1:])) + run[-1:]
             suffix = list(itertools.accumulate(reversed(g), min))[::-1]
-            by_value = {}
+            gaps = {}                        # R(c) - R(c with one entry v at 0), by v
             for v, before, after in zip(top, prefix, suffix):
-                if v not in by_value:
-                    by_value[v] = total - v + min(before, v + after)
-            return [by_value[v] for v in c]
+                if v not in gaps:
+                    gaps[v] = low + v - min(before, v + after)
+            return [gap if (gap := gaps[v] - r) > 0 else 0 for v, r in zip(c, rho)]
 
-        return RankSolution(total + low, smallest, drops, solve)
+        return RankSolution(total + low, smallest, clinch, solve)
 
     return ReducedRank(den, solve)
 
@@ -342,13 +350,12 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     """The reduced rank of f(m) = nums[m] / den, from the 2^n value table.
 
     ``solve`` tabulates h = f - c over every mask, and R(c) = c([n]) + min h.
-    Entry j of ``drops()`` is c([n]) - c_j + the minimum of h over the masks
-    without j: R with c_j = 0 when f is monotone, and for any f the minimum
-    over the T not holding j of f(T) + c([n] \\ j \\ T), the definition of
-    fhat([n] \\ j), so :func:`clinch_kernel` equals :class:`ResidualOracle`
-    on any set function.  That minimum is min h for j outside the first
-    minimizer, and a pass over h for j in it.  Every minimizer holds j iff
-    it rises above min h, so ``smallest()``, the AND of the minimizers, is
+    Entry j of ``clinch(rho)`` is max(0, R(c) - B - rho_j), with B = c([n]) -
+    c_j + the minimum of h over the masks without j, as
+    :class:`RankSolution` defines it, so :func:`clinch_kernel` equals
+    :class:`ResidualOracle` on any set function.  That minimum is min h for
+    j outside the first minimizer, and a pass over h for j in it.  Every
+    minimizer holds j iff it rises above min h, so ``smallest()``, the AND of the minimizers, is
     those bits of the first minimizer; the minima either takes are kept,
     each with the slice of h where a mask attains it.  If the AND is not
     itself a minimizer (f is not submodular), the minimizer
@@ -372,7 +379,6 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
 
     def solution(scale: int, c: list, h: list, minima: dict) -> RankSolution:
         """The solution at c from its h; ``minima`` the kept minima by bit."""
-        total = sum(c)
         low = min(h)
         first = h.index(low)
 
@@ -403,11 +409,11 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
                 j: (v * k, where) for j, (v, where) in minima.items()
                 if not _mask_at(h, where, v) & bits})
 
-        def drops() -> list:
-            return [total - cj + (min_without(j) if first >> j & 1 else low)
-                    for j, cj in enumerate(c)]
+        def clinch(rho: Sequence[int]) -> list:
+            return [gap if (gap := cj - r - (min_without(j) - low if first >> j & 1 else 0)) > 0
+                    else 0 for j, (cj, r) in enumerate(zip(c, rho))]
 
-        return RankSolution(total + low, smallest, drops,
+        return RankSolution(sum(c) + low, smallest, clinch,
                             solve if len(c) <= 4 else resolve)     # see _warm_start
 
     return ReducedRank(den, solve)
@@ -421,16 +427,16 @@ def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
     part's values are integers, so its rank's denominator is 1 (as a
     graphic rank's is).  f(T) + c([n] \\ T) splits into the parts' terms,
     so R(c) is the sum of the parts' R, each at its own entries of c, and
-    T* is the union of the parts' T*.  Entry j of ``drops()`` is R - R_k +
-    R_k's own entry for j, k the part holding j.
+    T* is the union of the parts' T*.  Lowering c_j moves only the R of the
+    part holding j, so entry j of ``clinch(rho)`` is that part's own.
 
     A one-element part {j} is read in closed form: it adds min(f({j}),
-    c_j) to R (f({j}) is 0 for a loop, its whole value for a coloop), and
-    j is in T* exactly when c_j > f({j}).  Each other part's
-    :meth:`~SubmodularOracle.rank` is called on the first solve, so the
-    enumeration cap applies to each part and a :class:`SizeError` names
-    it.  A solution's ``solve`` re-solves each part from that part's own
-    solution.
+    c_j) to R (f({j}) is 0 for a loop, its whole value for a coloop), its
+    clinch is that less min(f({j}), rho_j), and j is in T* exactly when
+    c_j > f({j}).  Each other part's :meth:`~SubmodularOracle.rank` is
+    called on the first solve, so the enumeration cap applies to each part
+    and a :class:`SizeError` names it.  A solution's ``solve`` re-solves
+    each part from that part's own solution.
     """
     singles = [(elements[0], int(oracle.value_mask(1)))
                for elements, oracle in parts if len(elements) == 1]
@@ -458,17 +464,16 @@ def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
                 mask |= sum(1 << j for i, j in enumerate(elements) if t >> i & 1)
             return mask
 
-        def drops() -> list:
+        def clinch(rho: Sequence[int]) -> list:
             out = c[:]
-            for (j, _), r in zip(singles, kept):
-                out[j] = total - r
+            for (j, f), r in zip(singles, kept):
+                out[j] = r - min(f * scale, rho[j])
             for (elements, _), s in zip(blocks, sols):
-                rest = total - s.total
-                for j, drop in zip(elements, s.drops()):
-                    out[j] = rest + drop
+                for j, delta in zip(elements, s.clinch([rho[j] for j in elements])):
+                    out[j] = delta
             return out
 
-        return RankSolution(total, smallest, drops,
+        return RankSolution(total, smallest, clinch,
                             lambda new_scale, new_c: solution(new_scale, new_c, sols))
 
     return ReducedRank(1, solve)
@@ -861,8 +866,8 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     common denominator (:func:`_clinch_nums`, which the engines call on the
     clock loop's own integers and :func:`~polyclinch.verify.validate_trace`
     on a snapshot's); exact, and equal to the values :class:`ResidualOracle`
-    gives.  It is the definition: one R at c = rho + d and its n
-    leave-one-outs, :meth:`RankSolution.drops`.
+    gives.  It is the definition: one R at c = rho + d and, for each j, R
+    with c_j lowered to rho_j, :meth:`RankSolution.clinch`.
 
     The kernel does not check that rho lies in P(f): the engines keep it
     invariant, and :func:`clinch_amounts` checks it before it calls the
@@ -883,15 +888,12 @@ def _clinch_nums(start: Union[ReducedRank, RankSolution], scale: int, rho: Seque
     and the solve at c by ``start``, the reduced rank or a caller's last
     solution.
 
-    With c = rho + d, fhat([n]) = R(c) - rho([n]) and fhat([n] \\ j) is R
-    with c_j = 0 (:meth:`RankSolution.drops`, warm from the solve at c)
-    less rho([n] \\ j), so delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j).
+    With c = rho + d, fhat([n]) = R(c) - rho([n]), and delta_j = R(c) -
+    R(c with c_j = rho_j) (:meth:`RankSolution.clinch`, warm from the solve
+    at c).
     """
     solution = start.solve(scale, list(map(operator.add, rho, d)))
-    total = solution.total
-    delta = [gap if (gap := total - drop - r) > 0 else 0
-             for drop, r in zip(solution.drops(), rho)]
-    return total - sum(rho), delta, solution
+    return solution.total - sum(rho), solution.clinch(rho), solution
 
 
 def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],

@@ -399,18 +399,17 @@ def validate_trace(oracle: SubmodularOracle, snapshots: Sequence[TraceSnapshot]
     one solve at rho + d by the engines' own kernel,
     :func:`~polyclinch.submodular._clinch_nums`: dominance and the re-clinch
     fail exactly where some delta_j > 0, that is fhat([n]) > fhat([n] \\ j),
-    with fhat([n] \\ j) from entry j of the solve's ``drops()``; a passing
-    trace reads no smallest minimizer.  Each solve at rho starts from the
-    last solution at rho, and each at rho + d from the last at rho + d, since
-    consecutive snapshots differ in a few entries.  Witnesses
-    are built, as ``Fraction``s, only where a monitor fails, and every n
-    takes this one path; the ``Fraction`` reference that tabulates 2^n sets
-    lives in the tests.  A snapshot with
-    the same (rho, d) and recorded fhat([n]) over the same denominator as
-    the one before it, as a step that skipped its clinch leaves, is skipped
-    after its budget check: its witnesses could only repeat ones already
-    found.  Budgets are checked once per budgets tuple, which such a step
-    shares with the one before.
+    with delta from the solve's ``clinch(rho)``; a passing trace reads no
+    smallest minimizer.  Each solve at rho starts from the last solution at
+    rho, and each at rho + d from the last at rho + d, since consecutive
+    snapshots differ in a few entries.  Witnesses are built, as
+    ``Fraction``s, only where a monitor fails, and every n takes this one
+    path; the ``Fraction`` reference that tabulates 2^n sets lives in the
+    tests.  A snapshot with the same (rho, d) and recorded fhat([n]) over
+    the same denominator as the one before it, as a step that skipped its
+    clinch leaves, is skipped after its budget check: its witnesses could
+    only repeat ones already found.  Budgets are checked once per budgets
+    tuple, which such a step shares with the one before.
     """
     n = oracle.n
     target = oracle.value_mask((1 << n) - 1)

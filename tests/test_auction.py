@@ -757,12 +757,12 @@ def test_no_run_reads_the_smallest_minimizer(monkeypatch):
     calls = []
     init = RankSolution.__init__
 
-    def planted(self, total, smallest, drops, solve):
+    def planted(self, total, smallest, clinch, solve):
         def wrong():
             calls.append(total)
             mask = smallest()
             return mask & mask - 1
-        init(self, total, wrong, drops, solve)
+        init(self, total, wrong, clinch, solve)
     monkeypatch.setattr(RankSolution, "__init__", planted)
     assert [traced(inst) for inst in markets] == honest
     assert not calls

@@ -575,16 +575,21 @@ HAND_BUILT_GRAPHS = {
 }
 
 
-def _answers_at(solution):
-    return solution.total, solution.drops(), solution.smallest()
+def _rho(rng, c):
+    """Promises rho <= c, each entry 0, c_j or drawn between."""
+    return [rng.choice((0, cj, rng.randint(0, cj))) for cj in c]
+
+
+def _answers_at(solution, rho):
+    return solution.total, solution.clinch(rho), solution.smallest()
 
 
 def test_block_rank_equals_the_table_rank():
     # Graphic's direct sum of block ranks answers as _table_rank on the
-    # whole 2^n table: R, every drops() entry and smallest(), cold, warm
+    # whole 2^n table: R, every clinch(rho) entry and smallest(), cold, warm
     # after one changed entry and warm at a scale k times larger, with c
-    # drawn to tie f({j}) on bridges and self-loops.  A graph that is one
-    # block keeps the table solver.
+    # and rho drawn to tie f({j}) on bridges and self-loops.  A graph that
+    # is one block keeps the table solver.
     graphs = [(name, edges) for name, (edges, _) in HAND_BUILT_GRAPHS.items()]
     graphs += [(f"gen n={n} seed={seed}",
                 generate_instance("graphic", n, None, seed).environment.payload["edges"])
@@ -601,14 +606,17 @@ def test_block_rank_equals_the_table_rank():
         for _ in range(8):
             scale = rng.randint(1, 3)
             c = [rng.choice((0, scale, rng.randint(0, 4 * scale))) for _ in range(n)]
+            rho = _rho(rng, c)
             solution = oracle.reduced_rank.solve(scale, c)
-            assert _answers_at(solution) == _answers_at(table.solve(scale, c)), (name, c)
+            expected = _answers_at(table.solve(scale, c), rho)
+            assert _answers_at(solution, rho) == expected, (name, c, rho)
             for k in (1, rng.choice((2, 3))):
                 new = [v * k for v in c]
                 new[rng.randrange(n)] = rng.randint(0, 4 * scale * k)
-                warm = solution.solve(scale * k, new)
-                assert _answers_at(warm) == _answers_at(table.solve(scale * k, new)), (name, new)
-            assert _answers_at(solution) == _answers_at(table.solve(scale, c)), (name, c)
+                warm, at = solution.solve(scale * k, new), _rho(rng, new)
+                assert _answers_at(warm, at) == _answers_at(table.solve(scale * k, new), at), (
+                    name, new, at)
+            assert _answers_at(solution, rho) == expected, (name, c, rho)
     assert summed >= 30, summed
 
 
@@ -847,14 +855,19 @@ def test_reduced_rank_matches_its_definition():
     assert min(ties[kind] for kind in ("vod-cut", "cardinality", "table")) >= 20, ties
 
 
-def test_drops_equal_cold_solves():
-    # Every entry j of drops(), R with c_j = 0 from the solve at c, equals a
-    # solve from scratch, inside T* and outside it: at c as drawn, and with
-    # one entry above f([n]) + c([n]), as check_outcome's tight-set search
-    # sets it.  Asking for drops() first leaves total and smallest() as a
-    # fresh solve gives them, and smallest() is the intersection of the
-    # minimizers.
-    warm = collections.Counter()
+def test_clinch_equals_its_definition():
+    # Every entry j of clinch(rho), from the solve at c, equals R(c) - R(c
+    # with c_j = rho_j), both solved from scratch, inside T* and outside it:
+    # at c as drawn, and with one entry above f([n]) + c([n]), as
+    # check_outcome's tight-set search sets it.  Each rho_j is 0, c_j, drawn
+    # between, g_j or g_j - 1, with g_j = R(c) - R(c with c_j = 0): a
+    # maximum flow carries at least g_j on sink arc j, so where it carries
+    # exactly g_j the flow's clinch lowers the arc from rho_j and from
+    # rho_j + 1, and on a monotone f, rho_j = g_j - 1 >= 0 clinches exactly
+    # 1.  Asking for clinch(rho) first leaves total and smallest() as a fresh
+    # solve gives them, and smallest() is the intersection of the minimizers.
+    rng = random.Random(4747)
+    positive, edge = collections.Counter(), collections.Counter()
     for oracle, c in _reduced_rank_cases():
         rank, n = oracle.rank(), oracle.n
         den = math.lcm(rank.den, *(v.denominator for v in c))
@@ -862,28 +875,38 @@ def test_drops_equal_cold_solves():
         nums = [int(v * den) for v in c]
         big = int(oracle.value_mask((1 << n) - 1) * den) + sum(nums) + 1
         for point in [nums] + [nums[:i] + [big] + nums[i + 1:] for i in range(n)]:
+            def cold(j, t):
+                return rank.solve(scale, point[:j] + [t] + point[j + 1:]).total
+
+            total = rank.solve(scale, point).total
+            gaps = [total - cold(j, 0) for j in range(n)]
+            rho = [rng.choice((0, cj, rng.randint(0, cj), g, max(0, g - 1)))
+                   for cj, g in zip(point, gaps)]
             solution = rank.solve(scale, point)
-            drops = solution.drops()
+            delta = solution.clinch(rho)
             for j in range(n):
-                cold = rank.solve(scale, point[:j] + [0] + point[j + 1:]).total
-                assert drops[j] == cold, (oracle, point, j)
-                warm[_bucket(oracle)] += cold < solution.total
+                assert delta[j] == total - cold(j, rho[j]), (oracle, point, rho, j)
+                positive[_bucket(oracle)] += delta[j] > 0
+                edge[_bucket(oracle)] += rho[j] == gaps[j] - 1
             fresh = rank.solve(scale, point)
-            assert solution.total == fresh.total, (oracle, point)
+            assert solution.total == fresh.total == total, (oracle, point)
             assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
                 _rank_table(oracle, [F(v, den) for v in point])), (oracle, point)
-    assert min(warm[kind] for kind in ("vod-cut", "cardinality", "table")) >= 100, warm
+    assert min(positive[kind] for kind in (
+        "vod-cut", "cardinality", "table", "direct-sum")) >= 100, positive
+    assert edge["vod-cut"] >= 100, edge
 
 
-def _answers(solution, n):
-    return solution.total, solution.smallest(), solution.drops()
+def _answers(solution, rho):
+    return solution.total, solution.smallest(), solution.clinch(rho)
 
 
 def test_solution_solve_equals_a_cold_solve(monkeypatch):
     # A chain of solution.solve() calls equals cold solves at every point,
-    # in total, smallest() and drops(): moves lower, close or raise
-    # one entry, change several, scale by an integer k > 1, or go to a
-    # scale that is not a multiple (the cold fallback).  Besides the
+    # in total, smallest() and clinch at a promise drawn for the point:
+    # moves lower, close or raise one entry, change several, scale by an
+    # integer k > 1, or go to a scale that is not a multiple (the cold
+    # fallback).  Besides the
     # reduced-rank cases, longer chains run on oracles with 9 to 12
     # bidders, where several changed entries can be under a quarter and
     # start warm.  Each solution is asked before its successor is made or
@@ -913,15 +936,16 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
     wide += [table_only(oracle) for oracle in wide[2::3]]
     rng = random.Random(3939)
     split, kernels = random.Random(2718), collections.Counter()    # the kernels' own draws
+    promises = random.Random(4848)                                  # each point's promise
     for oracle, c in _reduced_rank_cases() + [(o, _random_c(rng, o.n)) for o in wide]:
         bucket, rank, n = _bucket(oracle), oracle.rank(), oracle.n
         den = math.lcm(rank.den, *(v.denominator for v in c))
         scale, point = den // rank.den, [int(v * den) for v in c]
-        solution = rank.solve(scale, point)
-        expected = _answers(rank.solve(scale, point), n)
+        solution, promise = rank.solve(scale, point), _rho(promises, point)
+        expected = _answers(rank.solve(scale, point), promise)
         for _ in range(6 if n < 9 else 24):
             if rng.random() < 0.5:
-                assert _answers(solution, n) == expected, (oracle, scale, point)
+                assert _answers(solution, promise) == expected, (oracle, scale, point)
             move = rng.choice(("lower", "close", "raise", "several", "k", "ratio"))
             j = rng.randrange(n)
             new_scale, new = scale, point[:]
@@ -950,10 +974,11 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
                 *numbers, successor = kernel(solution, new_scale, rho, d)
                 assert numbers == list(kernel(rank, new_scale, rho, d)[:2]), (oracle, new)
                 kernels[kernel.__name__] += 1
-            assert _answers(solution, n) == expected, (oracle, scale, point)
-            expected = _answers(rank.solve(new_scale, new), n)
+            assert _answers(solution, promise) == expected, (oracle, scale, point)
+            promise = _rho(promises, new)
+            expected = _answers(rank.solve(new_scale, new), promise)
             solution, scale, point = successor, new_scale, new
-        assert _answers(solution, n) == expected, (oracle, scale, point)
+        assert _answers(solution, promise) == expected, (oracle, scale, point)
     assert not starts["cardinality"], starts
     assert min(kernels.values()) >= 100, kernels
     for kind in ("vod-cut", "table"):
@@ -963,7 +988,8 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
 
 def test_two_solves_on_one_oracle_do_not_share_state():
     # Interleaving the questions to two solutions changes neither: the state
-    # each starts from is its own, not the oracle's.
+    # each starts from is its own, not the oracle's.  Each point's clinch is
+    # asked at a promise drawn for it.
     rng = random.Random(5150)
     oracles = [vod_cut_oracle(_random_network(rng, 6)) for _ in range(10)]
     oracles += [single_keyword_oracle([5, 3, 3, 1, 0, 0]), multi_unit_oracle(4, 6)]
@@ -972,12 +998,14 @@ def test_two_solves_on_one_oracle_do_not_share_state():
     for oracle in oracles:
         rank = oracle.rank()
         points = [[rng.randint(0, 9 * rank.den) for _ in range(6)] for _ in range(2)]
+        rhos = [_rho(rng, point) for point in points]
         alone = []
-        for point in points:
+        for point, rho in zip(points, rhos):
             solution = rank.solve(1, point)
-            alone.append((solution.total, solution.smallest(), solution.drops()))
+            alone.append((solution.total, solution.smallest(), solution.clinch(rho)))
         first, second = (rank.solve(1, point) for point in points)
-        asked = [second.smallest(), first.drops(), second.drops(), first.smallest()]
+        asked = [second.smallest(), first.clinch(rhos[0]), second.clinch(rhos[1]),
+                 first.smallest()]
         expected = [alone[1][1], alone[0][2], alone[1][2], alone[0][1]]
         assert asked == expected, oracle
         assert (first.total, second.total) == (alone[0][0], alone[1][0]), oracle
@@ -989,11 +1017,13 @@ def test_two_solves_on_one_oracle_do_not_share_state():
             for side in (0, 1):
                 point = points[side] = points[side][:]
                 point[rng.randrange(6)] = rng.randint(0, 9 * rank.den)
+                rhos[side] = _rho(rng, point)
                 chains[side] = chains[side].solve(1, point)
-                assert _answers(chains[1 - side], 6) == _answers(
-                    rank.solve(1, points[1 - side]), 6), oracle
-        assert [_answers(chain, 6) for chain in chains] == [
-            _answers(rank.solve(1, point), 6) for point in points], oracle
+                other = 1 - side
+                assert _answers(chains[other], rhos[other]) == _answers(
+                    rank.solve(1, points[other]), rhos[other]), oracle
+        assert [_answers(chain, rho) for chain, rho in zip(chains, rhos)] == [
+            _answers(rank.solve(1, point), rho) for point, rho in zip(points, rhos)], oracle
 
 
 def test_vod_cut_rejects_source_as_bidder():

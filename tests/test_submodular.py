@@ -718,7 +718,7 @@ def test_membership_raises_when_the_rank_names_a_wrong_set():
 
     def solve(scale, c):
         solution = rank.solve(scale, c)
-        return RankSolution(solution.total, lambda: 0b001, solution.drops, solution.solve)
+        return RankSolution(solution.total, lambda: 0b001, solution.clinch, solution.solve)
     lying = SubmodularOracle(3, honest.value_mask, True, "lying",
                              reduced_rank=ReducedRank(rank.den, solve))
     assert membership(lying, [1, 1, 1]).ok
@@ -864,10 +864,10 @@ def test_clinch_kernel_matches_residual_oracle():
 
 def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
     # the rule the clinch kernel runs on: with c = rho + d, fhat([n]) =
-    # R(c) - rho([n]) and fhat([n] \ j) = drops()[j] - rho([n] \ j), and for j
-    # outside T*, the solve's smallest(), drops()[j] is R(c) - c_j; the
-    # Fraction reference ResidualOracle must agree on every kernel case and
-    # on a table that is not submodular
+    # R(c) - rho([n]) and clinch(rho)[j] = max(0, fhat([n]) - fhat([n] \ j)),
+    # and for j outside T*, the solve's smallest(), clinch(rho)[j] is d_j;
+    # the Fraction reference ResidualOracle must agree on every kernel case
+    # and on a table that is not submodular
     rng = random.Random(2206)
     cases = [_kernel_case(rng, t) for t in range(80)]
     lumpy = SubmodularOracle.from_set_function(
@@ -882,20 +882,20 @@ def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
     for kind, oracle, rho, d in cases:
         n, rank = oracle.n, oracle.rank()
         c = [r + q for r, q in zip(rho, d)]
-        den = math.lcm(rank.den, *(v.denominator for v in c))
+        den = math.lcm(rank.den, *(v.denominator for v in rho + d))
         solution = rank.solve(den // rank.den, [int(v * den) for v in c])
         total, smallest = F(solution.total, den), solution.smallest()
         res = ResidualOracle(oracle, rho, d)
         full = (1 << n) - 1
         assert res.value_mask(full) == total - sum(rho), (kind, rho, d)
-        for j, drop in enumerate(solution.drops()):
-            rest = sum(rho) - rho[j]
+        for j, delta in enumerate(solution.clinch([int(r * den) for r in rho])):
             if smallest >> j & 1:
                 inside += 1
             else:
-                assert F(drop, den) == total - c[j], (kind, rho, d, j)
+                assert F(delta, den) == d[j], (kind, rho, d, j)
                 outside += 1
-            assert res.value_mask(full ^ (1 << j)) == F(drop, den) - rest, (kind, rho, d, j)
+            gap = res.value_mask(full) - res.value_mask(full ^ (1 << j))
+            assert F(delta, den) == max(0, gap), (kind, rho, d, j)
     assert inside >= 100 and outside >= 100, (inside, outside)
 
 
