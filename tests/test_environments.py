@@ -580,8 +580,8 @@ def _rho(rng, c):
     return [rng.choice((0, cj, rng.randint(0, cj))) for cj in c]
 
 
-def _answers_at(solution, rho):
-    return solution.total, solution.clinch(rho), solution.smallest()
+def _answers(solution, rho):
+    return solution.total, solution.smallest(), solution.clinch(rho)
 
 
 def test_block_rank_equals_the_table_rank():
@@ -608,15 +608,15 @@ def test_block_rank_equals_the_table_rank():
             c = [rng.choice((0, scale, rng.randint(0, 4 * scale))) for _ in range(n)]
             rho = _rho(rng, c)
             solution = oracle.reduced_rank.solve(scale, c)
-            expected = _answers_at(table.solve(scale, c), rho)
-            assert _answers_at(solution, rho) == expected, (name, c, rho)
+            expected = _answers(table.solve(scale, c), rho)
+            assert _answers(solution, rho) == expected, (name, c, rho)
             for k in (1, rng.choice((2, 3))):
                 new = [v * k for v in c]
                 new[rng.randrange(n)] = rng.randint(0, 4 * scale * k)
                 warm, at = solution.solve(scale * k, new), _rho(rng, new)
-                assert _answers_at(warm, at) == _answers_at(table.solve(scale * k, new), at), (
+                assert _answers(warm, at) == _answers(table.solve(scale * k, new), at), (
                     name, new, at)
-            assert _answers_at(solution, rho) == expected, (name, c, rho)
+            assert _answers(solution, rho) == expected, (name, c, rho)
     assert summed >= 30, summed
 
 
@@ -878,27 +878,22 @@ def test_clinch_equals_its_definition():
             def cold(j, t):
                 return rank.solve(scale, point[:j] + [t] + point[j + 1:]).total
 
-            total = rank.solve(scale, point).total
-            gaps = [total - cold(j, 0) for j in range(n)]
+            fresh = rank.solve(scale, point)
+            gaps = [fresh.total - cold(j, 0) for j in range(n)]
             rho = [rng.choice((0, cj, rng.randint(0, cj), g, max(0, g - 1)))
                    for cj, g in zip(point, gaps)]
             solution = rank.solve(scale, point)
             delta = solution.clinch(rho)
             for j in range(n):
-                assert delta[j] == total - cold(j, rho[j]), (oracle, point, rho, j)
+                assert delta[j] == fresh.total - cold(j, rho[j]), (oracle, point, rho, j)
                 positive[_bucket(oracle)] += delta[j] > 0
                 edge[_bucket(oracle)] += rho[j] == gaps[j] - 1
-            fresh = rank.solve(scale, point)
-            assert solution.total == fresh.total == total, (oracle, point)
+            assert solution.total == fresh.total, (oracle, point)
             assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
                 _rank_table(oracle, [F(v, den) for v in point])), (oracle, point)
     assert min(positive[kind] for kind in (
         "vod-cut", "cardinality", "table", "direct-sum")) >= 100, positive
     assert edge["vod-cut"] >= 100, edge
-
-
-def _answers(solution, rho):
-    return solution.total, solution.smallest(), solution.clinch(rho)
 
 
 def test_solution_solve_equals_a_cold_solve(monkeypatch):
