@@ -18,7 +18,7 @@ Engines:
   polymatroid clock :func:`_run_polymatroid`, clinched by the integer core
   of :func:`~polyclinch.submodular.clinch_kernel` (by the oracle's reduced
   rank: one sort on single-keyword and multi-unit oracles, one max-flow on
-  vod-cut oracles, the 2^n table otherwise).
+  vod-cut oracles or one pass up an out-tree, the 2^n table otherwise).
 * :func:`run_scaled`               -- scaled polymatroids / quality factors:
   run on the base polytope with values ``gamma_i * v_i``, stretch the
   allocation back by ``gamma``.
@@ -533,8 +533,8 @@ def run_clinching(oracle: SubmodularOracle, bidders: Sequence[Bidder],
 
     Each clinch is one reduced-rank solve on the loop's integers (see
     :func:`_run_polymatroid`), so oracles with a reduced rank (single-keyword
-    and multi-unit by one sort, vod-cut by one max-flow, graphic block by
-    block) run past the enumeration cap.  A bidder's reach is f({i}), which
+    and multi-unit by one sort, vod-cut by one max-flow or one pass up an
+    out-tree, graphic block by block) run past the enumeration cap.  A bidder's reach is f({i}), which
     rho in P(f) never exceeds.
     """
     n = oracle.n

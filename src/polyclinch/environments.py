@@ -8,7 +8,8 @@ for the function defining the feasible-allocation polytope:
 * ``adwords_oracle``        -- f*(S) = sum over keywords k of f_k(S & G(k)),
 * ``graphic_oracle``        -- graphic-matroid rank of the bidder-labeled edges,
 * ``vod_cut_oracle``        -- exact min-cut from the server to the subset,
-  a max-flow on integers over the capacities' least common denominator.
+  a max-flow on integers over the capacities' least common denominator
+  (on an out-tree, its reduced rank in one bottom-up pass).
 
 The multi-unit and single-keyword oracles are cardinality oracles, defined
 by their rank list alone (``ctrs``), which gives their values and their
@@ -29,10 +30,15 @@ clinch without the 2^n table and run past the enumeration cap.  A graphic
 matroid is the direct sum of its 2-connected blocks (:func:`_blocks`), so a
 graph of more than one block carries the direct sum of its blocks' reduced
 ranks, each block on its own small table and each bridge or self-loop in
-closed form; it runs past the cap while every block fits under it.  Every
-vod-cut question -- a value, R, R with one arc lowered, R at a new c, the
-smallest minimizer -- goes to one Edmonds-Karp search,
-``_ArcNetwork.max_flow``, with an optional limit.
+closed form; it runs past the cap while every block fits under it.  A
+vod-cut network that is an out-tree, every arc into a distinct node and
+none into the source (:func:`_out_tree`), as every generated market is,
+answers R, its clinch and its smallest minimizer by
+:func:`~polyclinch.submodular._tree_rank`, one pass up the tree with no
+max flow.  Every other vod-cut question -- a value, or on any other
+network R, R with one arc lowered, R at a new c, the smallest minimizer
+-- goes to one Edmonds-Karp search, ``_ArcNetwork.max_flow``, with an
+optional limit.
 
 ``decompose`` splits an aggregate allocation into per-keyword click vectors
 with one max-flow on the keywords' threshold network, the same integer
@@ -58,6 +64,7 @@ from .submodular import (
     _direct_sum_rank,
     _over_common_denominator,
     _rank_list,
+    _tree_rank,
     _warm_start,
     as_fraction,
     mask_of,
@@ -435,6 +442,28 @@ class _ArcNetwork:
                 return flow, into
 
 
+def _out_tree(net: CapacitatedNetwork, nums: Sequence[int]) -> Optional[tuple]:
+    """``(parents, caps, nodes)`` for :func:`~polyclinch.submodular._tree_rank`,
+    or None unless the network is an out-tree: every arc enters a distinct
+    node and no arc enters the source.  Nodes are numbered in BFS order from
+    the source, ``nums`` are the arcs' integer capacities, and a bidder on a
+    node the source does not reach gets None."""
+    heads = [v for _, v, _ in net.edges]
+    if net.source in heads or len(set(heads)) < len(heads):
+        return None
+    children: Dict[object, list] = {}
+    for (u, v, _), num in zip(net.edges, nums):
+        children.setdefault(u, []).append((v, num))
+    order, parents, caps = [net.source], [-1], [0]
+    for p, u in enumerate(order):
+        for v, num in children.get(u, ()):
+            order.append(v)
+            parents.append(p)
+            caps.append(num)
+    index = {v: k for k, v in enumerate(order)}
+    return parents, caps, [index.get(b) for b in net.bidder_nodes]
+
+
 def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     """f(S) = min-cut from the source to the nodes of S (0 if unreachable).
 
@@ -485,6 +514,11 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
     k, the ratio of the scales (a maximum flow at c scaled by k is feasible
     at k c), sets each changed sink arc to c'_i, and augments once to a
     maximum flow at c', whose value is read off the sink arcs.
+
+    An out-tree (:func:`_out_tree`) carries
+    :func:`~polyclinch.submodular._tree_rank` instead, whose flow is forced
+    and filled bottom-up.  Its values and table stay on maximum flows, an
+    independent definition for ``check-submodular`` and ``f([n])``.
     """
     n = len(net.bidder_nodes)
     graph = _ArcNetwork()
@@ -593,8 +627,10 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
                 chain.append((m, residual))
         return den, values
 
+    tree = _out_tree(net, nums)
     return SubmodularOracle(n, value, True, f"vod-cut({n} bidders)", table=table,
-                            reduced_rank=ReducedRank(den, solve))
+                            reduced_rank=ReducedRank(den, solve) if tree is None
+                            else _tree_rank(den, *tree))
 
 
 def decompose(inst: AdWordsInstance, x: Sequence[Rational]

@@ -27,8 +27,9 @@ T of f(T) + c([n] \\ T)``: ``fhat([n]) = R(rho + d) - rho([n])``, and x is in
 P(f) iff ``R(x) = x([n])``.  Each oracle has one :class:`ReducedRank`
 (:meth:`SubmodularOracle.rank`): a fast structural solver when it carries
 one (one sort for a cardinality oracle's rank list,
-:func:`_cardinality_rank`, the vod-cut max-flow, or the sum of a graphic
-oracle's blocks, :func:`_direct_sum_rank`), else the table solver
+:func:`_cardinality_rank`, the vod-cut max-flow, one pass up a vod-cut
+out-tree, :func:`_tree_rank`, or the sum of a graphic oracle's blocks,
+:func:`_direct_sum_rank`), else the table solver
 :func:`_table_rank`, one minimum over the oracle's integer value table.  A
 solve returns a :class:`RankSolution`: its ``clinch(rho)`` is the delta
 of :func:`clinch_kernel`, R(c) - R(c with c_j = rho_j) for each j,
@@ -477,6 +478,62 @@ def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
                             lambda new_scale, new_c: solution(new_scale, new_c, sols))
 
     return ReducedRank(1, solve)
+
+
+def _tree_rank(den: int, parents: Sequence[int], caps: Sequence[int],
+               nodes: Sequence[Optional[int]]) -> ReducedRank:
+    """The reduced rank of the cut function of an out-tree, f(S) the least
+    capacity of arcs whose removal cuts the source from the nodes of S.
+
+    Nodes are numbered in BFS order from the source, node 0; node v > 0 is
+    entered by one arc, from ``parents[v]``, of capacity ``caps[v]`` / den.
+    Bidder i sits at node ``nodes[i]``, None for a node the source does not
+    reach.  R(c) is the maximum flow with a sink arc of capacity c_i at
+    each bidder's node (Fujishige, *Submodular Functions and Optimization*,
+    2005, section 3.1), and on a tree that flow is forced: filled bottom-up,
+    flow(v) = min(cap(v), inner(v)), inner(v) the c of the bidders at v
+    plus the flows of v's children, and R(c) = inner(0).
+
+    ``clinch(rho)`` walks from bidder j's node toward the source, carrying
+    a = c_j - rho_j, what inner falls by.  At node v the flow falls by
+    flow(v) - min(cap(v), inner(v) - a), the next a; the a that reaches the
+    source is delta_j, and a walk stops once a is 0.  ``smallest()``: the
+    smallest minimum cut cuts arc v exactly when no arc above it is cut and
+    cap(v) < inner(v), strictly (on a tie the subtree below stays on the
+    source side), so j is in T* iff c_j > 0 and its node is unreached, or
+    some arc on its path has cap(v) < inner(v).  A solution's ``solve`` is
+    the cold one: one pass is the whole solve.
+    """
+    def solve(scale: int, c: Sequence[int]) -> RankSolution:
+        c = list(c)                          # the solution's own copy
+        inner, flow = [0] * len(parents), [0] * len(parents)
+        for ci, v in zip(c, nodes):
+            if v is not None:
+                inner[v] += ci
+        for v in range(len(parents) - 1, 0, -1):
+            flow[v] = min(caps[v] * scale, inner[v])
+            inner[parents[v]] += flow[v]
+
+        def smallest() -> int:
+            cut = [False] * len(parents)
+            for v in range(1, len(parents)):
+                cut[v] = cut[parents[v]] or caps[v] * scale < inner[v]
+            return sum(1 << i for i, (ci, v) in enumerate(zip(c, nodes))
+                       if ci > 0 and (v is None or cut[v]))
+
+        def clinch(rho: Sequence[int]) -> list:
+            out = []
+            for cj, r, v in zip(c, rho, nodes):
+                a = cj - r
+                while a and v:
+                    a = flow[v] - min(caps[v] * scale, inner[v] - a)
+                    v = parents[v]
+                out.append(0 if v is None else a)
+            return out
+
+        return RankSolution(inner[0], smallest, clinch, solve)
+
+    return ReducedRank(den, solve)
 
 
 class SubmodularOracle:

@@ -1,6 +1,7 @@
 """Environment constructors, the AdWords decomposition, and cut oracles."""
 
 import collections
+import dataclasses
 import functools
 import math
 import operator
@@ -21,15 +22,16 @@ from polyclinch import (
     graphic_oracle,
     membership,
     multi_unit_oracle,
+    run_clinching,
     single_keyword_oracle,
     verify_submodular,
     vod_cut_oracle,
 )
-from polyclinch import environments, submodular
+from polyclinch import cli, environments, submodular
 from polyclinch.environments import _ArcNetwork
-from polyclinch.instances import generate_instance
+from polyclinch.instances import EnvironmentSpec, generate_instance, parse_instance
 
-from corpus import random_adwords, random_oracle, reduced_rank, table_only
+from corpus import FIXTURES, random_adwords, random_oracle, reduced_rank, table_only
 
 F = Fraction
 
@@ -774,30 +776,54 @@ def _random_c(rng, n):
                  for _ in range(n))
 
 
-def _reduced_rank_cases():
-    """(oracle, c) pairs for the reduced-rank tests.
+def _network(payload):
+    """The network of a vod-cut instance's parsed environment."""
+    return CapacitatedNetwork.build(payload["edges"], payload["source"], payload["bidder_nodes"])
 
-    Vod-cut: zero capacities, two bidders on one node and bidders the
-    source cannot reach come from _random_network.  Cardinality: zero CTRs,
-    multi-unit lists (Q,) shorter than n.  Table: AdWords oracles, graphic
-    oracles of one block, and built-in oracles stripped to their value
-    table, all on the table solver.  Direct sum: the other graphic oracles,
-    their blocks on the table solver.  c mixes ties, zeros and denominators.
-    """
+
+def _generated_network(n, seed):
+    """The network of the generated vod-cut market (n, seed), an out-tree."""
+    return _network(generate_instance("vod-cut", n, None, seed).environment.payload)
+
+
+def _zero_arc_twin(net):
+    """``net`` plus an arc of capacity 0 from the source into the head of its
+    first arc.  No cut changes, but two arcs enter that node, so the twin is
+    no out-tree and its oracle keeps the max-flow solver."""
+    return CapacitatedNetwork.build(list(net.edges) + [(net.source, net.edges[0][1], 0)],
+                                    net.source, list(net.bidder_nodes))
+
+
+def _vod_cut_cases():
+    """(network, c) pairs: zero capacities, two bidders on one node and
+    bidders the source cannot reach, from _random_network, and generated
+    out-trees."""
     rng = random.Random(3103)
     nets = [(CapacitatedNetwork.build([("s", "a", 3)], "s", ["a", "a"]), (F(0), F(5))),
             (CapacitatedNetwork.build([("s", "a", 2)], "s", ["a", "island"]), (F(7), F(1, 2))),
             (hub_network(), (F(0), F(0)))]
     for t in range(150):
         n = rng.randint(1, 8)
-        if t % 3:
-            net = _random_network(rng, n)
-        else:
-            payload = generate_instance("vod-cut", n, None, t).environment.payload
-            net = CapacitatedNetwork.build(payload["edges"], payload["source"],
-                                           payload["bidder_nodes"])
+        net = _random_network(rng, n) if t % 3 else _generated_network(n, t)
         nets.append((net, _random_c(rng, n)))
+    return nets
+
+
+def _reduced_rank_cases():
+    """(oracle, c) pairs for the reduced-rank tests.
+
+    Tree and vod-cut: the networks of _vod_cut_cases, the out-trees among
+    them on the tree solver, and each out-tree's zero-arc twin on the
+    max-flow solver.  Cardinality: zero CTRs, multi-unit lists (Q,) shorter
+    than n.  Table: AdWords oracles, graphic oracles of one block, and
+    built-in oracles stripped to their value table, all on the table
+    solver.  Direct sum: the other graphic oracles, their blocks on the
+    table solver.  c mixes ties, zeros and denominators.
+    """
+    nets = _vod_cut_cases()
     cases = [(vod_cut_oracle(net), c) for net, c in nets]
+    cases += [(vod_cut_oracle(_zero_arc_twin(net)), c)
+              for (net, c), (oracle, _) in zip(nets, cases) if _bucket(oracle) == "tree"]
     cases += [(single_keyword_oracle([0, 0, 0]), (F(1), F(0), F(1))),
               (single_keyword_oracle([3, 3, 0, 0]), (F(3), F(3), F(3), F(0))),
               (multi_unit_oracle(F(5, 2), 4), (F(5, 2), F(0), F(5, 2), F(1)))]
@@ -825,6 +851,8 @@ def _bucket(oracle):
         return "cardinality"
     if oracle.reduced_rank is None:
         return "table"
+    if oracle.reduced_rank.solve.__qualname__.startswith("_tree_rank."):
+        return "tree"
     return "vod-cut" if oracle.name.startswith("vod-cut") else "direct-sum"
 
 
@@ -852,7 +880,7 @@ def test_reduced_rank_matches_its_definition():
         minimizers = [m for m, v in enumerate(values) if v == total]
         assert all(m & smallest == smallest for m in minimizers), (oracle, c)
         ties[_bucket(oracle)] += len(minimizers) > 1
-    assert min(ties[kind] for kind in ("vod-cut", "cardinality", "table")) >= 20, ties
+    assert min(ties[kind] for kind in ("tree", "vod-cut", "cardinality", "table")) >= 20, ties
 
 
 def test_clinch_equals_its_definition():
@@ -892,7 +920,7 @@ def test_clinch_equals_its_definition():
             assert solution.smallest() == fresh.smallest() == _smallest_minimizer(
                 _rank_table(oracle, [F(v, den) for v in point])), (oracle, point)
     assert min(positive[kind] for kind in (
-        "vod-cut", "cardinality", "table", "direct-sum")) >= 100, positive
+        "tree", "vod-cut", "cardinality", "table", "direct-sum")) >= 100, positive
     assert edge["vod-cut"] >= 100, edge
 
 
@@ -904,14 +932,16 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
     # fallback).  Besides the
     # reduced-rank cases, longer chains run on oracles with 9 to 12
     # bidders, where several changed entries can be under a quarter and
-    # start warm.  Each solution is asked before its successor is made or
+    # start warm; for the flow these are zero-arc twins of generated
+    # markets, since a generated network is an out-tree, whose solver is
+    # always cold.  Each solution is asked before its successor is made or
     # not (the table then has no kept minima to carry), and answers as
     # before once it is.  Some successors come from _clinch_nums started
     # from the kept solution, at a random split of the new point into
     # rho + d: its numbers equal the ones started from the reduced rank, and
     # the solution it returns is checked as any other.
     starts = {kind: collections.Counter()
-              for kind in ("vod-cut", "cardinality", "table", "direct-sum")}
+              for kind in ("tree", "vod-cut", "cardinality", "table", "direct-sum")}
     warm_start = submodular._warm_start
 
     def counted(scale, c, new_scale, new_c):
@@ -929,6 +959,7 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
     wide = [random_oracle(rng, ("graphic", "adwords", "vod-cut")[t % 3], rng.randint(9, 12))
             for t in range(9)]
     wide += [table_only(oracle) for oracle in wide[2::3]]
+    wide += [vod_cut_oracle(_zero_arc_twin(_generated_network(n, n))) for n in (9, 10, 11, 12)]
     rng = random.Random(3939)
     split, kernels = random.Random(2718), collections.Counter()    # the kernels' own draws
     promises = random.Random(4848)                                  # each point's promise
@@ -974,7 +1005,7 @@ def test_solution_solve_equals_a_cold_solve(monkeypatch):
             expected = _answers(rank.solve(new_scale, new), promise)
             solution, scale, point = successor, new_scale, new
         assert _answers(solution, promise) == expected, (oracle, scale, point)
-    assert not starts["cardinality"], starts
+    assert not starts["cardinality"] and not starts["tree"], starts
     assert min(kernels.values()) >= 100, kernels
     for kind in ("vod-cut", "table"):
         assert starts[kind]["cold"] >= 50 and starts[kind]["warm"] >= 200, starts
@@ -1019,6 +1050,57 @@ def test_two_solves_on_one_oracle_do_not_share_state():
                     rank.solve(1, points[other]), rhos[other]), oracle
         assert [_answers(chain, rho) for chain, rho in zip(chains, rhos)] == [
             _answers(rank.solve(1, point), rho) for point, rho in zip(points, rhos)], oracle
+
+
+def test_tree_rank_equals_its_zero_arc_twin():
+    # An out-tree's oracle takes the tree solver and its zero-arc twin's the
+    # max-flow one.  The twin's arc changes no cut, so both give one R, one
+    # clinch(rho) and one smallest(): on every out-tree of the reduced-rank
+    # cases and on the generated networks at n = 4, 8, 12 and 64, at scales
+    # 1 to 3, with c drawn from small multiples of one unit so that sums of
+    # c tie arc capacities.
+    nets = [net for net, _ in _vod_cut_cases() if _bucket(vod_cut_oracle(net)) == "tree"]
+    nets += [_generated_network(n, seed) for n in (4, 8, 12, 64) for seed in range(10)]
+    rng = random.Random(4949)
+    seen = collections.Counter()
+    for net in nets:
+        tree, twin = vod_cut_oracle(net), vod_cut_oracle(_zero_arc_twin(net))
+        assert (_bucket(tree), _bucket(twin)) == ("tree", "vod-cut"), net
+        rank, flow = tree.rank(), twin.rank()
+        assert rank.den == flow.den, net
+        for _ in range(6):
+            scale = rng.randint(1, 3)
+            unit = rank.den * scale
+            c = [rng.choice((0, unit, 2 * unit, 3 * unit, rng.randint(0, 6 * unit)))
+                 for _ in range(tree.n)]
+            rho = _rho(rng, c)
+            total, smallest, delta = _answers(rank.solve(scale, c), rho)
+            assert (total, smallest, delta) == _answers(flow.solve(scale, c), rho), (
+                net, scale, c, rho)
+            wanted = sum(1 << i for i, ci in enumerate(c) if ci)
+            seen["split"] += 0 < smallest < wanted
+            seen["clinched"] += sum(v > 0 for v in delta)
+    assert len(nets) >= 90 and seen["split"] >= 200 and seen["clinched"] >= 1000, (len(nets), seen)
+
+
+def test_tree_markets_run_and_verify_as_their_zero_arc_twins():
+    # On the generated vod-cut markets of seeds 0 to 9 and the vod-cut
+    # fixture, the tree solver and the max-flow solver of the zero-arc twin
+    # give one traced outcome, trace included, and one verify report.
+    markets = [generate_instance("vod-cut", 4 + seed % 5, None, seed) for seed in range(10)]
+    markets.append(parse_instance(FIXTURES / "vod-cut.json"))
+    for inst in markets:
+        payload = inst.environment.payload
+        edges = list(_zero_arc_twin(_network(payload)).edges)
+        twin = dataclasses.replace(inst, environment=EnvironmentSpec(
+            "vod-cut", {**payload, "edges": edges}))
+        assert (_bucket(inst.oracle), _bucket(twin.oracle)) == ("tree", "vod-cut"), inst
+        cfg = dataclasses.replace(inst.config, trace=True)
+        runs = [run_clinching(m.oracle, m.bidders, cfg).to_json() for m in (inst, twin)]
+        assert runs[0] == runs[1] and runs[0]["trace"], inst
+        checked = [(outcome.to_json(), report.to_json())
+                   for outcome, report in map(cli._verify, (inst, twin))]
+        assert checked[0] == checked[1], inst
 
 
 def test_vod_cut_rejects_source_as_bidder():
