@@ -261,23 +261,39 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
     """
     unit, (p, v) = _over_common_denominator([price, value])
     den, (c, b) = _over_common_denominator([cap, ZERO if budget_rem is None else budget_rem])
-    return Fraction(_demand_nums(p, v, None if budget_rem is None else b * unit, c), den)
+    q = _demand_nums(p, v, None if budget_rem is None else b * unit, c)
+    return Fraction(q, den) if type(q) is int else Fraction(q[0], q[1] * den)
 
 
 def _demand_nums(price: int, value: int, budget: Optional[int], cap):
     """:func:`demand` on integers: 0 at or above the value, else min(budget / price, cap).
 
     ``price`` and ``value`` are over one unit u and ``cap`` over a unit q
-    (an int, or a Fraction of q), ``budget`` over q * u, so budget / price
-    is over q; at price 0 or an unbounded budget the demand is the cap.
-    The result is over q: an int, or a Fraction where budget / price is not
-    whole.
+    (an int, or a :func:`_quotient` pair over q), ``budget`` over q * u, so
+    budget / price is over q; at price 0 or an unbounded budget the demand
+    is the cap.  The result is over q: an int, or a :func:`_quotient` pair
+    where it is not whole, so no ``Fraction`` is built.
     """
     if price >= value:
         return 0
-    if price == 0 or budget is None or cap * price <= budget:
+    if price == 0 or budget is None:
         return cap
-    return _ratio(budget, price)
+    if type(cap) is int:
+        if cap * price <= budget:
+            return cap
+    elif cap[0] * price <= budget * cap[1]:
+        return cap
+    return _quotient(budget, price)
+
+
+def _quotient(num: int, den: int):
+    """num / den, den > 0, as an int when it is whole, else as the pair
+    ``(num, den)`` in lowest terms."""
+    whole, rest = divmod(num, den)
+    if not rest:
+        return whole
+    g = math.gcd(rest, den)
+    return num // g, den // g
 
 
 def _ratio(num: int, den: int):
@@ -323,7 +339,8 @@ def _demand_rule(units: _Units, values: Sequence[Fraction], budgets: list,
                  cap: Callable) -> Callable:
     """``demand(i, t)``: bidder i's demand over D at its clock tick t.
 
-    ``cap(i, t)`` is the engine's cap over D.  The rule reads ``budgets``
+    ``cap(i, t)`` is the engine's cap over D, an int or a :func:`_quotient`
+    pair, and so is the demand.  The rule reads ``budgets``
     (over D * E, E = ``units.per``) and D when it is called: the price
     t * epsilon and the value go over 1 / (E q), q the value's denominator,
     and the budget over D times that, so budget / price is over D.
@@ -360,16 +377,16 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     callbacks: clock ticks, promises and demands over D, payments and
     budgets over D * E.  D starts as the lcm of the engine's D and the
     budgets' denominators.  ``clinch_fn(rho, d)`` returns delta and
-    ``fhat_fn`` the residual total over D; a demand or a clinch entry may be
-    a Fraction that is not whole, and then D grows by the lcm of their
-    denominators and every numerator of the state with it.  ``Fraction``
-    values are built only for the :class:`Outcome` and the
-    :class:`DivergenceError`.  A snapshot keeps copies of the integers
-    (those of the last one where a clinch of zero left them, over the same
-    D), the last snapshot and which entries its step changed, and builds
-    its ``Fraction`` fields only when they are read (:func:`_fill`); its
-    prices follow from its step, since the clocks move round-robin, one a
-    step.
+    ``fhat_fn`` the residual total over D.  A clinch entry may be a Fraction
+    that is not whole, and a demand a :func:`_quotient` pair ``(num, den)``
+    that is not; then D grows by the lcm of their denominators and every
+    numerator of the state with it.  The loop builds ``Fraction`` values
+    only for the :class:`Outcome` and the :class:`DivergenceError`.  A
+    snapshot keeps copies of the integers (those of the last one where a
+    clinch of zero left them, over the same D), the last snapshot and which
+    entries its step changed, and builds its ``Fraction`` fields only when
+    they are read (:func:`_fill`); its prices follow from its step, since
+    the clocks move round-robin, one a step.
 
     ``demands_fn(ticks, promised, budgets)`` runs once, before the first
     step, on the loop's own lists, and returns the engine's demand rule
@@ -421,16 +438,20 @@ def _run_loop(n: int, units: _Units, max_steps: int,
 
     def whole(values: list, carried: list) -> list:
         """``values`` as integers over D: D, the state and ``carried`` grow by
-        the lcm of their denominators."""
-        if all(type(v) is int for v in values):
+        the lcm of the denominators of the entries that are not ints."""
+        for v in values:
+            if type(v) is not int:
+                break
+        else:
             return values
-        k = math.lcm(*(v.denominator for v in values))
+        parts = [v if type(v) is tuple else (v.numerator, v.denominator) for v in values]
+        k = math.lcm(*(den for _, den in parts))
         units.den *= k
         for vec in (promised, payments, budgets, carried):
             for i, x in enumerate(vec):
                 if x is not None:
                     vec[i] = x * k
-        return [v.numerator * (k // v.denominator) for v in values]
+        return [num * (k // den) for num, den in parts]
 
     if fhat_fn is not None:
         snapshots: List[TraceSnapshot] = []
@@ -871,11 +892,12 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     The packing rows are scaled to integers once per run
     (:func:`_integer_rows`).  The clinch, the demand caps and the traced
     residual total run on the loop's numerators over D; each returns its
-    value over D as an int, or as a Fraction where it is not whole
-    (:func:`_ratio`), and the loop grows D for a clinch or a cap that is
-    not.  The trace's residual-total field records
-    max{x_0 + x_1 : x in P_{rho,d}} (the generic analogue of fhat([n])),
-    the best sum over the vertices of P_{rho,d}.
+    value over D as an int where it is whole, else the clinch and the total
+    as a Fraction (:func:`_ratio`) and a cap as a :func:`_quotient` pair,
+    and the loop grows D for a clinch or a demand that is not.  The trace's
+    residual-total field records max{x_0 + x_1 : x in P_{rho,d}} (the
+    generic analogue of fhat([n])), the best sum over the vertices of
+    P_{rho,d}.
     """
     a, b = _bounded_packing_2d(rows_a, rhs)
     if len(bidders) != 2:
@@ -885,7 +907,7 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
     units = _Units(cfg.resolve_epsilon(values), 1)
 
     def demands_fn(ticks, promised, budgets_rem):
-        return _demand_rule(units, values, budgets_rem, lambda i, t: _ratio(
+        return _demand_rule(units, values, budgets_rem, lambda i, t: _quotient(
             *_axis_reach(rows, _row_slacks(rows, units.den, *promised), i)))
 
     def clinch_fn(promised, demands):

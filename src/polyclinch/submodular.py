@@ -251,33 +251,45 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     nonincreasing); it counts as 0 past its end.  Among the sets of size
     t, f(T) - c(T) is least on the t largest entries of c, so R(c) =
     c([n]) + min over t of A_t - (the t largest c summed): one sort and one
-    running-sum scan.  The smallest minimizing t never
-    splits a tie, since A_t - A_(t-1) does not grow with t: if the t-th and
-    (t+1)-th largest entries were equal, t + 1 would do strictly better than
-    t.  So the entries at least the t-th largest are the smallest minimizer.
+    running-sum scan, run_t = sum over s <= t of (a_s - top_s), with a_s
+    the CTR steps times the scale and top the sorted c.  The steps are kept
+    for the last (scale, n) and built anew, never changed in place, when
+    either moves.  The smallest minimizing t never splits a tie, since
+    A_t - A_(t-1) does not grow with t: if the t-th and (t+1)-th largest
+    entries were equal, t + 1 would do strictly better than t.  So the
+    entries at least the t-th largest are the smallest minimizer.
 
-    ``clinch(rho)`` needs no sort.  f is monotone, so delta_j = max(0, R(c) -
-    R(c with c_j = 0) - rho_j), and c with c_j = 0, sorted, is the sorted c
-    less one entry equal to c_j, at position k, with a 0 appended.  Its
-    running sums are run_t for t < k and top_k + g_t for t >= k, where g_t =
-    run_(t+1) - a_(t+1) (a_t the t-th increment of A) and g_(n-1) =
-    run_(n-1).  So one pass builds the prefix minima of run and the suffix
-    minima of g, and each distinct value of c is then one lookup, at its
-    first position in the sorted c.
+    ``clinch(rho)`` needs no sort and reads no steps.  f is monotone, so
+    delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j), and c with c_j =
+    0, sorted, is the sorted c less its entry v = c_j at j's position k,
+    with a 0 appended.  Its running sums are run_t for t < k and v + g_t
+    for t >= k, where g_t = run_t - top_(t+1) and g_(n-1) = run_(n-1).  So
+    R(c) - R(c with c_j = 0) = low + v - min(before_k, v + after_k), low
+    the least of 0 and the run, before_k the least of 0 and run_t for t <
+    k, and after_k the least g_t for t >= k.  Tied entries give one sorted
+    list, so each position answers for its own bidder: one loop down the
+    positions builds the suffix minima, and one loop up them keeps the
+    prefix minimum and writes each bidder's clinch.
 
     A solution's ``solve`` is the cold one: the sort and the scan are the
     whole solve, so there is nothing a warm start would skip.
     """
     den, alpha = _over_common_denominator(ctrs)
+    last = [0, 0, []]                        # the scale, n and steps of the last solve
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         c = list(c)                          # the solution's own copy
-        top = sorted(c, reverse=True)
-        steps = [a * scale for a in alpha[:len(top)]] + [0] * (len(top) - len(alpha))
-        run = list(itertools.accumulate(map(operator.sub, steps, top)))
-        low = min(0, min(run))
-        size = run.index(low) + 1 if low < 0 else 0
-        total = sum(c)
+        n = len(c)
+        if scale != last[0] or n != last[1]:
+            last[:] = scale, n, [a * scale for a in alpha[:n]] + [0] * (n - len(alpha))
+        order = sorted(range(n), key=c.__getitem__, reverse=True)
+        top = [c[j] for j in order]
+        run = list(itertools.accumulate(map(operator.sub, last[2], top)))
+        low = min(run)
+        if low < 0:
+            size = run.index(low) + 1
+        else:
+            low = size = 0
 
         def smallest() -> int:
             if size == 0:
@@ -286,16 +298,25 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
             return sum(1 << i for i, ci in enumerate(c) if ci >= cut)
 
         def clinch(rho: Sequence[int]) -> list:
-            prefix = itertools.accumulate([0] + run[:-1], min)
-            g = list(map(operator.sub, run[1:], steps[1:])) + run[-1:]
-            suffix = list(itertools.accumulate(reversed(g), min))[::-1]
-            gaps = {}                        # R(c) - R(c with one entry v at 0), by v
-            for v, before, after in zip(top, prefix, suffix):
-                if v not in gaps:
-                    gaps[v] = low + v - min(before, v + after)
-            return [gap if (gap := gaps[v] - r) > 0 else 0 for v, r in zip(c, rho)]
+            after = run[-1]
+            suffix = [after] * n
+            for t in range(n - 2, -1, -1):
+                g = run[t] - top[t + 1]
+                if g < after:
+                    after = g
+                suffix[t] = after
+            delta = [0] * n
+            before = 0
+            for j, v, r, after in zip(order, top, run, suffix):
+                after += v
+                gap = low + v - rho[j] - (before if before < after else after)
+                if gap > 0:
+                    delta[j] = gap
+                if r < before:
+                    before = r
+            return delta
 
-        return RankSolution(total + low, smallest, clinch, solve)
+        return RankSolution(sum(c) + low, smallest, clinch, solve)
 
     return ReducedRank(den, solve)
 

@@ -1,18 +1,22 @@
-"""``Fraction`` reference for the generic 2-bidder engine's three callbacks.
+"""``Fraction`` reference for the generic 2-bidder engine's three callbacks
+and for the dominated-direction search.
 
 The engine in ``polyclinch.auction`` clinches, caps demands and takes the
-traced residual total on integer rows.  These are the same computations
-written straight from the definitions in ``Fraction`` arithmetic, as the
-engine did before it moved to integers; ``test_generic_engine.py`` checks
-the engine against them.  ``a`` is a tuple of 2-entry ``Fraction`` rows and
-``b`` their right-hand sides, both already validated (A >= 0, b >= 0).
+traced residual total on integer rows, and
+``polyclinch.verify.check_dominated_direction`` searches on integer
+triples.  These are the same computations written straight from the
+definitions in ``Fraction`` arithmetic, as the code did before it moved to
+integers; ``test_generic_engine.py`` checks the code against them.  ``a`` is
+a tuple of 2-entry ``Fraction`` rows and ``b`` their right-hand sides, both
+already validated (A >= 0, b >= 0).
 """
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from polyclinch.auction import _packing_lines, _vertices_from_lines
-from polyclinch.errors import DomainError, PreconditionError
+from polyclinch.auction import _bounded_packing_2d, _packing_lines, _vertices_from_lines
+from polyclinch.errors import DomainError, PreconditionError, SizeError
+from polyclinch.verify import _strictly_dominated
 
 ZERO = Fraction(0)
 
@@ -57,3 +61,37 @@ def residual_total(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Frac
     lines = _packing_lines(a, slack(a, b, rho))
     lines += [(Fraction(1), ZERO, d[0]), (ZERO, Fraction(1), d[1])]
     return max(x + y for x, y in _vertices_from_lines(lines))
+
+
+def dominated_direction(rows_a, rhs, bidders, outcome) -> Optional[tuple]:
+    """A direction d with x + d strictly dominated, v.d >= 0 and d_i <= 0 for
+    each exhausted bidder, or None: the first of the region's vertices
+    (sorted), their midpoints and their centroid that is strictly dominated."""
+    if len(bidders) != 2:
+        raise SizeError("the dominated-direction search supports exactly 2 bidders")
+    a, b = _bounded_packing_2d(rows_a, rhs)
+    x = outcome.allocation
+    v = [bd.value for bd in bidders]
+
+    lines = _packing_lines(a, b)
+    lines.append((-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])))   # v.y >= v.x
+    for i in outcome.exhausted:
+        row = [ZERO, ZERO]
+        row[i] = Fraction(1)
+        lines.append((row[0], row[1], x[i]))                      # y_i <= x_i
+
+    vertices = _vertices_from_lines(lines)
+    if not vertices:
+        return None
+    candidates = list(vertices)
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            candidates.append(((vertices[i][0] + vertices[j][0]) / 2,
+                               (vertices[i][1] + vertices[j][1]) / 2))
+    count = Fraction(len(vertices))
+    candidates.append((sum(p[0] for p in vertices) / count,
+                       sum(p[1] for p in vertices) / count))
+    for y in candidates:
+        if _strictly_dominated(a, b, y):
+            return (y[0] - x[0], y[1] - x[1])
+    return None

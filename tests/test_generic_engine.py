@@ -8,6 +8,9 @@
 * The reference.  On random 2D packing polytopes the engine's clinch, demand
   caps and residual total equal those of ``reference_generic.py``, and an
   infeasible rho raises the same error.
+* The dominated-direction search.  On 432 markets of the impossibility
+  polytope, :func:`check_dominated_direction`, on integers, gives the
+  witness of the ``Fraction`` search in ``reference_generic.py``.
 * The polymatroid engine.  On 2-bidder polymatroids the generic engine and
   :func:`run_clinching` run one mechanism by independent code, so their
   outcomes are equal, traces included.
@@ -30,6 +33,7 @@ from polyclinch import (
     AuctionConfig,
     Bidder,
     DomainError,
+    Outcome,
     PreconditionError,
     SubmodularOracle,
     clinch_generic_2player,
@@ -41,7 +45,12 @@ from polyclinch.auction import polytope_vertices
 from polyclinch.cli import _run_instance
 from polyclinch.instances import parse_instance
 from polyclinch.submodular import _over_common_denominator
-from polyclinch.verify import IMPOSSIBILITY_BUDGETS, IMPOSSIBILITY_RHS, IMPOSSIBILITY_ROWS
+from polyclinch.verify import (
+    IMPOSSIBILITY_BUDGETS,
+    IMPOSSIBILITY_RHS,
+    IMPOSSIBILITY_ROWS,
+    check_dominated_direction,
+)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -126,7 +135,9 @@ def engine_callbacks(a, b) -> tuple:
     def caps(rho):
         rnum, _ = numerators(rho)
         demand = demands_fn([0, 0], rnum, [None, None])
-        return tuple(Fraction(demand(i, 0), units.den) for i in range(2))
+        found = [demand(i, 0) for i in range(2)]    # an int, or a (num, den) pair
+        return tuple(Fraction(q, units.den) if type(q) is int else Fraction(q[0], q[1] * units.den)
+                     for q in found)
 
     def clinch(rho, d):
         return tuple(Fraction(x, units.den) for x in clinch_fn(*numerators(rho, d)))
@@ -189,6 +200,66 @@ def test_integer_callbacks_match_fraction_reference(case):
     after = tuple(q + x for q, x in zip(rho, clinch))   # the post-clinch point the loop uses
     nu = tuple(q - x for q, x in zip(d, clinch))
     assert fhat_fn(after, nu) == ref.residual_total(a, b, after, nu)
+
+
+# the 6 x 6 value grid of the epsilon = 1/80 sweep: close values and the
+# large-gap profiles of the exhaustion argument
+SWEEP_V0 = (F(3, 10), F(1, 2), F(5, 8), F(13, 20), F(1), F(2))
+SWEEP_V1 = (F(1, 2), F(1), F(2), F(4), F(8), F(10))
+
+
+def test_dominated_direction_matches_fraction_reference():
+    # the integer search against the Fraction one of reference_generic.py on
+    # 432 markets of the impossibility polytope: the 36 sweep profiles at
+    # three epsilons and four budget pairs; each gives the same witness, or
+    # None on both
+    markets = found = 0
+    for eps in (F(1, 80), F(1, 20), F(1, 7)):
+        cfg = AuctionConfig(epsilon=eps)
+        for budgets in ((F(1), F(1)), (F(1, 2), None), (None, None), (F(3), F(1, 3))):
+            for v0 in SWEEP_V0:
+                for v1 in SWEEP_V1:
+                    bidders = [Bidder(v0, budgets[0]), Bidder(v1, budgets[1])]
+                    out = run_generic_2player(IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders, cfg)
+                    direction = check_dominated_direction(
+                        IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders, out)
+                    assert direction == ref.dominated_direction(
+                        IMPOSSIBILITY_ROWS, IMPOSSIBILITY_RHS, bidders, out), (eps, bidders)
+                    markets += 1
+                    found += direction is not None
+    assert (markets, found) == (432, 70)
+
+
+def test_dominated_direction_matches_fraction_reference_on_random_polytopes():
+    # the same on random bounded polytopes, at points mixed from two of
+    # their vertices, with random values and exhausted bidders, so that the
+    # witness comes from every kind of candidate; first a market where two
+    # midpoints are dominated and no vertex is, so that the candidates'
+    # order decides the witness
+    rows = [(F(7, 6), F(7, 6)), (F(7, 6), F(0)), (F(2), F(1, 3)), (F(2), F(1)), (F(1, 3), F(3, 2))]
+    rhs = [F(5, 2), F(6), F(3), F(7, 3), F(3)]
+    bidders = [Bidder(F(1), None), Bidder(F(2, 3), None)]
+    out = Outcome((F(6, 49), F(290, 147)), (F(0), F(0)), None, frozenset())
+    direction = check_dominated_direction(rows, rhs, bidders, out)
+    assert direction is not None and direction == ref.dominated_direction(rows, rhs, bidders, out)
+    rng = random.Random(4903)
+    found = 0
+    for _ in range(300):
+        rows = [(rng.choice(COEFFICIENTS), rng.choice(COEFFICIENTS))
+                for _ in range(rng.randint(0, 3))]
+        rows.append((F(rng.randint(1, 4), rng.randint(1, 3)), F(rng.randint(1, 4), rng.randint(1, 3))))
+        rhs = [rng.choice(RIGHT_HAND_SIDES) for _ in rows]
+        p, q = (rng.choice(polytope_vertices(rows, rhs)) for _ in range(2))
+        t, u = rng.choice(MIX[:3]), rng.choice(MIX[:3])
+        x = tuple(t * a + (1 - t) * b for a, b in zip(p, q))
+        x = tuple(u * a for a in x) if rng.random() < 0.5 else x
+        bidders = [Bidder(F(rng.randint(1, 6), rng.randint(1, 3)), None) for _ in range(2)]
+        exhausted = frozenset(i for i in range(2) if rng.random() < 0.3)
+        out = Outcome(x, (F(0), F(0)), None, exhausted)
+        direction = check_dominated_direction(rows, rhs, bidders, out)
+        assert direction == ref.dominated_direction(rows, rhs, bidders, out), (rows, rhs, x)
+        found += direction is not None
+    assert found >= 100, found
 
 
 # ---------------------------------------------------------------------------

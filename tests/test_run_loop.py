@@ -323,6 +323,30 @@ def _growing_denominator_runs(cfg):
     ]
 
 
+def test_untraced_polymatroid_runs_build_only_the_outcomes_fractions():
+    # a demand B / p that is not whole over D reaches the loop as a (num,
+    # den) pair, so an untraced polymatroid run builds a Fraction only for
+    # the Outcome's nonzero entries, also where D grows between clinches
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+    runs = 0
+    for engine, args in _growing_denominator_runs(AuctionConfig(epsilon=F(1, 7))):
+        if engine is run_generic_2player:
+            continue
+        built.clear()
+        with mock.patch.object(auction, "Fraction", Counted):
+            out = engine(*args)
+        assert out.exhausted, engine.__name__                    # a budget bound
+        assert len(built) == sum(1 for x in out.allocation + out.payments if x), (
+            engine.__name__, built)
+        runs += 1
+    assert runs == 3
+
+
 @pytest.mark.parametrize("trace", [False, True])
 def test_growing_denominator_matches_reference_loop(trace):
     # epsilon = 1/7 and budgets 5/3 and 7/11: the demands B / p at the ticks

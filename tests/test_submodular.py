@@ -1,6 +1,8 @@
 """Oracle, residual-polytope and clinch-amount primitives."""
 
+import functools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -33,6 +35,7 @@ from polyclinch.submodular import (
     OracleCheck,
     RankSolution,
     ReducedRank,
+    _cardinality_rank,
     _local_test,
     _mask_sums,
     as_fraction,
@@ -897,6 +900,49 @@ def test_smallest_minimizer_answers_the_leave_one_outs_outside_it():
             gap = res.value_mask(full) - res.value_mask(full ^ (1 << j))
             assert F(delta, den) == max(0, gap), (kind, rho, d, j)
     assert inside >= 100 and outside >= 100, (inside, outside)
+
+
+def _cardinality_by_subsets(ctrs: tuple, c: list) -> tuple:
+    """``(R(c), T*)`` for f(T) = A_|T| from every subset: the least f(T) +
+    c([n] \\ T) and the intersection of the sets that reach it."""
+    n = len(c)
+    sums = [sum(ctrs[:t], F(0)) for t in range(n + 1)]
+    values = [sums[bin(m).count("1")] + sum(c[i] for i in range(n) if not m >> i & 1)
+              for m in range(1 << n)]
+    low = min(values)
+    return low, functools.reduce(operator.and_, (m for m, v in enumerate(values) if v == low))
+
+
+def test_rank_list_solutions_answer_after_solves_at_other_scales():
+    # the rank list keeps its CTR steps times the scale for the last (scale,
+    # n) alone; a solution asked after solves at other scales and sizes
+    # still gives its own total, clinch and smallest minimizer, on entries
+    # with many ties and zeros and with n past the list's end
+    rng = random.Random(4901)
+    asked = 0
+    for _ in range(60):
+        ctrs = tuple(sorted((F(rng.randint(0, 4), rng.choice((1, 2, 3)))
+                             for _ in range(rng.randint(1, 3))), reverse=True))
+        rank = _cardinality_rank(ctrs)
+        made = []
+        for _ in range(5):
+            n, scale = rng.randint(1, 6), rng.choice((1, 2, 3, 6))
+            c = [rng.choice((0, 0, 1, 2, 2, 3)) * rng.choice((1, 1, scale)) for _ in range(n)]
+            rho = [rng.randint(0, ci) for ci in c]
+            made.append((scale, c, rho, rank.solve(scale, c)))
+        rng.shuffle(made)
+        for scale, c, rho, solution in made:
+            unit = rank.den * scale
+            total, smallest = _cardinality_by_subsets(ctrs, [F(ci, unit) for ci in c])
+            assert F(solution.total, unit) == total, (ctrs, scale, c)
+            assert solution.smallest() == smallest, (ctrs, scale, c)
+            for j, delta in enumerate(solution.clinch(rho)):
+                lowered = [F(ci, unit) for ci in c]
+                lowered[j] = F(rho[j], unit)
+                assert F(delta, unit) == total - _cardinality_by_subsets(ctrs, lowered)[0], (
+                    ctrs, scale, c, rho, j)
+            asked += 1
+    assert asked == 300
 
 
 def test_clinch_kernel_builds_the_integer_table_once():
