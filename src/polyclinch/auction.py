@@ -261,8 +261,7 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
     """
     unit, (p, v) = _over_common_denominator([price, value])
     den, (c, b) = _over_common_denominator([cap, ZERO if budget_rem is None else budget_rem])
-    q = _demand_nums(p, v, None if budget_rem is None else b * unit, c)
-    return Fraction(q, den) if type(q) is int else Fraction(q[0], q[1] * den)
+    return _fraction(_demand_nums(p, v, None if budget_rem is None else b * unit, c), den)
 
 
 def _demand_nums(price: int, value: int, budget: Optional[int], cap):
@@ -288,7 +287,7 @@ def _demand_nums(price: int, value: int, budget: Optional[int], cap):
 
 def _quotient(num: int, den: int):
     """num / den, den > 0, as an int when it is whole, else as the pair
-    ``(num, den)`` in lowest terms."""
+    ``(num, den)`` in lowest terms: how a demand reaches :func:`_run_loop`."""
     whole, rest = divmod(num, den)
     if not rest:
         return whole
@@ -297,9 +296,15 @@ def _quotient(num: int, den: int):
 
 
 def _ratio(num: int, den: int):
-    """num / den as an int when it is whole, else as a Fraction."""
-    whole, rest = divmod(num, den)
-    return Fraction(num, den) if rest else whole
+    """:func:`_quotient` with a Fraction in place of the pair: how a clinch
+    entry and a traced total reach :func:`_run_loop`."""
+    q = _quotient(num, den)
+    return q if type(q) is int else Fraction(*q)
+
+
+def _fraction(q, den: int) -> Fraction:
+    """A :func:`_quotient` value over ``den``, as a Fraction."""
+    return Fraction(q, den) if type(q) is int else Fraction(q[0], q[1] * den)
 
 
 def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
@@ -377,16 +382,20 @@ def _run_loop(n: int, units: _Units, max_steps: int,
     callbacks: clock ticks, promises and demands over D, payments and
     budgets over D * E.  D starts as the lcm of the engine's D and the
     budgets' denominators.  ``clinch_fn(rho, d)`` returns delta and
-    ``fhat_fn`` the residual total over D.  A clinch entry may be a Fraction
-    that is not whole, and a demand a :func:`_quotient` pair ``(num, den)``
-    that is not; then D grows by the lcm of their denominators and every
-    numerator of the state with it.  The loop builds ``Fraction`` values
-    only for the :class:`Outcome` and the :class:`DivergenceError`.  A
-    snapshot keeps copies of the integers (those of the last one where a
-    clinch of zero left them, over the same D), the last snapshot and which
-    entries its step changed, and builds its ``Fraction`` fields only when
-    they are read (:func:`_fill`); its prices follow from its step, since
-    the clocks move round-robin, one a step.
+    ``fhat_fn`` the residual total over D.  Each callback gives a quantity
+    over D as an int where it is whole; where it is not, a demand is a
+    :func:`_quotient` pair ``(num, den)`` and a clinch entry or a total a
+    Fraction (:func:`_ratio`), so a wrapper of ``clinch_fn`` can read each
+    entry's ``.denominator``.  A demand or a clinch that is not whole grows
+    D by the lcm of its denominators, and every numerator of the state with
+    it (``whole()``, which takes both encodings).  The loop builds
+    ``Fraction`` values only for the :class:`Outcome` and the
+    :class:`DivergenceError`.  A snapshot keeps copies of the integers
+    (those of the last one where a clinch of zero left them, over the same
+    D), the last snapshot and which entries its step changed, and builds
+    its ``Fraction`` fields only when they are read (:func:`_fill`); its
+    prices follow from its step, since the clocks move round-robin, one a
+    step.
 
     ``demands_fn(ticks, promised, budgets)`` runs once, before the first
     step, on the loop's own lists, and returns the engine's demand rule
@@ -866,15 +875,24 @@ def _line_vertices(lines: Sequence[tuple]) -> Iterator[tuple]:
                 yield n0, n1, det
 
 
-def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
-    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}, deduplicated and sorted.
+def _integer_vertices(lines: Sequence[tuple]) -> tuple:
+    """Vertices of {y : a0*y0 + a1*y1 <= c for each line} as ``(D, points)``.
 
-    Each line is scaled to integers by its own lcm, which leaves its
-    half-plane unchanged, and :func:`_line_vertices` runs on those.
+    Each vertex is (n0 / D, n1 / D) for a pair ``(n0, n1)`` of ``points``,
+    deduplicated and sorted, D > 0 the lcm of the vertices' dets.  Each line
+    (ints or Fractions) is scaled to integers by its own lcm, which leaves
+    its half-plane unchanged, and :func:`_line_vertices` runs on those.
     """
-    scaled = [_over_common_denominator(line)[1] for line in lines]
-    return sorted({(Fraction(n0, det), Fraction(n1, det))
-                   for n0, n1, det in _line_vertices(scaled)})
+    found = list(_line_vertices([_over_common_denominator(line)[1] for line in lines]))
+    den = math.lcm(*(det for _, _, det in found))
+    return den, sorted({(n0 * (den // det), n1 * (den // det)) for n0, n1, det in found})
+
+
+def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
+    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}, deduplicated and
+    sorted, as Fractions (:func:`_integer_vertices`)."""
+    den, points = _integer_vertices(lines)
+    return [(Fraction(n0, den), Fraction(n1, den)) for n0, n1 in points]
 
 
 def polytope_vertices(rows_a: Sequence[Sequence[Rational]],

@@ -252,12 +252,11 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     t, f(T) - c(T) is least on the t largest entries of c, so R(c) =
     c([n]) + min over t of A_t - (the t largest c summed): one sort and one
     running-sum scan, run_t = sum over s <= t of (a_s - top_s), with a_s
-    the CTR steps times the scale and top the sorted c.  The steps are kept
-    for the last (scale, n) and built anew, never changed in place, when
-    either moves.  The smallest minimizing t never splits a tie, since
-    A_t - A_(t-1) does not grow with t: if the t-th and (t+1)-th largest
-    entries were equal, t + 1 would do strictly better than t.  So the
-    entries at least the t-th largest are the smallest minimizer.
+    the CTR steps times the scale and top the sorted c.  The smallest
+    minimizing t never splits a tie, since A_t - A_(t-1) does not grow
+    with t: if the t-th and (t+1)-th largest entries were equal, t + 1
+    would do strictly better than t.  So the entries at least the t-th
+    largest are the smallest minimizer.
 
     ``clinch(rho)`` needs no sort and reads no steps.  f is monotone, so
     delta_j = max(0, R(c) - R(c with c_j = 0) - rho_j), and c with c_j =
@@ -275,16 +274,14 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     whole solve, so there is nothing a warm start would skip.
     """
     den, alpha = _over_common_denominator(ctrs)
-    last = [0, 0, []]                        # the scale, n and steps of the last solve
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
         c = list(c)                          # the solution's own copy
         n = len(c)
-        if scale != last[0] or n != last[1]:
-            last[:] = scale, n, [a * scale for a in alpha[:n]] + [0] * (n - len(alpha))
         order = sorted(range(n), key=c.__getitem__, reverse=True)
         top = [c[j] for j in order]
-        run = list(itertools.accumulate(map(operator.sub, last[2], top)))
+        steps = [a * scale for a in alpha[:n]] + [0] * (n - len(alpha))
+        run = list(itertools.accumulate(map(operator.sub, steps, top)))
         low = min(run)
         if low < 0:
             size = run.index(low) + 1

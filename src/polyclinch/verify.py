@@ -32,7 +32,8 @@ from .auction import (
     _bounded_packing_2d,
     _check_bidder_count,
     _integer_rows,
-    _line_vertices,
+    _integer_vertices,
+    _packing_lines,
     _row_slacks,
     polytope_vertices,
     run_clinching,
@@ -46,7 +47,6 @@ from .submodular import (
     _allocation,
     _clinch_nums,
     _membership_from,
-    _over_common_denominator,
     _scaled,
     as_fraction,
     residual,  # no caller here: perfbench asserts that it wraps verify.residual
@@ -236,39 +236,35 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
     the vertices of the constrained region, their midpoints and the centroid,
     which must meet the dominated region whenever it is nonempty.
 
-    It runs on integers.  Each line is scaled to integers by its own lcm,
-    :func:`~polyclinch.auction._line_vertices` gives the vertices as
-    ``(n0, n1, det)``, and they are put over the lcm of their dets, sorted
-    and deduplicated there.  Every candidate, in the order above, is a
-    triple ``(y0, y1, det)`` for y = (y0, y1) / det, tested for strict
-    domination on :func:`~polyclinch.auction._integer_rows`; only the
-    witness is built as ``Fraction`` values.
+    It runs on integers.  :func:`~polyclinch.auction._integer_vertices`
+    gives the vertices over one denominator, sorted and deduplicated, and
+    every candidate, in the order above, is a triple ``(y0, y1, det)`` for
+    y = (y0, y1) / det, tested for strict domination on
+    :func:`~polyclinch.auction._integer_rows`; only the witness is built as
+    ``Fraction`` values.
     """
     if len(bidders) != 2:
         raise SizeError("the dominated-direction search supports exactly 2 bidders")
     a, b = _bounded_packing_2d(rows_a, rhs)
     x = outcome.allocation
     v = [bd.value for bd in bidders]
-    rows = _integer_rows(a, b)
 
-    lines = [(p0, p1, c) for p0, p1, c, _ in rows] + [(-1, 0, 0), (0, -1, 0)]  # y >= 0
-    lines.append(tuple(_over_common_denominator(
-        [-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])])[1]))         # v.y >= v.x
+    lines = _packing_lines(a, b)
+    lines.append((-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])))   # v.y >= v.x
     for i in outcome.exhausted:
-        row = [0, 0, x[i].numerator]
-        row[i] = x[i].denominator
-        lines.append(tuple(row))                                      # y_i <= x_i
+        row = [ZERO, ZERO]
+        row[i] = Fraction(1)
+        lines.append((row[0], row[1], x[i]))                      # y_i <= x_i
 
-    points = list(_line_vertices(lines))
-    if not points:
+    den, vertices = _integer_vertices(lines)
+    if not vertices:
         return None
-    den = math.lcm(*(det for _, _, det in points))
-    vertices = sorted({(n0 * (den // det), n1 * (den // det)) for n0, n1, det in points})
     candidates = itertools.chain(
         ((y0, y1, den) for y0, y1 in vertices),
         ((p0 + q0, p1 + q1, 2 * den)
          for (p0, p1), (q0, q1) in itertools.combinations(vertices, 2)),
         [(sum(p[0] for p in vertices), sum(p[1] for p in vertices), len(vertices) * den)])
+    rows = _integer_rows(a, b)
     for y0, y1, det in candidates:
         if _strictly_dominated_nums(rows, y0, y1, det):
             return (Fraction(y0, det) - x[0], Fraction(y1, det) - x[1])

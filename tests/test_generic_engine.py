@@ -135,9 +135,7 @@ def engine_callbacks(a, b) -> tuple:
     def caps(rho):
         rnum, _ = numerators(rho)
         demand = demands_fn([0, 0], rnum, [None, None])
-        found = [demand(i, 0) for i in range(2)]    # an int, or a (num, den) pair
-        return tuple(Fraction(q, units.den) if type(q) is int else Fraction(q[0], q[1] * units.den)
-                     for q in found)
+        return tuple(auction._fraction(demand(i, 0), units.den) for i in range(2))
 
     def clinch(rho, d):
         return tuple(Fraction(x, units.den) for x in clinch_fn(*numerators(rho, d)))

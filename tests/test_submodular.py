@@ -914,10 +914,10 @@ def _cardinality_by_subsets(ctrs: tuple, c: list) -> tuple:
 
 
 def test_rank_list_solutions_answer_after_solves_at_other_scales():
-    # the rank list keeps its CTR steps times the scale for the last (scale,
-    # n) alone; a solution asked after solves at other scales and sizes
-    # still gives its own total, clinch and smallest minimizer, on entries
-    # with many ties and zeros and with n past the list's end
+    # a rank-list solution asked after solves of the same rank at other
+    # scales and sizes still gives its own total, clinch and smallest
+    # minimizer, so it reads nothing a later solve made; on entries with
+    # many ties and zeros and with n past the list's end
     rng = random.Random(4901)
     asked = 0
     for _ in range(60):
