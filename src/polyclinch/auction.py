@@ -765,21 +765,18 @@ def _bounded_packing_2d(rows_a: Sequence[Sequence[Rational]],
 
 
 def _integer_rows(a: Sequence[tuple], b: Sequence[Fraction]) -> tuple:
-    """Each packing row (a_j0, a_j1, b_j) times its own lcm: ``(p0, p1, c, scale)``.
+    """Each packing row (a_j0, a_j1, b_j) times its own lcm, as the integer
+    line ``(p0, p1, c)``: p0*y0 + p1*y1 <= c is the row's half-plane, the
+    form :func:`_line_vertices` reads."""
+    return tuple(tuple(_over_common_denominator([*row, c])[1]) for row, c in zip(a, b))
 
-    A positive scale leaves {x : a_j x <= b_j} unchanged; dividing a slack
-    of the integer row by ``scale`` gives the slack of the given row.
-    """
-    out = []
-    for row, c in zip(a, b):
-        scale, nums = _over_common_denominator([*row, c])
-        out.append((*nums, scale))
-    return tuple(out)
+
+_NONNEGATIVE = ((-1, 0, 0), (0, -1, 0))     # y0 >= 0, y1 >= 0 as integer lines
 
 
 def _row_slacks(rows: Sequence[tuple], den: int, r0: int, r1: int) -> list:
     """c_j * den - p_j . (r0, r1): den times the slack of each integer row at (r0, r1) / den."""
-    return [c * den - p0 * r0 - p1 * r1 for p0, p1, c, _ in rows]
+    return [c * den - p0 * r0 - p1 * r1 for p0, p1, c in rows]
 
 
 def _axis_reach(rows: Sequence[tuple], slack: Sequence[int], i: int,
@@ -804,12 +801,6 @@ def _axis_reach(rows: Sequence[tuple], slack: Sequence[int], i: int,
     return num, den
 
 
-def _packing_lines(a: Sequence[tuple], b: Sequence[Fraction]) -> list:
-    """{y >= 0 : Ay <= b} as lines l0*y0 + l1*y1 <= c, for :func:`_vertices_from_lines`."""
-    return [(row[0], row[1], c) for row, c in zip(a, b)] + [
-        (Fraction(-1), ZERO, ZERO), (ZERO, Fraction(-1), ZERO)]      # y0 >= 0, y1 >= 0
-
-
 def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
                            rhs: Sequence[Rational],
                            rho: Sequence[Rational],
@@ -826,25 +817,26 @@ def clinch_generic_2player(rows_a: Sequence[Sequence[Rational]],
     slack b_j - a_j rho.  The generic path is deliberately 2-bidder-only.
     """
     a, b = _validate_packing(rows_a, rhs)
-    den, nums = _over_common_denominator([*vector(rho, 2), *vector(d, 2)])
+    rho, d = vector(rho, 2), vector(d, 2)
+    if d[0] < 0 or d[1] < 0:
+        raise DomainError("demands must be >= 0")
+    for j, (row, c) in enumerate(zip(a, b)):
+        slack = c - row[0] * rho[0] - row[1] * rho[1]
+        if slack < 0:
+            raise PreconditionError(f"rho violates packing row {j}: slack {slack} < 0",
+                                    witness=j)
+    den, nums = _over_common_denominator([*rho, *d])
     return tuple(Fraction(x, den) for x in _clinch_2d(_integer_rows(a, b), den, *nums))
 
 
 def _clinch_2d(rows: Sequence[tuple], den: int, r0: int, r1: int, e0: int, e1: int) -> tuple:
     """:func:`clinch_generic_2player` on :func:`_integer_rows`, with rho = (r0, r1) / den
-    and d = (e0, e1) / den.
+    in P and d = (e0, e1) / den >= 0, unchecked: the engine keeps rho in P.
 
     The slacks and the four axis maxima are integers; the two clinched
     amounts are over den, each an int or a Fraction (:func:`_ratio`).
     """
-    if e0 < 0 or e1 < 0:
-        raise DomainError("demands must be >= 0")
     slack = _row_slacks(rows, den, r0, r1)
-    for j, s in enumerate(slack):
-        if s < 0:
-            raise PreconditionError(
-                f"rho violates packing row {j}: slack {Fraction(s, den * rows[j][3])} < 0",
-                witness=j)
     g0, g0_den = _axis_reach(rows, slack, 1, e1)     # most bidder 1 could take if 0 gets 0
     h0, h0_den = _axis_reach(rows, slack, 0, e0)
     x0, x0_den = _axis_reach(rows, slack, 0, e0 * g0_den, (g0, g0_den))
@@ -876,29 +868,22 @@ def _line_vertices(lines: Sequence[tuple]) -> Iterator[tuple]:
 
 
 def _integer_vertices(lines: Sequence[tuple]) -> tuple:
-    """Vertices of {y : a0*y0 + a1*y1 <= c for each line} as ``(D, points)``.
+    """Vertices of {y : a0*y0 + a1*y1 <= c for each integer line} as ``(D, points)``.
 
     Each vertex is (n0 / D, n1 / D) for a pair ``(n0, n1)`` of ``points``,
-    deduplicated and sorted, D > 0 the lcm of the vertices' dets.  Each line
-    (ints or Fractions) is scaled to integers by its own lcm, which leaves
-    its half-plane unchanged, and :func:`_line_vertices` runs on those.
+    deduplicated and sorted, D > 0 the lcm of the vertices' dets
+    (:func:`_line_vertices`).
     """
-    found = list(_line_vertices([_over_common_denominator(line)[1] for line in lines]))
+    found = list(_line_vertices(lines))
     den = math.lcm(*(det for _, _, det in found))
     return den, sorted({(n0 * (den // det), n1 * (den // det)) for n0, n1, det in found})
-
-
-def _vertices_from_lines(lines: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> list:
-    """Vertices of {y : a0*y0 + a1*y1 <= c for each line}, deduplicated and
-    sorted, as Fractions (:func:`_integer_vertices`)."""
-    den, points = _integer_vertices(lines)
-    return [(Fraction(n0, den), Fraction(n1, den)) for n0, n1 in points]
 
 
 def polytope_vertices(rows_a: Sequence[Sequence[Rational]],
                       rhs: Sequence[Rational]) -> list:
     """Vertices of a 2D packing polytope {x >= 0 : Ax <= b}, deduplicated and sorted."""
-    return _vertices_from_lines(_packing_lines(*_validate_packing(rows_a, rhs)))
+    den, points = _integer_vertices(_integer_rows(*_validate_packing(rows_a, rhs)) + _NONNEGATIVE)
+    return [(Fraction(n0, den), Fraction(n1, den)) for n0, n1 in points]
 
 
 def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
@@ -932,9 +917,9 @@ def run_generic_2player(rows_a: Sequence[Sequence[Rational]],
         return _clinch_2d(rows, units.den, *promised, *demands)
 
     def fhat_fn(promised, demands):
-        lines = [(p0, p1, s) for (p0, p1, _, _), s in
+        lines = [(p0, p1, s) for (p0, p1, _), s in
                  zip(rows, _row_slacks(rows, units.den, *promised))]
-        lines += [(-1, 0, 0), (0, -1, 0), (1, 0, demands[0]), (0, 1, demands[1])]
+        lines += [*_NONNEGATIVE, (1, 0, demands[0]), (0, 1, demands[1])]
         best, best_den = 0, 1                  # the origin is a vertex of P_{rho,d}
         for n0, n1, det in _line_vertices(lines):
             if (n0 + n1) * best_den > best * det:

@@ -545,9 +545,9 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
         residual = [capacity * scale for capacity in graph.cap]
         for a, ci in zip(sink_arcs, c):
             residual[a] = ci
-        return solution(scale, list(c), residual)
+        return solution(scale, c, residual)
 
-    def solution(scale: int, c: list, residual: list) -> RankSolution:
+    def solution(scale: int, c: Sequence[int], residual: list) -> RankSolution:
         """The solution at c from ``residual``, the residual of a feasible
         flow, which is augmented in place to a maximum one."""
         graph.max_flow(residual, net.source, sink)
@@ -586,7 +586,7 @@ def vod_cut_oracle(net: CapacitatedNetwork) -> SubmodularOracle:
             flow = residual[:] if k == 1 else [v * k for v in residual]
             for i in changed:
                 set_sink_arc(flow, i, new_c[i])
-            return solution(new_scale, list(new_c), flow)
+            return solution(new_scale, new_c, flow)
 
         return RankSolution(total, smallest, clinch, resolve)
 

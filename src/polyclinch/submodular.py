@@ -184,7 +184,9 @@ class ReducedRank:
 
     R(c) is also max{y([n]) : y in P(f), y <= c}.  ``solve(scale, c)`` takes
     c_i = c[i] / (``den`` * scale) and returns a :class:`RankSolution` at c,
-    solved cold; a solution answers the same call warm.
+    solved cold; a solution answers the same call warm.  A solve keeps the
+    ``c`` it is given, uncopied, for its solution to read: callers pass a
+    tuple or a list they will not change again.
     """
 
     __slots__ = ("den", "solve")
@@ -276,7 +278,6 @@ def _cardinality_rank(ctrs: tuple) -> ReducedRank:
     den, alpha = _over_common_denominator(ctrs)
 
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
-        c = list(c)                          # the solution's own copy
         n = len(c)
         order = sorted(range(n), key=c.__getitem__, reverse=True)
         top = [c[j] for j in order]
@@ -389,14 +390,13 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     solve.
     """
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
-        c = list(c)                          # the solution's own copy
         sums = [0]
         for weight in c:
             sums += [s + weight for s in sums]
         h = list(map(operator.sub, nums if scale == 1 else [v * scale for v in nums], sums))
         return solution(scale, c, h, {})
 
-    def solution(scale: int, c: list, h: list, minima: dict) -> RankSolution:
+    def solution(scale: int, c: Sequence[int], h: list, minima: dict) -> RankSolution:
         """The solution at c from its h; ``minima`` the kept minima by bit."""
         low = min(h)
         first = h.index(low)
@@ -415,7 +415,6 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
             if warm is None:
                 return solve(new_scale, new_c)
             k, changed = warm
-            new_c = list(new_c)
             g = h[:] if k == 1 else [v * k for v in h]
             for i in changed:
                 rise = k * c[i] - new_c[i]
@@ -468,7 +467,6 @@ def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
         return solution(scale, c, ranks)
 
     def solution(scale: int, c: Sequence[int], starts: list) -> RankSolution:
-        c = list(c)                          # the solution's own copy
         sols = [start.solve(scale, [c[j] for j in elements])
                 for (elements, _), start in zip(blocks, starts)]
         kept = [min(f * scale, c[j]) for j, f in singles]
@@ -484,7 +482,7 @@ def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
             return mask
 
         def clinch(rho: Sequence[int]) -> list:
-            out = c[:]
+            out = list(c)
             for (j, f), r in zip(singles, kept):
                 out[j] = r - min(f * scale, rho[j])
             for (elements, _), s in zip(blocks, sols):
@@ -523,7 +521,6 @@ def _tree_rank(den: int, parents: Sequence[int], caps: Sequence[int],
     the cold one: one pass is the whole solve.
     """
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
-        c = list(c)                          # the solution's own copy
         inner, flow = [0] * len(parents), [0] * len(parents)
         for ci, v in zip(c, nodes):
             if v is not None:

@@ -28,12 +28,12 @@ from .auction import (
     ConcaveCurve,
     Outcome,
     TraceSnapshot,
+    _NONNEGATIVE,
     _VECTORS,
     _bounded_packing_2d,
     _check_bidder_count,
     _integer_rows,
     _integer_vertices,
-    _packing_lines,
     _row_slacks,
     polytope_vertices,
     run_clinching,
@@ -47,6 +47,7 @@ from .submodular import (
     _allocation,
     _clinch_nums,
     _membership_from,
+    _over_common_denominator,
     _scaled,
     as_fraction,
     residual,  # no caller here: perfbench asserts that it wraps verify.residual
@@ -236,25 +237,26 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
     the vertices of the constrained region, their midpoints and the centroid,
     which must meet the dominated region whenever it is nonempty.
 
-    It runs on integers.  :func:`~polyclinch.auction._integer_vertices`
-    gives the vertices over one denominator, sorted and deduplicated, and
-    every candidate, in the order above, is a triple ``(y0, y1, det)`` for
-    y = (y0, y1) / det, tested for strict domination on
-    :func:`~polyclinch.auction._integer_rows`; only the witness is built as
-    ``Fraction`` values.
+    It runs on integers.  The constrained region's lines are the packing
+    rows of :func:`~polyclinch.auction._integer_rows`, y >= 0 and the two
+    conditions above, each scaled to integers by its own lcm.
+    :func:`~polyclinch.auction._integer_vertices` gives its vertices over
+    one denominator, sorted and deduplicated, and every candidate, in the
+    order above, is a triple ``(y0, y1, det)`` for y = (y0, y1) / det; only
+    the witness is built as ``Fraction`` values.
     """
     if len(bidders) != 2:
         raise SizeError("the dominated-direction search supports exactly 2 bidders")
-    a, b = _bounded_packing_2d(rows_a, rhs)
+    rows = _integer_rows(*_bounded_packing_2d(rows_a, rhs))
     x = outcome.allocation
     v = [bd.value for bd in bidders]
 
-    lines = _packing_lines(a, b)
-    lines.append((-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])))   # v.y >= v.x
-    for i in outcome.exhausted:
-        row = [ZERO, ZERO]
-        row[i] = Fraction(1)
-        lines.append((row[0], row[1], x[i]))                      # y_i <= x_i
+    value_line = _over_common_denominator([-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])])[1]
+    lines = [*rows, *_NONNEGATIVE, value_line]                      # y in X, v.y >= v.x
+    for i in outcome.exhausted:                                     # y_i <= x_i
+        line = [0, 0, x[i].numerator]
+        line[i] = x[i].denominator
+        lines.append(line)
 
     den, vertices = _integer_vertices(lines)
     if not vertices:
@@ -264,7 +266,6 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
         ((p0 + q0, p1 + q1, 2 * den)
          for (p0, p1), (q0, q1) in itertools.combinations(vertices, 2)),
         [(sum(p[0] for p in vertices), sum(p[1] for p in vertices), len(vertices) * den)])
-    rows = _integer_rows(a, b)
     for y0, y1, det in candidates:
         if _strictly_dominated_nums(rows, y0, y1, det):
             return (Fraction(y0, det) - x[0], Fraction(y1, det) - x[1])
@@ -272,12 +273,9 @@ def check_dominated_direction(rows_a, rhs, bidders: Sequence[Bidder],
 
 
 def _strictly_dominated_nums(rows: Sequence[tuple], y0: int, y1: int, det: int) -> bool:
-    """:func:`_strictly_dominated` at y = (y0, y1) / det, det > 0, on integer rows."""
-    if y0 < 0 or y1 < 0:
-        return False
+    """:func:`_strictly_dominated` at y = (y0, y1) / det, det > 0, on integer rows, for
+    y in X: each candidate of the search is a convex combination of points of X."""
     slack = _row_slacks(rows, det, y0, y1)
-    if min(slack) < 0:
-        return False
     return any(all(s > 0 for row, s in zip(rows, slack) if row[i] > 0) for i in (0, 1))
 
 

@@ -6,24 +6,55 @@ traced residual total on integer rows, and
 ``polyclinch.verify.check_dominated_direction`` searches on integer
 triples.  These are the same computations written straight from the
 definitions in ``Fraction`` arithmetic, as the code did before it moved to
-integers; ``test_generic_engine.py`` checks the code against them.  ``a`` is
-a tuple of 2-entry ``Fraction`` rows and ``b`` their right-hand sides, both
-already validated (A >= 0, b >= 0).
+integers; ``test_generic_engine.py`` checks the code against them.  The
+lines, the vertex enumeration and the domination test are written here
+again, so a fault in the package's shared vertex code shows as a
+difference; only the input validation and the error classes come from the
+package.  ``a`` is a tuple of 2-entry ``Fraction`` rows and ``b`` their
+right-hand sides, both already validated (A >= 0, b >= 0).
 """
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from polyclinch.auction import _bounded_packing_2d, _packing_lines, _vertices_from_lines
+from polyclinch.auction import _bounded_packing_2d
 from polyclinch.errors import DomainError, PreconditionError, SizeError
-from polyclinch.verify import _strictly_dominated
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def slack(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction]) -> list:
     """b - A rho, row by row."""
     return [c - row[0] * rho[0] - row[1] * rho[1] for row, c in zip(a, b)]
+
+
+def packing_lines(a: Sequence[tuple], b: Sequence[Fraction]) -> list:
+    """{y >= 0 : Ay <= b} as lines l0*y0 + l1*y1 <= c."""
+    return [(row[0], row[1], c) for row, c in zip(a, b)] + [(-ONE, ZERO, ZERO), (ZERO, -ONE, ZERO)]
+
+
+def vertices(lines: Sequence[tuple]) -> list:
+    """Vertices of {y : l0*y0 + l1*y1 <= c for each line}, deduplicated and
+    sorted: each pair of crossing lines meets at one point (Cramer's rule),
+    a vertex where it satisfies every line."""
+    found = set()
+    for (a0, b0, c0), (a1, b1, c1) in itertools.combinations(lines, 2):
+        det = Fraction(a0 * b1 - a1 * b0)
+        if det != 0:
+            y = ((c0 * b1 - c1 * b0) / det, (a0 * c1 - a1 * c0) / det)
+            if all(l0 * y[0] + l1 * y[1] <= c for l0, l1, c in lines):
+                found.add(y)
+    return sorted(found)
+
+
+def strictly_dominated(a: Sequence[tuple], b: Sequence[Fraction], y: tuple) -> bool:
+    """y is in {y >= 0 : Ay <= b} and some coordinate can still strictly increase there."""
+    s = slack(a, b, y)
+    if min(y) < 0 or min(s) < 0:
+        return False
+    return any(all(sj > 0 for row, sj in zip(a, s) if row[i] > 0) for i in (0, 1))
 
 
 def axis_max(a: Sequence[tuple], slack: Sequence[Fraction], i: int,
@@ -58,9 +89,9 @@ def caps(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction]) -> 
 def residual_total(a: Sequence[tuple], b: Sequence[Fraction], rho: Sequence[Fraction],
                    d: Sequence[Fraction]) -> Fraction:
     """max{x_0 + x_1 : x in P_{rho,d}} over the vertices of P_{rho,d}."""
-    lines = _packing_lines(a, slack(a, b, rho))
-    lines += [(Fraction(1), ZERO, d[0]), (ZERO, Fraction(1), d[1])]
-    return max(x + y for x, y in _vertices_from_lines(lines))
+    lines = packing_lines(a, slack(a, b, rho))
+    lines += [(ONE, ZERO, d[0]), (ZERO, ONE, d[1])]
+    return max(x + y for x, y in vertices(lines))
 
 
 def dominated_direction(rows_a, rhs, bidders, outcome) -> Optional[tuple]:
@@ -73,25 +104,22 @@ def dominated_direction(rows_a, rhs, bidders, outcome) -> Optional[tuple]:
     x = outcome.allocation
     v = [bd.value for bd in bidders]
 
-    lines = _packing_lines(a, b)
+    lines = packing_lines(a, b)
     lines.append((-v[0], -v[1], -(v[0] * x[0] + v[1] * x[1])))   # v.y >= v.x
     for i in outcome.exhausted:
         row = [ZERO, ZERO]
-        row[i] = Fraction(1)
+        row[i] = ONE
         lines.append((row[0], row[1], x[i]))                      # y_i <= x_i
 
-    vertices = _vertices_from_lines(lines)
-    if not vertices:
+    points = vertices(lines)
+    if not points:
         return None
-    candidates = list(vertices)
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            candidates.append(((vertices[i][0] + vertices[j][0]) / 2,
-                               (vertices[i][1] + vertices[j][1]) / 2))
-    count = Fraction(len(vertices))
-    candidates.append((sum(p[0] for p in vertices) / count,
-                       sum(p[1] for p in vertices) / count))
+    candidates = list(points)
+    for p, q in itertools.combinations(points, 2):
+        candidates.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+    count = Fraction(len(points))
+    candidates.append((sum(p[0] for p in points) / count, sum(p[1] for p in points) / count))
     for y in candidates:
-        if _strictly_dominated(a, b, y):
+        if strictly_dominated(a, b, y):
             return (y[0] - x[0], y[1] - x[1])
     return None

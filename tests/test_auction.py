@@ -73,6 +73,28 @@ def test_demand_zero_at_value():
     assert demand(F(100), F(4), F(3), F(5)) == 0
 
 
+def test_integer_demand_rule_matches_fraction_rule_on_pair_caps():
+    # _demand_nums with a cap given as a _quotient pair, against demand on
+    # the same Fractions: price and value over u, the cap over q, the budget
+    # over q * u.  A finite budget that does not bind returns the pair
+    # itself; the generic engine asks for a pair cap only at price 0, where
+    # the rule returns the cap before reading the budget.
+    returned = 0
+    for q, u in ((1, 1), (3, 2), (4, 9)):
+        for price, value in ((0, 5), (2, 5), (3, 7), (5, 5), (8, 5)):
+            for budget in (None, 0, 1, 7, 40):
+                for cap in (0, 3, (7, 2), (40, 3), (1, 5)):
+                    got = auction._demand_nums(price, value, budget, cap)
+                    cap_f = F(cap, q) if type(cap) is int else F(cap[0], cap[1] * q)
+                    want = demand(None if budget is None else F(budget, q * u),
+                                  F(price, u), F(value, u), cap_f)
+                    assert auction._fraction(got, q) == want, (q, u, price, value, budget, cap)
+                    assert type(got) is int or got == auction._quotient(*got)
+                    returned += got is cap and type(cap) is tuple and budget is not None \
+                        and 0 < price < value
+    assert returned >= 20, returned
+
+
 # ---------------------------------------------------------------------------
 # run_clinching examples
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
   recorded on the ``Fraction`` engine, so any change to the clinch, the caps
   or the traced residual total that moves a single bit of a run shows here.
 * The reference.  On random 2D packing polytopes the engine's clinch, demand
-  caps and residual total equal those of ``reference_generic.py``, and an
-  infeasible rho raises the same error.
+  caps and residual total equal those of ``reference_generic.py`` at points
+  of P, and :func:`clinch_generic_2player` raises the reference's error at
+  an infeasible rho.
 * The dominated-direction search.  On 432 markets of the impossibility
   polytope, :func:`check_dominated_direction`, on integers, gives the
   witness of the ``Fraction`` search in ``reference_generic.py``.
@@ -187,12 +188,12 @@ def packing_cases(draw):
 @given(packing_cases())
 def test_integer_callbacks_match_fraction_reference(case):
     a, b, rho, d = case
-    caps, clinch_fn, fhat_fn = engine_callbacks(a, b)
-    clinch = outcome_of(clinch_fn, rho, d)
+    clinch = outcome_of(clinch_generic_2player, a, b, rho, d)
     assert clinch == outcome_of(ref.clinch_2d, a, b, rho, d)
-    assert outcome_of(clinch_generic_2player, a, b, rho, d) == clinch
     if min(ref.slack(a, b, rho)) < 0:
-        return                            # rho outside P: no caps, no residual total
+        return                            # rho outside P: the engine never calls back there
+    caps, clinch_fn, fhat_fn = engine_callbacks(a, b)
+    assert clinch_fn(rho, d) == clinch
     assert caps(rho) == ref.caps(a, b, rho)
     assert fhat_fn(rho, d) == ref.residual_total(a, b, rho, d)
     after = tuple(q + x for q, x in zip(rho, clinch))   # the post-clinch point the loop uses
