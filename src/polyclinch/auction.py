@@ -141,6 +141,9 @@ class TraceSnapshot:
     fhat([n]) over den, and the remaining budgets as numbers of their sign
     (None for unbounded).  A loop snapshot holds it until its fields are
     built; any other snapshot computes it from its fields on first read.
+    Every number in it is an int but one: where the 2-bidder engine's
+    vertex maximum is not whole over den, a loop snapshot holds fhat([n])
+    as the ``Fraction`` its ``fhat_fn`` gave :func:`_run_loop`.
     """
 
     step: int

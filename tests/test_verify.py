@@ -329,6 +329,16 @@ def test_exhausted_bidder_blocks_positive_component():
     assert not replay_dominated_direction(ROWS, RHS, bidders, out, (-1, 1))
 
 
+def test_replay_refuses_a_point_on_the_frontier():
+    # x = (2, 2) is the vertex where both rows bind; (0, 0) stays there and
+    # (1, -2) slides along 2x0 + x1 = 6 to (3, 0).  Both keep v.d >= 0 and
+    # stay in X, but no coordinate can still grow, so neither is dominated.
+    bidders = [bidder(3, 10), bidder(1, 10)]
+    out = outcome_of([2, 2], [0, 0])
+    for direction in ((0, 0), (1, -2)):
+        assert not replay_dominated_direction(ROWS, RHS, bidders, out, direction)
+
+
 def test_wrong_corner_under_tied_values_is_dominated():
     bidders = [bidder(F(1, 10), 1), bidder(F(1, 10), 1)]
     out = run_generic_2player(ROWS, RHS, bidders, AuctionConfig(epsilon=F(1, 20)))
