@@ -50,7 +50,7 @@ from .submodular import (
     ZERO,
     _check_promises,
     _clinch_nums,
-    _demand_vector,
+    _nonnegative,
     _over_common_denominator,
     _scaled,
     as_fraction,
@@ -264,7 +264,8 @@ def demand(budget_rem: Optional[Fraction], price: Fraction, value: Fraction,
     """
     unit, (p, v) = _over_common_denominator([price, value])
     den, (c, b) = _over_common_denominator([cap, ZERO if budget_rem is None else budget_rem])
-    return _fraction(_demand_nums(p, v, None if budget_rem is None else b * unit, c), den)
+    q = _demand_nums(p, v, None if budget_rem is None else b * unit, c)
+    return Fraction(q, den) if type(q) is int else Fraction(q[0], q[1] * den)
 
 
 def _demand_nums(price: int, value: int, budget: Optional[int], cap):
@@ -305,11 +306,6 @@ def _ratio(num: int, den: int):
     return q if type(q) is int else Fraction(*q)
 
 
-def _fraction(q, den: int) -> Fraction:
-    """A :func:`_quotient` value over ``den``, as a Fraction."""
-    return Fraction(q, den) if type(q) is int else Fraction(q[0], q[1] * den)
-
-
 def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
                       d: Sequence[Rational]) -> Fraction:
     """fhat([n]) = max{1'x : x + rho in P, 0 <= x <= d} for f(S) = A_|S|.
@@ -321,7 +317,7 @@ def fast_residual_max(ctrs: Sequence[Rational], rho: Sequence[Rational],
     """
     n = len(rho)
     oracle = SubmodularOracle(n, None, True, "cardinality", ctrs=ctrs)
-    prom, dem = vector(rho, n), _demand_vector(d, n)
+    prom, dem = vector(rho, n), _nonnegative(d, n, "demands must be", "d")
     _check_promises(oracle, prom)
     return clinch_kernel(oracle, prom, dem)[0]
 

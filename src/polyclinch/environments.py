@@ -62,13 +62,13 @@ from .submodular import (
     SubmodularOracle,
     ZERO,
     _direct_sum_rank,
+    _nonnegative,
     _over_common_denominator,
     _rank_list,
     _tree_rank,
     _warm_start,
     as_fraction,
     mask_of,
-    vector,
 )
 
 
@@ -307,11 +307,12 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     The rank is the direct sum of the ranks of the graph's 2-connected
     blocks, a self-loop its own part (Oxley, *Matroid Theory*, 2nd ed.,
     2011, ch. 4), so a graph of more than one block carries
-    :func:`~polyclinch.submodular._direct_sum_rank` over the blocks' own
-    graphic oracles as its reduced rank: a clinch reads each block's table,
-    of 2^|block| entries, and a bridge or a self-loop in closed form, and
-    the enumeration cap applies to each block.  A graph of one block keeps
-    the table solver.  The fold still gives the whole graph's values, and
+    :func:`~polyclinch.submodular._direct_sum_rank` as its reduced rank:
+    each block of two or more edges as its own graphic oracle, whose table
+    of 2^|block| entries a clinch reads and to which the enumeration cap
+    applies, and each one-edge block as its edge's value alone, 0 for a
+    self-loop and 1 for a bridge.  A graph of one block keeps the table
+    solver.  The fold still gives the whole graph's values, and
     the whole table still serves
     :func:`~polyclinch.submodular.verify_submodular`.
     """
@@ -326,9 +327,10 @@ def graphic_oracle(edges: Sequence[Tuple[int, int]]) -> SubmodularOracle:
     vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
     ends = [(vertex[u], vertex[v]) for u, v in edges]
     blocks = _blocks(ends, len(vertex))
-    rank = None if len(blocks) == 1 else _direct_sum_rank([
-        (block, _graphic([ends[e] for e in block], f"graphic(block of edges {block})"))
-        for block in blocks])
+    rank = None if len(blocks) == 1 else _direct_sum_rank(
+        [(block, _graphic([ends[e] for e in block], f"graphic(block of edges {block})"))
+         for block in blocks if len(block) > 1],
+        [(e, int(ends[e][0] != ends[e][1])) for e, *others in blocks if not others])
     return _graphic(ends, f"graphic({n} edges)", rank)
 
 
@@ -648,10 +650,7 @@ def decompose(inst: AdWordsInstance, x: Sequence[Rational]
     the aggregated oracle.  Returns one dict per keyword mapping every
     bidder of Gamma(k) to y_ik = sum_j flow(i -> (k, j)).
     """
-    vec = vector(x, inst.n)
-    for i, xi in enumerate(vec):
-        if xi < 0:
-            raise DomainError(f"allocations must be >= 0, got x[{i}] = {xi}")
+    vec = _nonnegative(x, inst.n, "allocations must be", "x")
     thresholds = []                          # (k, j, w_kj) with w_kj > 0
     for k, alpha in enumerate(inst.ctrs):
         for j, (a, b) in enumerate(zip(alpha, alpha[1:] + (ZERO,)), 1):

@@ -53,7 +53,7 @@ for desk-scale verification, not for large-scale submodular minimization.
 The cap is checked where a table is built, so oracles with a structural
 reduced rank clinch, and are checked by :func:`membership` and
 :func:`~polyclinch.verify.validate_trace`, past it (a direct sum while
-each of its parts fits under it); only
+each of its blocks fits under it); only
 :func:`verify_submodular` and the ``Fraction`` reference
 :class:`ResidualOracle` still need the table there, and the first passes
 cardinality oracles, whose rank list the constructor has checked, without
@@ -126,6 +126,16 @@ def vector(values: Iterable[Rational], n: Optional[int] = None) -> tuple:
     vec = tuple(as_fraction(v) for v in values)
     if n is not None and len(vec) != n:
         raise DomainError(f"expected a vector of length {n}, got {len(vec)}")
+    return vec
+
+
+def _nonnegative(values: Iterable[Rational], n: int, what: str, name: str) -> tuple:
+    """``values`` as an exact vector, after :class:`DomainError` unless it has
+    n entries, all >= 0; the error reads ``{what} >= 0, got {name}[i] = v``."""
+    vec = vector(values, n)
+    for i, v in enumerate(vec):
+        if v < 0:
+            raise DomainError(f"{what} >= 0, got {name}[{i}] = {v}")
     return vec
 
 
@@ -437,34 +447,29 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
     return ReducedRank(den, solve)
 
 
-def _direct_sum_rank(parts: Sequence[tuple]) -> ReducedRank:
+def _direct_sum_rank(blocks: Sequence[tuple], singles: Sequence[tuple]) -> ReducedRank:
     """The reduced rank of a direct sum, f(S) = sum over parts of f_k(S & E_k).
 
-    ``parts`` are ``(elements, oracle)``: the elements E_k partition the
-    ground set, element i of a part's oracle is ``elements[i]``, and every
-    part's values are integers, so its rank's denominator is 1 (as a
-    graphic rank's is).  f(T) + c([n] \\ T) splits into the parts' terms,
-    so R(c) is the sum of the parts' R, each at its own entries of c, and
-    T* is the union of the parts' T*.  Lowering c_j moves only the R of the
+    The parts' elements E_k partition the ground set, and every part's
+    values are integers, so the rank's denominator is 1 (as a graphic
+    rank's is).  ``blocks`` are the parts of two or more elements, as
+    ``(elements, oracle)``, element i of the oracle being ``elements[i]``;
+    ``singles`` are the one-element parts, as ``(j, f_j)`` with f_j =
+    f({j}) an int.  f(T) + c([n] \\ T) splits into the parts' terms, so
+    R(c) is the sum of the parts' R, each at its own entries of c, and T*
+    is the union of the parts' T*.  Lowering c_j moves only the R of the
     part holding j, so entry j of ``clinch(rho)`` is that part's own.
 
-    A one-element part {j} is read in closed form: it adds min(f({j}),
-    c_j) to R (f({j}) is 0 for a loop, its whole value for a coloop), its
-    clinch is that less min(f({j}), rho_j), and j is in T* exactly when
-    c_j > f({j}).  Each other part's :meth:`~SubmodularOracle.rank` is
-    called on the first solve, so the enumeration cap applies to each part
-    and a :class:`SizeError` names it.  A solution's ``solve`` re-solves
-    each part from that part's own solution.
+    A single {j} is read in closed form: it adds min(f_j, c_j) to R (f_j
+    is 0 for a loop, its whole value for a coloop), its clinch is that
+    less min(f_j, rho_j), and j is in T* exactly when c_j > f_j.  A cold
+    solve asks each block's oracle for its :meth:`~SubmodularOracle.rank`,
+    so the enumeration cap applies to each block and a :class:`SizeError`
+    names it; the oracle keeps its own table.  A solution's ``solve``
+    re-solves each block from that block's own solution.
     """
-    singles = [(elements[0], int(oracle.value_mask(1)))
-               for elements, oracle in parts if len(elements) == 1]
-    blocks = [(elements, oracle) for elements, oracle in parts if len(elements) > 1]
-    ranks = []                           # the blocks' ranks, made by the first solve
-
     def solve(scale: int, c: Sequence[int]) -> RankSolution:
-        if not ranks:
-            ranks[:] = [oracle.rank() for _, oracle in blocks]
-        return solution(scale, c, ranks)
+        return solution(scale, c, [oracle.rank() for _, oracle in blocks])
 
     def solution(scale: int, c: Sequence[int], starts: list) -> RankSolution:
         sols = [start.solve(scale, [c[j] for j in elements])
@@ -796,20 +801,10 @@ def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipRes
     set the tie-break of :func:`_precedes` names.  :func:`_membership_from`
     reads the result off that solve.
     """
-    vec = _allocation(x, oracle.n)
+    vec = _nonnegative(x, oracle.n, "membership requires x", "x")
     rank = oracle.rank()
     den, (nums,) = _scaled(rank.den, vec)
     return _membership_from(oracle, vec, rank.solve(den // rank.den, nums), den, sum(nums))
-
-
-def _allocation(x: Sequence[Rational], n: int) -> tuple:
-    """x as an exact vector, after :class:`DomainError` unless it has n
-    entries, all >= 0: the points :func:`membership` decides."""
-    vec = vector(x, n)
-    for i, xi in enumerate(vec):
-        if xi < 0:
-            raise DomainError(f"membership requires x >= 0, got x[{i}] = {xi}")
-    return vec
 
 
 def _membership_from(oracle: SubmodularOracle, x: Sequence[Fraction], solution: RankSolution,
@@ -867,14 +862,6 @@ def _min_over_subsets(values: list, n: int) -> list:
     return out
 
 
-def _demand_vector(d: Sequence[Rational], n: int) -> tuple:
-    dem = vector(d, n)
-    for i, di in enumerate(dem):
-        if di < 0:
-            raise DomainError(f"demands must be >= 0, got d[{i}] = {di}")
-    return dem
-
-
 def _check_promises(oracle: SubmodularOracle, rho: Sequence[Fraction]) -> None:
     """Raise :class:`PreconditionError` unless rho lies in P(f), naming the
     set :func:`membership` names."""
@@ -905,7 +892,7 @@ class ResidualOracle(SubmodularOracle):
                          f"residual({base.name})")
         self.base = base
         self.rho = vector(rho, base.n)
-        self.demand = _demand_vector(d, base.n)
+        self.demand = _nonnegative(d, base.n, "demands must be", "d")
         _check_promises(base, self.rho)
         self._fhat = None
 
@@ -979,7 +966,7 @@ def clinch_amounts(oracle: SubmodularOracle, rho: Sequence[Rational],
     rho + delta in P(f).
     """
     prom = vector(rho, oracle.n)
-    dem = _demand_vector(d, oracle.n)
+    dem = _nonnegative(d, oracle.n, "demands must be", "d")
     _check_promises(oracle, prom)
     return clinch_kernel(oracle, prom, dem)[1]
 

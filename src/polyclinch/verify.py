@@ -44,9 +44,9 @@ from .errors import DomainError, SizeError
 from .submodular import (
     SubmodularOracle,
     ZERO,
-    _allocation,
     _clinch_nums,
     _membership_from,
+    _nonnegative,
     _over_common_denominator,
     _scaled,
     as_fraction,
@@ -141,7 +141,7 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
     """
     n = oracle.n
     _check_bidder_count(n, bidders)
-    x = _allocation(outcome.allocation, n)
+    x = _nonnegative(outcome.allocation, n, "membership requires x", "x")
     pay = outcome.payments
     report = VerificationReport()
 

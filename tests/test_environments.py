@@ -15,6 +15,7 @@ from polyclinch import (
     AdWordsInstance,
     CapacitatedNetwork,
     DomainError,
+    SizeError,
     SubmodularOracle,
     adwords_oracle,
     decompose,
@@ -480,18 +481,18 @@ def test_vod_cut_value_is_one_max_flow(monkeypatch):
 
 
 def test_vod_cut_table_keeps_few_flows_alive():
-    # the modular network augments all 2^16 - 1 sets; one flow kept per set
-    # peaks near 54 MB, the chain of at most n + 1 flows under 8 MB
-    oracle = vod_cut_oracle(_modular_network(16))
+    # the modular network augments all 2^13 - 1 sets; one flow kept per set
+    # peaks near 4.6 MB, the chain of at most n + 1 flows near 0.5 MB
+    oracle = vod_cut_oracle(_modular_network(13))
     tracemalloc.start()
     try:
         den, nums = oracle.integer_table()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert den == 1 and nums == [sum(i + 1 for i in range(16) if m >> i & 1)
-                                 for m in range(1 << 16)]
-    assert peak < 8 << 20, peak
+    assert den == 1 and nums == [sum(i + 1 for i in range(13) if m >> i & 1)
+                                 for m in range(1 << 13)]
+    assert peak < 2 << 20, peak
 
 
 def test_walked_tables_match_per_mask_values_on_generated_markets():
@@ -622,11 +623,24 @@ def test_block_rank_equals_the_table_rank():
     assert summed >= 30, summed
 
 
-def test_blocks_of_hand_built_graphs():
+def test_blocks_of_hand_built_graphs(monkeypatch):
     for name, (edges, blocks) in HAND_BUILT_GRAPHS.items():
         vertex = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
         ends = [(vertex[a], vertex[b]) for a, b in edges]
         assert environments._blocks(ends, len(vertex)) == blocks, name
+    # only the whole graph and its blocks of two or more edges are graphic
+    # oracles; a bridge or a self-loop is its value alone
+    made, graphic = [], environments._graphic
+    monkeypatch.setattr(environments, "_graphic",
+                        lambda ends, name, *rank: made.append(name) or graphic(ends, name, *rank))
+    graphic_oracle(HAND_BUILT_GRAPHS["self-loop"][0])
+    assert made == ["graphic(block of edges [0, 2, 3])", "graphic(6 edges)"]
+    # a cold solve asks each block of two or more edges for its table, so
+    # the cap applies to each block, and the refusal names the block
+    monkeypatch.setenv("CLINCH_BRUTE_FORCE_CAP", "2")
+    rank = graphic_oracle(HAND_BUILT_GRAPHS["parallel edges"][0]).reduced_rank
+    with pytest.raises(SizeError, match=r"'graphic\(block of edges \[1, 3, 4\]\)' over 3 "):
+        rank.solve(1, [1] * 7)
 
 
 def test_cardinality_tables_are_prefix_sums():

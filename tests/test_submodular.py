@@ -99,13 +99,16 @@ def test_evaluate_is_deterministic_across_calls():
 # ---------------------------------------------------------------------------
 
 def test_multi_unit_oracle_verifies():
-    assert verify_submodular(multi_unit_oracle(5, 4)).ok
+    oracle = multi_unit_oracle(5, 4)
+    check = verify_submodular(oracle)
+    assert check.ok and check
+    assert repr(oracle) == "SubmodularOracle(multi-unit(Q=5), n=4, monotone=True)"
 
 
 def test_cardinality_squared_rejected_with_witness():
     bad = SubmodularOracle.from_set_function(3, lambda s: len(s) ** 2, name="square")
     check = verify_submodular(bad)
-    assert not check.ok
+    assert not check.ok and not check
     assert check.violation == "submodularity"
     s, t = check.witness
     assert (sorted(s), sorted(t)) == ([0], [1])
@@ -637,7 +640,7 @@ def test_membership_origin_and_greedy_vertex():
 def test_membership_violation_witness():
     oracle = single_keyword_oracle([3, 2, 1])
     result = membership(oracle, [4, 0, 0])
-    assert not result.ok
+    assert not result.ok and not result and membership(oracle, [3, 0, 0])
     assert result.violating == frozenset({0})
 
 

@@ -377,6 +377,17 @@ def test_constant_mechanism_is_truthful():
     report = fuzz_truthfulness(run_fn, [F(2), F(2)],
                                [[F(1), F(3)], [F(1), F(3)]], utility)
     assert report.ok()
+    with pytest.raises(KeyError, match="sold-out"):
+        report.result("sold-out")
+
+    def pay_as_bid(reports):             # each bidder wins one unit at its own report
+        return outcome_of([1, 1], reports)
+
+    report = fuzz_truthfulness(pay_as_bid, [F(2), F(2)],
+                               [[F(1), F(3)], [F(1), F(3)]], utility)
+    witness = report.result("truthfulness").witness
+    assert not report.ok()
+    assert (witness["bidder"], witness["deviation"], witness["gain"]) == (0, "1", "1")
 
 
 def test_fuzz_takes_one_grid_per_bidder():
