@@ -37,6 +37,7 @@ promised allocation inside the polytope at every step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -115,13 +116,14 @@ class AuctionConfig:
     def resolve_epsilon(self, thresholds: Sequence[Fraction]) -> Fraction:
         if self.epsilon != "auto":
             return self.epsilon
-        values = sorted(set(as_fraction(v) for v in thresholds))
-        if not values or values[0] <= 0:
+        # Half the least positive gap among the values and 0, on the
+        # numerators over the values' least common denominator.
+        values = [as_fraction(v) for v in thresholds]
+        den = math.lcm(*(v.denominator for v in values))
+        nums = sorted({v.numerator * (den // v.denominator) for v in values})
+        if not nums or nums[0] <= 0:
             raise DomainError("auto epsilon needs positive threshold values")
-        bound = values[0]
-        for a, b in zip(values, values[1:]):
-            bound = min(bound, b - a)
-        return bound / 2
+        return Fraction(min(map(operator.sub, nums, [0, *nums])), 2 * den)
 
 
 # The per-bidder vectors of a TraceSnapshot, each of n entries.

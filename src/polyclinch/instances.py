@@ -59,8 +59,9 @@ def parse_rational(raw, field_name: str) -> Fraction:
     if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw):
         raise ParseError("malformed-rational", field_name,
                          f"{field_name}: expected a rational string like '3/4', got {raw!r}")
+    num, _, den = raw.partition("/")
     try:
-        return Fraction(raw)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ParseError("malformed-rational", field_name,
                          f"{field_name}: zero denominator in {raw!r}") from None

@@ -339,24 +339,23 @@ def _cardinality_value(ctrs: tuple, n: int) -> Callable[[int], Fraction]:
 
 @functools.cache
 def _bit_slices(size: int, i: int) -> tuple:
-    """``(at, without, with_)`` slices that split a list indexed by mask, of
+    """``(without, with_)`` slices that split a list indexed by mask, of
     ``size`` (a power of 2) entries, along bit i.
 
     ``without`` picks masks that do not contain bit i, ``with_`` the same
-    masks with bit i set, in the same order, and ``at`` their positions in
-    the list of the masks without bit i in ascending order; together the
-    triples cover every mask once.  Few residues: one strided triple per
-    residue r < 2^i.  Few periods: one contiguous triple per period, which
-    starts with a run of masks without bit i.  Kept per (size, i), since
-    the table solver asks for the same few on every solve.
+    masks with bit i set, in the same order; together the pairs cover
+    every mask once.  Few residues: one strided pair per residue r < 2^i.
+    Few periods: one contiguous pair per period, which starts with a run
+    of masks without bit i.  Kept per (size, i), since the table solver
+    asks for the same few on every solve.
     """
     width = 1 << i
     period = 2 * width
     if width <= size // period:
-        return tuple((slice(r, None, width), slice(r, None, period),
-                      slice(r + width, None, period)) for r in range(width))
-    return tuple((slice(s // 2, s // 2 + width), slice(s, s + width),
-                  slice(s + width, s + period)) for s in range(0, size, period))
+        return tuple((slice(r, None, period), slice(r + width, None, period))
+                     for r in range(width))
+    return tuple((slice(s, s + width), slice(s + width, s + period))
+                 for s in range(0, size, period))
 
 
 def _min_without_bit(values: list, i: int) -> tuple:
@@ -364,7 +363,7 @@ def _min_without_bit(values: list, i: int) -> tuple:
     not contain bit i, and where the slice of values, one of
     :func:`_bit_slices`' masks without bit i, that holds a mask attaining it."""
     low = None
-    for _, without, _ in _bit_slices(len(values), i):
+    for without, _ in _bit_slices(len(values), i):
         part = min(values[without])
         if low is None or part < low:
             low, where = part, without
@@ -428,7 +427,7 @@ def _table_rank(den: int, nums: Sequence[int]) -> ReducedRank:
             g = h[:] if k == 1 else [v * k for v in h]
             for i in changed:
                 rise = k * c[i] - new_c[i]
-                for _, _, with_ in _bit_slices(len(g), i):
+                for _, with_ in _bit_slices(len(g), i):
                     g[with_] = [v + rise for v in g[with_]]
             if any(k * c[i] < new_c[i] for i in changed):
                 return solution(new_scale, new_c, g, {})
@@ -689,13 +688,13 @@ def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
     which needs the enumeration cap.  Submodularity uses the local second
     differences, ``f(S+i) + f(S+j) >= f(S+i+j) + f(S)`` for every S and
     i < j outside it (C(n,2) 2^(n-2) checks), which is equivalent to
-    ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs;
-    :func:`_local_test` decides them, and monotonicity, by whole-slice
-    comparisons.  Only a detected violation is then named by an ordered
-    scan: the first failing ``(S+i, S+j)`` (S ascending, then i < j) is the
-    witness, since its union is S+i+j and its intersection S, so failures
-    are reproducible; a monotonicity witness is the first (S, S+i), S
-    ascending, then i.
+    ``f(S|T) + f(S&T) <= f(S) + f(T)`` for all 4^n pairs.
+    :func:`_local_test` decides them, and the marginals of monotonicity,
+    on the table packed into one integer, and names the first failure of
+    each: the submodularity witness is the first failing ``(S+i, S+j)``
+    (S ascending, then i < j), whose union is S+i+j and intersection S, so
+    failures are reproducible; a monotonicity witness is the first
+    (S, S+i), S ascending, then i.
     """
     if oracle.ctrs is not None:
         return OracleCheck(True)
@@ -703,51 +702,63 @@ def verify_submodular(oracle: SubmodularOracle) -> OracleCheck:
     check_enumeration_size(n, f"pairwise submodularity check on {oracle.name!r}",
                            "Single-keyword and multi-unit oracles pass it at any size, "
                            "from their rank list")
-    nums = oracle.integer_table()[1]
     f = oracle.value_mask
-    submodular, monotone = _local_test(nums, n)
-    if not submodular:
-        for s, base in enumerate(nums):
-            grown = [s | 1 << i for i in range(n) if not s >> i & 1]
-            for k, si in enumerate(grown):
-                for sj in grown[k + 1:]:
-                    if nums[si] + nums[sj] < nums[si | sj] + base:
-                        return OracleCheck(
-                            False, "submodularity", (set_of(si), set_of(sj)),
-                            f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
-                            f"{f(si) + f(sj)} = f(S)+f(T)")
-    if oracle.monotone and not monotone:
-        for s, base in enumerate(nums):
-            for i in range(n):
-                if not s >> i & 1 and nums[s | 1 << i] < base:
-                    return OracleCheck(
-                        False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
-                        f"f(S) = {f(s)} > {f(s | 1 << i)} = f(S+{i})")
+    pair, drop = _local_test(oracle.integer_table()[1], n)
+    if pair is not None:
+        s, i, j = pair
+        si, sj = s | 1 << i, s | 1 << j
+        return OracleCheck(False, "submodularity", (set_of(si), set_of(sj)),
+                           f"f(S|T)+f(S&T) = {f(si | sj) + f(s)} > "
+                           f"{f(si) + f(sj)} = f(S)+f(T)")
+    if oracle.monotone and drop is not None:
+        s, i = drop
+        return OracleCheck(False, "monotonicity", (set_of(s), set_of(s | 1 << i)),
+                           f"f(S) = {f(s)} > {f(s | 1 << i)} = f(S+{i})")
     return OracleCheck(True)
 
 
-def _local_test(nums: list, n: int) -> tuple:
-    """``(submodular, monotone)`` for the set function with value table ``nums``.
+def _local_test(nums: Sequence[int], n: int) -> tuple:
+    """``(pair, drop)`` for the set function with value table ``nums``:
+    pair the first ``(S, i, j)``, S ascending, then i < j outside S, with
+    ``nums[S+i] + nums[S+j] < nums[S+i+j] + nums[S]``, and drop the first
+    ``(S, i)``, S ascending, then i, with ``nums[S+i] < nums[S]``; each
+    None if there is none.
 
-    For each i, the marginal vector g_i(S) = nums[S+i] - nums[S] over the
-    masks S without i is built from the slices :func:`_bit_slices` gives,
-    in the ascending order of those masks, in which bit j > i of S is bit
-    j - 1 of its index.  Monotonicity is min g_i >= 0 for every i, and
-    submodularity g_i(S) >= g_i(S+j) for every i < j, compared a slice
-    pair at a time.  The test stops at the first failed submodularity
-    comparison, and then ``monotone`` covers only the marginals built.
+    Broadword, on one int: entry m, less the least entry, is its field m,
+    W bits at bit W m, with W the least multiple of 8 such that 2^(W-2)
+    exceeds the spread, so that 2^(W-1) plus any first or second
+    difference fits a field.  A shift by W 2^i lines up entry m + 2^i with
+    field m, so ``gain`` holds 2^(W-1) + g_i(S) at field S, with g_i(S) =
+    nums[S+i] - nums[S], and ``gain`` + bias - (``gain`` >> W 2^j) holds
+    2^(W-1) + g_i(S) - g_i(S+j).  The top bit of a field is set iff its
+    difference is >= 0.  Only the fields whose index lacks i (and j) are
+    read, one AND against their top bits per i and per pair, and the
+    lowest clear one names S; the fields a shift runs past the end of the
+    table hold bit j, and the carries out of them go up, past every read
+    field.
     """
-    half = len(nums) // 2
-    monotone = True
-    for i in range(n):
-        gain = [0] * half
-        for at, without, with_ in _bit_slices(len(nums), i):
-            gain[at] = map(operator.sub, nums[with_], nums[without])
-        monotone = monotone and min(gain) >= 0
-        if any(any(map(operator.lt, gain[without], gain[with_]))
-               for j in range(i, n - 1) for _, without, with_ in _bit_slices(half, j)):
-            return False, monotone
-    return True, monotone
+    count = len(nums)
+    lo = min(nums)
+    size = (max(nums) - lo).bit_length() + 9 >> 3
+    width = 8 * size
+    fields = map(operator.sub, nums, itertools.repeat(lo))
+    table = int.from_bytes(bytes(fields) if size == 1 else b"".join(
+        map(int.to_bytes, fields, itertools.repeat(size), itertools.repeat("little"))), "little")
+    top = bytes(size - 1) + b"\x80"
+    bias = int.from_bytes(top * count, "little")
+    lacks = [int.from_bytes((top * (1 << i) + bytes(size << i)) * (count >> i + 1), "little")
+             for i in range(n)]
+
+    def first_clear(word: int, tops: int) -> int:
+        clear = tops - (word & tops)
+        return (clear & -clear).bit_length() // width - 1 if clear else count
+
+    gains = [(table >> (width << i)) + bias - table for i in range(n)]
+    drop = min(((first_clear(gain, lacks[i]), i) for i, gain in enumerate(gains)),
+               default=(count,))
+    pair = min(((first_clear(gain + bias - (gain >> (width << j)), lacks[i] & lacks[j]), i, j)
+                for i, gain in enumerate(gains) for j in range(i + 1, n)), default=(count,))
+    return (pair if pair[0] < count else None), (drop if drop[0] < count else None)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,20 @@ def test_rejects_wrong_bidder_count():
         AuctionConfig().resolve_epsilon([])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=F(-2), max_value=F(40), max_denominator=12),
+                min_size=1, max_size=12))
+def test_auto_epsilon_is_half_the_least_gap(values):
+    # The least positive gap among the distinct values and 0, halved.
+    distinct = sorted(set(values))
+    if distinct[0] <= 0:
+        with pytest.raises(DomainError, match="^auto epsilon needs positive threshold values$"):
+            AuctionConfig().resolve_epsilon(values)
+        return
+    gaps = [b - a for a, b in zip([F(0)] + distinct, distinct)]
+    assert AuctionConfig().resolve_epsilon(values) == min(gaps) / 2
+
+
 # ---------------------------------------------------------------------------
 # cardinality oracles: the reduced rank of a rank list, by one sort
 # ---------------------------------------------------------------------------

@@ -302,17 +302,17 @@ def _coverage_table(n, weight):
 
 
 def _check_slice_test(table, monotone, expected):
-    """The slice test's verdict and verify_submodular's witness against the
+    """The packed test's verdict and verify_submodular's witness against the
     ordered scan of Fraction values, on an integer table."""
     n = len(table).bit_length() - 1
     oracle = _table_oracle([F(v) for v in table], monotone)
     reference = _first_local_violation(oracle)
     assert reference.violation == expected
-    submodular, increasing = _local_test(table, n)
-    assert submodular == (expected != "submodularity")
-    if submodular:
-        assert increasing == all(table[m | 1 << i] >= table[m]
-                                 for m in range(1 << n) for i in range(n))
+    pair, drop = _local_test(table, n)
+    assert (pair is None) == (expected != "submodularity")
+    if pair is None:
+        assert (drop is None) == all(table[m | 1 << i] >= table[m]
+                                     for m in range(1 << n) for i in range(n))
     assert verify_submodular(oracle) == reference
     return reference
 
@@ -321,9 +321,11 @@ def test_slice_test_finds_a_planted_violation_at_every_pair():
     # Coverage weights 3, except 1 on the pair (i, j), plus 2 on the sets
     # holding S + i + j: the only failing second differences are those of
     # the pair (i, j) at the sets holding S, so (S+i, S+j) is the witness.
-    # With S all the other elements it is the one failing comparison.  n runs
-    # to 9, so that bits 0-4 meet both slice layouts of _bit_slices (strided
-    # on tables of 2^(2i+1) entries or more) and every bit the blockwise one.
+    # With S all the other elements it is the one failing comparison, and
+    # field S is the highest the packed test reads for (i, j), next to the
+    # fields that its shifts run past the end of the table.  n runs to 9, so
+    # that the shifts by 2^j fields span 1 to 256 fields on tables of up to
+    # 512, and the random base plants S at lower fields too.
     rng = random.Random(7070)
     for n in range(1, 10):
         _check_slice_test(_coverage_table(n, lambda a, b: 3), True, None)
@@ -355,6 +357,86 @@ def test_slice_test_finds_monotonicity_only_violations():
                     everyone = (1 << n) - 1
                     assert check.witness == (set_of(everyone ^ 1 << k), set_of(everyone))
                 _check_slice_test(dipping, False, None)
+
+
+def test_packed_test_on_tiny_constant_and_negative_tables():
+    assert _local_test([0], 0) == (None, None)
+    assert _local_test([7] * 8, 3) == (None, None)
+    _check_slice_test([0] * 16, True, None)
+    _check_slice_test([0, 3], True, None)
+    check = _check_slice_test([0, -2], True, "monotonicity")
+    assert check.witness == (frozenset(), frozenset({0}))
+    # Twice a coverage function, with second differences 2, less 7 on
+    # element 3: negative on the sets that hold 3 and one other element at
+    # most, and submodular until 3 less on {0, 1, 3}, which fails first at
+    # S = {0, 1} on (2, 3).
+    table = [2 * v - 7 * (m >> 3 & 1) for m, v in enumerate(_coverage_table(4, lambda a, b: 1))]
+    assert min(table) == -1
+    _check_slice_test(table, False, None)
+    check = _check_slice_test(table, True, "monotonicity")
+    assert check.witness == (frozenset(), frozenset({3}))
+    table[0b1011] -= 3
+    check = _check_slice_test(table, True, "submodularity")
+    assert check.witness == (frozenset({0, 1, 2}), frozenset({0, 1, 3}))
+
+
+def test_packed_test_on_entries_past_eight_bytes():
+    # Weights near 2^70 put each entry in a field of more than 8 bytes;
+    # the pair (1, 3) has weight 0, so 1 more on {1, 2, 3} fails at S = {2}
+    # by 1 against entries of 2^72.
+    big = 2 ** 70 + 3
+    table = _coverage_table(5, lambda a, b: 0 if (a, b) == (1, 3) else big)
+    assert max(table) > 2 ** 72
+    _check_slice_test(table, True, None)
+    table[0b1110] += 1
+    check = _check_slice_test(table, True, "submodularity")
+    assert check.witness == (frozenset({1, 2}), frozenset({2, 3}))
+
+
+def test_packed_test_at_the_edge_of_each_field_width():
+    # A field of b bytes holds every second difference of a table of spread
+    # below 2^(8b-2), and spread 2^(8b-2) takes one byte more.  The parity
+    # tables below reach second differences of +2s and -2s at spread s:
+    # s(x_0 xor x_1) has +2s at S = {} and drops at ({0}, {0, 1}); the
+    # three-element one fails first at S = {0} on (1, 2), and at S = {2} on
+    # (0, 1), a smaller pair at a larger S.
+    for size in (1, 2, 8, 9):
+        for s in (2 ** (8 * size - 2) - 1, 2 ** (8 * size - 2)):
+            pair = [0, s, s, 0]
+            _check_slice_test(pair, False, None)
+            assert _check_slice_test(pair, True, "monotonicity").witness == (
+                frozenset({0}), frozenset({0, 1}))
+            assert _check_slice_test([-v for v in pair], False, "submodularity").witness == (
+                frozenset({0}), frozenset({1}))
+            parity = [s * (m.bit_count() & 1) for m in range(8)]
+            assert _check_slice_test(parity, True, "submodularity").witness == (
+                frozenset({0, 1}), frozenset({0, 2}))
+
+
+@st.composite
+def integer_tables(draw):
+    """``(table, monotone)``: an integer table on n <= 6 elements, a
+    coverage table with weights of both signs and a modular part of both
+    signs, at a scale from 1 to 2^70, with a few entries moved."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from((1, 31, 32, 2 ** 30, 2 ** 62, 2 ** 70)))
+    weights = draw(st.lists(st.integers(-1, 3), min_size=n * n, max_size=n * n))
+    modular = draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+    table = [scale * (v + sum(c for k, c in enumerate(modular) if m >> k & 1))
+             for m, v in enumerate(_coverage_table(n, lambda a, b: weights[a * n + b]))]
+    moves = draw(st.dictionaries(st.integers(1, (1 << n) - 1),
+                                 st.integers(-2 * scale, 2 * scale), max_size=3))
+    for m, delta in moves.items():
+        table[m] += delta
+    return table, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_tables())
+def test_verify_submodular_equals_the_ordered_scan_on_integer_tables(case):
+    table, monotone = case
+    oracle = _table_oracle([F(v) for v in table], monotone)
+    assert verify_submodular(oracle) == _first_local_violation(oracle)
 
 
 def test_verify_submodular_names_a_planted_violation_at_n12_quickly():
