@@ -53,7 +53,6 @@ from .submodular import (
     _clinch_nums,
     _nonnegative,
     _over_common_denominator,
-    _scaled,
     as_fraction,
     clinch_kernel,
     vector,
@@ -118,12 +117,11 @@ class AuctionConfig:
             return self.epsilon
         # Half the least positive gap among the values and 0, on the
         # numerators over the values' least common denominator.
-        values = [as_fraction(v) for v in thresholds]
-        den = math.lcm(*(v.denominator for v in values))
-        nums = sorted({v.numerator * (den // v.denominator) for v in values})
+        den, nums = _over_common_denominator([as_fraction(v) for v in thresholds])
+        nums.sort()
         if not nums or nums[0] <= 0:
             raise DomainError("auto epsilon needs positive threshold values")
-        return Fraction(min(map(operator.sub, nums, [0, *nums])), 2 * den)
+        return Fraction(min(filter(None, map(operator.sub, nums, [0, *nums]))), 2 * den)
 
 
 # The per-bidder vectors of a TraceSnapshot, each of n entries.
@@ -159,10 +157,11 @@ class TraceSnapshot:
     def __getattr__(self, name: str):
         # only an attribute the instance lacks gets here
         if name == "_nums":
-            p, q = self.residual_total.as_integer_ratio()
-            den, (rho, d) = _scaled(q, self.promised, self.demands)
+            k = len(self.promised)
+            den, nums = _over_common_denominator([*self.promised, *self.demands,
+                                                  self.residual_total])
             vars(self)[name] = (tuple(len(getattr(self, v)) for v in _VECTORS), den,
-                                tuple(rho), tuple(d), p * (den // q), self.budgets)
+                                tuple(nums[:k]), tuple(nums[k:-1]), nums[-1], self.budgets)
         elif name in self.__dataclass_fields__:
             _fill(self)
         else:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional
@@ -65,6 +66,14 @@ def parse_rational(raw, field_name: str) -> Fraction:
     except ZeroDivisionError:
         raise ParseError("malformed-rational", field_name,
                          f"{field_name}: zero denominator in {raw!r}") from None
+    except ValueError:                  # past the regex, only Python's digit limit
+        raise ParseError("malformed-rational", field_name, _too_many_digits(field_name)) from None
+
+
+def _too_many_digits(where: str) -> str:
+    """The message for an integer string longer than Python will convert."""
+    return (f"{where}: a number has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for reading an integer; set PYTHONINTMAXSTRDIGITS=0 to lift it")
 
 
 def _require(obj, key: str, where: str):
@@ -145,28 +154,28 @@ class InstanceFile:
         return _bounded_packing_2d([r[:2] for r in rows], [r[2] for r in rows])
 
 
-def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
+def parse_instance_data(data: dict) -> InstanceFile:
     if not isinstance(data, dict):
-        raise ParseError("bad-json", where, "instance must be a JSON object")
-    schema = _require(data, "schema", where)
+        raise ParseError("bad-json", "instance", "instance must be a JSON object")
+    schema = _require(data, "schema", "instance")
     if schema != SCHEMA_VERSION:
-        raise ParseError("bad-schema", f"{where}.schema",
+        raise ParseError("bad-schema", "instance.schema",
                          f"unsupported schema version {schema!r}")
 
-    env_raw = _require(data, "environment", where)
-    kind = _require(env_raw, "kind", f"{where}.environment")
+    env_raw = _require(data, "environment", "instance")
+    kind = _require(env_raw, "kind", "instance.environment")
     if kind not in ALL_KINDS:                   # a tuple test: kinds may be unhashable
-        raise ParseError("unknown-kind", f"{where}.environment.kind",
+        raise ParseError("unknown-kind", "instance.environment.kind",
                          f"unknown environment kind {kind!r}; expected one of {ALL_KINDS}")
     spec = KINDS[kind]
 
-    bidders_raw = _require(data, "bidders", where)
+    bidders_raw = _require(data, "bidders", "instance")
     if not isinstance(bidders_raw, list) or not bidders_raw:
-        raise ParseError("missing-field", f"{where}.bidders", "at least one bidder is required")
+        raise ParseError("missing-field", "instance.bidders", "at least one bidder is required")
     curves_raw = data.get("curves")
     bidders = []
     for i, entry in enumerate(bidders_raw):
-        loc = f"{where}.bidders[{i}]"
+        loc = f"instance.bidders[{i}]"
         budget_raw = _require(entry, "budget", loc)
         budget = UNBOUNDED if budget_raw == "inf" else parse_rational(budget_raw, f"{loc}.budget")
         if "value" in entry:
@@ -178,47 +187,47 @@ def parse_instance_data(data: dict, where: str = "instance") -> InstanceFile:
         bidders.append(_checked("bad-value", loc, Bidder, value, budget))
     n = len(bidders)
 
-    payload = spec.parse(env_raw, n, f"{where}.environment")
+    payload = spec.parse(env_raw, n, "instance.environment")
 
     cfg_raw = data.get("config", {})
     if not isinstance(cfg_raw, dict):
-        raise ParseError("bad-json", f"{where}.config", "config must be a JSON object")
+        raise ParseError("bad-json", "instance.config", "config must be a JSON object")
     eps_raw = cfg_raw.get("epsilon", "auto")
-    epsilon = "auto" if eps_raw == "auto" else parse_rational(eps_raw, f"{where}.config.epsilon")
-    config = _checked("bad-value", f"{where}.config", AuctionConfig, epsilon,
+    epsilon = "auto" if eps_raw == "auto" else parse_rational(eps_raw, "instance.config.epsilon")
+    config = _checked("bad-value", "instance.config", AuctionConfig, epsilon,
                       cfg_raw.get("max_steps", 1_000_000), cfg_raw.get("trace", False))
 
     quality = None
     if "quality" in data and data["quality"] is not None:
         if spec.oracle is None or curves_raw is not None:
-            raise ParseError("bad-value", f"{where}.quality",
+            raise ParseError("bad-value", "instance.quality",
                              "quality factors scale a polymatroid of linear bidders; "
                              "drop them for h-polytope-2d and curve instances")
-        raw = _list_of(data["quality"], f"{where}.quality")
+        raw = _list_of(data["quality"], "instance.quality")
         if any(isinstance(g, (list, dict)) for g in raw):
-            raise ParseError("bad-value", f"{where}.quality",
+            raise ParseError("bad-value", "instance.quality",
                              "quality factors must be uniform per bidder (one rational "
                              "each); per-keyword factors are not a polymatroid")
-        quality = tuple(_rationals(raw, f"{where}.quality"))
-        _checked("bad-value", f"{where}.quality", _scaled_bidders, n, quality, bidders)
+        quality = tuple(_rationals(raw, "instance.quality"))
+        _checked("bad-value", "instance.quality", _scaled_bidders, n, quality, bidders)
 
     curves = None
     if curves_raw is not None:
         if not spec.curves:
-            raise ParseError("bad-value", f"{where}.curves",
+            raise ParseError("bad-value", "instance.curves",
                              "curves are supported on multi-unit environments only")
         curves = []
-        for i, pts in enumerate(_list_of(curves_raw, f"{where}.curves", n)):
-            loc = f"{where}.curves[{i}]"
+        for i, pts in enumerate(_list_of(curves_raw, "instance.curves", n)):
+            loc = f"instance.curves[{i}]"
             curves.append(_checked("bad-value", loc, _parse_curve, pts, loc))
-        _checked("bad-value", f"{where}.curves", _curve_supply, curves, payload["supply"])
+        _checked("bad-value", "instance.curves", _curve_supply, curves, payload["supply"])
 
     inst = InstanceFile(EnvironmentSpec(kind, payload), bidders, config, quality, curves)
     if spec.oracle is None:
-        _checked("bad-environment", f"{where}.environment", inst.polytope_rows)
+        _checked("bad-environment", "instance.environment", inst.polytope_rows)
     else:
-        oracle = _checked("bad-environment", f"{where}.environment", lambda: inst.oracle)
-        _checked("bad-value", f"{where}.bidders", _check_bidder_count, oracle.n, bidders)
+        oracle = _checked("bad-environment", "instance.environment", lambda: inst.oracle)
+        _checked("bad-value", "instance.bidders", _check_bidder_count, oracle.n, bidders)
     return inst
 
 
@@ -233,8 +242,10 @@ def parse_instance(path) -> InstanceFile:
             data = json.load(fh)
     except FileNotFoundError:
         raise ParseError("missing-file", str(path), f"no such instance file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError("bad-json", str(path), f"invalid JSON in {path}: {exc}") from exc
+    except ValueError:                  # an integer literal past Python's digit limit
+        raise ParseError("bad-json", str(path), _too_many_digits(str(path))) from None
     return parse_instance_data(data)
 
 

@@ -166,18 +166,11 @@ def set_of(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
-    """``(D, nums)`` with ``values[k] = nums[k] / D``, D the least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
+def _over_common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple:
+    """``(D, nums)`` with ``values[k] = nums[k] / D``, D the least common
+    multiple of ``den`` and the values' denominators."""
+    den = math.lcm(den, *(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _scaled(den: int, *vectors: Sequence[Fraction]) -> tuple:
-    """``(D, [nums, ...])``: D the least common multiple of ``den`` and the
-    denominators of the Fraction vectors, and each vector's numerators over D."""
-    ratios = [[v.as_integer_ratio() for v in vec] for vec in vectors]
-    den = math.lcm(den, *(q for vec in ratios for _, q in vec))
-    return den, [[p * (den // q) for p, q in vec] for vec in ratios]
 
 
 def _mask_sums(vec: Sequence[Fraction], n: int) -> list:
@@ -814,7 +807,7 @@ def membership(oracle: SubmodularOracle, x: Sequence[Rational]) -> MembershipRes
     """
     vec = _nonnegative(x, oracle.n, "membership requires x", "x")
     rank = oracle.rank()
-    den, (nums,) = _scaled(rank.den, vec)
+    den, nums = _over_common_denominator(vec, rank.den)
     return _membership_from(oracle, vec, rank.solve(den // rank.den, nums), den, sum(nums))
 
 
@@ -946,7 +939,8 @@ def clinch_kernel(oracle: SubmodularOracle, rho: Sequence[Fraction],
     rho and d are Fraction vectors with d >= 0.
     """
     rank = oracle.rank()
-    den, (rnum, dnum) = _scaled(rank.den, rho, d)
+    den, nums = _over_common_denominator([*rho, *d], rank.den)
+    rnum, dnum = nums[:len(rho)], nums[len(rho):]
     total, delta, _ = _clinch_nums(rank, den // rank.den, rnum, dnum)
     return Fraction(total, den), tuple(Fraction(x, den) for x in delta)
 

@@ -48,7 +48,6 @@ from .submodular import (
     _membership_from,
     _nonnegative,
     _over_common_denominator,
-    _scaled,
     as_fraction,
     residual,  # no caller here: perfbench asserts that it wraps verify.residual
     set_of,
@@ -152,7 +151,7 @@ def check_outcome(oracle: SubmodularOracle, bidders: Sequence[Bidder],
                f"x([n]) = {sold}, f([n]) = {full_value}")
 
     rank = oracle.rank()
-    den, (xnum,) = _scaled(rank.den, x)
+    den, xnum = _over_common_denominator(x, rank.den)
     scale, xtotal = den // rank.den, sum(xnum)
     at_x = rank.solve(scale, xnum)
     member = _membership_from(oracle, x, at_x, den, xtotal)

@@ -24,7 +24,6 @@ from polyclinch import (
     demand,
     fast_residual_max,
     greedy_vertex,
-    membership,
     multi_unit_oracle,
     residual,
     run_clinching,
@@ -198,22 +197,6 @@ def test_fast_residual_matches_residual_oracle(data):
     vertex = [scale * v for v in greedy_vertex(oracle)]
     d = [F(data.draw(st.integers(0, 8)), 2) for _ in range(n)]
     assert fast_residual_max(ctrs, vertex, d) == residual(oracle, vertex, d).full_value()
-
-
-def test_fast_and_generic_paths_identical_outcomes_and_traces():
-    rng = random.Random(31)
-    for kind in ("single-keyword", "multi-unit"):
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            oracle = random_oracle(rng, kind, n)
-            assert oracle.ctrs is not None
-            bidders = random_bidders(rng, n)
-            cfg = AuctionConfig(epsilon=F(1, 4), trace=True)
-            fast = run_clinching(oracle, bidders, cfg)
-            slow = run_clinching(table_only(oracle), bidders, cfg)
-            assert fast.allocation == slow.allocation
-            assert fast.payments == slow.payments
-            assert fast.trace == slow.trace     # per-step deltas and fhat agree
 
 
 def test_traced_ctr_run_reuses_the_clinch(monkeypatch):
@@ -712,32 +695,6 @@ def test_generic_run_large_gap_profile_exhausts_rival_on_facet(eps):
     assert check_dominated_direction(ROWS, RHS, bidders, out) is None
 
 
-def test_generic_engine_matches_oracle_engine_on_2bidder_polymatroids():
-    # dual-route check: a 2-bidder polymatroid is also the H-polytope
-    # {x0 <= f({0}), x1 <= f({1}), x0+x1 <= f({0,1})}; the geometric clinch
-    # and the residual-oracle clinch must produce identical runs
-    from polyclinch import SubmodularOracle
-
-    rng = random.Random(71)
-    for _ in range(40):
-        f0, f1 = F(rng.randint(1, 6)), F(rng.randint(1, 6))
-        f01 = F(rng.randint(max(int(f0), int(f1)), int(f0 + f1)))
-        oracle = SubmodularOracle.from_set_function(
-            2, lambda s, a=f0, b=f1, c=f01: (0 if not s else
-                                             a if s == {0} else
-                                             b if s == {1} else c),
-            monotone=True, name="pair")
-        bidders = [Bidder(F(rng.randint(1, 6)),
-                          None if rng.random() < 0.25 else F(rng.randint(1, 5)))
-                   for _ in range(2)]
-        cfg = AuctionConfig(epsilon=F(1, 4))
-        via_oracle = run_clinching(oracle, bidders, cfg)
-        via_geometry = run_generic_2player([[1, 0], [0, 1], [1, 1]],
-                                           [f0, f1, f01], bidders, cfg)
-        assert via_oracle.allocation == via_geometry.allocation
-        assert via_oracle.payments == via_geometry.payments
-
-
 def test_generic_run_keeps_feasibility_and_budgets():
     rng = random.Random(2)
     for _ in range(15):
@@ -754,23 +711,6 @@ def test_generic_run_keeps_feasibility_and_budgets():
 # ---------------------------------------------------------------------------
 # cross-cutting invariants
 # ---------------------------------------------------------------------------
-
-def test_outcomes_feasible_ir_and_budgeted_across_environments():
-    rng = random.Random(404)
-    for _ in range(25):
-        kind = rng.choice(("multi-unit", "single-keyword", "adwords", "graphic", "vod-cut"))
-        n = rng.randint(2, 5)
-        oracle = random_oracle(rng, kind, n)
-        bidders = random_bidders(rng, n)
-        out = run_clinching(oracle, bidders)
-        assert membership(oracle, out.allocation).ok
-        full = oracle.value(range(n))
-        assert sum(out.allocation) == full
-        for i, b in enumerate(bidders):
-            assert out.payments[i] <= b.value * out.allocation[i]
-            if b.budget is not None:
-                assert out.payments[i] <= b.budget
-
 
 def test_no_run_reads_the_smallest_minimizer(monkeypatch):
     # smallest() is the witness code's alone: planted in every RankSolution,

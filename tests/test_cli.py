@@ -13,6 +13,7 @@ import pytest
 from polyclinch import ClinchError, cli, instances
 from polyclinch.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PROPERTY_FAIL, main
 from polyclinch.instances import POLYMATROID_KINDS, generate_instance, write_instance
+from polyclinch.submodular import SubmodularOracle, verify_submodular
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -221,6 +222,28 @@ def test_malformed_rational_exits_input_error(tmp_path, capsys):
     assert f"input error [bad-json] at {bad}: invalid JSON" in err
 
 
+def test_numbers_past_the_digit_limit_exit_input_error(tmp_path, capsys, digit_limit):
+    hint = (f"a number has more than {digit_limit} digits, Python's limit for reading "
+            "an integer; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
+    bad = tmp_path / "bad.json"
+    data = json.loads((FIXTURES / "multi-unit.json").read_text())
+    data["bidders"][0]["value"] = "1" * (digit_limit + 1)
+    bad.write_text(json.dumps(data))
+    field = "instance.bidders[0].value"
+    assert run_cli(capsys, "run", "-i", str(bad)) == (
+        EXIT_INPUT, "", f"input error [malformed-rational] at {field}: {field}: {hint}")
+    data["bidders"][0]["value"] = "1"
+    data["config"] = {"max_steps": int("9" * digit_limit)}
+    bad.write_text(json.dumps(data).replace("9" * digit_limit, "9" * (digit_limit + 1)))
+    assert run_cli(capsys, "run", "-i", str(bad)) == (
+        EXIT_INPUT, "", f"input error [bad-json] at {bad}: {bad}: {hint}")
+    # a file that is not UTF-8 is not JSON either
+    bad.write_bytes(b'{"schema": 1, "x": "\xff"}')
+    code, out, err = run_cli(capsys, "run", "-i", str(bad))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"input error [bad-json] at {bad}: invalid JSON in {bad}: 'utf-8'")
+
+
 def test_unknown_kind_exits_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -379,6 +402,26 @@ def test_check_submodular_fixture(capsys, monkeypatch):
                              str(FIXTURES / "vod-cut.json"))
     assert (code, out) == (EXIT_INPUT, "")
     assert err == "input error: CLINCH_BRUTE_FORCE_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("fn, sets", [(lambda s: len(s) ** 2, [[0], [1]]),
+                                      (lambda s: len(s) * (2 - len(s)), [[0], [0, 1]])],
+                         ids=["not-submodular", "not-monotone"])
+def test_check_submodular_reports_a_planted_failure(capsys, monkeypatch, fn, sets):
+    # every built-in kind is submodular by construction, so the failing
+    # report needs a planted oracle, given by the vod-cut builder
+    planted = SubmodularOracle.from_set_function(2, fn, monotone=True, name="planted")
+    monkeypatch.setattr(instances, "vod_cut_oracle", lambda *args: planted)
+    check = verify_submodular(planted)
+    witness = {"violation": check.violation, "sets": [sorted(w) for w in check.witness]}
+    assert witness["sets"] == sets
+    path = str(FIXTURES / "vod-cut.json")
+    code, out, err = run_cli(capsys, "check-submodular", "-i", path, "--format", "json")
+    assert (code, err) == (EXIT_PROPERTY_FAIL, "")
+    assert [p["witness"] for p in json.loads(out)["properties"]] == [witness]
+    code, out, _ = run_cli(capsys, "check-submodular", "-i", path)
+    assert code == EXIT_PROPERTY_FAIL
+    assert f"[FAIL] submodular-oracle  witness: {json.dumps(witness)}\n" in out
 
 
 def test_check_submodular_refuses_the_generic_polytope(capsys):

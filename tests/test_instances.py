@@ -78,6 +78,30 @@ def test_rationals_with_a_newline_a_space_or_non_ascii_digits_rejected():
     assert parse_rational("-3/4", "x") == Fraction(-3, 4)
 
 
+def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, digit_limit):
+    # int() refuses a string of more digits than Python's limit: in a
+    # rational string and in a JSON integer literal alike
+    limit = f"more than {digit_limit} digits"
+    for raw in ("7" * digit_limit, "1/" + "3" * digit_limit):
+        data = minimal(bidders=[{"value": raw, "budget": "1"}])
+        assert parse_instance_data(data).bidders[0].value == parse_rational(raw, "x")
+        data["bidders"][0]["value"] = raw + "3"
+        with pytest.raises(ParseError) as err:
+            parse_instance_data(data)
+        assert (err.value.code, err.value.field) == ("malformed-rational",
+                                                     "instance.bidders[0].value")
+        assert limit in str(err.value) and "PYTHONINTMAXSTRDIGITS=0" in str(err.value)
+    path = tmp_path / "steps.json"
+    steps = "9" * digit_limit
+    path.write_text(json.dumps(minimal()).replace('"max_steps": 1000', f'"max_steps": {steps}'))
+    assert parse_instance(path).config.max_steps == int(steps)
+    path.write_text(path.read_text().replace(steps, steps + "9"))
+    with pytest.raises(ParseError) as err:
+        parse_instance(path)
+    assert (err.value.code, err.value.field) == ("bad-json", str(path))
+    assert limit in str(err.value) and "PYTHONINTMAXSTRDIGITS=0" in str(err.value)
+
+
 def test_unknown_kind_rejected():
     # a kind that is not a string, hashable or not, is unknown too
     for kind in ("matroid-intersection", [], {}, None, 1):
